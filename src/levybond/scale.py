@@ -21,6 +21,27 @@ Two evaluation routes exist and are cross-checked against each other:
   contour silently crosses those poles, so there the Euler inverter (vertical
   Bromwich line, no deformation) is primary and certification is by the
   forward transform identity instead.
+
+Both inverters work on arrays of ``x``: the cache grid, the 10 check points
+or a derivative stencil go in as one call.  Each block of ``_CHUNK_ROWS``
+points builds its (x, node) contour, calls the transform once on it and
+combines the terms row by row, so a tabulated transform's (x, node, density
+node) exponentials stay under 1 MB at a time.  Talbot still sums each x's
+64 terms exactly rounded (``math.fsum`` per row).
+
+The tabulated transform integrates the density by parts (see
+``model._tab_exp_moment``), which orders its cell sum differently from a
+cell-by-cell evaluation.  The Euler rule multiplies its series by
+``e^(A/2)/x ~ 3.6e4/x``, which amplifies any such reordering, so Euler
+values move by ~1e-11 relative between the two orders, far inside the
+certified tolerances.  (Talbot values on rational transforms move by
+~1e-13, from numpy's array arithmetic in place of scalar ``cmath``.)
+
+Off the closed forms, ``W`` on the cache grid is a PCHIP interpolant of the
+tilted values.  :func:`w` reads it from the stored knots and coefficients by
+bisection, in PPoly's own evaluation order, so it equals
+``PchipInterpolator`` bit for bit at a fraction of the per-call cost that
+the nested quadratures of the solver pay tens of thousands of times.
 """
 
 from __future__ import annotations
@@ -29,8 +50,10 @@ import cmath
 import enum
 import math
 import warnings
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -77,6 +100,15 @@ _CONTOUR = _TH * (_COT + 1j)
 # error ~ exp(-A), roundoff ~ exp(A/2) * eps; A = 21 balances both near 1e-9.
 _EULER_A, _EULER_N, _EULER_ME = 21.0, 20, 13
 _EULER_BINOM = np.array([math.comb(_EULER_ME, j) for j in range(_EULER_ME + 1)], dtype=float)
+_EULER_K = np.arange(_EULER_N + _EULER_ME + 1)
+# series weights: the k = 0 term is halved, the rest alternate in sign
+_EULER_SIGN = np.where(_EULER_K % 2 == 1, -1.0, 1.0)
+_EULER_SIGN[0] = 0.5
+
+# x-points per inverter block: 4 x 34 Euler nodes x 401 density nodes of
+# complex exponentials is under 1 MB, so building a tabulated evaluator raises
+# the peak resident memory by about that much, whatever the cache grid size.
+_CHUNK_ROWS = 4
 
 
 class Method(enum.Enum):
@@ -91,27 +123,56 @@ class Method(enum.Enum):
 # numeric inverters
 # --------------------------------------------------------------------------- #
 
-def _talbot(transform, x: float) -> float:
+def _in_row_blocks(rule):
+    """Run an inversion rule on ``x`` in blocks of ``_CHUNK_ROWS`` points, so
+    its (x, node) contour and the transform's arrays stay under 1 MB."""
+    @wraps(rule)
+    def invert(transform, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS])
+                               for i in range(0, len(x), _CHUNK_ROWS)])
+    return invert
+
+
+@_in_row_blocks
+def _talbot(transform, x: np.ndarray) -> np.ndarray:
+    """Fixed-Talbot inverse at each point of ``x``, each an exactly rounded sum."""
     r = _TALBOT_RADIUS / x
-    s = r * _CONTOUR
-    terms = [0.5 * math.exp(r * x) * complex(transform(complex(r, 0.0))).real]
-    for k in range(_TALBOT_M - 1):
-        sk = complex(s[k])
-        val = cmath.exp(x * sk) * complex(transform(sk)) * (1.0 + 1j * _SIG[k])
-        terms.append(val.real)
-    return (r / _TALBOT_M) * math.fsum(terms)
+    s = np.empty((len(x), _TALBOT_M), dtype=complex)
+    s[:, 0] = r
+    s[:, 1:] = r[:, None] * _CONTOUR
+    vals = transform(s)
+    terms = np.empty((len(x), _TALBOT_M))
+    terms[:, 0] = 0.5 * np.exp(r * x) * vals[:, 0].real
+    terms[:, 1:] = (np.exp(x[:, None] * s[:, 1:]) * vals[:, 1:] * (1.0 + 1j * _SIG)).real
+    return (r / _TALBOT_M) * np.array([math.fsum(row) for row in terms])
 
 
-def _euler(transform, x: float) -> float:
-    half_a = _EULER_A / (2.0 * x)
-    terms = [0.5 * complex(transform(complex(half_a, 0.0))).real]
-    sign = -1.0
-    for k in range(1, _EULER_N + _EULER_ME + 1):
-        terms.append(sign * complex(transform(complex(half_a, k * math.pi / x))).real)
-        sign = -sign
-    partial = np.cumsum(terms)
-    avg = float(np.dot(_EULER_BINOM, partial[_EULER_N:_EULER_N + _EULER_ME + 1]))
+@_in_row_blocks
+def _euler(transform, x: np.ndarray) -> np.ndarray:
+    """Euler-summed Bromwich inverse at each point of ``x``."""
+    s = np.empty((len(x), _EULER_N + _EULER_ME + 1), dtype=complex)
+    s.real = (_EULER_A / (2.0 * x))[:, None]
+    s.imag = _EULER_K * math.pi / x[:, None]
+    terms = _EULER_SIGN * transform(s).real
+    partial = np.cumsum(terms, axis=1)
+    avg = partial[:, _EULER_N:] @ _EULER_BINOM
     return math.exp(_EULER_A / 2.0) / x * avg / 2.0**_EULER_ME
+
+
+def _tilted_transform(model: LevyModel, q: float, phi_q: float):
+    """``b -> 1/(psi(b + Phi(q)) - q)`` on arrays, 0 where psi is infinite."""
+    def transform(b: np.ndarray) -> np.ndarray:
+        den = _psi_c(model, b + phi_q) - q
+        out = np.zeros_like(den)
+        ok = (den != 0.0) & np.isfinite(den.real)
+        out[ok] = 1.0 / den[ok]
+        return out
+    return transform
+
+
+def _inverter(model: LevyModel):
+    """Talbot for rational exponents, Euler for tabulated ones (module docstring)."""
+    return _talbot if isinstance(model.jumps, (NoJumps, ExponentialJumps)) else _euler
 
 
 # --------------------------------------------------------------------------- #
@@ -136,7 +197,7 @@ class ScaleEvaluator:
     roots: tuple[complex, ...] | None
     weights: tuple[complex, ...] | None
     cache: np.ndarray = field(repr=False)
-    _tilted_interp: PchipInterpolator | None = field(repr=False)
+    _tilted: tuple[list[float], tuple[array, ...]] | None = field(repr=False)
 
 
 def _rational_poly(model: LevyModel, q: float):
@@ -234,33 +295,25 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
             chosen = Method.NUMERIC_INVERSION
 
     grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
-    interp = None
     if chosen is Method.NUMERIC_INVERSION:
-        def tilted_transform(b: complex) -> complex:
-            den = _psi_c(model, b + phi_q) - q
-            if den == 0.0 or not np.isfinite(den.real):
-                return 0.0 + 0.0j
-            return 1.0 / den
-
-        invert = _talbot if rational else _euler
+        transform = _tilted_transform(model, q, phi_q)
+        invert = _inverter(model)
         tilted_vals = np.empty(len(grid))
         tilted_vals[0] = w0
-        for i, xv in enumerate(grid[1:], start=1):
-            tilted_vals[i] = invert(tilted_transform, float(xv))
-        interp = PchipInterpolator(grid, tilted_vals, extrapolate=False)
+        tilted_vals[1:] = invert(transform, grid[1:])
         wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
         cache = np.column_stack([grid, wa])
         ev = ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
                             w0=w0, w0_prime=w0p, roots=None, weights=None,
-                            cache=cache, _tilted_interp=interp)
-        _certify(ev, tilted_transform, invert, rational)
+                            cache=cache, _tilted=_pchip_table(grid, tilted_vals))
+        _certify(ev, transform, invert, rational)
         return ev
 
     wa = np.array([_closed_w(roots, weights, float(xv)) for xv in grid])
     cache = np.column_stack([grid, wa])
     return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
                           w0=w0, w0_prime=w0p, roots=roots, weights=weights,
-                          cache=cache, _tilted_interp=None)
+                          cache=cache, _tilted=None)
 
 
 def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
@@ -273,9 +326,9 @@ def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
     """
     if rational:
         secondary = _euler if primary is _talbot else _talbot
-        for xv in _check_points():
-            a = primary(transform, float(xv))
-            b = secondary(transform, float(xv))
+        xs = _check_points()
+        for xv, a, b in zip(xs.tolist(), primary(transform, xs).tolist(),
+                            secondary(transform, xs).tolist()):
             scale = max(abs(a), abs(b), 1e-12)
             if abs(a - b) / scale > 1e-7:
                 raise AccuracyError(
@@ -295,17 +348,31 @@ def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
 # operations
 # --------------------------------------------------------------------------- #
 
-def _w_direct(ev: ScaleEvaluator, x: float) -> float:
-    """Single-point inversion, bypassing the cache (used past the grid edge)."""
-    def transform(b: complex) -> complex:
-        den = _psi_c(ev.model, b + ev.phi_q) - ev.q
-        if den == 0.0 or not np.isfinite(den.real):
-            return 0.0 + 0.0j
-        return 1.0 / den
+def _w_direct(ev: ScaleEvaluator, xs: np.ndarray) -> np.ndarray:
+    """Inversion at the points ``xs``, bypassing the cache (used past the grid edge)."""
+    transform = _tilted_transform(ev.model, ev.q, ev.phi_q)
+    return np.exp(ev.phi_q * xs) * _inverter(ev.model)(transform, xs)
 
-    rational = isinstance(ev.model.jumps, (NoJumps, ExponentialJumps))
-    invert = _talbot if rational else _euler
-    return math.exp(ev.phi_q * x) * invert(transform, x)
+
+def _pchip_table(grid: np.ndarray, vals: np.ndarray) -> tuple[list[float], tuple[array, ...]]:
+    """Knots (a list, for bisection) and the four per-interval coefficient
+    columns, highest power first, of the PCHIP interpolant of ``(grid, vals)``."""
+    pp = PchipInterpolator(grid, vals, extrapolate=False)
+    return pp.x.tolist(), tuple(array("d", col) for col in pp.c)
+
+
+def _pchip_at(table: tuple[list[float], tuple[array, ...]], x: float) -> float:
+    """The tabulated interpolant at ``knots[0] <= x <= knots[-1]``.
+
+    Bitwise equal to ``PchipInterpolator.__call__``: the same interval (closed
+    on the right at the last knot) and PPoly's power-sum order, without its
+    ~10 us of per-call array overhead.
+    """
+    knots, (c3, c2, c1, c0) = table
+    i = min(bisect_right(knots, x), len(knots) - 1) - 1
+    s = x - knots[i]
+    s2 = s * s
+    return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
 
 def w(ev: ScaleEvaluator, x: float) -> float:
@@ -317,8 +384,8 @@ def w(ev: ScaleEvaluator, x: float) -> float:
     if ev.roots is not None:
         return _closed_w(ev.roots, ev.weights, x)
     if x <= _CACHE_HI:
-        return math.exp(ev.phi_q * x) * float(ev._tilted_interp(x))
-    return _w_direct(ev, x)
+        return math.exp(ev.phi_q * x) * _pchip_at(ev._tilted, x)
+    return float(_w_direct(ev, np.array([x]))[0])
 
 
 def z(ev: ScaleEvaluator, x: float) -> float:
@@ -364,8 +431,10 @@ def w_prime(ev: ScaleEvaluator, x: float) -> float:
             acc += (c * r * cmath.exp(r * x)).real
         return acc
     h = min(1e-3 * max(1.0, abs(x)), x / 2.0)
-    d1 = (_w_direct(ev, x + h) - _w_direct(ev, x - h)) / (2.0 * h)
-    d2 = (_w_direct(ev, x + h / 2.0) - _w_direct(ev, x - h / 2.0)) / h
+    wp1, wm1, wp2, wm2 = _w_direct(
+        ev, np.array([x + h, x - h, x + h / 2.0, x - h / 2.0])).tolist()
+    d1 = (wp1 - wm1) / (2.0 * h)
+    d2 = (wp2 - wm2) / h
     richardson = (4.0 * d2 - d1) / 3.0
     err = abs(richardson - d2)
     if err > 1e-6 * max(abs(richardson), 1e-12):

@@ -692,7 +692,10 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
 
     Uses strictly one-sided three-point stencils (quadratic extrapolation at
     steps ``h``, ``h/2``, ``h/4``) so each side samples only its own branch
-    of the value function.
+    of the value function.  The default step is ``1e-4 * max(1, |boundary|)``,
+    cut to a quarter of the gap when an R4 call threshold lies closer than
+    that below ``log K``, where the right-hand branch turns from ``K`` to
+    ``e^x``.
     """
     boundary = {
         Regime.R1: math.log(params.K),
@@ -702,6 +705,9 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
     }[solution.regime]
     if h is None:
         h = 1e-4 * max(1.0, abs(boundary))
+        gap = math.log(params.K) - boundary
+        if solution.regime is Regime.R4 and 0.0 < gap < h:
+            h = gap / 4.0
     if not (0.0 < h <= 1e-2):
         raise DomainError(f"fit step must lie in (0, 1e-2], got {h}")
 

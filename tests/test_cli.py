@@ -4,13 +4,16 @@ exercises the installed console script end to end."""
 
 import csv
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levybond
 from levybond.cli import load_config, main
 from levybond.errors import ConfigError
 
@@ -283,8 +286,12 @@ class TestSelfcheck:
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         path = write_config(tmp_path, model=BROWNIAN, game=GAME, grid=GRID)
+        # the child imports the package the tests import, installed or not
+        paths = [str(Path(levybond.__file__).resolve().parents[1]),
+                 os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "levybond.cli", "solve", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "regime=R2" in proc.stdout

@@ -30,7 +30,8 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _tab_mass
+from levybond.model import _psi_c, _tab_mass
+from levybond.scale import _tilted_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
 CANON = LevyModel(mu=0.0, b2=2.0)
@@ -275,6 +276,24 @@ class TestTabulatedFamily:
         with pytest.raises(DivergentExponent):
             laplace_exponent(self.MODEL, -2.0)
 
+    @pytest.mark.parametrize("theta", [1e-7, 1e-5])
+    def test_taylor_branch_matches_moments(self, theta):
+        # psi(theta) = theta psi'(0) + theta^2 psi''(0) / 2 + O(theta^3) with
+        # psi'(0) = mu - int_{z>=1} z pi and psi''(0) = b2 + int z^2 pi, here by
+        # a fine trapezoid rule through the table's knots plus the tail's closed form
+        tab = self.TAB
+        zN, r, vN = tab.grid[-1], tab.tail_rate, tab.values[-1]
+
+        def body(power, lo):
+            zs = np.union1d(np.linspace(lo, zN, 20001), [g for g in tab.grid if g > lo])
+            f = zs**power * np.interp(zs, tab.grid, tab.values)
+            return float(np.sum((f[1:] + f[:-1]) * np.diff(zs)) / 2.0)
+
+        first = body(1, 1.0) + vN * (zN / r + 1.0 / r**2)
+        second = body(2, tab.grid[0]) + vN * (zN**2 / r + 2.0 * zN / r**2 + 2.0 / r**3)
+        expected = theta * (0.25 - first) + theta**2 * (0.1 + second) / 2.0
+        assert laplace_exponent(self.MODEL, theta) == pytest.approx(expected, rel=1e-6)
+
     def test_frozen_shifted_integrals(self):
         i1, i2 = shifted_jump_integrals(self.MODEL, 0.25, phi_q=1.1)
         assert i1 == pytest.approx(0.21524922535332336, rel=1e-6)
@@ -288,6 +307,54 @@ class TestTabulatedFamily:
         lhs = laplace_exponent(tilted, 0.8)
         rhs = laplace_exponent(self.MODEL, 1.3) - laplace_exponent(self.MODEL, 0.5)
         assert lhs == pytest.approx(rhs, abs=2e-4)
+        # the tilted density's precomputed constants are its own, not the parent's
+        fresh = TabulatedDensity(tilted.jumps.grid, tilted.jumps.values, 2.5)
+        assert jump_intensity(tilted) == _tab_mass(fresh) < jump_intensity(self.MODEL)
+        assert _psi_c(tilted, np.array([0.8]))[0].real == pytest.approx(lhs, rel=1e-13)
+
+    def test_equal_tables_compare_and_hash_equal(self):
+        # the precomputed per-density constants stay out of eq, hash and repr
+        a, b = tabulated_exp_density(), tabulated_exp_density()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert LevyModel(0.25, 0.1, a) == LevyModel(0.25, 0.1, b)
+        assert a != tabulated_exp_density(n=101)
+        assert "_cells" not in repr(a)
+
+
+class TestComplexExponent:
+    """``_psi_c``: the array continuation of psi used on inversion contours."""
+
+    MODEL = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
+
+    @pytest.mark.parametrize("model", [MODEL, EXPJ, CANON])
+    def test_agrees_with_real_exponent(self, model):
+        # 1e-7 and 1e-5 take the Taylor branch of the tabulated moment; the
+        # others its integration by parts, which is well conditioned there
+        thetas = np.array([1e-7, 1e-5, 0.3, 1.0, 4.0, -0.5, -1.5])
+        got = _psi_c(model, thetas)
+        assert got.shape == thetas.shape
+        for th, g in zip(thetas.tolist(), got):
+            # the jump masses are O(1), so agreement is absolute at a few ulps
+            assert g.imag == 0.0
+            assert g.real == pytest.approx(laplace_exponent(model, th), rel=1e-13, abs=1e-15)
+
+    def test_conjugate_symmetry(self):
+        beta = np.array([[0.4 + 2.0j, 3.0 - 50.0j], [1e-5 + 1e-5j, -1.0 + 0.5j]])
+        np.testing.assert_array_equal(_psi_c(self.MODEL, beta.conj()),
+                                      _psi_c(self.MODEL, beta).conj())
+
+    def test_pole_and_guard_return_inf(self):
+        # beta = -tail_rate is the tail pole; Re(-beta) * grid[-1] = 640 passes
+        # the overflow guard; both degrade the transform 1/(psi - q) to 0
+        beta = np.array([-2.0, -80.0 + 3.0j, 1.0 + 1.0j])
+        psi = _psi_c(self.MODEL, beta)
+        assert np.isinf(psi[0]) and np.isinf(psi[1]) and np.isfinite(psi[2])
+        ph = phi(self.MODEL, 0.8)
+        transform = _tilted_transform(self.MODEL, 0.8, ph)
+        vals = transform(beta - ph)
+        assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] != 0.0
+        assert np.isinf(_psi_c(EXPJ, np.array([-1.7]))[0])
 
 
 class TestJumpSampling:

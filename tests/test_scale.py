@@ -6,9 +6,11 @@ was itself validated against the Laplace-transform identity by quadrature
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from levybond import (
     AccuracyError,
@@ -20,7 +22,10 @@ from levybond import (
     laplace_exponent,
 )
 from levybond.scale import (
+    _CACHE_HI,
     Method,
+    _pchip_at,
+    _pchip_table,
     laplace_selfcheck,
     scale_evaluator,
     tilted_w,
@@ -153,12 +158,38 @@ class TestTabulatedInversion:
         # approach from the right stays near the boundary value
         assert w(ev, 1e-4) == pytest.approx(0.5, abs=2e-3)
 
+    def test_cold_build_is_fast(self):
+        # the 401-node Euler build, certification included, bypassing the memo
+        model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
+        t0 = time.perf_counter()
+        ev = scale_evaluator.__wrapped__(model, 0.8)
+        assert time.perf_counter() - t0 < 5.0
+        assert ev.method is Method.NUMERIC_INVERSION
+
     def test_derivative_matches_family(self):
         tab_model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
         exp_model = LevyModel(mu=0.25, b2=0.1, jumps=ExponentialJumps(1.0, 2.0))
         d_tab = w_prime(scale_evaluator(tab_model, 0.8), 1.0)
         d_exp = w_prime(scale_evaluator(exp_model, 0.8), 1.0)
         assert d_tab == pytest.approx(d_exp, rel=5e-3)
+
+
+class TestCacheLookup:
+    def test_bitwise_equal_to_pchip(self):
+        ev = scale_evaluator(EXPJ, 1.2, Method.NUMERIC_INVERSION)
+        grid = ev.cache[:, 0]
+        tilted = ev.cache[:, 1] * np.exp(-ev.phi_q * grid)
+        pchip = PchipInterpolator(grid, tilted, extrapolate=False)
+        table = _pchip_table(grid, tilted)
+        xs = np.concatenate([np.random.default_rng(5).uniform(0.0, _CACHE_HI, 20000),
+                             grid, [_CACHE_HI]])
+        got = np.array([_pchip_at(table, x) for x in xs.tolist()])
+        assert got.tobytes() == pchip(xs).tobytes()
+
+    def test_w_reproduces_the_cache_at_knots(self):
+        ev = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
+        for xv, wv in ev.cache[1::97].tolist() + [ev.cache[-1].tolist()]:
+            assert w(ev, xv) == pytest.approx(wv, rel=1e-15)
 
 
 class TestTransformIdentity:
@@ -235,6 +266,14 @@ class TestTilt:
         shifted = p + laplace_exponent(model, lam)
         rhs = w(scale_evaluator(model, shifted), x)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    def test_tabulated_tilt_identity(self):
+        # the tilted density is re-tabulated on the same grid, so the identity
+        # holds to its interpolation error (~5e-5 here), not to rounding
+        model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
+        lhs = tilted_w(model, 0.5, 0.8, 1.2) * math.exp(0.5 * 1.2)
+        rhs = w(scale_evaluator(model, 0.8 + laplace_exponent(model, 0.5)), 1.2)
+        assert lhs == pytest.approx(rhs, rel=5e-4)
 
     def test_unit_tilt_recovers_conversion_weighting(self):
         # lam=-1, p=q-psi(-1): tilted scale equals e^x W^(q)(x)

@@ -429,6 +429,18 @@ class TestFitReports:
         assert fr.left_value == pytest.approx(2.0, abs=1e-9)
         assert fr.right_value == pytest.approx(2.0, abs=1e-12)
 
+    def test_r4_call_threshold_just_below_cap(self):
+        # log K - c* ~ 1.1e-5 is under the default step 1e-4, yet the
+        # right-hand stencil must stay on the flat V = K branch below log K
+        sol = classify(B05, gp(1.18527))
+        assert sol.regime is Regime.R4
+        assert 0.0 < math.log(2.0) - sol.c_star < 1e-4
+        fr = fit_report(B05, gp(1.18527), sol)
+        assert fr.right_value == pytest.approx(2.0, abs=1e-12)
+        assert abs(fr.right_deriv) <= 1e-9
+        assert abs(fr.left_value - fr.right_value) <= 1e-6 * 2.0
+        assert abs(fr.left_deriv) <= 1e-4 * 2.0
+
     def test_r4_bounded_variation_continuous(self):
         sol = classify(BV2, gp(0.8))
         fr = fit_report(BV2, gp(0.8), sol)
