@@ -81,18 +81,14 @@ from .solver import (
     value_profile,
 )
 from .mc import (
-    PathSample,
     PayoffEstimate,
     SaddleComparison,
     SaddleReport,
     SimConfig,
     estimate_game_value,
     estimate_game_values,
-    first_passage_up,
     mc_eligible,
-    payoff,
     saddle_check,
-    sample_path,
     sup_exponential_moment,
     two_sided_exit,
     upcrossing_discount_profile,

@@ -4,19 +4,35 @@ Two engines cover the supported dynamics:
 
 * a *grid* engine for models with a Gaussian part: drift/Brownian increments
   on a uniform ``dt`` grid, compound-Poisson jumps placed uniformly inside
-  their step and applied at its end, and an optional Brownian-bridge draw
-  per step that restores level crossings the grid cannot see (removes the
+  their step and applied at its end, and a Brownian-bridge draw per step
+  that restores level crossings the grid cannot see (removes the
   O(sqrt(dt)) first-passage bias);
 * an *event* engine for bounded-variation models (no Gaussian part): jump
   epochs are simulated exactly, the path is piecewise linear between them,
   upward crossings happen only at jumps, and coupon integrals are evaluated
   in closed form segment by segment — no time discretisation at all.
 
-Randomness is counter-based (Philox) keyed by ``(seed, stream tag, index)``,
-so every estimate is bit-reproducible for a fixed seed regardless of
-scheduling; strategy variants inside one call ride the same simulated noise,
-which is what makes the saddle-point comparisons sharp (common random
-numbers, paired differences).
+Each estimator runs on one kernel per engine: :func:`_grid_sweep` walks the
+paths block by block and retires the rows whose stop rule has fired, and
+:func:`_event_tableau` lays out each path's jumps.  Strategy variants inside
+one call ride the same simulated noise, which is what makes the saddle-point
+comparisons sharp (common random numbers, paired differences).
+
+Randomness is counter-based (Philox), so every estimate is bit-reproducible
+for a fixed seed regardless of scheduling.  The stream layout is part of
+that contract:
+
+* paths run in chunks of ``_CHUNK``, and chunk ``k`` of an estimator draws
+  from one generator keyed by ``(seed, tag, k)``; the tags are
+  ``_TAG_VALUE = 1`` (game values and saddle checks), ``_TAG_UPCROSS = 2``,
+  ``_TAG_TWOSIDED = 3`` and ``_TAG_SUP = 4``;
+* a chunk first makes its estimator's own draws (the ``Exp(q)`` clocks of
+  :func:`wiener_hopf_check`), then its path draws.  On the grid these come
+  per block of ``_BLOCK`` steps, for the rows still open: the Gaussian
+  normals, the jump counts, the jump columns, the jump-size uniforms, the
+  bridge uniforms and last the estimator's draws after the walk (the
+  bridge minimum of :func:`two_sided_exit`).  On the event engine they are
+  the jump counts, the epoch uniforms and the jump-size uniforms.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -30,7 +46,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,14 +70,10 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
-    "PathSample",
     "PayoffEstimate",
     "SaddleComparison",
     "SaddleReport",
     "mc_eligible",
-    "sample_path",
-    "first_passage_up",
-    "payoff",
     "estimate_game_value",
     "estimate_game_values",
     "upcrossing_discount_profile",
@@ -77,7 +89,7 @@ _CHUNK = 4096       # paths simulated simultaneously
 _BLOCK = 512        # grid steps per vectorised block
 
 # stream tags keep independent estimators off each other's random numbers
-_TAG_PATH, _TAG_VALUE, _TAG_UPCROSS, _TAG_TWOSIDED, _TAG_SUP = range(5)
+_TAG_VALUE, _TAG_UPCROSS, _TAG_TWOSIDED, _TAG_SUP = range(1, 5)
 
 SigmaSpec = Union[float, ImmediateStop]
 
@@ -90,7 +102,6 @@ class SimConfig:
     horizon: float
     dt: float
     seed: int
-    bridge_correction: bool = True
 
     def __post_init__(self):
         if not isinstance(self.n_paths, int) or self.n_paths <= 0:
@@ -111,33 +122,6 @@ class PayoffEstimate:
     mean: float
     stderr: float
     n: int
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path on its merged event grid.
-
-    ``times``/``values`` hold X after each event (grid node or exact jump
-    epoch); Brownian increments are drawn per merged segment, so the values
-    are exact in distribution at every node.  ``bridge_uniforms`` carries one
-    draw per segment for reconstructing within-segment maxima; it is empty
-    when the model has no Gaussian part or the correction is off.
-    ``running_sup`` is the running maximum over event nodes (between nodes a
-    bounded-variation path only drifts down, so there it is exact).
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    is_jump: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    bridge_uniforms: np.ndarray
-    running_sup: np.ndarray
-    x0: float
-    b2: float
-    drift: float
-    growth_rate: float
-    horizon: float
 
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -183,173 +167,39 @@ def _truncation_bound(model: LevyModel, q: float, x: float, horizon: float,
     return math.exp(-q * horizon) * cap + tail
 
 
-# --------------------------------------------------------------------------- #
-# per-path sampling and path-level operations
-# --------------------------------------------------------------------------- #
-
-def sample_path(model: LevyModel, config: SimConfig, path_index: int,
-                x0: float = 0.0) -> PathSample:
-    """Simulate one path, deterministic in ``(config.seed, path_index)``.
-
-    Draw order is fixed (jump count, jump-time uniforms, jump-size uniforms,
-    segment normals, bridge uniforms) so the stream layout is part of the
-    reproducibility contract.
-    """
-    if not isinstance(path_index, int) or path_index < 0:
-        raise ConfigError(f"path_index must be a nonnegative integer, got {path_index}")
-    rng = _rng(config.seed, _TAG_PATH, path_index)
-    dt = config.dt
-    n_steps = max(1, int(round(config.horizon / dt)))
-    T = n_steps * dt  # snap the horizon onto the grid
-    drift = _sim_drift(model)
-    rate = _jump_rate(model)
-
-    if rate > 0.0:
-        n_jumps = int(rng.poisson(rate * T))
-        jump_times = np.sort(rng.random(n_jumps)) * T
-        jump_sizes = sample_jump_sizes(model, rng.random(n_jumps), z_min=_z_min(model))
-    else:
-        jump_times = np.empty(0)
-        jump_sizes = np.empty(0)
-
-    grid = dt * np.arange(1, n_steps + 1)
-    times = np.unique(np.concatenate([grid, jump_times]))
-    is_jump = np.isin(times, jump_times)
-    seg = np.diff(np.concatenate([[0.0], times]))
-
-    incr = drift * seg
-    if model.b2 > 0.0:
-        incr = incr + math.sqrt(model.b2) * np.sqrt(seg) * rng.standard_normal(len(seg))
-    jump_at = np.zeros(len(times))
-    if len(jump_times):
-        jump_at[np.searchsorted(times, jump_times)] = jump_sizes
-    values = x0 + np.cumsum(incr + jump_at)
-
-    if model.b2 > 0.0 and config.bridge_correction:
-        bridge = rng.random(len(seg))
-    else:
-        bridge = np.empty(0)
-
-    return PathSample(
-        times=times, values=values, is_jump=is_jump,
-        jump_times=jump_times, jump_sizes=jump_sizes,
-        bridge_uniforms=bridge,
-        running_sup=np.maximum.accumulate(np.concatenate([[x0], values]))[1:],
-        x0=x0, b2=model.b2, drift=drift,
-        growth_rate=exp_growth_rate(model), horizon=T,
-    )
+def _at(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``a[i, cols[i]]`` for every row ``i``."""
+    return a[np.arange(len(cols)), cols]
 
 
-def _bridge_max(x0: float, x1: float, b2: float, length: float, u: float) -> float:
-    """Maximum of a Brownian bridge between two sampled endpoints."""
-    disc = (x1 - x0) ** 2 - 2.0 * b2 * length * math.log(u)
-    return 0.5 * (x0 + x1 + math.sqrt(max(disc, 0.0)))
-
-
-def _jump_size_at(path: PathSample, k: int) -> float:
-    if not path.is_jump[k]:
-        return 0.0
-    j = np.searchsorted(path.jump_times, path.times[k])
-    return float(path.jump_sizes[j])
-
-
-def first_passage_up(path: PathSample, level: float) -> tuple[float, float]:
-    """First time X strictly exceeds ``level`` and the position there.
-
-    Continuous crossings land exactly on the level (with the time placed at
-    the segment midpoint when the bridge detects them); jump crossings keep
-    their exact epoch and overshoot.  Starting strictly above the level
-    counts as crossing at time zero.  Returns ``(inf, nan)`` when the path
-    never crosses before the horizon.
-    """
-    if path.x0 > level:
-        return 0.0, path.x0
-    use_bridge = path.b2 > 0.0 and len(path.bridge_uniforms) > 0
-    prev_t, prev_v = 0.0, path.x0
-    for k in range(len(path.times)):
-        t, v = float(path.times[k]), float(path.values[k])
-        v_pre = v - _jump_size_at(path, k)
-        if use_bridge:
-            m = _bridge_max(prev_v, v_pre, path.b2, t - prev_t,
-                            float(path.bridge_uniforms[k]))
-            if m > level:
-                return prev_t + 0.5 * (t - prev_t), level
-        elif v_pre > level:
-            return t, level
-        if v > level:  # crossed by the jump at its exact epoch
-            return t, v
-        prev_t, prev_v = t, v
-    return math.inf, math.nan
-
-
-def _coupon_integral(path: PathSample, q: float, alpha: float, beta: float,
-                     t_stop: float) -> float:
-    """``integral_0^t_stop e^(-qs) (alpha + beta e^(X_s)) ds`` along the path.
-
-    Exact piecewise-exponential segments for pure-drift paths, trapezoid on
-    the merged grid otherwise.
-    """
-    total = 0.0
-    prev_t, prev_v = 0.0, path.x0
-    exact = path.b2 == 0.0
-    for k in range(len(path.times)):
-        t, v = float(path.times[k]), float(path.values[k])
-        v_pre = v - _jump_size_at(path, k)
-        seg_end = min(t, t_stop)
-        if seg_end > prev_t:
-            length = seg_end - prev_t
-            if exact:
-                # X is linear with slope `drift` on the open segment
-                total += alpha * (math.exp(-q * prev_t) - math.exp(-q * seg_end)) / q
-                r = q - path.drift
-                total += beta * math.exp(prev_v - q * prev_t) * \
-                    (1.0 - math.exp(-r * length)) / r
-            else:
-                v_end = v_pre if seg_end == t else \
-                    prev_v + (v_pre - prev_v) * length / (t - prev_t)
-                f0 = math.exp(-q * prev_t) * (alpha + beta * math.exp(prev_v))
-                f1 = math.exp(-q * seg_end) * (alpha + beta * math.exp(v_end))
-                total += 0.5 * (f0 + f1) * length
-        if t >= t_stop:
-            break
-        prev_t, prev_v = t, v
-    return total
-
-
-def payoff(path: PathSample, params, tau_level: float,
-           sigma_spec: SigmaSpec) -> float:
-    """Discounted game payoff of a threshold strategy pair along one path.
-
-    The holder's stop pays the share value, the issuer's the capped share
-    value; simultaneous stops settle at the issuer's payment.  If neither
-    threshold is reached before the horizon the coupon stream is completed
-    with its closed-form perpetual remainder.
-    """
-    q, alpha, beta, K = params.q, params.alpha, params.beta, params.K
-    if isinstance(sigma_spec, ImmediateStop) or path.x0 > sigma_spec:
-        return max(K, math.exp(path.x0))
-    if path.x0 > tau_level:
-        return math.exp(path.x0)
-    tau_t, tau_pos = first_passage_up(path, tau_level)
-    sig_t, sig_pos = first_passage_up(path, sigma_spec)
-    t_stop = min(tau_t, sig_t)
-    if math.isinf(t_stop):
-        base = _coupon_integral(path, q, alpha, beta, path.horizon)
-        tail = math.exp(-q * path.horizon) * (
-            alpha / q + beta * math.exp(float(path.values[-1])) /
-            (q - path.growth_rate))
-        return base + tail
-    coupons = _coupon_integral(path, q, alpha, beta, t_stop)
-    if tau_t < sig_t:
-        terminal = math.exp(tau_pos)
-    else:
-        terminal = max(K, math.exp(sig_pos))
-    return coupons + math.exp(-q * t_stop) * terminal
+def _discounted(t: np.ndarray, rate: float) -> np.ndarray:
+    """``e^(-rate t)``, and 0 where ``t`` is infinite (never happened)."""
+    out = np.zeros(t.shape)
+    f = np.isfinite(t)
+    out[f] = np.exp(-rate * t[f])
+    return out
 
 
 # --------------------------------------------------------------------------- #
-# bulk estimators (chunked, shared-noise variants)
+# grid kernel
 # --------------------------------------------------------------------------- #
+
+class _Block(NamedTuple):
+    """One block of grid steps, for the rows still open."""
+
+    rows: np.ndarray     # path index of each row
+    t0: float            # time at the block's start
+    col0: int            # index of the block's first step
+    start: np.ndarray    # X at the block's start
+    post: np.ndarray     # X after each step, its jump included
+    pre: np.ndarray      # continuous endpoint of each step, before its jump
+    left: np.ndarray     # X at each step's start
+    smax: np.ndarray     # bridge-sampled continuous maximum of each step
+
+
+def _grid_steps(config: SimConfig) -> int:
+    return max(1, int(round(config.horizon / config.dt)))
+
 
 def _scatter_jumps(model: LevyModel, rng: np.random.Generator, rate: float,
                    n_rows: int, cols: int, dt: float) -> np.ndarray | None:
@@ -369,14 +219,13 @@ def _scatter_jumps(model: LevyModel, rng: np.random.Generator, rate: float,
 
 
 def _block_walk(model: LevyModel, rng: np.random.Generator, rate: float,
-                y: np.ndarray, cols: int, dt: float, drift: float,
-                use_bridge: bool):
+                y: np.ndarray, cols: int, dt: float, drift: float):
     """One vectorised block of the grid walk from row states ``y``.
 
     Returns post-step values, pre-jump (continuous) endpoints, left
-    endpoints, and the per-step continuous maximum (bridge-sampled when the
-    correction is on).  Heavy arrays are assembled in place — this loop is
-    memory-bandwidth bound.
+    endpoints, and the bridge-sampled continuous maximum of each step.
+    Heavy arrays are assembled in place — this loop is memory-bandwidth
+    bound.
     """
     n_alive = len(y)
     b2 = model.b2
@@ -393,43 +242,140 @@ def _block_walk(model: LevyModel, rng: np.random.Generator, rate: float,
     left = np.empty_like(y_post)
     left[:, 0] = y
     left[:, 1:] = y_post[:, :-1]
-    if use_bridge:
-        u = rng.random((n_alive, cols))
-        np.log(u, out=u)
-        u *= -2.0 * b2 * dt                    # u = -2 b^2 dt ln U  (>= 0)
-        gap = y_pre - left
-        gap *= gap
-        gap += u
-        np.sqrt(gap, out=gap)
-        seg_max = left + y_pre
-        seg_max += gap
-        seg_max *= 0.5
-    else:
-        seg_max = np.maximum(left, y_pre)
+    u = rng.random((n_alive, cols))
+    np.log(u, out=u)
+    u *= -2.0 * b2 * dt                    # u = -2 b^2 dt ln U  (>= 0)
+    gap = y_pre - left
+    gap *= gap
+    gap += u
+    np.sqrt(gap, out=gap)
+    seg_max = left + y_pre
+    seg_max += gap
+    seg_max *= 0.5
     return y_post, y_pre, left, seg_max
 
 
-def _event_tableau(model: LevyModel, rng: np.random.Generator, rate: float,
-                   rows: int, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact jump epochs/sizes per path; invalid slots sort to time 2T."""
-    counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
-    m = max(1, int(counts.max()) if rows else 1)
-    valid = np.arange(m)[None, :] < counts[:, None]
-    jt = np.sort(np.where(valid, rng.random((rows, m)), 2.0), axis=1) * T
-    if rate > 0.0:
-        js = np.where(valid, sample_jump_sizes(
-            model, rng.random((rows, m)).reshape(-1),
-            z_min=_z_min(model)).reshape(rows, m), 0.0)
-    else:
-        js = np.zeros((rows, m))
-    return jt, js, valid
+def _grid_sweep(model: LevyModel, config: SimConfig, tag: int,
+                step: Callable[[_Block, np.random.Generator], np.ndarray],
+                begin: Optional[Callable[[np.random.Generator, slice], None]] = None
+                ) -> np.ndarray:
+    """Walk every path from zero on the grid; return X at the horizon.
+
+    Each chunk calls ``begin(rng, chunk)`` with its slice of paths before
+    walking, then ``step(block, rng)`` on every block; ``step`` returns the
+    mask of the block's rows still open, and the others retire.  Retired
+    paths read NaN in the returned array.  The block start time is summed
+    block by block: ``col0 * dt`` differs from it in the last bit and would
+    move seeded outputs.
+    """
+    dt = config.dt
+    n_steps = _grid_steps(config)
+    drift = _sim_drift(model)
+    rate = _jump_rate(model)
+    y_end = np.full(config.n_paths, math.nan)
+    for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
+        chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
+        rng = _rng(config.seed, tag, k)
+        if begin is not None:
+            begin(rng, chunk)
+        rows = np.arange(chunk.start, chunk.stop)
+        y = np.zeros(len(rows))
+        t0 = 0.0
+        for col0 in range(0, n_steps, _BLOCK):
+            if len(y) == 0:
+                break
+            cols = min(_BLOCK, n_steps - col0)
+            post, pre, left, smax = _block_walk(model, rng, rate, y, cols, dt, drift)
+            still = step(_Block(rows, t0, col0, y, post, pre, left, smax), rng)
+            y = post[:, -1][still]
+            rows = rows[still]
+            t0 += dt * cols
+        y_end[rows] = y
+    return y_end
 
 
-def _variant_levels(x: float, tau_level: float,
-                    sigma_level: float) -> tuple[float, float]:
-    """Thresholds relative to the shared zero-started noise path."""
-    return tau_level - x, sigma_level - x
+def _first_up(b: _Block, lvl: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether the block passes above ``lvl`` (continuously or by
+    a jump), and the first step that does."""
+    cross = b.smax > lvl
+    cross |= b.post > lvl
+    first = np.argmax(cross, axis=1)
+    return _at(cross, first), first
 
+
+def _passage(smax: np.ndarray, post: np.ndarray, ht: np.ndarray, dt: float,
+             lvl: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time, position and continuity of a passage above ``lvl`` within grid
+    steps that start at ``ht``.  A continuous passage lands on the level,
+    timed at the step's midpoint; a jump keeps its overshoot at the step's
+    end; the time is ``inf`` where neither happens.
+    """
+    cont = smax > lvl
+    t = np.where(cont, ht + 0.5 * dt, np.where(post > lvl, ht + dt, math.inf))
+    return t, np.where(cont, lvl, post), cont
+
+
+# --------------------------------------------------------------------------- #
+# event kernel
+# --------------------------------------------------------------------------- #
+
+class _Tableau(NamedTuple):
+    """The jumps of one chunk of paths; unused slots sort last, at time 2T."""
+
+    rows: slice          # the chunk's paths
+    jt: np.ndarray       # jump epochs, ascending per row
+    js: np.ndarray       # jump sizes (0 in unused slots)
+    valid: np.ndarray    # slot holds a jump
+    post: np.ndarray     # X just after each jump
+
+
+def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
+                   begin: Optional[Callable[[np.random.Generator, slice], None]] = None
+                   ) -> Iterator[_Tableau]:
+    """Exact jump epochs and sizes on ``[0, horizon]``, chunk by chunk;
+    ``begin(rng, chunk)`` makes the estimator's draws first."""
+    T = config.horizon
+    drift = _sim_drift(model)
+    rate = _jump_rate(model)
+    for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
+        chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
+        rng = _rng(config.seed, tag, k)
+        if begin is not None:
+            begin(rng, chunk)
+        rows = chunk.stop - chunk.start
+        counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
+        m = max(1, int(counts.max()))
+        valid = np.arange(m)[None, :] < counts[:, None]
+        jt = np.sort(np.where(valid, rng.random((rows, m)), 2.0), axis=1) * T
+        if rate > 0.0:
+            js = np.where(valid, sample_jump_sizes(
+                model, rng.random((rows, m)).reshape(-1),
+                z_min=_z_min(model)).reshape(rows, m), 0.0)
+        else:
+            js = np.zeros((rows, m))
+        yield _Tableau(chunk, jt, js, valid, drift * jt + np.cumsum(js, axis=1))
+
+
+def _first_jump_above(c: _Tableau, lvl: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per path: whether a jump before ``T`` lands above ``lvl``, and the
+    first one that does (the drift runs downhill, so only jumps cross up)."""
+    above = c.valid & (c.post > lvl) & (c.jt < T)
+    return above.any(axis=1), np.argmax(above, axis=1)
+
+
+def _segments(c: _Tableau, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start time, start value and end time of each linear piece between
+    jumps; the last piece ends at ``T``."""
+    n = len(c.jt)
+    t0 = np.concatenate([np.zeros((n, 1)), c.jt], axis=1)
+    y0 = np.concatenate([np.zeros((n, 1)), c.post], axis=1)
+    t1 = np.minimum(np.concatenate([c.jt, np.full((n, 1), T)], axis=1), T)
+    return t0, y0, t1
+
+
+# --------------------------------------------------------------------------- #
+# game values (chunked, shared-noise variants)
+# --------------------------------------------------------------------------- #
 
 def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
                        config: SimConfig) -> list[np.ndarray]:
@@ -438,7 +384,9 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
     All variants ride the same simulated noise (the path of X minus its
     start), which is what gives paired comparisons their power.  Variants
     that stop at time zero (immediate call, or a start already beyond a
-    threshold) are deterministic and skip the path sweep.
+    threshold) are deterministic and skip the path sweep.  The engines take
+    the live variants as ``(x, tau_level - x, sigma_level - x)``: thresholds
+    relative to the shared zero-started path.
     """
     if not meets_discount_condition(model, params.q):
         raise MomentConditionError(
@@ -457,7 +405,7 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
             results[i] = np.full(n, math.exp(x))
         else:
             live_idx.append(i)
-            live.append((x, tau_level, sigma_spec))
+            live.append((x, tau_level - x, sigma_spec - x))
     if live:
         engine = _grid_variants if model.b2 > 0.0 else _event_variants
         for i, pv in zip(live_idx, engine(model, params, live, config)):
@@ -496,166 +444,108 @@ def estimate_game_values(model: LevyModel, params, starts: Sequence[float],
             for pv in _estimate_variants(model, params, variants, config)]
 
 
-def _grid_variants(model: LevyModel, params, variants, config) -> list[np.ndarray]:
+def _grid_variants(model: LevyModel, params, variants, config) -> np.ndarray:
     q, alpha, beta, K = params.q, params.alpha, params.beta, params.K
     dt = config.dt
-    n_steps = max(1, int(round(config.horizon / dt)))
-    T = n_steps * dt
-    drift = _sim_drift(model)
-    rate = _jump_rate(model)
+    T = _grid_steps(config) * dt
+    shape = (len(variants), config.n_paths)
+    stop_t = np.full(shape, math.inf)
+    stop_pay = np.zeros(shape)                   # terminal payoff at the stop
+    coupons = np.zeros(shape)
+
+    def step(b: _Block, rng) -> np.ndarray:
+        cols = b.post.shape[1]
+        disc = np.exp(-q * (b.t0 + dt * np.arange(cols + 1)))
+        # cumulative trapezoid weights let each variant read its coupon
+        # integral with one gather instead of a masked sum
+        wmat = np.exp(b.post)
+        wmat *= disc[1:]                         # e^(-qt+y) at step ends
+        cum_w = np.empty_like(wmat)
+        cum_w[:, 0] = 0.5 * dt * (np.exp(b.start) * disc[0] + wmat[:, 0])
+        cum_w[:, 1:] = 0.5 * dt * (wmat[:, :-1] + wmat[:, 1:])
+        np.cumsum(cum_w, axis=1, out=cum_w)
+        cum_a = np.concatenate(
+            [[0.0], np.cumsum(0.5 * dt * (disc[:-1] + disc[1:]))])
+
+        for vi, (x_v, lvl_tau, lvl_sig) in enumerate(variants):
+            open_rows = np.isinf(stop_t[vi, b.rows])
+            if not open_rows.any():
+                continue
+            hit, first = _first_up(b, min(lvl_tau, lvl_sig))
+            hit &= open_rows
+            act = np.nonzero(open_rows)[0]
+            sc = np.where(hit, first, cols)[act]
+            coupons[vi, b.rows[act]] += alpha * cum_a[sc] + beta * math.exp(x_v) * \
+                np.where(sc > 0, cum_w[act, np.maximum(sc - 1, 0)], 0.0)
+            h = np.nonzero(hit)[0]
+            if len(h) == 0:
+                continue
+            hc = first[h]
+            ht = b.t0 + dt * hc                  # start of the stopping step
+            sm_h, yp_h = b.smax[h, hc], b.post[h, hc]
+            t_tau, pos_tau, cont_tau = _passage(sm_h, yp_h, ht, dt, lvl_tau)
+            t_sig, pos_sig, cont_sig = _passage(sm_h, yp_h, ht, dt, lvl_sig)
+            t_hit = np.minimum(t_tau, t_sig)
+            holder_first = t_tau < t_sig         # ties go to the issuer
+            share = np.exp(x_v + np.where(holder_first, pos_tau, pos_sig))
+            gh = b.rows[h]
+            stop_t[vi, gh] = t_hit
+            stop_pay[vi, gh] = np.where(holder_first, share, np.maximum(K, share))
+            # partial coupon over [ht, t_hit]; the integrand's endpoint sits
+            # at the pre-jump continuous position
+            ypre_h = b.pre[h, hc]
+            end_pos = np.where(holder_first,
+                               np.where(cont_tau, lvl_tau, ypre_h),
+                               np.where(cont_sig, lvl_sig, ypre_h))
+            f0 = disc[hc] * (alpha + beta * np.exp(x_v + b.left[h, hc]))
+            f1 = np.exp(-q * t_hit) * (alpha + beta * np.exp(x_v + end_pos))
+            coupons[vi, gh] += 0.5 * (f0 + f1) * (t_hit - ht)
+        return ~np.all(np.isfinite(stop_t[:, b.rows]), axis=0)
+
+    y_end = _grid_sweep(model, config, _TAG_VALUE, step)
+    stopped = np.isfinite(stop_t)
+    out = coupons + np.where(
+        stopped, np.exp(-q * np.where(stopped, stop_t, 0.0)) * stop_pay, 0.0)
     gr = exp_growth_rate(model)
-    use_bridge = config.bridge_correction
-    nv = len(variants)
-    rel = [_variant_levels(*v) for v in variants]
-    out = [np.empty(config.n_paths) for _ in range(nv)]
-
-    for chunk_idx, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        rows = min(_CHUNK, config.n_paths - lo)
-        rng = _rng(config.seed, _TAG_VALUE, chunk_idx)
-        y = np.zeros(rows)                       # X - x on the shared noise
-        orig = np.arange(rows)                   # alive row -> chunk row
-        stop_t = np.full((nv, rows), math.inf)
-        stop_pay = np.zeros((nv, rows))          # terminal payoff at the stop
-        coupons = np.zeros((nv, rows))
-        t0 = 0.0
-        for blk_lo in range(0, n_steps, _BLOCK):
-            if len(y) == 0:
-                break
-            cols = min(_BLOCK, n_steps - blk_lo)
-            y_post, y_pre, left, seg_max = _block_walk(
-                model, rng, rate, y, cols, dt, drift, use_bridge)
-            n_alive = len(y)
-            disc = np.exp(-q * (t0 + dt * np.arange(cols + 1)))
-            # cumulative trapezoid weights let each variant read its coupon
-            # integral with one gather instead of a masked sum
-            wmat = np.exp(y_post)
-            wmat *= disc[1:]                     # e^(-qt+y) at step ends
-            cum_w = np.empty_like(wmat)
-            cum_w[:, 0] = 0.5 * dt * (np.exp(y) * disc[0] + wmat[:, 0])
-            cum_w[:, 1:] = 0.5 * dt * (wmat[:, :-1] + wmat[:, 1:])
-            np.cumsum(cum_w, axis=1, out=cum_w)
-            cum_a = np.concatenate(
-                [[0.0], np.cumsum(0.5 * dt * (disc[:-1] + disc[1:]))])
-
-            for vi in range(nv):
-                lvl_tau, lvl_sig = rel[vi]
-                x_v = variants[vi][0]
-                open_rows = np.isinf(stop_t[vi, orig])
-                if not open_rows.any():
-                    continue
-                lvl_lo = min(lvl_tau, lvl_sig)
-                cross = seg_max > lvl_lo
-                cross |= y_post > lvl_lo
-                first = np.argmax(cross, axis=1)
-                ar = np.arange(n_alive)
-                hit = cross[ar, first] & open_rows
-                stop_col = np.where(hit, first, cols)
-                act = np.nonzero(open_rows)[0]
-                sc = stop_col[act]
-                coup = alpha * cum_a[sc] + beta * math.exp(x_v) * \
-                    np.where(sc > 0, cum_w[act, np.maximum(sc - 1, 0)], 0.0)
-                coupons[vi, orig[act]] += coup
-                h = np.nonzero(hit)[0]
-                if len(h):
-                    hc = first[h]
-                    ht = t0 + dt * hc            # start of the stopping step
-                    sm_h, yp_h = seg_max[h, hc], y_post[h, hc]
-                    ypre_h = y_pre[h, hc]
-                    cont_tau = sm_h > lvl_tau
-                    cont_sig = sm_h > lvl_sig
-                    t_tau = np.where(cont_tau, ht + 0.5 * dt,
-                                     np.where(yp_h > lvl_tau, ht + dt, math.inf))
-                    t_sig = np.where(cont_sig, ht + 0.5 * dt,
-                                     np.where(yp_h > lvl_sig, ht + dt, math.inf))
-                    pos_tau = np.where(cont_tau, lvl_tau, yp_h)
-                    pos_sig = np.where(cont_sig, lvl_sig, yp_h)
-                    t_hit = np.minimum(t_tau, t_sig)
-                    holder_first = t_tau < t_sig
-                    share = np.exp(x_v + np.where(holder_first, pos_tau, pos_sig))
-                    pay = np.where(holder_first, share, np.maximum(K, share))
-                    gh = orig[h]
-                    stop_t[vi, gh] = t_hit
-                    stop_pay[vi, gh] = pay
-                    # partial coupon over [ht, t_hit]; the integrand's endpoint
-                    # sits at the pre-jump continuous position
-                    end_pos = np.where(holder_first,
-                                       np.where(cont_tau, lvl_tau, ypre_h),
-                                       np.where(cont_sig, lvl_sig, ypre_h))
-                    f0 = disc[hc] * (alpha + beta * np.exp(x_v + left[h, hc]))
-                    f1 = np.exp(-q * t_hit) * (alpha + beta * np.exp(x_v + end_pos))
-                    coupons[vi, gh] += 0.5 * (f0 + f1) * (t_hit - ht)
-
-            still = ~np.all(np.isfinite(stop_t[:, orig]), axis=0)
-            y = y_post[:, -1][still]
-            orig = orig[still]
-            t0 += dt * cols
-
-        for vi in range(nv):
-            stopped = np.isfinite(stop_t[vi])
-            disc_stop = np.exp(-q * np.where(stopped, stop_t[vi], 0.0))
-            out[vi][lo:lo + rows] = coupons[vi] + \
-                np.where(stopped, disc_stop * stop_pay[vi], 0.0)
-        if len(orig):
-            # paths open at the horizon: perpetual completion from X_T
-            for vi in range(nv):
-                x_v = variants[vi][0]
-                still_open = np.isinf(stop_t[vi, orig])
-                idx = orig[still_open]
-                out[vi][lo + idx] += math.exp(-q * T) * (
-                    alpha / q + beta * np.exp(x_v + y[still_open]) / (q - gr))
+    for vi, (x_v, _, _) in enumerate(variants):
+        # paths open at the horizon: perpetual completion from X_T
+        idx = np.nonzero(~stopped[vi])[0]
+        out[vi, idx] += math.exp(-q * T) * (
+            alpha / q + beta * np.exp(x_v + y_end[idx]) / (q - gr))
     return out
 
 
-def _event_variants(model: LevyModel, params, variants, config) -> list[np.ndarray]:
+def _event_variants(model: LevyModel, params, variants, config) -> np.ndarray:
     q, alpha, beta, K = params.q, params.alpha, params.beta, params.K
     T = config.horizon
     drift = _sim_drift(model)
-    rate = _jump_rate(model)
     gr = exp_growth_rate(model)
-    nv = len(variants)
-    rel = [_variant_levels(*v) for v in variants]
-    out = [np.empty(config.n_paths) for _ in range(nv)]
+    out = np.empty((len(variants), config.n_paths))
     r = q - drift  # coupon decay rate along the downward drift (> q)
 
-    for chunk_idx, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        rows = min(_CHUNK, config.n_paths - lo)
-        rng = _rng(config.seed, _TAG_VALUE, chunk_idx)
-        jt, js, valid = _event_tableau(model, rng, rate, rows, T)
-        m = jt.shape[1]
-        post = drift * jt + np.cumsum(js, axis=1)
+    for c in _event_tableau(model, config, _TAG_VALUE):
         # closed coupon integral per inter-jump segment (y linear on each):
         #   C_i = e^(y_i - q t_i) (1 - e^(-r len_i)) / r
-        seg_t0 = np.concatenate([np.zeros((rows, 1)), jt], axis=1)
-        seg_y0 = np.concatenate([np.zeros((rows, 1)), post], axis=1)
-        seg_t1 = np.minimum(np.concatenate([jt, np.full((rows, 1), T)], axis=1), T)
+        seg_t0, seg_y0, seg_t1 = _segments(c, T)
         seg_len = np.maximum(seg_t1 - seg_t0, 0.0)
         seg_coup = np.exp(seg_y0 - q * seg_t0) * (1.0 - np.exp(-r * seg_len)) / r
         cum_coup = np.concatenate(
-            [np.zeros((rows, 1)), np.cumsum(seg_coup, axis=1)], axis=1)
-        yT = drift * T + js.sum(axis=1)
-        ridx = np.arange(rows)
-
-        for vi in range(nv):
-            x_v = variants[vi][0]
-            lvl_tau, lvl_sig = rel[vi]
-            # the drift runs downhill, so upward crossings happen at jumps
-            ct = valid & (post > lvl_tau) & (jt < T)
-            cs = valid & (post > lvl_sig) & (jt < T)
-            any_c = ct | cs
-            hit = any_c.any(axis=1)
-            first = np.argmax(any_c, axis=1)
-            t_stop = np.where(hit, jt[ridx, first], T)
+            [np.zeros((len(seg_coup), 1)), np.cumsum(seg_coup, axis=1)], axis=1)
+        yT = drift * T + c.js.sum(axis=1)
+        for vi, (x_v, lvl_tau, lvl_sig) in enumerate(variants):
+            hit, first = _first_jump_above(c, min(lvl_tau, lvl_sig), T)
+            t_stop = np.where(hit, _at(c.jt, first), T)
             # stopping at jump `first` closes segments 0..first exactly on a
             # segment boundary, so there is no partial piece
-            nseg = np.where(hit, first + 1, m + 1)
+            nseg = np.where(hit, first + 1, c.jt.shape[1] + 1)
             coup = alpha * (1.0 - np.exp(-q * t_stop)) / q + \
-                beta * math.exp(x_v) * cum_coup[ridx, nseg]
-            pos = post[ridx, first]
-            holder_only = ct[ridx, first] & ~cs[ridx, first]
-            pay_stop = np.where(holder_only, np.exp(x_v + pos),
-                                np.maximum(K, np.exp(x_v + pos)))
+                beta * math.exp(x_v) * _at(cum_coup, nseg)
+            pos = _at(c.post, first)
+            # a jump past both thresholds is a tie, which goes to the issuer
+            pay_stop = np.where(pos > lvl_sig, np.maximum(K, np.exp(x_v + pos)),
+                                np.exp(x_v + pos))
             tail = np.exp(-q * T) * (alpha / q + beta * np.exp(x_v + yT) / (q - gr))
-            out[vi][lo:lo + rows] = coup + np.where(
+            out[vi, c.rows] = coup + np.where(
                 hit, np.exp(-q * t_stop) * pay_stop, tail)
     return out
 
@@ -678,64 +568,29 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
         raise DomainError("levels must be nonnegative")
     if q <= 0.0:
         raise DomainError("q must be positive")
-    acc = [np.zeros(config.n_paths) for _ in lv]
-    dt = config.dt
-    n_steps = max(1, int(round(config.horizon / dt)))
-    drift = _sim_drift(model)
-    rate = _jump_rate(model)
-    for chunk_idx, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        rows = min(_CHUNK, config.n_paths - lo)
-        rng = _rng(config.seed, _TAG_UPCROSS, chunk_idx)
-        if model.b2 > 0.0:
-            y = np.zeros(rows)
-            orig = np.arange(rows)
-            hit_t = np.full((len(lv), rows), math.inf)
-            t0 = 0.0
-            for blk_lo in range(0, n_steps, _BLOCK):
-                if len(y) == 0:
-                    break
-                cols = min(_BLOCK, n_steps - blk_lo)
-                y_post, _, _, seg_max = _block_walk(
-                    model, rng, rate, y, cols, dt, drift,
-                    config.bridge_correction)
-                n_alive = len(y)
-                ar = np.arange(n_alive)
-                for li, lvl in enumerate(lv):
-                    openr = np.isinf(hit_t[li, orig])
-                    if not openr.any():
-                        continue
-                    cross = seg_max > lvl
-                    cross |= y_post > lvl
-                    first = np.argmax(cross, axis=1)
-                    got = cross[ar, first] & openr
-                    h = np.nonzero(got)[0]
-                    if len(h) == 0:
-                        continue
-                    hc = first[h]
-                    cont = seg_max[h, hc] > lvl
-                    hit_t[li, orig[h]] = t0 + dt * hc + \
-                        np.where(cont, 0.5 * dt, dt)
-                still = ~np.all(np.isfinite(hit_t[:, orig]), axis=0)
-                y = y_post[:, -1][still]
-                orig = orig[still]
-                t0 += dt * cols
-            for li in range(len(lv)):
-                f = np.isfinite(hit_t[li])
-                chunk_vals = np.zeros(rows)
-                chunk_vals[f] = np.exp(-q * hit_t[li][f])
-                acc[li][lo:lo + rows] = chunk_vals
-        else:
-            jt, js, valid = _event_tableau(model, rng, rate, rows, config.horizon)
-            post = drift * jt + np.cumsum(js, axis=1)
-            ridx = np.arange(rows)
+    hit_t = np.full((len(lv), config.n_paths), math.inf)
+    if model.b2 > 0.0:
+        dt = config.dt
+
+        def step(b: _Block, rng) -> np.ndarray:
             for li, lvl in enumerate(lv):
-                c = valid & (post > lvl) & (jt < config.horizon)
-                hit = c.any(axis=1)
-                first = np.argmax(c, axis=1)
-                vals = np.zeros(rows)
-                vals[hit] = np.exp(-q * jt[ridx, first][hit])
-                acc[li][lo:lo + rows] = vals
-    return [_to_estimate(a) for a in acc]
+                open_rows = np.isinf(hit_t[li, b.rows])
+                if not open_rows.any():
+                    continue
+                got, first = _first_up(b, lvl)
+                h = np.nonzero(got & open_rows)[0]
+                hc = first[h]
+                hit_t[li, b.rows[h]] = _passage(
+                    b.smax[h, hc], b.post[h, hc], b.t0 + dt * hc, dt, lvl)[0]
+            return ~np.all(np.isfinite(hit_t[:, b.rows]), axis=0)
+
+        _grid_sweep(model, config, _TAG_UPCROSS, step)
+    else:
+        for c in _event_tableau(model, config, _TAG_UPCROSS):
+            for li, lvl in enumerate(lv):
+                hit, first = _first_jump_above(c, lvl, config.horizon)
+                hit_t[li, c.rows] = np.where(hit, _at(c.jt, first), math.inf)
+    return [_to_estimate(v) for v in _discounted(hit_t, q)]
 
 
 def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
@@ -750,82 +605,48 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
         raise DomainError("barrier distances must be positive")
     if p < 0.0:
         raise DomainError("discount rate must be nonnegative")
-    dt = config.dt
-    n_steps = max(1, int(round(config.horizon / dt)))
-    drift = _sim_drift(model)
-    rate = _jump_rate(model)
-    vals = np.zeros(config.n_paths)
-    for chunk_idx, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        rows = min(_CHUNK, config.n_paths - lo)
-        rng = _rng(config.seed, _TAG_TWOSIDED, chunk_idx)
-        if model.b2 > 0.0:
-            y = np.zeros(rows)
-            orig = np.arange(rows)
-            res = np.zeros(rows)
-            t0 = 0.0
-            for blk_lo in range(0, n_steps, _BLOCK):
-                if len(y) == 0:
-                    break
-                cols = min(_BLOCK, n_steps - blk_lo)
-                y_post, y_pre, left, smax = _block_walk(
-                    model, rng, rate, y, cols, dt, drift,
-                    config.bridge_correction)
-                n_alive = len(y)
-                if config.bridge_correction:
-                    # an independent draw for the segment minimum; the rare
-                    # joint max/min interaction within one step is ignored
-                    u_min = rng.random((n_alive, cols))
-                    np.log(u_min, out=u_min)
-                    u_min *= -2.0 * model.b2 * dt
-                    gap = y_pre - left
-                    gap *= gap
-                    gap += u_min
-                    np.sqrt(gap, out=gap)
-                    smin = left + y_pre
-                    smin -= gap
-                    smin *= 0.5
-                else:
-                    smin = np.minimum(left, y_pre)
-                cross_up = (smax > up) | (y_post > up)
-                cross_dn = smin < -down
-                anyc = cross_up | cross_dn
-                first = np.argmax(anyc, axis=1)
-                ar = np.arange(n_alive)
-                got = anyc[ar, first]
-                h = np.nonzero(got)[0]
-                if len(h):
-                    hc = first[h]
-                    # same-step double crossings are vanishingly rare at
-                    # these step sizes; award them to the down barrier
-                    dn = cross_dn[h, hc]
-                    tt = t0 + dt * hc + 0.5 * dt
-                    res[orig[h]] = np.where(dn, np.exp(-p * tt), 0.0)
-                still = ~got
-                y = y_post[:, -1][still]
-                orig = orig[still]
-                t0 += dt * cols
-            vals[lo:lo + rows] = res
-        else:
-            jt, js, valid = _event_tableau(model, rng, rate, rows, config.horizon)
-            post = drift * jt + np.cumsum(js, axis=1)
-            seg_t0 = np.concatenate([np.zeros((rows, 1)), jt], axis=1)
-            seg_y0 = np.concatenate([np.zeros((rows, 1)), post], axis=1)
-            seg_t1 = np.minimum(
-                np.concatenate([jt, np.full((rows, 1), config.horizon)], axis=1),
-                config.horizon)
+    t_down = np.full(config.n_paths, math.inf)   # exits through the lower barrier
+    if model.b2 > 0.0:
+        dt = config.dt
+
+        def step(b: _Block, rng) -> np.ndarray:
+            # an independent draw for the segment minimum; the rare joint
+            # max/min interaction within one step is ignored
+            u_min = rng.random(b.post.shape)
+            np.log(u_min, out=u_min)
+            u_min *= -2.0 * model.b2 * dt
+            gap = b.pre - b.left
+            gap *= gap
+            gap += u_min
+            np.sqrt(gap, out=gap)
+            smin = b.left + b.pre
+            smin -= gap
+            smin *= 0.5
+            cross_dn = smin < -down
+            anyc = (b.smax > up) | (b.post > up) | cross_dn
+            first = np.argmax(anyc, axis=1)
+            got = _at(anyc, first)
+            h = np.nonzero(got)[0]
+            # same-step double crossings are vanishingly rare at these step
+            # sizes; award them to the down barrier
+            dn = h[cross_dn[h, first[h]]]
+            t_down[b.rows[dn]] = b.t0 + dt * first[dn] + 0.5 * dt
+            return ~got
+
+        _grid_sweep(model, config, _TAG_TWOSIDED, step)
+    else:
+        T = config.horizon
+        drift = _sim_drift(model)
+        for c in _event_tableau(model, config, _TAG_TWOSIDED):
+            seg_t0, seg_y0, seg_t1 = _segments(c, T)
             # downward creep inside segment i when y0 + drift (t - t0) = -down
             t_dn_seg = seg_t0 + (-down - seg_y0) / drift
             ok = (t_dn_seg >= seg_t0) & (t_dn_seg <= seg_t1)
             t_dn = np.where(ok, t_dn_seg, math.inf).min(axis=1)
-            up_c = valid & (post > up) & (jt < config.horizon)
-            hit_up = up_c.any(axis=1)
-            ridx = np.arange(rows)
-            t_up = np.where(hit_up, jt[ridx, np.argmax(up_c, axis=1)], math.inf)
-            first_dn = t_dn < t_up
-            res = np.zeros(rows)
-            res[first_dn] = np.exp(-p * t_dn[first_dn])
-            vals[lo:lo + rows] = res
-    return _to_estimate(vals)
+            hit_up, first = _first_jump_above(c, up, T)
+            t_up = np.where(hit_up, _at(c.jt, first), math.inf)
+            t_down[c.rows] = np.where(t_dn < t_up, t_dn, math.inf)
+    return _to_estimate(_discounted(t_down, p))
 
 
 def sup_exponential_moment(model: LevyModel, q: float) -> float:
@@ -851,44 +672,32 @@ def wiener_hopf_check(model: LevyModel, q: float,
     """
     if q <= 0.0:
         raise DomainError("q must be positive")
-    dt = config.dt
-    n_steps = max(1, int(round(config.horizon / dt)))
-    drift = _sim_drift(model)
-    rate = _jump_rate(model)
-    vals = np.empty(config.n_paths)
-    for chunk_idx, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        rows = min(_CHUNK, config.n_paths - lo)
-        rng = _rng(config.seed, _TAG_SUP, chunk_idx)
-        eq = rng.exponential(1.0 / q, rows)
-        if model.b2 > 0.0:
-            kill_col = np.minimum((eq / dt).astype(int), n_steps - 1)
-            y = np.zeros(rows)
-            sup = np.zeros(rows)
-            orig = np.arange(rows)
-            t0_col = 0
-            while len(y) and t0_col < n_steps:
-                cols = min(_BLOCK, n_steps - t0_col)
-                y_post, _, _, smax = _block_walk(
-                    model, rng, rate, y, cols, dt, drift,
-                    config.bridge_correction)
-                smax = np.maximum(smax, y_post)
-                # only segments before the exponential clock contribute
-                seg_idx = t0_col + np.arange(cols)
-                within = seg_idx[None, :] <= kill_col[orig][:, None]
-                blk_sup = np.where(within, smax, -np.inf).max(axis=1)
-                sup[orig] = np.maximum(sup[orig], blk_sup)
-                keep = kill_col[orig] >= t0_col + cols
-                y = y_post[:, -1][keep]
-                orig = orig[keep]
-                t0_col += cols
-            vals[lo:lo + rows] = np.exp(sup)
-        else:
-            jt, js, valid = _event_tableau(model, rng, rate, rows, config.horizon)
-            post = drift * jt + np.cumsum(js, axis=1)
-            use = valid & (jt <= np.minimum(eq, config.horizon)[:, None])
-            sup = np.maximum(np.where(use, post, -np.inf).max(axis=1), 0.0)
-            vals[lo:lo + rows] = np.exp(sup)
-    return _to_estimate(vals)
+    clock = np.empty(config.n_paths)
+    sup = np.zeros(config.n_paths)
+
+    def draw_clocks(rng: np.random.Generator, chunk: slice) -> None:
+        clock[chunk] = rng.exponential(1.0 / q, chunk.stop - chunk.start)
+
+    if model.b2 > 0.0:
+        dt = config.dt
+        n_steps = _grid_steps(config)
+
+        def step(b: _Block, rng) -> np.ndarray:
+            kill_col = np.minimum((clock[b.rows] / dt).astype(int), n_steps - 1)
+            cols = b.post.shape[1]
+            smax = np.maximum(b.smax, b.post)
+            # only segments before the exponential clock contribute
+            within = (b.col0 + np.arange(cols))[None, :] <= kill_col[:, None]
+            sup[b.rows] = np.maximum(sup[b.rows],
+                                     np.where(within, smax, -np.inf).max(axis=1))
+            return kill_col >= b.col0 + cols
+
+        _grid_sweep(model, config, _TAG_SUP, step, draw_clocks)
+    else:
+        for c in _event_tableau(model, config, _TAG_SUP, draw_clocks):
+            use = c.valid & (c.jt <= np.minimum(clock[c.rows], config.horizon)[:, None])
+            sup[c.rows] = np.maximum(np.where(use, c.post, -np.inf).max(axis=1), 0.0)
+    return _to_estimate(np.exp(sup))
 
 
 # --------------------------------------------------------------------------- #

@@ -49,6 +49,7 @@ logger = logging.getLogger(__name__)
 # Real exponents beyond this produce inf in float64 anyway; used to short-circuit
 # the analytic continuation of tabulated exponents on far-left contour points.
 _EXP_GUARD = 600.0
+_TAYLOR_TERMS = 16  # moments kept for the tabulated Taylor branch (|a| zN < 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -158,7 +159,8 @@ def _cells(grid, values):
 def _tab_body(tab: TabulatedDensity, lo: float):
     """The piecewise-linear part on ``[lo, grid[-1]]`` as :func:`_tab_exp_moment`
     integrates it: nodes, end values, slope jumps ``m_(j-1) - m_j`` (slope 0
-    outside), and the moments ``integral u^k pi(u) du`` for ``k < 6``."""
+    outside), and the moments ``integral u^k pi(u) du`` for
+    ``k < _TAYLOR_TERMS``."""
     z0, z1, p, m = tab._cells
     keep = z1 > lo
     c0 = np.maximum(z0[keep], lo)
@@ -169,7 +171,7 @@ def _tab_body(tab: TabulatedDensity, lo: float):
     ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
     slopes = np.concatenate([[0.0], cm, [0.0]])
     moments = []
-    for k in range(6):
+    for k in range(_TAYLOR_TERMS):
         mk = (c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1)
         mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
         moments.append(np.sum(cp * mk + cm * mk1))
@@ -190,12 +192,13 @@ def _tab_exp_moment(tab: TabulatedDensity, a, lower: float = 0.0) -> np.ndarray:
     The linear pieces are integrated by parts,
     ``int f e^(au) du = [f e^(au) / a] - a^-2 sum_j e^(a u_j) (m_(j-1) - m_j)``
     over the nodes ``u_j`` and slopes ``m_j``, so each node costs one
-    exponential and the cell sum is one matrix-vector product.  Near the
-    origin (``|a| zN < 1e-3``) that form cancels, and a six-term Taylor
-    series in ``a`` is used instead.  Just above that switch the ``a^-2``
-    factor still costs digits (about 3e-8 absolute at ``|a| zN = 1e-3``,
-    1e-12 at 0.1, as the cell-by-cell form lost ~5e-9 and 1e-12); inversion
-    contours keep ``|a| > 0.2``, where the error is at rounding level.
+    exponential and the cell sum is one matrix-vector product.  Its ``a^-2``
+    factor cancels digits as ``a`` nears 0 (relative error ~1e-16 /
+    (|a| zN)^2), so for ``|a| zN < 1`` the Taylor series in ``a`` over the
+    stored moments is used instead; with ``_TAYLOR_TERMS`` terms its
+    truncation is below ``(|a| zN)^16 / 16! < 5e-14`` relative.  Near the
+    switch both branches hold about 1e-12 relative (against a 40-digit
+    evaluation of the 401-node test table).
     """
     a = np.asarray(a, dtype=complex)
     zN = tab.grid[-1]
@@ -206,7 +209,7 @@ def _tab_exp_moment(tab: TabulatedDensity, a, lower: float = 0.0) -> np.ndarray:
     if lo < zN:
         nodes, (f0, fN), kinks, moments = (
             tab._body if lo == tab.grid[0] else _tab_body(tab, lo))
-        taylor = (np.abs(a) * zN < 1e-3) & ~guard
+        taylor = (np.abs(a) * zN < 1.0) & ~guard
         if np.any(taylor):
             at = a[taylor]
             acc = np.zeros(at.shape, dtype=complex)

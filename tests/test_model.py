@@ -30,7 +30,7 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _psi_c, _tab_mass
+from levybond.model import _psi_c, _tab_exp_moment, _tab_mass
 from levybond.scale import _tilted_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
@@ -293,6 +293,30 @@ class TestTabulatedFamily:
         second = body(2, tab.grid[0]) + vN * (zN**2 / r + 2.0 * zN / r**2 + 2.0 / r**3)
         expected = theta * (0.25 - first) + theta**2 * (0.1 + second) / 2.0
         assert laplace_exponent(self.MODEL, theta) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [1.3e-4, 1e-3, 1e-2, 0.12])
+    def test_exp_moment_near_origin_against_mpmath(self, theta):
+        # int (e^(-theta u) - 1) pi(du) for the same piecewise-linear density,
+        # each cell and the tail in closed form at 40 digits; the Taylor
+        # branch covers theta * grid[-1] < 1, where by parts would cancel
+        mp = pytest.importorskip("mpmath")
+        tab = self.TAB
+        a = -mp.mpf(theta)
+        with mp.workdps(40):
+            z = [mp.mpf(u) for u in tab.grid]
+            v = [mp.mpf(y) for y in tab.values]
+            want = mp.mpf(0)
+            for z0, z1, v0, v1 in zip(z, z[1:], v, v[1:]):
+                m = (v1 - v0) / (z1 - z0)
+
+                def primitive(u):
+                    return mp.exp(a * u) * ((v0 + m * (u - z0)) / a - m / a**2)
+
+                want += primitive(z1) - primitive(z0) - (v0 + v1) * (z1 - z0) / 2
+            r = mp.mpf(tab.tail_rate)
+            want += v[-1] * (mp.exp(a * z[-1]) / (r - a) - 1 / r)
+        got = float(_tab_exp_moment(tab, np.array([-theta]))[0].real) - tab._mass
+        assert got == pytest.approx(float(want), rel=1e-11)
 
     def test_frozen_shifted_integrals(self):
         i1, i2 = shifted_jump_integrals(self.MODEL, 0.25, phi_q=1.1)
