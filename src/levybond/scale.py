@@ -37,6 +37,20 @@ values move by ~1e-11 relative between the two orders, far inside the
 certified tolerances.  (Talbot values on rational transforms move by
 ~1e-13, from numpy's array arithmetic in place of scalar ``cmath``.)
 
+The solver's value formulas are combinations
+``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W`` whose
+coefficients satisfy ``a + b/Phi + c/(Phi+1) = 0`` (``_w_combination``).
+That condition cancels the ``exp(Phi * v)`` component.  With partial
+fractions the cancellation is exact: the root at ``Phi(q)`` is grouped
+analytically and leaves only ``-c_Phi c e^(-v)/(Phi+1)``, the other roots
+decay, and ``(e^((theta+1) v) - 1)/(theta+1)`` stays finite at
+``theta = -1`` (``q = psi(-1)``).  A closed form is only built when one root
+lies within ``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator
+inverts.  On the numeric route the combination is formed from ``W`` and
+its two integrals, so the cancellation happens in floating point: the
+error is the inversion error times ``exp(Phi * v)``, immaterial within a
+few units of ``log K`` but visible past ``Phi * v ~ 15``.
+
 Off the closed forms, ``W`` on the cache grid is a PCHIP interpolant of the
 tilted values.  :func:`w` reads it from the stored knots and coefficients by
 bisection, in PPoly's own evaluation order, so it equals
@@ -218,7 +232,7 @@ def _rational_poly(model: LevyModel, q: float):
     return np.array(poly), rho
 
 
-def _closed_form_data(model: LevyModel, q: float):
+def _closed_form_data(model: LevyModel, q: float, phi_q: float):
     """Roots/weights of the partial-fraction representation, or None if degenerate."""
     poly, rho = _rational_poly(model, q)
     roots = np.roots(poly)
@@ -226,16 +240,23 @@ def _closed_form_data(model: LevyModel, q: float):
         sep = min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:])
         if sep < 1e-7 * (1.0 + max(abs(roots))):
             return None  # repeated roots need secular terms; fall back to inversion
+    if min(abs(roots - phi_q)) > 1e-6 * (1.0 + phi_q):
+        return None  # no root to group at Phi(q) (module docstring); invert instead
     dpoly = np.polyder(poly)
     numer = (rho + roots) if isinstance(model.jumps, ExponentialJumps) else np.ones_like(roots)
     weights = numer / np.polyval(dpoly, roots)
     # sanity: the partial fractions must reproduce the transform
-    beta = phi(model, q) + 1.0
+    beta = phi_q + 1.0
     lhs = complex(np.sum(weights / (beta - roots)))
     rhs = 1.0 / (laplace_exponent(model, beta) - q)
     if abs(lhs - rhs) > 1e-8 * abs(rhs):
         return None
     return tuple(roots), tuple(weights)
+
+
+def _phi_root(ev: ScaleEvaluator) -> int:
+    """Index of the partial-fraction root at ``Phi(q)``."""
+    return min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
 
 
 def _closed_w(roots, weights, x: float) -> float:
@@ -278,15 +299,16 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
     chosen = method
     if chosen is None or chosen is not Method.NUMERIC_INVERSION:
         if rational:
-            data = _closed_form_data(model, q)
+            data = _closed_form_data(model, q, phi_q)
             if data is not None:
                 roots, weights = data
                 degree = len(roots)
                 chosen = (Method.CLOSED_FORM_THREE_EXP if degree == 3
                           else Method.CLOSED_FORM_TWO_EXP)
             elif chosen is not None:
-                # explicitly requested closed form but the roots are degenerate
-                raise DomainError("closed form unavailable: repeated roots")
+                # explicitly requested closed form but the roots do not allow it
+                raise DomainError("closed form unavailable: repeated roots "
+                                  "or no root at Phi(q)")
             else:
                 chosen = Method.NUMERIC_INVERSION
         else:
@@ -419,6 +441,27 @@ def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
     i1 = quad(lambda y: math.exp(y) * w(ev, y), 0.0, x,
               epsabs=1e-10, epsrel=1e-10, limit=200)[0]
     return i0, i1
+
+
+def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float) -> float:
+    """``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W``.
+
+    Callers pass ``a + b/Phi + c/(Phi+1) = 0``, so the ``e^(Phi v)``
+    component cancels (module docstring); ``v >= 0``.
+    """
+    if ev.roots is None:
+        i0, i1 = w_integrals(ev, v)
+        return a * w(ev, v) + b * (i0 + 1.0 / ev.q) + c * math.exp(-v) * i1
+    lead = _phi_root(ev)
+    decay = math.exp(-v)
+    acc = 0.0
+    for i, (r, cw) in enumerate(zip(ev.roots, ev.weights)):
+        if i == lead:
+            acc -= (cw * c * decay / (ev.phi_q + 1.0)).real
+        else:
+            acc += (cw * ((a + b / r) * cmath.exp(r * v)
+                          + c * decay * _exp_increment(r + 1.0, v))).real
+    return acc
 
 
 def w_prime(ev: ScaleEvaluator, x: float) -> float:

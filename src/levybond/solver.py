@@ -18,22 +18,14 @@ two critical discount rates ``q0 >= q1 > alpha/K``:
 ``R4`` (``alpha/K < q < q1``)
     the issuer calls early at ``c_star < log K``.
 
-Closed-form valuation groups the partial-fraction root at ``Phi(q)``
-analytically: in every combination used here its coefficient cancels
-identically, and dropping that root (instead of letting rounding noise on it
-multiply ``exp(Phi * v)``) is what keeps values finite digits deep in the
-out-of-the-money region.  The remaining constants are evaluated through the
-exact rational identities ``sum_i c_i / theta_i`` and
-``sum_i c_i / (theta_i + 1)`` rather than re-derived quantities, so the
-deep-tail limit ``alpha/q + beta exp(x)/(q - psi(-1))`` is reproduced to
-machine precision.
-
-For evaluators without partial fractions (tabulated densities) the same
-formulas are evaluated by quadrature over the scale function.  Those
-combinations cancel a component growing like ``exp(Phi * v)``, so their
-accuracy degrades by that factor times the inversion error; with the
-certified ~1e-9 inversion this is immaterial for thresholds within a few
-units of ``log K`` but turns visible past ``Phi * v ~ 15``.
+Every value below is one fluctuation identity in ``W``, ``integral W`` and
+``integral e^y W``: the R2 premium kernel, the exit transform
+``Z - (q/Phi) W`` and the R3 and R4 values each make a single call to
+``scale._w_combination`` with coefficients that cancel the ``exp(Phi * v)``
+growth.  How that cancellation is carried out, and how accurate it is, on
+each scale route is stated in the ``scale`` module docstring.  Only the
+R4 jump-overshoot term still depends on the route: exponential jumps with
+partial fractions have a closed overshoot, other evaluators integrate it.
 """
 
 from __future__ import annotations
@@ -68,7 +60,14 @@ from .model import (
     phi,
     shifted_jump_integrals,
 )
-from .scale import ScaleEvaluator, _exp_increment, scale_evaluator, w, w_integrals, z
+from .scale import (
+    ScaleEvaluator,
+    _exp_increment,
+    _phi_root,
+    _w_combination,
+    scale_evaluator,
+    w,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -348,31 +347,6 @@ def c_star(model: LevyModel, params: GameParams, *,
 # scale-function combinations
 # --------------------------------------------------------------------------- #
 
-def _partial_fraction_split(ev: ScaleEvaluator):
-    """Roots/weights with the ``Phi`` root removed, or None for numeric route.
-
-    Returns ``(rest, s1, s2)`` where ``rest`` holds the decaying roots and
-    ``s1 = sum c/theta``, ``s2 = sum c/(theta+1)`` are the full-root sums
-    (the exact rational values of ``1/q`` and ``1/(q - psi(-1))``).
-    """
-    if ev.roots is None:
-        return None
-    ph = ev.phi_q
-    idx = min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ph))
-    if abs(ev.roots[idx] - ph) > 1e-6 * (1.0 + ph):
-        return None
-    if any(abs(r + 1.0) < 1e-9 for r in ev.roots):
-        # a root at -1 means q == psi(-1): the s2 constant diverges, which
-        # only happens outside the game's admissible range; quadrature still
-        # evaluates the ungated helpers there
-        return None
-    rest = [(ev.roots[i], ev.weights[i])
-            for i in range(len(ev.roots)) if i != idx]
-    s1 = sum((c / r).real for r, c in zip(ev.roots, ev.weights))
-    s2 = sum((c / (r + 1.0)).real for r, c in zip(ev.roots, ev.weights))
-    return rest, s1, s2
-
-
 def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     """Premium kernel of regime R2: zero at zero and strictly increasing.
 
@@ -386,15 +360,7 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
         return 0.0
     ev = scale_evaluator(model, q)
     ph = ev.phi_q
-    split = _partial_fraction_split(ev)
-    if split is None:
-        iw, iew = w_integrals(ev, z_arg)
-        return (ph + 1.0) * math.exp(-z_arg) * iew - ph * iw
-    rest, s1, s2 = split
-    acc = ph * s1 - (ph + 1.0) * math.exp(-z_arg) * s2
-    for r, c in rest:
-        acc += (c * (r - ph) / (r * (r + 1.0)) * np.exp(r * z_arg)).real
-    return acc
+    return ph / q + _w_combination(ev, z_arg, 0.0, -ph, ph + 1.0)
 
 
 def exit_expectation(model: LevyModel, q: float, y: float) -> float:
@@ -411,14 +377,7 @@ def exit_expectation(model: LevyModel, q: float, y: float) -> float:
         return 1.0
     ev = scale_evaluator(model, q)
     ph = ev.phi_q
-    split = _partial_fraction_split(ev)
-    if split is None:
-        return z(ev, y) - q / ph * w(ev, y)
-    rest, _, _ = split
-    acc = 0.0
-    for r, c in rest:
-        acc += (c * (ph - r) / r * np.exp(r * y)).real
-    return q / ph * acc
+    return q / ph * _w_combination(ev, y, -1.0, ph, 0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -434,76 +393,53 @@ def value(model: LevyModel, params: GameParams, solution: RegimeSolution,
         la = solution.tau_level
         if x >= la:
             return math.exp(x)
-        ph = phi(model, params.q)
+        ph = scale_evaluator(model, params.q).phi_q
         return math.exp(x) + params.alpha / ph * g_function(model, params.q, la - x)
     if solution.regime is Regime.R3:
         log_k = math.log(params.K)
         if x >= log_k:
             return math.exp(x)
-        return _value_r3(model, params, x)
+        return _value_r3(scale_evaluator(model, params.q), params, x)
     c = solution.c_star
     if x >= c:
         return max(params.K, math.exp(x))
-    return _value_r4(model, params, c, x)
+    return _value_r4(scale_evaluator(model, params.q), params, c, x)
 
 
-def _value_r3(model: LevyModel, params: GameParams, x: float) -> float:
+def _value_r3(ev: ScaleEvaluator, params: GameParams, x: float) -> float:
     """Simultaneous-stopping value below the cap.
 
     The payoff at the joint passage time is the share value itself (which
     sits at or above ``K`` there), so jump overshoot is already carried by
     the first-passage share expectation and no separate jump term appears.
     """
-    ev = scale_evaluator(model, params.q)
     ph = ev.phi_q
     K, alpha = params.K, params.alpha
-    s = params.q - exp_growth_rate(model) - params.beta
+    s = params.q - exp_growth_rate(ev.model) - params.beta
     v = math.log(K) - x
-    split = _partial_fraction_split(ev)
-    if split is None:
-        iw, iew = w_integrals(ev, v)
-        return (math.exp(x) + s * math.exp(x) * iew
-                + w(ev, v) * (alpha / ph - K * s / (ph + 1.0)) - alpha * iw)
-    rest, s1, s2 = split
-    acc = math.exp(x) * (1.0 - s * s2) + alpha * s1
-    for r, c_w in rest:
-        coef = s * K / ((r + 1.0) * (ph + 1.0)) - alpha / (ph * r)
-        acc += (c_w * (ph - r) * coef * np.exp(r * v)).real
-    return acc
+    return (math.exp(x) + alpha / params.q
+            + _w_combination(ev, v, alpha / ph - K * s / (ph + 1.0), -alpha, s * K))
 
 
-def _value_r4(model: LevyModel, params: GameParams, c: float, x: float) -> float:
+def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> float:
     """Early-call value below the issuer threshold ``c < log K``.
 
     Here stopping pays the cap ``K`` unless a jump from below ``c`` clears
     ``log K``, so the jump-overshoot correction enters explicitly.
     """
-    ev = scale_evaluator(model, params.q)
     ph = ev.phi_q
     qv, K, alpha, beta = params.q, params.K, params.alpha, params.beta
     v = c - x
-    split = _partial_fraction_split(ev)
     jump = 0.0
-    if not isinstance(model.jumps, NoJumps):
-        if split is not None and isinstance(model.jumps, ExponentialJumps):
+    if not isinstance(ev.model.jumps, NoJumps):
+        if ev.roots is not None:
             jump = _overshoot_exponential(ev, params, c, v)
         else:
             jump = _overshoot_quadrature(ev, params, c, x)
-
-    if split is None:
-        iw, iew = w_integrals(ev, v)
-        ee = z(ev, v) - qv / ph * w(ev, v)
-        coupon_at_c = alpha / ph + beta * math.exp(c) / (ph + 1.0)
-        return (K * ee + w(ev, v) * coupon_at_c
-                - alpha * iw - beta * math.exp(x) * iew + jump)
-
-    rest, s1, s2 = split
-    ec = math.exp(c)
-    acc = alpha * s1 + beta * math.exp(x) * s2
-    for r, c_w in rest:
-        coef = (K * qv - alpha) / (ph * r) - beta * ec / ((ph + 1.0) * (r + 1.0))
-        acc += (c_w * (ph - r) * coef * np.exp(r * v)).real
-    return acc + jump
+    bc = beta * math.exp(c)
+    return (alpha / qv + jump
+            + _w_combination(ev, v, alpha / ph + bc / (ph + 1.0) - K * qv / ph,
+                             K * qv - alpha, -bc))
 
 
 def _overshoot_exponential(ev: ScaleEvaluator, params: GameParams,
@@ -522,7 +458,7 @@ def _overshoot_exponential(ev: ScaleEvaluator, params: GameParams,
         )
     ph = ev.phi_q
     m = math.log(params.K) - c
-    lead = min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ph))
+    lead = _phi_root(ev)
     acc = 0.0
     for i, (r, c_w) in enumerate(zip(ev.roots, ev.weights)):
         if i == lead:
@@ -643,7 +579,7 @@ def _overshoot_quadrature(ev: ScaleEvaluator, params: GameParams,
 
 def value_profile(model: LevyModel, params: GameParams,
                   solution: RegimeSolution, xs) -> np.ndarray:
-    """Vectorised :func:`value` over a grid (deterministic, pure)."""
+    """:func:`value` at each point of ``xs``, one call per point (deterministic, pure)."""
     return np.array([value(model, params, solution, float(xv)) for xv in xs])
 
 

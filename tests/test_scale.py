@@ -26,6 +26,7 @@ from levybond.scale import (
     Method,
     _pchip_at,
     _pchip_table,
+    _w_combination,
     laplace_selfcheck,
     scale_evaluator,
     tilted_w,
@@ -38,6 +39,7 @@ from levybond.scale import (
 CANON = LevyModel(mu=0.0, b2=2.0)
 BV_RHO1 = bounded_variation_model(2.0, ExponentialJumps(rate=1.0, decay=1.0))
 EXPJ = LevyModel(mu=0.1, b2=0.3, jumps=ExponentialJumps(rate=0.8, decay=1.7))
+BV2 = bounded_variation_model(2.0, ExponentialJumps(rate=1.0, decay=2.0))
 
 
 def tabulated_exp_density(n: int = 401, z_hi: float = 8.0) -> TabulatedDensity:
@@ -247,6 +249,42 @@ class TestShapeInvariants:
             h = 1e-5 * max(1.0, xv)
             fd = (w(ev, xv + h) - w(ev, xv - h)) / (2 * h)
             assert w_prime(ev, float(xv)) == pytest.approx(fd, rel=1e-5)
+
+
+class TestCombination:
+    """``_w_combination`` groups the partial-fraction root at Phi(q) on the
+    closed route; the numeric route evaluates the same expression from W and
+    its integrals, so the two must agree on the solver's coefficient triples."""
+
+    @staticmethod
+    def triples(model, q, phi_q):
+        alpha, beta, K, c = 1.0, 1.0, 2.0, 0.3
+        s = q - laplace_exponent(model, -1.0) - beta
+        bc = beta * math.exp(c)
+        return {
+            "exit": (-1.0, phi_q, 0.0),
+            "premium": (0.0, -phi_q, phi_q + 1.0),
+            "simultaneous": (alpha / phi_q - K * s / (phi_q + 1.0), -alpha, s * K),
+            "early_call": (alpha / phi_q + bc / (phi_q + 1.0) - K * q / phi_q,
+                           K * q - alpha, -bc),
+        }
+
+    @pytest.mark.parametrize("model, q", [(CANON, 0.5), (CANON, 4.0), (BV2, 0.8),
+                                          (BV2, 2.0), (EXPJ, 2.8)])
+    def test_closed_route_matches_inversion(self, model, q):
+        closed = scale_evaluator(model, q)
+        numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+        assert closed.roots is not None and numeric.roots is None
+        for v in np.geomspace(0.05, 2.0, 12).tolist():
+            wv = w(closed, v)
+            i0, i1 = w_integrals(closed, v)
+            for name, (a, b, c) in self.triples(model, q, closed.phi_q).items():
+                # the numeric route cancels e^(Phi v)-sized terms, so its
+                # error scales with the terms, not with their sum
+                size = abs(a) * wv + abs(b) * (i0 + 1.0 / q) + abs(c) * math.exp(-v) * i1
+                got = _w_combination(closed, v, a, b, c)
+                ref = _w_combination(numeric, v, a, b, c)
+                assert abs(got - ref) <= 1e-6 * size, (name, v, got, ref)
 
 
 class TestTilt:

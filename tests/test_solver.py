@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from levybond import (
     DomainError,
@@ -27,7 +28,7 @@ from levybond import (
     exp_growth_rate,
     phi,
 )
-from levybond.scale import scale_evaluator
+from levybond.scale import scale_evaluator, w
 from levybond.solver import (
     IMMEDIATE_STOP,
     FitKind,
@@ -242,6 +243,18 @@ class TestPremiumKernel:
             assert g_function(CANON, 5.0, zz) == pytest.approx(expect, rel=1e-12)
         assert g_function(BV2, 2.5, 1.0) == pytest.approx(0.34720150332906674, rel=1e-12)
 
+    def test_root_at_minus_one_matches_quadrature(self):
+        # q = psi(-1): a partial-fraction root sits at -1, where the
+        # e^y-weighted integral of that root's term grows linearly
+        ev = scale_evaluator(CANON, 1.0)
+        ph = ev.phi_q
+        for zz in (0.1, 0.5, 1.0, 3.0, 8.0):
+            iw = quad(lambda t: w(ev, t), 0.0, zz, epsabs=0.0, epsrel=1e-12)[0]
+            iew = quad(lambda t: math.exp(t - zz) * w(ev, t), 0.0, zz,
+                       epsabs=0.0, epsrel=1e-12)[0]
+            expect = (ph + 1.0) * iew - ph * iw
+            assert g_function(CANON, 1.0, zz) == pytest.approx(expect, rel=1e-9), zz
+
     def test_zero_and_domain(self):
         assert g_function(CANON, 5.0, 0.0) == 0.0
         with pytest.raises(DomainError):
@@ -256,8 +269,9 @@ class TestPremiumKernel:
 
 class TestExitExpectation:
     def test_canonical_is_exponential(self):
-        # Brownian with b^2=2, q=1: the expression collapses to e^(-y)
-        for y in (0.3, 1.0, 2.5):
+        # Brownian with b^2=2, q=1: the expression collapses to e^(-y); the
+        # other partial-fraction root sits at -1 here (q = psi(-1))
+        for y in (0.3, 1.0, 2.5, 6.0, 9.0, 12.0):
             assert exit_expectation(CANON, 1.0, y) == pytest.approx(math.exp(-y), rel=1e-12)
 
     def test_at_or_below_zero(self):
