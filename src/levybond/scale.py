@@ -197,8 +197,10 @@ def _inverter(model: LevyModel):
 class ScaleEvaluator:
     """Immutable per-(model, q) evaluator; build with :func:`scale_evaluator`.
 
-    ``cache`` holds the precomputed ``(x, W(x))`` grid.  ``roots``/``weights``
-    are the partial-fraction data for closed forms and ``None`` otherwise.
+    ``roots``/``weights`` are the partial-fraction data for closed forms and
+    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, and
+    the PCHIP table behind :func:`w` are numeric-route only: a closed form
+    stores ``None`` for both, as its operations sum over the roots.
     Construction does all precomputation; every operation afterwards is pure.
     """
 
@@ -210,7 +212,7 @@ class ScaleEvaluator:
     w0_prime: float
     roots: tuple[complex, ...] | None
     weights: tuple[complex, ...] | None
-    cache: np.ndarray = field(repr=False)
+    cache: np.ndarray | None = field(repr=False)
     _tilted: tuple[list[float], tuple[array, ...]] | None = field(repr=False)
 
 
@@ -257,13 +259,6 @@ def _closed_form_data(model: LevyModel, q: float, phi_q: float):
 def _phi_root(ev: ScaleEvaluator) -> int:
     """Index of the partial-fraction root at ``Phi(q)``."""
     return min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
-
-
-def _closed_w(roots, weights, x: float) -> float:
-    acc = 0.0
-    for r, c in zip(roots, weights):
-        acc += (c * cmath.exp(r * x)).real
-    return acc
 
 
 def _check_points() -> np.ndarray:
@@ -316,26 +311,24 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
                 raise DomainError("closed forms need rational exponents")
             chosen = Method.NUMERIC_INVERSION
 
-    grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
-    if chosen is Method.NUMERIC_INVERSION:
-        transform = _tilted_transform(model, q, phi_q)
-        invert = _inverter(model)
-        tilted_vals = np.empty(len(grid))
-        tilted_vals[0] = w0
-        tilted_vals[1:] = invert(transform, grid[1:])
-        wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
-        cache = np.column_stack([grid, wa])
-        ev = ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
-                            w0=w0, w0_prime=w0p, roots=None, weights=None,
-                            cache=cache, _tilted=_pchip_table(grid, tilted_vals))
-        _certify(ev, transform, invert, rational)
-        return ev
+    if chosen is not Method.NUMERIC_INVERSION:
+        return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
+                              w0=w0, w0_prime=w0p, roots=roots, weights=weights,
+                              cache=None, _tilted=None)
 
-    wa = np.array([_closed_w(roots, weights, float(xv)) for xv in grid])
-    cache = np.column_stack([grid, wa])
-    return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
-                          w0=w0, w0_prime=w0p, roots=roots, weights=weights,
-                          cache=cache, _tilted=None)
+    grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
+    transform = _tilted_transform(model, q, phi_q)
+    invert = _inverter(model)
+    tilted_vals = np.empty(len(grid))
+    tilted_vals[0] = w0
+    tilted_vals[1:] = invert(transform, grid[1:])
+    wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
+    ev = ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
+                        w0=w0, w0_prime=w0p, roots=None, weights=None,
+                        cache=np.column_stack([grid, wa]),
+                        _tilted=_pchip_table(grid, tilted_vals))
+    _certify(ev, transform, invert, rational)
+    return ev
 
 
 def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
@@ -404,7 +397,10 @@ def w(ev: ScaleEvaluator, x: float) -> float:
     if x == 0.0:
         return ev.w0
     if ev.roots is not None:
-        return _closed_w(ev.roots, ev.weights, x)
+        acc = 0.0
+        for r, c in zip(ev.roots, ev.weights):
+            acc += (c * cmath.exp(r * x)).real
+        return acc
     if x <= _CACHE_HI:
         return math.exp(ev.phi_q * x) * _pchip_at(ev._tilted, x)
     return float(_w_direct(ev, np.array([x]))[0])

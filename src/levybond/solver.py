@@ -223,8 +223,11 @@ def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> f
     """Critical rate below which the issuer calls strictly before the cap.
 
     Equals ``q0`` when there is no Gaussian part.  Otherwise the zero of the
-    boundary condition nearest ``q0``, found by a 200-point logarithmic scan
-    of ``(alpha/K, q0)`` followed by root polishing.
+    boundary condition nearest ``q0``: a 200-point logarithmic scan of
+    ``(alpha/K, q0)`` evaluates the condition from the top point down and
+    stops at the first sign change, whose bracket ``brentq`` polishes.  A
+    scan without one evaluates every point and, if all are positive, is
+    repeated with the edge pushed closer to ``alpha/K``.
     """
     if q0_value is None:
         q0_value = q0(model, params)
@@ -233,16 +236,14 @@ def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> f
     edge_base = params.alpha / params.K
     for pad in (1e-6, 1e-9, 1e-12):
         lo_edge = edge_base * (1.0 + pad) if edge_base > 0 else pad
-        qs = np.geomspace(lo_edge, q0_value * (1.0 - 1e-12), 200)
-        hs = np.array([_boundary_condition(model, params, float(qq)) for qq in qs])
-        for i in range(len(qs) - 1, 0, -1):
-            if hs[i] > 0.0 and hs[i - 1] <= 0.0:
-                root = brentq(
-                    lambda qq: _boundary_condition(model, params, qq),
-                    float(qs[i - 1]), float(qs[i]), xtol=1e-12, rtol=8.9e-16,
-                )
-                return float(root)
-        if hs.min() > 0.0:
+        qs = np.geomspace(lo_edge, q0_value * (1.0 - 1e-12), 200).tolist()[::-1]
+        hs = [_boundary_condition(model, params, qs[0])]
+        for i in range(1, len(qs)):
+            hs.append(_boundary_condition(model, params, qs[i]))
+            if hs[i - 1] > 0.0 and hs[i] <= 0.0:
+                return float(brentq(lambda qq: _boundary_condition(model, params, qq),
+                                    qs[i], qs[i - 1], xtol=1e-12, rtol=8.9e-16))
+        if np.min(hs) > 0.0:
             continue  # positive on the whole scan: push the edge lower
         break
     logger.warning(

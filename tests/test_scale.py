@@ -124,6 +124,11 @@ class TestNumericInversion:
         assert ev.cache.shape[1] == 2
         assert np.all(np.diff(ev.cache[:, 0]) > 0)
         assert np.all(np.diff(ev.cache[:, 1]) > -1e-12)
+        # a closed form sums over its roots and builds neither table
+        for model, q in [(CANON, 1.0), (EXPJ, 1.2), (BV_RHO1, 1.0)]:
+            closed = scale_evaluator(model, q)
+            assert closed.roots is not None
+            assert closed.cache is None and closed._tilted is None
 
     def test_beyond_cache_direct_inversion(self):
         closed = scale_evaluator(CANON, 1.0)

@@ -16,6 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
+
+import levybond.solver as solver_module
 
 from levybond import (
     DomainError,
@@ -60,6 +63,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # deliberate sub-grid mass drop
     _g = np.linspace(0.004, 8.0, 401)
     TAB = LevyModel(0.1, 0.3, TabulatedDensity(tuple(_g), tuple(2.0 * np.exp(-2.0 * _g)), 2.0))
+    _g = np.linspace(0.004, 8.0, 101)
+    TAB101 = LevyModel(0.1, 0.3, TabulatedDensity(tuple(_g), tuple(2.0 * np.exp(-2.0 * _g)), 2.0))
 EXPJM = LevyModel(0.1, 0.3, ExponentialJumps(1.0, 2.0))  # what TAB approximates
 
 
@@ -88,6 +93,27 @@ CSTAR = {  # brentq oracle on the boundary-value equation
     ("BV2", 0.8): 0.2593326011335,
 }
 MODELS = {"CANON": CANON, "B05": B05, "B02": B02, "BV2": BV2, "EXPJ": EXPJ}
+
+
+def _q1_full_scan(model, params):
+    """Oracle for ``q1``: every one of the 200 scan points is evaluated before
+    the top-down search for a sign change, which the same brentq polishes."""
+    cond = solver_module._boundary_condition
+    edge_base = params.alpha / params.K
+    q0_value = q0(model, params)
+    for pad in (1e-6, 1e-9, 1e-12):
+        lo_edge = edge_base * (1.0 + pad) if edge_base > 0 else pad
+        qs = np.geomspace(lo_edge, q0_value * (1.0 - 1e-12), 200)
+        hs = np.array([cond(model, params, float(qq)) for qq in qs])
+        for i in range(len(qs) - 1, 0, -1):
+            if hs[i] > 0.0 and hs[i - 1] <= 0.0:
+                return float(brentq(lambda qq: cond(model, params, qq),
+                                    float(qs[i - 1]), float(qs[i]),
+                                    xtol=1e-12, rtol=8.9e-16))
+        if hs.min() > 0.0:
+            continue
+        break
+    return float(lo_edge)
 
 
 class TestHolderThreshold:
@@ -127,6 +153,23 @@ class TestCriticalRates:
         for name, model in MODELS.items():
             expect = Q1.get(name, Q0[name])  # b2=0 collapses q1 onto q0
             assert q1(model, gp(1.0)) == pytest.approx(expect, rel=1e-10), name
+
+    @pytest.mark.parametrize("K", [2.0, 1.3])
+    @pytest.mark.parametrize("name", ["CANON", "B05", "B02", "EXPJ", "EXPJM", "TAB101"])
+    def test_q1_equals_full_scan(self, name, K):
+        # the scan stops at the first sign change below q0 and must land on
+        # the very bracket, hence the very root, of the exhaustive scan
+        model = {"CANON": CANON, "B05": B05, "B02": B02, "EXPJ": EXPJ,
+                 "EXPJM": EXPJM, "TAB101": TAB101}[name]
+        params = gp(1.0, K=K)
+        assert q1(model, params) == _q1_full_scan(model, params)
+
+    @pytest.mark.parametrize("sign, pad", [(1.0, 1e-12), (-1.0, 1e-6)])
+    def test_q1_scan_without_sign_change(self, monkeypatch, sign, pad):
+        # positive on every scan pushes the edge to the last pad; negative
+        # stops after the first scan; either way the edge is reported
+        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, qq: sign)
+        assert q1(CANON, gp(1.0)) == _q1_full_scan(CANON, gp(1.0)) == 0.5 * (1.0 + pad)
 
     def test_q1_canonical_exact(self):
         # on the canonical instance the boundary condition vanishes at q=1
