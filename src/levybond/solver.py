@@ -71,6 +71,11 @@ from .scale import (
 
 logger = logging.getLogger(__name__)
 
+# g_function below this z integrates its kernel with a fixed 16-node
+# Gauss-Legendre rule on [0, z], as (node, weight) pairs on [-1, 1]
+_G_SMALL_Z = 0.1
+_GAUSS16 = list(zip(*(c.tolist() for c in np.polynomial.legendre.leggauss(16))))
+
 __all__ = [
     "Regime",
     "ImmediateStop",
@@ -353,7 +358,10 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
 
     Defined as ``(Phi+1) int_0^z e^(y-z) W(y) dy - Phi int_0^z W(y) dy``;
     the holder's coupon premium at distance ``z`` below the conversion level
-    is ``alpha/Phi`` times this.
+    is ``alpha/Phi`` times this.  The grouped combination adds O(1) terms
+    whose sum is O(z^2), so below ``_G_SMALL_Z`` the single integral of
+    ``(1 + (Phi+1) expm1(y-z)) W(y)``, which does not cancel, is taken by
+    16-point Gauss-Legendre on either scale route.
     """
     if z_arg < 0.0:
         raise DomainError(f"g_function needs z >= 0, got {z_arg}")
@@ -361,6 +369,13 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
         return 0.0
     ev = scale_evaluator(model, q)
     ph = ev.phi_q
+    if z_arg < _G_SMALL_Z:
+        half = z_arg / 2.0
+        acc = 0.0
+        for t, wt in _GAUSS16:
+            y = half * (1.0 + t)
+            acc += wt * (1.0 + (ph + 1.0) * math.expm1(y - z_arg)) * w(ev, y)
+        return half * acc
     return ph / q + _w_combination(ev, z_arg, 0.0, -ph, ph + 1.0)
 
 

@@ -298,6 +298,23 @@ class TestPremiumKernel:
             expect = (ph + 1.0) * iew - ph * iw
             assert g_function(CANON, 1.0, zz) == pytest.approx(expect, rel=1e-9), zz
 
+    @pytest.mark.parametrize("model, qq", [(CANON, 1.02), (EXPJ, 3.0)])
+    def test_small_z_against_mpmath(self, model, qq):
+        # g is O(z^2) while its grouped form adds O(1) terms, which cost
+        # digits as z -> 0; oracle: the same partial fractions at 40 digits
+        mp = pytest.importorskip("mpmath")
+        ev = scale_evaluator(model, qq)
+        with mp.workdps(40):
+            ph = mp.mpf(ev.phi_q)
+            for zz in (1e-3, 1e-2, 5e-2):
+                zm = mp.mpf(zz)
+                expect = mp.mpf(0)
+                for r, c in zip(ev.roots, ev.weights):
+                    r, c = mp.mpc(r), mp.mpc(c)
+                    expect += (c * ((ph + 1) * mp.exp(-zm) * mp.expm1((r + 1) * zm) / (r + 1)
+                                    - ph * mp.expm1(r * zm) / r)).real
+                assert g_function(model, qq, zz) == pytest.approx(float(expect), rel=1e-12, abs=0.0), zz
+
     def test_zero_and_domain(self):
         assert g_function(CANON, 5.0, 0.0) == 0.0
         with pytest.raises(DomainError):
