@@ -54,8 +54,9 @@ few units of ``log K`` but visible past ``Phi * v ~ 15``.
 Off the closed forms, ``W`` on the cache grid is a PCHIP interpolant of the
 tilted values.  :func:`w` reads it from the stored knots and coefficients by
 bisection, in PPoly's own evaluation order, so it equals
-``PchipInterpolator`` bit for bit at a fraction of the per-call cost that
-the nested quadratures of the solver pay tens of thousands of times.
+``PchipInterpolator`` bit for bit without PPoly's per-call overhead.  The
+build also tabulates ``integral_0^x W`` and ``integral_0^x e^y W`` at the
+knots (``_cell_integrals``), which :func:`w_integrals` reads in O(log n).
 """
 
 from __future__ import annotations
@@ -118,6 +119,12 @@ _EULER_K = np.arange(_EULER_N + _EULER_ME + 1)
 # series weights: the k = 0 term is halved, the rest alternate in sign
 _EULER_SIGN = np.where(_EULER_K % 2 == 1, -1.0, 1.0)
 _EULER_SIGN[0] = 0.5
+
+# Gauss-Legendre (nodes, weights) on [-1, 1] for the integral tables: on
+# a cache cell the integrand is e^(Phi x) times a cubic, which 8 nodes
+# integrate to ~1e-12 relative even at (Phi + 1) h = 5, wider than any cell
+# gets before e^(Phi x) overflows, and to rounding at Phi of order 1
+_GAUSS8 = np.polynomial.legendre.leggauss(8)
 
 # x-points per inverter block: 4 x 34 Euler nodes x 401 density nodes of
 # complex exponentials is under 1 MB, so building a tabulated evaluator raises
@@ -198,9 +205,10 @@ class ScaleEvaluator:
     """Immutable per-(model, q) evaluator; build with :func:`scale_evaluator`.
 
     ``roots``/``weights`` are the partial-fraction data for closed forms and
-    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, and
-    the PCHIP table behind :func:`w` are numeric-route only: a closed form
-    stores ``None`` for both, as its operations sum over the roots.
+    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, the
+    PCHIP table behind :func:`w` and the tables of ``integral_0^x W`` and
+    ``integral_0^x e^y W`` at its knots are numeric-route only: a closed form
+    stores ``None`` for all three, as its operations sum over the roots.
     Construction does all precomputation; every operation afterwards is pure.
     """
 
@@ -212,8 +220,9 @@ class ScaleEvaluator:
     w0_prime: float
     roots: tuple[complex, ...] | None
     weights: tuple[complex, ...] | None
-    cache: np.ndarray | None = field(repr=False)
-    _tilted: tuple[list[float], tuple[array, ...]] | None = field(repr=False)
+    cache: np.ndarray | None = field(default=None, repr=False)
+    _tilted: tuple[list[float], tuple[array, ...]] | None = field(default=None, repr=False)
+    _integrals: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def _rational_poly(model: LevyModel, q: float):
@@ -261,10 +270,6 @@ def _phi_root(ev: ScaleEvaluator) -> int:
     return min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
 
 
-def _check_points() -> np.ndarray:
-    return np.geomspace(1e-3, 40.0, 10)
-
-
 @lru_cache(maxsize=64)
 def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) -> ScaleEvaluator:
     """Build (and memoise) the scale-function evaluator for ``(model, q)``.
@@ -289,32 +294,20 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
         w0 = 0.0
         w0p = 2.0 / model.b2
     rational = isinstance(model.jumps, (NoJumps, ExponentialJumps))
-
-    roots = weights = None
-    chosen = method
-    if chosen is None or chosen is not Method.NUMERIC_INVERSION:
-        if rational:
-            data = _closed_form_data(model, q, phi_q)
-            if data is not None:
-                roots, weights = data
-                degree = len(roots)
-                chosen = (Method.CLOSED_FORM_THREE_EXP if degree == 3
-                          else Method.CLOSED_FORM_TWO_EXP)
-            elif chosen is not None:
-                # explicitly requested closed form but the roots do not allow it
-                raise DomainError("closed form unavailable: repeated roots "
-                                  "or no root at Phi(q)")
-            else:
-                chosen = Method.NUMERIC_INVERSION
-        else:
-            if chosen is not None:
-                raise DomainError("closed forms need rational exponents")
-            chosen = Method.NUMERIC_INVERSION
-
-    if chosen is not Method.NUMERIC_INVERSION:
-        return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
-                              w0=w0, w0_prime=w0p, roots=roots, weights=weights,
-                              cache=None, _tilted=None)
+    if method is not Method.NUMERIC_INVERSION:
+        if method is not None and not rational:
+            raise DomainError("closed forms need rational exponents")
+        data = _closed_form_data(model, q, phi_q) if rational else None
+        if data is not None:
+            roots, weights = data
+            chosen = (Method.CLOSED_FORM_THREE_EXP if len(roots) == 3
+                      else Method.CLOSED_FORM_TWO_EXP)
+            return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
+                                  w0=w0, w0_prime=w0p, roots=roots, weights=weights)
+        if method is not None:
+            # explicitly requested closed form but the roots do not allow it
+            raise DomainError("closed form unavailable: repeated roots "
+                              "or no root at Phi(q)")
 
     grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
     transform = _tilted_transform(model, q, phi_q)
@@ -323,10 +316,12 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
     tilted_vals[0] = w0
     tilted_vals[1:] = invert(transform, grid[1:])
     wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
-    ev = ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
-                        w0=w0, w0_prime=w0p, roots=None, weights=None,
-                        cache=np.column_stack([grid, wa]),
-                        _tilted=_pchip_table(grid, tilted_vals))
+    tilted = _pchip_table(grid, tilted_vals)
+    cells = _cell_integrals(phi_q, tilted, np.arange(_CACHE_N), grid[:-1], grid[1:])
+    ev = ScaleEvaluator(model=model, q=float(q), method=Method.NUMERIC_INVERSION,
+                        phi_q=phi_q, w0=w0, w0_prime=w0p, roots=None, weights=None,
+                        cache=np.column_stack([grid, wa]), _tilted=tilted,
+                        _integrals=tuple(np.append(0.0, np.cumsum(i)) for i in cells))
     _certify(ev, transform, invert, rational)
     return ev
 
@@ -341,7 +336,7 @@ def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
     """
     if rational:
         secondary = _euler if primary is _talbot else _talbot
-        xs = _check_points()
+        xs = np.geomspace(1e-3, 40.0, 10)
         for xv, a, b in zip(xs.tolist(), primary(transform, xs).tolist(),
                             secondary(transform, xs).tolist()):
             scale = max(abs(a), abs(b), 1e-12)
@@ -390,6 +385,44 @@ def _pchip_at(table: tuple[list[float], tuple[array, ...]], x: float) -> float:
     return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
 
+def _cell_integrals(phi_q: float, tilted, i: np.ndarray, a: np.ndarray,
+                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``integral_a^b W`` and ``integral_a^b e^y W`` from each cache knot
+    ``a`` to ``b`` within its cell ``i``: ``_GAUSS8`` on ``e^(Phi y) P_i(y)``,
+    summed one node at a time so no (point, node) array is formed."""
+    c3, c2, c1, c0 = (np.frombuffer(col)[i] for col in tilted[1])
+    half = 0.5 * (b - a)
+    i0 = i1 = 0.0
+    for t, wt in zip(*_GAUSS8):
+        s = half * (1.0 + t)
+        wy = wt * np.exp(phi_q * (a + s)) * (c0 + s * (c1 + s * (c2 + s * c3)))
+        i0 = i0 + wy
+        i1 = i1 + wy * np.exp(a + s)
+    return half * i0, half * i1
+
+
+def _integrals_at(ev: ScaleEvaluator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(integral_0^x W, integral_0^x e^y W)`` at each ``x >= 0`` of ``xs``
+    on the numeric route: the tables at the cell's left knot plus the partial
+    cell.  Past ``_CACHE_HI`` each point adds ``_GAUSS8`` on panels of width
+    at most ``1/(Phi+1)``, from one vectorised ``_w_direct`` call."""
+    i = np.minimum(np.searchsorted(ev.cache[:, 0], xs, side="right"), _CACHE_N) - 1
+    a = ev.cache[i, 0]
+    p0, p1 = _cell_integrals(ev.phi_q, ev._tilted, i, a, np.minimum(xs, _CACHE_HI))
+    i0 = ev._integrals[0][i] + p0
+    i1 = ev._integrals[1][i] + p1
+    t, wt = _GAUSS8
+    for k in np.flatnonzero(xs > _CACHE_HI).tolist():
+        panels = math.ceil((xs[k] - _CACHE_HI) * (ev.phi_q + 1.0))
+        edges = np.linspace(_CACHE_HI, xs[k], panels + 1)
+        half = np.diff(edges)[:, None] / 2.0
+        ys = edges[:-1, None] + half * (1.0 + t)
+        wy = half * wt * _w_direct(ev, ys.ravel()).reshape(ys.shape)
+        i0[k] += wy.sum()
+        i1[k] += (wy * np.exp(ys)).sum()
+    return i0, i1
+
+
 def w(ev: ScaleEvaluator, x: float) -> float:
     """``W(x)``: zero on the negative axis, ``w0`` at 0, nondecreasing after."""
     if x < 0.0:
@@ -421,7 +454,11 @@ def _exp_increment(r: complex, x: float) -> complex:
 
 
 def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
-    """``(integral_0^x W(y) dy, integral_0^x exp(y) W(y) dy)``."""
+    """``(integral_0^x W(y) dy, integral_0^x exp(y) W(y) dy)``.
+
+    Closed forms sum over the roots; the integral tables exist on the
+    numeric route only, which reads them in O(log n) (:func:`_integrals_at`).
+    """
     if x < 0.0:
         raise DomainError(f"w_integrals needs x >= 0, got {x}")
     if x == 0.0:
@@ -433,10 +470,8 @@ def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
             acc0 += (c * _exp_increment(r, x)).real
             acc1 += (c * _exp_increment(r + 1.0, x)).real
         return acc0, acc1
-    i0 = quad(lambda y: w(ev, y), 0.0, x, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-    i1 = quad(lambda y: math.exp(y) * w(ev, y), 0.0, x,
-              epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-    return i0, i1
+    i0, i1 = _integrals_at(ev, np.array([x]))
+    return float(i0[0]), float(i1[0])
 
 
 def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float) -> float:

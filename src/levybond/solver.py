@@ -25,7 +25,8 @@ Every value below is one fluctuation identity in ``W``, ``integral W`` and
 growth.  How that cancellation is carried out, and how accurate it is, on
 each scale route is stated in the ``scale`` module docstring.  Only the
 R4 jump-overshoot term still depends on the route: exponential jumps with
-partial fractions have a closed overshoot, other evaluators integrate it.
+partial fractions have a closed overshoot; on the numeric route it is a
+fixed-node sum over jump sizes, read from the scale integral tables.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .errors import (
@@ -50,7 +49,6 @@ from .errors import (
     RegimeError,
 )
 from .model import (
-    ExponentialJumps,
     LevyModel,
     NoJumps,
     TabulatedDensity,
@@ -61,20 +59,25 @@ from .model import (
     shifted_jump_integrals,
 )
 from .scale import (
+    _GAUSS8,
     ScaleEvaluator,
     _exp_increment,
+    _integrals_at,
     _phi_root,
     _w_combination,
     scale_evaluator,
     w,
+    w_integrals,
 )
 
 logger = logging.getLogger(__name__)
 
-# g_function below this z integrates its kernel with a fixed 16-node
-# Gauss-Legendre rule on [0, z], as (node, weight) pairs on [-1, 1]
+# g_function below this z integrates its kernel with the 16-node
+# Gauss-Legendre rule (nodes, weights on [-1, 1]) on [0, z]
 _G_SMALL_Z = 0.1
-_GAUSS16 = list(zip(*(c.tolist() for c in np.polynomial.legendre.leggauss(16))))
+_GAUSS16 = np.polynomial.legendre.leggauss(16)
+# widest panel of the overshoot sum over jump sizes
+_OVERSHOOT_PANEL = 0.05
 
 __all__ = [
     "Regime",
@@ -372,7 +375,7 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     if z_arg < _G_SMALL_Z:
         half = z_arg / 2.0
         acc = 0.0
-        for t, wt in _GAUSS16:
+        for t, wt in zip(*(r.tolist() for r in _GAUSS16)):
             y = half * (1.0 + t)
             acc += wt * (1.0 + (ph + 1.0) * math.expm1(y - z_arg)) * w(ev, y)
         return half * acc
@@ -448,10 +451,8 @@ def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> flo
     v = c - x
     jump = 0.0
     if not isinstance(ev.model.jumps, NoJumps):
-        if ev.roots is not None:
-            jump = _overshoot_exponential(ev, params, c, v)
-        else:
-            jump = _overshoot_quadrature(ev, params, c, x)
+        overshoot = _overshoot_exponential if ev.roots is not None else _overshoot_numeric
+        jump = overshoot(ev, params, c, v)
     bc = beta * math.exp(c)
     return (alpha / qv + jump
             + _w_combination(ev, v, alpha / ph + bc / (ph + 1.0) - K * qv / ph,
@@ -485,112 +486,66 @@ def _overshoot_exponential(ev: ScaleEvaluator, params: GameParams,
     return lam * params.K * math.exp(-rho * m) / (rho - 1.0) * acc
 
 
-def _share_weighted_density(jumps) -> Callable[[float], float]:
-    """Jump density times ``e^z``, with the tail combined in the exponent
-    so slowly decaying tails never overflow before cancelling."""
-    if isinstance(jumps, ExponentialJumps):
-        lam, rho = jumps.rate, jumps.decay
-        return lambda t: lam * rho * math.exp(-(rho - 1.0) * t)
-    grid = np.asarray(jumps.grid)
-    vals = np.asarray(jumps.values)
-    rate = jumps.tail_rate
-    edge = float(vals[-1]) * math.exp(float(grid[-1]))
+def _overshoot_numeric(ev: ScaleEvaluator, params: GameParams,
+                       c: float, v: float) -> float:
+    """Overshoot term on the numeric route (any jump family).
 
-    def dens(t: float) -> float:
-        if t < grid[0]:
-            return 0.0
-        if t <= grid[-1]:
-            return float(np.interp(t, grid, vals)) * math.exp(t)
-        return edge * math.exp(-(rate - 1.0) * (t - float(grid[-1])))
-
-    return dens
-
-
-def _overshoot_outer_limit(jumps, m: float, target: float) -> float:
-    """Point past which ``integral density(z) e^z dz`` drops below ``target``."""
-    if isinstance(jumps, ExponentialJumps):
-        lam, rate = jumps.rate, jumps.decay
-        if rate <= 1.0:
-            raise DivergentExponent(
-                "overshoot value needs jump decay > 1 for a finite share expectation"
-            )
-        # tail integral from u: lam*rate/(rate-1) * exp(-(rate-1)u)
-        base = lam * rate / (rate - 1.0)
-        start = 0.0
-    else:
-        rate = jumps.tail_rate
-        if rate <= 1.0:
-            raise DivergentExponent(
-                "overshoot value needs tail decay > 1 for a finite share expectation"
-            )
-        z_n = jumps.grid[-1]
-        base = jumps.values[-1] * math.exp(z_n) / (rate - 1.0)
-        start = z_n
-    if base <= target:
-        return max(m, start) + 1.0
-    return max(m, start + (math.log(base / target)) / (rate - 1.0)) + 1.0
-
-
-def _overshoot_quadrature(ev: ScaleEvaluator, params: GameParams,
-                          c: float, x: float) -> float:
-    """Overshoot term by iterated adaptive quadrature (any jump family).
-
-    Outer integral over jump sizes that clear the cap, inner over the
-    pre-jump position; absolute tolerance 1e-8 on each axis, with the outer
-    truncated where the remaining share-weighted jump mass is negligible.
+    The outer integral runs over jump sizes ``z`` that clear the cap,
+    weighted by the jump density times ``e^z``, until the remaining weight
+    is below ``1e-14 max(1, K)``.  The inner one, over ``y`` from
+    ``ylo = max(m - z, -40/Phi)`` to 0 of ``(e^(Phi y) W(v) - W(v + y))
+    (e^(c+y) - K e^(-z))``, is exact: ``W(v)`` times exponential integrals,
+    less differences of the integral tables at ``v`` and ``max(v + ylo, 0)``.
+    The outer sum takes 16 Gauss-Legendre nodes on panels at most
+    ``_OVERSHOOT_PANEL`` wide, broken at the density's knots and the inner
+    integral's kinks ``m + v`` and ``m + 40/Phi``; its gap to the 8-node
+    sum is the error estimate (``QuadratureError`` past 1e-6).
     """
-    ph = ev.phi_q
-    K = params.K
-    v = c - x
+    ph, K = ev.phi_q, params.K
     m = math.log(K) - c
-    dens_growth = _share_weighted_density(ev.model.jumps)
-    w_v = w(ev, v)
-    u_max = _overshoot_outer_limit(ev.model.jumps, m, 1e-14 * max(1.0, K))
-    if u_max <= m:
-        return 0.0
-    y_floor = -40.0 / ph
-
-    def inner(zv: float) -> float:
-        # e^zv is factored into the outer weight so this integral keeps a
-        # uniform O(K) scale and the absolute tolerance stays meaningful
-        ylo = max(m - zv, y_floor)
-        if ylo >= 0.0:
-            return 0.0
-        cap = K * math.exp(-zv) if zv < 700.0 else 0.0
-
-        def f(y: float) -> float:
-            bracket = math.exp(ph * y) * w_v - w(ev, v + y)
-            return bracket * (math.exp(c + y) - cap)
-
-        pieces = [ylo, 0.0]
-        if ylo < -v < 0.0:
-            pieces = [ylo, -v, 0.0]  # integrand kink where W's support starts
-        total = 0.0
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            total += quad(f, a, b, epsabs=1e-9, epsrel=1e-9, limit=200)[0]
-        return total
-
-    pts = None
-    if isinstance(ev.model.jumps, TabulatedDensity):
-        # hand the density's kinks to the subdivider, else its error estimate
-        # saturates orders of magnitude above the actual error
-        nodes = [t for t in ev.model.jumps.grid if m < t < u_max]
-        stride = max(1, -(-len(nodes) // 400))
-        pts = nodes[::stride] or None
-    with warnings.catch_warnings():
-        # the bracket cancels to ~1e-10 noise near y=0 (interpolated W), which
-        # trips quad's roundoff detector far below the 1e-8 target; the outer
-        # error estimate is still checked below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(lambda zv: dens_growth(zv) * inner(zv), m, u_max,
-                        epsabs=1e-8, epsrel=1e-9,
-                        limit=200 + (len(pts) if pts else 0), points=pts)
-    if err > 1e-6:
-        raise QuadratureError(
-            f"overshoot integral at x={x:g} only reached error {err:.2e} "
-            f"(outer range [{m:g}, {u_max:g}])"
+    jumps = ev.model.jumps
+    tabulated = isinstance(jumps, TabulatedDensity)
+    # from `start` on, density * e^z = edge * e^(-(rate - 1)(z - start))
+    rate = jumps.tail_rate if tabulated else jumps.decay
+    if rate <= 1.0:
+        raise DivergentExponent(
+            "overshoot value needs jump tail decay > 1 for a finite share expectation"
         )
-    return val
+    start = jumps.grid[-1] if tabulated else 0.0
+    edge = jumps.values[-1] * math.exp(start) if tabulated else jumps.rate * jumps.decay
+    tail_mass = edge / ((rate - 1.0) * 1e-14 * max(1.0, K))
+    u_max = max(m, start + math.log(max(tail_mass, 1.0)) / (rate - 1.0)) + 1.0
+    y_floor = -40.0 / ph
+    breaks = [t for t in (*(jumps.grid if tabulated else ()), m + v, m - y_floor)
+              if m < t < u_max]
+    edges = np.union1d(np.append(np.arange(m, u_max, _OVERSHOOT_PANEL), u_max), breaks)
+    half = np.diff(edges)[:, None] / 2.0
+    w_v = w(ev, v)
+    i0_v, i1_v = w_integrals(ev, v)
+    sums = []
+    for t, wt in (_GAUSS8, _GAUSS16):
+        zs = (edges[:-1, None] + half * (1.0 + t)).ravel()
+        dens = edge * np.exp(-(rate - 1.0) * np.maximum(zs - start, 0.0))
+        if tabulated:
+            body = np.interp(zs, jumps.grid, jumps.values, left=0.0)
+            dens = np.where(zs <= start, body * np.exp(np.minimum(zs, start)), dens)
+        ylo = np.maximum(m - zs, y_floor)
+        # both integrals vanish at 0, so the tables are read only where lo > 0
+        lo = np.maximum(v + ylo, 0.0)
+        i0_lo, i1_lo = np.zeros_like(lo), np.zeros_like(lo)
+        i0_lo[lo > 0.0], i1_lo[lo > 0.0] = _integrals_at(ev, lo[lo > 0.0])
+        cap = K * np.exp(-zs)
+        inner = (w_v * (cap * np.expm1(ph * ylo) / ph
+                        - math.exp(c) * np.expm1((ph + 1.0) * ylo) / (ph + 1.0))
+                 - math.exp(c - v) * (i1_v - i1_lo) + cap * (i0_v - i0_lo))
+        sums.append(float(np.dot((half * wt).ravel(), dens * inner)))
+    low, high = sums
+    if abs(high - low) > 1e-6:
+        raise QuadratureError(
+            f"overshoot sum at v={v:g}: its 8- and 16-node rules differ by "
+            f"{abs(high - low):.2e} (outer range [{m:g}, {u_max:g}])"
+        )
+    return high
 
 
 def value_profile(model: LevyModel, params: GameParams,

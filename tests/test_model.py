@@ -316,7 +316,7 @@ class TestTabulatedFamily:
             r = mp.mpf(tab.tail_rate)
             want += v[-1] * (mp.exp(a * z[-1]) / (r - a) - 1 / r)
         got = float(_tab_exp_moment(tab, np.array([-theta]))[0].real) - tab._mass
-        assert got == pytest.approx(float(want), rel=1e-11)
+        assert got == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
     def test_frozen_shifted_integrals(self):
         i1, i2 = shifted_jump_integrals(self.MODEL, 0.25, phi_q=1.1)

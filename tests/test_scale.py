@@ -196,7 +196,7 @@ class TestCacheLookup:
     def test_w_reproduces_the_cache_at_knots(self):
         ev = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
         for xv, wv in ev.cache[1::97].tolist() + [ev.cache[-1].tolist()]:
-            assert w(ev, xv) == pytest.approx(wv, rel=1e-15)
+            assert w(ev, xv) == pytest.approx(wv, rel=1e-15, abs=0.0)
 
 
 class TestTransformIdentity:
@@ -290,6 +290,31 @@ class TestCombination:
                 got = _w_combination(closed, v, a, b, c)
                 ref = _w_combination(numeric, v, a, b, c)
                 assert abs(got - ref) <= 1e-6 * size, (name, v, got, ref)
+
+
+class TestIntegralTables:
+    """``w_integrals`` on the numeric route reads tables built at the cache
+    knots; past the cache it adds a panel sum over direct inversions."""
+
+    # adaptive quadrature (epsrel 1e-10) of the same forced-inversion
+    # evaluators at x = 60, past the cache edge
+    QUAD_AT_60 = {
+        "CANON": (5.710036949078599e+25, 3.2604521959840846e+51),
+        "EXPJ": (9.03897008048924e+61, 7.279146307319263e+87),
+        "BV2": (12721993549432.742, 4.842870215547095e+38),
+    }
+
+    @pytest.mark.parametrize("name, model, q", [("CANON", CANON, 1.0), ("EXPJ", EXPJ, 1.2),
+                                                ("BV2", BV2, 0.8)])
+    def test_tables_match_closed_forms(self, name, model, q):
+        closed = scale_evaluator(model, q)
+        numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+        assert closed._integrals is None and numeric._integrals is not None
+        for x in np.geomspace(0.1, _CACHE_HI, 25).tolist():
+            for got, want in zip(w_integrals(numeric, x), w_integrals(closed, x)):
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0), x
+        for got, want in zip(w_integrals(numeric, 60.0), self.QUAD_AT_60[name]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestTilt:

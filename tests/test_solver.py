@@ -25,13 +25,14 @@ from levybond import (
     ExponentialJumps,
     LevyModel,
     MomentConditionError,
+    QuadratureError,
     RegimeError,
     TabulatedDensity,
     bounded_variation_model,
     exp_growth_rate,
     phi,
 )
-from levybond.scale import scale_evaluator, w
+from levybond.scale import Method, scale_evaluator, w
 from levybond.solver import (
     IMMEDIATE_STOP,
     FitKind,
@@ -39,7 +40,7 @@ from levybond.solver import (
     Regime,
     _boundary_condition,
     _overshoot_exponential,
-    _overshoot_quadrature,
+    _overshoot_numeric,
     a_star,
     c_star,
     call_boundary_value,
@@ -114,6 +115,63 @@ def _q1_full_scan(model, params):
             continue
         break
     return float(lo_edge)
+
+
+def _overshoot_oracle(ev, params, c, x):
+    """Independent route for the R4 overshoot term: the defining double
+    integral by iterated adaptive quadrature, over jump sizes that clear the
+    cap (outer) and pre-jump offsets (inner), absolute tolerance 1e-8 on each
+    axis, with the density's knots handed to the outer subdivider."""
+    ph, K = ev.phi_q, params.K
+    v = c - x
+    m = math.log(K) - c
+    jumps = ev.model.jumps
+    # density * e^z from `start` on is edge * exp(-(rate - 1) (z - start))
+    if isinstance(jumps, ExponentialJumps):
+        rate, start, edge = jumps.decay, 0.0, jumps.rate * jumps.decay
+    else:
+        rate, start = jumps.tail_rate, jumps.grid[-1]
+        edge = jumps.values[-1] * math.exp(start)
+    # truncated where the remaining share-weighted jump mass is negligible
+    tail_mass = edge / ((rate - 1.0) * 1e-14 * max(1.0, K))
+    u_max = max(m, start + max(math.log(tail_mass), 0.0) / (rate - 1.0)) + 1.0
+
+    def dens_growth(t):
+        if t > start:
+            return edge * math.exp(-(rate - 1.0) * (t - start))
+        if t < jumps.grid[0]:
+            return 0.0
+        return float(np.interp(t, jumps.grid, jumps.values)) * math.exp(t)
+
+    w_v = w(ev, v)
+    y_floor = -40.0 / ph
+
+    def inner(zv):
+        ylo = max(m - zv, y_floor)
+        if ylo >= 0.0:
+            return 0.0
+        cap = K * math.exp(-zv) if zv < 700.0 else 0.0
+
+        def f(y):
+            return (math.exp(ph * y) * w_v - w(ev, v + y)) * (math.exp(c + y) - cap)
+
+        pieces = [ylo, -v, 0.0] if ylo < -v < 0.0 else [ylo, 0.0]
+        return sum(quad(f, a, b, epsabs=1e-9, epsrel=1e-9, limit=200)[0]
+                   for a, b in zip(pieces[:-1], pieces[1:]))
+
+    pts = None
+    if isinstance(jumps, TabulatedDensity):
+        nodes = [t for t in jumps.grid if m < t < u_max]
+        pts = nodes[::max(1, -(-len(nodes) // 400))] or None
+    with warnings.catch_warnings():
+        # interpolated W makes the inner bracket cancel to ~1e-10 noise near
+        # y = 0, which trips quad's roundoff detector far below the target
+        warnings.simplefilter("ignore")
+        val, err = quad(lambda zv: dens_growth(zv) * inner(zv), m, u_max,
+                        epsabs=1e-8, epsrel=1e-9,
+                        limit=200 + (len(pts) if pts else 0), points=pts)
+    assert err <= 1e-6, err
+    return val
 
 
 class TestHolderThreshold:
@@ -283,8 +341,9 @@ class TestPremiumKernel:
 
     def test_frozen_values(self):
         for zz, expect in self.G_CANON5.items():
-            assert g_function(CANON, 5.0, zz) == pytest.approx(expect, rel=1e-12)
-        assert g_function(BV2, 2.5, 1.0) == pytest.approx(0.34720150332906674, rel=1e-12)
+            assert g_function(CANON, 5.0, zz) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert g_function(BV2, 2.5, 1.0) == pytest.approx(0.34720150332906674,
+                                                          rel=1e-12, abs=0.0)
 
     def test_root_at_minus_one_matches_quadrature(self):
         # q = psi(-1): a partial-fraction root sits at -1, where the
@@ -332,7 +391,8 @@ class TestExitExpectation:
         # Brownian with b^2=2, q=1: the expression collapses to e^(-y); the
         # other partial-fraction root sits at -1 here (q = psi(-1))
         for y in (0.3, 1.0, 2.5, 6.0, 9.0, 12.0):
-            assert exit_expectation(CANON, 1.0, y) == pytest.approx(math.exp(-y), rel=1e-12)
+            assert exit_expectation(CANON, 1.0, y) == pytest.approx(math.exp(-y),
+                                                                    rel=1e-12, abs=0.0)
 
     def test_at_or_below_zero(self):
         # Gaussian part leaves the start upward instantly, so the zero-level
@@ -450,8 +510,38 @@ class TestValue:
             ev = scale_evaluator(model, qq)
             for x in (-1.0, sol.c_star - 0.3):
                 closed = _overshoot_exponential(ev, gp(qq), sol.c_star, sol.c_star - x)
-                quadv = _overshoot_quadrature(ev, gp(qq), sol.c_star, x)
+                quadv = _overshoot_oracle(ev, gp(qq), sol.c_star, x)
                 assert quadv == pytest.approx(closed, rel=1e-6, abs=1e-10)
+
+    def test_overshoot_tables_match_quadrature(self):
+        # table-based overshoot on the tabulated density vs the 2-D quadrature
+        sol = classify(TAB, gp(1.05))
+        ev = scale_evaluator(TAB, 1.05)
+        c = sol.c_star
+        for x in (c - 1e-4, -1.0, c - 2.0):
+            table = _overshoot_numeric(ev, gp(1.05), c, c - x)
+            assert table == pytest.approx(_overshoot_oracle(ev, gp(1.05), c, x),
+                                          abs=1e-8, rel=0.0), x
+
+    def test_overshoot_tables_match_closed_form(self):
+        # forced inversion: the table overshoot against the closed overshoot
+        for model, qq in [(EXPJM, 1.05), (BV2, 0.8)]:
+            sol = classify(model, gp(qq))
+            closed = scale_evaluator(model, qq)
+            numeric = scale_evaluator(model, qq, Method.NUMERIC_INVERSION)
+            c = sol.c_star
+            for x in (c - 1e-4, -1.0, c - 2.0):
+                expect = _overshoot_exponential(closed, gp(qq), c, c - x)
+                got = _overshoot_numeric(numeric, gp(qq), c, c - x)
+                assert got == pytest.approx(expect, abs=1e-8, rel=0.0), (qq, x)
+
+    def test_overshoot_rule_gap_raises(self, monkeypatch):
+        # a too-coarse low-order rule widens the two-rule gap past its bound
+        # (the midpoint rule: at 2 nodes the two sums still agree to ~1e-16)
+        monkeypatch.setattr(solver_module, "_GAUSS8", np.polynomial.legendre.leggauss(1))
+        c = classify(TAB, gp(1.05)).c_star
+        with pytest.raises(QuadratureError, match="differ"):
+            _overshoot_numeric(scale_evaluator(TAB, 1.05), gp(1.05), c, c + 1.0)
 
 
 class TestFitReports:
