@@ -83,6 +83,7 @@ from .solver import (
 from .mc import (
     SimConfig,
     _truncation_bound,
+    _verdict,
     estimate_game_values,
     mc_eligible,
     saddle_check,
@@ -313,12 +314,7 @@ def run_simulate(cfg: RunConfig, out=print) -> int:
             z = diff / est.stderr
             budget = _truncation_bound(model, params.q, x, cfg.sim.horizon,
                                        params.beta, params.K)
-            if abs(diff) <= 3.0 * est.stderr:
-                verdict = "Pass"
-            elif abs(diff) <= 3.0 * est.stderr + budget:
-                verdict = "Inconclusive"
-            else:
-                verdict = "Fail"
+            verdict = _verdict(abs(diff), est.stderr, budget)
             out(f"value x={x:.6g}: analytic={analytic:.10g} "
                 f"mc={est.mean:.10g}+-{est.stderr:.3g} z={z:+.2f}: {verdict}")
         failed = failed or verdict == "Fail"

@@ -167,6 +167,16 @@ def _truncation_bound(model: LevyModel, q: float, x: float, horizon: float,
     return math.exp(-q * horizon) * cap + tail
 
 
+def _verdict(violation: float, stderr: float, budget: float) -> str:
+    """Pass within three standard errors, Inconclusive within that plus the
+    horizon-truncation ``budget``, Fail beyond."""
+    if violation <= 3.0 * stderr:
+        return "Pass"
+    if violation <= 3.0 * stderr + budget:
+        return "Inconclusive"
+    return "Fail"
+
+
 def _at(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``a[i, cols[i]]`` for every row ``i``."""
     return a[np.arange(len(cols)), cols]
@@ -776,13 +786,7 @@ def saddle_check(model: LevyModel, params, solution, delta: float = 0.1,
         gse = float(np.std(diff, ddof=1)) / math.sqrt(len(diff)) \
             if len(diff) > 1 else 0.0
         violation = gap if direction == "<=" else -gap
-        if violation <= 3.0 * gse:
-            verdict = "Pass"
-        elif violation <= 3.0 * gse + budget:
-            verdict = "Inconclusive"
-        else:
-            verdict = "Fail"
         comps.append(SaddleComparison(
             label=lbl, direction=direction, estimate=_to_estimate(pv),
-            gap=gap, gap_stderr=gse, verdict=verdict))
+            gap=gap, gap_stderr=gse, verdict=_verdict(violation, gse, budget)))
     return SaddleReport(equilibrium=center, comparisons=tuple(comps))

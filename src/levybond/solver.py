@@ -53,6 +53,7 @@ from .model import (
     NoJumps,
     TabulatedDensity,
     exp_growth_rate,
+    laplace_exponent,
     meets_discount_condition,
     path_variation,
     phi,
@@ -138,7 +139,7 @@ class GameParams:
 
     def __post_init__(self):
         checks = [
-            (self.alpha >= 0.0, "alpha must be >= 0"),
+            (self.alpha > 0.0, "alpha must be > 0"),
             (self.beta > 0.0, "beta must be > 0"),
             (self.q > 0.0, "q must be > 0"),
             (self.K > 0.0, "K must be > 0"),
@@ -177,88 +178,84 @@ def _require_assumption(model: LevyModel, params: GameParams) -> None:
         )
 
 
-def _a_star_formula(model: LevyModel, params: GameParams, q: float) -> float:
-    """Holder-threshold formula without the domain gate (used by scans)."""
-    ph = phi(model, q)
-    return params.alpha * (ph + 1.0) / (ph * (q - exp_growth_rate(model) - params.beta))
-
-
 def a_star(model: LevyModel, params: GameParams) -> float:
     """Share level at which the holder converts in regime R2.
 
     Strictly decreasing in ``q``, exploding at ``psi(-1) + beta`` and
     vanishing at infinity; only defined beyond the explosion point.
     """
-    floor = exp_growth_rate(model) + params.beta
-    if not (params.q > floor):
+    growth = exp_growth_rate(model)
+    if not (params.q > growth + params.beta):
         raise DomainError(
-            f"a_star needs q > psi(-1) + beta = {floor:g}, got q={params.q:g}"
+            f"a_star needs q > psi(-1) + beta = {growth + params.beta:g}, got q={params.q:g}"
         )
-    return _a_star_formula(model, params, params.q)
+    ph = phi(model, params.q)
+    return params.alpha * (ph + 1.0) / (ph * (params.q - growth - params.beta))
 
 
 def q0(model: LevyModel, params: GameParams) -> float:
-    """Critical discount rate where the holder threshold crosses the cap ``K``."""
-    floor = exp_growth_rate(model) + params.beta
-    lo = max(floor, 0.0) + 1e-10 * (1.0 + abs(floor))
-    hi = lo + max(1.0, abs(lo))
-    while _a_star_formula(model, params, hi) >= params.K:
+    """Critical discount rate where the holder threshold crosses the cap ``K``.
+
+    In ``theta = Phi(q)`` it is ``psi`` of the one root of
+    ``f(theta) = alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)``,
+    whose sign is that of ``a_star - K``.  ``f = alpha (theta+1) > 0`` at
+    ``Phi(max(psi(-1) + beta, 0))``, the pole of ``a_star``, and ``a_star``
+    strictly decreases beyond it; the upper bracket doubles until ``f < 0``.
+    """
+    growth = exp_growth_rate(model)
+
+    def f(theta: float) -> float:
+        return (params.alpha * (theta + 1.0)
+                - params.K * theta * (laplace_exponent(model, theta) - growth - params.beta))
+
+    lo = phi(model, max(growth + params.beta, 0.0))
+    hi = lo + max(1.0, lo)
+    while f(hi) >= 0.0:
         hi = lo + 2.0 * (hi - lo)
         if hi > 1e12:
             raise BracketError("holder threshold never crosses the cap")
-    root = brentq(
-        lambda qq: _a_star_formula(model, params, qq) - params.K,
-        lo, hi, xtol=1e-14, rtol=8.9e-16,
-    )
-    return float(root)
+    return laplace_exponent(model, _theta_root(f, lo, hi, "holder threshold"))
 
 
-def _boundary_condition(model: LevyModel, params: GameParams, q: float) -> float:
-    """Sign function whose zero is ``q1``.
+def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> float:
+    """Issuer boundary condition in ``theta = Phi(q)``; its zero is ``Phi(q1)``.
 
-    Algebraically ``K b^2/2 + (alpha/Phi)(K/a_star - 1)`` with the holder
-    threshold substituted, which removes the pole of ``a_star`` at
-    ``psi(-1) + beta`` and lets the scan cross it safely.
+    ``K b^2/2 + K (psi(theta) - psi(-1) - beta)/(theta+1) - alpha/theta``,
+    which is ``K b^2/2 + (alpha/theta)(K/a_star - 1)`` at ``q = psi(theta)``
+    with the pole of ``a_star`` at ``psi(-1) + beta`` removed.
     """
-    ph = phi(model, q)
-    drift_gap = q - exp_growth_rate(model) - params.beta
+    drift_gap = laplace_exponent(model, theta) - exp_growth_rate(model) - params.beta
     return (params.K * model.b2 / 2.0
-            + params.K * drift_gap / (ph + 1.0)
-            - params.alpha / ph)
+            + params.K * drift_gap / (theta + 1.0)
+            - params.alpha / theta)
+
+
+def _theta_root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+    """The root of ``f`` on ``[lo, hi]``; ``BracketError`` without a sign change."""
+    if not f(lo) * f(hi) < 0.0:
+        raise BracketError(f"{what}: no sign change on [{lo:g}, {hi:g}]")
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=256))
 
 
 def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> float:
     """Critical rate below which the issuer calls strictly before the cap.
 
-    Equals ``q0`` when there is no Gaussian part.  Otherwise the zero of the
-    boundary condition nearest ``q0``: a 200-point logarithmic scan of
-    ``(alpha/K, q0)`` evaluates the condition from the top point down and
-    stops at the first sign change, whose bracket ``brentq`` polishes.  A
-    scan without one evaluates every point and, if all are positive, is
-    repeated with the edge pushed closer to ``alpha/K``.
+    Equals ``q0`` when there is no Gaussian part.  Otherwise ``psi`` of the one
+    zero of the boundary condition ``h`` on ``[Phi(alpha/K), Phi(q0)]``.  By the
+    three-chord lemma the secant slope of ``psi`` from -1 grows, so ``h``
+    strictly increases; ``h(Phi(q0)) = K b^2/2 > 0``; at ``Phi(alpha/K)``, ``h``
+    is ``K b^2/2 - K beta/(theta+1)`` plus ``K`` times the slope from -1 less
+    the slope from 0, whose Gaussian parts differ by ``-b^2/2`` and jump parts
+    by at most 0, so ``h < 0`` there.
     """
     if q0_value is None:
         q0_value = q0(model, params)
     if model.b2 == 0.0:
         return q0_value
-    edge_base = params.alpha / params.K
-    for pad in (1e-6, 1e-9, 1e-12):
-        lo_edge = edge_base * (1.0 + pad) if edge_base > 0 else pad
-        qs = np.geomspace(lo_edge, q0_value * (1.0 - 1e-12), 200).tolist()[::-1]
-        hs = [_boundary_condition(model, params, qs[0])]
-        for i in range(1, len(qs)):
-            hs.append(_boundary_condition(model, params, qs[i]))
-            if hs[i - 1] > 0.0 and hs[i] <= 0.0:
-                return float(brentq(lambda qq: _boundary_condition(model, params, qq),
-                                    qs[i], qs[i - 1], xtol=1e-12, rtol=8.9e-16))
-        if np.min(hs) > 0.0:
-            continue  # positive on the whole scan: push the edge lower
-        break
-    logger.warning(
-        "issuer-boundary condition stayed positive down to q=alpha/K; "
-        "reporting the scan edge as q1"
-    )
-    return float(lo_edge)
+    theta = _theta_root(lambda th: _boundary_condition(model, params, th),
+                        phi(model, params.alpha / params.K), phi(model, q0_value),
+                        "issuer boundary condition")
+    return laplace_exponent(model, theta)
 
 
 def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
@@ -311,7 +308,12 @@ def call_boundary_value(model: LevyModel, params: GameParams, c: float) -> float
     point where it meets the cap ``K``.  Tends to ``K - (Kq - alpha)/Phi``
     far below and exceeds ``K`` near ``log K`` precisely when ``q < q1``.
     """
-    ph = phi(model, params.q)
+    return _call_boundary_value(model, params, phi(model, params.q), c)
+
+
+def _call_boundary_value(model: LevyModel, params: GameParams, ph: float,
+                         c: float) -> float:
+    """:func:`call_boundary_value` given ``ph = Phi(q)``."""
     s = math.log(params.K) - c
     i1, i2 = shifted_jump_integrals(model, s, ph)
     return (params.K * (1.0 - params.q / ph)
@@ -331,8 +333,9 @@ def c_star(model: LevyModel, params: GameParams, *,
             f"issuer threshold exists only for alpha/K < q < q1 "
             f"({params.alpha / K:g} < q < {_q1_value:g}), got q={qv:g}"
         )
+    ph = phi(model, qv)
     log_k = math.log(K)
-    if call_boundary_value(model, params, log_k - 1e-8) <= K:
+    if _call_boundary_value(model, params, ph, log_k - 1e-8) <= K:
         raise BracketError(
             "boundary value does not exceed the cap below log K; "
             "thresholds are inconsistent with the classified regime"
@@ -340,13 +343,13 @@ def c_star(model: LevyModel, params: GameParams, *,
     hi = log_k - 1e-10
     lo = hi - 1.0
     for _ in range(400):
-        if call_boundary_value(model, params, lo) < K:
+        if _call_boundary_value(model, params, ph, lo) < K:
             break
         lo -= 1.0
     else:
         raise BracketError("no lower bracket for the issuer threshold")
     root = brentq(
-        lambda c: call_boundary_value(model, params, c) - K,
+        lambda c: _call_boundary_value(model, params, ph, c) - K,
         lo, hi, xtol=1e-14, rtol=8.9e-16,
     )
     return float(root)

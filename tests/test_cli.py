@@ -68,6 +68,12 @@ class TestConfigValidation:
         assert main(["fit", str(path)]) == 1
         assert "game" in capsys.readouterr().err
 
+    def test_zero_coupon_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, model=BROWNIAN, game={**GAME, "alpha": 0},
+                            grid=GRID)
+        assert main(["solve", str(path)]) == 1
+        assert "alpha must be > 0" in capsys.readouterr().err
+
     def test_missing_section(self, tmp_path, capsys):
         path = tmp_path / "empty.ini"
         path.write_text("[model]\nfamily = brownian\nmu = 0\nb2 = 2\n")

@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 import levybond.solver as solver_module
 
 from levybond import (
+    BracketError,
     DomainError,
     ExponentialJumps,
     LevyModel,
@@ -97,24 +98,22 @@ MODELS = {"CANON": CANON, "B05": B05, "B02": B02, "BV2": BV2, "EXPJ": EXPJ}
 
 
 def _q1_full_scan(model, params):
-    """Oracle for ``q1``: every one of the 200 scan points is evaluated before
-    the top-down search for a sign change, which the same brentq polishes."""
-    cond = solver_module._boundary_condition
-    edge_base = params.alpha / params.K
-    q0_value = q0(model, params)
-    for pad in (1e-6, 1e-9, 1e-12):
-        lo_edge = edge_base * (1.0 + pad) if edge_base > 0 else pad
-        qs = np.geomspace(lo_edge, q0_value * (1.0 - 1e-12), 200)
-        hs = np.array([cond(model, params, float(qq)) for qq in qs])
-        for i in range(len(qs) - 1, 0, -1):
-            if hs[i] > 0.0 and hs[i - 1] <= 0.0:
-                return float(brentq(lambda qq: cond(model, params, qq),
-                                    float(qs[i - 1]), float(qs[i]),
-                                    xtol=1e-12, rtol=8.9e-16))
-        if hs.min() > 0.0:
-            continue
-        break
-    return float(lo_edge)
+    """Oracle for ``q1``: brentq in ``q`` over the whole range above
+    ``alpha/K`` on the boundary condition in its ``q`` form
+    ``K b^2/2 + K (q - psi(-1) - beta)/(Phi(q)+1) - alpha/Phi(q)``, solving
+    for ``Phi`` at every point."""
+    growth = exp_growth_rate(model)
+
+    def cond(qq):
+        ph = phi(model, qq)
+        return (params.K * model.b2 / 2.0
+                + params.K * (qq - growth - params.beta) / (ph + 1.0)
+                - params.alpha / ph)
+
+    lo = hi = params.alpha / params.K
+    while cond(hi) <= 0.0:
+        hi *= 2.0
+    return float(brentq(cond, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=256))
 
 
 def _overshoot_oracle(ev, params, c, x):
@@ -215,24 +214,50 @@ class TestCriticalRates:
     @pytest.mark.parametrize("K", [2.0, 1.3])
     @pytest.mark.parametrize("name", ["CANON", "B05", "B02", "EXPJ", "EXPJM", "TAB101"])
     def test_q1_equals_full_scan(self, name, K):
-        # the scan stops at the first sign change below q0 and must land on
-        # the very bracket, hence the very root, of the exhaustive scan
+        # the theta-form root must be the root of the q-form condition
         model = {"CANON": CANON, "B05": B05, "B02": B02, "EXPJ": EXPJ,
                  "EXPJM": EXPJM, "TAB101": TAB101}[name]
         params = gp(1.0, K=K)
-        assert q1(model, params) == _q1_full_scan(model, params)
+        assert q1(model, params) == pytest.approx(_q1_full_scan(model, params),
+                                                  rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("sign, pad", [(1.0, 1e-12), (-1.0, 1e-6)])
-    def test_q1_scan_without_sign_change(self, monkeypatch, sign, pad):
-        # positive on every scan pushes the edge to the last pad; negative
-        # stops after the first scan; either way the edge is reported
-        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, qq: sign)
-        assert q1(CANON, gp(1.0)) == _q1_full_scan(CANON, gp(1.0)) == 0.5 * (1.0 + pad)
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["brownian", "exp_jumps", "bv_exp"]),
+           u=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+           alpha=st.floats(0.1, 3.0), beta=st.floats(0.1, 3.0), K=st.floats(0.5, 5.0))
+    def test_boundary_condition_brackets_one_root(self, family, u, alpha, beta, K):
+        # strictly increasing in theta, negative at Phi(alpha/K), K b^2/2 at Phi(q0)
+        if family == "brownian":
+            model = LevyModel(-1.0 + 2.0 * u[0], 0.05 + 3.0 * u[1])
+        elif family == "exp_jumps":
+            model = LevyModel(-1.0 + 2.0 * u[0], 0.05 + 2.0 * u[1],
+                              ExponentialJumps(0.1 + 2.0 * u[2], 1.5 + 3.0 * u[3]))
+        else:
+            model = bounded_variation_model(0.5 + 2.5 * u[0],
+                                            ExponentialJumps(0.1 + 2.0 * u[1], 1.5 + 3.0 * u[2]))
+        params = GameParams(alpha, beta, 1.0, K)
+        lo, hi = phi(model, alpha / K), phi(model, q0(model, params))
+        hs = [_boundary_condition(model, params, float(th))
+              for th in np.linspace(lo, hi, 40)]
+        assert all(b > a for a, b in zip(hs, hs[1:]))
+        assert hs[0] < 0.0
+        half_b2 = K * model.b2 / 2.0
+        # at Phi(q0) the other two terms cancel: a_star = K there
+        assert hs[-1] + alpha / hi == pytest.approx(half_b2 + alpha / hi, rel=1e-12, abs=0.0)
+        if model.b2 > 0.0:
+            assert hs[-1] == pytest.approx(half_b2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_q1_scan_without_sign_change(self, monkeypatch, sign):
+        # a condition that keeps one sign on the bracket cannot be solved
+        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th: sign)
+        with pytest.raises(BracketError, match="no sign change"):
+            q1(CANON, gp(1.0))
 
     def test_q1_canonical_exact(self):
         # on the canonical instance the boundary condition vanishes at q=1
         assert abs(q1(CANON, gp(1.0)) - 1.0) <= 1e-8
-        assert abs(_boundary_condition(CANON, gp(1.0), 1.0)) <= 1e-12
+        assert abs(_boundary_condition(CANON, gp(1.0), phi(CANON, 1.0))) <= 1e-12
 
     def test_ordering(self):
         for name, model in MODELS.items():
@@ -325,7 +350,7 @@ class TestClassification:
             classify(EXPJ, gp(0.9))
 
     def test_params_validation(self):
-        for bad in [dict(alpha=-1.0), dict(beta=0.0), dict(q=0.0), dict(K=-2.0),
+        for bad in [dict(alpha=-1.0), dict(alpha=0.0), dict(beta=0.0), dict(q=0.0), dict(K=-2.0),
                     dict(q=math.nan)]:
             kw = dict(alpha=1.0, beta=1.0, q=1.0, K=2.0)
             kw.update(bad)
