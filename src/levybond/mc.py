@@ -2,20 +2,25 @@
 
 Two engines cover the supported dynamics:
 
-* a *grid* engine for models with a Gaussian part: drift/Brownian increments
-  on a uniform ``dt`` grid, compound-Poisson jumps placed uniformly inside
-  their step and applied at its end, and a Brownian-bridge draw per step
-  that restores level crossings the grid cannot see (removes the
-  O(sqrt(dt)) first-passage bias);
-* an *event* engine for bounded-variation models (no Gaussian part): jump
-  epochs are simulated exactly, the path is piecewise linear between them,
-  upward crossings happen only at jumps, and coupon integrals are evaluated
-  in closed form segment by segment — no time discretisation at all.
+* a *grid* engine (:func:`_grid_sweep`) for models with a Gaussian part:
+  drift/Brownian increments on a uniform ``dt`` grid, compound-Poisson jumps
+  placed uniformly inside their step and applied at its end, and a
+  Brownian-bridge draw per step that restores level crossings the grid
+  cannot see (removes the O(sqrt(dt)) first-passage bias).  It walks the
+  paths block by block and retires the rows whose stop rule has fired;
+* an *event* engine (:func:`_event_tableau`): jump epochs and sizes are
+  simulated exactly and the path is laid out piece by piece between them.
+  Without a Gaussian part each piece is linear and runs downhill, so upward
+  crossings happen only at jumps and coupon integrals are closed-form.  With
+  one, each piece is a Brownian motion with drift: one Gaussian endpoint and
+  one exact bridge maximum per piece, no time discretisation at all.
 
-Each estimator runs on one kernel per engine: :func:`_grid_sweep` walks the
-paths block by block and retires the rows whose stop rule has fired, and
-:func:`_event_tableau` lays out each path's jumps.  Strategy variants inside
-one call ride the same simulated noise, which is what makes the saddle-point
+Which estimator runs where: :func:`upcrossing_discount_profile` runs on the
+event engine for every model, with exact passage times, so ``config.dt``
+does not enter it.  :func:`estimate_game_values`, :func:`saddle_check`,
+:func:`two_sided_exit` and :func:`wiener_hopf_check` run on the grid when
+``b2 > 0`` and on the event engine otherwise.  Strategy variants inside one
+call ride the same simulated noise, which is what makes the saddle-point
 comparisons sharp (common random numbers, paired differences).
 
 Randomness is counter-based (Philox), so every estimate is bit-reproducible
@@ -32,7 +37,16 @@ that contract:
   normals, the jump counts, the jump columns, the jump-size uniforms, the
   bridge uniforms and last the estimator's draws after the walk (the
   bridge minimum of :func:`two_sided_exit`).  On the event engine they are
-  the jump counts, the epoch uniforms and the jump-size uniforms.
+  the jump counts, the epoch uniforms and the jump-size uniforms (the
+  counts and sizes only for a model with jumps; ``rows x m`` slots, ``m``
+  the largest count in the chunk and at least 1).  With a Gaussian part
+  there follow one standard normal per piece between jumps, then one
+  bridge uniform per piece (both ``rows x (m + 1)``, pieces past the
+  horizon included); without one, nothing more is drawn;
+* on the event engine the estimator's draws after the paths come last:
+  :func:`upcrossing_discount_profile` draws one inverse Gaussian
+  (``Generator.wald``) per continuous passage from below a level, level by
+  level in the order given, rows ascending.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -87,6 +101,7 @@ _MASK = (1 << 64) - 1
 _Z_CUT = 1e-4       # tabulated sub-grid jump mass folded into drift below this
 _CHUNK = 4096       # paths simulated simultaneously
 _BLOCK = 512        # grid steps per vectorised block
+_MAX_JUMPS = 4096   # expected jumps per path the event tableau accepts (128 MB per array)
 
 # stream tags keep independent estimators off each other's random numbers
 _TAG_VALUE, _TAG_UPCROSS, _TAG_TWOSIDED, _TAG_SUP = range(1, 5)
@@ -104,6 +119,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        # bool subclasses int: True would run one path, False seed zero
+        for name in ("n_paths", "horizon", "dt", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.n_paths, int) or self.n_paths <= 0:
             raise ConfigError(f"n_paths must be a positive integer, got {self.n_paths}")
         if not (isinstance(self.horizon, (int, float)) and self.horizon > 0.0
@@ -155,6 +174,10 @@ def mc_eligible(model: LevyModel) -> bool:
     Everything with a Gaussian part or a moderate-rate compound-Poisson jump
     part qualifies; a pure-jump model of enormous activity would drown the
     event engine in bookkeeping noise and is flagged instead of simulated.
+    Eligibility does not depend on the horizon: an estimator that runs on
+    the event tableau also raises :class:`DomainError` when ``rate x
+    horizon`` exceeds ``_MAX_JUMPS`` expected jumps per path, whatever the
+    Gaussian part.
     """
     return model.b2 > 0.0 or _jump_rate(model) <= 1e6
 
@@ -255,14 +278,23 @@ def _block_walk(model: LevyModel, rng: np.random.Generator, rate: float,
     u = rng.random((n_alive, cols))
     np.log(u, out=u)
     u *= -2.0 * b2 * dt                    # u = -2 b^2 dt ln U  (>= 0)
-    gap = y_pre - left
+    return y_post, y_pre, left, _bridge_max(left, y_pre, u)
+
+
+def _bridge_max(left: np.ndarray, right: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Maximum of a Brownian bridge from ``left`` to ``right``, sampled
+    exactly from ``spread = -2 b^2 len ln U`` with ``U`` uniform; the
+    formula inverts the bridge-maximum law
+    ``P(max > m) = exp(-2 (m - left)(m - right) / (b^2 len))``.
+    """
+    gap = right - left
     gap *= gap
-    gap += u
+    gap += spread
     np.sqrt(gap, out=gap)
-    seg_max = left + y_pre
-    seg_max += gap
-    seg_max *= 0.5
-    return y_post, y_pre, left, seg_max
+    out = left + right
+    out += gap
+    out *= 0.5
+    return out
 
 
 def _grid_sweep(model: LevyModel, config: SimConfig, tag: int,
@@ -330,23 +362,47 @@ def _passage(smax: np.ndarray, post: np.ndarray, ht: np.ndarray, dt: float,
 # --------------------------------------------------------------------------- #
 
 class _Tableau(NamedTuple):
-    """The jumps of one chunk of paths; unused slots sort last, at time 2T."""
+    """The jumps of one chunk of paths and the pieces between them.
+
+    Jump slot ``i`` closes piece ``i``: the piece runs from jump ``i - 1``
+    (time 0 for ``i = 0``) to jump ``i`` (the horizon for the last piece).
+    Unused jump slots sort last, at time 2T; the pieces after them start
+    there, and their values mean nothing.
+    """
 
     rows: slice          # the chunk's paths
+    rng: np.random.Generator  # the chunk's generator, for draws after the paths
     jt: np.ndarray       # jump epochs, ascending per row
     js: np.ndarray       # jump sizes (0 in unused slots)
     valid: np.ndarray    # slot holds a jump
     post: np.ndarray     # X just after each jump
+    t0: np.ndarray       # start time of each piece
+    t1: np.ndarray       # end time of each piece, at most T
+    length: np.ndarray   # duration of each piece (0 past the horizon)
+    y0: np.ndarray       # X at each piece's start
+    pre: np.ndarray      # X at each piece's end, before its closing jump
+    smax: np.ndarray     # maximum of X over each piece
 
 
 def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
                    begin: Optional[Callable[[np.random.Generator, slice], None]] = None
                    ) -> Iterator[_Tableau]:
     """Exact jump epochs and sizes on ``[0, horizon]``, chunk by chunk;
-    ``begin(rng, chunk)`` makes the estimator's draws first."""
+    ``begin(rng, chunk)`` makes the estimator's draws first.
+
+    A Gaussian part moves each piece by ``sqrt(b^2 len) Z`` and gives it an
+    exact bridge maximum; without one the drift runs downhill and a piece
+    peaks at its start.  Raises :class:`DomainError` before any draw when a
+    path expects more than ``_MAX_JUMPS`` jumps, since each chunk holds
+    arrays of (paths x most jumps in a path).
+    """
     T = config.horizon
     drift = _sim_drift(model)
     rate = _jump_rate(model)
+    if rate * T > _MAX_JUMPS:
+        raise DomainError(
+            f"{rate * T:.3g} expected jumps per path (rate {rate:.3g} x horizon "
+            f"{T:g}) exceed the event engine's limit of {_MAX_JUMPS}")
     for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
         chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
         rng = _rng(config.seed, tag, k)
@@ -363,7 +419,25 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
                 z_min=_z_min(model)).reshape(rows, m), 0.0)
         else:
             js = np.zeros((rows, m))
-        yield _Tableau(chunk, jt, js, valid, drift * jt + np.cumsum(js, axis=1))
+        zero = np.zeros((rows, 1))
+        knots = np.concatenate([zero, jt, np.full((rows, 1), T)], axis=1)
+        t0 = knots[:, :-1]
+        t1 = np.minimum(knots[:, 1:], T)
+        length = np.maximum(t1 - t0, 0.0)
+        post = drift * jt + np.cumsum(js, axis=1)
+        pre = drift * length
+        spread = None
+        if model.b2 > 0.0:
+            move = np.sqrt(model.b2 * length)
+            move *= rng.standard_normal((rows, m + 1))
+            pre += move
+            post += np.cumsum(move, axis=1)[:, :-1]
+            spread = np.log(rng.random((rows, m + 1)))
+            spread *= -2.0 * model.b2 * length
+        y0 = np.concatenate([zero, post], axis=1)
+        pre += y0
+        smax = y0 if spread is None else _bridge_max(y0, pre, spread)
+        yield _Tableau(chunk, rng, jt, js, valid, post, t0, t1, length, y0, pre, smax)
 
 
 def _first_jump_above(c: _Tableau, lvl: float, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,16 +445,6 @@ def _first_jump_above(c: _Tableau, lvl: float, T: float) -> tuple[np.ndarray, np
     first one that does (the drift runs downhill, so only jumps cross up)."""
     above = c.valid & (c.post > lvl) & (c.jt < T)
     return above.any(axis=1), np.argmax(above, axis=1)
-
-
-def _segments(c: _Tableau, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start time, start value and end time of each linear piece between
-    jumps; the last piece ends at ``T``."""
-    n = len(c.jt)
-    t0 = np.concatenate([np.zeros((n, 1)), c.jt], axis=1)
-    y0 = np.concatenate([np.zeros((n, 1)), c.post], axis=1)
-    t1 = np.minimum(np.concatenate([c.jt, np.full((n, 1), T)], axis=1), T)
-    return t0, y0, t1
 
 
 # --------------------------------------------------------------------------- #
@@ -536,9 +600,7 @@ def _event_variants(model: LevyModel, params, variants, config) -> np.ndarray:
     for c in _event_tableau(model, config, _TAG_VALUE):
         # closed coupon integral per inter-jump segment (y linear on each):
         #   C_i = e^(y_i - q t_i) (1 - e^(-r len_i)) / r
-        seg_t0, seg_y0, seg_t1 = _segments(c, T)
-        seg_len = np.maximum(seg_t1 - seg_t0, 0.0)
-        seg_coup = np.exp(seg_y0 - q * seg_t0) * (1.0 - np.exp(-r * seg_len)) / r
+        seg_coup = np.exp(c.y0 - q * c.t0) * (1.0 - np.exp(-r * c.length)) / r
         cum_coup = np.concatenate(
             [np.zeros((len(seg_coup), 1)), np.cumsum(seg_coup, axis=1)], axis=1)
         yT = drift * T + c.js.sum(axis=1)
@@ -569,37 +631,45 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
                                 config: SimConfig) -> list[PayoffEstimate]:
     """MC of ``E[e^(-q tau_y)]`` for several levels above a start at zero.
 
-    One path sweep serves every level; a path retires once its highest level
-    is crossed.  Crossings past the horizon contribute zero, which
-    undershoots the identity by at most ``e^(-q horizon)``.
+    Runs on the event tableau for every model, so the passage is exact and
+    ``config.dt`` plays no part.  Level ``y`` is first passed in the first
+    piece between jumps whose maximum exceeds it, or at the first jump that
+    lands above it.  A jump passage happens at the jump's epoch.  A
+    continuous passage in a piece from ``a < y`` to the pre-jump end ``b``
+    over ``[t0, t0 + len]`` happens at ``t0 + len u / (1 + u)`` with ``u``
+    inverse Gaussian of mean ``(y - a) / |y - b|`` and shape
+    ``(y - a)^2 / (b^2 len)``: the Brownian-bridge first-passage law, which
+    the substitution ``u = t / (len - t)`` turns into an inverse Gaussian.
+    A piece that starts on the level is passed at its start.  Crossings past
+    the horizon contribute zero, which undershoots the identity by at most
+    ``e^(-q horizon)``.
     """
     lv = [float(y) for y in levels]
     if any(y < 0.0 for y in lv):
         raise DomainError("levels must be nonnegative")
     if q <= 0.0:
         raise DomainError("q must be positive")
+    T = config.horizon
     hit_t = np.full((len(lv), config.n_paths), math.inf)
-    if model.b2 > 0.0:
-        dt = config.dt
-
-        def step(b: _Block, rng) -> np.ndarray:
-            for li, lvl in enumerate(lv):
-                open_rows = np.isinf(hit_t[li, b.rows])
-                if not open_rows.any():
-                    continue
-                got, first = _first_up(b, lvl)
-                h = np.nonzero(got & open_rows)[0]
-                hc = first[h]
-                hit_t[li, b.rows[h]] = _passage(
-                    b.smax[h, hc], b.post[h, hc], b.t0 + dt * hc, dt, lvl)[0]
-            return ~np.all(np.isfinite(hit_t[:, b.rows]), axis=0)
-
-        _grid_sweep(model, config, _TAG_UPCROSS, step)
-    else:
-        for c in _event_tableau(model, config, _TAG_UPCROSS):
-            for li, lvl in enumerate(lv):
-                hit, first = _first_jump_above(c, lvl, config.horizon)
-                hit_t[li, c.rows] = np.where(hit, _at(c.jt, first), math.inf)
+    for c in _event_tableau(model, config, _TAG_UPCROSS):
+        jumps = c.valid & (c.jt < T)
+        for li, lvl in enumerate(lv):
+            cross = c.smax > lvl
+            cross[:, :-1] |= jumps & (c.post > lvl)
+            first = np.argmax(cross, axis=1)
+            # pieces past the horizon sort after every real one
+            hit = _at(cross, first) & (_at(c.t0, first) < T)
+            t = np.where(hit, _at(c.t1, first), math.inf)
+            h = np.nonzero(hit & (_at(c.smax, first) > lvl))[0]
+            f = first[h]
+            t[h] = c.t0[h, f]
+            below = c.y0[h, f] < lvl
+            h, f = h[below], f[below]
+            gap = lvl - c.y0[h, f]
+            length = c.length[h, f]
+            u = c.rng.wald(gap / np.abs(lvl - c.pre[h, f]), gap * gap / (model.b2 * length))
+            t[h] += length * u / (1.0 + u)
+            hit_t[li, c.rows] = t
     return [_to_estimate(v) for v in _discounted(hit_t, q)]
 
 
@@ -648,10 +718,9 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
         T = config.horizon
         drift = _sim_drift(model)
         for c in _event_tableau(model, config, _TAG_TWOSIDED):
-            seg_t0, seg_y0, seg_t1 = _segments(c, T)
             # downward creep inside segment i when y0 + drift (t - t0) = -down
-            t_dn_seg = seg_t0 + (-down - seg_y0) / drift
-            ok = (t_dn_seg >= seg_t0) & (t_dn_seg <= seg_t1)
+            t_dn_seg = c.t0 + (-down - c.y0) / drift
+            ok = (t_dn_seg >= c.t0) & (t_dn_seg <= c.t1)
             t_dn = np.where(ok, t_dn_seg, math.inf).min(axis=1)
             hit_up, first = _first_jump_above(c, up, T)
             t_up = np.where(hit_up, _at(c.jt, first), math.inf)
@@ -664,7 +733,10 @@ def sup_exponential_moment(model: LevyModel, q: float) -> float:
 
     The running maximum at an independent exponential clock has
     ``E[e^(sup)] = (q / Phi(q)) (Phi(q) + 1) / (q - psi(-1))`` — the upward
-    ladder factor evaluated at the share exponent.
+    ladder factor evaluated at the share exponent.  A Monte Carlo estimate
+    of it (:func:`wiener_hopf_check`) has a finite variance only when
+    ``E[e^(2 sup)] < inf``, the same factor at exponent 2, i.e. only when
+    ``q > psi(-2)``.
     """
     if not meets_discount_condition(model, q):
         raise MomentConditionError(
@@ -679,6 +751,12 @@ def wiener_hopf_check(model: LevyModel, q: float,
 
     Compare against :func:`sup_exponential_moment`; clocks beyond the
     horizon are truncated there (error of order ``e^(-q horizon)``).
+
+    A comparison within three standard errors needs ``E[e^(2 sup)] < inf``,
+    i.e. ``q > psi(-2)``; otherwise the sample has infinite variance and
+    its standard error is no yardstick.  That fails for the Brownian model
+    with ``b2 = 2`` at ``q <= 4`` (``psi(-2) = 4``), and for every model
+    with exponential jumps of decay ``<= 2``, where ``psi(-2)`` diverges.
     """
     if q <= 0.0:
         raise DomainError("q must be positive")

@@ -260,9 +260,10 @@ def test_c07_boundary_fit_kinds():
 def test_c08_monte_carlo_agreement():
     """Path simulation reproduces four families of closed expressions.
 
-    2e5 paths, dt = 1e-3, bridge correction on (the jump family runs on the
-    exact event engine, where dt plays no role); every comparison within
-    three standard errors; whole batch under 120 s.
+    2e5 paths, dt = 1e-3, bridge correction on; dt plays no role in (a),
+    which runs on the exact event engine with exact passage times, nor for
+    the bounded-variation family, which runs there too.  Every comparison
+    within three standard errors; whole batch under 120 s.
     """
     t0 = time.perf_counter()
     n, dt = 200_000, 1e-3

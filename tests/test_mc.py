@@ -1,10 +1,11 @@
 """Simulation layer: exact checks where paths are deterministic, frozen-seed
 three-sigma gates against the closed-form layer everywhere else.
 
-The bounded-variation engine is exact (jump epochs are the only upward
-crossing opportunities and coupons integrate in closed form per segment), so
-its comparisons carry no discretisation slack; the grid engine's bridge
-correction leaves O(dt) bias, kept far below the statistical bands used here.
+The event engine is exact (jump epochs are simulated, the pieces between
+them are linear or Brownian with an exact bridge maximum and passage time,
+and coupons integrate in closed form per piece), so its comparisons carry no
+discretisation slack; the grid engine's bridge correction leaves O(dt) bias,
+kept far below the statistical bands used here.
 """
 
 import math
@@ -12,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from levybond import (
     ConfigError,
@@ -80,6 +82,14 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(n_paths=10, horizon=0.5, dt=1.0, seed=1)  # dt > T
 
+    @pytest.mark.parametrize("field", ["n_paths", "horizon", "dt", "seed"])
+    def test_bool_rejected(self, field):
+        # bool subclasses int: n_paths=True would run one path, seed=False seed 0
+        fields = dict(n_paths=10, horizon=1.0, dt=1e-3, seed=1)
+        for flag in (True, False):
+            with pytest.raises(ConfigError, match=field):
+                SimConfig(**{**fields, field: flag})
+
     def test_eligibility(self):
         assert mc_eligible(CANON)
         assert mc_eligible(BV2)
@@ -136,12 +146,12 @@ class TestGridWalk:
         assert np.all(pos[crossed] == 0.4)
 
     def test_start_at_level_with_gaussian_part_is_immediate(self):
-        # the bridge sees the first step's excursion above the start, so every
-        # path passes at that step's midpoint
+        # Brownian motion passes above its start at once: every path's first
+        # piece starts on the level, so every passage time is exactly 0
         cfg = SimConfig(n_paths=5000, horizon=1.0, dt=1e-3, seed=6)
         est, = upcrossing_discount_profile(CANON, 2.0, [0.0], cfg)
-        assert est.mean == pytest.approx(math.exp(-2.0 * 0.5 * cfg.dt), rel=1e-14)
-        assert est.stderr < 1e-15
+        assert est.mean == 1.0
+        assert est.stderr == 0.0
 
     @pytest.mark.parametrize("model", [CANON, BV2], ids=["grid", "event"])
     def test_level_never_reached_contributes_zero(self, model):
@@ -160,6 +170,17 @@ class TestEventTableau:
         mean = _jump_rate(model) * cfg.horizon
         assert abs(c.valid.sum(axis=1).mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
         assert np.all(c.js[c.valid] > 0.0) and np.all(c.js[~c.valid] == 0.0)
+
+    @pytest.mark.parametrize("b2", [0.0, 0.3], ids=["bounded", "gaussian"])
+    def test_refuses_more_jumps_than_it_can_hold(self, b2):
+        # rate x horizon = 2e18 expected jumps per path: without the guard the
+        # tableau's first (paths x jumps) array exceeds 2^63 bytes and numpy
+        # refuses it at once with ValueError, so nothing is allocated either way
+        model = LevyModel(0.5 + b2, b2, ExponentialJumps(1e6, 2.0))
+        assert mc_eligible(model)
+        cfg = SimConfig(n_paths=10, horizon=2e12, dt=1.0, seed=1)
+        with pytest.raises(DomainError, match="expected jumps per path"):
+            upcrossing_discount_profile(model, 1.0, [1.0], cfg)
 
     def test_unstopped_drift_path_recovers_perpetual_coupons(self):
         # X_t = -0.2t never reaches an upper level; coupons integrate in
@@ -312,6 +333,42 @@ class TestUpcrossingProfile:
         for y, est in zip(levels, ests):
             assert abs(zscore(est, exit_expectation(CANON, 1.0, y))) <= 3.0, y
 
+    def test_jump_diffusion_exit_identity_including_start(self):
+        # a Gaussian part passes above its start at once, so level 0 reads
+        # exactly 1; above it both continuous and jump passages occur
+        cfg = SimConfig(n_paths=200_000, horizon=8.0, dt=1e-3, seed=57)
+        levels = [0.0, 0.5, 1.0]
+        ests = upcrossing_discount_profile(EXPJM, 2.0, levels, cfg)
+        assert ests[0].mean == 1.0 and ests[0].stderr == 0.0
+        for y, est in zip(levels[1:], ests[1:]):
+            assert abs(zscore(est, exit_expectation(EXPJM, 2.0, y))) <= 3.0, y
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM], ids=["CANON", "EXPJM"])
+    def test_grid_step_does_not_enter(self, model):
+        fine = SimConfig(n_paths=5000, horizon=4.0, dt=1e-3, seed=58)
+        coarse = SimConfig(n_paths=5000, horizon=4.0, dt=4.0, seed=58)
+        levels = [0.0, 0.4, 1.2]
+        a = upcrossing_discount_profile(model, 2.0, levels, fine)
+        b = upcrossing_discount_profile(model, 2.0, levels, coarse)
+        assert [(e.mean, e.stderr) for e in a] == [(e.mean, e.stderr) for e in b]
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 8.0])
+    def test_passage_time_law_within_one_piece(self, q):
+        # without jumps the path is one piece on [0, T], so the estimate rests
+        # on the in-piece passage time alone: E[e^(-q tau) 1{tau <= T}] is the
+        # inverse-Gaussian passage density of X = sqrt(2) W integrated to T
+        y, T = 1.0, 1.0
+        cfg = SimConfig(n_paths=20_000, horizon=T, dt=1e-3, seed=59)
+        est, = upcrossing_discount_profile(CANON, q, [y], cfg)
+
+        def density(t):
+            return y / math.sqrt(2.0 * math.pi * CANON.b2 * t ** 3) * \
+                math.exp(-y * y / (2.0 * CANON.b2 * t))
+
+        target, _ = integrate.quad(lambda t: math.exp(-q * t) * density(t), 0.0, T,
+                                   epsabs=1e-13, epsrel=1e-12)
+        assert abs(zscore(est, target)) <= 3.0
+
     def test_bounded_variation_exit_identity_including_start(self):
         # at level zero the crossing waits for the first clearing jump and
         # the transform drops to 1 - q/(Phi d); the event engine is exact
@@ -390,14 +447,14 @@ _FROZEN = {
         (1.879820718001386, 0.014435194417081122),
     ],
     ("upcross", "CANON"): [
-        (0.9925280548191383, 1.655206690904521e-18),
-        (0.4260223856750192, 0.00510431506921712),
-        (0.1754558788447592, 0.0034539614840063512),
+        (1.0, 0.0),
+        (0.4176843836850452, 0.005100623519796966),
+        (0.1696918614427321, 0.0034223417026232996),
     ],
     ("upcross", "EXPJM"): [
-        (0.9950124791926824, 1.655206690904521e-18),
-        (0.21396301907870405, 0.004018241940665903),
-        (0.0986971783097701, 0.002902690630685898),
+        (1.0, 0.0),
+        (0.2285672664820917, 0.004167975257373002),
+        (0.10239278814175469, 0.002956624669286705),
     ],
     ("upcross", "BV2"): [
         (0.2080096028636772, 0.005415532639148857),
@@ -438,8 +495,8 @@ class TestFrozenStreams:
         assert len(got) == len(want)
         for (m, s), (m0, s0) in zip(got, want):
             assert m == pytest.approx(m0, rel=1e-12)
-            # a start at the level gives identical payoffs, whose stderr is
-            # rounding noise (~1e-18): hold that one to an absolute floor
+            # identical payoffs (a start at the level) give a stderr of 0 or
+            # of rounding noise (~1e-18): hold that one to an absolute floor
             assert s == pytest.approx(s0, rel=1e-12, abs=1e-15)
 
 
