@@ -67,11 +67,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, MomentConditionError, TruncationWarning
 from .model import (
     LevyModel,
-    NoJumps,
-    TabulatedDensity,
     _m1,
-    _tab_mass,
-    _tab_zmoment_below,
     exp_growth_rate,
     jump_intensity,
     meets_discount_condition,
@@ -98,7 +94,6 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_Z_CUT = 1e-4       # tabulated sub-grid jump mass folded into drift below this
 _CHUNK = 4096       # paths simulated simultaneously
 _BLOCK = 512        # grid steps per vectorised block
 _MAX_JUMPS = 4096   # expected jumps per path the event tableau accepts (128 MB per array)
@@ -148,24 +143,9 @@ def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _z_min(model: LevyModel) -> float:
-    return _Z_CUT if isinstance(model.jumps, TabulatedDensity) else 0.0
-
-
 def _sim_drift(model: LevyModel) -> float:
-    """Per-unit-time drift of X with sub-cut jump mass folded back in."""
-    fold = 0.0
-    if isinstance(model.jumps, TabulatedDensity):
-        fold = _tab_zmoment_below(model.jumps, _Z_CUT)
-    return -(model.mu + _m1(model.jumps)) + fold
-
-
-def _jump_rate(model: LevyModel) -> float:
-    if isinstance(model.jumps, NoJumps):
-        return 0.0
-    if isinstance(model.jumps, TabulatedDensity):
-        return _tab_mass(model.jumps, _Z_CUT)
-    return jump_intensity(model)
+    """Per-unit-time drift of X between jumps (the compensator taken out)."""
+    return -(model.mu + _m1(model.jumps))
 
 
 def mc_eligible(model: LevyModel) -> bool:
@@ -179,11 +159,11 @@ def mc_eligible(model: LevyModel) -> bool:
     horizon`` exceeds ``_MAX_JUMPS`` expected jumps per path, whatever the
     Gaussian part.
     """
-    return model.b2 > 0.0 or _jump_rate(model) <= 1e6
+    return model.b2 > 0.0 or jump_intensity(model) <= 1e6
 
 
 def _truncation_bound(model: LevyModel, q: float, x: float, horizon: float,
-                      beta: float = 1.0, cap: float = 1.0) -> float:
+                      beta: float, cap: float) -> float:
     """Discounted remainder bound past the horizon for payoff and coupons."""
     gr = exp_growth_rate(model)
     tail = math.exp(x + (gr - q) * horizon) * max(1.0, beta / max(q - gr, 1e-300))
@@ -246,7 +226,7 @@ def _scatter_jumps(model: LevyModel, rng: np.random.Generator, rate: float,
     incr = np.zeros((n_rows, cols))
     ri = np.repeat(np.arange(n_rows), counts)
     ci = rng.integers(0, cols, size=tot)
-    sizes = sample_jump_sizes(model, rng.random(tot), z_min=_z_min(model))
+    sizes = sample_jump_sizes(model, rng.random(tot))
     np.add.at(incr, (ri, ci), sizes)
     return incr
 
@@ -313,7 +293,7 @@ def _grid_sweep(model: LevyModel, config: SimConfig, tag: int,
     dt = config.dt
     n_steps = _grid_steps(config)
     drift = _sim_drift(model)
-    rate = _jump_rate(model)
+    rate = jump_intensity(model)
     y_end = np.full(config.n_paths, math.nan)
     for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
         chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
@@ -398,7 +378,7 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
     """
     T = config.horizon
     drift = _sim_drift(model)
-    rate = _jump_rate(model)
+    rate = jump_intensity(model)
     if rate * T > _MAX_JUMPS:
         raise DomainError(
             f"{rate * T:.3g} expected jumps per path (rate {rate:.3g} x horizon "
@@ -415,8 +395,7 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
         jt = np.sort(np.where(valid, rng.random((rows, m)), 2.0), axis=1) * T
         if rate > 0.0:
             js = np.where(valid, sample_jump_sizes(
-                model, rng.random((rows, m)).reshape(-1),
-                z_min=_z_min(model)).reshape(rows, m), 0.0)
+                model, rng.random((rows, m)).reshape(-1)).reshape(rows, m), 0.0)
         else:
             js = np.zeros((rows, m))
         zero = np.zeros((rows, 1))

@@ -282,21 +282,16 @@ def _tab_cumulative(tab: TabulatedDensity):
     return above  # above[i] = mass above grid[i]
 
 
-def _tab_quantile(tab: TabulatedDensity, u: np.ndarray, z_min: float = 0.0) -> np.ndarray:
-    """Inverse-CDF sample of the density restricted to ``[z_min, inf)``.
-
-    ``u`` is uniform on [0,1); the restriction is by conditioning, i.e. the
-    result has the law of a full-density jump given that it exceeds ``z_min``.
-    """
+def _tab_quantile(tab: TabulatedDensity, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sample of the density; ``u`` is uniform on [0,1)."""
     z0, z1, p, m = tab._cells
     grid = np.asarray(tab.grid)
     above = _tab_cumulative(tab)
     zN = grid[-1]
     r = tab.tail_rate
-    m_lo = _tab_mass(tab, z_min)
-    if m_lo <= 0.0:
-        raise DomainError("no jump mass above z_min; cannot sample")
-    target = (1.0 - np.asarray(u)) * m_lo  # exceedance mass of the sample
+    if tab._mass <= 0.0:
+        raise DomainError("tabulated density has no jump mass; cannot sample")
+    target = (1.0 - np.asarray(u)) * tab._mass  # exceedance mass of the sample
     out = np.empty_like(target)
     tail_mass = above[-1]
     in_tail = target <= tail_mass
@@ -326,7 +321,7 @@ def _tab_quantile(tab: TabulatedDensity, u: np.ndarray, z_min: float = 0.0) -> n
         zq = (-b2_[ql] + disc) / (2 * a2[ql])
         z[ql] = zq
         out[body] = np.clip(z, z0[idx], g1)
-    return np.maximum(out, z_min)
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -392,6 +387,16 @@ def jump_intensity(model: LevyModel) -> float:
     if isinstance(j, ExponentialJumps):
         return j.rate
     return j._mass
+
+
+def _density_pieces(jumps: JumpSpec) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """A jump density (not ``NoJumps``) as ``(knots, values, tail_rate)``:
+    linear between the ``(knots, values)`` samples, 0 below the first knot
+    and ``values[-1] * exp(-tail_rate * (z - knots[-1]))`` past the last.
+    Exponential jumps are the tail alone, from one knot at 0."""
+    if isinstance(jumps, ExponentialJumps):
+        return (0.0,), (jumps.rate * jumps.decay,), jumps.decay
+    return jumps.grid, jumps.values, jumps.tail_rate
 
 
 def bounded_variation_model(drift: float, jumps: JumpSpec) -> LevyModel:
@@ -477,6 +482,26 @@ def _psi_c(model: LevyModel, beta) -> np.ndarray:
     out = base + moment - j._mass + beta * j._m1
     out[~np.isfinite(moment)] = np.inf
     return out
+
+
+def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
+    """``psi`` as a ratio ``num / den`` of polynomials (coefficient arrays,
+    highest power first), or ``None`` when the jump part is not rational.
+
+    Exponential jumps clear the denominator ``rho + theta``; without jumps
+    ``den`` is 1.  Without a Gaussian part ``num`` drops its leading zero.
+    """
+    j = model.jumps
+    half_b2 = model.b2 / 2.0
+    if isinstance(j, NoJumps):
+        num, den = [half_b2, model.mu, 0.0], [1.0]
+    elif isinstance(j, ExponentialJumps):
+        lam, rho = j.rate, j.decay
+        mt = model.mu + _m1(j)
+        num, den = [half_b2, mt + half_b2 * rho, mt * rho - lam, 0.0], [1.0, rho]
+    else:
+        return None
+    return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
 
 
 def phi(model: LevyModel, p: float) -> float:
@@ -599,17 +624,12 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
 # jump-size sampling (used by the simulator)
 # --------------------------------------------------------------------------- #
 
-def sample_jump_sizes(model: LevyModel, u: np.ndarray, z_min: float = 0.0) -> np.ndarray:
-    """Map uniforms ``u`` to jump sizes by the inverse CDF.
-
-    With ``z_min > 0`` the sample is conditioned on exceeding ``z_min``
-    (exact for the exponential family by memorylessness; cellwise inverse
-    for tabulated densities).
-    """
+def sample_jump_sizes(model: LevyModel, u: np.ndarray) -> np.ndarray:
+    """Map uniforms ``u`` to jump sizes by the inverse CDF."""
     j = model.jumps
     u = np.asarray(u, dtype=float)
     if isinstance(j, NoJumps):
         raise DomainError("model has no jump component to sample")
     if isinstance(j, ExponentialJumps):
-        return z_min - np.log1p(-u) / j.decay
-    return _tab_quantile(j, u, z_min)
+        return -np.log1p(-u) / j.decay
+    return _tab_quantile(j, u)

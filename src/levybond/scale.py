@@ -7,10 +7,9 @@ first-passage identity and value formula in the solver.
 
 Two evaluation routes exist and are cross-checked against each other:
 
-* **Partial-fraction closed forms** whenever ``psi(theta) - q`` is rational
-  (no jumps, or exponential jumps): clearing denominators leaves a polynomial
-  of degree <= 3 whose simple roots ``theta_i`` give
-  ``W(x) = sum_i c_i exp(theta_i x)``.
+* **Partial-fraction closed forms** whenever ``psi`` is rational
+  (``model._psi_fraction`` gives it as ``num / den``): the simple roots
+  ``theta_i`` of ``num - q den`` give ``W(x) = sum_i c_i exp(theta_i x)``.
 * **Numeric Laplace inversion** of the tilted transform
   ``G(b) = 1/(psi(b + Phi(q)) - q)`` (tilting moves the rightmost singularity
   to 0 and makes the inverse bounded, which conditions the inversion).  For
@@ -29,8 +28,8 @@ combines the terms row by row, so a tabulated transform's (x, node, density
 node) exponentials stay under 1 MB at a time.  Talbot still sums each x's
 64 terms exactly rounded (``math.fsum`` per row).
 
-The tabulated transform integrates the density by parts (see
-``model._tab_exp_moment``), which orders its cell sum differently from a
+The tabulated transform integrates the density by parts (see its
+exponential moment in ``model``), which orders its cell sum differently from a
 cell-by-cell evaluation.  The Euler rule multiplies its series by
 ``e^(A/2)/x ~ 3.6e4/x``, which amplifies any such reordering, so Euler
 values move by ~1e-11 relative between the two orders, far inside the
@@ -76,11 +75,9 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import AccuracyError, DomainError
 from .model import (
-    ExponentialJumps,
     LevyModel,
-    NoJumps,
-    _m1,
     _psi_c,
+    _psi_fraction,
     esscher_tilt,
     jump_intensity,
     laplace_exponent,
@@ -135,8 +132,7 @@ _CHUNK_ROWS = 4
 class Method(enum.Enum):
     """How an evaluator computes ``W``."""
 
-    CLOSED_FORM_TWO_EXP = "closed_form_two_exp"
-    CLOSED_FORM_THREE_EXP = "closed_form_three_exp"
+    CLOSED_FORM = "closed_form"
     NUMERIC_INVERSION = "numeric_inversion"
 
 
@@ -192,8 +188,8 @@ def _tilted_transform(model: LevyModel, q: float, phi_q: float):
 
 
 def _inverter(model: LevyModel):
-    """Talbot for rational exponents, Euler for tabulated ones (module docstring)."""
-    return _talbot if isinstance(model.jumps, (NoJumps, ExponentialJumps)) else _euler
+    """Talbot for rational exponents, Euler for the others (module docstring)."""
+    return _talbot if _psi_fraction(model) is not None else _euler
 
 
 # --------------------------------------------------------------------------- #
@@ -225,27 +221,11 @@ class ScaleEvaluator:
     _integrals: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
-def _rational_poly(model: LevyModel, q: float):
-    """Polynomial with the roots of ``psi - q`` and the cleared numerator."""
-    j = model.jumps
-    if isinstance(j, NoJumps):
-        if model.b2 > 0.0:
-            poly = [model.b2 / 2.0, model.mu, -q]
-        else:
-            poly = [model.mu, -q]
-        return np.array(poly), 0.0  # numerator (rho + theta) absent -> rho = None
-    lam, rho = j.rate, j.decay
-    mt = model.mu + _m1(j)
-    if model.b2 > 0.0:
-        poly = [model.b2 / 2.0, mt + model.b2 * rho / 2.0, mt * rho - lam - q, -q * rho]
-    else:
-        poly = [mt, mt * rho - lam - q, -q * rho]
-    return np.array(poly), rho
-
-
-def _closed_form_data(model: LevyModel, q: float, phi_q: float):
-    """Roots/weights of the partial-fraction representation, or None if degenerate."""
-    poly, rho = _rational_poly(model, q)
+def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
+    """Roots/weights of the partial fractions of ``1/(psi - q) = den/(num - q den)``
+    for ``fraction = (num, den)``, or None if degenerate."""
+    num, den = fraction
+    poly = np.polysub(num, q * den)
     roots = np.roots(poly)
     if len(roots) > 1:
         sep = min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:])
@@ -254,8 +234,7 @@ def _closed_form_data(model: LevyModel, q: float, phi_q: float):
     if min(abs(roots - phi_q)) > 1e-6 * (1.0 + phi_q):
         return None  # no root to group at Phi(q) (module docstring); invert instead
     dpoly = np.polyder(poly)
-    numer = (rho + roots) if isinstance(model.jumps, ExponentialJumps) else np.ones_like(roots)
-    weights = numer / np.polyval(dpoly, roots)
+    weights = np.polyval(den, roots) / np.polyval(dpoly, roots)
     # sanity: the partial fractions must reproduce the transform
     beta = phi_q + 1.0
     lhs = complex(np.sum(weights / (beta - roots)))
@@ -293,21 +272,17 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
     else:
         w0 = 0.0
         w0p = 2.0 / model.b2
-    rational = isinstance(model.jumps, (NoJumps, ExponentialJumps))
-    if method is not Method.NUMERIC_INVERSION:
-        if method is not None and not rational:
-            raise DomainError("closed forms need rational exponents")
-        data = _closed_form_data(model, q, phi_q) if rational else None
+    fraction = _psi_fraction(model)
+    if method is not Method.NUMERIC_INVERSION and fraction is not None:
+        data = _closed_form_data(model, fraction, q, phi_q)
         if data is not None:
             roots, weights = data
-            chosen = (Method.CLOSED_FORM_THREE_EXP if len(roots) == 3
-                      else Method.CLOSED_FORM_TWO_EXP)
-            return ScaleEvaluator(model=model, q=float(q), method=chosen, phi_q=phi_q,
-                                  w0=w0, w0_prime=w0p, roots=roots, weights=weights)
-        if method is not None:
-            # explicitly requested closed form but the roots do not allow it
-            raise DomainError("closed form unavailable: repeated roots "
-                              "or no root at Phi(q)")
+            return ScaleEvaluator(model=model, q=float(q), method=Method.CLOSED_FORM,
+                                  phi_q=phi_q, w0=w0, w0_prime=w0p, roots=roots,
+                                  weights=weights)
+    if method is Method.CLOSED_FORM:
+        raise DomainError("closed form unavailable: the exponent is not rational, "
+                          "or has repeated roots or no root at Phi(q)")
 
     grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
     transform = _tilted_transform(model, q, phi_q)
@@ -322,23 +297,22 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
                         phi_q=phi_q, w0=w0, w0_prime=w0p, roots=None, weights=None,
                         cache=np.column_stack([grid, wa]), _tilted=tilted,
                         _integrals=tuple(np.append(0.0, np.cumsum(i)) for i in cells))
-    _certify(ev, transform, invert, rational)
+    _certify(ev, transform, invert)
     return ev
 
 
-def _certify(ev: ScaleEvaluator, transform, primary, rational: bool) -> None:
+def _certify(ev: ScaleEvaluator, transform, primary) -> None:
     """Certify the numeric route or raise AccuracyError.
 
-    Rational exponents: Talbot against the independent Euler inverter at the
-    10 diagnostic points (both contours are valid there).  Tabulated
-    exponents: the deformed Talbot contour is unsound, so certification uses
-    the forward Laplace-transform identity instead.
+    Rational exponents (Talbot primary): Talbot against the independent
+    Euler inverter at the 10 diagnostic points (both contours are valid
+    there).  Other exponents: the deformed Talbot contour is unsound, so
+    certification uses the forward Laplace-transform identity instead.
     """
-    if rational:
-        secondary = _euler if primary is _talbot else _talbot
+    if primary is _talbot:
         xs = np.geomspace(1e-3, 40.0, 10)
         for xv, a, b in zip(xs.tolist(), primary(transform, xs).tolist(),
-                            secondary(transform, xs).tolist()):
+                            _euler(transform, xs).tolist()):
             scale = max(abs(a), abs(b), 1e-12)
             if abs(a - b) / scale > 1e-7:
                 raise AccuracyError(

@@ -26,7 +26,9 @@ growth.  How that cancellation is carried out, and how accurate it is, on
 each scale route is stated in the ``scale`` module docstring.  Only the
 R4 jump-overshoot term still depends on the route: exponential jumps with
 partial fractions have a closed overshoot; on the numeric route it is a
-fixed-node sum over jump sizes, read from the scale integral tables.
+fixed-node sum over jump sizes against the density's linear pieces and
+exponential tail (``model._density_pieces``), read from the scale integral
+tables.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .errors import (
 )
 from .model import (
     LevyModel,
-    NoJumps,
-    TabulatedDensity,
+    _density_pieces,
     exp_growth_rate,
+    jump_intensity,
     laplace_exponent,
     meets_discount_condition,
     path_variation,
@@ -453,7 +455,7 @@ def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> flo
     qv, K, alpha, beta = params.q, params.K, params.alpha, params.beta
     v = c - x
     jump = 0.0
-    if not isinstance(ev.model.jumps, NoJumps):
+    if jump_intensity(ev.model) > 0.0:
         overshoot = _overshoot_exponential if ev.roots is not None else _overshoot_numeric
         jump = overshoot(ev, params, c, v)
     bc = beta * math.exp(c)
@@ -506,21 +508,18 @@ def _overshoot_numeric(ev: ScaleEvaluator, params: GameParams,
     """
     ph, K = ev.phi_q, params.K
     m = math.log(K) - c
-    jumps = ev.model.jumps
-    tabulated = isinstance(jumps, TabulatedDensity)
-    # from `start` on, density * e^z = edge * e^(-(rate - 1)(z - start))
-    rate = jumps.tail_rate if tabulated else jumps.decay
+    knots, values, rate = _density_pieces(ev.model.jumps)
     if rate <= 1.0:
         raise DivergentExponent(
             "overshoot value needs jump tail decay > 1 for a finite share expectation"
         )
-    start = jumps.grid[-1] if tabulated else 0.0
-    edge = jumps.values[-1] * math.exp(start) if tabulated else jumps.rate * jumps.decay
+    # from `start` on, density * e^z = edge * e^(-(rate - 1)(z - start))
+    start = knots[-1]
+    edge = values[-1] * math.exp(start)
     tail_mass = edge / ((rate - 1.0) * 1e-14 * max(1.0, K))
     u_max = max(m, start + math.log(max(tail_mass, 1.0)) / (rate - 1.0)) + 1.0
     y_floor = -40.0 / ph
-    breaks = [t for t in (*(jumps.grid if tabulated else ()), m + v, m - y_floor)
-              if m < t < u_max]
+    breaks = [t for t in (*knots, m + v, m - y_floor) if m < t < u_max]
     edges = np.union1d(np.append(np.arange(m, u_max, _OVERSHOOT_PANEL), u_max), breaks)
     half = np.diff(edges)[:, None] / 2.0
     w_v = w(ev, v)
@@ -528,10 +527,9 @@ def _overshoot_numeric(ev: ScaleEvaluator, params: GameParams,
     sums = []
     for t, wt in (_GAUSS8, _GAUSS16):
         zs = (edges[:-1, None] + half * (1.0 + t)).ravel()
-        dens = edge * np.exp(-(rate - 1.0) * np.maximum(zs - start, 0.0))
-        if tabulated:
-            body = np.interp(zs, jumps.grid, jumps.values, left=0.0)
-            dens = np.where(zs <= start, body * np.exp(np.minimum(zs, start)), dens)
+        body = np.interp(zs, knots, values, left=0.0) * np.exp(np.minimum(zs, start))
+        tail = edge * np.exp(-(rate - 1.0) * np.maximum(zs - start, 0.0))
+        dens = np.where(zs <= start, body, tail)
         ylo = np.maximum(m - zs, y_floor)
         # both integrals vanish at 0, so the tables are read only where lo > 0
         lo = np.maximum(v + ylo, 0.0)

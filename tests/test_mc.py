@@ -26,6 +26,7 @@ from levybond import (
     TruncationWarning,
     bounded_variation_model,
     exp_growth_rate,
+    jump_intensity,
     laplace_exponent,
 )
 from levybond.mc import (
@@ -37,7 +38,6 @@ from levybond.mc import (
     _event_tableau,
     _first_up,
     _grid_sweep,
-    _jump_rate,
     _passage,
     estimate_game_value,
     estimate_game_values,
@@ -116,8 +116,8 @@ class TestGridWalk:
 
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
     def test_one_step_laplace_transform(self, model):
-        # E[e^(-X_1)] = e^(psi(1)): the walk is exact in law at its nodes; for
-        # TAB this includes the sub-cut jump mass folded into the drift
+        # E[e^(-X_1)] = e^(psi(1)): the walk is exact in law at its nodes,
+        # every jump of the density drawn (TAB included)
         cfg = SimConfig(n_paths=6000, horizon=1.0, dt=2e-3, seed=13)
         ends = _grid_sweep(model, cfg, _TAG_VALUE, lambda b, rng: np.ones(len(b.rows), bool))
         sample = np.exp(-ends)
@@ -145,20 +145,6 @@ class TestGridWalk:
         assert crossed.sum() > cfg.n_paths // 2
         assert np.all(pos[crossed] == 0.4)
 
-    def test_start_at_level_with_gaussian_part_is_immediate(self):
-        # Brownian motion passes above its start at once: every path's first
-        # piece starts on the level, so every passage time is exactly 0
-        cfg = SimConfig(n_paths=5000, horizon=1.0, dt=1e-3, seed=6)
-        est, = upcrossing_discount_profile(CANON, 2.0, [0.0], cfg)
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
-
-    @pytest.mark.parametrize("model", [CANON, BV2], ids=["grid", "event"])
-    def test_level_never_reached_contributes_zero(self, model):
-        cfg = SimConfig(n_paths=2000, horizon=0.5, dt=1e-3, seed=2)
-        est, = upcrossing_discount_profile(model, 1.0, [50.0], cfg)
-        assert est.mean == 0.0 and est.stderr == 0.0
-
 
 class TestEventTableau:
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2],
@@ -167,9 +153,23 @@ class TestEventTableau:
         # rate ~1 over ten units of time: about ten jumps a path, none for CANON
         cfg = SimConfig(n_paths=400, horizon=10.0, dt=1e-2, seed=21)
         c = next(_event_tableau(model, cfg, _TAG_VALUE))
-        mean = _jump_rate(model) * cfg.horizon
+        mean = jump_intensity(model) * cfg.horizon
         assert abs(c.valid.sum(axis=1).mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
         assert np.all(c.js[c.valid] > 0.0) and np.all(c.js[~c.valid] == 0.0)
+
+    def test_small_jumps_drawn_at_their_share(self):
+        # the density is 2000 on [0, 1e-4], so 0.2 of the jump intensity lies
+        # below 1e-4, and that share of the drawn sizes must land there too
+        dens = TabulatedDensity((0.0, 1e-4, 2e-4, 3.0), (2000.0, 2000.0, 1.0, 1.0), 2.0)
+        model = LevyModel(0.1, 0.3, dens)
+        cfg = SimConfig(n_paths=400, horizon=10.0, dt=1e-2, seed=22)
+        c = next(_event_tableau(model, cfg, _TAG_VALUE))
+        sizes = c.js[c.valid]
+        share = 0.2 / jump_intensity(model)
+        n = len(sizes)
+        assert n > 10_000
+        small = int(np.count_nonzero(sizes < 1e-4))
+        assert abs(small - n * share) <= 3.0 * math.sqrt(n * share * (1.0 - share))
 
     @pytest.mark.parametrize("b2", [0.0, 0.3], ids=["bounded", "gaussian"])
     def test_refuses_more_jumps_than_it_can_hold(self, b2):
@@ -377,6 +377,20 @@ class TestUpcrossingProfile:
         ests = upcrossing_discount_profile(BV2, 0.8, levels, cfg)
         for y, est in zip(levels, ests):
             assert abs(zscore(est, exit_expectation(BV2, 0.8, y))) <= 3.0, y
+
+    def test_start_at_level_with_gaussian_part_is_immediate(self):
+        # Brownian motion passes above its start at once: every path's first
+        # piece starts on the level, so every passage time is exactly 0
+        cfg = SimConfig(n_paths=5000, horizon=1.0, dt=1e-3, seed=6)
+        est, = upcrossing_discount_profile(CANON, 2.0, [0.0], cfg)
+        assert est.mean == 1.0
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("model", [CANON, BV2], ids=["gaussian", "bounded"])
+    def test_level_never_reached_contributes_zero(self, model):
+        cfg = SimConfig(n_paths=2000, horizon=0.5, dt=1e-3, seed=2)
+        est, = upcrossing_discount_profile(model, 1.0, [50.0], cfg)
+        assert est.mean == 0.0 and est.stderr == 0.0
 
 
 class TestTwoSidedExit:

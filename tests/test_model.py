@@ -387,14 +387,6 @@ class TestJumpSampling:
         out = sample_jump_sizes(EXPJ, u)
         np.testing.assert_allclose(out, -np.log1p(-u) / 1.7, rtol=1e-14)
 
-    def test_exponential_conditioning_is_a_shift(self):
-        u = np.array([0.2, 0.6])
-        np.testing.assert_allclose(
-            sample_jump_sizes(EXPJ, u, z_min=0.3),
-            0.3 + sample_jump_sizes(EXPJ, u),
-            rtol=1e-14,
-        )
-
     def test_no_jump_model_rejects(self):
         with pytest.raises(DomainError):
             sample_jump_sizes(CANON, np.array([0.5]))
@@ -416,10 +408,3 @@ class TestJumpSampling:
         u = (np.arange(20000) + 0.5) / 20000
         mean = float(np.mean(sample_jump_sizes(model, u)))
         assert mean == pytest.approx(0.5040000061418205, rel=2e-3)
-
-    def test_restriction_respects_floor(self):
-        tab = tabulated_exp_density()
-        model = LevyModel(mu=0.25, b2=0.1, jumps=tab)
-        u = np.linspace(0.0, 0.999, 50)
-        zs = sample_jump_sizes(model, u, z_min=0.7)
-        assert np.all(zs >= 0.7)

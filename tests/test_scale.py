@@ -50,7 +50,7 @@ def tabulated_exp_density(n: int = 401, z_hi: float = 8.0) -> TabulatedDensity:
 class TestClosedForms:
     def test_canonical_is_scaled_sinh(self):
         ev = scale_evaluator(CANON, 1.0)
-        assert ev.method is Method.CLOSED_FORM_TWO_EXP
+        assert ev.method is Method.CLOSED_FORM and len(ev.roots) == 2
         assert w(ev, 1.0) == pytest.approx(1.1752011936438014, rel=1e-12)
         assert w(ev, 2.5) == pytest.approx(6.0502044810397875, rel=1e-12)
         assert w(ev, -0.5) == 0.0
@@ -73,7 +73,7 @@ class TestClosedForms:
 
     def test_bv_family(self):
         ev = scale_evaluator(BV_RHO1, 1.0)
-        assert ev.method is Method.CLOSED_FORM_TWO_EXP
+        assert ev.method is Method.CLOSED_FORM and len(ev.roots) == 2
         assert ev.w0 == pytest.approx(0.5, rel=1e-13)
         # bounded variation, drift 2, unit jump intensity: (q + rate)/d^2
         assert ev.w0_prime == pytest.approx(0.5, rel=1e-13)
@@ -83,7 +83,7 @@ class TestClosedForms:
 
     def test_three_exp_family(self):
         ev = scale_evaluator(EXPJ, 1.2)
-        assert ev.method is Method.CLOSED_FORM_THREE_EXP
+        assert ev.method is Method.CLOSED_FORM and len(ev.roots) == 3
         assert ev.w0 == 0.0
         assert ev.w0_prime == pytest.approx(2.0 / 0.3, rel=1e-13)
         assert w(ev, 1.0) == pytest.approx(11.115153772015244, rel=1e-11)
@@ -143,7 +143,7 @@ class TestNumericInversion:
     def test_closed_form_refused_for_tabulated(self):
         model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
         with pytest.raises(DomainError):
-            scale_evaluator(model, 0.8, Method.CLOSED_FORM_TWO_EXP)
+            scale_evaluator(model, 0.8, Method.CLOSED_FORM)
 
 
 class TestTabulatedInversion:
