@@ -11,6 +11,18 @@ Laplace exponent
 
 which is finite for every ``theta >= 0`` and, depending on the jump tail, for a
 range of negative ``theta`` as well.  ``psi`` is convex with ``psi(0) = 0``.
+
+Every jump family is one density in one normal form: linear pieces between
+knots (the body) plus an exponential tail past the last knot.  Exponential
+jumps are the tail alone from a knot at 0; no jumps is the zero density.  Each
+jump spec caches the form and its constants when it is built, and everything
+here computes from them with no branch on the family: the exponent on real
+and complex arguments, ``psi`` as a polynomial fraction (rational exactly
+when there is no body), the Esscher tilt, the shifted jump integrals and
+inverse-CDF sampling.  The tail enters each through its own closed forms,
+written without the ``T r/(r+theta) - T`` cancellation near ``theta = 0``,
+so a tail-only density keeps the digits and the scalar cost of the
+exponential family's textbook formulas.
 """
 
 from __future__ import annotations
@@ -47,18 +59,39 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # Real exponents beyond this produce inf in float64 anyway; used to short-circuit
-# the analytic continuation of tabulated exponents on far-left contour points.
+# the body's exponential moment on far-left contour points.
 _EXP_GUARD = 600.0
-_TAYLOR_TERMS = 16  # moments kept for the tabulated Taylor branch (|a| zN < 1)
+_TAYLOR_TERMS = 16  # moments kept for the body's Taylor branch
 
 
 # --------------------------------------------------------------------------- #
 # jump specifications
+#
+# The normal form: the density is linear between the ``knots``/``values``
+# samples, 0 below the first knot and ``tail_mass * tail_rate *
+# exp(-tail_rate * (z - knots[-1]))`` past the last.  Each spec sets these
+# non-field attributes at construction, so they take no part in equality,
+# hashing or repr:
+#
+#   _pieces     (knots, values, tail_rate)
+#   _tail_mass  jump intensity of the tail (``values[-1] / tail_rate``)
+#   _cells      per-cell linear coefficients of the body (None if none)
+#   _body       the body as :func:`_body_expm1` integrates it (None if none)
+#   _mass       total jump intensity
+#   _m1         compensator mass ``integral_(0,1) z pi(z) dz``
+#   _above      exceedance masses at the knots, for inverse-CDF sampling
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
 class NoJumps:
-    """Purely continuous paths (no jump component)."""
+    """Purely continuous paths (no jump component): the zero density."""
+
+    def __post_init__(self) -> None:
+        _normal_form(self, (0.0,), (0.0,), math.inf, 0.0)
+
+    @classmethod
+    def _of_pieces(cls, knots, values, tail_rate) -> "NoJumps":
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -67,7 +100,8 @@ class ExponentialJumps:
 
     The jump measure has density ``rate * decay * exp(-decay * z)`` on
     ``(0, inf)``: jumps arrive at intensity ``rate`` and have mean size
-    ``1 / decay``.
+    ``1 / decay``.  Its normal form is the tail alone, from one knot at 0,
+    with tail mass ``rate`` exactly.
     """
 
     rate: float
@@ -78,6 +112,11 @@ class ExponentialJumps:
             raise DomainError(f"jump rate must be positive, got {self.rate}")
         if not (self.decay > 0.0) or not math.isfinite(self.decay):
             raise DomainError(f"jump decay must be positive, got {self.decay}")
+        _normal_form(self, (0.0,), (self.rate * self.decay,), self.decay, self.rate)
+
+    @classmethod
+    def _of_pieces(cls, knots, values, tail_rate) -> "ExponentialJumps":
+        return cls(values[0] / tail_rate, tail_rate)
 
 
 @dataclass(frozen=True)
@@ -91,9 +130,8 @@ class TabulatedDensity:
     positive, since that suggests the tabulation was cut off).
 
     ``grid`` and ``values`` are stored as tuples so instances are hashable and
-    can key internal caches.  The per-cell coefficients, the total mass and
-    the compensator mass are computed once here and kept as non-field
-    attributes, so they take no part in equality or hashing.
+    can key internal caches; they are the normal form's knots and values as
+    given.
     """
 
     grid: tuple[float, ...]
@@ -117,13 +155,11 @@ class TabulatedDensity:
             raise DomainError("density values must be finite and nonnegative")
         if not (tail_rate > 0.0) or not math.isfinite(tail_rate):
             raise DomainError(f"tail_rate must be positive, got {tail_rate}")
+        r = float(tail_rate)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "tail_rate", float(tail_rate))
-        object.__setattr__(self, "_cells", _cells(g, v))
-        object.__setattr__(self, "_body", _tab_body(self, g[0]))
-        object.__setattr__(self, "_mass", _tab_mass(self))
-        object.__setattr__(self, "_m1", _tab_zmoment_below(self, 1.0))
+        object.__setattr__(self, "tail_rate", r)
+        _normal_form(self, g, v, r, v[-1] / r)
         if g[0] > 0.0 and v[0] > 0.0:
             logger.warning(
                 "tabulated jump density starts at z=%g with value %g; "
@@ -131,22 +167,26 @@ class TabulatedDensity:
                 g[0], v[0], 0.5 * g[0] * v[0],
             )
 
+    @classmethod
+    def _of_pieces(cls, knots, values, tail_rate) -> "TabulatedDensity":
+        return cls(knots, values, tail_rate)
+
 
 JumpSpec = Union[NoJumps, ExponentialJumps, TabulatedDensity]
 
 
 # --------------------------------------------------------------------------- #
-# tabulated-density cell machinery
+# normal-form machinery
 #
-# Every integral of the piecewise-linear density against polynomials or
-# exponentials is evaluated in closed form cell by cell, so the tabulated
-# family has *no* quadrature error anywhere: the interpolated density itself
-# is the model.
+# Every integral of the piecewise-linear body against polynomials or
+# exponentials is evaluated in closed form cell by cell, and the tail by its
+# own closed forms, so no jump family has quadrature error anywhere: the
+# interpolated density itself is the model.
 # --------------------------------------------------------------------------- #
 
-def _cells(grid, values):
+def _cells(knots, values):
     """Per-cell linear coefficients: density = p + m*z on [z0, z1] (read-only)."""
-    z = np.asarray(grid, dtype=float)
+    z = np.asarray(knots, dtype=float)
     v = np.asarray(values, dtype=float)
     z0, z1 = z[:-1], z[1:]
     m = (v[1:] - v[:-1]) / (z1 - z0)
@@ -156,172 +196,95 @@ def _cells(grid, values):
     return z0, z1, p, m
 
 
-def _tab_body(tab: TabulatedDensity, lo: float):
-    """The piecewise-linear part on ``[lo, grid[-1]]`` as :func:`_tab_exp_moment`
-    integrates it: nodes, end values, slope jumps ``m_(j-1) - m_j`` (slope 0
-    outside), and the moments ``integral u^k pi(u) du`` for
-    ``k < _TAYLOR_TERMS``."""
-    z0, z1, p, m = tab._cells
+def _linear_body(cells, lo: float, s: float = 0.0):
+    """The body on ``[lo, knots[-1]]`` (``lo < knots[-1]``) about a point
+    ``s <= lo``, as :func:`_body_expm1` integrates it: nodes ``u_j - s``,
+    end values, slope jumps ``m_(j-1) - m_j`` (slope 0 outside), and the
+    moments ``integral (u - s)^k pi(u) du`` for ``k < _TAYLOR_TERMS``
+    (the first is the body's mass)."""
+    z0, z1, p, m = cells
     keep = z1 > lo
+    cp, cm = p[keep], m[keep]
     c0 = np.maximum(z0[keep], lo)
     c1 = z1[keep]
-    cp = p[keep]
-    cm = m[keep]
-    nodes = np.concatenate([c0[:1], c1])
     ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
+    # about s the density is (p + m s) + m (u - s)
+    cp = cp + cm * s
+    c0, c1 = c0 - s, c1 - s
+    nodes = np.concatenate([c0[:1], c1])
     slopes = np.concatenate([[0.0], cm, [0.0]])
     moments = []
     for k in range(_TAYLOR_TERMS):
         mk = (c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1)
         mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
-        moments.append(np.sum(cp * mk + cm * mk1))
+        moments.append(float(np.sum(cp * mk + cm * mk1)))
     return nodes, ends, slopes[:-1] - slopes[1:], moments
 
 
-def _tab_exp_moment(tab: TabulatedDensity, a, lower: float = 0.0) -> np.ndarray:
-    """``integral_{max(lower, grid[0])}^{inf} exp(a*u) pi(u) du``, elementwise
-    over the complex array ``a``.
+def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> None:
+    """Cache the normal form of ``spec`` and its constants (see above)."""
+    cells, body, m1, mass, above = None, None, 0.0, tail_mass, np.array([tail_mass])
+    if len(knots) > 1:
+        cells = _cells(knots, values)
+        body = _linear_body(cells, knots[0])
+        mass = body[3][0] + tail_mass
+        z0, z1, p, m = cells
+        below = z0 < 1.0
+        c0, c1 = z0[below], np.minimum(z1[below], 1.0)
+        m1 = float(np.sum(p[below] * (c1**2 - c0**2) / 2 + m[below] * (c1**3 - c0**3) / 3))
+        cell_mass = p * (z1 - z0) + 0.5 * m * (z1**2 - z0**2)
+        above = np.concatenate([np.cumsum(cell_mass[::-1])[::-1] + tail_mass, [tail_mass]])
+    zN, r = knots[-1], tail_rate
+    if tail_mass > 0.0 and zN < 1.0:
+        # the tail's share of the compensator mass, from zN to 1
+        span = 1.0 - zN
+        e = math.exp(-r * span)
+        m1 += tail_mass * (zN * (1.0 - e) + (1.0 - e) / r - span * e)
+    for name, val in (("_pieces", (knots, values, tail_rate)), ("_tail_mass", tail_mass),
+                      ("_cells", cells), ("_body", body), ("_mass", mass), ("_m1", m1),
+                      ("_above", above)):
+        object.__setattr__(spec, name, val)
 
-    The tail piece is evaluated by its closed form
-    ``values[-1] * exp(a*zN) / (tail_rate - a)``, which is also the analytic
-    continuation used on inversion contours where the defining integral
-    diverges.  It is ``inf`` at the pole ``a = tail_rate`` and wherever
-    ``Re(a) * zN`` exceeds ``_EXP_GUARD``.  Real-axis convergence checks are
-    the caller's business.
 
-    The linear pieces are integrated by parts,
+def _body_expm1(body, a) -> np.ndarray:
+    """``integral expm1(a*(u - s)) pi(u) du`` over the body, elementwise over
+    the complex array ``a`` (``s`` is the point ``body`` is taken about): its
+    exponential moment less its mass, formed without that subtraction
+    where it would cancel.
+
+    With ``w = knots[-1] - s``, it is ``inf`` wherever ``Re(a) w`` exceeds
+    ``_EXP_GUARD``.  The linear pieces are integrated by parts,
     ``int f e^(au) du = [f e^(au) / a] - a^-2 sum_j e^(a u_j) (m_(j-1) - m_j)``
     over the nodes ``u_j`` and slopes ``m_j``, so each node costs one
     exponential and the cell sum is one matrix-vector product.  Its ``a^-2``
     factor cancels digits as ``a`` nears 0 (relative error ~1e-16 /
-    (|a| zN)^2), so for ``|a| zN < 1`` the Taylor series in ``a`` over the
-    stored moments is used instead; with ``_TAYLOR_TERMS`` terms its
-    truncation is below ``(|a| zN)^16 / 16! < 5e-14`` relative.  Near the
-    switch both branches hold about 1e-12 relative (against a 40-digit
-    evaluation of the 401-node test table).
+    (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a`` over the
+    stored moments, from the first, is used instead; with ``_TAYLOR_TERMS``
+    terms its truncation is below ``(|a| w)^16 / 16! < 5e-14`` relative.
+    Near the switch both branches hold about 1e-12 relative (against a
+    40-digit evaluation of the 401-node test table).
     """
     a = np.asarray(a, dtype=complex)
-    zN = tab.grid[-1]
-    r = tab.tail_rate
-    lo = max(lower, tab.grid[0])
+    nodes, (f0, fN), kinks, moments = body
+    reach = nodes[-1]
     total = np.zeros(a.shape, dtype=complex)
-    guard = a.real * zN > _EXP_GUARD
-    if lo < zN:
-        nodes, (f0, fN), kinks, moments = (
-            tab._body if lo == tab.grid[0] else _tab_body(tab, lo))
-        taylor = (np.abs(a) * zN < 1.0) & ~guard
-        if np.any(taylor):
-            at = a[taylor]
-            acc = np.zeros(at.shape, dtype=complex)
-            ak = np.ones(at.shape, dtype=complex)
-            for k, mom in enumerate(moments):
-                acc += ak * mom
-                ak *= at / (k + 1)
-            total[taylor] = acc
-        big = ~taylor & ~guard
-        ab = a[big]
-        e = np.multiply.outer(ab, nodes)
-        np.exp(e, out=e)
-        total[big] = (fN * e[:, -1] - f0 * e[:, 0] - (e @ kinks) / ab) / ab
-    vN = tab.values[-1]
-    pole = (a == r) & (vN > 0.0)
-    if vN > 0.0:
-        start = max(lo, zN)
-        ok = ~pole & ~guard
-        at = a[ok]
-        # density on the tail is vN * exp(-r*(u - zN))
-        total[ok] += vN * np.exp(at * start - r * (start - zN)) / (r - at)
-    total[guard | pole] = np.inf
+    guard = a.real * reach > _EXP_GUARD
+    taylor = (np.abs(a) * reach < 1.0) & ~guard
+    if np.any(taylor):
+        at = a[taylor]
+        acc = np.zeros(at.shape, dtype=complex)
+        ak = at.copy()
+        for k in range(1, _TAYLOR_TERMS):
+            acc += ak * moments[k]
+            ak *= at / (k + 1)
+        total[taylor] = acc
+    big = ~taylor & ~guard
+    ab = a[big]
+    e = np.multiply.outer(ab, nodes)
+    np.exp(e, out=e)
+    total[big] = (fN * e[:, -1] - f0 * e[:, 0] - (e @ kinks) / ab) / ab - moments[0]
+    total[guard] = np.inf
     return total
-
-
-def _tab_mass(tab: TabulatedDensity, lower: float = 0.0) -> float:
-    """Total jump intensity above ``lower``."""
-    z0, z1, p, m = tab._cells
-    zN = tab.grid[-1]
-    lo = max(lower, tab.grid[0])
-    total = 0.0
-    if lo < zN:
-        keep = z1 > lo
-        c0 = np.maximum(z0[keep], lo)
-        c1 = z1[keep]
-        total += float(np.sum(p[keep] * (c1 - c0) + 0.5 * m[keep] * (c1**2 - c0**2)))
-    vN = tab.values[-1]
-    if vN > 0.0:
-        start = max(lo, zN)
-        total += vN * math.exp(-tab.tail_rate * (start - zN)) / tab.tail_rate
-    return total
-
-
-def _tab_zmoment_below(tab: TabulatedDensity, upper: float) -> float:
-    """``integral_0^upper u * pi(u) du`` (the compensator mass below ``upper``)."""
-    z0, z1, p, m = tab._cells
-    zN = tab.grid[-1]
-    r = tab.tail_rate
-    total = 0.0
-    keep = z0 < upper
-    if np.any(keep):
-        c0 = z0[keep]
-        c1 = np.minimum(z1[keep], upper)
-        total += float(np.sum(p[keep] * (c1**2 - c0**2) / 2 + m[keep] * (c1**3 - c0**3) / 3))
-    vN = tab.values[-1]
-    if vN > 0.0 and upper > zN:
-        # integral zN..upper of u * vN * exp(-r*(u-zN)) du
-        def prim(u: float) -> float:
-            return -math.exp(-r * (u - zN)) * (u / r + 1.0 / r**2)
-        total += vN * (prim(upper) - prim(zN))
-    return total
-
-
-def _tab_cumulative(tab: TabulatedDensity):
-    """Exceedance masses at grid points (descending), for inverse-CDF sampling."""
-    z0, z1, p, m = tab._cells
-    cell_mass = p * (z1 - z0) + 0.5 * m * (z1**2 - z0**2)
-    tail = tab.values[-1] / tab.tail_rate
-    above = np.concatenate([np.cumsum(cell_mass[::-1])[::-1] + tail, [tail]])
-    return above  # above[i] = mass above grid[i]
-
-
-def _tab_quantile(tab: TabulatedDensity, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample of the density; ``u`` is uniform on [0,1)."""
-    z0, z1, p, m = tab._cells
-    grid = np.asarray(tab.grid)
-    above = _tab_cumulative(tab)
-    zN = grid[-1]
-    r = tab.tail_rate
-    if tab._mass <= 0.0:
-        raise DomainError("tabulated density has no jump mass; cannot sample")
-    target = (1.0 - np.asarray(u)) * tab._mass  # exceedance mass of the sample
-    out = np.empty_like(target)
-    tail_mass = above[-1]
-    in_tail = target <= tail_mass
-    if np.any(in_tail):
-        t = np.maximum(target[in_tail], 1e-300)
-        out[in_tail] = zN + np.log(tail_mass / t) / r if tail_mass > 0 else zN
-    body = ~in_tail
-    if np.any(body):
-        t = target[body]
-        # locate the cell: above[] is decreasing in the grid index
-        idx = np.searchsorted(-above, -t, side="right") - 1
-        idx = np.clip(idx, 0, len(z0) - 1)
-        g1 = z1[idx]
-        pp = p[idx]
-        mm = m[idx]
-        # solve mass(z .. g1) + above[idx+1] = t  for z in the cell
-        rem = t - above[idx + 1]
-        # pp*(g1 - z) + mm*(g1^2 - z^2)/2 = rem  ->  quadratic in z
-        a2 = 0.5 * mm
-        b2_ = pp
-        c2 = rem - pp * g1 - 0.5 * mm * g1**2
-        lin = np.abs(mm) < 1e-14
-        z = np.empty_like(t)
-        z[lin] = -c2[lin] / b2_[lin]
-        ql = ~lin
-        disc = np.sqrt(np.maximum(b2_[ql] ** 2 - 4 * a2[ql] * c2[ql], 0.0))
-        zq = (-b2_[ql] + disc) / (2 * a2[ql])
-        z[ql] = zq
-        out[body] = np.clip(z, z0[idx], g1)
-    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -371,32 +334,21 @@ class PathVariation:
 
 def _m1(jumps: JumpSpec) -> float:
     """Compensator mass ``integral_(0,1) z pi(z) dz``."""
-    if isinstance(jumps, NoJumps):
-        return 0.0
-    if isinstance(jumps, ExponentialJumps):
-        lam, rho = jumps.rate, jumps.decay
-        return lam * ((1.0 - math.exp(-rho)) / rho - math.exp(-rho))
     return jumps._m1
 
 
 def jump_intensity(model: LevyModel) -> float:
     """Total arrival rate of jumps (finite for every supported jump spec)."""
-    j = model.jumps
-    if isinstance(j, NoJumps):
-        return 0.0
-    if isinstance(j, ExponentialJumps):
-        return j.rate
-    return j._mass
+    return model.jumps._mass
 
 
-def _density_pieces(jumps: JumpSpec) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """A jump density (not ``NoJumps``) as ``(knots, values, tail_rate)``:
-    linear between the ``(knots, values)`` samples, 0 below the first knot
-    and ``values[-1] * exp(-tail_rate * (z - knots[-1]))`` past the last.
-    Exponential jumps are the tail alone, from one knot at 0."""
-    if isinstance(jumps, ExponentialJumps):
-        return (0.0,), (jumps.rate * jumps.decay,), jumps.decay
-    return jumps.grid, jumps.values, jumps.tail_rate
+def _density_pieces(model: LevyModel) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """The jump density as ``(knots, values, tail_rate)``: linear between the
+    ``(knots, values)`` samples, 0 below the first knot and
+    ``values[-1] * exp(-tail_rate * (z - knots[-1]))`` past the last.
+    Exponential jumps are the tail alone, from one knot at 0; no jumps is
+    the value 0 at one knot."""
+    return model.jumps._pieces
 
 
 def bounded_variation_model(drift: float, jumps: JumpSpec) -> LevyModel:
@@ -421,24 +373,31 @@ def path_variation(model: LevyModel) -> PathVariation:
 # --------------------------------------------------------------------------- #
 
 def _jump_exponent_real(jumps: JumpSpec, theta: float) -> float:
-    """Jump part of psi for real theta, raising on divergence."""
-    if isinstance(jumps, NoJumps):
+    """Jump part of psi for real theta, raising on divergence.
+
+    Scalar Python except for the body's moment, so a tail-only density costs
+    a few float operations.  The tail's part,
+    ``T (r expm1(-theta zN) - theta) / (r + theta)`` for tail mass ``T``,
+    keeps its digits as ``theta`` nears 0.
+    """
+    if not jumps._mass:
         return 0.0
-    if isinstance(jumps, ExponentialJumps):
-        lam, rho = jumps.rate, jumps.decay
-        if theta <= -rho:
-            raise DivergentExponent(
-                f"exp(-theta*z) is not integrable against the jump density for "
-                f"theta={theta} <= -decay={-rho}"
-            )
-        return -lam * theta / (rho + theta) + theta * _m1(jumps)
-    if theta <= -jumps.tail_rate and jumps.values[-1] > 0.0:
+    tail = jumps._tail_mass
+    knots, _, r = jumps._pieces
+    if tail > 0.0 and theta <= -r:
         raise DivergentExponent(
-            f"jump tail decays at rate {jumps.tail_rate}; the exponent "
-            f"diverges for theta={theta} <= {-jumps.tail_rate}"
+            f"jump tail decays at rate {r}; the exponent "
+            f"diverges for theta={theta} <= {-r}"
         )
-    moment = float(_tab_exp_moment(jumps, -theta).real)
-    return moment - jumps._mass + theta * jumps._m1
+    total = 0.0
+    body = jumps._body
+    if body is not None:
+        total = float(_body_expm1(body, -theta).real)
+        if math.isinf(total):
+            return total
+    if tail > 0.0:
+        total += tail * (r * math.expm1(-theta * knots[-1]) - theta) / (r + theta)
+    return total + theta * jumps._m1
 
 
 def laplace_exponent(model: LevyModel, theta: float) -> float:
@@ -461,26 +420,24 @@ def _psi_c(model: LevyModel, beta) -> np.ndarray:
     """Analytic continuation of psi for inversion contours, elementwise over
     the complex array ``beta``.
 
-    Never raises: points past the abscissa of convergence use the closed-form
-    continuation (rational families) or the tail continuation (tabulated);
-    at a pole or where the magnitude would overflow, ``inf`` is returned so
-    transform evaluations degrade to 0.
+    Never raises: points past the abscissa of convergence use the tail's
+    closed form, which is the continuation; at the tail's pole, past the
+    body's overflow guard or where the magnitude would overflow, ``inf`` is
+    returned so transform evaluations degrade to 0.
     """
     beta = np.asarray(beta, dtype=complex)
     j = model.jumps
-    base = model.mu * beta + 0.5 * model.b2 * beta * beta
-    if isinstance(j, NoJumps):
-        return base
-    if isinstance(j, ExponentialJumps):
-        lam, rho = j.rate, j.decay
-        pole = beta == -rho
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = base - lam * beta / (rho + beta) + beta * _m1(j)
-        out[pole] = np.inf
+    out = model.mu * beta + 0.5 * model.b2 * beta * beta
+    if not j._mass:
         return out
-    moment = _tab_exp_moment(j, -beta)
-    out = base + moment - j._mass + beta * j._m1
-    out[~np.isfinite(moment)] = np.inf
+    knots, _, r = j._pieces
+    with np.errstate(all="ignore"):
+        if j._body is not None:
+            out += _body_expm1(j._body, -beta)
+        if j._tail_mass > 0.0:
+            out += j._tail_mass * (r * np.expm1(-beta * knots[-1]) - beta) / (r + beta)
+        out += beta * j._m1
+    out[~np.isfinite(out)] = np.inf
     return out
 
 
@@ -488,19 +445,21 @@ def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
     """``psi`` as a ratio ``num / den`` of polynomials (coefficient arrays,
     highest power first), or ``None`` when the jump part is not rational.
 
-    Exponential jumps clear the denominator ``rho + theta``; without jumps
-    ``den`` is 1.  Without a Gaussian part ``num`` drops its leading zero.
+    Rational means no linear body: the density is the tail alone, from one
+    knot at 0, and its mass ``T`` and rate ``r`` clear the denominator
+    ``r + theta``; with zero mass ``den`` is 1.  Without a Gaussian part
+    ``num`` drops its leading zero.
     """
     j = model.jumps
-    half_b2 = model.b2 / 2.0
-    if isinstance(j, NoJumps):
-        num, den = [half_b2, model.mu, 0.0], [1.0]
-    elif isinstance(j, ExponentialJumps):
-        lam, rho = j.rate, j.decay
-        mt = model.mu + _m1(j)
-        num, den = [half_b2, mt + half_b2 * rho, mt * rho - lam, 0.0], [1.0, rho]
-    else:
+    if j._body is not None:
         return None
+    half_b2 = model.b2 / 2.0
+    tail, r = j._tail_mass, j._pieces[2]
+    if tail == 0.0:
+        num, den = [half_b2, model.mu, 0.0], [1.0]
+    else:
+        mt = model.mu + j._m1
+        num, den = [half_b2, mt + half_b2 * r, mt * r - tail, 0.0], [1.0, r]
     return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
 
 
@@ -550,25 +509,20 @@ def meets_discount_condition(model: LevyModel, q: float) -> bool:
 def esscher_tilt(model: LevyModel, lam: float) -> LevyModel:
     """Exponentially tilted model with exponent ``psi_lam(t) = psi(lam+t) - psi(lam)``.
 
-    For the tabulated family the tilted density ``exp(-lam z) pi(z)`` is
-    re-tabulated on the same grid, so the identity above holds only up to the
-    grid's interpolation error; rational families tilt exactly.
+    The tilted density ``exp(-lam z) pi(z)`` is the same family rebuilt from
+    the tilted pieces: each knot value is scaled and the tail rate grows by
+    ``lam``.  A tail alone tilts exactly; a linear body is re-tabulated on the
+    same knots, so the identity above holds only up to the knots'
+    interpolation error.
     """
     # will raise DivergentExponent when lam is out of the exponent's domain
     laplace_exponent(model, lam)
     j = model.jumps
-    if isinstance(j, NoJumps):
-        tilted: JumpSpec = NoJumps()
-    elif isinstance(j, ExponentialJumps):
-        if j.decay + lam <= 0.0:
-            raise DivergentExponent("tilt parameter outside the exponent domain")
-        tilted = ExponentialJumps(rate=j.rate * j.decay / (j.decay + lam),
-                                  decay=j.decay + lam)
-    else:
-        if j.tail_rate + lam <= 0.0:
-            raise DivergentExponent("tilt parameter outside the exponent domain")
-        vals = tuple(v * math.exp(-lam * z) for z, v in zip(j.grid, j.values))
-        tilted = TabulatedDensity(j.grid, vals, j.tail_rate + lam)
+    knots, values, r = j._pieces
+    if r + lam <= 0.0:
+        raise DivergentExponent("tilt parameter outside the exponent domain")
+    tilted = j._of_pieces(knots, tuple(v * math.exp(-lam * z) for z, v in zip(knots, values)),
+                          r + lam)
     mu_new = model.mu + model.b2 * lam + _m1(j) - _m1(tilted)
     return LevyModel(mu=mu_new, b2=model.b2, jumps=tilted)
 
@@ -587,36 +541,34 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
 
     Both are nonnegative and nonincreasing in ``s``.  ``I2`` requires the jump
     tail to decay faster than ``exp(-z)`` (DivergentExponent otherwise).
+    In ``u = z + s`` both run over ``u >= max(s, 0)`` against
+    ``exp(a (u - s))``, so no factor ``exp(phi_q s)`` is formed apart; the
+    body takes its moments about ``s`` and the tail its closed forms.
     """
     if not (phi_q > 0.0):
         raise DomainError(f"phi_q must be positive, got {phi_q}")
     j = model.jumps
-    if isinstance(j, NoJumps):
-        return 0.0, 0.0
-    if isinstance(j, ExponentialJumps):
-        lam, rho = j.rate, j.decay
-        if rho <= 1.0:
-            raise DivergentExponent(
-                f"I2 diverges: jump decay {rho} <= 1 so exp(z) beats the tail"
-            )
-        if s >= 0.0:
-            e = math.exp(-rho * s)
-            i1 = lam * e * phi_q / (rho + phi_q)
-            i2 = lam * rho * e * (phi_q + 1.0) / ((rho - 1.0) * (rho + phi_q))
-        else:
-            i1 = lam * (1.0 - math.exp(phi_q * s) * rho / (rho + phi_q))
-            i2 = lam * rho * (math.exp(-s) / (rho - 1.0)
-                              - math.exp(phi_q * s) / (rho + phi_q))
-        return i1, i2
-    if j.tail_rate <= 1.0 and j.values[-1] > 0.0:
+    knots, _, r = j._pieces
+    tail = j._tail_mass
+    if r <= 1.0 and tail > 0.0:
         raise DivergentExponent(
-            f"I2 diverges: tabulated tail decay {j.tail_rate} <= 1"
+            f"I2 diverges: the jump tail decays at rate {r} <= 1, so exp(z) beats it"
         )
     lo = max(s, 0.0)
-    mass = _tab_mass(j, lo)
-    e_neg, e_pos = _tab_exp_moment(j, np.array([-phi_q, 1.0]), lo).real.tolist()
-    i1 = mass - math.exp(phi_q * s) * e_neg
-    i2 = math.exp(-s) * e_pos - math.exp(phi_q * s) * e_neg
+    i1 = i2 = 0.0
+    if j._body is not None and lo < knots[-1]:
+        body = _linear_body(j._cells, lo, s)
+        e_neg, e_pos = _body_expm1(body, np.array([-phi_q, 1.0])).real.tolist()
+        i1 = -e_neg
+        i2 = e_pos - e_neg
+    if tail > 0.0:
+        start = max(lo, knots[-1])
+        d = start - s
+        e = math.exp(-r * (start - knots[-1]))
+        i1 += tail * e * (phi_q - r * math.expm1(-phi_q * d)) / (r + phi_q)
+        i2 += (tail * r * e
+               * ((phi_q + 1.0) + (r + phi_q) * math.expm1(d) - (r - 1.0) * math.expm1(-phi_q * d))
+               / ((r - 1.0) * (r + phi_q)))
     return max(i1, 0.0), max(i2, 0.0)
 
 
@@ -625,11 +577,47 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
 # --------------------------------------------------------------------------- #
 
 def sample_jump_sizes(model: LevyModel, u: np.ndarray) -> np.ndarray:
-    """Map uniforms ``u`` to jump sizes by the inverse CDF."""
+    """Map uniforms ``u`` to jump sizes by the inverse CDF.
+
+    With ``b`` the body's share of the mass, ``u >= b`` falls in the tail at
+    ``zN - log1p(-(u - b)/(1 - b)) / r``; below it the body cell holding
+    exceedance mass ``(1 - u) * mass`` is found in the ``_above`` table and
+    its quadratic solved.
+    """
     j = model.jumps
     u = np.asarray(u, dtype=float)
-    if isinstance(j, NoJumps):
+    mass = j._mass
+    if mass <= 0.0:
         raise DomainError("model has no jump component to sample")
-    if isinstance(j, ExponentialJumps):
-        return -np.log1p(-u) / j.decay
-    return _tab_quantile(j, u)
+    knots, _, r = j._pieces
+    share = j._tail_mass / mass
+    b = 1.0 - share
+    # zN - log1p((b - u) / share) / r, in place: the simulator draws millions
+    out = np.subtract(b, u)
+    with np.errstate(divide="ignore", invalid="ignore"):  # share 0: all body
+        out /= share
+        np.log1p(out, out=out)
+    out /= r
+    np.subtract(knots[-1], out, out=out)
+    body = u < b
+    if np.any(body):
+        z0, z1, p, m = j._cells
+        above = j._above
+        t = (1.0 - u[body]) * mass  # exceedance mass of the sample
+        # locate the cell: above[] is decreasing in the knot index
+        idx = np.searchsorted(-above, -t, side="right") - 1
+        idx = np.clip(idx, 0, len(z0) - 1)
+        g1 = z1[idx]
+        pp = p[idx]
+        mm = m[idx]
+        # solve mass(z .. g1) + above[idx+1] = t for z in the cell, i.e. the
+        # quadratic pp*(g1 - z) + mm*(g1^2 - z^2)/2 = t - above[idx+1]
+        c2 = (t - above[idx + 1]) - pp * g1 - 0.5 * mm * g1**2
+        lin = np.abs(mm) < 1e-14
+        z = np.empty_like(t)
+        z[lin] = -c2[lin] / pp[lin]
+        ql = ~lin
+        disc = np.sqrt(np.maximum(pp[ql] ** 2 - 2.0 * mm[ql] * c2[ql], 0.0))
+        z[ql] = (-pp[ql] + disc) / mm[ql]
+        out[body] = np.clip(z, z0[idx], g1)
+    return out

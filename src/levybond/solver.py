@@ -24,11 +24,11 @@ Every value below is one fluctuation identity in ``W``, ``integral W`` and
 ``scale._w_combination`` with coefficients that cancel the ``exp(Phi * v)``
 growth.  How that cancellation is carried out, and how accurate it is, on
 each scale route is stated in the ``scale`` module docstring.  Only the
-R4 jump-overshoot term still depends on the route: exponential jumps with
-partial fractions have a closed overshoot; on the numeric route it is a
-fixed-node sum over jump sizes against the density's linear pieces and
-exponential tail (``model._density_pieces``), read from the scale integral
-tables.
+R4 jump-overshoot term still depends on the route (it reads the jump law
+from ``model`` helpers): the closed route, whose density is one exponential
+tail from 0, sums it root by root; on the numeric route it is a fixed-node
+sum over jump sizes against the density's linear pieces and exponential
+tail (``model._density_pieces``), read from the scale integral tables.
 """
 
 from __future__ import annotations
@@ -466,14 +466,14 @@ def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> flo
 
 def _overshoot_exponential(ev: ScaleEvaluator, params: GameParams,
                            c: float, v: float) -> float:
-    """Closed overshoot term for exponential jumps.
+    """Closed overshoot term for the jump density ``lam rho e^(-rho z)``.
 
     Summed root by root; the dominant-root term telescopes analytically to a
     pure ``e^(-rho v)`` decay, which sidesteps the catastrophic cancellation
     of evaluating it as a difference of two ``e^(Phi v)``-sized quantities.
     The remaining roots have negative real parts, so their terms decay.
     """
-    lam, rho = ev.model.jumps.rate, ev.model.jumps.decay
+    lam, rho = jump_intensity(ev.model), _density_pieces(ev.model)[2]
     if rho <= 1.0:
         raise DivergentExponent(
             "overshoot value needs jump decay > 1 for a finite share expectation"
@@ -508,7 +508,7 @@ def _overshoot_numeric(ev: ScaleEvaluator, params: GameParams,
     """
     ph, K = ev.phi_q, params.K
     m = math.log(K) - c
-    knots, values, rate = _density_pieces(ev.model.jumps)
+    knots, values, rate = _density_pieces(ev.model)
     if rate <= 1.0:
         raise DivergentExponent(
             "overshoot value needs jump tail decay > 1 for a finite share expectation"

@@ -30,7 +30,7 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _psi_c, _tab_exp_moment, _tab_mass
+from levybond.model import _jump_exponent_real, _psi_c
 from levybond.scale import _tilted_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
@@ -64,6 +64,16 @@ class TestLaplaceExponent:
     )
     def test_exp_jump_frozen_values(self, theta, expected):
         assert laplace_exponent(EXPJ, theta) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-4, 0.7, -0.9, 2.3])
+    def test_exp_jump_closed_form(self, theta):
+        # mu theta + b2 theta^2/2 - lam theta/(rho+theta) + theta m1: the
+        # tail term must not be formed as lam rho/(rho+theta) - lam, which
+        # cancels as theta nears 0
+        lam, rho = 0.8, 1.7
+        m1 = lam * ((1.0 - math.exp(-rho)) / rho - math.exp(-rho))
+        want = 0.1 * theta + 0.15 * theta**2 - lam * theta / (rho + theta) + theta * m1
+        assert laplace_exponent(EXPJ, theta) == pytest.approx(want, rel=1e-13)
 
     def test_bv_family_closed_form(self):
         # d=2, lam=1, rho=1: psi(theta) = 2*theta - theta/(1+theta)
@@ -218,6 +228,16 @@ class TestShiftedJumpIntegrals:
         assert i1 == pytest.approx(i1_expected, rel=1e-10)
         assert i2 == pytest.approx(i2_expected, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [0.4, 800.0])
+    def test_exponential_closed_form(self, s):
+        # at s = 800 exp(phi_q s) overflows; the shift stays in the exponent
+        lam, rho, ph = 1.0, 2.5, 1.3
+        e = math.exp(-rho * s)
+        i1, i2 = shifted_jump_integrals(self.MODEL, s, ph)
+        assert i1 == pytest.approx(lam * e * ph / (rho + ph), rel=1e-14, abs=0.0)
+        assert i2 == pytest.approx(
+            lam * rho * e * (ph + 1.0) / ((rho - 1.0) * (rho + ph)), rel=1e-14, abs=0.0)
+
     def test_no_jumps_vanish(self):
         assert shifted_jump_integrals(CANON, 0.3, 1.0) == (0.0, 0.0)
 
@@ -315,13 +335,18 @@ class TestTabulatedFamily:
                 want += primitive(z1) - primitive(z0) - (v0 + v1) * (z1 - z0) / 2
             r = mp.mpf(tab.tail_rate)
             want += v[-1] * (mp.exp(a * z[-1]) / (r - a) - 1 / r)
-        got = float(_tab_exp_moment(tab, np.array([-theta]))[0].real) - tab._mass
+        got = _jump_exponent_real(tab, theta) - theta * tab._m1
         assert got == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
     def test_frozen_shifted_integrals(self):
         i1, i2 = shifted_jump_integrals(self.MODEL, 0.25, phi_q=1.1)
         assert i1 == pytest.approx(0.21524922535332336, rel=1e-6)
         assert i2 == pytest.approx(0.8218609737527196, rel=1e-6)
+
+    def test_shifted_integrals_far_past_the_density(self):
+        i1, i2 = shifted_jump_integrals(self.MODEL, 800.0, phi_q=1.1)
+        assert math.isfinite(i1) and math.isfinite(i2)
+        assert i1 >= 0.0 and i2 >= 0.0
 
     def test_tilt_retabulates(self):
         tilted = esscher_tilt(self.MODEL, 0.5)
@@ -333,7 +358,7 @@ class TestTabulatedFamily:
         assert lhs == pytest.approx(rhs, abs=2e-4)
         # the tilted density's precomputed constants are its own, not the parent's
         fresh = TabulatedDensity(tilted.jumps.grid, tilted.jumps.values, 2.5)
-        assert jump_intensity(tilted) == _tab_mass(fresh) < jump_intensity(self.MODEL)
+        assert jump_intensity(tilted) == fresh._mass < jump_intensity(self.MODEL)
         assert _psi_c(tilted, np.array([0.8]))[0].real == pytest.approx(lhs, rel=1e-13)
 
     def test_equal_tables_compare_and_hash_equal(self):
@@ -363,6 +388,15 @@ class TestComplexExponent:
             assert g.imag == 0.0
             assert g.real == pytest.approx(laplace_exponent(model, th), rel=1e-13, abs=1e-15)
 
+    def test_exp_jump_closed_form(self):
+        lam, rho = 0.8, 1.7
+        m1 = lam * ((1.0 - math.exp(-rho)) / rho - math.exp(-rho))
+        beta = np.array([1e-9 + 1e-9j, 1e-4 - 2e-4j, 0.7 + 3.0j, -0.9 + 0.1j, 2.3 - 40.0j])
+        want = 0.1 * beta + 0.15 * beta**2 - lam * beta / (rho + beta) + beta * m1
+        np.testing.assert_allclose(_psi_c(EXPJ, beta), want, rtol=1e-13, atol=0.0)
+        # the pole at beta = -rho stays a pole
+        assert np.isinf(_psi_c(EXPJ, np.array([-rho + 0j]))[0])
+
     def test_conjugate_symmetry(self):
         beta = np.array([[0.4 + 2.0j, 3.0 - 50.0j], [1e-5 + 1e-5j, -1.0 + 0.5j]])
         np.testing.assert_array_equal(_psi_c(self.MODEL, beta.conj()),
@@ -374,7 +408,9 @@ class TestComplexExponent:
         beta = np.array([-2.0, -80.0 + 3.0j, 1.0 + 1.0j])
         psi = _psi_c(self.MODEL, beta)
         assert np.isinf(psi[0]) and np.isinf(psi[1]) and np.isfinite(psi[2])
-        ph = phi(self.MODEL, 0.8)
+        # a dyadic tilt, so that (beta - ph) + ph is beta exactly; a tilt by
+        # Phi(0.8) need not round back onto the pole
+        ph = 0.75
         transform = _tilted_transform(self.MODEL, 0.8, ph)
         vals = transform(beta - ph)
         assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] != 0.0
@@ -383,9 +419,10 @@ class TestComplexExponent:
 
 class TestJumpSampling:
     def test_exponential_inverse_cdf(self):
-        u = np.array([0.1, 0.5, 0.93])
+        # the tail quantile of a body-free density is the closed form, bit for bit
+        u = np.array([0.0, 0.1, 0.5, 0.93, 1.0 - 2.0**-53])
         out = sample_jump_sizes(EXPJ, u)
-        np.testing.assert_allclose(out, -np.log1p(-u) / 1.7, rtol=1e-14)
+        np.testing.assert_array_equal(out, -np.log1p(-u) / 1.7)
 
     def test_no_jump_model_rejects(self):
         with pytest.raises(DomainError):
@@ -394,13 +431,25 @@ class TestJumpSampling:
     def test_tabulated_quantile_roundtrip(self):
         tab = tabulated_exp_density()
         model = LevyModel(mu=0.25, b2=0.1, jumps=tab)
-        total = _tab_mass(tab)
-        u = np.array([0.05, 0.3, 0.62, 0.9, 0.995])
+        r, zN, vN = tab.tail_rate, tab.grid[-1], tab.values[-1]
+
+        def mass_above(z):
+            # the density is linear between grid points, so trapezoids are exact
+            zs = np.array([z] + [g for g in tab.grid if g > z])
+            fs = np.interp(zs, tab.grid, tab.values)
+            body = float(np.sum((fs[1:] + fs[:-1]) * np.diff(zs))) / 2.0
+            return body + vN / r * math.exp(-r * max(z - zN, 0.0))
+
+        total = jump_intensity(model)
+        u = np.array([0.05, 0.3, 0.62, 0.9, 0.995, 1.0 - 5e-8])
         zs = sample_jump_sizes(model, u)
         assert np.all(np.diff(zs) > 0)
-        for ui, zi in zip(u, zs):
+        assert zs[-1] > zN > zs[-2]
+        for ui, zi in zip(u[:-1], zs[:-1]):
             # exceedance mass above the quantile must equal (1-u) * intensity
-            assert _tab_mass(tab, zi) == pytest.approx((1 - ui) * total, rel=1e-9)
+            assert mass_above(zi) == pytest.approx((1 - ui) * total, rel=1e-9)
+        # the tail quantile is solved in u, whose spacing near 1 is ~2e-9 of 1 - u
+        assert mass_above(zs[-1]) == pytest.approx((1 - u[-1]) * total, rel=1e-7)
 
     def test_tabulated_mean_jump(self):
         tab = tabulated_exp_density()

@@ -300,6 +300,24 @@ class TestIssuerThreshold:
         assert deep == pytest.approx(2.0 - (2.0 * qq - 1.0) / ph, rel=1e-6)
         assert vals[-1] > 2.0
 
+    @pytest.mark.parametrize("name", ["EXPJ", "TAB"])
+    def test_far_below_the_cap_stays_finite(self, name):
+        # s = log K - c = 800: exp(Phi s) overflows unless the shift stays in
+        # the jump moments' exponents; the jump terms underflow to 0 there
+        model = {"EXPJ": EXPJ, "TAB": TAB}[name]
+        c = math.log(2.0) - 800.0
+        ph = phi(model, 1.05)
+        got = call_boundary_value(model, gp(1.05), c)
+        assert math.isfinite(got)
+        if name == "EXPJ":
+            lam, rho, s = 0.8, 1.7, math.log(2.0) - c
+            e = math.exp(-rho * s)
+            i1 = lam * e * ph / (rho + ph)
+            i2 = lam * rho * e * (ph + 1.0) / ((rho - 1.0) * (rho + ph))
+            closed = (2.0 * (1.0 - 1.05 / ph) + 1.0 / ph + math.exp(c) / (ph + 1.0)
+                      + 2.0 * (i2 / (ph + 1.0) - i1 / ph))
+            assert got == pytest.approx(closed, rel=1e-14)
+
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             c_star(B05, gp(1.5))   # R3 territory
