@@ -40,7 +40,7 @@ Config layout::
     [sim]             ; simulate / selfcheck
     n_paths = 20000
     horizon = 10.0
-    dt = 0.001
+    dt = 0.001        ; validated, read by no estimator (all are exact)
     seed = 7
     delta = 0.1       ; saddle perturbation size (optional, default 0.1)
 

@@ -1,27 +1,30 @@
-"""Monte Carlo path engines verifying the analytic layer independently.
+"""Monte Carlo estimators verifying the analytic layer independently.
 
-Two engines cover the supported dynamics:
+One exact engine runs every estimator: the *event tableau*
+(:func:`_event_tableau`).  Jump epochs and sizes are simulated exactly and
+the path is laid out piece by piece between them.  Without a Gaussian part
+each piece is linear and runs downhill, so upward passages happen only at
+jumps.  With one, each piece is a Brownian motion with drift: one Gaussian
+endpoint and one exact bridge maximum per piece.  No time grid enters, so
+no estimator reads ``SimConfig.dt``.
 
-* a *grid* engine (:func:`_grid_sweep`) for models with a Gaussian part:
-  drift/Brownian increments on a uniform ``dt`` grid, compound-Poisson jumps
-  placed uniformly inside their step and applied at its end, and a
-  Brownian-bridge draw per step that restores level crossings the grid
-  cannot see (removes the O(sqrt(dt)) first-passage bias).  It walks the
-  paths block by block and retires the rows whose stop rule has fired;
-* an *event* engine (:func:`_event_tableau`): jump epochs and sizes are
-  simulated exactly and the path is laid out piece by piece between them.
-  Without a Gaussian part each piece is linear and runs downhill, so upward
-  crossings happen only at jumps and coupon integrals are closed-form.  With
-  one, each piece is a Brownian motion with drift: one Gaussian endpoint and
-  one exact bridge maximum per piece, no time discretisation at all.
+The estimators read the pieces as follows:
 
-Which estimator runs where: :func:`upcrossing_discount_profile` runs on the
-event engine for every model, with exact passage times, so ``config.dt``
-does not enter it.  :func:`estimate_game_values`, :func:`saddle_check`,
-:func:`two_sided_exit` and :func:`wiener_hopf_check` run on the grid when
-``b2 > 0`` and on the event engine otherwise.  Strategy variants inside one
-call ride the same simulated noise, which is what makes the saddle-point
-comparisons sharp (common random numbers, paired differences).
+* :func:`_passages` gives the first passage above each of the sorted,
+  distinct levels of one call, drawn jointly so that every path passes its
+  levels in order.  :func:`upcrossing_discount_profile` and every game-value
+  variant of one call read this one set of passages, which is what keeps
+  the paired comparisons of :func:`saddle_check` sharp (common random
+  numbers);
+* a game value needs only the passage ``(rho, X_rho)`` of the lower
+  threshold: the coupons and the perpetual completion enter through a
+  martingale of known mean (:func:`_variant_payoffs`), and a jump passage's
+  payoff is averaged over the crossing jump's size;
+* :func:`two_sided_exit` cuts pieces at Gaussian bridge midpoints until at
+  most one barrier is within reach, with a stated bias bound;
+* :func:`wiener_hopf_check` takes exact piece maxima up to an exponential
+  clock and a bridge draw in the piece that holds it, and averages each
+  jump past the running maximum over the jump's size.
 
 Randomness is counter-based (Philox), so every estimate is bit-reproducible
 for a fixed seed regardless of scheduling.  The stream layout is part of
@@ -32,21 +35,26 @@ that contract:
   ``_TAG_VALUE = 1`` (game values and saddle checks), ``_TAG_UPCROSS = 2``,
   ``_TAG_TWOSIDED = 3`` and ``_TAG_SUP = 4``;
 * a chunk first makes its estimator's own draws (the ``Exp(q)`` clocks of
-  :func:`wiener_hopf_check`), then its path draws.  On the grid these come
-  per block of ``_BLOCK`` steps, for the rows still open: the Gaussian
-  normals, the jump counts, the jump columns, the jump-size uniforms, the
-  bridge uniforms and last the estimator's draws after the walk (the
-  bridge minimum of :func:`two_sided_exit`).  On the event engine they are
-  the jump counts, the epoch uniforms and the jump-size uniforms (the
-  counts and sizes only for a model with jumps; ``rows x m`` slots, ``m``
-  the largest count in the chunk and at least 1).  With a Gaussian part
-  there follow one standard normal per piece between jumps, then one
-  bridge uniform per piece (both ``rows x (m + 1)``, pieces past the
-  horizon included); without one, nothing more is drawn;
-* on the event engine the estimator's draws after the paths come last:
-  :func:`upcrossing_discount_profile` draws one inverse Gaussian
-  (``Generator.wald``) per continuous passage from below a level, level by
-  level in the order given, rows ascending.
+  :func:`wiener_hopf_check`), then the tableau's: the jump counts, the
+  epoch uniforms and the jump-size uniforms (the counts and sizes only for
+  a model with jumps; ``rows x m`` slots, ``m`` the largest count in the
+  chunk and at least 1).  With a Gaussian part there follow one standard
+  normal per piece between jumps, then one bridge uniform per piece (both
+  ``rows x (m + 1)``, pieces past the horizon included);
+* then the estimator's draws after the paths.  :func:`_passages` draws,
+  level by level in ascending order: one uniform per path that passed the
+  level below continuously (does the rest of that piece pass this level?),
+  then one inverse Gaussian (``Generator.wald``) per continuous passage from
+  below the level, rows ascending in both.  No inverse Gaussian is drawn
+  without a Gaussian part, so there it draws nothing.
+  :func:`two_sided_exit` works in rounds over the pieces
+  not yet settled, held first as the tableau's (rows ascending, each row's
+  pieces in time order) and then as the first halves of the last round's
+  cut pieces followed by their second halves; a round draws one uniform
+  per settled piece, one inverse Gaussian per lower-barrier crossing (with
+  a Gaussian part), then one standard normal per cut piece.
+  :func:`wiener_hopf_check` draws one standard normal and then one uniform
+  per path.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -70,6 +78,7 @@ from .model import (
     _m1,
     exp_growth_rate,
     jump_intensity,
+    jump_passage_means,
     meets_discount_condition,
     phi,
     sample_jump_sizes,
@@ -95,8 +104,8 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths simulated simultaneously
-_BLOCK = 512        # grid steps per vectorised block
 _MAX_JUMPS = 4096   # expected jumps per path the event tableau accepts (128 MB per array)
+_EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
 # stream tags keep independent estimators off each other's random numbers
 _TAG_VALUE, _TAG_UPCROSS, _TAG_TWOSIDED, _TAG_SUP = range(1, 5)
@@ -106,7 +115,12 @@ SigmaSpec = Union[float, ImmediateStop]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, truncation horizon, grid resolution and seeding."""
+    """Path count, truncation horizon and seeding.
+
+    ``dt`` is validated (it must lie in ``(0, horizon]``) but no estimator
+    reads it: every one runs on the exact event tableau.  It stays so that
+    existing configs and positional constructions keep working.
+    """
 
     n_paths: int
     horizon: float
@@ -131,11 +145,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PayoffEstimate:
-    """Sample mean, its standard error (sample std over sqrt(n)) and count."""
+    """Sample mean, its standard error (sample std over sqrt(n)), count, and
+    a bound on the estimator's bias where it neglects probability mass (0
+    for the exact estimators)."""
 
     mean: float
     stderr: float
     n: int
+    bias_bound: float = 0.0
 
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -149,15 +166,14 @@ def _sim_drift(model: LevyModel) -> float:
 
 
 def mc_eligible(model: LevyModel) -> bool:
-    """Whether the path engines can simulate this model faithfully.
+    """Whether the event engine can simulate this model faithfully.
 
     Everything with a Gaussian part or a moderate-rate compound-Poisson jump
     part qualifies; a pure-jump model of enormous activity would drown the
     event engine in bookkeeping noise and is flagged instead of simulated.
-    Eligibility does not depend on the horizon: an estimator that runs on
-    the event tableau also raises :class:`DomainError` when ``rate x
-    horizon`` exceeds ``_MAX_JUMPS`` expected jumps per path, whatever the
-    Gaussian part.
+    Eligibility does not depend on the horizon: every estimator also raises
+    :class:`DomainError` when ``rate x horizon`` exceeds ``_MAX_JUMPS``
+    expected jumps per path, whatever the Gaussian part.
     """
     return model.b2 > 0.0 or jump_intensity(model) <= 1e6
 
@@ -194,72 +210,8 @@ def _discounted(t: np.ndarray, rate: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# grid kernel
+# event kernel
 # --------------------------------------------------------------------------- #
-
-class _Block(NamedTuple):
-    """One block of grid steps, for the rows still open."""
-
-    rows: np.ndarray     # path index of each row
-    t0: float            # time at the block's start
-    col0: int            # index of the block's first step
-    start: np.ndarray    # X at the block's start
-    post: np.ndarray     # X after each step, its jump included
-    pre: np.ndarray      # continuous endpoint of each step, before its jump
-    left: np.ndarray     # X at each step's start
-    smax: np.ndarray     # bridge-sampled continuous maximum of each step
-
-
-def _grid_steps(config: SimConfig) -> int:
-    return max(1, int(round(config.horizon / config.dt)))
-
-
-def _scatter_jumps(model: LevyModel, rng: np.random.Generator, rate: float,
-                   n_rows: int, cols: int, dt: float) -> np.ndarray | None:
-    """Jump increment per (path, step); jumps land at their step's end."""
-    if rate <= 0.0:
-        return None
-    counts = rng.poisson(rate * dt * cols, n_rows)
-    tot = int(counts.sum())
-    if tot == 0:
-        return None
-    incr = np.zeros((n_rows, cols))
-    ri = np.repeat(np.arange(n_rows), counts)
-    ci = rng.integers(0, cols, size=tot)
-    sizes = sample_jump_sizes(model, rng.random(tot))
-    np.add.at(incr, (ri, ci), sizes)
-    return incr
-
-
-def _block_walk(model: LevyModel, rng: np.random.Generator, rate: float,
-                y: np.ndarray, cols: int, dt: float, drift: float):
-    """One vectorised block of the grid walk from row states ``y``.
-
-    Returns post-step values, pre-jump (continuous) endpoints, left
-    endpoints, and the bridge-sampled continuous maximum of each step.
-    Heavy arrays are assembled in place — this loop is memory-bandwidth
-    bound.
-    """
-    n_alive = len(y)
-    b2 = model.b2
-    incr = rng.standard_normal((n_alive, cols))
-    incr *= math.sqrt(b2 * dt)
-    incr += drift * dt
-    jump_incr = _scatter_jumps(model, rng, rate, n_alive, cols, dt)
-    if jump_incr is not None:
-        incr += jump_incr
-    np.cumsum(incr, axis=1, out=incr)
-    y_post = incr
-    y_post += y[:, None]
-    y_pre = y_post if jump_incr is None else y_post - jump_incr
-    left = np.empty_like(y_post)
-    left[:, 0] = y
-    left[:, 1:] = y_post[:, :-1]
-    u = rng.random((n_alive, cols))
-    np.log(u, out=u)
-    u *= -2.0 * b2 * dt                    # u = -2 b^2 dt ln U  (>= 0)
-    return y_post, y_pre, left, _bridge_max(left, y_pre, u)
-
 
 def _bridge_max(left: np.ndarray, right: np.ndarray, spread: np.ndarray) -> np.ndarray:
     """Maximum of a Brownian bridge from ``left`` to ``right``, sampled
@@ -276,70 +228,6 @@ def _bridge_max(left: np.ndarray, right: np.ndarray, spread: np.ndarray) -> np.n
     out *= 0.5
     return out
 
-
-def _grid_sweep(model: LevyModel, config: SimConfig, tag: int,
-                step: Callable[[_Block, np.random.Generator], np.ndarray],
-                begin: Optional[Callable[[np.random.Generator, slice], None]] = None
-                ) -> np.ndarray:
-    """Walk every path from zero on the grid; return X at the horizon.
-
-    Each chunk calls ``begin(rng, chunk)`` with its slice of paths before
-    walking, then ``step(block, rng)`` on every block; ``step`` returns the
-    mask of the block's rows still open, and the others retire.  Retired
-    paths read NaN in the returned array.  The block start time is summed
-    block by block: ``col0 * dt`` differs from it in the last bit and would
-    move seeded outputs.
-    """
-    dt = config.dt
-    n_steps = _grid_steps(config)
-    drift = _sim_drift(model)
-    rate = jump_intensity(model)
-    y_end = np.full(config.n_paths, math.nan)
-    for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
-        rng = _rng(config.seed, tag, k)
-        if begin is not None:
-            begin(rng, chunk)
-        rows = np.arange(chunk.start, chunk.stop)
-        y = np.zeros(len(rows))
-        t0 = 0.0
-        for col0 in range(0, n_steps, _BLOCK):
-            if len(y) == 0:
-                break
-            cols = min(_BLOCK, n_steps - col0)
-            post, pre, left, smax = _block_walk(model, rng, rate, y, cols, dt, drift)
-            still = step(_Block(rows, t0, col0, y, post, pre, left, smax), rng)
-            y = post[:, -1][still]
-            rows = rows[still]
-            t0 += dt * cols
-        y_end[rows] = y
-    return y_end
-
-
-def _first_up(b: _Block, lvl: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: whether the block passes above ``lvl`` (continuously or by
-    a jump), and the first step that does."""
-    cross = b.smax > lvl
-    cross |= b.post > lvl
-    first = np.argmax(cross, axis=1)
-    return _at(cross, first), first
-
-
-def _passage(smax: np.ndarray, post: np.ndarray, ht: np.ndarray, dt: float,
-             lvl: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time, position and continuity of a passage above ``lvl`` within grid
-    steps that start at ``ht``.  A continuous passage lands on the level,
-    timed at the step's midpoint; a jump keeps its overshoot at the step's
-    end; the time is ``inf`` where neither happens.
-    """
-    cont = smax > lvl
-    t = np.where(cont, ht + 0.5 * dt, np.where(post > lvl, ht + dt, math.inf))
-    return t, np.where(cont, lvl, post), cont
-
-
-# --------------------------------------------------------------------------- #
-# event kernel
-# --------------------------------------------------------------------------- #
 
 class _Tableau(NamedTuple):
     """The jumps of one chunk of paths and the pieces between them.
@@ -419,11 +307,109 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
         yield _Tableau(chunk, rng, jt, js, valid, post, t0, t1, length, y0, pre, smax)
 
 
-def _first_jump_above(c: _Tableau, lvl: float, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per path: whether a jump before ``T`` lands above ``lvl``, and the
-    first one that does (the drift runs downhill, so only jumps cross up)."""
-    above = c.valid & (c.post > lvl) & (c.jt < T)
-    return above.any(axis=1), np.argmax(above, axis=1)
+def _bridge_passage(rng: np.random.Generator, b2: float, start: np.ndarray,
+                    level, end: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Time after its start at which a bridge from ``start`` to ``end`` over
+    ``span`` first reaches ``level``, given that it does: ``span u / (1 + u)``
+    with ``u`` inverse Gaussian of mean ``|level - start| / |level - end|``
+    and shape ``(level - start)^2 / (b^2 span)``, the bridge's first-passage
+    law under ``u = t / (span - t)``.  Without a Gaussian part the shape is
+    infinite and ``u`` its mean: the linear piece's own crossing time."""
+    gap = np.abs(level - start)
+    u = gap / np.abs(level - end)
+    if b2 > 0.0:
+        u = rng.wald(u, gap * gap / (b2 * span))
+    return span * u / (1.0 + u)
+
+
+class _Passage(NamedTuple):
+    """First passage above one level, per path of a chunk."""
+
+    t: np.ndarray        # passage time, inf where not passed by the horizon
+    pos: np.ndarray      # X at the passage: the level itself when continuous
+    pre: np.ndarray      # X just before the passing jump; NaN otherwise
+
+
+def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float],
+              T: float) -> list[_Passage]:
+    """First passages above ascending, distinct ``levels >= 0``, drawn jointly.
+
+    A level is first passed in the first piece whose bridge maximum exceeds
+    it, or at the first jump that lands above it.  A jump passage happens at
+    the jump's epoch; a continuous one lands on the level at a time drawn by
+    :func:`_bridge_passage`, and a piece that starts on the level passes it
+    at its start.  Once a level is passed continuously at ``t_i`` in a piece
+    ending at ``b`` at ``t1``, the rest of that piece is a bridge from
+    ``(t_i, L_i)``: it passes the next level ``L`` with probability
+    ``exp(-2 (L - L_i)(L - b) / (b^2 (t1 - t_i)))`` (one uniform), at
+    ``t_i`` plus a fresh bridge passage time.  Else the closing jump or the
+    later pieces pass it, as for the first level.  So every path passes its
+    levels in order, and each passage has its exact law.
+    """
+    n, width = c.t0.shape
+    cols = np.arange(width)
+    # the jump closing each piece, as a (rows x pieces) mask; the last piece
+    # closes at the horizon
+    over = np.zeros((n, width), dtype=bool)
+    over[:, :-1] = c.valid & (c.jt < T)
+    post = np.concatenate([c.post, np.zeros((n, 1))], axis=1)
+    piece = np.full(n, -1)              # piece of the previous passage
+    t_prev = np.zeros(n)                # its time, inf where it never came
+    cont = np.zeros(n, dtype=bool)      # the previous passage was continuous
+    last = 0.0                          # the previous level
+    out = []
+    for lvl in levels:
+        t = np.full(n, math.inf)
+        pos = np.full(n, math.nan)
+        pre = np.full(n, math.nan)
+        p_at = np.full(n, -1)           # piece of this passage
+        t_from = np.full(n, math.nan)   # start of a continuous passage's bridge
+        x_from = np.full(n, math.nan)
+        # the rest of the piece that passed the previous level continuously
+        r = np.nonzero(cont)[0]
+        pr = piece[r]
+        with np.errstate(divide="ignore", over="ignore"):
+            chance = np.exp(-2.0 * (lvl - last) * (lvl - c.pre[r, pr])
+                            / (model.b2 * (c.t1[r, pr] - t_prev[r])))
+        again = c.rng.random(len(r)) < chance
+        p_at[r[again]] = pr[again]
+        t_from[r[again]] = t_prev[r[again]]
+        x_from[r[again]] = last
+        # else the jump closing that piece (the last column of ``over`` is
+        # False, so before the first level nothing), then the pieces after it
+        r = np.nonzero(np.isfinite(t_prev) & (p_at < 0))[0]
+        pr = piece[r]
+        jumped = over[r, pr] & (post[r, pr] > lvl)
+        t[r[jumped]] = c.jt[r[jumped], pr[jumped]]
+        p_at[r[jumped]] = pr[jumped]
+        r = r[~jumped]
+        cross = c.smax[r] > lvl
+        cross |= over[r] & (post[r] > lvl)
+        cross &= cols[None, :] > piece[r, None]
+        first = np.argmax(cross, axis=1)
+        hit = _at(cross, first) & (c.t0[r, first] < T)
+        r, first = r[hit], first[hit]
+        p_at[r] = first
+        inside = c.smax[r, first] > lvl
+        t[r[~inside]] = c.jt[r[~inside], first[~inside]]
+        t_from[r[inside]] = c.t0[r[inside], first[inside]]
+        x_from[r[inside]] = c.y0[r[inside], first[inside]]
+        # continuous passages land on the level at an exact bridge time
+        r = np.nonzero(~np.isnan(t_from))[0]
+        pr = p_at[r]
+        t[r] = t_from[r]
+        below = x_from[r] < lvl
+        r, pr = r[below], pr[below]
+        t[r] += _bridge_passage(c.rng, model.b2, x_from[r], lvl, c.pre[r, pr],
+                                c.t1[r, pr] - t_from[r])
+        cont = ~np.isnan(t_from)
+        pos[cont] = lvl
+        r = np.nonzero(np.isfinite(t) & ~cont)[0]
+        pos[r] = post[r, p_at[r]]
+        pre[r] = c.pre[r, p_at[r]]
+        out.append(_Passage(t, pos, pre))
+        piece, t_prev, last = p_at, t, lvl
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -437,9 +423,9 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
     All variants ride the same simulated noise (the path of X minus its
     start), which is what gives paired comparisons their power.  Variants
     that stop at time zero (immediate call, or a start already beyond a
-    threshold) are deterministic and skip the path sweep.  The engines take
-    the live variants as ``(x, tau_level - x, sigma_level - x)``: thresholds
-    relative to the shared zero-started path.
+    threshold) are deterministic and skip the simulation.  The estimator
+    takes the live variants as ``(x, tau_level - x, sigma_level - x)``:
+    thresholds relative to the shared zero-started path.
     """
     if not meets_discount_condition(model, params.q):
         raise MomentConditionError(
@@ -460,8 +446,7 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
             live_idx.append(i)
             live.append((x, tau_level - x, sigma_spec - x))
     if live:
-        engine = _grid_variants if model.b2 > 0.0 else _event_variants
-        for i, pv in zip(live_idx, engine(model, params, live, config)):
+        for i, pv in zip(live_idx, _variant_payoffs(model, params, live, config)):
             results[i] = pv
         for (x, _, _), i in zip(live, live_idx):
             bound = _truncation_bound(model, params.q, x, config.horizon,
@@ -491,113 +476,44 @@ def estimate_game_value(model: LevyModel, params, x: float, tau_level: float,
 def estimate_game_values(model: LevyModel, params, starts: Sequence[float],
                          tau_level: float, sigma_spec: SigmaSpec,
                          config: SimConfig) -> list[PayoffEstimate]:
-    """Estimates at several starting points sharing one path sweep."""
+    """Estimates at several starting points sharing one set of paths."""
     variants = [(float(x), tau_level, sigma_spec) for x in starts]
     return [_to_estimate(pv)
             for pv in _estimate_variants(model, params, variants, config)]
 
 
-def _grid_variants(model: LevyModel, params, variants, config) -> np.ndarray:
-    q, alpha, beta, K = params.q, params.alpha, params.beta, params.K
-    dt = config.dt
-    T = _grid_steps(config) * dt
-    shape = (len(variants), config.n_paths)
-    stop_t = np.full(shape, math.inf)
-    stop_pay = np.zeros(shape)                   # terminal payoff at the stop
-    coupons = np.zeros(shape)
+def _variant_payoffs(model: LevyModel, params, variants, config) -> np.ndarray:
+    """Per-path payoffs of the live variants, from the passage ``(rho, X_rho)``
+    of each one's lower threshold alone.
 
-    def step(b: _Block, rng) -> np.ndarray:
-        cols = b.post.shape[1]
-        disc = np.exp(-q * (b.t0 + dt * np.arange(cols + 1)))
-        # cumulative trapezoid weights let each variant read its coupon
-        # integral with one gather instead of a masked sum
-        wmat = np.exp(b.post)
-        wmat *= disc[1:]                         # e^(-qt+y) at step ends
-        cum_w = np.empty_like(wmat)
-        cum_w[:, 0] = 0.5 * dt * (np.exp(b.start) * disc[0] + wmat[:, 0])
-        cum_w[:, 1:] = 0.5 * dt * (wmat[:, :-1] + wmat[:, 1:])
-        np.cumsum(cum_w, axis=1, out=cum_w)
-        cum_a = np.concatenate(
-            [[0.0], np.cumsum(0.5 * dt * (disc[:-1] + disc[1:]))])
-
-        for vi, (x_v, lvl_tau, lvl_sig) in enumerate(variants):
-            open_rows = np.isinf(stop_t[vi, b.rows])
-            if not open_rows.any():
-                continue
-            hit, first = _first_up(b, min(lvl_tau, lvl_sig))
-            hit &= open_rows
-            act = np.nonzero(open_rows)[0]
-            sc = np.where(hit, first, cols)[act]
-            coupons[vi, b.rows[act]] += alpha * cum_a[sc] + beta * math.exp(x_v) * \
-                np.where(sc > 0, cum_w[act, np.maximum(sc - 1, 0)], 0.0)
-            h = np.nonzero(hit)[0]
-            if len(h) == 0:
-                continue
-            hc = first[h]
-            ht = b.t0 + dt * hc                  # start of the stopping step
-            sm_h, yp_h = b.smax[h, hc], b.post[h, hc]
-            t_tau, pos_tau, cont_tau = _passage(sm_h, yp_h, ht, dt, lvl_tau)
-            t_sig, pos_sig, cont_sig = _passage(sm_h, yp_h, ht, dt, lvl_sig)
-            t_hit = np.minimum(t_tau, t_sig)
-            holder_first = t_tau < t_sig         # ties go to the issuer
-            share = np.exp(x_v + np.where(holder_first, pos_tau, pos_sig))
-            gh = b.rows[h]
-            stop_t[vi, gh] = t_hit
-            stop_pay[vi, gh] = np.where(holder_first, share, np.maximum(K, share))
-            # partial coupon over [ht, t_hit]; the integrand's endpoint sits
-            # at the pre-jump continuous position
-            ypre_h = b.pre[h, hc]
-            end_pos = np.where(holder_first,
-                               np.where(cont_tau, lvl_tau, ypre_h),
-                               np.where(cont_sig, lvl_sig, ypre_h))
-            f0 = disc[hc] * (alpha + beta * np.exp(x_v + b.left[h, hc]))
-            f1 = np.exp(-q * t_hit) * (alpha + beta * np.exp(x_v + end_pos))
-            coupons[vi, gh] += 0.5 * (f0 + f1) * (t_hit - ht)
-        return ~np.all(np.isfinite(stop_t[:, b.rows]), axis=0)
-
-    y_end = _grid_sweep(model, config, _TAG_VALUE, step)
-    stopped = np.isfinite(stop_t)
-    out = coupons + np.where(
-        stopped, np.exp(-q * np.where(stopped, stop_t, 0.0)) * stop_pay, 0.0)
-    gr = exp_growth_rate(model)
-    for vi, (x_v, _, _) in enumerate(variants):
-        # paths open at the horizon: perpetual completion from X_T
-        idx = np.nonzero(~stopped[vi])[0]
-        out[vi, idx] += math.exp(-q * T) * (
-            alpha / q + beta * np.exp(x_v + y_end[idx]) / (q - gr))
-    return out
-
-
-def _event_variants(model: LevyModel, params, variants, config) -> np.ndarray:
-    q, alpha, beta, K = params.q, params.alpha, params.beta, params.K
-    T = config.horizon
-    drift = _sim_drift(model)
-    gr = exp_growth_rate(model)
+    With ``A = alpha/q + beta e^x/(q - psi(-1))``, the coupons paid up to
+    ``t`` plus ``e^(-qt) (alpha/q + beta e^(x+X_t)/(q - psi(-1)))`` form a
+    martingale started at ``A``, so stopping it at ``rho ^ T`` gives
+    ``Y = A + 1{rho <= T} e^(-q rho) (pay - alpha/q - beta e^(x+X_rho)/(q - psi(-1)))``
+    with the mean of the truncated game (coupons to ``rho ^ T``, then the
+    stop payoff or the perpetual completion).  A continuous passage stops
+    on the level; a tie of the two thresholds goes to the issuer.  At a jump
+    passage the bracket is replaced by its mean over the jump's size given
+    that it crosses (:func:`jump_passage_means`), so ``Y`` is bounded.
+    """
+    q, alpha, K = params.q, params.alpha, params.K
+    growth = params.beta / (q - exp_growth_rate(model))
+    levels = sorted({min(lt, ls) for _, lt, ls in variants})
     out = np.empty((len(variants), config.n_paths))
-    r = q - drift  # coupon decay rate along the downward drift (> q)
-
     for c in _event_tableau(model, config, _TAG_VALUE):
-        # closed coupon integral per inter-jump segment (y linear on each):
-        #   C_i = e^(y_i - q t_i) (1 - e^(-r len_i)) / r
-        seg_coup = np.exp(c.y0 - q * c.t0) * (1.0 - np.exp(-r * c.length)) / r
-        cum_coup = np.concatenate(
-            [np.zeros((len(seg_coup), 1)), np.cumsum(seg_coup, axis=1)], axis=1)
-        yT = drift * T + c.js.sum(axis=1)
-        for vi, (x_v, lvl_tau, lvl_sig) in enumerate(variants):
-            hit, first = _first_jump_above(c, min(lvl_tau, lvl_sig), T)
-            t_stop = np.where(hit, _at(c.jt, first), T)
-            # stopping at jump `first` closes segments 0..first exactly on a
-            # segment boundary, so there is no partial piece
-            nseg = np.where(hit, first + 1, c.jt.shape[1] + 1)
-            coup = alpha * (1.0 - np.exp(-q * t_stop)) / q + \
-                beta * math.exp(x_v) * _at(cum_coup, nseg)
-            pos = _at(c.post, first)
-            # a jump past both thresholds is a tie, which goes to the issuer
-            pay_stop = np.where(pos > lvl_sig, np.maximum(K, np.exp(x_v + pos)),
-                                np.exp(x_v + pos))
-            tail = np.exp(-q * T) * (alpha / q + beta * np.exp(x_v + yT) / (q - gr))
-            out[vi, c.rows] = coup + np.where(
-                hit, np.exp(-q * t_stop) * pay_stop, tail)
+        passes = _passages(model, c, levels, config.horizon)
+        for vi, (x, lt, ls) in enumerate(variants):
+            lvl = min(lt, ls)
+            p = passes[levels.index(lvl)]
+            share = np.exp(x + p.pos)
+            pay = np.maximum(K, share) if ls <= lt else share.copy()
+            jump = ~np.isnan(p.pre)
+            share[jump], pay[jump] = jump_passage_means(model, x + p.pre[jump],
+                                                        x + lvl, x + ls, K)
+            y = np.full(len(p.t), alpha / q + growth * math.exp(x))
+            stop = np.isfinite(p.t)
+            y[stop] += np.exp(-q * p.t[stop]) * (pay - alpha / q - growth * share)[stop]
+            out[vi, c.rows] = y
     return out
 
 
@@ -610,46 +526,21 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
                                 config: SimConfig) -> list[PayoffEstimate]:
     """MC of ``E[e^(-q tau_y)]`` for several levels above a start at zero.
 
-    Runs on the event tableau for every model, so the passage is exact and
-    ``config.dt`` plays no part.  Level ``y`` is first passed in the first
-    piece between jumps whose maximum exceeds it, or at the first jump that
-    lands above it.  A jump passage happens at the jump's epoch.  A
-    continuous passage in a piece from ``a < y`` to the pre-jump end ``b``
-    over ``[t0, t0 + len]`` happens at ``t0 + len u / (1 + u)`` with ``u``
-    inverse Gaussian of mean ``(y - a) / |y - b|`` and shape
-    ``(y - a)^2 / (b^2 len)``: the Brownian-bridge first-passage law, which
-    the substitution ``u = t / (len - t)`` turns into an inverse Gaussian.
-    A piece that starts on the level is passed at its start.  Crossings past
-    the horizon contribute zero, which undershoots the identity by at most
-    ``e^(-q horizon)``.
+    The passages are the exact ones of :func:`_passages`, drawn jointly for
+    the distinct levels.  Crossings past the horizon contribute zero, which
+    undershoots the identity by at most ``e^(-q horizon)``.
     """
     lv = [float(y) for y in levels]
     if any(y < 0.0 for y in lv):
         raise DomainError("levels must be nonnegative")
     if q <= 0.0:
         raise DomainError("q must be positive")
-    T = config.horizon
-    hit_t = np.full((len(lv), config.n_paths), math.inf)
+    distinct = sorted(set(lv))
+    hit_t = np.full((len(distinct), config.n_paths), math.inf)
     for c in _event_tableau(model, config, _TAG_UPCROSS):
-        jumps = c.valid & (c.jt < T)
-        for li, lvl in enumerate(lv):
-            cross = c.smax > lvl
-            cross[:, :-1] |= jumps & (c.post > lvl)
-            first = np.argmax(cross, axis=1)
-            # pieces past the horizon sort after every real one
-            hit = _at(cross, first) & (_at(c.t0, first) < T)
-            t = np.where(hit, _at(c.t1, first), math.inf)
-            h = np.nonzero(hit & (_at(c.smax, first) > lvl))[0]
-            f = first[h]
-            t[h] = c.t0[h, f]
-            below = c.y0[h, f] < lvl
-            h, f = h[below], f[below]
-            gap = lvl - c.y0[h, f]
-            length = c.length[h, f]
-            u = c.rng.wald(gap / np.abs(lvl - c.pre[h, f]), gap * gap / (model.b2 * length))
-            t[h] += length * u / (1.0 + u)
-            hit_t[li, c.rows] = t
-    return [_to_estimate(v) for v in _discounted(hit_t, q)]
+        for i, p in enumerate(_passages(model, c, distinct, config.horizon)):
+            hit_t[i, c.rows] = p.t
+    return [_to_estimate(_discounted(hit_t[distinct.index(y)], q)) for y in lv]
 
 
 def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
@@ -659,52 +550,63 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
     ``down > 0`` is the distance to the lower barrier, ``up > 0`` to the
     upper one; downward passage creeps (no undershoot) for every supported
     model, which is what the scale-ratio identity relies on.
+
+    Each piece between jumps is a bridge.  While both barriers' crossing
+    probabilities on a piece exceed ``_EXIT_EPS`` it is cut at its midpoint,
+    whose value is a Gaussian bridge draw; once one of them is at most
+    ``_EXIT_EPS``, that barrier is taken as not crossed there and the other
+    is settled by one uniform (and a passage time for the lower one).  A
+    path exits at its earliest crossing, or at a jump onto the upper
+    barrier.  The neglected crossing mass bounds the bias, since the payoff
+    lies in ``[0, 1]``: it is at most ``_EXIT_EPS`` per settled piece, and
+    its mean over the paths is returned as ``bias_bound``.
     """
     if down <= 0.0 or up <= 0.0:
         raise DomainError("barrier distances must be positive")
     if p < 0.0:
         raise DomainError("discount rate must be nonnegative")
-    t_down = np.full(config.n_paths, math.inf)   # exits through the lower barrier
-    if model.b2 > 0.0:
-        dt = config.dt
-
-        def step(b: _Block, rng) -> np.ndarray:
-            # an independent draw for the segment minimum; the rare joint
-            # max/min interaction within one step is ignored
-            u_min = rng.random(b.post.shape)
-            np.log(u_min, out=u_min)
-            u_min *= -2.0 * model.b2 * dt
-            gap = b.pre - b.left
-            gap *= gap
-            gap += u_min
-            np.sqrt(gap, out=gap)
-            smin = b.left + b.pre
-            smin -= gap
-            smin *= 0.5
-            cross_dn = smin < -down
-            anyc = (b.smax > up) | (b.post > up) | cross_dn
-            first = np.argmax(anyc, axis=1)
-            got = _at(anyc, first)
-            h = np.nonzero(got)[0]
-            # same-step double crossings are vanishingly rare at these step
-            # sizes; award them to the down barrier
-            dn = h[cross_dn[h, first[h]]]
-            t_down[b.rows[dn]] = b.t0 + dt * first[dn] + 0.5 * dt
-            return ~got
-
-        _grid_sweep(model, config, _TAG_TWOSIDED, step)
-    else:
-        T = config.horizon
-        drift = _sim_drift(model)
-        for c in _event_tableau(model, config, _TAG_TWOSIDED):
-            # downward creep inside segment i when y0 + drift (t - t0) = -down
-            t_dn_seg = c.t0 + (-down - c.y0) / drift
-            ok = (t_dn_seg >= c.t0) & (t_dn_seg <= c.t1)
-            t_dn = np.where(ok, t_dn_seg, math.inf).min(axis=1)
-            hit_up, first = _first_jump_above(c, up, T)
-            t_up = np.where(hit_up, _at(c.jt, first), math.inf)
-            t_down[c.rows] = np.where(t_dn < t_up, t_dn, math.inf)
-    return _to_estimate(_discounted(t_down, p))
+    T, b2 = config.horizon, model.b2
+    t_down = np.full(config.n_paths, math.inf)
+    neglected = 0.0
+    for c in _event_tableau(model, config, _TAG_TWOSIDED):
+        # earliest exit found so far through each barrier; an upper exit is
+        # dated by its piece's start, which orders it against the others
+        jumped = c.valid & (c.post > up) & (c.jt < T)
+        first = np.argmax(jumped, axis=1)
+        at_up = np.where(_at(jumped, first), _at(c.jt, first), math.inf)
+        at_down = np.full(len(at_up), math.inf)
+        r, k = np.nonzero((c.t0 < T) & (c.y0 > -down) & (c.y0 < up))
+        seg = (r, c.t0[r, k], c.t1[r, k], c.y0[r, k], c.pre[r, k])
+        while len(seg[0]):
+            # a piece that starts after a found exit cannot change it
+            keep = seg[1] < np.minimum(at_up, at_down)[seg[0]]
+            r, t0, t1, a, b = (v[keep] for v in seg)
+            span = t1 - t0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
+                p_dn = np.where(b > -down, np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
+            settle = np.minimum(p_up, p_dn) <= _EXIT_EPS
+            neglected += float(np.minimum(p_up, p_dn)[settle].sum())
+            hit = np.zeros(len(r), dtype=bool)
+            hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
+            dn = hit & (p_dn > p_up)
+            np.minimum.at(at_up, r[hit & ~dn], t0[hit & ~dn])
+            np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
+                c.rng, b2, a[dn], -down, b[dn], span[dn]))
+            cut = ~settle
+            # the rest splits at a bridge midpoint; a half that starts outside
+            # the band follows a crossing in the half before it
+            mid = 0.5 * (a[cut] + b[cut]) + \
+                np.sqrt(0.25 * b2 * span[cut]) * c.rng.standard_normal(int(cut.sum()))
+            tm = 0.5 * (t0[cut] + t1[cut])
+            seg = (np.concatenate([r[cut], r[cut]]), np.concatenate([t0[cut], tm]),
+                   np.concatenate([tm, t1[cut]]), np.concatenate([a[cut], mid]),
+                   np.concatenate([mid, b[cut]]))
+            inside = (seg[3] > -down) & (seg[3] < up)
+            seg = tuple(v[inside] for v in seg)
+        t_down[c.rows] = np.where(at_down < at_up, at_down, math.inf)
+    est = _to_estimate(_discounted(t_down, p))
+    return PayoffEstimate(est.mean, est.stderr, est.n, neglected / config.n_paths)
 
 
 def sup_exponential_moment(model: LevyModel, q: float) -> float:
@@ -712,10 +614,10 @@ def sup_exponential_moment(model: LevyModel, q: float) -> float:
 
     The running maximum at an independent exponential clock has
     ``E[e^(sup)] = (q / Phi(q)) (Phi(q) + 1) / (q - psi(-1))`` — the upward
-    ladder factor evaluated at the share exponent.  A Monte Carlo estimate
-    of it (:func:`wiener_hopf_check`) has a finite variance only when
-    ``E[e^(2 sup)] < inf``, the same factor at exponent 2, i.e. only when
-    ``q > psi(-2)``.
+    ladder factor evaluated at the share exponent.  The plain sample
+    ``e^sup`` has a finite variance only when ``E[e^(2 sup)] < inf``, the
+    same factor at exponent 2, i.e. only when ``q > psi(-2)``; see
+    :func:`wiener_hopf_check` for the estimate compared against it.
     """
     if not meets_discount_condition(model, q):
         raise MomentConditionError(
@@ -729,41 +631,49 @@ def wiener_hopf_check(model: LevyModel, q: float,
     """MC of ``E[e^(sup X up to an independent Exp(q) clock)]``.
 
     Compare against :func:`sup_exponential_moment`; clocks beyond the
-    horizon are truncated there (error of order ``e^(-q horizon)``).
+    horizon are truncated there (error of order ``e^(-q horizon)``).  The
+    pieces that end before the clock give their exact maxima; in the piece
+    holding it, the bridge's value at the clock is a Gaussian draw, and its
+    maximum up to the clock an exact bridge maximum.  A jump past the
+    running maximum lifts ``e^sup`` by ``e^(overshoot)``; that factor is
+    replaced by its mean over the jump's size (:func:`jump_passage_means`),
+    which the rest of the path, taken relative to the jump, does not
+    depend on.
 
-    A comparison within three standard errors needs ``E[e^(2 sup)] < inf``,
-    i.e. ``q > psi(-2)``; otherwise the sample has infinite variance and
-    its standard error is no yardstick.  That fails for the Brownian model
-    with ``b2 = 2`` at ``q <= 4`` (``psi(-2) = 4``), and for every model
-    with exponential jumps of decay ``<= 2``, where ``psi(-2)`` diverges.
+    A comparison within three standard errors needs a finite variance.
+    The plain sample ``e^sup`` has one only when ``q > psi(-2)``, which
+    fails for every model with exponential jumps of decay ``<= 2``; the
+    averaged lifts remove the jumps' ``E[e^(2Z)]`` from it, but not the
+    Gaussian part's: with ``b2 = 2`` and no jumps the variance is still
+    infinite at ``q <= 4`` (``psi(-2) = 4``).
     """
     if q <= 0.0:
         raise DomainError("q must be positive")
+    T = config.horizon
     clock = np.empty(config.n_paths)
-    sup = np.zeros(config.n_paths)
+    sup = np.empty(config.n_paths)
 
     def draw_clocks(rng: np.random.Generator, chunk: slice) -> None:
         clock[chunk] = rng.exponential(1.0 / q, chunk.stop - chunk.start)
 
-    if model.b2 > 0.0:
-        dt = config.dt
-        n_steps = _grid_steps(config)
-
-        def step(b: _Block, rng) -> np.ndarray:
-            kill_col = np.minimum((clock[b.rows] / dt).astype(int), n_steps - 1)
-            cols = b.post.shape[1]
-            smax = np.maximum(b.smax, b.post)
-            # only segments before the exponential clock contribute
-            within = (b.col0 + np.arange(cols))[None, :] <= kill_col[:, None]
-            sup[b.rows] = np.maximum(sup[b.rows],
-                                     np.where(within, smax, -np.inf).max(axis=1))
-            return kill_col >= b.col0 + cols
-
-        _grid_sweep(model, config, _TAG_SUP, step, draw_clocks)
-    else:
-        for c in _event_tableau(model, config, _TAG_SUP, draw_clocks):
-            use = c.valid & (c.jt <= np.minimum(clock[c.rows], config.horizon)[:, None])
-            sup[c.rows] = np.maximum(np.where(use, c.post, -np.inf).max(axis=1), 0.0)
+    for c in _event_tableau(model, config, _TAG_SUP, draw_clocks):
+        clk = clock[c.rows]
+        full = (c.t1 <= clk[:, None]) & (c.t0 < T)
+        top = np.where(full, c.smax, -np.inf).max(axis=1)
+        k = np.argmax(c.t1 > clk[:, None], axis=1)   # the piece holding the clock
+        y0, end, t0, span = (_at(v, k) for v in (c.y0, c.pre, c.t0, c.length))
+        frac = np.minimum((clk - t0) / span, 1.0)
+        at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
+            c.rng.standard_normal(len(clk))
+        spread = -2.0 * model.b2 * span * frac * np.log(c.rng.random(len(clk)))
+        sup[c.rows] = np.where(clk < T, np.maximum(top, _bridge_max(y0, at, spread)), top)
+        # lifts by jumps past the running maximum, averaged over their sizes
+        before = np.maximum.accumulate(c.smax[:, :-1], axis=1)
+        lift = c.valid & (c.jt <= clk[:, None]) & (c.post > before)
+        share, _ = jump_passage_means(model, c.pre[:, :-1][lift], before[lift])
+        shift = np.zeros(lift.shape)
+        shift[lift] = np.log(share) - c.post[lift]
+        sup[c.rows] += shift.sum(axis=1)
     return _to_estimate(np.exp(sup))
 
 

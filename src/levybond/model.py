@@ -54,6 +54,7 @@ __all__ = [
     "shifted_jump_integrals",
     "jump_intensity",
     "sample_jump_sizes",
+    "jump_passage_means",
 ]
 
 logger = logging.getLogger(__name__)
@@ -435,7 +436,9 @@ def _psi_c(model: LevyModel, beta) -> np.ndarray:
         if j._body is not None:
             out += _body_expm1(j._body, -beta)
         if j._tail_mass > 0.0:
-            out += j._tail_mass * (r * np.expm1(-beta * knots[-1]) - beta) / (r + beta)
+            # a tail from 0 (exponential jumps) has expm1(-beta * 0) = 0
+            num = -beta if knots[-1] == 0.0 else r * np.expm1(-beta * knots[-1]) - beta
+            out += j._tail_mass * num / (r + beta)
         out += beta * j._m1
     out[~np.isfinite(out)] = np.inf
     return out
@@ -540,7 +543,9 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
         I2(s) = integral_0^inf pi(z + s) exp(z) (1 - exp(-(phi_q+1) z)) dz
 
     Both are nonnegative and nonincreasing in ``s``.  ``I2`` requires the jump
-    tail to decay faster than ``exp(-z)`` (DivergentExponent otherwise).
+    tail to decay faster than ``exp(-z)`` (DivergentExponent otherwise), and
+    it grows like ``exp(-s)``, so below ``s ~ -709`` it leaves the float
+    range and :class:`DomainError` names the shift.
     In ``u = z + s`` both run over ``u >= max(s, 0)`` against
     ``exp(a (u - s))``, so no factor ``exp(phi_q s)`` is formed apart; the
     body takes its moments about ``s`` and the tail its closed forms.
@@ -566,15 +571,70 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
         d = start - s
         e = math.exp(-r * (start - knots[-1]))
         i1 += tail * e * (phi_q - r * math.expm1(-phi_q * d)) / (r + phi_q)
+        grow = math.expm1(d) if d <= 709.0 else math.inf
         i2 += (tail * r * e
-               * ((phi_q + 1.0) + (r + phi_q) * math.expm1(d) - (r - 1.0) * math.expm1(-phi_q * d))
+               * ((phi_q + 1.0) + (r + phi_q) * grow - (r - 1.0) * math.expm1(-phi_q * d))
                / ((r - 1.0) * (r + phi_q)))
+    if not math.isfinite(i2):
+        raise DomainError(f"I2 overflows at shift s={s:g}: it grows like exp(-s)")
     return max(i1, 0.0), max(i2, 0.0)
 
 
 # --------------------------------------------------------------------------- #
-# jump-size sampling (used by the simulator)
+# jump sizes for the simulator: sampling, and means over a crossing jump
 # --------------------------------------------------------------------------- #
+
+def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
+    """``integral_u^inf pi(z) dz`` and ``integral_u^inf e^(z - d) pi(z) dz``,
+    elementwise over arrays ``u`` and ``d``: the body's part of the cell
+    holding ``u`` in closed form, the cells above it from suffix sums, and
+    the tail by its closed forms (its rate must exceed 1)."""
+    knots, _, r = jumps._pieces
+    zN, tail = knots[-1], jumps._tail_mass
+    past = np.maximum(u, zN)
+    mass = tail * np.exp(-r * (past - zN))
+    expo = mass * r / (r - 1.0) * np.exp(past - d) if tail > 0.0 else np.zeros(u.shape)
+    if jumps._cells is not None:
+        z0, z1, p, m = jumps._cells
+        # e^(z - zN) (v(z) - m) is an antiderivative of e^(z - zN) v(z) on a cell
+        cell_exp = np.exp(z1 - zN) * (p + m * z1 - m) - np.exp(z0 - zN) * (p + m * z0 - m)
+        exp_above = np.concatenate([np.cumsum(cell_exp[::-1])[::-1], [0.0]])
+        uc = np.clip(u, knots[0], zN)
+        k = np.minimum(np.searchsorted(z1, uc, side="right"), len(z1) - 1)
+        vu, v1 = p[k] + m[k] * uc, p[k] + m[k] * z1[k]
+        body = u < zN
+        mass = np.where(body, jumps._above[k + 1] + 0.5 * (z1[k] - uc) * (vu + v1), mass)
+        expo = np.where(body, expo + np.exp(zN - d) * exp_above[k + 1]
+                        + np.exp(z1[k] - d) * (v1 - m[k]) - np.exp(uc - d) * (vu - m[k]), expo)
+    return mass, expo
+
+
+def jump_passage_means(model: LevyModel, y, level, sigma: float = math.inf,
+                       cap: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Means over a jump that carries the log share from ``y`` above
+    ``level``: ``E[e^S]`` and ``E[pay(S)]`` for ``S = y + Z`` given
+    ``Z > level - y``, elementwise over the arrays ``y`` and ``level``.
+
+    ``pay`` is the game's stop payoff: the share ``e^S`` below ``sigma`` and
+    ``max(cap, e^S)`` from ``sigma >= level`` on (with the defaults it is
+    the share alone).  Jump sizes are independent of the path before the
+    jump, so a simulator that replaces a payoff at a jump passage by these
+    means stays unbiased, and the payoff becomes bounded.  The density must
+    have a tail rate above 1 (``psi(-1)`` finite).
+    """
+    j = model.jumps
+    y = np.asarray(y, dtype=float)
+    d = level - y
+    mass, expo = _upper_integrals(j, d, d)
+    share = np.exp(level) * expo / mass
+    # the call adds cap - e^S where that is positive: on [sigma, log cap)
+    hi = math.log(cap) - y
+    lo = np.minimum(sigma - y, hi)
+    m_lo, e_lo = _upper_integrals(j, lo, d)
+    m_hi, e_hi = _upper_integrals(j, hi, d)
+    call = (cap * (m_lo - m_hi) - np.exp(level) * (e_lo - e_hi)) / mass
+    return share, share + np.maximum(call, 0.0)
+
 
 def sample_jump_sizes(model: LevyModel, u: np.ndarray) -> np.ndarray:
     """Map uniforms ``u`` to jump sizes by the inverse CDF.

@@ -260,9 +260,8 @@ def test_c07_boundary_fit_kinds():
 def test_c08_monte_carlo_agreement():
     """Path simulation reproduces four families of closed expressions.
 
-    2e5 paths, dt = 1e-3, bridge correction on; dt plays no role in (a),
-    which runs on the exact event engine with exact passage times, nor for
-    the bounded-variation family, which runs there too.  Every comparison
+    2e5 paths on the exact event engine (jump epochs, exact bridge maxima
+    and passage times), so dt = 1e-3 plays no role.  Every comparison
     within three standard errors; whole batch under 120 s.
     """
     t0 = time.perf_counter()
@@ -286,8 +285,8 @@ def test_c08_monte_carlo_agreement():
                              SimConfig(n, horizon, dt, seed=9102))
         assert abs(est.mean - expect) <= 3.0 * est.stderr, (model, est, expect)
 
-    # (c) game value at three interior starts, conversion regime (grid
-    # engine) and forced-call regime (event engine)
+    # (c) game value at three interior starts, conversion regime (Gaussian)
+    # and forced-call regime (bounded-variation jumps)
     par2 = gp(3.0)
     sol2 = classify(CANON, par2)
     xs2 = [sol2.tau_level - 1.0, sol2.tau_level - 0.5, sol2.tau_level - 0.1]
@@ -371,8 +370,8 @@ delta = 0.1
 def test_c10_deterministic_outputs(tmp_path, capsys):
     """Identical seeds give byte-identical CSV files and reports.
 
-    The engines advance fixed-size path blocks whose generator streams are
-    keyed by (seed, purpose, block index) alone, so the output cannot depend
+    The estimators advance fixed-size path chunks whose generator streams are
+    keyed by (seed, purpose, chunk index) alone, so the output cannot depend
     on how many OS threads the linear-algebra backend happens to use; two
     full CLI round trips must agree byte for byte.
     """

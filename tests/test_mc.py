@@ -1,11 +1,10 @@
 """Simulation layer: exact checks where paths are deterministic, frozen-seed
 three-sigma gates against the closed-form layer everywhere else.
 
-The event engine is exact (jump epochs are simulated, the pieces between
-them are linear or Brownian with an exact bridge maximum and passage time,
-and coupons integrate in closed form per piece), so its comparisons carry no
-discretisation slack; the grid engine's bridge correction leaves O(dt) bias,
-kept far below the statistical bands used here.
+The one engine is exact (jump epochs are simulated, the pieces between them
+are linear or Brownian with an exact bridge maximum and passage times), so
+its comparisons carry no discretisation slack; only two_sided_exit neglects
+crossing mass, below a bound it returns.
 """
 
 import math
@@ -36,9 +35,7 @@ from levybond.mc import (
     SimConfig,
     _estimate_variants,
     _event_tableau,
-    _first_up,
-    _grid_sweep,
-    _passage,
+    _passages,
     estimate_game_value,
     estimate_game_values,
     mc_eligible,
@@ -111,39 +108,36 @@ class TestSamplePath:
             SimConfig(n_paths=1, horizon=0.0, dt=1e-3, seed=1)
 
 
-class TestGridWalk:
-    """The grid kernel: walk, level passages and their edge cases."""
+class TestPassages:
+    """The joint first passages that every estimator reads."""
 
-    @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
-    def test_one_step_laplace_transform(self, model):
-        # E[e^(-X_1)] = e^(psi(1)): the walk is exact in law at its nodes,
-        # every jump of the density drawn (TAB included)
-        cfg = SimConfig(n_paths=6000, horizon=1.0, dt=2e-3, seed=13)
-        ends = _grid_sweep(model, cfg, _TAG_VALUE, lambda b, rng: np.ones(len(b.rows), bool))
-        sample = np.exp(-ends)
-        target = math.exp(laplace_exponent(model, 1.0))
-        stderr = sample.std(ddof=1) / math.sqrt(len(sample))
-        assert abs(sample.mean() - target) <= 3.0 * stderr
+    LEVELS = [0.0, 0.1, 0.2, 0.5, 1.0, 1.5]
 
-    def test_continuous_crossing_has_zero_overshoot(self):
-        # without jumps every passage is continuous and lands on the level
-        cfg = SimConfig(n_paths=3000, horizon=4.0, dt=1e-3, seed=2)
-        pos = np.full(cfg.n_paths, np.nan)
+    @pytest.mark.parametrize("model", [CANON, EXPJM], ids=["CANON", "EXPJM"])
+    def test_levels_passed_in_order(self, model):
+        # a higher level is never passed before a lower one on any path, and
+        # a path that never passes a level passes none above it
+        cfg = SimConfig(n_paths=4000, horizon=3.0, dt=1e-3, seed=15)
+        c = next(_event_tableau(model, cfg, _TAG_UPCROSS))
+        times = np.array([p.t for p in _passages(model, c, self.LEVELS, cfg.horizon)])
+        assert np.all(times[1:] >= times[:-1])
+        assert np.all(np.isfinite(times[0]))
+        # many paths pass every level; without jumps each does so inside its
+        # one piece, through the rest-of-piece draws
+        assert np.isfinite(times[-1]).sum() > 1000
 
-        def step(b, rng):
-            hit, first = _first_up(b, 0.4)
-            h = np.nonzero(hit)[0]
-            hc = first[h]
-            _, at, cont = _passage(b.smax[h, hc], b.post[h, hc], b.t0 + cfg.dt * hc,
-                                   cfg.dt, 0.4)
-            assert cont.all()
-            pos[b.rows[h]] = at
-            return ~hit
-
-        _grid_sweep(CANON, cfg, _TAG_UPCROSS, step)
-        crossed = ~np.isnan(pos)
-        assert crossed.sum() > cfg.n_paths // 2
-        assert np.all(pos[crossed] == 0.4)
+    @pytest.mark.parametrize("model", [CANON, EXPJM], ids=["CANON", "EXPJM"])
+    def test_continuous_passage_lands_on_its_level(self, model):
+        cfg = SimConfig(n_paths=4000, horizon=3.0, dt=1e-3, seed=16)
+        c = next(_event_tableau(model, cfg, _TAG_UPCROSS))
+        for lvl, p in zip(self.LEVELS, _passages(model, c, self.LEVELS, cfg.horizon)):
+            cont = np.isfinite(p.t) & np.isnan(p.pre)
+            jump = ~np.isnan(p.pre)
+            assert cont.sum() > 100
+            assert np.all(p.pos[cont] == lvl)
+            # a jump passage starts below the level and lands above it
+            assert np.all(p.pre[jump] < lvl) and np.all(p.pos[jump] > lvl)
+            assert (jump.sum() > 100) == (model is EXPJM and lvl > 0.0)
 
 
 class TestEventTableau:
@@ -156,6 +150,18 @@ class TestEventTableau:
         mean = jump_intensity(model) * cfg.horizon
         assert abs(c.valid.sum(axis=1).mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
         assert np.all(c.js[c.valid] > 0.0) and np.all(c.js[~c.valid] == 0.0)
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
+    def test_one_step_laplace_transform(self, model):
+        # E[e^(-X_1)] = e^(psi(1)): the tableau is exact in law at the
+        # horizon, every jump of the density drawn (TAB included)
+        cfg = SimConfig(n_paths=6000, horizon=1.0, dt=2e-3, seed=13)
+        ends = np.concatenate([c.pre[np.arange(c.pre.shape[0]), c.valid.sum(axis=1)]
+                               for c in _event_tableau(model, cfg, _TAG_VALUE)])
+        sample = np.exp(-ends)
+        target = math.exp(laplace_exponent(model, 1.0))
+        stderr = sample.std(ddof=1) / math.sqrt(len(sample))
+        assert abs(sample.mean() - target) <= 3.0 * stderr
 
     def test_small_jumps_drawn_at_their_share(self):
         # the density is 2000 on [0, 1e-4], so 0.2 of the jump intensity lies
@@ -237,6 +243,21 @@ class TestEstimates:
         c = estimate_game_value(CANON, gp(3.0), -0.5, sol.tau_level,
                                 sol.sigma_level, other)
         assert c.mean != a.mean
+
+    def test_grid_step_does_not_enter(self):
+        # every estimator runs on the exact tableau: dt is validated, not read
+        fine = SimConfig(n_paths=3000, horizon=4.0, dt=1e-3, seed=32)
+        coarse = SimConfig(n_paths=3000, horizon=4.0, dt=4.0, seed=32)
+
+        def run(cfg):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                ests = [*estimate_game_values(EXPJM, gp(2.0), [-0.5, 0.1], 0.6, 0.4, cfg),
+                        two_sided_exit(EXPJM, 1.0, 0.6, 0.8, cfg),
+                        wiener_hopf_check(EXPJM, 3.0, cfg)]
+            return [(e.mean, e.stderr) for e in ests]
+
+        assert run(fine) == run(coarse)
 
     def test_discount_condition_gate(self):
         cfg = SimConfig(n_paths=100, horizon=2.0, dt=1e-2, seed=1)
@@ -394,6 +415,18 @@ class TestUpcrossingProfile:
 
 
 class TestTwoSidedExit:
+    @pytest.mark.parametrize("model", [CANON, EXPJM, BV2], ids=["CANON", "EXPJM", "BV2"])
+    def test_neglected_mass_is_bounded(self, model):
+        # a piece is settled once one barrier's crossing mass is at most
+        # 1e-15, and that mass is neglected; without a Gaussian part every
+        # crossing mass is 0 or 1, so nothing is
+        cfg = SimConfig(n_paths=5000, horizon=6.0, dt=1e-3, seed=56)
+        est = two_sided_exit(model, 1.0, 0.6, 0.8, cfg)
+        if model.b2 > 0.0:
+            assert 0.0 < est.bias_bound <= 1e-13
+        else:
+            assert est.bias_bound == 0.0
+
     @pytest.mark.parametrize("model,p,down,up,n,dt,T", [
         (CANON, 1.0, 0.6, 0.8, 20_000, 2e-3, 6.0),
         (BV2, 0.9, 0.8, 0.7, 40_000, 1e-3, 25.0),
@@ -430,9 +463,8 @@ class TestWienerHopf:
 
 
 def _frozen_estimates(kind, model):
-    """Seeded estimates over 2 chunks (the second partial) and, on the grid,
-    2 blocks of steps, so chunk keys, block seams and row retirement all
-    enter the pinned numbers."""
+    """Seeded estimates over 2 chunks (the second partial), so the chunk keys
+    and a chunk of fewer paths enter the pinned numbers."""
     cfg = SimConfig(n_paths=4500, horizon=3.0, dt=5e-3, seed=2024)
     q = {CANON: 3.0, EXPJM: 2.0, BV2: 0.8}[model]
     with warnings.catch_warnings():
@@ -449,26 +481,26 @@ def _frozen_estimates(kind, model):
 # (mean, stderr) per estimate, recorded when the stream layout was fixed
 _FROZEN = {
     ("values", "CANON"): [
-        (0.8265987069824202, 0.006107913924744753),
-        (1.4245215129475264, 0.00781830463108732),
+        (0.8274222937293138, 0.003517435891583891),
+        (1.4322067944602042, 0.0049056304348316015),
     ],
     ("values", "EXPJM"): [
-        (1.008404023827972, 0.010976102556355392),
-        (1.4848140113366481, 0.018471257667875995),
+        (1.0152936663049739, 0.0007710135091243922),
+        (1.4819754801878555, 0.0013506212433056293),
     ],
     ("values", "BV2"): [
-        (1.5857825622981963, 0.00757797546314624),
-        (1.879820718001386, 0.014435194417081122),
+        (1.5968226804632324, 0.0005812718322556524),
+        (1.8892000801504971, 0.0009024205316792365),
     ],
     ("upcross", "CANON"): [
         (1.0, 0.0),
-        (0.4176843836850452, 0.005100623519796966),
-        (0.1696918614427321, 0.0034223417026232996),
+        (0.41475402527197025, 0.005082894464353624),
+        (0.17604647565737702, 0.0034954157769711237),
     ],
     ("upcross", "EXPJM"): [
         (1.0, 0.0),
-        (0.2285672664820917, 0.004167975257373002),
-        (0.10239278814175469, 0.002956624669286705),
+        (0.23066098023597872, 0.0042013449268306574),
+        (0.10200644098069517, 0.002949509033370022),
     ],
     ("upcross", "BV2"): [
         (0.2080096028636772, 0.005415532639148857),
@@ -476,22 +508,22 @@ _FROZEN = {
         (0.044567366704003734, 0.00270924109260881),
     ],
     ("two_sided", "CANON"): [
-        (0.4671091755419105, 0.006193157624699515),
+        (0.4706871500697422, 0.0061753241633803035),
     ],
     ("two_sided", "EXPJM"): [
-        (0.2669195638233265, 0.004339106702867774),
+        (0.26812877214969266, 0.004300292553866524),
     ],
     ("two_sided", "BV2"): [
         (0.6793741983510372, 0.0024461545576124014),
     ],
     ("sup", "CANON"): [
-        (2.0191333597352283, 0.03515857290371163),
+        (2.0346149002552263, 0.03888572445897241),
     ],
     ("sup", "EXPJM"): [
-        (1.716808017842649, 0.09582356263117274),
+        (1.647188455317958, 0.024806140290196194),
     ],
     ("sup", "BV2"): [
-        (1.262145168161413, 0.04039958860470948),
+        (1.2537777777777779, 0.013043046153554729),
     ],
 }
 

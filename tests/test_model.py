@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from levybond import (
     DivergentExponent,
@@ -30,7 +31,7 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _jump_exponent_real, _psi_c
+from levybond.model import _jump_exponent_real, _psi_c, jump_passage_means
 from levybond.scale import _tilted_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
@@ -251,6 +252,13 @@ class TestShiftedJumpIntegrals:
         with pytest.raises(DivergentExponent):
             shifted_jump_integrals(BV_RHO1, 0.2, 1.0)  # decay 1 kills I2
 
+    @pytest.mark.parametrize("model", [EXPJ, LevyModel(0.25, 0.1, tabulated_exp_density())],
+                             ids=["EXPJ", "TAB"])
+    def test_overflow_names_the_shift(self, model):
+        # I2 grows like exp(-s): past s ~ -709 it leaves the float range
+        with pytest.raises(DomainError, match="s=-800"):
+            shifted_jump_integrals(model, -800.0, 1.3)
+
     @settings(max_examples=40, deadline=None)
     @given(
         s1=st.floats(-2.0, 3.0),
@@ -397,6 +405,22 @@ class TestComplexExponent:
         # the pole at beta = -rho stays a pole
         assert np.isinf(_psi_c(EXPJ, np.array([-rho + 0j]))[0])
 
+    def test_exp_jump_tail_from_zero_unchanged(self):
+        # the tail from 0 skips its expm1(-beta * 0) = 0; the output stays
+        # bit-identical to the formula that evaluates it, on an Euler-style
+        # contour, the real axis and the pole
+        t = np.linspace(0.05, 30.0, 30)[:, None]
+        contour = (18.4 + 2j * np.pi * np.arange(34)[None, :]) / (2.0 * t)
+        beta = np.concatenate([contour.ravel(), [0.0, 0.3, -0.9, -1.7, 1e-9 - 2e-9j]])
+        j = EXPJ.jumps
+        knots, _, r = j._pieces
+        want = EXPJ.mu * beta + 0.5 * EXPJ.b2 * beta * beta
+        with np.errstate(all="ignore"):
+            want += j._tail_mass * (r * np.expm1(-beta * knots[-1]) - beta) / (r + beta)
+            want += beta * j._m1
+        want[~np.isfinite(want)] = np.inf
+        np.testing.assert_array_equal(_psi_c(EXPJ, beta), want)
+
     def test_conjugate_symmetry(self):
         beta = np.array([[0.4 + 2.0j, 3.0 - 50.0j], [1e-5 + 1e-5j, -1.0 + 0.5j]])
         np.testing.assert_array_equal(_psi_c(self.MODEL, beta.conj()),
@@ -457,3 +481,53 @@ class TestJumpSampling:
         u = (np.arange(20000) + 0.5) / 20000
         mean = float(np.mean(sample_jump_sizes(model, u)))
         assert mean == pytest.approx(0.5040000061418205, rel=2e-3)
+
+
+class TestJumpPassageMeans:
+    """Means over a crossing jump, against quadrature of the normal form."""
+
+    TAB = LevyModel(0.25, 0.1, tabulated_exp_density(101))
+
+    @staticmethod
+    def density(model, z):
+        knots, values, r = model.jumps._pieces
+        if z >= knots[-1]:
+            return values[-1] * math.exp(-r * (z - knots[-1]))
+        return float(np.interp(z, knots, values, left=0.0))
+
+    def quadrature(self, model, y, lo, f, kinks=()):
+        """``integral_lo^inf f(y + z) pi(z) dz``, split at the knots and at
+        the payoff's ``kinks`` (log shares), which a single Gauss-Kronrod
+        panel can step over."""
+        knots = [*model.jumps._pieces[0], *(k - y for k in kinks)]
+        edges = sorted({lo, *(k for k in knots if k > lo)})
+        edges.append(edges[-1] + 60.0)   # the tail beyond holds < e^-40 of it
+        return sum(integrate.quad(lambda z: f(y + z) * self.density(model, z), a, b,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    @pytest.mark.parametrize("model", [EXPJ, TAB], ids=["EXPJ", "TAB"])
+    @pytest.mark.parametrize("y,tau,sigma", [
+        (-0.3, 0.2, 0.5), (0.1, 0.9, 0.4), (-2.0, 0.5, 0.5), (0.5, 0.6, 0.65),
+        (-1.0, 3.0, 0.2), (0.198, 0.2, 0.3), (-9.0, 0.5, 0.6)])
+    def test_matches_quadrature(self, model, y, tau, sigma):
+        # the starts put the level below the body's first knot, inside it and
+        # past its last knot (8), and the cap log 2 below, inside and above
+        # the called range
+        cap, level = 2.0, min(tau, sigma)
+        share, pay = jump_passage_means(model, np.array([y]), level, sigma, cap)
+        mass = self.quadrature(model, y, level - y, lambda s: 1.0)
+        want_share = self.quadrature(model, y, level - y, math.exp) / mass
+        want_pay = self.quadrature(
+            model, y, level - y,
+            lambda s: max(cap, math.exp(s)) if s >= sigma else math.exp(s),
+            kinks=(sigma, math.log(cap))) / mass
+        assert share[0] == pytest.approx(want_share, rel=1e-11)
+        assert pay[0] == pytest.approx(want_pay, rel=1e-11)
+
+    def test_defaults_pay_the_share(self):
+        y = np.array([-0.5, 0.1])
+        share, pay = jump_passage_means(EXPJ, y, 0.3)
+        np.testing.assert_array_equal(pay, share)
+        # memoryless exponential sizes: e^level rho / (rho - 1)
+        np.testing.assert_allclose(share, math.exp(0.3) * 1.7 / 0.7, rtol=1e-14)

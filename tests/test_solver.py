@@ -318,6 +318,11 @@ class TestIssuerThreshold:
                       + 2.0 * (i2 / (ph + 1.0) - i1 / ph))
             assert got == pytest.approx(closed, rel=1e-14)
 
+    def test_far_above_the_cap_names_the_shift(self):
+        # s = log K - c = -800: the jump moment I2 grows like exp(800)
+        with pytest.raises(DomainError, match="s=-800"):
+            call_boundary_value(EXPJ, gp(1.05), math.log(2.0) + 800.0)
+
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             c_star(B05, gp(1.5))   # R3 territory
