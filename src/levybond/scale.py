@@ -21,12 +21,12 @@ Two evaluation routes exist and are cross-checked against each other:
   Bromwich line, no deformation) is primary and certification is by the
   forward transform identity instead.
 
-Both inverters work on arrays of ``x``: the cache grid, the 10 check points
-or a derivative stencil go in as one call.  Each block of ``_CHUNK_ROWS``
-points builds its (x, node) contour, calls the transform once on it and
-combines the terms row by row, so a tabulated transform's (x, node, density
-node) exponentials stay under 1 MB at a time.  Talbot still sums each x's
-64 terms exactly rounded (``math.fsum`` per row).
+Both inverters work on arrays of ``x``: the cache grid or the 10 check
+points go in as one call.  Each block of ``_CHUNK_ROWS`` points builds its
+(x, node) contour, calls the transform once on it and combines the terms
+row by row, so a tabulated transform's (x, node, density node) exponentials
+stay under 1 MB at a time.  Talbot still sums each x's 64 terms exactly
+rounded (``math.fsum`` per row).
 
 The tabulated transform integrates the density by parts (see its
 exponential moment in ``model``), which orders its cell sum differently from a
@@ -249,6 +249,15 @@ def _phi_root(ev: ScaleEvaluator) -> int:
     return min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
 
 
+def _w_at_zero(model: LevyModel, q: float) -> tuple[float, float]:
+    """``(W(0+), W'(0+))``: ``1/d`` and ``(q + lambda)/d^2`` for bounded
+    variation with drift ``d`` and jump intensity ``lambda``, else 0 and ``2/b^2``."""
+    pv = path_variation(model)
+    if pv.bounded:
+        return 1.0 / pv.drift, (q + jump_intensity(model)) / pv.drift**2
+    return 0.0, 2.0 / model.b2
+
+
 @lru_cache(maxsize=64)
 def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) -> ScaleEvaluator:
     """Build (and memoise) the scale-function evaluator for ``(model, q)``.
@@ -265,13 +274,7 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
     if not (q >= 0.0) or not math.isfinite(q):
         raise DomainError(f"scale functions need q >= 0, got {q}")
     phi_q = phi(model, q)
-    pv = path_variation(model)
-    if pv.bounded:
-        w0 = 1.0 / pv.drift
-        w0p = (q + jump_intensity(model)) / pv.drift**2
-    else:
-        w0 = 0.0
-        w0p = 2.0 / model.b2
+    w0, w0p = _w_at_zero(model, q)
     fraction = _psi_fraction(model)
     if method is not Method.NUMERIC_INVERSION and fraction is not None:
         data = _closed_form_data(model, fraction, q, phi_q)
@@ -470,7 +473,14 @@ def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float) -
 
 
 def w_prime(ev: ScaleEvaluator, x: float) -> float:
-    """Derivative of ``W`` at ``x > 0`` (use ``w0_prime`` for the boundary)."""
+    """Derivative of ``W`` at ``x > 0`` (use ``w0_prime`` for the boundary).
+
+    Closed forms differentiate root by root.  On the numeric route
+    ``W' = e^(Phi x) (Phi W_Phi + W_Phi')``, whose bracket has the transform
+    ``(b + Phi) G(b) - w0`` (``W_Phi(0) = w0``), inverted at ``x`` by the
+    build's inverter.  It shares ``G``'s singularities and decays like ``1/b``,
+    so the build's check of the same contour on ``G`` certifies it too.
+    """
     if not (x > 0.0):
         raise DomainError("w_prime needs x > 0; the boundary value is w0_prime")
     if ev.roots is not None:
@@ -478,18 +488,10 @@ def w_prime(ev: ScaleEvaluator, x: float) -> float:
         for r, c in zip(ev.roots, ev.weights):
             acc += (c * r * cmath.exp(r * x)).real
         return acc
-    h = min(1e-3 * max(1.0, abs(x)), x / 2.0)
-    wp1, wm1, wp2, wm2 = _w_direct(
-        ev, np.array([x + h, x - h, x + h / 2.0, x - h / 2.0])).tolist()
-    d1 = (wp1 - wm1) / (2.0 * h)
-    d2 = (wp2 - wm2) / h
-    richardson = (4.0 * d2 - d1) / 3.0
-    err = abs(richardson - d2)
-    if err > 1e-6 * max(abs(richardson), 1e-12):
-        raise AccuracyError(
-            f"derivative at x={x:g} not certified: Richardson gap {err:.2e}"
-        )
-    return richardson
+    tilted = _tilted_transform(ev.model, ev.q, ev.phi_q)
+    inverse = _inverter(ev.model)(lambda b: (b + ev.phi_q) * tilted(b) - ev.w0,
+                                  np.array([x]))
+    return math.exp(ev.phi_q * x) * float(inverse[0])
 
 
 def tilted_w(model: LevyModel, lam: float, p: float, x: float) -> float:

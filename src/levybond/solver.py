@@ -57,7 +57,6 @@ from .model import (
     jump_intensity,
     laplace_exponent,
     meets_discount_condition,
-    path_variation,
     phi,
     shifted_jump_integrals,
 )
@@ -67,6 +66,7 @@ from .scale import (
     _exp_increment,
     _integrals_at,
     _phi_root,
+    _w_at_zero,
     _w_combination,
     scale_evaluator,
     w,
@@ -437,12 +437,15 @@ def _value_r3(ev: ScaleEvaluator, params: GameParams, x: float) -> float:
     sits at or above ``K`` there), so jump overshoot is already carried by
     the first-passage share expectation and no separate jump term appears.
     """
-    ph = ev.phi_q
-    K, alpha = params.K, params.alpha
-    s = params.q - exp_growth_rate(ev.model) - params.beta
-    v = math.log(K) - x
-    return (math.exp(x) + alpha / params.q
-            + _w_combination(ev, v, alpha / ph - K * s / (ph + 1.0), -alpha, s * K))
+    return (math.exp(x) + params.alpha / params.q
+            + _w_combination(ev, math.log(params.K) - x,
+                             *_r3_coefficients(ev.model, params, ev.phi_q)))
+
+
+def _r3_coefficients(model: LevyModel, params: GameParams, ph: float) -> tuple[float, ...]:
+    """``(a, b, c)`` of the R3 value's ``_w_combination``, given ``ph = Phi(q)``."""
+    s = params.q - exp_growth_rate(model) - params.beta
+    return params.alpha / ph - params.K * s / (ph + 1.0), -params.alpha, s * params.K
 
 
 def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> float:
@@ -579,56 +582,47 @@ class FitReport:
     expected_kind: FitKind
 
 
-def _expected_kind(model: LevyModel, params: GameParams,
-                   solution: RegimeSolution) -> FitKind:
-    if solution.regime in (Regime.R2, Regime.R4):
-        bounded = path_variation(model).bounded
-        return FitKind.CONTINUOUS_ONLY if bounded else FitKind.SMOOTH
-    if solution.regime is Regime.R3:
-        qv = params.q
-        at_edge = any(
-            abs(qv - edge) <= 1e-9 * max(1.0, edge)
-            for edge in (solution.q0, solution.q1)
-        )
-        return FitKind.SMOOTH if at_edge else FitKind.NEITHER_INTERIOR
-    return FitKind.CONTINUOUS_ONLY
-
-
 def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
                h: float | None = None) -> FitReport:
-    """One-sided values/derivatives at the stopping boundary.
+    """Exact one-sided limits of ``V`` and ``V'`` at the stopping boundary.
 
-    Uses strictly one-sided three-point stencils (quadratic extrapolation at
-    steps ``h``, ``h/2``, ``h/4``) so each side samples only its own branch
-    of the value function.  The default step is ``1e-4 * max(1, |boundary|)``,
-    cut to a quarter of the gap when an R4 call threshold lies closer than
-    that below ``log K``, where the right-hand branch turns from ``K`` to
-    ``e^x``.
+    Above the boundary they are the payoff's.  Below it ``V`` is payoff terms
+    plus ``_w_combination(v; a, b, c)`` at distance ``v``, which tends to
+    ``a w0 + b/q`` as ``v -> 0+``, with ``v``-derivative ``a w0' + (b + c) w0``
+    (``w0 = W(0+)``, ``w0' = W'(0+)``).  So ``V'(log a*-) = a* - (alpha/Phi) w0``
+    in R2 and ``V'(log K-) = K - (a w0' + (b + c) w0)`` in R3.  In R4 the
+    overshoot term tends to ``w0 J``, ``J = K (I2/(Phi+1) - I1/Phi)`` for
+    ``(I1, I2) = shifted_jump_integrals(model, log K - c*, Phi)``, with
+    ``v``-derivative ``w0' J - w0 K (I2 - I1)``; so
+    ``V(c*-) = K + w0 (call_boundary_value(c*) - K)``.  This is the paper's
+    criterion: ``V`` pastes continuously at every boundary, and smoothly at
+    ``log a*`` and ``c*`` exactly when ``W(0+) = 0`` (unbounded variation);
+    at the cap in R3 only at the critical rates.  No scale evaluator is
+    built.  ``h``, the step of the finite-difference stencil these limits
+    replace, is validated but not read.
     """
-    boundary = {
-        Regime.R1: math.log(params.K),
-        Regime.R2: solution.tau_level,
-        Regime.R3: math.log(params.K),
-        Regime.R4: solution.c_star,
-    }[solution.regime]
-    if h is None:
-        h = 1e-4 * max(1.0, abs(boundary))
-        gap = math.log(params.K) - boundary
-        if solution.regime is Regime.R4 and 0.0 < gap < h:
-            h = gap / 4.0
-    if not (0.0 < h <= 1e-2):
+    if h is not None and not (0.0 < h <= 1e-2):
         raise DomainError(f"fit step must lie in (0, 1e-2], got {h}")
-
-    def vv(xv: float) -> float:
-        return value(model, params, solution, xv)
-
-    l1, l2, l3 = vv(boundary - h), vv(boundary - h / 2.0), vv(boundary - h / 4.0)
-    r1, r2, r3 = vv(boundary + h), vv(boundary + h / 2.0), vv(boundary + h / 4.0)
-    return FitReport(
-        boundary=boundary,
-        left_value=l1 / 3.0 - 2.0 * l2 + 8.0 * l3 / 3.0,
-        right_value=r1 / 3.0 - 2.0 * r2 + 8.0 * r3 / 3.0,
-        left_deriv=(2.0 * l1 - 10.0 * l2 + 8.0 * l3) / h,
-        right_deriv=-(2.0 * r1 - 10.0 * r2 + 8.0 * r3) / h,
-        expected_kind=_expected_kind(model, params, solution),
-    )
+    K, qv, alpha = params.K, params.q, params.alpha
+    ph = phi(model, qv)
+    w0, w0p = _w_at_zero(model, qv)
+    pasting = FitKind.SMOOTH if w0 == 0.0 else FitKind.CONTINUOUS_ONLY
+    if solution.regime is Regime.R1:
+        limits, kind = (math.log(K), K, K, 0.0, K), FitKind.CONTINUOUS_ONLY
+    elif solution.regime is Regime.R2:
+        a = solution.a_star
+        limits, kind = (solution.tau_level, a, a, a - alpha / ph * w0, a), pasting
+    elif solution.regime is Regime.R3:
+        a, b, c = _r3_coefficients(model, params, ph)
+        limits = (math.log(K), K + alpha / qv + (a * w0 + b / qv), K,
+                  K - (a * w0p + (b + c) * w0), K)
+        at_edge = any(abs(qv - edge) <= 1e-9 * max(1.0, edge)
+                      for edge in (solution.q0, solution.q1))
+        kind = FitKind.SMOOTH if at_edge else FitKind.NEITHER_INTERIOR
+    else:
+        c = solution.c_star
+        i1, i2 = shifted_jump_integrals(model, math.log(K) - c, ph)
+        gap = _call_boundary_value(model, params, ph, c) - K
+        slope = K * qv - alpha - params.beta * math.exp(c) - K * (i2 - i1)
+        limits, kind = (c, K + w0 * gap, K, -(w0p * gap + w0 * slope), 0.0), pasting
+    return FitReport(*limits, expected_kind=kind)

@@ -140,6 +140,17 @@ class TestNumericInversion:
         numeric = scale_evaluator(EXPJ, 1.2, Method.NUMERIC_INVERSION)
         assert w_prime(numeric, 1.0) == pytest.approx(w_prime(closed, 1.0), rel=1e-6)
 
+    @pytest.mark.parametrize("model, q", [
+        (EXPJ, 1.2), (CANON, 1.0), (BV2, 1.0),
+        (LevyModel(mu=0.25, b2=0.1, jumps=ExponentialJumps(1.0, 2.0)), 0.8),
+    ], ids=["EXPJ", "CANON", "BV2", "EXP_LOW_VOL"])
+    def test_numeric_derivative_matches_closed_form(self, model, q):
+        # the transform-inverted derivative, near 0 and far out
+        closed = scale_evaluator(model, q)
+        numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+        for xv in (0.01, 0.1, 3.0, 10.0):
+            assert w_prime(numeric, xv) == pytest.approx(w_prime(closed, xv), rel=1e-9, abs=0.0)
+
     def test_closed_form_refused_for_tabulated(self):
         model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
         with pytest.raises(DomainError):
@@ -178,6 +189,13 @@ class TestTabulatedInversion:
         exp_model = LevyModel(mu=0.25, b2=0.1, jumps=ExponentialJumps(1.0, 2.0))
         d_tab = w_prime(scale_evaluator(tab_model, 0.8), 1.0)
         d_exp = w_prime(scale_evaluator(exp_model, 0.8), 1.0)
+        assert d_tab == pytest.approx(d_exp, rel=5e-3)
+
+    def test_derivative_near_zero_matches_family(self):
+        tab_model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
+        exp_model = LevyModel(mu=0.25, b2=0.1, jumps=ExponentialJumps(1.0, 2.0))
+        d_tab = w_prime(scale_evaluator(tab_model, 0.8), 0.01)
+        d_exp = w_prime(scale_evaluator(exp_model, 0.8), 0.01)
         assert d_tab == pytest.approx(d_exp, rel=5e-3)
 
 

@@ -592,6 +592,27 @@ class TestValue:
             _overshoot_numeric(scale_evaluator(TAB, 1.05), gp(1.05), c, c + 1.0)
 
 
+def _stencil_limits(model, params, sol, h=None):
+    """Oracle for :func:`fit_report`: one-sided three-point stencils at steps
+    ``h``, ``h/2``, ``h/4`` (quadratic extrapolation), each side sampling only
+    its own branch of ``V``.  The default step is ``1e-4 * max(1, |b|)``, cut
+    to a quarter of the gap when an R4 threshold ``b`` lies closer than that
+    below ``log K``.  Returns ``(left_value, right_value, left_deriv,
+    right_deriv)``, good to ~1e-12 in value and 1e-9 to 1e-7 in slope."""
+    log_k = math.log(params.K)
+    b = {Regime.R2: sol.tau_level, Regime.R4: sol.c_star}.get(sol.regime, log_k)
+    if h is None:
+        h = 1e-4 * max(1.0, abs(b))
+        if sol.regime is Regime.R4 and 0.0 < log_k - b < h:
+            h = (log_k - b) / 4.0
+    l1, l2, l3 = (value(model, params, sol, b - h / k) for k in (1.0, 2.0, 4.0))
+    r1, r2, r3 = (value(model, params, sol, b + h / k) for k in (1.0, 2.0, 4.0))
+    return (l1 / 3.0 - 2.0 * l2 + 8.0 * l3 / 3.0,
+            r1 / 3.0 - 2.0 * r2 + 8.0 * r3 / 3.0,
+            (2.0 * l1 - 10.0 * l2 + 8.0 * l3) / h,
+            -(2.0 * r1 - 10.0 * r2 + 8.0 * r3) / h)
+
+
 class TestFitReports:
     def test_r2_unbounded_variation_smooth(self):
         sol = classify(CANON, gp(3.0))
@@ -642,8 +663,8 @@ class TestFitReports:
         assert fr.right_value == pytest.approx(2.0, abs=1e-12)
 
     def test_r4_call_threshold_just_below_cap(self):
-        # log K - c* ~ 1.1e-5 is under the default step 1e-4, yet the
-        # right-hand stencil must stay on the flat V = K branch below log K
+        # log K - c* ~ 1.1e-5: the right-hand limits must be the flat
+        # V = K branch below log K, not the share branch just above it
         sol = classify(B05, gp(1.18527))
         assert sol.regime is Regime.R4
         assert 0.0 < math.log(2.0) - sol.c_star < 1e-4
@@ -674,3 +695,68 @@ class TestFitReports:
             fit_report(B05, gp(1.5), sol, h=0.5)
         with pytest.raises(DomainError):
             fit_report(B05, gp(1.5), sol, h=0.0)
+
+
+class TestExactLimits:
+    """``fit_report``'s closed one-sided limits against the stencil oracle,
+    their exactness where the paper's criterion fixes them, and the absence
+    of any scale build behind them."""
+
+    @pytest.mark.parametrize("name, qq, regime, h", [
+        ("CANON", 3.0, Regime.R2, None), ("CANON", 1.5, Regime.R3, None),
+        ("B05", 0.4, Regime.R1, None), ("B05", 0.75, Regime.R4, None),
+        ("B05", 1.5, Regime.R3, None), ("B05", 2.5, Regime.R2, None),
+        ("B02", 0.4, Regime.R1, None), ("B02", 1.0, Regime.R4, None),
+        ("B02", 1.5, Regime.R3, None), ("B02", 2.5, Regime.R2, None),
+        ("BV2", 0.4, Regime.R1, None), ("BV2", 0.8, Regime.R4, None),
+        ("BV2", 2.5, Regime.R2, None),
+        ("EXPJ", 1.2484420460249404, Regime.R4, None), ("EXPJ", 2.3, Regime.R3, None),
+        ("EXPJ", 3.0, Regime.R2, None),
+        ("EXPJM", 1.05, Regime.R4, None), ("EXPJM", 2.2, Regime.R3, None),
+        ("EXPJM", 3.0, Regime.R2, None),
+        ("TAB", 1.05, Regime.R4, None), ("TAB", 2.6, Regime.R2, None),
+        # within 1e-4 of the cap the numeric route's W carries its first-cell
+        # interpolation error, which the default step's 1/h lifts to ~1e-4 in
+        # the R3 slope; at h = 1e-3 the stencil is good to ~1e-7 there
+        ("TAB", 2.3, Regime.R3, 1e-3),
+    ])
+    def test_match_stencil(self, name, qq, regime, h):
+        model = {**MODELS, "EXPJM": EXPJM, "TAB": TAB}[name]
+        par = gp(qq)
+        sol = classify(model, par)
+        assert sol.regime is regime
+        fr = fit_report(model, par, sol)
+        got = (fr.left_value, fr.right_value, fr.left_deriv, fr.right_deriv)
+        # scaled by max(|oracle|, K): a smooth-fit slope is 0, where a
+        # purely relative band would be empty
+        for i, (exact, oracle) in enumerate(zip(got, _stencil_limits(model, par, sol, h))):
+            tol = 1e-9 if i < 2 else 1e-6
+            assert abs(exact - oracle) <= tol * max(abs(oracle), par.K), (i, exact, oracle)
+
+    @pytest.mark.parametrize("model, qq", [(CANON, 3.0), (B05, 2.5), (EXPJ, 3.0), (TAB, 2.6)],
+                             ids=["CANON", "B05", "EXPJ", "TAB"])
+    def test_r2_unbounded_variation_slope_is_a_star(self, model, qq):
+        sol = classify(model, gp(qq))
+        assert sol.regime is Regime.R2
+        assert fit_report(model, gp(qq), sol).left_deriv == pytest.approx(
+            sol.a_star, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model, qq", [(B05, 0.75), (B02, 1.0), (EXPJ, 1.2484420460249404),
+                                           (EXPJM, 1.05), (TAB, 1.05)],
+                             ids=["B05", "B02", "EXPJ", "EXPJM", "TAB"])
+    def test_r4_unbounded_variation_slope_vanishes(self, model, qq):
+        sol = classify(model, gp(qq))
+        assert sol.regime is Regime.R4
+        assert abs(fit_report(model, gp(qq), sol).left_deriv) <= 1e-12 * 2.0
+
+    def test_r4_bounded_variation_value_is_the_cap(self):
+        sol = classify(BV2, gp(0.8))
+        assert sol.regime is Regime.R4
+        assert abs(fit_report(BV2, gp(0.8), sol).left_value - 2.0) <= 1e-12 * 2.0
+
+    @pytest.mark.parametrize("qq", [1.05, 2.3, 2.6])
+    def test_tabulated_builds_no_evaluator(self, qq):
+        before = scale_evaluator.cache_info()
+        fit_report(TAB, gp(qq), classify(TAB, gp(qq)))
+        after = scale_evaluator.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
