@@ -199,10 +199,11 @@ def _cells(knots, values):
 
 def _linear_body(cells, lo: float, s: float = 0.0):
     """The body on ``[lo, knots[-1]]`` (``lo < knots[-1]``) about a point
-    ``s <= lo``, as :func:`_body_expm1` integrates it: nodes ``u_j - s``,
-    end values, slope jumps ``m_(j-1) - m_j`` (slope 0 outside), and the
-    moments ``integral (u - s)^k pi(u) du`` for ``k < _TAYLOR_TERMS``
-    (the first is the body's mass)."""
+    ``s <= lo``, as :func:`_body_expm1` integrates it: the nodes ``u_j - s``
+    followed by the first and last again, their weights (the slope jumps
+    ``m_(j-1) - m_j``, slope 0 outside, then the end values ``-f_0`` and
+    ``f_N``), and the moments ``integral (u - s)^k pi(u) du`` for
+    ``k < _TAYLOR_TERMS`` (the first is the body's mass)."""
     z0, z1, p, m = cells
     keep = z1 > lo
     cp, cm = p[keep], m[keep]
@@ -212,14 +213,15 @@ def _linear_body(cells, lo: float, s: float = 0.0):
     # about s the density is (p + m s) + m (u - s)
     cp = cp + cm * s
     c0, c1 = c0 - s, c1 - s
-    nodes = np.concatenate([c0[:1], c1])
+    nodes = np.concatenate([c0[:1], c1, c0[:1], c1[-1:]])
     slopes = np.concatenate([[0.0], cm, [0.0]])
+    weights = np.concatenate([slopes[:-1] - slopes[1:], [-ends[0], ends[1]]])
     moments = []
     for k in range(_TAYLOR_TERMS):
         mk = (c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1)
         mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
         moments.append(float(np.sum(cp * mk + cm * mk1)))
-    return nodes, ends, slopes[:-1] - slopes[1:], moments
+    return nodes, weights, moments
 
 
 def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> None:
@@ -228,7 +230,7 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
     if len(knots) > 1:
         cells = _cells(knots, values)
         body = _linear_body(cells, knots[0])
-        mass = body[3][0] + tail_mass
+        mass = body[2][0] + tail_mass
         z0, z1, p, m = cells
         below = z0 < 1.0
         c0, c1 = z0[below], np.minimum(z1[below], 1.0)
@@ -247,31 +249,61 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
         object.__setattr__(spec, name, val)
 
 
-def _body_expm1(body, a) -> np.ndarray:
+def _body_expm1(body, a, step=None) -> np.ndarray:
     """``integral expm1(a*(u - s)) pi(u) du`` over the body, elementwise over
     the complex array ``a`` (``s`` is the point ``body`` is taken about): its
     exponential moment less its mass, formed without that subtraction
     where it would cancel.
 
-    With ``w = knots[-1] - s``, it is ``inf`` wherever ``Re(a) w`` exceeds
-    ``_EXP_GUARD``.  The linear pieces are integrated by parts,
+    With ``step`` given, ``a``'s last axis is a ladder of rungs
+    ``a[..., k] = a[..., 0] + 1j k step`` (``step`` real, shaped like
+    ``a[..., 0]``); without it each point is a ladder of one rung.  With
+    ``w = knots[-1] - s``, the result is ``inf`` wherever ``Re(a) w``
+    exceeds ``_EXP_GUARD``.  The linear pieces are integrated by parts,
     ``int f e^(au) du = [f e^(au) / a] - a^-2 sum_j e^(a u_j) (m_(j-1) - m_j)``
-    over the nodes ``u_j`` and slopes ``m_j``, so each node costs one
-    exponential and the cell sum is one matrix-vector product.  Its ``a^-2``
-    factor cancels digits as ``a`` nears 0 (relative error ~1e-16 /
-    (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a`` over the
-    stored moments, from the first, is used instead; with ``_TAYLOR_TERMS``
-    terms its truncation is below ``(|a| w)^16 / 16! < 5e-14`` relative.
-    Near the switch both branches hold about 1e-12 relative (against a
-    40-digit evaluation of the 401-node test table).
+    over the nodes ``u_j`` and slopes ``m_j``: per point, two weighted sums
+    of node exponentials (the ends and the slope jumps), taken as row sums
+    so that no BLAS call, and none of its threads, runs per rung.  Along a
+    ladder the node exponentials follow the rung recurrence
+    ``e^(a_k u_j) = e^(a_(k-1) u_j) e^(i step u_j)``, so a (ladder, node)
+    pair costs two exponentials and one complex multiply per further rung.
+    The ``a^-2`` factor cancels digits as ``a`` nears 0 (relative error
+    ~1e-16 / (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a``
+    over the stored moments, from the first, is used instead; with
+    ``_TAYLOR_TERMS`` terms its truncation is below
+    ``(|a| w)^16 / 16! < 5e-14`` relative.  Near the switch both branches
+    hold about 1e-12 relative (against a 40-digit evaluation of the
+    401-node test table).  Both masks are taken point by point.
     """
     a = np.asarray(a, dtype=complex)
-    nodes, (f0, fN), kinks, moments = body
+    nodes, weights, moments = body
     reach = nodes[-1]
     total = np.zeros(a.shape, dtype=complex)
     guard = a.real * reach > _EXP_GUARD
     taylor = (np.abs(a) * reach < 1.0) & ~guard
-    if np.any(taylor):
+    # ladders as rows; only rows with a by-parts point are formed, and the
+    # masks then overwrite the rungs they take
+    rungs = a.shape[-1] if step is not None else 1
+    ladders = a.reshape(-1, rungs)
+    rows = ~(taylor | guard).reshape(ladders.shape).all(axis=1)
+    if rows.any():
+        lad = ladders[rows]
+        terms = np.multiply.outer(lad[:, 0], nodes)
+        with np.errstate(all="ignore"):  # rungs the masks replace may overflow
+            np.exp(terms, out=terms)
+            terms *= weights
+            if rungs > 1:
+                step = np.broadcast_to(step, a.shape[:-1]).ravel()[rows]
+                turn = np.exp(1j * np.multiply.outer(step, nodes))
+            out = np.empty(lad.shape, dtype=complex)
+            for k in range(rungs):
+                if k:
+                    terms *= turn
+                ak = lad[:, k]
+                out[:, k] = (terms[:, -2] + terms[:, -1] - terms[:, :-2].sum(axis=1) / ak) / ak
+        out -= moments[0]
+        total.reshape(ladders.shape)[rows] = out
+    if taylor.any():
         at = a[taylor]
         acc = np.zeros(at.shape, dtype=complex)
         ak = at.copy()
@@ -279,11 +311,6 @@ def _body_expm1(body, a) -> np.ndarray:
             acc += ak * moments[k]
             ak *= at / (k + 1)
         total[taylor] = acc
-    big = ~taylor & ~guard
-    ab = a[big]
-    e = np.multiply.outer(ab, nodes)
-    np.exp(e, out=e)
-    total[big] = (fN * e[:, -1] - f0 * e[:, 0] - (e @ kinks) / ab) / ab - moments[0]
     total[guard] = np.inf
     return total
 
@@ -417,14 +444,18 @@ def laplace_exponent(model: LevyModel, theta: float) -> float:
             + _jump_exponent_real(model.jumps, theta))
 
 
-def _psi_c(model: LevyModel, beta) -> np.ndarray:
+def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:
     """Analytic continuation of psi for inversion contours, elementwise over
     the complex array ``beta``.
 
-    Never raises: points past the abscissa of convergence use the tail's
-    closed form, which is the continuation; at the tail's pole, past the
-    body's overflow guard or where the magnitude would overflow, ``inf`` is
-    returned so transform evaluations degrade to 0.
+    With ``step`` given, ``beta``'s last axis is a ladder of rungs
+    ``beta[..., k] = beta[..., 0] + 1j k step`` (an Euler contour at each
+    ``x``, with ``step = pi/x``), whose body exponentials follow the rung
+    recurrence of :func:`_body_expm1`; without it each point is a ladder
+    of one rung.  Never raises: points past the abscissa of convergence use
+    the tail's closed form, which is the continuation; at the tail's pole,
+    past the body's overflow guard or where the magnitude would overflow,
+    ``inf`` is returned so transform evaluations degrade to 0.
     """
     beta = np.asarray(beta, dtype=complex)
     j = model.jumps
@@ -434,7 +465,7 @@ def _psi_c(model: LevyModel, beta) -> np.ndarray:
     knots, _, r = j._pieces
     with np.errstate(all="ignore"):
         if j._body is not None:
-            out += _body_expm1(j._body, -beta)
+            out += _body_expm1(j._body, -beta, None if step is None else np.negative(step))
         if j._tail_mass > 0.0:
             # a tail from 0 (exponential jumps) has expm1(-beta * 0) = 0
             num = -beta if knots[-1] == 0.0 else r * np.expm1(-beta * knots[-1]) - beta

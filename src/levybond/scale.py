@@ -22,19 +22,26 @@ Two evaluation routes exist and are cross-checked against each other:
   forward transform identity instead.
 
 Both inverters work on arrays of ``x``: the cache grid or the 10 check
-points go in as one call.  Each block of ``_CHUNK_ROWS`` points builds its
-(x, node) contour, calls the transform once on it and combines the terms
-row by row, so a tabulated transform's (x, node, density node) exponentials
-stay under 1 MB at a time.  Talbot still sums each x's 64 terms exactly
-rounded (``math.fsum`` per row).
+points go in as one call, in blocks of ``_CHUNK_ROWS`` points.  Talbot
+builds each block's (x, node) contour, calls the transform on it point by
+point and sums each x's 64 terms exactly rounded (``math.fsum`` per row).
+Euler's contour at ``x`` is a ladder of rungs ``A/(2x) + i k pi/x``, and the
+transform gets the rung step ``pi/x`` with it.  A tabulated exponent then
+forms each density node's exponential ``e^(-(s_0 + Phi) u_j)`` at the first
+rung and multiplies it by ``e^(-i pi u_j/x)`` once per further rung (the rung
+recurrence of ``model._psi_c``): two complex exponentials per (x, density
+node) instead of one per (x, rung, density node).  A block holds only
+(x, density node) arrays, so its memory does not grow with the rung count.
 
 The tabulated transform integrates the density by parts (see its
 exponential moment in ``model``), which orders its cell sum differently from a
 cell-by-cell evaluation.  The Euler rule multiplies its series by
 ``e^(A/2)/x ~ 3.6e4/x``, which amplifies any such reordering, so Euler
-values move by ~1e-11 relative between the two orders, far inside the
-certified tolerances.  (Talbot values on rational transforms move by
-~1e-13, from numpy's array arithmetic in place of scalar ``cmath``.)
+values move by ~1e-11 relative between two orders (up to ~1e-10 near
+``x = 50``), far inside the certified tolerances.  On the test tables the
+cache holds 3e-11 relative to a 40-digit evaluation of the same Euler sum.
+(Talbot values on rational transforms move by ~1e-13, from numpy's array
+arithmetic in place of scalar ``cmath``.)
 
 The solver's value formulas are combinations
 ``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W`` whose
@@ -123,10 +130,12 @@ _EULER_SIGN[0] = 0.5
 # gets before e^(Phi x) overflows, and to rounding at Phi of order 1
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
 
-# x-points per inverter block: 4 x 34 Euler nodes x 401 density nodes of
-# complex exponentials is under 1 MB, so building a tabulated evaluator raises
-# the peak resident memory by about that much, whatever the cache grid size.
-_CHUNK_ROWS = 4
+# x-points per inverter block.  An Euler block on a tabulated exponent holds
+# its (x, density node) exponentials and rung factors, 32 x 401 complex
+# numbers each (0.2 MB), so building a tabulated evaluator raises the peak
+# resident memory by under 1 MB, whatever the cache grid size.  Talbot
+# inverts rational exponents only, which form no per-node array.
+_CHUNK_ROWS = 32
 
 
 class Method(enum.Enum):
@@ -142,7 +151,7 @@ class Method(enum.Enum):
 
 def _in_row_blocks(rule):
     """Run an inversion rule on ``x`` in blocks of ``_CHUNK_ROWS`` points, so
-    its (x, node) contour and the transform's arrays stay under 1 MB."""
+    the transform's arrays stay under 1 MB."""
     @wraps(rule)
     def invert(transform, x: np.ndarray) -> np.ndarray:
         return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS])
@@ -166,20 +175,22 @@ def _talbot(transform, x: np.ndarray) -> np.ndarray:
 
 @_in_row_blocks
 def _euler(transform, x: np.ndarray) -> np.ndarray:
-    """Euler-summed Bromwich inverse at each point of ``x``."""
+    """Euler-summed Bromwich inverse at each point of ``x``; each row of the
+    contour is a ladder with rung step ``pi/x``."""
     s = np.empty((len(x), _EULER_N + _EULER_ME + 1), dtype=complex)
     s.real = (_EULER_A / (2.0 * x))[:, None]
     s.imag = _EULER_K * math.pi / x[:, None]
-    terms = _EULER_SIGN * transform(s).real
+    terms = _EULER_SIGN * transform(s, math.pi / x).real
     partial = np.cumsum(terms, axis=1)
     avg = partial[:, _EULER_N:] @ _EULER_BINOM
     return math.exp(_EULER_A / 2.0) / x * avg / 2.0**_EULER_ME
 
 
 def _tilted_transform(model: LevyModel, q: float, phi_q: float):
-    """``b -> 1/(psi(b + Phi(q)) - q)`` on arrays, 0 where psi is infinite."""
-    def transform(b: np.ndarray) -> np.ndarray:
-        den = _psi_c(model, b + phi_q) - q
+    """``b -> 1/(psi(b + Phi(q)) - q)`` on arrays, 0 where psi is infinite;
+    ``step`` marks ``b``'s last axis as a ladder (see ``model._psi_c``)."""
+    def transform(b: np.ndarray, step=None) -> np.ndarray:
+        den = _psi_c(model, b + phi_q, step) - q
         out = np.zeros_like(den)
         ok = (den != 0.0) & np.isfinite(den.real)
         out[ok] = 1.0 / den[ok]
@@ -489,8 +500,11 @@ def w_prime(ev: ScaleEvaluator, x: float) -> float:
             acc += (c * r * cmath.exp(r * x)).real
         return acc
     tilted = _tilted_transform(ev.model, ev.q, ev.phi_q)
-    inverse = _inverter(ev.model)(lambda b: (b + ev.phi_q) * tilted(b) - ev.w0,
-                                  np.array([x]))
+
+    def transform(b: np.ndarray, step=None) -> np.ndarray:
+        return (b + ev.phi_q) * tilted(b, step) - ev.w0
+
+    inverse = _inverter(ev.model)(transform, np.array([x]))
     return math.exp(ev.phi_q * x) * float(inverse[0])
 
 

@@ -426,6 +426,39 @@ class TestComplexExponent:
         np.testing.assert_array_equal(_psi_c(self.MODEL, beta.conj()),
                                       _psi_c(self.MODEL, beta).conj())
 
+    def test_ladder_matches_pointwise(self):
+        # the rung recurrence against one exponential per (point, node)
+        def euler_ladders(xs):
+            # rows A/(2x) + 0.9 + i k pi/x, k < 34, and their steps pi/x
+            xs = np.array(xs)[:, None]
+            beta = 21.0 / (2.0 * xs) + 0.9 + 1j * np.arange(34) * math.pi / xs
+            return beta, math.pi / xs[:, 0]
+
+        beta, step = euler_ladders([1e-4, 0.06, 1.5, 10.0, 50.0])
+        ladder = _psi_c(self.MODEL, beta, step)
+        np.testing.assert_allclose(ladder, _psi_c(self.MODEL, beta), rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(_psi_c(self.MODEL, beta.conj(), -step), ladder.conj())
+        # a short reach (0.05) puts the low rungs on the Taylor branch
+        zg = np.linspace(0.001, 0.05, 21)
+        short = LevyModel(0.25, 0.1, TabulatedDensity(zg, 40.0 * np.exp(-40.0 * zg), 40.0))
+        beta, step = euler_ladders([1.5, 0.06])
+        taylor = np.abs(beta) * zg[-1] < 1.0
+        assert taylor[0].any() and not taylor[0].all() and not taylor[1].any()
+        np.testing.assert_allclose(_psi_c(short, beta, step), _psi_c(short, beta),
+                                   rtol=1e-12, atol=0.0)
+        # Re(-beta) * grid[-1] is 592 on the first ladder and 608, past the
+        # guard, on the second: finite and inf rung for rung.  The density
+        # ends at 0, so it has no tail: past the tail's abscissa a tail's
+        # continuation cancels all but ~1e-4 of the body, and that
+        # cancellation, not the recurrence, would set the agreement
+        zg = np.linspace(0.004, 8.0, 401)
+        hat = 2.0 * np.exp(-2.0 * zg) * (1.0 - zg / 8.0)
+        no_tail = LevyModel(0.25, 0.1, TabulatedDensity(zg, hat, 2.0))
+        beta = np.array([-74.0, -76.0])[:, None] + 0.5j * np.arange(34)
+        got = _psi_c(no_tail, beta, np.full(2, 0.5))
+        assert np.isfinite(got[0]).all() and np.isinf(got[1]).all()
+        np.testing.assert_allclose(got, _psi_c(no_tail, beta), rtol=1e-12, atol=0.0)
+
     def test_pole_and_guard_return_inf(self):
         # beta = -tail_rate is the tail pole; Re(-beta) * grid[-1] = 640 passes
         # the overflow guard; both degrade the transform 1/(psi - q) to 0

@@ -184,6 +184,53 @@ class TestTabulatedInversion:
         assert time.perf_counter() - t0 < 5.0
         assert ev.method is Method.NUMERIC_INVERSION
 
+    def test_cache_matches_40_digit_euler_sum(self):
+        # the same Euler sum, with psi of the same piecewise-linear density
+        # cell by cell at 40 digits, at five knots from 1e-4 to 50.  Float
+        # roundoff, amplified by the rule's e^(A/2)/x, leaves ~3e-12 here
+        # (up to 6e-12 over nine knots of the 401-node table at q 1.05,
+        # summation order aside); a rung recurrence off by 1e-11 in
+        # magnitude per rung reads ~1e-8
+        mp = pytest.importorskip("mpmath")
+        from levybond.scale import _EULER_A, _EULER_ME, _EULER_N
+
+        tab = tabulated_exp_density(n=101)
+        model = LevyModel(mu=0.1, b2=0.3, jumps=tab)
+        ev = scale_evaluator(model, 2.6)
+        with mp.workdps(40):
+            z = [mp.mpf(u) for u in tab.grid]
+            v = [mp.mpf(y) for y in tab.values]
+            r = mp.mpf(tab.tail_rate)
+            cells, m1 = [], mp.mpf(0)
+            for z0, z1, v0, v1 in zip(z, z[1:], v, v[1:]):
+                m = (v1 - v0) / (z1 - z0)
+                cells.append((v0, v1, m, (v0 + v1) * (z1 - z0) / 2))
+                lo, hi = min(z0, 1), min(z1, 1)
+                m1 += (v0 - m * z0) * (hi**2 - lo**2) / 2 + m * (hi**3 - lo**3) / 3
+
+            def psi(beta):
+                ex = [mp.exp(-beta * u) for u in z]
+                out = (mp.mpf(0.1) * beta + mp.mpf(0.3) / 2 * beta**2 + beta * m1
+                       + v[-1] / r * (r * ex[-1] / (r + beta) - 1))
+                for k, (v0, v1, m, mass) in enumerate(cells):
+                    out -= ((v1 * ex[k + 1] - v0 * ex[k]) / beta
+                            + m * (ex[k + 1] - ex[k]) / beta**2 + mass)
+                return out
+
+            A, ph, q = mp.mpf(_EULER_A), mp.mpf(ev.phi_q), mp.mpf(2.6)
+            for i in (1, 512, 1024, 1536, 2048):
+                xv, wv = ev.cache[i].tolist()
+                x = mp.mpf(xv)
+                partial, acc = [], mp.mpf(0)
+                for k in range(_EULER_N + _EULER_ME + 1):
+                    g = (1 / (psi(A / (2 * x) + 1j * k * mp.pi / x + ph) - q)).real
+                    acc += g / 2 if k == 0 else (-1) ** k * g
+                    partial.append(acc)
+                avg = mp.fsum(math.comb(_EULER_ME, j) * partial[_EULER_N + j]
+                              for j in range(_EULER_ME + 1))
+                want = mp.exp(ph * x + A / 2) / x * avg / 2**_EULER_ME
+                assert wv == pytest.approx(float(want), rel=2e-11, abs=0.0), xv
+
     def test_derivative_matches_family(self):
         tab_model = LevyModel(mu=0.25, b2=0.1, jumps=tabulated_exp_density())
         exp_model = LevyModel(mu=0.25, b2=0.1, jumps=ExponentialJumps(1.0, 2.0))
