@@ -78,6 +78,7 @@ from .solver import (
     Regime,
     classify,
     fit_report,
+    value,
     value_profile,
 )
 from .mc import (
@@ -303,7 +304,7 @@ def run_simulate(cfg: RunConfig, out=print) -> int:
                                      cfg.sim)
     failed = False
     for x, est in zip(starts, estimates):
-        analytic = solution.value(x)
+        analytic = value(model, params, solution, x)
         diff = est.mean - analytic
         if est.stderr == 0.0:
             verdict = ("Pass" if abs(diff) <= 1e-9 * max(1.0, abs(analytic))

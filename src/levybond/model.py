@@ -623,7 +623,8 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
     knots, _, r = jumps._pieces
     zN, tail = knots[-1], jumps._tail_mass
     past = np.maximum(u, zN)
-    mass = tail * np.exp(-r * (past - zN))
+    # without a tail its rate may be inf, and inf * 0 is nan
+    mass = tail * np.exp(-r * (past - zN)) if tail > 0.0 else np.zeros(u.shape)
     expo = mass * r / (r - 1.0) * np.exp(past - d) if tail > 0.0 else np.zeros(u.shape)
     if jumps._cells is not None:
         z0, z1, p, m = jumps._cells
@@ -638,6 +639,15 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
         expo = np.where(body, expo + np.exp(zN - d) * exp_above[k + 1]
                         + np.exp(z1[k] - d) * (v1 - m[k]) - np.exp(uc - d) * (vu - m[k]), expo)
     return mass, expo
+
+
+def jump_excess(model: LevyModel, t):
+    """``G(t) = integral_t^inf pi(z) (e^(z - t) - 1) dz`` elementwise over
+    ``t``; past the last knot it is ``pi(t) / (r (r - 1))`` for tail rate
+    ``r``, which must exceed 1."""
+    t = np.asarray(t, dtype=float)
+    mass, expo = _upper_integrals(model.jumps, t, t)
+    return expo - mass
 
 
 def jump_passage_means(model: LevyModel, y, level, sigma: float = math.inf,

@@ -44,25 +44,32 @@ cache holds 3e-11 relative to a 40-digit evaluation of the same Euler sum.
 arithmetic in place of scalar ``cmath``.)
 
 The solver's value formulas are combinations
-``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W`` whose
-coefficients satisfy ``a + b/Phi + c/(Phi+1) = 0`` (``_w_combination``).
-That condition cancels the ``exp(Phi * v)`` component.  With partial
-fractions the cancellation is exact: the root at ``Phi(q)`` is grouped
-analytically and leaves only ``-c_Phi c e^(-v)/(Phi+1)``, the other roots
-decay, and ``(e^((theta+1) v) - 1)/(theta+1)`` stays finite at
-``theta = -1`` (``q = psi(-1)``).  A closed form is only built when one root
-lies within ``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator
-inverts.  On the numeric route the combination is formed from ``W`` and
-its two integrals, so the cancellation happens in floating point: the
-error is the inversion error times ``exp(Phi * v)``, immaterial within a
-few units of ``log K`` but visible past ``Phi * v ~ 15``.
+``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
+- d integral_0^v W(v - y) G(m + y) dy`` (``_w_combination``; the ``d`` term
+is R4's jump overshoot, ``G = model.jump_excess``) whose coefficients satisfy
+``a + b/Phi + c/(Phi+1) - d (I2/(Phi+1) - I1/Phi) = 0`` for
+``(I1, I2) = model.shifted_jump_integrals(model, m, Phi)``.  That condition
+cancels the ``exp(Phi * v)`` component.  With partial fractions the
+cancellation is exact: the ``c`` and ``d`` terms convolve ``W`` with kernels
+``g e^(-k y)`` (``e^(-y)``, and ``G(m) e^(-rho y)`` for a density that is one
+exponential tail from 0); for each, the root at ``Phi(q)`` is grouped
+analytically and leaves only ``-c_Phi g e^(-k v)/(Phi+k)``, the other roots
+decay, and ``(e^((theta+k) v) - 1)/(theta+k)`` stays finite at
+``theta = -k``.  A closed form is only built when one root lies within
+``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator inverts.  On the
+numeric route the combination is formed from ``W``, its two integrals and
+:func:`_w_convolve` (cache cells cut at the kernel's kinks, 8 nodes each),
+so the cancellation happens in floating point: the error is the inversion
+error times ``exp(Phi * v)``, immaterial within a few units of ``log K`` but
+visible past ``Phi * v ~ 15``, in R4's jump term as in the rest.
 
 Off the closed forms, ``W`` on the cache grid is a PCHIP interpolant of the
 tilted values.  :func:`w` reads it from the stored knots and coefficients by
 bisection, in PPoly's own evaluation order, so it equals
 ``PchipInterpolator`` bit for bit without PPoly's per-call overhead.  The
 build also tabulates ``integral_0^x W`` and ``integral_0^x e^y W`` at the
-knots (``_cell_integrals``), which :func:`w_integrals` reads in O(log n).
+knots (``_cell_integrals``), which :func:`w_integrals` reads in O(log n),
+adding the partial cell by the same rule.
 """
 
 from __future__ import annotations
@@ -80,12 +87,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, QuadratureError
 from .model import (
     LevyModel,
+    _density_pieces,
     _psi_c,
     _psi_fraction,
     esscher_tilt,
+    jump_excess,
     jump_intensity,
     laplace_exponent,
     path_variation,
@@ -129,6 +138,12 @@ _EULER_SIGN[0] = 0.5
 # integrate to ~1e-12 relative even at (Phi + 1) h = 5, wider than any cell
 # gets before e^(Phi x) overflows, and to rounding at Phi of order 1
 _GAUSS8 = np.polynomial.legendre.leggauss(8)
+# the coarser rule of :func:`_w_convolve`'s pair: its gap to the _GAUSS8 sum
+# bounds that sum's error.  On a cell of width h the 6-node rule's error is
+# ~2e-16 (kappa h)^12 relative for an integrand rate kappa, so the gap stays
+# at rounding until kappa h nears 1; it costs 6 kernel evaluations per panel
+# where a 16-node partner would cost 16
+_GAUSS6 = np.polynomial.legendre.leggauss(6)
 
 # x-points per inverter block.  An Euler block on a tabulated exponent holds
 # its (x, density node) exponentials and rung factors, 32 x 401 complex
@@ -347,7 +362,10 @@ def _certify(ev: ScaleEvaluator, transform, primary) -> None:
 # --------------------------------------------------------------------------- #
 
 def _w_direct(ev: ScaleEvaluator, xs: np.ndarray) -> np.ndarray:
-    """Inversion at the points ``xs``, bypassing the cache (used past the grid edge)."""
+    """``W`` at the points ``xs`` off the cache: root by root on the closed
+    route, otherwise by inversion bypassing the cache (past the grid edge)."""
+    if ev.roots is not None:
+        return sum((c * np.exp(r * xs)).real for r, c in zip(ev.roots, ev.weights))
     transform = _tilted_transform(ev.model, ev.q, ev.phi_q)
     return np.exp(ev.phi_q * xs) * _inverter(ev.model)(transform, xs)
 
@@ -373,42 +391,39 @@ def _pchip_at(table: tuple[list[float], tuple[array, ...]], x: float) -> float:
     return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
 
-def _cell_integrals(phi_q: float, tilted, i: np.ndarray, a: np.ndarray,
-                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``integral_a^b W`` and ``integral_a^b e^y W`` from each cache knot
-    ``a`` to ``b`` within its cell ``i``: ``_GAUSS8`` on ``e^(Phi y) P_i(y)``,
-    summed one node at a time so no (point, node) array is formed."""
+def _cell_integrals(phi_q: float, tilted, i, a, b, kernel=np.exp, rule=_GAUSS8,
+                    off=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``integral_a^b W`` and ``integral_a^b kernel(y) W(y) dy`` on panels
+    ``[a, b]`` inside the cache cells ``i``, ``off`` past the cells' left
+    knots: ``rule`` on ``e^(Phi y) P_i(y)``, summed one node at a time."""
     c3, c2, c1, c0 = (np.frombuffer(col)[i] for col in tilted[1])
     half = 0.5 * (b - a)
+    s = np.multiply.outer(half, 1.0 + rule[0])
+    ys = np.asarray(a)[..., None] + s
+    growth = np.exp(phi_q * ys)
+    ks = kernel(ys)
     i0 = i1 = 0.0
-    for t, wt in zip(*_GAUSS8):
-        s = half * (1.0 + t)
-        wy = wt * np.exp(phi_q * (a + s)) * (c0 + s * (c1 + s * (c2 + s * c3)))
+    for j, wt in enumerate(rule[1]):
+        p = off + s[..., j]
+        wy = wt * growth[..., j] * (c0 + p * (c1 + p * (c2 + p * c3)))
         i0 = i0 + wy
-        i1 = i1 + wy * np.exp(a + s)
+        i1 = i1 + wy * ks[..., j]
     return half * i0, half * i1
 
 
-def _integrals_at(ev: ScaleEvaluator, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(integral_0^x W, integral_0^x e^y W)`` at each ``x >= 0`` of ``xs``
-    on the numeric route: the tables at the cell's left knot plus the partial
-    cell.  Past ``_CACHE_HI`` each point adds ``_GAUSS8`` on panels of width
-    at most ``1/(Phi+1)``, from one vectorised ``_w_direct`` call."""
-    i = np.minimum(np.searchsorted(ev.cache[:, 0], xs, side="right"), _CACHE_N) - 1
-    a = ev.cache[i, 0]
-    p0, p1 = _cell_integrals(ev.phi_q, ev._tilted, i, a, np.minimum(xs, _CACHE_HI))
-    i0 = ev._integrals[0][i] + p0
-    i1 = ev._integrals[1][i] + p1
-    t, wt = _GAUSS8
-    for k in np.flatnonzero(xs > _CACHE_HI).tolist():
-        panels = math.ceil((xs[k] - _CACHE_HI) * (ev.phi_q + 1.0))
-        edges = np.linspace(_CACHE_HI, xs[k], panels + 1)
-        half = np.diff(edges)[:, None] / 2.0
-        ys = edges[:-1, None] + half * (1.0 + t)
-        wy = half * wt * _w_direct(ev, ys.ravel()).reshape(ys.shape)
-        i0[k] += wy.sum()
-        i1[k] += (wy * np.exp(ys)).sum()
-    return i0, i1
+def _panel_integrals(ev: ScaleEvaluator, lo: float, hi: float, kernel=np.exp,
+                     rule=_GAUSS8, cuts=()) -> tuple[float, float]:
+    """``integral_lo^hi W`` and ``integral_lo^hi kernel(y) W(y) dy`` off the
+    cache: ``rule`` on panels at most ``1/(Phi+1)`` wide, also cut at
+    ``cuts``, with ``W`` at every node from one :func:`_w_direct` call."""
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) * (ev.phi_q + 1.0)) + 1)
+    if len(cuts):
+        edges = np.union1d(edges, cuts)
+    t, wt = rule
+    half = np.diff(edges)[:, None] / 2.0
+    ys = edges[:-1, None] + half * (1.0 + t)
+    wy = half * wt * _w_direct(ev, ys.ravel()).reshape(ys.shape)
+    return wy.sum(), (wy * kernel(ys)).sum()
 
 
 def w(ev: ScaleEvaluator, x: float) -> float:
@@ -444,8 +459,9 @@ def _exp_increment(r: complex, x: float) -> complex:
 def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
     """``(integral_0^x W(y) dy, integral_0^x exp(y) W(y) dy)``.
 
-    Closed forms sum over the roots; the integral tables exist on the
-    numeric route only, which reads them in O(log n) (:func:`_integrals_at`).
+    Closed forms sum over the roots.  The numeric route reads the tables at
+    the left knot of ``x``'s cell, adds the partial cell and, past
+    ``_CACHE_HI``, :func:`_panel_integrals`.
     """
     if x < 0.0:
         raise DomainError(f"w_integrals needs x >= 0, got {x}")
@@ -458,29 +474,87 @@ def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
             acc0 += (c * _exp_increment(r, x)).real
             acc1 += (c * _exp_increment(r + 1.0, x)).real
         return acc0, acc1
-    i0, i1 = _integrals_at(ev, np.array([x]))
-    return float(i0[0]), float(i1[0])
+    knots = ev._tilted[0]
+    i = min(bisect_right(knots, x), _CACHE_N) - 1
+    i0, i1 = _cell_integrals(ev.phi_q, ev._tilted, i, knots[i], min(x, _CACHE_HI))
+    i0 += ev._integrals[0][i]
+    i1 += ev._integrals[1][i]
+    if x > _CACHE_HI:
+        f0, f1 = _panel_integrals(ev, _CACHE_HI, x)
+        i0 += f0
+        i1 += f1
+    return float(i0), float(i1)
 
 
-def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float) -> float:
-    """``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W``.
+def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
+                   d: float = 0.0, m: float = 0.0) -> float:
+    """``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
+    - d integral_0^v W(v - y) G(m + y) dy``, with ``G = model.jump_excess``.
 
-    Callers pass ``a + b/Phi + c/(Phi+1) = 0``, so the ``e^(Phi v)``
-    component cancels (module docstring); ``v >= 0``.
+    Callers pass ``a + b/Phi + c/(Phi+1) - d (I2/(Phi+1) - I1/Phi) = 0``
+    (module docstring), ``v >= 0`` and, if ``d``, ``m >= 0``: then on the
+    closed route ``G(m + y) = G(m) e^(-rho y)`` at the tail rate ``rho``.
     """
+    model = ev.model
     if ev.roots is None:
         i0, i1 = w_integrals(ev, v)
-        return a * w(ev, v) + b * (i0 + 1.0 / ev.q) + c * math.exp(-v) * i1
+        acc = a * w(ev, v) + b * (i0 + 1.0 / ev.q) + c * math.exp(-v) * i1
+        if d:
+            breaks = [t - m for t in _density_pieces(model)[0]]
+            acc -= d * _w_convolve(ev, v, lambda y: jump_excess(model, m + y), breaks)
+        return acc
+    kernels = [(1.0, c)]  # (k, g) of each kernel g e^(-k y)
+    if d:
+        kernels.append((_density_pieces(model)[2], -d * float(jump_excess(model, m))))
     lead = _phi_root(ev)
-    decay = math.exp(-v)
     acc = 0.0
     for i, (r, cw) in enumerate(zip(ev.roots, ev.weights)):
         if i == lead:
-            acc -= (cw * c * decay / (ev.phi_q + 1.0)).real
+            for k, g in kernels:
+                acc -= (cw * g * math.exp(-k * v) / (ev.phi_q + k)).real
         else:
-            acc += (cw * ((a + b / r) * cmath.exp(r * v)
-                          + c * decay * _exp_increment(r + 1.0, v))).real
+            term = (a + b / r) * cmath.exp(r * v)
+            for k, g in kernels:
+                term += g * math.exp(-k * v) * _exp_increment(r + k, v)
+            acc += (cw * term).real
     return acc
+
+
+def _w_convolve(ev: ScaleEvaluator, v: float, kernel, breaks=()) -> float:
+    """``integral_0^v W(v - y) kernel(y) dy`` for ``v >= 0``, ``kernel``
+    acting on arrays and smooth between its ``breaks``.
+
+    In ``u = v - y`` the panels are the numeric route's cache cells
+    (:func:`_cell_integrals`), then :func:`_panel_integrals`, cut at
+    ``v - t`` for each break ``t``.  Returns the ``_GAUSS8`` sum, and raises
+    ``QuadratureError`` past a 1e-6 gap to the ``_GAUSS6`` sum."""
+    cuts = np.array([v - t for t in breaks if 0.0 < t < v])
+    # the cells cover [0, head] and the panels [head, v]
+    head = 0.0 if ev.roots is not None else min(v, _CACHE_HI)
+    if head > 0.0:
+        knots = ev.cache[:, 0]
+        cells = np.union1d(knots[knots < head], np.append(cuts[cuts < head], head))
+        i = np.searchsorted(knots, cells[:-1], side="right") - 1
+
+    def along(u):
+        return kernel(v - u)
+
+    def rule_sum(rule) -> float:
+        acc = 0.0
+        if head > 0.0:
+            acc += _cell_integrals(ev.phi_q, ev._tilted, i, cells[:-1], cells[1:], along,
+                                   rule, cells[:-1] - knots[i])[1].sum()
+        if v > head:
+            acc += _panel_integrals(ev, head, v, along, rule, cuts[cuts > head])[1]
+        return float(acc)
+
+    low, high = rule_sum(_GAUSS6), rule_sum(_GAUSS8)
+    if abs(high - low) > 1e-6:
+        raise QuadratureError(
+            f"convolution with W at v={v:g}: its {len(_GAUSS6[0])}- and "
+            f"{len(_GAUSS8[0])}-node rules differ by {abs(high - low):.2e}"
+        )
+    return high
 
 
 def w_prime(ev: ScaleEvaluator, x: float) -> float:

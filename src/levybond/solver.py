@@ -18,17 +18,15 @@ two critical discount rates ``q0 >= q1 > alpha/K``:
 ``R4`` (``alpha/K < q < q1``)
     the issuer calls early at ``c_star < log K``.
 
-Every value below is one fluctuation identity in ``W``, ``integral W`` and
-``integral e^y W``: the R2 premium kernel, the exit transform
-``Z - (q/Phi) W`` and the R3 and R4 values each make a single call to
-``scale._w_combination`` with coefficients that cancel the ``exp(Phi * v)``
-growth.  How that cancellation is carried out, and how accurate it is, on
-each scale route is stated in the ``scale`` module docstring.  Only the
-R4 jump-overshoot term still depends on the route (it reads the jump law
-from ``model`` helpers): the closed route, whose density is one exponential
-tail from 0, sums it root by root; on the numeric route it is a fixed-node
-sum over jump sizes against the density's linear pieces and exponential
-tail (``model._density_pieces``), read from the scale integral tables.
+Every value below is one fluctuation identity in ``W``: the R2 premium
+kernel, the exit transform ``Z - (q/Phi) W`` and the R3 and R4 values each
+make a single call to ``scale._w_combination`` with coefficients that cancel
+the ``exp(Phi * v)`` growth.  R4's jump-overshoot term is that call's ``d``
+coefficient: the killed resolvent against what a jump clearing ``log K``
+pays over the cap (``model.jump_excess``).  Small-z ``g`` is one
+``scale._w_convolve`` call.  This module makes no scale-route decision: how
+each route evaluates these, and how accurately, is stated in the ``scale``
+module docstring.
 """
 
 from __future__ import annotations
@@ -42,45 +40,23 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    BracketError,
-    DivergentExponent,
-    DomainError,
-    MomentConditionError,
-    QuadratureError,
-    RegimeError,
-)
+from .errors import BracketError, DomainError, MomentConditionError, RegimeError
 from .model import (
     LevyModel,
-    _density_pieces,
     exp_growth_rate,
+    jump_excess,
     jump_intensity,
     laplace_exponent,
     meets_discount_condition,
     phi,
     shifted_jump_integrals,
 )
-from .scale import (
-    _GAUSS8,
-    ScaleEvaluator,
-    _exp_increment,
-    _integrals_at,
-    _phi_root,
-    _w_at_zero,
-    _w_combination,
-    scale_evaluator,
-    w,
-    w_integrals,
-)
+from .scale import _w_at_zero, _w_combination, _w_convolve, scale_evaluator
 
 logger = logging.getLogger(__name__)
 
-# g_function below this z integrates its kernel with the 16-node
-# Gauss-Legendre rule (nodes, weights on [-1, 1]) on [0, z]
+# g_function below this z convolves W with its uncancelled kernel
 _G_SMALL_Z = 0.1
-_GAUSS16 = np.polynomial.legendre.leggauss(16)
-# widest panel of the overshoot sum over jump sizes
-_OVERSHOOT_PANEL = 0.05
 
 __all__ = [
     "Regime",
@@ -151,14 +127,14 @@ class GameParams:
                 raise DomainError(f"invalid game parameters: {msg}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RegimeSolution:
-    """Classification output: regime, critical rates, thresholds and V.
+    """Classification output: regime, critical rates and thresholds.
 
     ``tau_level`` is the holder's conversion threshold and ``sigma_level``
     the issuer's call threshold, both in log-price scale;
     ``sigma_level`` is the :data:`IMMEDIATE_STOP` sentinel in regime R1.
-    ``value`` is attached by :func:`classify` as a closure over the inputs.
+    Plain data: :func:`value` evaluates ``V`` from it.
     """
 
     regime: Regime
@@ -168,7 +144,6 @@ class RegimeSolution:
     c_star: float | None
     tau_level: float
     sigma_level: float | ImmediateStop
-    value: Callable[[float], float] | None
 
 
 def _require_assumption(model: LevyModel, params: GameParams) -> None:
@@ -261,7 +236,7 @@ def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> f
 
 
 def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
-    """Classify the game and assemble thresholds and the value evaluator."""
+    """Classify the game and assemble its critical rates and thresholds."""
     _require_assumption(model, params)
     qv, K = params.q, params.K
     log_k = math.log(K)
@@ -291,12 +266,10 @@ def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
         c_val = c_star(model, params, _q1_value=q1_val)
         tau, sigma = log_k, c_val
 
-    sol = RegimeSolution(
+    return RegimeSolution(
         regime=regime, q0=q0_val, q1=q1_val, a_star=a_val, c_star=c_val,
-        tau_level=tau, sigma_level=sigma, value=None,
+        tau_level=tau, sigma_level=sigma,
     )
-    object.__setattr__(sol, "value", lambda x: value(model, params, sol, x))
-    return sol
 
 
 # --------------------------------------------------------------------------- #
@@ -367,9 +340,9 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     Defined as ``(Phi+1) int_0^z e^(y-z) W(y) dy - Phi int_0^z W(y) dy``;
     the holder's coupon premium at distance ``z`` below the conversion level
     is ``alpha/Phi`` times this.  The grouped combination adds O(1) terms
-    whose sum is O(z^2), so below ``_G_SMALL_Z`` the single integral of
-    ``(1 + (Phi+1) expm1(y-z)) W(y)``, which does not cancel, is taken by
-    16-point Gauss-Legendre on either scale route.
+    whose sum is O(z^2), so below ``_G_SMALL_Z`` the single integral
+    ``integral_0^z W(z - y) (1 + (Phi+1) expm1(-y)) dy``, which does not
+    cancel, is taken by ``scale._w_convolve`` on either scale route.
     """
     if z_arg < 0.0:
         raise DomainError(f"g_function needs z >= 0, got {z_arg}")
@@ -378,12 +351,7 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     ev = scale_evaluator(model, q)
     ph = ev.phi_q
     if z_arg < _G_SMALL_Z:
-        half = z_arg / 2.0
-        acc = 0.0
-        for t, wt in zip(*(r.tolist() for r in _GAUSS16)):
-            y = half * (1.0 + t)
-            acc += wt * (1.0 + (ph + 1.0) * math.expm1(y - z_arg)) * w(ev, y)
-        return half * acc
+        return _w_convolve(ev, z_arg, lambda y: 1.0 + (ph + 1.0) * np.expm1(-y))
     return ph / q + _w_combination(ev, z_arg, 0.0, -ph, ph + 1.0)
 
 
@@ -423,133 +391,37 @@ def value(model: LevyModel, params: GameParams, solution: RegimeSolution,
         log_k = math.log(params.K)
         if x >= log_k:
             return math.exp(x)
-        return _value_r3(scale_evaluator(model, params.q), params, x)
+        ev = scale_evaluator(model, params.q)
+        return (math.exp(x) + params.alpha / params.q
+                + _w_combination(ev, log_k - x, *_r3_coefficients(model, params, ev.phi_q)))
     c = solution.c_star
     if x >= c:
         return max(params.K, math.exp(x))
-    return _value_r4(scale_evaluator(model, params.q), params, c, x)
-
-
-def _value_r3(ev: ScaleEvaluator, params: GameParams, x: float) -> float:
-    """Simultaneous-stopping value below the cap.
-
-    The payoff at the joint passage time is the share value itself (which
-    sits at or above ``K`` there), so jump overshoot is already carried by
-    the first-passage share expectation and no separate jump term appears.
-    """
-    return (math.exp(x) + params.alpha / params.q
-            + _w_combination(ev, math.log(params.K) - x,
-                             *_r3_coefficients(ev.model, params, ev.phi_q)))
+    ev = scale_evaluator(model, params.q)
+    return params.alpha / params.q + _w_combination(
+        ev, c - x, *_r4_coefficients(model, params, ev.phi_q, c))
 
 
 def _r3_coefficients(model: LevyModel, params: GameParams, ph: float) -> tuple[float, ...]:
-    """``(a, b, c)`` of the R3 value's ``_w_combination``, given ``ph = Phi(q)``."""
+    """``(a, b, c)`` of the R3 value's ``_w_combination``, given ``ph = Phi(q)``.
+
+    The joint stop pays the share itself, so no jump term enters."""
     s = params.q - exp_growth_rate(model) - params.beta
     return params.alpha / ph - params.K * s / (ph + 1.0), -params.alpha, s * params.K
 
 
-def _value_r4(ev: ScaleEvaluator, params: GameParams, c: float, x: float) -> float:
-    """Early-call value below the issuer threshold ``c < log K``.
-
-    Here stopping pays the cap ``K`` unless a jump from below ``c`` clears
-    ``log K``, so the jump-overshoot correction enters explicitly.
-    """
-    ph = ev.phi_q
-    qv, K, alpha, beta = params.q, params.K, params.alpha, params.beta
-    v = c - x
-    jump = 0.0
-    if jump_intensity(ev.model) > 0.0:
-        overshoot = _overshoot_exponential if ev.roots is not None else _overshoot_numeric
-        jump = overshoot(ev, params, c, v)
-    bc = beta * math.exp(c)
-    return (alpha / qv + jump
-            + _w_combination(ev, v, alpha / ph + bc / (ph + 1.0) - K * qv / ph,
-                             K * qv - alpha, -bc))
-
-
-def _overshoot_exponential(ev: ScaleEvaluator, params: GameParams,
-                           c: float, v: float) -> float:
-    """Closed overshoot term for the jump density ``lam rho e^(-rho z)``.
-
-    Summed root by root; the dominant-root term telescopes analytically to a
-    pure ``e^(-rho v)`` decay, which sidesteps the catastrophic cancellation
-    of evaluating it as a difference of two ``e^(Phi v)``-sized quantities.
-    The remaining roots have negative real parts, so their terms decay.
-    """
-    lam, rho = jump_intensity(ev.model), _density_pieces(ev.model)[2]
-    if rho <= 1.0:
-        raise DivergentExponent(
-            "overshoot value needs jump decay > 1 for a finite share expectation"
-        )
-    ph = ev.phi_q
-    m = math.log(params.K) - c
-    lead = _phi_root(ev)
-    acc = 0.0
-    for i, (r, c_w) in enumerate(zip(ev.roots, ev.weights)):
-        if i == lead:
-            acc += (c_w * math.exp(-rho * v) / (rho + r)).real
-        else:
-            factor = 1.0 / (rho + ph) - _exp_increment(-(rho + r), v)
-            acc += (c_w * np.exp(r * v) * factor).real
-    return lam * params.K * math.exp(-rho * m) / (rho - 1.0) * acc
-
-
-def _overshoot_numeric(ev: ScaleEvaluator, params: GameParams,
-                       c: float, v: float) -> float:
-    """Overshoot term on the numeric route (any jump family).
-
-    The outer integral runs over jump sizes ``z`` that clear the cap,
-    weighted by the jump density times ``e^z``, until the remaining weight
-    is below ``1e-14 max(1, K)``.  The inner one, over ``y`` from
-    ``ylo = max(m - z, -40/Phi)`` to 0 of ``(e^(Phi y) W(v) - W(v + y))
-    (e^(c+y) - K e^(-z))``, is exact: ``W(v)`` times exponential integrals,
-    less differences of the integral tables at ``v`` and ``max(v + ylo, 0)``.
-    The outer sum takes 16 Gauss-Legendre nodes on panels at most
-    ``_OVERSHOOT_PANEL`` wide, broken at the density's knots and the inner
-    integral's kinks ``m + v`` and ``m + 40/Phi``; its gap to the 8-node
-    sum is the error estimate (``QuadratureError`` past 1e-6).
-    """
-    ph, K = ev.phi_q, params.K
-    m = math.log(K) - c
-    knots, values, rate = _density_pieces(ev.model)
-    if rate <= 1.0:
-        raise DivergentExponent(
-            "overshoot value needs jump tail decay > 1 for a finite share expectation"
-        )
-    # from `start` on, density * e^z = edge * e^(-(rate - 1)(z - start))
-    start = knots[-1]
-    edge = values[-1] * math.exp(start)
-    tail_mass = edge / ((rate - 1.0) * 1e-14 * max(1.0, K))
-    u_max = max(m, start + math.log(max(tail_mass, 1.0)) / (rate - 1.0)) + 1.0
-    y_floor = -40.0 / ph
-    breaks = [t for t in (*knots, m + v, m - y_floor) if m < t < u_max]
-    edges = np.union1d(np.append(np.arange(m, u_max, _OVERSHOOT_PANEL), u_max), breaks)
-    half = np.diff(edges)[:, None] / 2.0
-    w_v = w(ev, v)
-    i0_v, i1_v = w_integrals(ev, v)
-    sums = []
-    for t, wt in (_GAUSS8, _GAUSS16):
-        zs = (edges[:-1, None] + half * (1.0 + t)).ravel()
-        body = np.interp(zs, knots, values, left=0.0) * np.exp(np.minimum(zs, start))
-        tail = edge * np.exp(-(rate - 1.0) * np.maximum(zs - start, 0.0))
-        dens = np.where(zs <= start, body, tail)
-        ylo = np.maximum(m - zs, y_floor)
-        # both integrals vanish at 0, so the tables are read only where lo > 0
-        lo = np.maximum(v + ylo, 0.0)
-        i0_lo, i1_lo = np.zeros_like(lo), np.zeros_like(lo)
-        i0_lo[lo > 0.0], i1_lo[lo > 0.0] = _integrals_at(ev, lo[lo > 0.0])
-        cap = K * np.exp(-zs)
-        inner = (w_v * (cap * np.expm1(ph * ylo) / ph
-                        - math.exp(c) * np.expm1((ph + 1.0) * ylo) / (ph + 1.0))
-                 - math.exp(c - v) * (i1_v - i1_lo) + cap * (i0_v - i0_lo))
-        sums.append(float(np.dot((half * wt).ravel(), dens * inner)))
-    low, high = sums
-    if abs(high - low) > 1e-6:
-        raise QuadratureError(
-            f"overshoot sum at v={v:g}: its 8- and 16-node rules differ by "
-            f"{abs(high - low):.2e} (outer range [{m:g}, {u_max:g}])"
-        )
-    return high
+def _r4_coefficients(model: LevyModel, params: GameParams, ph: float,
+                     c: float) -> tuple[float, ...]:
+    """``(a, b, c, d, m)`` of the R4 value's ``_w_combination`` below the
+    issuer threshold ``c``, given ``ph = Phi(q)``.  A jump from ``y`` below
+    ``c`` pays ``K G(m + y)`` over the cap (``m = log K - c``), so the
+    overshoot is ``J W(v) - K integral_0^v W(v - y) G(m + y) dy`` with
+    ``J = K (I2/(Phi+1) - I1/Phi)``: ``d = K`` (0 without jumps), and ``a``
+    with ``J`` in it is ``call_boundary_value(c) - K``, zero at ``c*``."""
+    K = params.K
+    d = K if jump_intensity(model) > 0.0 else 0.0
+    return (_call_boundary_value(model, params, ph, c) - K, K * params.q - params.alpha,
+            -params.beta * math.exp(c), d, math.log(K) - c)
 
 
 def value_profile(model: LevyModel, params: GameParams,
@@ -587,14 +459,12 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
     """Exact one-sided limits of ``V`` and ``V'`` at the stopping boundary.
 
     Above the boundary they are the payoff's.  Below it ``V`` is payoff terms
-    plus ``_w_combination(v; a, b, c)`` at distance ``v``, which tends to
-    ``a w0 + b/q`` as ``v -> 0+``, with ``v``-derivative ``a w0' + (b + c) w0``
-    (``w0 = W(0+)``, ``w0' = W'(0+)``).  So ``V'(log a*-) = a* - (alpha/Phi) w0``
-    in R2 and ``V'(log K-) = K - (a w0' + (b + c) w0)`` in R3.  In R4 the
-    overshoot term tends to ``w0 J``, ``J = K (I2/(Phi+1) - I1/Phi)`` for
-    ``(I1, I2) = shifted_jump_integrals(model, log K - c*, Phi)``, with
-    ``v``-derivative ``w0' J - w0 K (I2 - I1)``; so
-    ``V(c*-) = K + w0 (call_boundary_value(c*) - K)``.  This is the paper's
+    plus ``_w_combination(v; a, b, c, d, m)`` at distance ``v``, which tends
+    to ``a w0 + b/q`` as ``v -> 0+``, with ``v``-derivative
+    ``a w0' + (b + c) w0 - d w0 G(m)`` (``w0 = W(0+)``, ``w0' = W'(0+)``,
+    ``G = model.jump_excess``).  So ``V'(log a*-) = a* - (alpha/Phi) w0`` in
+    R2, ``V'(log K-) = K - (a w0' + (b + c) w0)`` in R3, and in R4, where
+    ``a = call_boundary_value(c*) - K``, ``V(c*-) = K + a w0``.  This is the paper's
     criterion: ``V`` pastes continuously at every boundary, and smoothly at
     ``log a*`` and ``c*`` exactly when ``W(0+) = 0`` (unbounded variation);
     at the cap in R3 only at the critical rates.  No scale evaluator is
@@ -620,9 +490,8 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
                       for edge in (solution.q0, solution.q1))
         kind = FitKind.SMOOTH if at_edge else FitKind.NEITHER_INTERIOR
     else:
-        c = solution.c_star
-        i1, i2 = shifted_jump_integrals(model, math.log(K) - c, ph)
-        gap = _call_boundary_value(model, params, ph, c) - K
-        slope = K * qv - alpha - params.beta * math.exp(c) - K * (i2 - i1)
-        limits, kind = (c, K + w0 * gap, K, -(w0p * gap + w0 * slope), 0.0), pasting
+        a, b, c, d, m = _r4_coefficients(model, params, ph, solution.c_star)
+        slope = a * w0p + (b + c) * w0 - d * w0 * float(jump_excess(model, m))
+        limits = (solution.c_star, alpha / qv + (a * w0 + b / qv), K, -slope, 0.0)
+        kind = pasting
     return FitReport(*limits, expected_kind=kind)

@@ -31,7 +31,7 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _jump_exponent_real, _psi_c, jump_passage_means
+from levybond.model import _jump_exponent_real, _psi_c, jump_excess, jump_passage_means
 from levybond.scale import _tilted_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
@@ -557,6 +557,15 @@ class TestJumpPassageMeans:
             kinks=(sigma, math.log(cap))) / mass
         assert share[0] == pytest.approx(want_share, rel=1e-11)
         assert pay[0] == pytest.approx(want_pay, rel=1e-11)
+
+    @pytest.mark.parametrize("model", [EXPJ, TAB], ids=["EXPJ", "TAB"])
+    def test_jump_excess_matches_quadrature(self, model):
+        # G(t) = integral_t^inf pi(z) (e^(z - t) - 1) dz, with t below the
+        # body's first knot, inside it and past its last knot (8)
+        ts = np.array([-0.5, 0.001, 0.3, 2.0, 7.99, 9.0])
+        want = [self.quadrature(model, 0.0, t, lambda z, t=t: math.expm1(z - t)) for t in ts]
+        np.testing.assert_allclose(jump_excess(model, ts), want, rtol=1e-12)
+        assert not jump_excess(LevyModel(0.1, 0.5), ts).any()
 
     def test_defaults_pay_the_share(self):
         y = np.array([-0.5, 0.1])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import levybond.scale as scale_module
 import levybond.solver as solver_module
 
 from levybond import (
@@ -32,16 +33,15 @@ from levybond import (
     bounded_variation_model,
     exp_growth_rate,
     phi,
+    shifted_jump_integrals,
 )
-from levybond.scale import Method, scale_evaluator, w
+from levybond.scale import Method, _w_combination, scale_evaluator, w
 from levybond.solver import (
     IMMEDIATE_STOP,
     FitKind,
     GameParams,
     Regime,
     _boundary_condition,
-    _overshoot_exponential,
-    _overshoot_numeric,
     a_star,
     c_star,
     call_boundary_value,
@@ -114,6 +114,16 @@ def _q1_full_scan(model, params):
     while cond(hi) <= 0.0:
         hi *= 2.0
     return float(brentq(cond, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=256))
+
+
+def _overshoot(ev, params, c, v):
+    """The R4 overshoot term at ``v = c - x`` as one ``_w_combination``:
+    ``J W(v) - K integral_0^v W(v - y) G(log K - c + y) dy``, with
+    ``J = K (I2/(Phi+1) - I1/Phi)``."""
+    ph, K = ev.phi_q, params.K
+    m = math.log(K) - c
+    i1, i2 = shifted_jump_integrals(ev.model, m, ph)
+    return _w_combination(ev, v, K * (i2 / (ph + 1.0) - i1 / ph), 0.0, 0.0, K, m)
 
 
 def _overshoot_oracle(ev, params, c, x):
@@ -422,6 +432,24 @@ class TestPremiumKernel:
                                     - ph * mp.expm1(r * zm) / r)).real
                 assert g_function(model, qq, zz) == pytest.approx(float(expect), rel=1e-12, abs=0.0), zz
 
+    @pytest.mark.parametrize("qq", [1.05, 2.6])
+    def test_small_z_tabulated_against_cell_quadrature(self, qq):
+        # numeric W is a PCHIP interpolant, smooth only between cache knots;
+        # oracle: adaptive quadrature of the same evaluator on each cache
+        # cell below z, summed exactly rounded
+        ev = scale_evaluator(TAB, qq)
+        ph = ev.phi_q
+        knots = ev.cache[:, 0]
+        for zz in (1e-3, 1e-2, 5e-2):
+            edges = [0.0, *knots[(knots > 0.0) & (knots < zz)].tolist(), zz]
+
+            def f(y, zz=zz):
+                return (1.0 + (ph + 1.0) * math.expm1(y - zz)) * w(ev, y)
+
+            expect = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                               for a, b in zip(edges[:-1], edges[1:]))
+            assert g_function(TAB, qq, zz) == pytest.approx(expect, rel=1e-12, abs=0.0), zz
+
     def test_zero_and_domain(self):
         assert g_function(CANON, 5.0, 0.0) == 0.0
         with pytest.raises(DomainError):
@@ -488,28 +516,31 @@ VALUES = {  # quadrature-oracle values of V(x), rel ~1e-9
 class TestValue:
     def test_frozen_values(self):
         for (name, qq), pts in VALUES.items():
-            sol = classify(MODELS[name], gp(qq))
+            model = MODELS[name]
+            sol = classify(model, gp(qq))
             for x, expect in pts:
-                assert sol.value(x) == pytest.approx(expect, rel=1e-7), (name, qq, x)
+                assert value(model, gp(qq), sol, x) == pytest.approx(expect, rel=1e-7), (name, qq, x)
 
     def test_r1_is_payoff(self):
         sol = classify(B05, gp(0.4))
         for x in (-2.0, 0.0, math.log(2.0), 1.5):
-            assert sol.value(x) == max(2.0, math.exp(x))
+            assert value(B05, gp(0.4), sol, x) == max(2.0, math.exp(x))
 
     def test_stopping_region_values(self):
         s2 = classify(CANON, gp(3.0))
-        assert s2.value(s2.tau_level + 0.4) == pytest.approx(math.exp(s2.tau_level + 0.4))
+        x2 = s2.tau_level + 0.4
+        assert value(CANON, gp(3.0), s2, x2) == pytest.approx(math.exp(x2))
         s4 = classify(B05, gp(0.75))
-        assert s4.value(s4.c_star + 1e-9) == pytest.approx(2.0)
-        assert s4.value(2.0) == pytest.approx(math.exp(2.0))
+        assert value(B05, gp(0.75), s4, s4.c_star + 1e-9) == pytest.approx(2.0)
+        assert value(B05, gp(0.75), s4, 2.0) == pytest.approx(math.exp(2.0))
 
     def test_continuity_at_boundaries(self):
         for name, qq in [("CANON", 3.0), ("B05", 1.5), ("B05", 0.75), ("BV2", 0.8)]:
             sol = classify(MODELS[name], gp(qq))
             b = sol.tau_level if sol.regime is Regime.R2 else \
                 (sol.c_star if sol.regime is Regime.R4 else math.log(2.0))
-            gap = abs(sol.value(b - 1e-12) - sol.value(b + 1e-12))
+            gap = abs(value(MODELS[name], gp(qq), sol, b - 1e-12)
+                      - value(MODELS[name], gp(qq), sol, b + 1e-12))
             assert gap <= 1e-8, (name, qq, gap)
 
     def test_deep_tail_limit(self):
@@ -519,7 +550,7 @@ class TestValue:
             sol = classify(model, gp(qq))
             x = -30.0
             expect = 1.0 / qq + math.exp(x) / (qq - exp_growth_rate(model))
-            assert sol.value(x) == pytest.approx(expect, rel=1e-9), (name, qq)
+            assert value(model, gp(qq), sol, x) == pytest.approx(expect, rel=1e-9), (name, qq)
 
     def test_bounds_and_monotone_all_regimes(self):
         for qq in (0.4, 0.75, 1.5, 2.5):
@@ -549,7 +580,8 @@ class TestValue:
             if se.c_star is not None:
                 assert st_.c_star == pytest.approx(se.c_star, abs=1e-3)
             for x in (-1.0, 0.0):
-                assert st_.value(x) == pytest.approx(se.value(x), rel=1e-4), (qq, x)
+                assert value(TAB, gp(qq), st_, x) == pytest.approx(
+                    value(EXPJM, gp(qq), se, x), rel=1e-4), (qq, x)
 
     def test_overshoot_dual_route(self):
         # closed partial-fraction overshoot vs independent 2-D quadrature
@@ -557,7 +589,7 @@ class TestValue:
             sol = classify(model, gp(qq))
             ev = scale_evaluator(model, qq)
             for x in (-1.0, sol.c_star - 0.3):
-                closed = _overshoot_exponential(ev, gp(qq), sol.c_star, sol.c_star - x)
+                closed = _overshoot(ev, gp(qq), sol.c_star, sol.c_star - x)
                 quadv = _overshoot_oracle(ev, gp(qq), sol.c_star, x)
                 assert quadv == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
@@ -567,7 +599,7 @@ class TestValue:
         ev = scale_evaluator(TAB, 1.05)
         c = sol.c_star
         for x in (c - 1e-4, -1.0, c - 2.0):
-            table = _overshoot_numeric(ev, gp(1.05), c, c - x)
+            table = _overshoot(ev, gp(1.05), c, c - x)
             assert table == pytest.approx(_overshoot_oracle(ev, gp(1.05), c, x),
                                           abs=1e-8, rel=0.0), x
 
@@ -579,17 +611,17 @@ class TestValue:
             numeric = scale_evaluator(model, qq, Method.NUMERIC_INVERSION)
             c = sol.c_star
             for x in (c - 1e-4, -1.0, c - 2.0):
-                expect = _overshoot_exponential(closed, gp(qq), c, c - x)
-                got = _overshoot_numeric(numeric, gp(qq), c, c - x)
+                expect = _overshoot(closed, gp(qq), c, c - x)
+                got = _overshoot(numeric, gp(qq), c, c - x)
                 assert got == pytest.approx(expect, abs=1e-8, rel=0.0), (qq, x)
 
     def test_overshoot_rule_gap_raises(self, monkeypatch):
         # a too-coarse low-order rule widens the two-rule gap past its bound
         # (the midpoint rule: at 2 nodes the two sums still agree to ~1e-16)
-        monkeypatch.setattr(solver_module, "_GAUSS8", np.polynomial.legendre.leggauss(1))
+        monkeypatch.setattr(scale_module, "_GAUSS6", np.polynomial.legendre.leggauss(1))
         c = classify(TAB, gp(1.05)).c_star
         with pytest.raises(QuadratureError, match="differ"):
-            _overshoot_numeric(scale_evaluator(TAB, 1.05), gp(1.05), c, c + 1.0)
+            _overshoot(scale_evaluator(TAB, 1.05), gp(1.05), c, c + 1.0)
 
 
 def _stencil_limits(model, params, sol, h=None):
