@@ -38,7 +38,10 @@ class AccuracyError(LevyBondError, RuntimeError):
 
 
 class QuadratureError(LevyBondError, RuntimeError):
-    """Adaptive quadrature failed to converge within the requested tolerance."""
+    """Adaptive quadrature failed to converge within the requested tolerance.
+
+    Kept for callers that catch it; no current routine raises it.
+    """
 
 
 class ConfigError(LevyBondError, ValueError):

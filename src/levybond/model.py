@@ -650,6 +650,35 @@ def jump_excess(model: LevyModel, t):
     return expo - mass
 
 
+def _excess_transform(model: LevyModel, m: float, s, step=None) -> np.ndarray:
+    """``integral_0^inf e^(-s y) G(m + y) dy`` for ``G = jump_excess`` and
+    ``m >= 0``, elementwise over the complex array ``s`` (``step`` marks a
+    ladder, as in :func:`_psi_c`).
+
+    It is ``(E(1) + E(-s)/s)/(s + 1)`` with
+    ``E(a) = integral_0^inf pi(m + u) expm1(a u) du``: the body by
+    :func:`_body_expm1` about ``m``, the tail by its closed form.  At real
+    ``s = phi_q`` this is ``I2/(phi_q+1) - I1/phi_q`` of
+    :func:`shifted_jump_integrals`, which stays scalar for the root finders.
+    """
+    s = np.asarray(s, dtype=complex)
+    j = model.jumps
+    knots, _, r = j._pieces
+    e_pos, e_neg = 0.0, np.zeros(s.shape, dtype=complex)
+    with np.errstate(all="ignore"):  # far-left contour points overflow to inf
+        if j._body is not None and m < knots[-1]:
+            body = _linear_body(j._cells, m, m)
+            e_pos = _body_expm1(body, np.ones(1))[0].real
+            e_neg = _body_expm1(body, -s, None if step is None else np.negative(step))
+        if j._tail_mass > 0.0:
+            start = max(m, knots[-1])
+            d = start - m
+            mass = j._tail_mass * math.exp(-r * (start - knots[-1]))
+            e_pos += mass * (r * math.expm1(d) + 1.0) / (r - 1.0)
+            e_neg = e_neg + mass * (r * np.expm1(-s * d) - s) / (r + s)
+        return (e_pos + e_neg / s) / (s + 1.0)
+
+
 def jump_passage_means(model: LevyModel, y, level, sigma: float = math.inf,
                        cap: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Means over a jump that carries the log share from ``y`` above

@@ -33,43 +33,43 @@ recurrence of ``model._psi_c``): two complex exponentials per (x, density
 node) instead of one per (x, rung, density node).  A block holds only
 (x, density node) arrays, so its memory does not grow with the rung count.
 
-The tabulated transform integrates the density by parts (see its
-exponential moment in ``model``), which orders its cell sum differently from a
-cell-by-cell evaluation.  The Euler rule multiplies its series by
-``e^(A/2)/x ~ 3.6e4/x``, which amplifies any such reordering, so Euler
-values move by ~1e-11 relative between two orders (up to ~1e-10 near
+The tabulated transform integrates the density by parts (see
+``model._body_expm1``); Euler's factor ``e^(A/2)/x ~ 3.6e4/x`` amplifies
+such a reordering of the cell sum to ~1e-11 relative (~1e-10 near
 ``x = 50``), far inside the certified tolerances.  On the test tables the
 cache holds 3e-11 relative to a 40-digit evaluation of the same Euler sum.
-(Talbot values on rational transforms move by ~1e-13, from numpy's array
-arithmetic in place of scalar ``cmath``.)
 
 The solver's value formulas are combinations
 ``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
 - d integral_0^v W(v - y) G(m + y) dy`` (``_w_combination``; the ``d`` term
-is R4's jump overshoot, ``G = model.jump_excess``) whose coefficients satisfy
+is R4's jump overshoot, ``G = model.jump_excess``) with
 ``a + b/Phi + c/(Phi+1) - d (I2/(Phi+1) - I1/Phi) = 0`` for
-``(I1, I2) = model.shifted_jump_integrals(model, m, Phi)``.  That condition
-cancels the ``exp(Phi * v)`` component.  With partial fractions the
-cancellation is exact: the ``c`` and ``d`` terms convolve ``W`` with kernels
+``(I1, I2) = model.shifted_jump_integrals(model, m, Phi)``.  In ``v`` such a
+combination has the transform ``N(s)/(psi(s) - q) + b/(q s)``, with
+``N(s) = a + b/s + c/(s+1) - d Gm(s)`` (``Gm = model._excess_transform``),
+and the condition is ``N(Phi) = 0``: the transform has no pole at ``Phi``.
+With partial fractions the ``c`` and ``d`` terms convolve ``W`` with kernels
 ``g e^(-k y)`` (``e^(-y)``, and ``G(m) e^(-rho y)`` for a density that is one
 exponential tail from 0); for each, the root at ``Phi(q)`` is grouped
 analytically and leaves only ``-c_Phi g e^(-k v)/(Phi+k)``, the other roots
 decay, and ``(e^((theta+k) v) - 1)/(theta+k)`` stays finite at
 ``theta = -k``.  A closed form is only built when one root lies within
-``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator inverts.  On the
-numeric route the combination is formed from ``W``, its two integrals and
-:func:`_w_convolve` (cache cells cut at the kernel's kinks, 8 nodes each),
-so the cancellation happens in floating point: the error is the inversion
-error times ``exp(Phi * v)``, immaterial within a few units of ``log K`` but
-visible past ``Phi * v ~ 15``, in R4's jump term as in the rest.
+``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator inverts.  The
+numeric route inverts the transform untilted, less ``f0/(s+1) +
+f1/(s+1)^2`` and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0``
+are the exact ``v -> 0+`` value and slope (``_combination_at_zero``), so the
+inverted rest decays like ``s^-3``.  No ``e^(Phi v)``-sized term is formed.
 
-Off the closed forms, ``W`` on the cache grid is a PCHIP interpolant of the
-tilted values.  :func:`w` reads it from the stored knots and coefficients by
-bisection, in PPoly's own evaluation order, so it equals
-``PchipInterpolator`` bit for bit without PPoly's per-call overhead.  The
-build also tabulates ``integral_0^x W`` and ``integral_0^x e^y W`` at the
-knots (``_cell_integrals``), which :func:`w_integrals` reads in O(log n),
-adding the partial cell by the same rule.
+Every numeric-route operation other than ``w`` on the cache is likewise one
+inversion at its point (``_w_resolvent``): ``w`` past the cache,
+``w_prime``, the two ``w_integrals`` (``G(b)/(b + Phi)`` and
+``G(b)/(b + Phi + 1)``, tilted as they grow like ``e^(Phi x)``) and the
+solver's small-z ``g``.  Near ``s = Phi`` a pole-free transform is a
+quotient of two small numbers, so ``_invert_at`` moves a contour's one real
+point within 5% of ``Phi`` up to ``1.05 Phi`` (scaling Talbot's radius or
+Euler's ``A``).  ``W`` on the cache grid is a PCHIP interpolant of the
+tilted values, which :func:`w` reads by bisection in PPoly's own evaluation
+order: bit for bit ``PchipInterpolator``, without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 
-from .errors import AccuracyError, DomainError, QuadratureError
+from .errors import AccuracyError, DomainError
 from .model import (
     LevyModel,
     _density_pieces,
+    _excess_transform,
     _psi_c,
     _psi_fraction,
     esscher_tilt,
@@ -133,18 +134,6 @@ _EULER_K = np.arange(_EULER_N + _EULER_ME + 1)
 _EULER_SIGN = np.where(_EULER_K % 2 == 1, -1.0, 1.0)
 _EULER_SIGN[0] = 0.5
 
-# Gauss-Legendre (nodes, weights) on [-1, 1] for the integral tables: on
-# a cache cell the integrand is e^(Phi x) times a cubic, which 8 nodes
-# integrate to ~1e-12 relative even at (Phi + 1) h = 5, wider than any cell
-# gets before e^(Phi x) overflows, and to rounding at Phi of order 1
-_GAUSS8 = np.polynomial.legendre.leggauss(8)
-# the coarser rule of :func:`_w_convolve`'s pair: its gap to the _GAUSS8 sum
-# bounds that sum's error.  On a cell of width h the 6-node rule's error is
-# ~2e-16 (kappa h)^12 relative for an integrand rate kappa, so the gap stays
-# at rounding until kappa h nears 1; it costs 6 kernel evaluations per panel
-# where a 16-node partner would cost 16
-_GAUSS6 = np.polynomial.legendre.leggauss(6)
-
 # x-points per inverter block.  An Euler block on a tabulated exponent holds
 # its (x, density node) exponentials and rung factors, 32 x 401 complex
 # numbers each (0.2 MB), so building a tabulated evaluator raises the peak
@@ -168,16 +157,17 @@ def _in_row_blocks(rule):
     """Run an inversion rule on ``x`` in blocks of ``_CHUNK_ROWS`` points, so
     the transform's arrays stay under 1 MB."""
     @wraps(rule)
-    def invert(transform, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS])
+    def invert(transform, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS], scale)
                                for i in range(0, len(x), _CHUNK_ROWS)])
     return invert
 
 
 @_in_row_blocks
-def _talbot(transform, x: np.ndarray) -> np.ndarray:
-    """Fixed-Talbot inverse at each point of ``x``, each an exactly rounded sum."""
-    r = _TALBOT_RADIUS / x
+def _talbot(transform, x: np.ndarray, scale: float) -> np.ndarray:
+    """Fixed-Talbot inverse at each point of ``x``, each an exactly rounded
+    sum, on the contour of radius ``scale * _TALBOT_RADIUS / x``."""
+    r = scale * _TALBOT_RADIUS / x
     s = np.empty((len(x), _TALBOT_M), dtype=complex)
     s[:, 0] = r
     s[:, 1:] = r[:, None] * _CONTOUR
@@ -189,33 +179,54 @@ def _talbot(transform, x: np.ndarray) -> np.ndarray:
 
 
 @_in_row_blocks
-def _euler(transform, x: np.ndarray) -> np.ndarray:
-    """Euler-summed Bromwich inverse at each point of ``x``; each row of the
-    contour is a ladder with rung step ``pi/x``."""
+def _euler(transform, x: np.ndarray, scale: float) -> np.ndarray:
+    """Euler-summed Bromwich inverse at each point of ``x``, with ``A`` taken
+    as ``scale * _EULER_A``; each row of the contour is a ladder with rung
+    step ``pi/x``."""
+    big_a = scale * _EULER_A
     s = np.empty((len(x), _EULER_N + _EULER_ME + 1), dtype=complex)
-    s.real = (_EULER_A / (2.0 * x))[:, None]
+    s.real = (big_a / (2.0 * x))[:, None]
     s.imag = _EULER_K * math.pi / x[:, None]
     terms = _EULER_SIGN * transform(s, math.pi / x).real
     partial = np.cumsum(terms, axis=1)
     avg = partial[:, _EULER_N:] @ _EULER_BINOM
-    return math.exp(_EULER_A / 2.0) / x * avg / 2.0**_EULER_ME
+    return math.exp(big_a / 2.0) / x * avg / 2.0**_EULER_ME
 
 
-def _tilted_transform(model: LevyModel, q: float, phi_q: float):
-    """``b -> 1/(psi(b + Phi(q)) - q)`` on arrays, 0 where psi is infinite;
-    ``step`` marks ``b``'s last axis as a ladder (see ``model._psi_c``)."""
+def _resolvent_transform(model: LevyModel, q: float, tilt: float, num=None, rest=None):
+    """``b -> num(s)/(psi(s) - q) + rest(s)`` at ``s = b + tilt``, on arrays.
+
+    ``num`` (1 if omitted) takes ``(s, step)``; the quotient is 0 where psi is
+    infinite.  ``step`` marks ``b``'s last axis as a ladder (see
+    ``model._psi_c``).  With ``tilt = Phi(q)`` and nothing else this is the
+    tilted transform ``G(b) = 1/(psi(b + Phi) - q)`` of ``e^(-Phi x) W(x)``.
+    """
     def transform(b: np.ndarray, step=None) -> np.ndarray:
-        den = _psi_c(model, b + phi_q, step) - q
-        out = np.zeros_like(den)
-        ok = (den != 0.0) & np.isfinite(den.real)
-        out[ok] = 1.0 / den[ok]
-        return out
+        s = b + tilt
+        den = _psi_c(model, s, step) - q
+        with np.errstate(all="ignore"):
+            out = (1.0 if num is None else num(s, step)) / den
+        out[(den == 0.0) | ~np.isfinite(den.real) | ~np.isfinite(out)] = 0.0
+        return out if rest is None else out + rest(s)
     return transform
 
 
 def _inverter(model: LevyModel):
     """Talbot for rational exponents, Euler for the others (module docstring)."""
     return _talbot if _psi_fraction(model) is not None else _euler
+
+
+def _invert_at(ev: ScaleEvaluator, transform, x: float, tilt: float) -> float:
+    """The inverse at the one point ``x`` of ``transform``, a function of
+    ``b = s - tilt``, by the route's inverter.  The contour's real point,
+    ``tilt`` plus Talbot's radius or Euler's ``A/(2x)``, is moved up to
+    ``1.05 Phi`` when it lies within 5% of ``Phi`` (module docstring)."""
+    invert = _inverter(ev.model)
+    point = (_TALBOT_RADIUS if invert is _talbot else _EULER_A / 2.0) / x
+    scale = 1.0
+    if abs(tilt + point - ev.phi_q) < 0.05 * ev.phi_q:
+        scale = (1.05 * ev.phi_q - tilt) / point
+    return float(invert(transform, np.array([x]), scale)[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -227,10 +238,9 @@ class ScaleEvaluator:
     """Immutable per-(model, q) evaluator; build with :func:`scale_evaluator`.
 
     ``roots``/``weights`` are the partial-fraction data for closed forms and
-    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, the
-    PCHIP table behind :func:`w` and the tables of ``integral_0^x W`` and
-    ``integral_0^x e^y W`` at its knots are numeric-route only: a closed form
-    stores ``None`` for all three, as its operations sum over the roots.
+    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, and
+    the PCHIP table behind :func:`w` are numeric-route only: a closed form
+    stores ``None`` for both, as its operations sum over the roots.
     Construction does all precomputation; every operation afterwards is pure.
     """
 
@@ -244,7 +254,6 @@ class ScaleEvaluator:
     weights: tuple[complex, ...] | None
     cache: np.ndarray | None = field(default=None, repr=False)
     _tilted: tuple[list[float], tuple[array, ...]] | None = field(default=None, repr=False)
-    _integrals: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
@@ -284,6 +293,18 @@ def _w_at_zero(model: LevyModel, q: float) -> tuple[float, float]:
     return 0.0, 2.0 / model.b2
 
 
+def _combination_at_zero(model: LevyModel, q: float, a: float, b: float, c: float,
+                         d: float = 0.0, m: float = 0.0) -> tuple[float, float]:
+    """The ``v -> 0+`` value and slope of :func:`_w_combination`:
+    ``a w0 + b/q`` and ``a w0' + (b + c) w0 - d w0 G(m)``, with
+    ``(w0, w0') = (W(0+), W'(0+))`` and ``G = model.jump_excess``."""
+    w0, w0p = _w_at_zero(model, q)
+    slope = a * w0p + (b + c) * w0
+    if d and w0:
+        slope -= d * w0 * float(jump_excess(model, m))
+    return a * w0 + b / q, slope
+
+
 @lru_cache(maxsize=64)
 def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) -> ScaleEvaluator:
     """Build (and memoise) the scale-function evaluator for ``(model, q)``.
@@ -314,18 +335,16 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
                           "or has repeated roots or no root at Phi(q)")
 
     grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
-    transform = _tilted_transform(model, q, phi_q)
+    transform = _resolvent_transform(model, q, phi_q)
     invert = _inverter(model)
     tilted_vals = np.empty(len(grid))
     tilted_vals[0] = w0
     tilted_vals[1:] = invert(transform, grid[1:])
     wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
-    tilted = _pchip_table(grid, tilted_vals)
-    cells = _cell_integrals(phi_q, tilted, np.arange(_CACHE_N), grid[:-1], grid[1:])
     ev = ScaleEvaluator(model=model, q=float(q), method=Method.NUMERIC_INVERSION,
                         phi_q=phi_q, w0=w0, w0_prime=w0p, roots=None, weights=None,
-                        cache=np.column_stack([grid, wa]), _tilted=tilted,
-                        _integrals=tuple(np.append(0.0, np.cumsum(i)) for i in cells))
+                        cache=np.column_stack([grid, wa]),
+                        _tilted=_pchip_table(grid, tilted_vals))
     _certify(ev, transform, invert)
     return ev
 
@@ -361,13 +380,16 @@ def _certify(ev: ScaleEvaluator, transform, primary) -> None:
 # operations
 # --------------------------------------------------------------------------- #
 
-def _w_direct(ev: ScaleEvaluator, xs: np.ndarray) -> np.ndarray:
-    """``W`` at the points ``xs`` off the cache: root by root on the closed
-    route, otherwise by inversion bypassing the cache (past the grid edge)."""
-    if ev.roots is not None:
-        return sum((c * np.exp(r * xs)).real for r, c in zip(ev.roots, ev.weights))
-    transform = _tilted_transform(ev.model, ev.q, ev.phi_q)
-    return np.exp(ev.phi_q * xs) * _inverter(ev.model)(transform, xs)
+def _w_resolvent(ev: ScaleEvaluator, v: float, num, rest=None, tilt: float = 0.0) -> float:
+    """The inverse at ``v`` of ``num(s)/(psi(s) - q) + rest(s)`` (see
+    :func:`_resolvent_transform`), inverted in ``b = s - tilt`` by
+    :func:`_invert_at` and scaled back by ``e^(tilt v)``.
+
+    A transform whose inverse grows like ``e^(Phi v)`` is tilted by ``Phi``;
+    one whose numerator vanishes at ``Phi`` is inverted untilted.
+    """
+    transform = _resolvent_transform(ev.model, ev.q, tilt, num, rest)
+    return math.exp(tilt * v) * _invert_at(ev, transform, v, tilt)
 
 
 def _pchip_table(grid: np.ndarray, vals: np.ndarray) -> tuple[list[float], tuple[array, ...]]:
@@ -391,41 +413,6 @@ def _pchip_at(table: tuple[list[float], tuple[array, ...]], x: float) -> float:
     return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
 
-def _cell_integrals(phi_q: float, tilted, i, a, b, kernel=np.exp, rule=_GAUSS8,
-                    off=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``integral_a^b W`` and ``integral_a^b kernel(y) W(y) dy`` on panels
-    ``[a, b]`` inside the cache cells ``i``, ``off`` past the cells' left
-    knots: ``rule`` on ``e^(Phi y) P_i(y)``, summed one node at a time."""
-    c3, c2, c1, c0 = (np.frombuffer(col)[i] for col in tilted[1])
-    half = 0.5 * (b - a)
-    s = np.multiply.outer(half, 1.0 + rule[0])
-    ys = np.asarray(a)[..., None] + s
-    growth = np.exp(phi_q * ys)
-    ks = kernel(ys)
-    i0 = i1 = 0.0
-    for j, wt in enumerate(rule[1]):
-        p = off + s[..., j]
-        wy = wt * growth[..., j] * (c0 + p * (c1 + p * (c2 + p * c3)))
-        i0 = i0 + wy
-        i1 = i1 + wy * ks[..., j]
-    return half * i0, half * i1
-
-
-def _panel_integrals(ev: ScaleEvaluator, lo: float, hi: float, kernel=np.exp,
-                     rule=_GAUSS8, cuts=()) -> tuple[float, float]:
-    """``integral_lo^hi W`` and ``integral_lo^hi kernel(y) W(y) dy`` off the
-    cache: ``rule`` on panels at most ``1/(Phi+1)`` wide, also cut at
-    ``cuts``, with ``W`` at every node from one :func:`_w_direct` call."""
-    edges = np.linspace(lo, hi, math.ceil((hi - lo) * (ev.phi_q + 1.0)) + 1)
-    if len(cuts):
-        edges = np.union1d(edges, cuts)
-    t, wt = rule
-    half = np.diff(edges)[:, None] / 2.0
-    ys = edges[:-1, None] + half * (1.0 + t)
-    wy = half * wt * _w_direct(ev, ys.ravel()).reshape(ys.shape)
-    return wy.sum(), (wy * kernel(ys)).sum()
-
-
 def w(ev: ScaleEvaluator, x: float) -> float:
     """``W(x)``: zero on the negative axis, ``w0`` at 0, nondecreasing after."""
     if x < 0.0:
@@ -439,7 +426,7 @@ def w(ev: ScaleEvaluator, x: float) -> float:
         return acc
     if x <= _CACHE_HI:
         return math.exp(ev.phi_q * x) * _pchip_at(ev._tilted, x)
-    return float(_w_direct(ev, np.array([x]))[0])
+    return _w_resolvent(ev, x, None, tilt=ev.phi_q)
 
 
 def z(ev: ScaleEvaluator, x: float) -> float:
@@ -459,9 +446,10 @@ def _exp_increment(r: complex, x: float) -> complex:
 def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
     """``(integral_0^x W(y) dy, integral_0^x exp(y) W(y) dy)``.
 
-    Closed forms sum over the roots.  The numeric route reads the tables at
-    the left knot of ``x``'s cell, adds the partial cell and, past
-    ``_CACHE_HI``, :func:`_panel_integrals`.
+    Closed forms sum over the roots.  The numeric route makes two tilted
+    inversions, of ``G(b)/(b + Phi)`` and ``G(b)/(b + Phi + 1)``: the
+    transforms of ``integral_0^x W`` and ``e^(-x) integral_0^x e^y W``
+    tilted by ``e^(-Phi x)``.
     """
     if x < 0.0:
         raise DomainError(f"w_integrals needs x >= 0, got {x}")
@@ -474,16 +462,8 @@ def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
             acc0 += (c * _exp_increment(r, x)).real
             acc1 += (c * _exp_increment(r + 1.0, x)).real
         return acc0, acc1
-    knots = ev._tilted[0]
-    i = min(bisect_right(knots, x), _CACHE_N) - 1
-    i0, i1 = _cell_integrals(ev.phi_q, ev._tilted, i, knots[i], min(x, _CACHE_HI))
-    i0 += ev._integrals[0][i]
-    i1 += ev._integrals[1][i]
-    if x > _CACHE_HI:
-        f0, f1 = _panel_integrals(ev, _CACHE_HI, x)
-        i0 += f0
-        i1 += f1
-    return float(i0), float(i1)
+    return (_w_resolvent(ev, x, lambda s, step: 1.0 / s, tilt=ev.phi_q),
+            math.exp(x) * _w_resolvent(ev, x, lambda s, step: 1.0 / (s + 1.0), tilt=ev.phi_q))
 
 
 def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
@@ -497,12 +477,17 @@ def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
     """
     model = ev.model
     if ev.roots is None:
-        i0, i1 = w_integrals(ev, v)
-        acc = a * w(ev, v) + b * (i0 + 1.0 / ev.q) + c * math.exp(-v) * i1
-        if d:
-            breaks = [t - m for t in _density_pieces(model)[0]]
-            acc -= d * _w_convolve(ev, v, lambda y: jump_excess(model, m + y), breaks)
-        return acc
+        f0, f1 = _combination_at_zero(model, ev.q, a, b, c, d, m)
+        f1 += f0
+
+        def num(s, step):
+            top = a + b / s + c / (s + 1.0)
+            return top - d * _excess_transform(model, m, s, step) if d else top
+
+        def rest(s):
+            return b / (ev.q * s) - f0 / (s + 1.0) - f1 / (s + 1.0) ** 2
+
+        return _w_resolvent(ev, v, num, rest) + (f0 + f1 * v) * math.exp(-v)
     kernels = [(1.0, c)]  # (k, g) of each kernel g e^(-k y)
     if d:
         kernels.append((_density_pieces(model)[2], -d * float(jump_excess(model, m))))
@@ -518,43 +503,6 @@ def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
                 term += g * math.exp(-k * v) * _exp_increment(r + k, v)
             acc += (cw * term).real
     return acc
-
-
-def _w_convolve(ev: ScaleEvaluator, v: float, kernel, breaks=()) -> float:
-    """``integral_0^v W(v - y) kernel(y) dy`` for ``v >= 0``, ``kernel``
-    acting on arrays and smooth between its ``breaks``.
-
-    In ``u = v - y`` the panels are the numeric route's cache cells
-    (:func:`_cell_integrals`), then :func:`_panel_integrals`, cut at
-    ``v - t`` for each break ``t``.  Returns the ``_GAUSS8`` sum, and raises
-    ``QuadratureError`` past a 1e-6 gap to the ``_GAUSS6`` sum."""
-    cuts = np.array([v - t for t in breaks if 0.0 < t < v])
-    # the cells cover [0, head] and the panels [head, v]
-    head = 0.0 if ev.roots is not None else min(v, _CACHE_HI)
-    if head > 0.0:
-        knots = ev.cache[:, 0]
-        cells = np.union1d(knots[knots < head], np.append(cuts[cuts < head], head))
-        i = np.searchsorted(knots, cells[:-1], side="right") - 1
-
-    def along(u):
-        return kernel(v - u)
-
-    def rule_sum(rule) -> float:
-        acc = 0.0
-        if head > 0.0:
-            acc += _cell_integrals(ev.phi_q, ev._tilted, i, cells[:-1], cells[1:], along,
-                                   rule, cells[:-1] - knots[i])[1].sum()
-        if v > head:
-            acc += _panel_integrals(ev, head, v, along, rule, cuts[cuts > head])[1]
-        return float(acc)
-
-    low, high = rule_sum(_GAUSS6), rule_sum(_GAUSS8)
-    if abs(high - low) > 1e-6:
-        raise QuadratureError(
-            f"convolution with W at v={v:g}: its {len(_GAUSS6[0])}- and "
-            f"{len(_GAUSS8[0])}-node rules differ by {abs(high - low):.2e}"
-        )
-    return high
 
 
 def w_prime(ev: ScaleEvaluator, x: float) -> float:
@@ -573,13 +521,7 @@ def w_prime(ev: ScaleEvaluator, x: float) -> float:
         for r, c in zip(ev.roots, ev.weights):
             acc += (c * r * cmath.exp(r * x)).real
         return acc
-    tilted = _tilted_transform(ev.model, ev.q, ev.phi_q)
-
-    def transform(b: np.ndarray, step=None) -> np.ndarray:
-        return (b + ev.phi_q) * tilted(b, step) - ev.w0
-
-    inverse = _inverter(ev.model)(transform, np.array([x]))
-    return math.exp(ev.phi_q * x) * float(inverse[0])
+    return _w_resolvent(ev, x, lambda s, step: s, lambda s: -ev.w0, tilt=ev.phi_q)
 
 
 def tilted_w(model: LevyModel, lam: float, p: float, x: float) -> float:

@@ -24,9 +24,9 @@ make a single call to ``scale._w_combination`` with coefficients that cancel
 the ``exp(Phi * v)`` growth.  R4's jump-overshoot term is that call's ``d``
 coefficient: the killed resolvent against what a jump clearing ``log K``
 pays over the cap (``model.jump_excess``).  Small-z ``g`` is one
-``scale._w_convolve`` call.  This module makes no scale-route decision: how
-each route evaluates these, and how accurately, is stated in the ``scale``
-module docstring.
+``scale._w_resolvent`` call, the inverse of its own Laplace transform.  This
+module makes no scale-route decision: how each route evaluates these, and
+how accurately, is stated in the ``scale`` module docstring.
 """
 
 from __future__ import annotations
@@ -44,18 +44,17 @@ from .errors import BracketError, DomainError, MomentConditionError, RegimeError
 from .model import (
     LevyModel,
     exp_growth_rate,
-    jump_excess,
     jump_intensity,
     laplace_exponent,
     meets_discount_condition,
     phi,
     shifted_jump_integrals,
 )
-from .scale import _w_at_zero, _w_combination, _w_convolve, scale_evaluator
+from .scale import _combination_at_zero, _w_at_zero, _w_combination, _w_resolvent, scale_evaluator
 
 logger = logging.getLogger(__name__)
 
-# g_function below this z convolves W with its uncancelled kernel
+# g_function below this z inverts its own transform
 _G_SMALL_Z = 0.1
 
 __all__ = [
@@ -340,9 +339,9 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     Defined as ``(Phi+1) int_0^z e^(y-z) W(y) dy - Phi int_0^z W(y) dy``;
     the holder's coupon premium at distance ``z`` below the conversion level
     is ``alpha/Phi`` times this.  The grouped combination adds O(1) terms
-    whose sum is O(z^2), so below ``_G_SMALL_Z`` the single integral
-    ``integral_0^z W(z - y) (1 + (Phi+1) expm1(-y)) dy``, which does not
-    cancel, is taken by ``scale._w_convolve`` on either scale route.
+    whose sum is O(z^2), so below ``_G_SMALL_Z`` ``g`` is the inverse of its
+    own transform ``(s - Phi)/(s (s+1) (psi(s) - q))``, in which nothing
+    cancels, by ``scale._w_resolvent`` on either scale route.
     """
     if z_arg < 0.0:
         raise DomainError(f"g_function needs z >= 0, got {z_arg}")
@@ -351,7 +350,7 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     ev = scale_evaluator(model, q)
     ph = ev.phi_q
     if z_arg < _G_SMALL_Z:
-        return _w_convolve(ev, z_arg, lambda y: 1.0 + (ph + 1.0) * np.expm1(-y))
+        return _w_resolvent(ev, z_arg, lambda s, step: (s - ph) / (s * (s + 1.0)))
     return ph / q + _w_combination(ev, z_arg, 0.0, -ph, ph + 1.0)
 
 
@@ -475,7 +474,7 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
         raise DomainError(f"fit step must lie in (0, 1e-2], got {h}")
     K, qv, alpha = params.K, params.q, params.alpha
     ph = phi(model, qv)
-    w0, w0p = _w_at_zero(model, qv)
+    w0 = _w_at_zero(model, qv)[0]
     pasting = FitKind.SMOOTH if w0 == 0.0 else FitKind.CONTINUOUS_ONLY
     if solution.regime is Regime.R1:
         limits, kind = (math.log(K), K, K, 0.0, K), FitKind.CONTINUOUS_ONLY
@@ -483,15 +482,14 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
         a = solution.a_star
         limits, kind = (solution.tau_level, a, a, a - alpha / ph * w0, a), pasting
     elif solution.regime is Regime.R3:
-        a, b, c = _r3_coefficients(model, params, ph)
-        limits = (math.log(K), K + alpha / qv + (a * w0 + b / qv), K,
-                  K - (a * w0p + (b + c) * w0), K)
+        at_zero, slope = _combination_at_zero(model, qv, *_r3_coefficients(model, params, ph))
+        limits = (math.log(K), K + alpha / qv + at_zero, K, K - slope, K)
         at_edge = any(abs(qv - edge) <= 1e-9 * max(1.0, edge)
                       for edge in (solution.q0, solution.q1))
         kind = FitKind.SMOOTH if at_edge else FitKind.NEITHER_INTERIOR
     else:
-        a, b, c, d, m = _r4_coefficients(model, params, ph, solution.c_star)
-        slope = a * w0p + (b + c) * w0 - d * w0 * float(jump_excess(model, m))
-        limits = (solution.c_star, alpha / qv + (a * w0 + b / qv), K, -slope, 0.0)
+        at_zero, slope = _combination_at_zero(
+            model, qv, *_r4_coefficients(model, params, ph, solution.c_star))
+        limits = (solution.c_star, alpha / qv + at_zero, K, -slope, 0.0)
         kind = pasting
     return FitReport(*limits, expected_kind=kind)

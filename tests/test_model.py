@@ -31,8 +31,14 @@ from levybond import (
     sample_jump_sizes,
     shifted_jump_integrals,
 )
-from levybond.model import _jump_exponent_real, _psi_c, jump_excess, jump_passage_means
-from levybond.scale import _tilted_transform
+from levybond.model import (
+    _excess_transform,
+    _jump_exponent_real,
+    _psi_c,
+    jump_excess,
+    jump_passage_means,
+)
+from levybond.scale import _resolvent_transform
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
 CANON = LevyModel(mu=0.0, b2=2.0)
@@ -273,6 +279,66 @@ class TestShiftedJumpIntegrals:
         assert a1 >= 0.0 and b1 >= 0.0
 
 
+class TestExcessTransform:
+    """``_excess_transform``: the Laplace transform of ``jump_excess(m + .)``."""
+
+    MODELS = [EXPJ, LevyModel(0.25, 0.1, tabulated_exp_density())]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["EXPJ", "TAB"])
+    @pytest.mark.parametrize("m", [0.0, 0.3, 2.0, 9.0])
+    def test_real_point_is_the_shifted_integrals(self, model, m):
+        for ph in (0.4, 1.3, 4.0):
+            i1, i2 = shifted_jump_integrals(model, m, ph)
+            got = _excess_transform(model, m, np.array([ph]))[0]
+            assert got.real == pytest.approx(i2 / (ph + 1.0) - i1 / ph, rel=1e-12, abs=0.0)
+            assert got.imag == 0.0
+
+    def test_complex_points_against_quadrature(self):
+        # the defining integral of jump_excess, by adaptive quadrature
+        m = 0.3
+        for s in (1.5 + 2.0j, 0.2 - 7.0j):
+            def part(y, f):
+                return f(np.exp(-s * y) * float(jump_excess(EXPJ, m + y)))
+
+            want = complex(*(integrate.quad(part, 0.0, 60.0, args=(f,), limit=400,
+                                            epsabs=0.0, epsrel=1e-12)[0]
+                             for f in (np.real, np.imag)))
+            got = _excess_transform(EXPJ, m, np.array([s]))[0]
+            assert abs(got - want) <= 1e-12 * abs(want), s
+
+    def test_tabulated_against_40_digit_cells(self):
+        # (E(1) + E(-s)/s)/(s + 1) with E(a) = integral pi(m + u) expm1(a u)
+        # du, each linear cell and the tail integrated in closed form
+        mp = pytest.importorskip("mpmath")
+        tab, m = self.MODELS[1].jumps, 0.3
+        with mp.workdps(40):
+            zs = [mp.mpf(z) for z in tab.grid]
+            vs = [mp.mpf(v) for v in tab.values]
+            rate = mp.mpf(tab.tail_rate)
+
+            def big_e(a):
+                a, acc = mp.mpc(a), mp.mpf(0)
+                for z0, z1, v0, v1 in zip(zs, zs[1:], vs, vs[1:]):
+                    if z1 <= m:
+                        continue
+                    k, lo = (v1 - v0) / (z1 - z0), max(z0, mp.mpf(m))
+                    f_lo = v0 + k * (lo - z0)
+                    prim = [mp.exp(a * (z - m)) * (f / a - k / a**2) for z, f in ((z1, v1), (lo, f_lo))]
+                    acc += prim[0] - prim[1] - (f_lo + v1) * (z1 - lo) / 2
+                return acc + vs[-1] * (mp.exp(a * (zs[-1] - m)) / (rate - a) - 1 / rate)
+
+            for s in (1.5 + 2.0j, 0.2 - 7.0j):
+                want = complex((big_e(1) + big_e(-s) / s) / (s + 1))
+                got = _excess_transform(self.MODELS[1], m, np.array([s]))[0]
+                assert abs(got - want) <= 1e-13 * abs(want), s
+
+    def test_ladder_matches_pointwise(self):
+        model = self.MODELS[1]
+        s = np.array([[0.5, 3.0]]).T + 0.25j * np.arange(34)
+        np.testing.assert_allclose(_excess_transform(model, 0.3, s, np.full(2, 0.25)),
+                                   _excess_transform(model, 0.3, s), rtol=1e-12, atol=0.0)
+
+
 class TestTabulatedFamily:
     TAB = tabulated_exp_density()
     MODEL = LevyModel(mu=0.25, b2=0.1, jumps=TAB)
@@ -468,7 +534,7 @@ class TestComplexExponent:
         # a dyadic tilt, so that (beta - ph) + ph is beta exactly; a tilt by
         # Phi(0.8) need not round back onto the pole
         ph = 0.75
-        transform = _tilted_transform(self.MODEL, 0.8, ph)
+        transform = _resolvent_transform(self.MODEL, 0.8, ph)
         vals = transform(beta - ph)
         assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] != 0.0
         assert np.isinf(_psi_c(EXPJ, np.array([-1.7]))[0])

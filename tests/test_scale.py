@@ -323,8 +323,8 @@ class TestShapeInvariants:
 
 class TestCombination:
     """``_w_combination`` groups the partial-fraction root at Phi(q) on the
-    closed route; the numeric route evaluates the same expression from W and
-    its integrals, so the two must agree on the solver's coefficient triples."""
+    closed route; the numeric route inverts the combination's own transform,
+    so the two must agree on the solver's coefficient triples."""
 
     @staticmethod
     def triples(model, q, phi_q):
@@ -349,8 +349,8 @@ class TestCombination:
             wv = w(closed, v)
             i0, i1 = w_integrals(closed, v)
             for name, (a, b, c) in self.triples(model, q, closed.phi_q).items():
-                # the numeric route cancels e^(Phi v)-sized terms, so its
-                # error scales with the terms, not with their sum
+                # the bound is relative to the size of the terms, not of
+                # their sum
                 size = abs(a) * wv + abs(b) * (i0 + 1.0 / q) + abs(c) * math.exp(-v) * i1
                 got = _w_combination(closed, v, a, b, c)
                 ref = _w_combination(numeric, v, a, b, c)
@@ -358,8 +358,8 @@ class TestCombination:
 
 
 class TestIntegralTables:
-    """``w_integrals`` on the numeric route reads tables built at the cache
-    knots; past the cache it adds a panel sum over direct inversions."""
+    """``w_integrals`` on the numeric route is two tilted inversions at the
+    point, inside the cache range and past it alike."""
 
     # adaptive quadrature (epsrel 1e-10) of the same forced-inversion
     # evaluators at x = 60, past the cache edge
@@ -374,12 +374,23 @@ class TestIntegralTables:
     def test_tables_match_closed_forms(self, name, model, q):
         closed = scale_evaluator(model, q)
         numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
-        assert closed._integrals is None and numeric._integrals is not None
+        assert closed.method is Method.CLOSED_FORM
+        assert numeric.method is Method.NUMERIC_INVERSION
         for x in np.geomspace(0.1, _CACHE_HI, 25).tolist():
             for got, want in zip(w_integrals(numeric, x), w_integrals(closed, x)):
                 assert got == pytest.approx(want, rel=1e-10, abs=0.0), x
         for got, want in zip(w_integrals(numeric, 60.0), self.QUAD_AT_60[name]):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model, q", [(CANON, 1.0), (EXPJ, 1.2)], ids=["CANON", "EXPJ"])
+    def test_near_zero_matches_closed_forms(self, model, q):
+        # O(x^2) integrals inside the first cache cells, where an integral of
+        # the PCHIP interpolant would carry its ~1e-7 relative cell error
+        closed = scale_evaluator(model, q)
+        numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+        for x in (1e-3, 1e-2):
+            for got, want in zip(w_integrals(numeric, x), w_integrals(closed, x)):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), x
 
 
 class TestTilt:

@@ -27,7 +27,6 @@ from levybond import (
     ExponentialJumps,
     LevyModel,
     MomentConditionError,
-    QuadratureError,
     RegimeError,
     TabulatedDensity,
     bounded_variation_model,
@@ -434,21 +433,39 @@ class TestPremiumKernel:
 
     @pytest.mark.parametrize("qq", [1.05, 2.6])
     def test_small_z_tabulated_against_cell_quadrature(self, qq):
-        # numeric W is a PCHIP interpolant, smooth only between cache knots;
-        # oracle: adaptive quadrature of the same evaluator on each cache
-        # cell below z, summed exactly rounded
+        # small-z g inverts its own transform and reads no cached W; oracle:
+        # 6-point Gauss-Legendre on each cache cell below z of W as the
+        # numeric route defines it, the tilted inversion of its transform
+        # (smooth, so the rule is exact to rounding on cells this narrow),
+        # summed exactly rounded.  Each side is one Euler inversion away from
+        # the true value, so they agree to the rule's 2e-8, not to rounding
         ev = scale_evaluator(TAB, qq)
         ph = ev.phi_q
         knots = ev.cache[:, 0]
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        tilted = scale_module._resolvent_transform(TAB, qq, ph)
         for zz in (1e-3, 1e-2, 5e-2):
-            edges = [0.0, *knots[(knots > 0.0) & (knots < zz)].tolist(), zz]
+            edges = np.array([0.0, *knots[(knots > 0.0) & (knots < zz)], zz])
+            mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+            y = (mid[:, None] + half[:, None] * nodes).ravel()
+            w_y = np.exp(ph * y) * scale_module._euler(tilted, y)
+            f = (1.0 + (ph + 1.0) * np.expm1(y - zz)) * w_y
+            expect = math.fsum((np.repeat(half, len(nodes)) * np.tile(weights, len(mid)) * f).tolist())
+            assert g_function(TAB, qq, zz) == pytest.approx(expect, rel=2e-8, abs=0.0), zz
 
-            def f(y, zz=zz):
-                return (1.0 + (ph + 1.0) * math.expm1(y - zz)) * w(ev, y)
-
-            expect = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0]
-                               for a, b in zip(edges[:-1], edges[1:]))
-            assert g_function(TAB, qq, zz) == pytest.approx(expect, rel=1e-12, abs=0.0), zz
+    def test_euler_route_against_closed_forms(self, monkeypatch):
+        # both g branches on forced-inversion evaluators, inverted by the
+        # Euler rule (the tabulated route's inverter), against the closed g;
+        # the memoised evaluators are built before the inverter is swapped
+        cases = [(CANON, 1.02), (EXPJM, 2.6), (BV2, 2.5), (B05, 2.0)]
+        zs = (1e-3, 1e-2, 5e-2, 0.2, 1.0, 4.0, 8.0)
+        closed = {case: [g_function(*case, zz) for zz in zs] for case in cases}
+        numeric = {case: scale_evaluator(*case, Method.NUMERIC_INVERSION) for case in cases}
+        monkeypatch.setattr(scale_module, "_inverter", lambda model: scale_module._euler)
+        monkeypatch.setattr(solver_module, "scale_evaluator", lambda *case: numeric[case])
+        for case in cases:
+            for zz, expect in zip(zs, closed[case]):
+                assert g_function(*case, zz) == pytest.approx(expect, rel=2e-8, abs=0.0), (case, zz)
 
     def test_zero_and_domain(self):
         assert g_function(CANON, 5.0, 0.0) == 0.0
@@ -594,7 +611,7 @@ class TestValue:
                 assert quadv == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
     def test_overshoot_tables_match_quadrature(self):
-        # table-based overshoot on the tabulated density vs the 2-D quadrature
+        # numeric-route overshoot on the tabulated density vs the 2-D quadrature
         sol = classify(TAB, gp(1.05))
         ev = scale_evaluator(TAB, 1.05)
         c = sol.c_star
@@ -604,7 +621,7 @@ class TestValue:
                                           abs=1e-8, rel=0.0), x
 
     def test_overshoot_tables_match_closed_form(self):
-        # forced inversion: the table overshoot against the closed overshoot
+        # forced inversion: the inverted overshoot against the closed overshoot
         for model, qq in [(EXPJM, 1.05), (BV2, 0.8)]:
             sol = classify(model, gp(qq))
             closed = scale_evaluator(model, qq)
@@ -615,13 +632,31 @@ class TestValue:
                 got = _overshoot(numeric, gp(qq), c, c - x)
                 assert got == pytest.approx(expect, abs=1e-8, rel=0.0), (qq, x)
 
-    def test_overshoot_rule_gap_raises(self, monkeypatch):
-        # a too-coarse low-order rule widens the two-rule gap past its bound
-        # (the midpoint rule: at 2 nodes the two sums still agree to ~1e-16)
-        monkeypatch.setattr(scale_module, "_GAUSS6", np.polynomial.legendre.leggauss(1))
-        c = classify(TAB, gp(1.05)).c_star
-        with pytest.raises(QuadratureError, match="differ"):
-            _overshoot(scale_evaluator(TAB, 1.05), gp(1.05), c, c + 1.0)
+
+class TestFarBelowBoundary:
+    """Forced-inversion R4 values against the closed forms down to
+    ``Phi v ~ 54``: the numeric route inverts the value's own pole-free
+    transform, so no term of size ``e^(Phi v)`` cancels.  ``v = 8/Phi`` and
+    ``21/(2 Phi)`` put the Talbot and Euler contours' real point on ``Phi``
+    before it is moved off."""
+
+    CASES = [(EXPJ, 1.5), (EXPJM, 1.05), (BV2, 0.8)]
+
+    @pytest.mark.parametrize("inverter, rel", [("route", 1e-12), ("euler", 1e-9)])
+    def test_matches_closed_forms(self, monkeypatch, inverter, rel):
+        # the memoised evaluators are built before the inverter is swapped
+        evs = [(scale_evaluator(model, qq), scale_evaluator(model, qq, Method.NUMERIC_INVERSION))
+               for model, qq in self.CASES]
+        if inverter == "euler":
+            monkeypatch.setattr(scale_module, "_inverter", lambda model: scale_module._euler)
+        for (model, qq), (closed, numeric) in zip(self.CASES, evs):
+            sol = classify(model, gp(qq))
+            assert sol.regime is Regime.R4
+            coeffs = solver_module._r4_coefficients(model, gp(qq), closed.phi_q, sol.c_star)
+            for v in (1e-3, 0.5, 2.0, 5.0, 8.0, 10.0, 12.0, 20.0,
+                      8.0 / closed.phi_q, 21.0 / (2.0 * closed.phi_q)):
+                assert _w_combination(numeric, v, *coeffs) + 1.0 / qq == pytest.approx(
+                    _w_combination(closed, v, *coeffs) + 1.0 / qq, rel=rel, abs=0.0), (qq, v)
 
 
 def _stencil_limits(model, params, sol, h=None):
@@ -747,9 +782,7 @@ class TestExactLimits:
         ("EXPJM", 1.05, Regime.R4, None), ("EXPJM", 2.2, Regime.R3, None),
         ("EXPJM", 3.0, Regime.R2, None),
         ("TAB", 1.05, Regime.R4, None), ("TAB", 2.6, Regime.R2, None),
-        # within 1e-4 of the cap the numeric route's W carries its first-cell
-        # interpolation error, which the default step's 1/h lifts to ~1e-4 in
-        # the R3 slope; at h = 1e-3 the stencil is good to ~1e-7 there
+        # at h = 1e-3 the stencil is good to ~1e-7 in the R3 slope here
         ("TAB", 2.3, Regime.R3, 1e-3),
     ])
     def test_match_stencil(self, name, qq, regime, h):
