@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -222,6 +223,17 @@ def _linear_body(cells, lo: float, s: float = 0.0):
         mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
         moments.append(float(np.sum(cp * mk + cm * mk1)))
     return nodes, weights, moments
+
+
+@lru_cache(maxsize=8)
+def _body_of(jumps: JumpSpec, lo: float, s: float):
+    """:func:`_linear_body` of ``jumps``' body, memoised (its arrays read-only):
+    R4 values at one threshold take it about the same ``m = log K - c*`` in
+    :func:`shifted_jump_integrals` and :func:`_excess_transform`, at every
+    point of a profile."""
+    nodes, weights, moments = _linear_body(jumps._cells, lo, s)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights, tuple(moments)
 
 
 def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> None:
@@ -593,7 +605,7 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
     lo = max(s, 0.0)
     i1 = i2 = 0.0
     if j._body is not None and lo < knots[-1]:
-        body = _linear_body(j._cells, lo, s)
+        body = _body_of(j, lo, s)
         e_neg, e_pos = _body_expm1(body, np.array([-phi_q, 1.0])).real.tolist()
         i1 = -e_neg
         i2 = e_pos - e_neg
@@ -667,7 +679,7 @@ def _excess_transform(model: LevyModel, m: float, s, step=None) -> np.ndarray:
     e_pos, e_neg = 0.0, np.zeros(s.shape, dtype=complex)
     with np.errstate(all="ignore"):  # far-left contour points overflow to inf
         if j._body is not None and m < knots[-1]:
-            body = _linear_body(j._cells, m, m)
+            body = _body_of(j, m, m)
             e_pos = _body_expm1(body, np.ones(1))[0].real
             e_neg = _body_expm1(body, -s, None if step is None else np.negative(step))
         if j._tail_mass > 0.0:

@@ -21,23 +21,34 @@ Two evaluation routes exist and are cross-checked against each other:
   Bromwich line, no deformation) is primary and certification is by the
   forward transform identity instead.
 
-Both inverters work on arrays of ``x``: the cache grid or the 10 check
-points go in as one call, in blocks of ``_CHUNK_ROWS`` points.  Talbot
-builds each block's (x, node) contour, calls the transform on it point by
-point and sums each x's 64 terms exactly rounded (``math.fsum`` per row).
-Euler's contour at ``x`` is a ladder of rungs ``A/(2x) + i k pi/x``, and the
-transform gets the rung step ``pi/x`` with it.  A tabulated exponent then
-forms each density node's exponential ``e^(-(s_0 + Phi) u_j)`` at the first
-rung and multiplies it by ``e^(-i pi u_j/x)`` once per further rung (the rung
-recurrence of ``model._psi_c``): two complex exponentials per (x, density
-node) instead of one per (x, rung, density node).  A block holds only
-(x, density node) arrays, so its memory does not grow with the rung count.
+Both inverters take an array of ``x``, in blocks of ``_CHUNK_ROWS``
+points.  Talbot builds each block's (x, node) contour, calls the transform
+on it point by point and sums each x's 64 terms exactly rounded
+(``math.fsum`` per row).  Euler's contour at ``x`` is a ladder of rungs
+``A/(2x) + i k pi/x``, and the transform gets the rung step ``pi/x`` with
+it.  A tabulated exponent then forms each density node's exponential
+``e^(-(s_0 + Phi) u_j)`` at the first rung and multiplies it by
+``e^(-i pi u_j/x)`` once per further rung (the rung recurrence of
+``model._psi_c``): two complex exponentials per (x, density node) instead
+of one per (x, rung, density node).  A block holds only (x, density node)
+arrays, so its memory does not grow with the rung count.
 
 The tabulated transform integrates the density by parts (see
 ``model._body_expm1``); Euler's factor ``e^(A/2)/x ~ 3.6e4/x`` amplifies
 such a reordering of the cell sum to ~1e-11 relative (~1e-10 near
-``x = 50``), far inside the certified tolerances.  On the test tables the
-cache holds 3e-11 relative to a 40-digit evaluation of the same Euler sum.
+``x = 50``), far inside the certified tolerances.  On the test tables ``w``
+holds 3e-12 relative to a 40-digit evaluation of the same Euler sum.
+
+The forward identity ``integral_0^inf e^(-beta x) W = 1/(psi(beta) - q)``
+(:func:`laplace_selfcheck`) is one Gauss-Laguerre sum,
+``(1/k) sum_i w_i W_Phi(t_i/k)`` with ``k = beta - Phi`` and the bounded
+``W_Phi = e^(-Phi x) W``, at the 45 nodes of the 128-point rule whose weight
+exceeds 1e-17: the numeric route inverts ``G`` there in one call, the closed
+route sums its roots.  The test tables read residuals <= 1e-9 at
+``beta - Phi`` in {0.5, 1, 3} (a 64-point rule reads 2.8e-6).  The rule
+cannot resolve a boundary layer of ``W_Phi`` much narrower than its first
+node ``0.011/k``: a drift-dominated model with a small Gaussian part, whose
+``W_Phi`` has a part decaying at rate ``40 k`` or more, reads 1e-8 and up.
 
 The solver's value formulas are combinations
 ``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
@@ -60,16 +71,14 @@ f1/(s+1)^2`` and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0``
 are the exact ``v -> 0+`` value and slope (``_combination_at_zero``), so the
 inverted rest decays like ``s^-3``.  No ``e^(Phi v)``-sized term is formed.
 
-Every numeric-route operation other than ``w`` on the cache is likewise one
-inversion at its point (``_w_resolvent``): ``w`` past the cache,
-``w_prime``, the two ``w_integrals`` (``G(b)/(b + Phi)`` and
-``G(b)/(b + Phi + 1)``, tilted as they grow like ``e^(Phi x)``) and the
-solver's small-z ``g``.  Near ``s = Phi`` a pole-free transform is a
-quotient of two small numbers, so ``_invert_at`` moves a contour's one real
-point within 5% of ``Phi`` up to ``1.05 Phi`` (scaling Talbot's radius or
-Euler's ``A``).  ``W`` on the cache grid is a PCHIP interpolant of the
-tilted values, which :func:`w` reads by bisection in PPoly's own evaluation
-order: bit for bit ``PchipInterpolator``, without its per-call overhead.
+Every numeric-route operation is likewise one inversion at its point
+(``_w_resolvent``): ``w`` (``G`` itself), ``w_prime``, the two
+``w_integrals`` (``G(b)/(b + Phi)`` and ``G(b)/(b + Phi + 1)``, tilted as
+they grow like ``e^(Phi x)``) and the solver's small-z ``g``.  So the
+evaluator holds no table of ``W``, and building it only certifies the route.
+Near ``s = Phi`` a pole-free transform is a quotient of two small numbers,
+so ``_invert_at`` moves a contour's one real point within 5% of ``Phi`` up
+to ``1.05 Phi`` (scaling Talbot's radius or Euler's ``A``).
 """
 
 from __future__ import annotations
@@ -77,15 +86,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
-from array import array
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import AccuracyError, DomainError
 from .model import (
@@ -114,7 +118,6 @@ __all__ = [
     "laplace_selfcheck",
 ]
 
-_CACHE_LO, _CACHE_HI, _CACHE_N = 1e-4, 50.0, 2048
 _TALBOT_M = 64
 # Contour radius r = 8/x: small enough that float64 term rounding stays near
 # 1e-13 of the result, large enough that the trapezoid discretisation error
@@ -136,10 +139,16 @@ _EULER_SIGN[0] = 0.5
 
 # x-points per inverter block.  An Euler block on a tabulated exponent holds
 # its (x, density node) exponentials and rung factors, 32 x 401 complex
-# numbers each (0.2 MB), so building a tabulated evaluator raises the peak
-# resident memory by under 1 MB, whatever the cache grid size.  Talbot
-# inverts rational exponents only, which form no per-node array.
+# numbers each (0.2 MB), so an inversion raises the peak resident memory by
+# under 1 MB, however many points it takes.  Talbot inverts rational
+# exponents only, which form no per-node array.
 _CHUNK_ROWS = 32
+
+# The 128-point Gauss-Laguerre rule of laplace_selfcheck's forward identity,
+# less the nodes whose weight (below 1e-17) cannot move its sum of a bounded
+# W_Phi: 45 nodes remain, the last at t ~ 39.5.
+_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(128)
+_LAGUERRE_T, _LAGUERRE_W = _LAGUERRE_T[_LAGUERRE_W > 1e-17], _LAGUERRE_W[_LAGUERRE_W > 1e-17]
 
 
 class Method(enum.Enum):
@@ -238,10 +247,10 @@ class ScaleEvaluator:
     """Immutable per-(model, q) evaluator; build with :func:`scale_evaluator`.
 
     ``roots``/``weights`` are the partial-fraction data for closed forms and
-    ``None`` otherwise.  ``cache``, the precomputed ``(x, W(x))`` grid, and
-    the PCHIP table behind :func:`w` are numeric-route only: a closed form
-    stores ``None`` for both, as its operations sum over the roots.
-    Construction does all precomputation; every operation afterwards is pure.
+    ``None`` otherwise: closed-form operations sum over the roots, and
+    numeric-route ones invert their own transform at their point, so the
+    evaluator holds no table of ``W``.  Construction selects the route and,
+    on the numeric one, certifies it; every operation afterwards is pure.
     """
 
     model: LevyModel
@@ -252,8 +261,6 @@ class ScaleEvaluator:
     w0_prime: float
     roots: tuple[complex, ...] | None
     weights: tuple[complex, ...] | None
-    cache: np.ndarray | None = field(default=None, repr=False)
-    _tilted: tuple[list[float], tuple[array, ...]] | None = field(default=None, repr=False)
 
 
 def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
@@ -334,32 +341,21 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
         raise DomainError("closed form unavailable: the exponent is not rational, "
                           "or has repeated roots or no root at Phi(q)")
 
-    grid = np.concatenate([[0.0], np.geomspace(_CACHE_LO, _CACHE_HI, _CACHE_N)])
-    transform = _resolvent_transform(model, q, phi_q)
-    invert = _inverter(model)
-    tilted_vals = np.empty(len(grid))
-    tilted_vals[0] = w0
-    tilted_vals[1:] = invert(transform, grid[1:])
-    wa = tilted_vals * np.exp(np.minimum(phi_q * grid, 700.0))
     ev = ScaleEvaluator(model=model, q=float(q), method=Method.NUMERIC_INVERSION,
-                        phi_q=phi_q, w0=w0, w0_prime=w0p, roots=None, weights=None,
-                        cache=np.column_stack([grid, wa]),
-                        _tilted=_pchip_table(grid, tilted_vals))
-    _certify(ev, transform, invert)
+                        phi_q=phi_q, w0=w0, w0_prime=w0p, roots=None, weights=None)
+    _certify(ev)
     return ev
 
 
-def _certify(ev: ScaleEvaluator, transform, primary) -> None:
-    """Certify the numeric route or raise AccuracyError.
-
-    Rational exponents (Talbot primary): Talbot against the independent
-    Euler inverter at the 10 diagnostic points (both contours are valid
-    there).  Other exponents: the deformed Talbot contour is unsound, so
-    certification uses the forward Laplace-transform identity instead.
-    """
-    if primary is _talbot:
+def _certify(ev: ScaleEvaluator) -> None:
+    """Certify the numeric route or raise AccuracyError: Talbot (rational
+    exponents) against the independent Euler inverter at 10 points; Euler
+    (the others, where a deformed contour is unsound) by the forward
+    transform identity at ``beta = Phi + {0.5, 1, 3}``."""
+    if _inverter(ev.model) is _talbot:
+        transform = _resolvent_transform(ev.model, ev.q, ev.phi_q)
         xs = np.geomspace(1e-3, 40.0, 10)
-        for xv, a, b in zip(xs.tolist(), primary(transform, xs).tolist(),
+        for xv, a, b in zip(xs.tolist(), _talbot(transform, xs).tolist(),
                             _euler(transform, xs).tolist()):
             scale = max(abs(a), abs(b), 1e-12)
             if abs(a - b) / scale > 1e-7:
@@ -392,27 +388,6 @@ def _w_resolvent(ev: ScaleEvaluator, v: float, num, rest=None, tilt: float = 0.0
     return math.exp(tilt * v) * _invert_at(ev, transform, v, tilt)
 
 
-def _pchip_table(grid: np.ndarray, vals: np.ndarray) -> tuple[list[float], tuple[array, ...]]:
-    """Knots (a list, for bisection) and the four per-interval coefficient
-    columns, highest power first, of the PCHIP interpolant of ``(grid, vals)``."""
-    pp = PchipInterpolator(grid, vals, extrapolate=False)
-    return pp.x.tolist(), tuple(array("d", col) for col in pp.c)
-
-
-def _pchip_at(table: tuple[list[float], tuple[array, ...]], x: float) -> float:
-    """The tabulated interpolant at ``knots[0] <= x <= knots[-1]``.
-
-    Bitwise equal to ``PchipInterpolator.__call__``: the same interval (closed
-    on the right at the last knot) and PPoly's power-sum order, without its
-    ~10 us of per-call array overhead.
-    """
-    knots, (c3, c2, c1, c0) = table
-    i = min(bisect_right(knots, x), len(knots) - 1) - 1
-    s = x - knots[i]
-    s2 = s * s
-    return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
-
-
 def w(ev: ScaleEvaluator, x: float) -> float:
     """``W(x)``: zero on the negative axis, ``w0`` at 0, nondecreasing after."""
     if x < 0.0:
@@ -424,8 +399,6 @@ def w(ev: ScaleEvaluator, x: float) -> float:
         for r, c in zip(ev.roots, ev.weights):
             acc += (c * cmath.exp(r * x)).real
         return acc
-    if x <= _CACHE_HI:
-        return math.exp(ev.phi_q * x) * _pchip_at(ev._tilted, x)
     return _w_resolvent(ev, x, None, tilt=ev.phi_q)
 
 
@@ -536,25 +509,20 @@ def tilted_w(model: LevyModel, lam: float, p: float, x: float) -> float:
 
 
 def laplace_selfcheck(ev: ScaleEvaluator, beta: float) -> float:
-    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``.
-
-    The integral is truncated where ``exp((Phi(q) - beta) x) < 1e-14``, past
-    which the integrand's envelope is below that fraction of its scale.
-    """
+    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``,
+    the integral a Gauss-Laguerre sum over ``W_Phi = e^(-Phi x) W`` (module
+    docstring): the root sum on the closed route, one batched inversion of
+    the tilted transform on the numeric route."""
     if not (beta > ev.phi_q + 0.1):
         raise DomainError(
             f"selfcheck needs beta > Phi(q)+0.1 = {ev.phi_q + 0.1:g}, got {beta}"
         )
-    horizon = math.log(1e14) / (beta - ev.phi_q)
-    # split at the cache edge: W switches representation there and the
-    # seam otherwise triggers spurious roundoff reports from quad
-    breaks = [x for x in (_CACHE_HI,) if 0.0 < x < horizon]
-    with warnings.catch_warnings():
-        # interpolated W has ~1e-12 wiggle; quad flags it as roundoff even
-        # though the residual we return is orders of magnitude above it
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val = quad(lambda t: math.exp(-beta * t) * w(ev, t), 0.0, horizon,
-                   epsabs=1e-12, epsrel=1e-11, limit=400,
-                   points=breaks or None)[0]
+    k = beta - ev.phi_q
+    x = _LAGUERRE_T / k
+    if ev.roots is not None:
+        w_phi = (np.exp(np.outer(x, np.array(ev.roots) - ev.phi_q)) @ np.array(ev.weights)).real
+    else:
+        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), x)
+    val = math.fsum((_LAGUERRE_W * w_phi).tolist()) / k
     target = 1.0 / (laplace_exponent(ev.model, beta) - ev.q)
     return abs(val - target) / abs(target)

@@ -393,12 +393,18 @@ def value(model: LevyModel, params: GameParams, solution: RegimeSolution,
         ev = scale_evaluator(model, params.q)
         return (math.exp(x) + params.alpha / params.q
                 + _w_combination(ev, log_k - x, *_r3_coefficients(model, params, ev.phi_q)))
-    c = solution.c_star
-    if x >= c:
-        return max(params.K, math.exp(x))
-    ev = scale_evaluator(model, params.q)
-    return params.alpha / params.q + _w_combination(
-        ev, c - x, *_r4_coefficients(model, params, ev.phi_q, c))
+    return _r4_values(model, params, solution.c_star, [x])[0]
+
+
+def _r4_values(model: LevyModel, params: GameParams, c: float, xs) -> list[float]:
+    """R4 values at the points ``xs`` for the issuer threshold ``c``.  The
+    coefficients depend only on the model, the parameters and ``c``, so
+    they are computed once, unless every point lies at or above ``c``."""
+    if not all(x >= c for x in xs):
+        ev = scale_evaluator(model, params.q)
+        coeffs = _r4_coefficients(model, params, ev.phi_q, c)
+    return [max(params.K, math.exp(x)) if x >= c
+            else params.alpha / params.q + _w_combination(ev, c - x, *coeffs) for x in xs]
 
 
 def _r3_coefficients(model: LevyModel, params: GameParams, ph: float) -> tuple[float, ...]:
@@ -425,7 +431,10 @@ def _r4_coefficients(model: LevyModel, params: GameParams, ph: float,
 
 def value_profile(model: LevyModel, params: GameParams,
                   solution: RegimeSolution, xs) -> np.ndarray:
-    """:func:`value` at each point of ``xs``, one call per point (deterministic, pure)."""
+    """:func:`value` at each point of ``xs`` (deterministic, pure); in R4 the
+    value coefficients are computed once per profile."""
+    if solution.regime is Regime.R4:
+        return np.array(_r4_values(model, params, solution.c_star, [float(xv) for xv in xs]))
     return np.array([value(model, params, solution, float(xv)) for xv in xs])
 
 

@@ -5,12 +5,14 @@ was itself validated against the Laplace-transform identity by quadrature
 (residuals ~1e-16) before this module existed.
 """
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+
+import levybond.scale as scale_module
 
 from levybond import (
     AccuracyError,
@@ -22,10 +24,8 @@ from levybond import (
     laplace_exponent,
 )
 from levybond.scale import (
-    _CACHE_HI,
     Method,
-    _pchip_at,
-    _pchip_table,
+    ScaleEvaluator,
     _w_combination,
     laplace_selfcheck,
     scale_evaluator,
@@ -120,15 +120,30 @@ class TestNumericInversion:
             )
 
     def test_cache_shape_and_monotone_grid(self):
+        # the evaluator holds no table of W: numeric-route w inverts at its
+        # point, and stays nondecreasing on a geometric grid out to 50
+        fields = {f.name for f in dataclasses.fields(ScaleEvaluator)}
+        assert not fields & {"cache", "_tilted"}
         ev = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
-        assert ev.cache.shape[1] == 2
-        assert np.all(np.diff(ev.cache[:, 0]) > 0)
-        assert np.all(np.diff(ev.cache[:, 1]) > -1e-12)
-        # a closed form sums over its roots and builds neither table
+        wa = np.array([w(ev, x) for x in np.geomspace(1e-4, 50.0, 200).tolist()])
+        assert np.all(np.diff(wa) > -1e-12)
+        # a closed form sums over its roots
         for model, q in [(CANON, 1.0), (EXPJ, 1.2), (BV_RHO1, 1.0)]:
             closed = scale_evaluator(model, q)
             assert closed.roots is not None
-            assert closed.cache is None and closed._tilted is None
+
+    @pytest.mark.parametrize("inverter, rel", [("route", 1e-12), ("euler", 5e-9)])
+    def test_single_point_w_matches_closed_forms(self, monkeypatch, inverter, rel):
+        # forced inversion at one point each, near 0 and out to 49; the
+        # memoised evaluators are built before the inverter is swapped
+        cases = [(CANON, 1.0), (BV2, 0.8), (EXPJ, 1.2)]
+        evs = [(scale_evaluator(model, q), scale_evaluator(model, q, Method.NUMERIC_INVERSION))
+               for model, q in cases]
+        if inverter == "euler":
+            monkeypatch.setattr(scale_module, "_inverter", lambda model: scale_module._euler)
+        for closed, numeric in evs:
+            for xv in (1e-4, 3e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 30.0, 49.0):
+                assert w(numeric, xv) == pytest.approx(w(closed, xv), rel=rel, abs=0.0), xv
 
     def test_beyond_cache_direct_inversion(self):
         closed = scale_evaluator(CANON, 1.0)
@@ -185,11 +200,10 @@ class TestTabulatedInversion:
         assert ev.method is Method.NUMERIC_INVERSION
 
     def test_cache_matches_40_digit_euler_sum(self):
-        # the same Euler sum, with psi of the same piecewise-linear density
-        # cell by cell at 40 digits, at five knots from 1e-4 to 50.  Float
-        # roundoff, amplified by the rule's e^(A/2)/x, leaves ~3e-12 here
-        # (up to 6e-12 over nine knots of the 401-node table at q 1.05,
-        # summation order aside); a rung recurrence off by 1e-11 in
+        # single-point w against the same Euler sum, with psi of the same
+        # piecewise-linear density cell by cell at 40 digits, at five points
+        # from 1e-4 to 50.  Float roundoff, amplified by the rule's
+        # e^(A/2)/x, leaves ~3e-12 here; a rung recurrence off by 1e-11 in
         # magnitude per rung reads ~1e-8
         mp = pytest.importorskip("mpmath")
         from levybond.scale import _EULER_A, _EULER_ME, _EULER_N
@@ -218,8 +232,8 @@ class TestTabulatedInversion:
                 return out
 
             A, ph, q = mp.mpf(_EULER_A), mp.mpf(ev.phi_q), mp.mpf(2.6)
-            for i in (1, 512, 1024, 1536, 2048):
-                xv, wv = ev.cache[i].tolist()
+            for xv in np.geomspace(1e-4, 50.0, 2048)[[0, 511, 1023, 1535, 2047]].tolist():
+                wv = w(ev, xv)
                 x = mp.mpf(xv)
                 partial, acc = [], mp.mpf(0)
                 for k in range(_EULER_N + _EULER_ME + 1):
@@ -246,24 +260,6 @@ class TestTabulatedInversion:
         assert d_tab == pytest.approx(d_exp, rel=5e-3)
 
 
-class TestCacheLookup:
-    def test_bitwise_equal_to_pchip(self):
-        ev = scale_evaluator(EXPJ, 1.2, Method.NUMERIC_INVERSION)
-        grid = ev.cache[:, 0]
-        tilted = ev.cache[:, 1] * np.exp(-ev.phi_q * grid)
-        pchip = PchipInterpolator(grid, tilted, extrapolate=False)
-        table = _pchip_table(grid, tilted)
-        xs = np.concatenate([np.random.default_rng(5).uniform(0.0, _CACHE_HI, 20000),
-                             grid, [_CACHE_HI]])
-        got = np.array([_pchip_at(table, x) for x in xs.tolist()])
-        assert got.tobytes() == pchip(xs).tobytes()
-
-    def test_w_reproduces_the_cache_at_knots(self):
-        ev = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
-        for xv, wv in ev.cache[1::97].tolist() + [ev.cache[-1].tolist()]:
-            assert w(ev, xv) == pytest.approx(wv, rel=1e-15, abs=0.0)
-
-
 class TestTransformIdentity:
     @pytest.mark.parametrize("model, q", [(CANON, 1.0), (BV_RHO1, 1.0)])
     def test_closed_forms_tight(self, model, q):
@@ -281,6 +277,15 @@ class TestTransformIdentity:
         ev = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
         for offset in (0.5, 1.0, 3.0):
             assert laplace_selfcheck(ev, ev.phi_q + offset) <= 1e-6
+
+    @pytest.mark.parametrize("n, q", [(401, 1.05), (101, 2.6)])
+    def test_tabulated_certificate(self, n, q):
+        # the build's own check, the Laguerre sum over inverted W at
+        # Phi + {0.5, 1, 3}, holds far inside its 1e-6 bound on both
+        # densities; a 64-point rule reads 2.8e-6 on the 101-node one
+        ev = scale_evaluator(LevyModel(mu=0.1, b2=0.3, jumps=tabulated_exp_density(n)), q)
+        for offset in (0.5, 1.0, 3.0):
+            assert laplace_selfcheck(ev, ev.phi_q + offset) <= 1e-8, offset
 
     def test_rejects_beta_at_singularity(self):
         ev = scale_evaluator(CANON, 1.0)
@@ -359,10 +364,10 @@ class TestCombination:
 
 class TestIntegralTables:
     """``w_integrals`` on the numeric route is two tilted inversions at the
-    point, inside the cache range and past it alike."""
+    point, near 0 and far out alike."""
 
     # adaptive quadrature (epsrel 1e-10) of the same forced-inversion
-    # evaluators at x = 60, past the cache edge
+    # evaluators at x = 60
     QUAD_AT_60 = {
         "CANON": (5.710036949078599e+25, 3.2604521959840846e+51),
         "EXPJ": (9.03897008048924e+61, 7.279146307319263e+87),
@@ -376,7 +381,7 @@ class TestIntegralTables:
         numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
         assert closed.method is Method.CLOSED_FORM
         assert numeric.method is Method.NUMERIC_INVERSION
-        for x in np.geomspace(0.1, _CACHE_HI, 25).tolist():
+        for x in np.geomspace(0.1, 50.0, 25).tolist():
             for got, want in zip(w_integrals(numeric, x), w_integrals(closed, x)):
                 assert got == pytest.approx(want, rel=1e-10, abs=0.0), x
         for got, want in zip(w_integrals(numeric, 60.0), self.QUAD_AT_60[name]):
@@ -384,8 +389,8 @@ class TestIntegralTables:
 
     @pytest.mark.parametrize("model, q", [(CANON, 1.0), (EXPJ, 1.2)], ids=["CANON", "EXPJ"])
     def test_near_zero_matches_closed_forms(self, model, q):
-        # O(x^2) integrals inside the first cache cells, where an integral of
-        # the PCHIP interpolant would carry its ~1e-7 relative cell error
+        # O(x^2) integrals near 0, where an integral of an interpolated W
+        # would carry its ~1e-7 relative first-cell error
         closed = scale_evaluator(model, q)
         numeric = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
         for x in (1e-3, 1e-2):

@@ -10,12 +10,14 @@ to machine precision.
 
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import levybond.scale as scale_module
@@ -125,12 +127,36 @@ def _overshoot(ev, params, c, v):
     return _w_combination(ev, v, K * (i2 / (ph + 1.0) - i1 / ph), 0.0, 0.0, K, m)
 
 
+def _interpolated_w(ev):
+    """``W`` of a numeric-route evaluator from one batched Euler inversion of
+    its tilted transform on ``[0] + geomspace(1e-4, 50, 2048)``, read
+    through PCHIP, for oracles that read ``W`` at thousands of points.  The
+    interpolant's pieces are evaluated by bisection, without the ~10 us of
+    ``PchipInterpolator.__call__`` per point."""
+    grid = np.geomspace(1e-4, 50.0, 2048)
+    tilted = scale_module._euler(
+        scale_module._resolvent_transform(ev.model, ev.q, ev.phi_q), grid)
+    pp = PchipInterpolator(np.concatenate([[0.0], grid]), np.concatenate([[ev.w0], tilted]))
+    knots, (c3, c2, c1, c0) = pp.x.tolist(), pp.c.tolist()
+    last, ph = len(knots) - 1, ev.phi_q
+
+    def w_at(x):
+        if x < 0.0:
+            return 0.0
+        i = bisect_right(knots, x, 0, last) - 1
+        s = x - knots[i]
+        return math.exp(ph * x) * (((c3[i] * s + c2[i]) * s + c1[i]) * s + c0[i])
+    return w_at
+
+
 def _overshoot_oracle(ev, params, c, x):
     """Independent route for the R4 overshoot term: the defining double
     integral by iterated adaptive quadrature, over jump sizes that clear the
     cap (outer) and pre-jump offsets (inner), absolute tolerance 1e-8 on each
-    axis, with the density's knots handed to the outer subdivider."""
+    axis, with the density's knots handed to the outer subdivider.  ``W`` is
+    the closed form's, or a numeric route's interpolated once per call."""
     ph, K = ev.phi_q, params.K
+    w_at = (lambda y: w(ev, y)) if ev.roots is not None else _interpolated_w(ev)
     v = c - x
     m = math.log(K) - c
     jumps = ev.model.jumps
@@ -151,7 +177,7 @@ def _overshoot_oracle(ev, params, c, x):
             return 0.0
         return float(np.interp(t, jumps.grid, jumps.values)) * math.exp(t)
 
-    w_v = w(ev, v)
+    w_v = w_at(v)
     y_floor = -40.0 / ph
 
     def inner(zv):
@@ -161,7 +187,7 @@ def _overshoot_oracle(ev, params, c, x):
         cap = K * math.exp(-zv) if zv < 700.0 else 0.0
 
         def f(y):
-            return (math.exp(ph * y) * w_v - w(ev, v + y)) * (math.exp(c + y) - cap)
+            return (math.exp(ph * y) * w_v - w_at(v + y)) * (math.exp(c + y) - cap)
 
         pieces = [ylo, -v, 0.0] if ylo < -v < 0.0 else [ylo, 0.0]
         return sum(quad(f, a, b, epsabs=1e-9, epsrel=1e-9, limit=200)[0]
@@ -433,15 +459,15 @@ class TestPremiumKernel:
 
     @pytest.mark.parametrize("qq", [1.05, 2.6])
     def test_small_z_tabulated_against_cell_quadrature(self, qq):
-        # small-z g inverts its own transform and reads no cached W; oracle:
-        # 6-point Gauss-Legendre on each cache cell below z of W as the
-        # numeric route defines it, the tilted inversion of its transform
+        # small-z g inverts its own transform; oracle: 6-point
+        # Gauss-Legendre on each cell of a geometric grid below z of W as
+        # the numeric route defines it, the tilted inversion of its transform
         # (smooth, so the rule is exact to rounding on cells this narrow),
         # summed exactly rounded.  Each side is one Euler inversion away from
         # the true value, so they agree to the rule's 2e-8, not to rounding
         ev = scale_evaluator(TAB, qq)
         ph = ev.phi_q
-        knots = ev.cache[:, 0]
+        knots = np.geomspace(1e-4, 50.0, 2048)
         nodes, weights = np.polynomial.legendre.leggauss(6)
         tilted = scale_module._resolvent_transform(TAB, qq, ph)
         for zz in (1e-3, 1e-2, 5e-2):
