@@ -30,7 +30,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -225,15 +224,25 @@ def _linear_body(cells, lo: float, s: float = 0.0):
     return nodes, weights, moments
 
 
-@lru_cache(maxsize=8)
+# The last body _body_of built: (cells, lo, s, body).
+_LAST_BODY = [None]
+
+
 def _body_of(jumps: JumpSpec, lo: float, s: float):
-    """:func:`_linear_body` of ``jumps``' body, memoised (its arrays read-only):
-    R4 values at one threshold take it about the same ``m = log K - c*`` in
-    :func:`shifted_jump_integrals` and :func:`_excess_transform`, at every
-    point of a profile."""
+    """:func:`_linear_body` of ``jumps``' body, its arrays read-only, reused
+    while the next call asks for the same body: R4 values at one threshold
+    take it about the same ``m = log K - c*`` in :func:`shifted_jump_integrals`
+    and :func:`_excess_transform`, at every point of a profile.  The memo is
+    keyed on the identity of ``jumps``' cells, which it holds, so a lookup
+    costs no hash of the density."""
+    last = _LAST_BODY[0]
+    if last is not None and last[0] is jumps._cells and last[1] == lo and last[2] == s:
+        return last[3]
     nodes, weights, moments = _linear_body(jumps._cells, lo, s)
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights, tuple(moments)
+    body = nodes, weights, tuple(moments)
+    _LAST_BODY[0] = (jumps._cells, lo, s, body)
+    return body
 
 
 def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> None:

@@ -40,15 +40,16 @@ such a reordering of the cell sum to ~1e-11 relative (~1e-10 near
 holds 3e-12 relative to a 40-digit evaluation of the same Euler sum.
 
 The forward identity ``integral_0^inf e^(-beta x) W = 1/(psi(beta) - q)``
-(:func:`laplace_selfcheck`) is one Gauss-Laguerre sum,
-``(1/k) sum_i w_i W_Phi(t_i/k)`` with ``k = beta - Phi`` and the bounded
-``W_Phi = e^(-Phi x) W``, at the 45 nodes of the 128-point rule whose weight
-exceeds 1e-17: the numeric route inverts ``G`` there in one call, the closed
-route sums its roots.  The test tables read residuals <= 1e-9 at
-``beta - Phi`` in {0.5, 1, 3} (a 64-point rule reads 2.8e-6).  The rule
-cannot resolve a boundary layer of ``W_Phi`` much narrower than its first
-node ``0.011/k``: a drift-dominated model with a small Gaussian part, whose
-``W_Phi`` has a part decaying at rate ``40 k`` or more, reads 1e-8 and up.
+(:func:`laplace_selfcheck`) is exact on the closed route, ``sum_i c_i/(beta -
+theta_i)``.  On the numeric route it is the trapezoid rule in ``y = log u``
+for ``(1/k) integral_0^inf e^(-u) W_Phi(u/k) du`` (``k = beta - Phi``, the
+bounded, nondecreasing ``W_Phi = e^(-Phi x) W`` inverted at its 81 nodes in
+one call).  Even steps in ``log x`` resolve every scale of ``W_Phi`` alike: a
+layer ``e^(-lambda x)`` is analytic and bounded on ``|Im y| < pi/2`` for any
+``lambda``, and the step 1/3 keeps the error under 1e-10 (a Gauss-Laguerre
+rule, first node ``0.011/k``, reads 2e-3 on a layer of rate ``200 k``).
+Starting at ``u = e^-23`` drops at most 1e-10 of the integral, as ``W_Phi``
+is nondecreasing.  The test tables read residuals <= 1e-8.
 
 The solver's value formulas are combinations
 ``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
@@ -144,11 +145,12 @@ _EULER_SIGN[0] = 0.5
 # exponents only, which form no per-node array.
 _CHUNK_ROWS = 32
 
-# The 128-point Gauss-Laguerre rule of laplace_selfcheck's forward identity,
-# less the nodes whose weight (below 1e-17) cannot move its sum of a bounded
-# W_Phi: 45 nodes remain, the last at t ~ 39.5.
-_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(128)
-_LAGUERRE_T, _LAGUERRE_W = _LAGUERRE_T[_LAGUERRE_W > 1e-17], _LAGUERRE_W[_LAGUERRE_W > 1e-17]
+# laplace_selfcheck's rule for integral_0^inf e^(-u) f(u) du: the trapezoid
+# rule in y = log u, step 1/3, from u = e^-23 (module docstring), less the
+# nodes whose weight (below 1e-17) cannot move its sum of a bounded f.
+_CERT_U = np.exp(np.arange(-69, 13) / 3.0)
+_CERT_W = np.exp(-_CERT_U) * _CERT_U / 3.0
+_CERT_U, _CERT_W = _CERT_U[_CERT_W > 1e-17], _CERT_W[_CERT_W > 1e-17]
 
 
 class Method(enum.Enum):
@@ -509,20 +511,19 @@ def tilted_w(model: LevyModel, lam: float, p: float, x: float) -> float:
 
 
 def laplace_selfcheck(ev: ScaleEvaluator, beta: float) -> float:
-    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``,
-    the integral a Gauss-Laguerre sum over ``W_Phi = e^(-Phi x) W`` (module
-    docstring): the root sum on the closed route, one batched inversion of
-    the tilted transform on the numeric route."""
+    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``:
+    the integral is ``sum_i c_i/(beta - theta_i)`` on the closed route and,
+    on the numeric route, a trapezoid sum in ``log x`` over one batched
+    inversion of the tilted transform (module docstring)."""
     if not (beta > ev.phi_q + 0.1):
         raise DomainError(
             f"selfcheck needs beta > Phi(q)+0.1 = {ev.phi_q + 0.1:g}, got {beta}"
         )
-    k = beta - ev.phi_q
-    x = _LAGUERRE_T / k
     if ev.roots is not None:
-        w_phi = (np.exp(np.outer(x, np.array(ev.roots) - ev.phi_q)) @ np.array(ev.weights)).real
+        val = complex(np.sum(np.array(ev.weights) / (beta - np.array(ev.roots)))).real
     else:
-        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), x)
-    val = math.fsum((_LAGUERRE_W * w_phi).tolist()) / k
+        k = beta - ev.phi_q
+        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), _CERT_U / k)
+        val = math.fsum((_CERT_W * w_phi).tolist()) / k
     target = 1.0 / (laplace_exponent(ev.model, beta) - ev.q)
     return abs(val - target) / abs(target)

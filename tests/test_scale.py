@@ -261,7 +261,11 @@ class TestTabulatedInversion:
 
 
 class TestTransformIdentity:
-    @pytest.mark.parametrize("model, q", [(CANON, 1.0), (BV_RHO1, 1.0)])
+    # the last two have a W_Phi rising at rate ~40 and ~200 from 0; the
+    # residual sums the partial fractions exactly (a 128-point Gauss-Laguerre
+    # sum of the roots reads 2e-3 on the last)
+    @pytest.mark.parametrize("model, q", [(CANON, 1.0), (BV_RHO1, 1.0),
+                                          (LevyModel(0.5, 0.05), 1.0), (LevyModel(1.0, 0.02), 1.0)])
     def test_closed_forms_tight(self, model, q):
         ev = scale_evaluator(model, q)
         beta = ev.phi_q + 2.0
@@ -278,12 +282,23 @@ class TestTransformIdentity:
         for offset in (0.5, 1.0, 3.0):
             assert laplace_selfcheck(ev, ev.phi_q + offset) <= 1e-6
 
-    @pytest.mark.parametrize("n, q", [(401, 1.05), (101, 2.6)])
-    def test_tabulated_certificate(self, n, q):
-        # the build's own check, the Laguerre sum over inverted W at
-        # Phi + {0.5, 1, 3}, holds far inside its 1e-6 bound on both
-        # densities; a 64-point rule reads 2.8e-6 on the 101-node one
-        ev = scale_evaluator(LevyModel(mu=0.1, b2=0.3, jumps=tabulated_exp_density(n)), q)
+    @pytest.mark.parametrize("model, q", [(LevyModel(0.5, 0.05), 1.0), (LevyModel(1.0, 0.02), 1.0)])
+    def test_numeric_rule_resolves_a_fast_boundary_layer(self, model, q):
+        # W_Phi rises at rate ~40 and ~200 from 0; a 128-point Gauss-Laguerre
+        # rule reads 2e-3 on the second, the trapezoid rule in log x 3e-12
+        ev = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+        for offset in (0.5, 1.0, 3.0):
+            assert laplace_selfcheck(ev, ev.phi_q + offset) <= 1e-8, offset
+
+    @pytest.mark.parametrize("mu, b2, n, q", [(0.1, 0.3, 401, 1.05), (0.1, 0.3, 101, 2.6),
+                                              (0.5, 0.05, 401, 1.0), (0.5, 0.05, 101, 0.3)],
+                             ids=["TAB401", "TAB101", "TAB401-drift", "TAB101-drift"])
+    def test_tabulated_certificate(self, mu, b2, n, q):
+        # the build's own check, the trapezoid sum over inverted W at
+        # Phi + {0.5, 1, 3}, holds far inside its 1e-6 bound, also on the
+        # drift-dominated models whose boundary layer a Laguerre rule misses
+        # (9.2e-5 at 128 points on the third)
+        ev = scale_evaluator(LevyModel(mu=mu, b2=b2, jumps=tabulated_exp_density(n)), q)
         for offset in (0.5, 1.0, 3.0):
             assert laplace_selfcheck(ev, ev.phi_q + offset) <= 1e-8, offset
 
