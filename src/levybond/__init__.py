@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     LevyBondError,
     MomentConditionError,
-    QuadratureError,
     RegimeError,
     SubordinatorError,
     TruncationWarning,

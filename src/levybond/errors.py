@@ -37,13 +37,6 @@ class AccuracyError(LevyBondError, RuntimeError):
     """A numerical routine could not certify its accuracy target."""
 
 
-class QuadratureError(LevyBondError, RuntimeError):
-    """Adaptive quadrature failed to converge within the requested tolerance.
-
-    Kept for callers that catch it; no current routine raises it.
-    """
-
-
 class ConfigError(LevyBondError, ValueError):
     """A run configuration file is missing a field or contains an invalid value."""
 

@@ -2,59 +2,43 @@
 
 One exact engine runs every estimator: the *event tableau*
 (:func:`_event_tableau`).  Jump epochs and sizes are simulated exactly and
-the path is laid out piece by piece between them.  Without a Gaussian part
-each piece is linear and runs downhill, so upward passages happen only at
-jumps.  With one, each piece is a Brownian motion with drift: one Gaussian
-endpoint and one exact bridge maximum per piece.  No time grid enters, so
-no estimator reads ``SimConfig.dt``.
+the path is laid out piece by piece between them: linear and downhill
+without a Gaussian part, so that upward passages happen only at jumps;
+with one, a Brownian motion with drift with one Gaussian endpoint and one
+exact bridge maximum per piece.  No time grid enters, so no estimator reads
+``SimConfig.dt``.  :func:`upcrossing_discount_profile` and every game-value
+variant of one call read one set of joint first passages
+(:func:`_passages`), which keeps the paired comparisons of
+:func:`saddle_check` sharp (common random numbers).
 
-The estimators read the pieces as follows:
+Randomness is counter-based (Philox), and the stream layout fixes every
+estimate bit for bit given the seed:
 
-* :func:`_passages` gives the first passage above each of the sorted,
-  distinct levels of one call, drawn jointly so that every path passes its
-  levels in order.  :func:`upcrossing_discount_profile` and every game-value
-  variant of one call read this one set of passages, which is what keeps
-  the paired comparisons of :func:`saddle_check` sharp (common random
-  numbers);
-* a game value needs only the passage ``(rho, X_rho)`` of the lower
-  threshold: the coupons and the perpetual completion enter through a
-  martingale of known mean (:func:`_variant_payoffs`), and a jump passage's
-  payoff is averaged over the crossing jump's size;
-* :func:`two_sided_exit` cuts pieces at Gaussian bridge midpoints until at
-  most one barrier is within reach, with a stated bias bound;
-* :func:`wiener_hopf_check` takes exact piece maxima up to an exponential
-  clock and a bridge draw in the piece that holds it, and averages each
-  jump past the running maximum over the jump's size.
-
-Randomness is counter-based (Philox), so every estimate is bit-reproducible
-for a fixed seed regardless of scheduling.  The stream layout is part of
-that contract:
-
-* paths run in chunks of ``_CHUNK``, and chunk ``k`` of an estimator draws
-  from one generator keyed by ``(seed, tag, k)``; the tags are
-  ``_TAG_VALUE = 1`` (game values and saddle checks), ``_TAG_UPCROSS = 2``,
-  ``_TAG_TWOSIDED = 3`` and ``_TAG_SUP = 4``;
+* paths run in chunks of ``_CHUNK``; chunk ``k`` draws from one generator
+  keyed by ``(seed, tag, k)``, with the tags ``_TAG_VALUE = 1`` (game values
+  and saddle checks), ``_TAG_UPCROSS = 2``, ``_TAG_TWOSIDED = 3`` and
+  ``_TAG_SUP = 4``;
 * a chunk first makes its estimator's own draws (the ``Exp(q)`` clocks of
   :func:`wiener_hopf_check`), then the tableau's: the jump counts, the
-  epoch uniforms and the jump-size uniforms (the counts and sizes only for
-  a model with jumps; ``rows x m`` slots, ``m`` the largest count in the
-  chunk and at least 1).  With a Gaussian part there follow one standard
-  normal per piece between jumps, then one bridge uniform per piece (both
-  ``rows x (m + 1)``, pieces past the horizon included);
-* then the estimator's draws after the paths.  :func:`_passages` draws,
-  level by level in ascending order: one uniform per path that passed the
-  level below continuously (does the rest of that piece pass this level?),
-  then one inverse Gaussian (``Generator.wald``) per continuous passage from
-  below the level, rows ascending in both.  No inverse Gaussian is drawn
-  without a Gaussian part, so there it draws nothing.
-  :func:`two_sided_exit` works in rounds over the pieces
-  not yet settled, held first as the tableau's (rows ascending, each row's
-  pieces in time order) and then as the first halves of the last round's
-  cut pieces followed by their second halves; a round draws one uniform
-  per settled piece, one inverse Gaussian per lower-barrier crossing (with
-  a Gaussian part), then one standard normal per cut piece.
-  :func:`wiener_hopf_check` draws one standard normal and then one uniform
-  per path.
+  epoch uniforms and the jump-size uniforms (the counts and sizes only with
+  jumps; ``rows x m`` blocks, ``m`` the chunk's largest count and at least
+  1), then with a Gaussian part one standard normal and then one bridge
+  uniform per piece (``rows x (m + 1)`` blocks).  The blocks are drawn
+  whole, and the tableau keeps their real slots alone;
+* then the estimator's draws, rows ascending.  :func:`_passages`, level by
+  level: one uniform per path that passed the level below continuously,
+  then one inverse Gaussian (``Generator.wald``) per continuous passage
+  from below the level (none without a Gaussian part).
+  :func:`two_sided_exit` works in rounds over the unsettled pieces, held
+  first in tableau order and then as the last round's first halves followed
+  by their second halves; a round draws one uniform per settled piece, one
+  inverse Gaussian per lower-barrier crossing (with a Gaussian part), then
+  one standard normal per cut piece.  :func:`wiener_hopf_check` draws one
+  standard normal and then one uniform per path.
+
+Chunks share no generator and write disjoint rows, so they run
+concurrently (:func:`_run_chunks`); sums across chunks are added in chunk
+order, and no output depends on the number of workers.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -64,11 +48,13 @@ truncation remainder bound is checked against the reported estimate
 
 from __future__ import annotations
 
-import logging
+import contextvars
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,8 +70,6 @@ from .model import (
     sample_jump_sizes,
 )
 from .solver import IMMEDIATE_STOP, ImmediateStop
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
@@ -103,8 +87,14 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
-_CHUNK = 4096       # paths simulated simultaneously
-_MAX_JUMPS = 4096   # expected jumps per path the event tableau accepts (128 MB per array)
+_CHUNK = 4096       # paths per chunk, each chunk one tableau
+# expected jumps per path the event tableau accepts: a chunk's draw blocks
+# are (paths x most jumps), 128 MB per block at the limit
+_MAX_JUMPS = 4096
+# expected slots (paths x (expected jumps + 1)) the chunks in flight may
+# hold together; a worker holds ~130 bytes per slot in draw blocks and two
+# tableaux, so this bounds the pool near 0.5 GB, and one chunk always runs
+_SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
 # stream tags keep independent estimators off each other's random numbers
@@ -166,15 +156,9 @@ def _sim_drift(model: LevyModel) -> float:
 
 
 def mc_eligible(model: LevyModel) -> bool:
-    """Whether the event engine can simulate this model faithfully.
-
-    Everything with a Gaussian part or a moderate-rate compound-Poisson jump
-    part qualifies; a pure-jump model of enormous activity would drown the
-    event engine in bookkeeping noise and is flagged instead of simulated.
-    Eligibility does not depend on the horizon: every estimator also raises
-    :class:`DomainError` when ``rate x horizon`` exceeds ``_MAX_JUMPS``
-    expected jumps per path, whatever the Gaussian part.
-    """
+    """Whether the event engine can simulate this model: a Gaussian part or
+    a jump rate of at most 1e6.  Estimators also raise :class:`DomainError`
+    past ``_MAX_JUMPS`` expected jumps per path (draw blocks are paths x most jumps)."""
     return model.b2 > 0.0 or jump_intensity(model) <= 1e6
 
 
@@ -194,11 +178,6 @@ def _verdict(violation: float, stderr: float, budget: float) -> str:
     if violation <= 3.0 * stderr + budget:
         return "Inconclusive"
     return "Fail"
-
-
-def _at(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``a[i, cols[i]]`` for every row ``i``."""
-    return a[np.arange(len(cols)), cols]
 
 
 def _discounted(t: np.ndarray, rate: float) -> np.ndarray:
@@ -230,81 +209,119 @@ def _bridge_max(left: np.ndarray, right: np.ndarray, spread: np.ndarray) -> np.n
 
 
 class _Tableau(NamedTuple):
-    """The jumps of one chunk of paths and the pieces between them.
-
-    Jump slot ``i`` closes piece ``i``: the piece runs from jump ``i - 1``
-    (time 0 for ``i = 0``) to jump ``i`` (the horizon for the last piece).
-    Unused jump slots sort last, at time 2T; the pieces after them start
-    there, and their values mean nothing.
-    """
+    """One chunk's pieces between jumps, flat: row ``i``'s are
+    ``start[i]:end[i]`` in time order, from time 0 to the horizon.  A piece
+    keeps its closing jump's epoch (``t1``) and ``post``; a row's last piece
+    closes at T with no jump and ``post = -inf``.  The draw blocks are
+    (paths x most jumps), but these arrays hold real pieces alone."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
-    jt: np.ndarray       # jump epochs, ascending per row
-    js: np.ndarray       # jump sizes (0 in unused slots)
-    valid: np.ndarray    # slot holds a jump
-    post: np.ndarray     # X just after each jump
+    start: np.ndarray    # each row's first piece
+    end: np.ndarray      # one past each row's last piece
     t0: np.ndarray       # start time of each piece
-    t1: np.ndarray       # end time of each piece, at most T
-    length: np.ndarray   # duration of each piece (0 past the horizon)
+    t1: np.ndarray       # end time of each piece: its closing jump's epoch, or T
+    post: np.ndarray     # X just after each piece's closing jump
     y0: np.ndarray       # X at each piece's start
     pre: np.ndarray      # X at each piece's end, before its closing jump
     smax: np.ndarray     # maximum of X over each piece
 
 
-def _event_tableau(model: LevyModel, config: SimConfig, tag: int,
+def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
                    begin: Optional[Callable[[np.random.Generator, slice], None]] = None
-                   ) -> Iterator[_Tableau]:
-    """Exact jump epochs and sizes on ``[0, horizon]``, chunk by chunk;
-    ``begin(rng, chunk)`` makes the estimator's draws first.
-
-    A Gaussian part moves each piece by ``sqrt(b^2 len) Z`` and gives it an
-    exact bridge maximum; without one the drift runs downhill and a piece
-    peaks at its start.  Raises :class:`DomainError` before any draw when a
-    path expects more than ``_MAX_JUMPS`` jumps, since each chunk holds
-    arrays of (paths x most jumps in a path).
+                   ) -> _Tableau:
+    """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``;
+    ``begin(rng, chunk)`` makes the estimator's draws first.  A Gaussian
+    part moves each piece by ``sqrt(b^2 len) Z`` and gives it an exact
+    bridge maximum; without one a piece peaks at its start.  Each row's
+    prefix sums run along the padded draw blocks, so they are exact.
     """
     T = config.horizon
     drift = _sim_drift(model)
     rate = jump_intensity(model)
-    if rate * T > _MAX_JUMPS:
+    chunk = slice(k * _CHUNK, min((k + 1) * _CHUNK, config.n_paths))
+    rng = _rng(config.seed, tag, k)
+    if begin is not None:
+        begin(rng, chunk)
+    rows = chunk.stop - chunk.start
+    counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
+    m = max(1, int(counts.max()))
+    slots = np.arange(m) < counts[:, None]          # the slots holding a jump
+    block = np.where(slots, rng.random((rows, m)), 2.0)
+    block.sort(axis=1)
+    jt = block[slots]
+    jt *= T
+    block[:] = 0.0
+    if rate > 0.0:
+        block[slots] = sample_jump_sizes(model, rng.random((rows, m))[slots])
+    after = drift * jt                              # X just after each jump
+    after += np.cumsum(block, axis=1)[slots]
+    end = np.cumsum(counts + 1)
+    start = end - (counts + 1)
+    closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
+    closes[end - 1] = False
+    t1 = np.full(len(closes), T)
+    t1[closes] = jt
+    t0 = np.roll(t1, 1)                             # where the piece before
+    t0[start] = 0.0                                 # ends, or at 0
+    pre = t1 - t0                                   # each piece's length, then
+    spread = None                                   # its drift, its move and y0
+    if model.b2 > 0.0:
+        pieces = np.arange(m + 1) <= counts[:, None]
+        move = np.sqrt(model.b2 * pre)
+        move *= rng.standard_normal((rows, m + 1))[pieces]
+        block = np.zeros((rows, m + 1))
+        block[pieces] = move
+        after += np.cumsum(block[:, :-1], axis=1)[slots]
+        spread = np.log(rng.random((rows, m + 1))[pieces])
+        spread *= -2.0 * model.b2 * pre
+    pre *= drift
+    if spread is not None:
+        pre += move
+    post = np.full(len(t1), -np.inf)
+    post[closes] = after
+    y0 = np.roll(post, 1)
+    y0[start] = 0.0
+    pre += y0
+    smax = y0 if spread is None else _bridge_max(y0, pre, spread)
+    return _Tableau(chunk, rng, start, end, t0, t1, post, y0, pre, smax)
+
+
+def _pool_size(chunks: int, jumps: float) -> int:
+    """Workers for ``chunks`` chunks of ``jumps`` expected jumps per path."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, chunks, _SLOTS_IN_FLIGHT // (_CHUNK * (int(jumps) + 1))))
+
+
+def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
+                work: Callable[[_Tableau], object],
+                begin: Optional[Callable[[np.random.Generator, slice], None]] = None
+                ) -> list:
+    """``work`` on every chunk's tableau, results in chunk order; the chunks
+    run concurrently, each worker taking every ``workers``-th one, so
+    ``work`` may write only its chunk's rows.  Raises :class:`DomainError`
+    before any draw when a path expects more than ``_MAX_JUMPS`` jumps.
+    """
+    jumps = jump_intensity(model) * config.horizon
+    if jumps > _MAX_JUMPS:
         raise DomainError(
-            f"{rate * T:.3g} expected jumps per path (rate {rate:.3g} x horizon "
-            f"{T:g}) exceed the event engine's limit of {_MAX_JUMPS}")
-    for k, lo in enumerate(range(0, config.n_paths, _CHUNK)):
-        chunk = slice(lo, min(lo + _CHUNK, config.n_paths))
-        rng = _rng(config.seed, tag, k)
-        if begin is not None:
-            begin(rng, chunk)
-        rows = chunk.stop - chunk.start
-        counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
-        m = max(1, int(counts.max()))
-        valid = np.arange(m)[None, :] < counts[:, None]
-        jt = np.sort(np.where(valid, rng.random((rows, m)), 2.0), axis=1) * T
-        if rate > 0.0:
-            js = np.where(valid, sample_jump_sizes(
-                model, rng.random((rows, m)).reshape(-1)).reshape(rows, m), 0.0)
-        else:
-            js = np.zeros((rows, m))
-        zero = np.zeros((rows, 1))
-        knots = np.concatenate([zero, jt, np.full((rows, 1), T)], axis=1)
-        t0 = knots[:, :-1]
-        t1 = np.minimum(knots[:, 1:], T)
-        length = np.maximum(t1 - t0, 0.0)
-        post = drift * jt + np.cumsum(js, axis=1)
-        pre = drift * length
-        spread = None
-        if model.b2 > 0.0:
-            move = np.sqrt(model.b2 * length)
-            move *= rng.standard_normal((rows, m + 1))
-            pre += move
-            post += np.cumsum(move, axis=1)[:, :-1]
-            spread = np.log(rng.random((rows, m + 1)))
-            spread *= -2.0 * model.b2 * length
-        y0 = np.concatenate([zero, post], axis=1)
-        pre += y0
-        smax = y0 if spread is None else _bridge_max(y0, pre, spread)
-        yield _Tableau(chunk, rng, jt, js, valid, post, t0, t1, length, y0, pre, smax)
+            f"{jumps:.3g} expected jumps per path (rate {jump_intensity(model):.3g} x "
+            f"horizon {config.horizon:g}) exceed the event engine's limit of {_MAX_JUMPS}")
+    chunks = range(-(-config.n_paths // _CHUNK))
+    workers = _pool_size(len(chunks), jumps)
+
+    def lane(ks: range) -> list:
+        # c holds the last tableau until the next is built: freed first, it
+        # would leave the heap top empty, malloc would trim it, and the next
+        # build would fault every page back in (4x the page faults)
+        return [work(c) for c in (_event_tableau(model, config, tag, k, begin) for k in ks)]
+
+    # each worker runs in a copy of the caller's context, so that numpy's
+    # error state (np.errstate) holds in it as in the caller
+    contexts = [contextvars.copy_context() for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        lanes = list(pool.map(lambda i: contexts[i].run(lane, chunks[i::workers]), range(workers)))
+    return [lanes[k % workers][k // workers] for k in chunks]
 
 
 def _bridge_passage(rng: np.random.Generator, b2: float, start: np.ndarray,
@@ -330,83 +347,74 @@ class _Passage(NamedTuple):
     pre: np.ndarray      # X just before the passing jump; NaN otherwise
 
 
-def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float],
-              T: float) -> list[_Passage]:
+def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_Passage]:
     """First passages above ascending, distinct ``levels >= 0``, drawn jointly.
 
     A level is first passed in the first piece whose bridge maximum exceeds
-    it, or at the first jump that lands above it.  A jump passage happens at
-    the jump's epoch; a continuous one lands on the level at a time drawn by
-    :func:`_bridge_passage`, and a piece that starts on the level passes it
-    at its start.  Once a level is passed continuously at ``t_i`` in a piece
-    ending at ``b`` at ``t1``, the rest of that piece is a bridge from
-    ``(t_i, L_i)``: it passes the next level ``L`` with probability
-    ``exp(-2 (L - L_i)(L - b) / (b^2 (t1 - t_i)))`` (one uniform), at
-    ``t_i`` plus a fresh bridge passage time.  Else the closing jump or the
-    later pieces pass it, as for the first level.  So every path passes its
-    levels in order, and each passage has its exact law.
+    it, or at the first jump that lands above it: at the jump's epoch, or on
+    the level at a time drawn by :func:`_bridge_passage` (at its start for a
+    piece that starts on it).  Once a level is passed continuously at
+    ``t_i`` in a piece ending at ``b`` at ``t1``, the rest of that piece is
+    a bridge from ``(t_i, L_i)``: it passes the next level ``L`` with
+    probability ``exp(-2 (L - L_i)(L - b) / (b^2 (t1 - t_i)))`` (one
+    uniform), at ``t_i`` plus a fresh bridge passage time.  Else the closing
+    jump or the later pieces pass it, as for the first level.  So every path
+    passes its levels in order, and each passage has its exact law.
     """
-    n, width = c.t0.shape
-    cols = np.arange(width)
-    # the jump closing each piece, as a (rows x pieces) mask; the last piece
-    # closes at the horizon
-    over = np.zeros((n, width), dtype=bool)
-    over[:, :-1] = c.valid & (c.jt < T)
-    post = np.concatenate([c.post, np.zeros((n, 1))], axis=1)
-    piece = np.full(n, -1)              # piece of the previous passage
+    n = len(c.start)
+    peak = np.maximum(c.smax, c.post)   # the top of each piece and its closing jump
+    # the piece of the previous passage; before the first, the piece before
+    # each row's first, which is a row's last piece (post -inf)
+    piece = c.start - 1
     t_prev = np.zeros(n)                # its time, inf where it never came
     cont = np.zeros(n, dtype=bool)      # the previous passage was continuous
     last = 0.0                          # the previous level
     out = []
     for lvl in levels:
         t = np.full(n, math.inf)
-        pos = np.full(n, math.nan)
-        pre = np.full(n, math.nan)
         p_at = np.full(n, -1)           # piece of this passage
-        t_from = np.full(n, math.nan)   # start of a continuous passage's bridge
-        x_from = np.full(n, math.nan)
+        # the passage's X and X before its jump; a continuous one's bridge start
+        pos, pre, t_from, x_from = np.full((4, n), math.nan)
         # the rest of the piece that passed the previous level continuously
         r = np.nonzero(cont)[0]
         pr = piece[r]
         with np.errstate(divide="ignore", over="ignore"):
-            chance = np.exp(-2.0 * (lvl - last) * (lvl - c.pre[r, pr])
-                            / (model.b2 * (c.t1[r, pr] - t_prev[r])))
+            chance = np.exp(-2.0 * (lvl - last) * (lvl - c.pre[pr])
+                            / (model.b2 * (c.t1[pr] - t_prev[r])))
         again = c.rng.random(len(r)) < chance
         p_at[r[again]] = pr[again]
         t_from[r[again]] = t_prev[r[again]]
         x_from[r[again]] = last
-        # else the jump closing that piece (the last column of ``over`` is
-        # False, so before the first level nothing), then the pieces after it
+        # else the jump closing that piece, then the first piece after it
+        # that passes the level, found among all passing pieces of the chunk
         r = np.nonzero(np.isfinite(t_prev) & (p_at < 0))[0]
         pr = piece[r]
-        jumped = over[r, pr] & (post[r, pr] > lvl)
-        t[r[jumped]] = c.jt[r[jumped], pr[jumped]]
+        jumped = c.post[pr] > lvl
+        t[r[jumped]] = c.t1[pr[jumped]]
         p_at[r[jumped]] = pr[jumped]
-        r = r[~jumped]
-        cross = c.smax[r] > lvl
-        cross |= over[r] & (post[r] > lvl)
-        cross &= cols[None, :] > piece[r, None]
-        first = np.argmax(cross, axis=1)
-        hit = _at(cross, first) & (c.t0[r, first] < T)
+        r, pr = r[~jumped], pr[~jumped]
+        hits = np.append(np.flatnonzero(peak > lvl), len(peak))
+        first = hits[np.searchsorted(hits, pr + 1)]
+        hit = first < c.end[r]
         r, first = r[hit], first[hit]
         p_at[r] = first
-        inside = c.smax[r, first] > lvl
-        t[r[~inside]] = c.jt[r[~inside], first[~inside]]
-        t_from[r[inside]] = c.t0[r[inside], first[inside]]
-        x_from[r[inside]] = c.y0[r[inside], first[inside]]
+        inside = c.smax[first] > lvl
+        t[r[~inside]] = c.t1[first[~inside]]
+        t_from[r[inside]] = c.t0[first[inside]]
+        x_from[r[inside]] = c.y0[first[inside]]
         # continuous passages land on the level at an exact bridge time
         r = np.nonzero(~np.isnan(t_from))[0]
         pr = p_at[r]
         t[r] = t_from[r]
         below = x_from[r] < lvl
         r, pr = r[below], pr[below]
-        t[r] += _bridge_passage(c.rng, model.b2, x_from[r], lvl, c.pre[r, pr],
-                                c.t1[r, pr] - t_from[r])
+        t[r] += _bridge_passage(c.rng, model.b2, x_from[r], lvl, c.pre[pr],
+                                c.t1[pr] - t_from[r])
         cont = ~np.isnan(t_from)
         pos[cont] = lvl
         r = np.nonzero(np.isfinite(t) & ~cont)[0]
-        pos[r] = post[r, p_at[r]]
-        pre[r] = c.pre[r, p_at[r]]
+        pos[r] = c.post[p_at[r]]
+        pre[r] = c.pre[p_at[r]]
         out.append(_Passage(t, pos, pre))
         piece, t_prev, last = p_at, t, lvl
     return out
@@ -446,12 +454,11 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
             live_idx.append(i)
             live.append((x, tau_level - x, sigma_spec - x))
     if live:
-        for i, pv in zip(live_idx, _variant_payoffs(model, params, live, config)):
+        for (x, _, _), i, pv in zip(live, live_idx, _variant_payoffs(model, params, live, config)):
             results[i] = pv
-        for (x, _, _), i in zip(live, live_idx):
             bound = _truncation_bound(model, params.q, x, config.horizon,
                                       params.beta, params.K)
-            mean = float(np.mean(results[i]))
+            mean = float(np.mean(pv))
             if bound > 1e-4 * abs(mean):
                 warnings.warn(
                     f"horizon {config.horizon:g} leaves a truncation remainder "
@@ -500,8 +507,9 @@ def _variant_payoffs(model: LevyModel, params, variants, config) -> np.ndarray:
     growth = params.beta / (q - exp_growth_rate(model))
     levels = sorted({min(lt, ls) for _, lt, ls in variants})
     out = np.empty((len(variants), config.n_paths))
-    for c in _event_tableau(model, config, _TAG_VALUE):
-        passes = _passages(model, c, levels, config.horizon)
+
+    def payoffs(c: _Tableau) -> None:
+        passes = _passages(model, c, levels)
         for vi, (x, lt, ls) in enumerate(variants):
             lvl = min(lt, ls)
             p = passes[levels.index(lvl)]
@@ -514,6 +522,8 @@ def _variant_payoffs(model: LevyModel, params, variants, config) -> np.ndarray:
             stop = np.isfinite(p.t)
             y[stop] += np.exp(-q * p.t[stop]) * (pay - alpha / q - growth * share)[stop]
             out[vi, c.rows] = y
+
+    _run_chunks(model, config, _TAG_VALUE, payoffs)
     return out
 
 
@@ -536,10 +546,8 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
     if q <= 0.0:
         raise DomainError("q must be positive")
     distinct = sorted(set(lv))
-    hit_t = np.full((len(distinct), config.n_paths), math.inf)
-    for c in _event_tableau(model, config, _TAG_UPCROSS):
-        for i, p in enumerate(_passages(model, c, distinct, config.horizon)):
-            hit_t[i, c.rows] = p.t
+    hit_t = np.concatenate(_run_chunks(model, config, _TAG_UPCROSS, lambda c: [
+        p.t for p in _passages(model, c, distinct)]), axis=1)   # (levels x paths)
     return [_to_estimate(_discounted(hit_t[distinct.index(y)], q)) for y in lv]
 
 
@@ -549,9 +557,7 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
 
     ``down > 0`` is the distance to the lower barrier, ``up > 0`` to the
     upper one; downward passage creeps (no undershoot) for every supported
-    model, which is what the scale-ratio identity relies on.
-
-    Each piece between jumps is a bridge.  While both barriers' crossing
+    model, as the scale-ratio identity needs.  While both barriers' crossing
     probabilities on a piece exceed ``_EXIT_EPS`` it is cut at its midpoint,
     whose value is a Gaussian bridge draw; once one of them is at most
     ``_EXIT_EPS``, that barrier is taken as not crossed there and the other
@@ -565,18 +571,19 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
         raise DomainError("barrier distances must be positive")
     if p < 0.0:
         raise DomainError("discount rate must be nonnegative")
-    T, b2 = config.horizon, model.b2
+    b2 = model.b2
     t_down = np.full(config.n_paths, math.inf)
-    neglected = 0.0
-    for c in _event_tableau(model, config, _TAG_TWOSIDED):
+
+    def exits(c: _Tableau) -> list[float]:
+        row = np.repeat(np.arange(len(c.start)), c.end - c.start)   # of each piece
         # earliest exit found so far through each barrier; an upper exit is
         # dated by its piece's start, which orders it against the others
-        jumped = c.valid & (c.post > up) & (c.jt < T)
-        first = np.argmax(jumped, axis=1)
-        at_up = np.where(_at(jumped, first), _at(c.jt, first), math.inf)
-        at_down = np.full(len(at_up), math.inf)
-        r, k = np.nonzero((c.t0 < T) & (c.y0 > -down) & (c.y0 < up))
-        seg = (r, c.t0[r, k], c.t1[r, k], c.y0[r, k], c.pre[r, k])
+        at_up, at_down = np.full((2, len(c.start)), math.inf)
+        k = np.flatnonzero(c.post > up)
+        np.minimum.at(at_up, row[k], c.t1[k])
+        k = np.flatnonzero((c.y0 > -down) & (c.y0 < up))
+        seg = (row[k], c.t0[k], c.t1[k], c.y0[k], c.pre[k])
+        neglected = []
         while len(seg[0]):
             # a piece that starts after a found exit cannot change it
             keep = seg[1] < np.minimum(at_up, at_down)[seg[0]]
@@ -586,7 +593,7 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
                 p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
                 p_dn = np.where(b > -down, np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
             settle = np.minimum(p_up, p_dn) <= _EXIT_EPS
-            neglected += float(np.minimum(p_up, p_dn)[settle].sum())
+            neglected.append(float(np.minimum(p_up, p_dn)[settle].sum()))
             hit = np.zeros(len(r), dtype=bool)
             hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
             dn = hit & (p_dn > p_up)
@@ -605,6 +612,10 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
             inside = (seg[3] > -down) & (seg[3] < up)
             seg = tuple(v[inside] for v in seg)
         t_down[c.rows] = np.where(at_down < at_up, at_down, math.inf)
+        return neglected
+
+    masses = np.concatenate([[0.0], *_run_chunks(model, config, _TAG_TWOSIDED, exits)])
+    neglected = float(np.add.accumulate(masses)[-1])   # one by one, in (chunk, round) order
     est = _to_estimate(_discounted(t_down, p))
     return PayoffEstimate(est.mean, est.stderr, est.n, neglected / config.n_paths)
 
@@ -635,17 +646,11 @@ def wiener_hopf_check(model: LevyModel, q: float,
     pieces that end before the clock give their exact maxima; in the piece
     holding it, the bridge's value at the clock is a Gaussian draw, and its
     maximum up to the clock an exact bridge maximum.  A jump past the
-    running maximum lifts ``e^sup`` by ``e^(overshoot)``; that factor is
-    replaced by its mean over the jump's size (:func:`jump_passage_means`),
-    which the rest of the path, taken relative to the jump, does not
-    depend on.
-
-    A comparison within three standard errors needs a finite variance.
-    The plain sample ``e^sup`` has one only when ``q > psi(-2)``, which
-    fails for every model with exponential jumps of decay ``<= 2``; the
-    averaged lifts remove the jumps' ``E[e^(2Z)]`` from it, but not the
-    Gaussian part's: with ``b2 = 2`` and no jumps the variance is still
-    infinite at ``q <= 4`` (``psi(-2) = 4``).
+    running maximum lifts ``e^sup`` by ``e^(overshoot)``, replaced by its
+    mean over the jump's size (:func:`jump_passage_means`).  A 3-stderr
+    comparison needs a finite variance: the averaged lifts remove the
+    jumps' ``E[e^(2Z)]`` from it but not the Gaussian part's, infinite at
+    ``q <= 4`` with ``b2 = 2`` and no jumps (``psi(-2) = 4``).
     """
     if q <= 0.0:
         raise DomainError("q must be positive")
@@ -656,24 +661,35 @@ def wiener_hopf_check(model: LevyModel, q: float,
     def draw_clocks(rng: np.random.Generator, chunk: slice) -> None:
         clock[chunk] = rng.exponential(1.0 / q, chunk.stop - chunk.start)
 
-    for c in _event_tableau(model, config, _TAG_SUP, draw_clocks):
+    def sup_at_clock(c: _Tableau) -> None:
         clk = clock[c.rows]
-        full = (c.t1 <= clk[:, None]) & (c.t0 < T)
-        top = np.where(full, c.smax, -np.inf).max(axis=1)
-        k = np.argmax(c.t1 > clk[:, None], axis=1)   # the piece holding the clock
-        y0, end, t0, span = (_at(v, k) for v in (c.y0, c.pre, c.t0, c.length))
+        n = c.end - c.start                       # pieces per row
+        full = c.t1 <= np.repeat(clk, n)          # the pieces ended by the clock
+        top = np.maximum.reduceat(np.where(full, c.smax, -np.inf), c.start)
+        # the piece holding the clock (a row's last piece if the clock is past T)
+        k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
+        y0, end, t0 = c.y0[k], c.pre[k], c.t0[k]
+        span = c.t1[k] - t0
         frac = np.minimum((clk - t0) / span, 1.0)
         at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
             c.rng.standard_normal(len(clk))
         spread = -2.0 * model.b2 * span * frac * np.log(c.rng.random(len(clk)))
         sup[c.rows] = np.where(clk < T, np.maximum(top, _bridge_max(y0, at, spread)), top)
-        # lifts by jumps past the running maximum, averaged over their sizes
-        before = np.maximum.accumulate(c.smax[:, :-1], axis=1)
-        lift = c.valid & (c.jt <= clk[:, None]) & (c.post > before)
-        share, _ = jump_passage_means(model, c.pre[:, :-1][lift], before[lift])
-        shift = np.zeros(lift.shape)
-        shift[lift] = np.log(share) - c.post[lift]
-        sup[c.rows] += shift.sum(axis=1)
+        # lifts by jumps past the running maximum, averaged over their sizes;
+        # the running maximum and each row's sum run along (paths x most
+        # jumps) blocks, as the draws do, so both are exact and sum in order
+        m = max(1, int(n.max()) - 1)
+        piece = np.arange(m + 1) < n[:, None]
+        block = np.full(piece.shape, -np.inf)
+        block[piece] = c.smax
+        before = np.maximum.accumulate(block, axis=1)[piece]
+        lift = full & (c.post > before)
+        share, _ = jump_passage_means(model, c.pre[lift], before[lift])
+        block[:] = 0.0
+        block.flat[np.flatnonzero(piece)[lift]] = np.log(share) - c.post[lift]
+        sup[c.rows] += block[:, :m].sum(axis=1)
+
+    _run_chunks(model, config, _TAG_SUP, sup_at_clock, draw_clocks)
     return _to_estimate(np.exp(sup))
 
 

@@ -8,6 +8,7 @@ crossing mass, below a bound it returns.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from levybond import (
     jump_intensity,
     laplace_exponent,
 )
+from levybond import mc
 from levybond.mc import (
     _TAG_UPCROSS,
     _TAG_VALUE,
@@ -36,6 +38,7 @@ from levybond.mc import (
     _estimate_variants,
     _event_tableau,
     _passages,
+    _run_chunks,
     estimate_game_value,
     estimate_game_values,
     mc_eligible,
@@ -118,8 +121,8 @@ class TestPassages:
         # a higher level is never passed before a lower one on any path, and
         # a path that never passes a level passes none above it
         cfg = SimConfig(n_paths=4000, horizon=3.0, dt=1e-3, seed=15)
-        c = next(_event_tableau(model, cfg, _TAG_UPCROSS))
-        times = np.array([p.t for p in _passages(model, c, self.LEVELS, cfg.horizon)])
+        c = _event_tableau(model, cfg, _TAG_UPCROSS, 0)
+        times = np.array([p.t for p in _passages(model, c, self.LEVELS)])
         assert np.all(times[1:] >= times[:-1])
         assert np.all(np.isfinite(times[0]))
         # many paths pass every level; without jumps each does so inside its
@@ -129,8 +132,8 @@ class TestPassages:
     @pytest.mark.parametrize("model", [CANON, EXPJM], ids=["CANON", "EXPJM"])
     def test_continuous_passage_lands_on_its_level(self, model):
         cfg = SimConfig(n_paths=4000, horizon=3.0, dt=1e-3, seed=16)
-        c = next(_event_tableau(model, cfg, _TAG_UPCROSS))
-        for lvl, p in zip(self.LEVELS, _passages(model, c, self.LEVELS, cfg.horizon)):
+        c = _event_tableau(model, cfg, _TAG_UPCROSS, 0)
+        for lvl, p in zip(self.LEVELS, _passages(model, c, self.LEVELS)):
             cont = np.isfinite(p.t) & np.isnan(p.pre)
             jump = ~np.isnan(p.pre)
             assert cont.sum() > 100
@@ -140,24 +143,52 @@ class TestPassages:
             assert (jump.sum() > 100) == (model is EXPJM and lvl > 0.0)
 
 
+def _jump_sizes(c) -> np.ndarray:
+    """Each closing jump's size, as the path moves across it."""
+    closes = np.isfinite(c.post)
+    return c.post[closes] - c.pre[closes]
+
+
 class TestEventTableau:
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2],
                              ids=["CANON", "EXPJM", "TAB", "BV2"])
     def test_poisson_counts_and_positive_sizes(self, model):
         # rate ~1 over ten units of time: about ten jumps a path, none for CANON
         cfg = SimConfig(n_paths=400, horizon=10.0, dt=1e-2, seed=21)
-        c = next(_event_tableau(model, cfg, _TAG_VALUE))
+        c = _event_tableau(model, cfg, _TAG_VALUE, 0)
         mean = jump_intensity(model) * cfg.horizon
-        assert abs(c.valid.sum(axis=1).mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
-        assert np.all(c.js[c.valid] > 0.0) and np.all(c.js[~c.valid] == 0.0)
+        counts = c.end - c.start - 1
+        assert abs(counts.mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
+        assert len(_jump_sizes(c)) == counts.sum() and np.all(_jump_sizes(c) > 0.0)
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2],
+                             ids=["CANON", "EXPJM", "TAB", "BV2"])
+    def test_flat_invariants(self, model):
+        # three chunks, the last partial: rows tile the pieces, epochs ascend
+        # within a row, each row's last piece ends at T with no jump, and
+        # every stored piece starts before T (no padding)
+        cfg = SimConfig(n_paths=9000, horizon=10.0, dt=1e-2, seed=24)
+        T = cfg.horizon
+        for c in _run_chunks(model, cfg, _TAG_VALUE, lambda c: c):
+            assert c.start[0] == 0 and c.end[-1] == len(c.t0)
+            assert np.array_equal(c.start[1:], c.end[:-1]) and np.all(c.end > c.start)
+            later = np.ones(len(c.t0), dtype=bool)
+            later[c.start] = False
+            assert np.all(c.t0[c.start] == 0.0) and np.all(c.y0[c.start] == 0.0)
+            assert np.array_equal(c.t0[later], c.t1[np.flatnonzero(later) - 1])
+            assert np.array_equal(c.y0[later], c.post[np.flatnonzero(later) - 1])
+            assert np.all(c.t1 >= c.t0) and np.all(c.t0 < T)
+            assert np.all(c.t1[c.end - 1] == T) and np.all(c.post[c.end - 1] == -np.inf)
+            closes = np.ones(len(c.t0), dtype=bool)
+            closes[c.end - 1] = False
+            assert np.all(c.t1[closes] < T) and np.all(np.isfinite(c.post[closes]))
 
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
     def test_one_step_laplace_transform(self, model):
         # E[e^(-X_1)] = e^(psi(1)): the tableau is exact in law at the
         # horizon, every jump of the density drawn (TAB included)
         cfg = SimConfig(n_paths=6000, horizon=1.0, dt=2e-3, seed=13)
-        ends = np.concatenate([c.pre[np.arange(c.pre.shape[0]), c.valid.sum(axis=1)]
-                               for c in _event_tableau(model, cfg, _TAG_VALUE)])
+        ends = np.concatenate(_run_chunks(model, cfg, _TAG_VALUE, lambda c: c.pre[c.end - 1]))
         sample = np.exp(-ends)
         target = math.exp(laplace_exponent(model, 1.0))
         stderr = sample.std(ddof=1) / math.sqrt(len(sample))
@@ -169,8 +200,7 @@ class TestEventTableau:
         dens = TabulatedDensity((0.0, 1e-4, 2e-4, 3.0), (2000.0, 2000.0, 1.0, 1.0), 2.0)
         model = LevyModel(0.1, 0.3, dens)
         cfg = SimConfig(n_paths=400, horizon=10.0, dt=1e-2, seed=22)
-        c = next(_event_tableau(model, cfg, _TAG_VALUE))
-        sizes = c.js[c.valid]
+        sizes = _jump_sizes(_event_tableau(model, cfg, _TAG_VALUE, 0))
         share = 0.2 / jump_intensity(model)
         n = len(sizes)
         assert n > 10_000
@@ -544,6 +574,52 @@ class TestFrozenStreams:
             # identical payoffs (a start at the level) give a stderr of 0 or
             # of rounding noise (~1e-18): hold that one to an absolute floor
             assert s == pytest.approx(s0, rel=1e-12, abs=1e-15)
+
+
+class TestWorkerCount:
+    """Chunks run concurrently, yet every output is the serial one: chunks
+    share no generator, write disjoint rows, and cross-chunk sums are added
+    in chunk order."""
+
+    @pytest.mark.parametrize("name", ["CANON", "EXPJM", "BV2"])
+    def test_outputs_do_not_depend_on_the_pool_size(self, name, monkeypatch):
+        model = {"CANON": CANON, "EXPJM": EXPJM, "BV2": BV2}[name]
+        q = {"CANON": 3.0, "EXPJM": 2.0, "BV2": 0.8}[name]
+        cfg = SimConfig(n_paths=17_000, horizon=3.0, dt=5e-3, seed=2025)   # five chunks
+        runs = []
+        # one worker, two, and five: more threads than most hosts have cores,
+        # with a short switch interval so that they interleave often inside
+        # each chunk's writes
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: workers)
+            sys.setswitchinterval(1e-6 if workers == 5 else interval)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TruncationWarning)
+                    ests = [*estimate_game_values(model, gp(q), [-0.5, 0.1], 0.6, 0.4, cfg),
+                            *upcrossing_discount_profile(model, q, [0.0, 0.5, 1.0], cfg),
+                            two_sided_exit(model, 1.0, 0.6, 0.8, cfg),
+                            wiener_hopf_check(model, q + 1.0, cfg)]
+            finally:
+                sys.setswitchinterval(interval)
+            runs.append([(e.mean, e.stderr, e.bias_bound) for e in ests])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_workers_keep_the_callers_numpy_error_state(self, monkeypatch):
+        # np.errstate is context-local: each worker runs in a copy of the
+        # caller's context, so the caller's setting holds in every chunk
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 2)
+        cfg = SimConfig(n_paths=9000, horizon=1.0, dt=1e-2, seed=3)   # three chunks
+        with np.errstate(over="raise"):
+            modes = _run_chunks(CANON, cfg, _TAG_VALUE, lambda c: np.geterr()["over"])
+        assert modes == ["raise"] * 3
+
+    def test_pool_size_is_bounded(self):
+        assert mc._pool_size(1, 40.0) == 1
+        assert 1 <= mc._pool_size(123, 40.0) <= 123
+        # a chunk at the jump limit holds ~16M slots: one at a time
+        assert mc._pool_size(123, float(mc._MAX_JUMPS)) == 1
 
 
 class TestSaddle:
