@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -518,11 +519,14 @@ def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
 
 
+@lru_cache(maxsize=256)
 def phi(model: LevyModel, p: float) -> float:
     """Largest nonnegative root of ``psi(theta) = p`` (the right inverse).
 
     Convexity of ``psi`` with ``psi(0) = 0`` makes ``{theta >= 0 : psi <= p}``
     an interval ``[0, Phi(p)]``, so a sign change brackets the root.
+    Memoised per ``(model, p)``: a solve reads ``Phi(q)`` in its scale
+    build, its thresholds and its fit report, and the root is found once.
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise DomainError(f"phi() needs p >= 0, got {p}")

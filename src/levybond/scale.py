@@ -61,16 +61,19 @@ combination has the transform ``N(s)/(psi(s) - q) + b/(q s)``, with
 ``N(s) = a + b/s + c/(s+1) - d Gm(s)`` (``Gm = model._excess_transform``),
 and the condition is ``N(Phi) = 0``: the transform has no pole at ``Phi``.
 With partial fractions the ``c`` and ``d`` terms convolve ``W`` with kernels
-``g e^(-k y)`` (``e^(-y)``, and ``G(m) e^(-rho y)`` for a density that is one
-exponential tail from 0); for each, the root at ``Phi(q)`` is grouped
-analytically and leaves only ``-c_Phi g e^(-k v)/(Phi+k)``, the other roots
-decay, and ``(e^((theta+k) v) - 1)/(theta+k)`` stays finite at
-``theta = -k``.  A closed form is only built when one root lies within
+``g e^(-k y)`` (``e^(-y)``, and ``G(m) e^(-rho y)`` for a density that is
+one exponential tail from 0); for each, the root at ``Phi(q)`` is grouped
+analytically and leaves only ``-c_Phi g e^(-k v)/(Phi+k)``, and every other
+root adds ``g (e^(theta v) - e^(-k v))/(theta+k)``, which decays, overflows
+at no ``v`` and tends to ``g v e^(-k v)`` as ``theta -> -k``.  For an array
+``v`` the closed route sums each root's term over the whole array, with
+``G(m)`` and the kernels formed once per call, and the numeric route inverts
+at each point.  A closed form is only built when one root lies within
 ``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator inverts.  The
-numeric route inverts the transform untilted, less ``f0/(s+1) +
-f1/(s+1)^2`` and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0``
-are the exact ``v -> 0+`` value and slope (``_combination_at_zero``), so the
-inverted rest decays like ``s^-3``.  No ``e^(Phi v)``-sized term is formed.
+numeric route inverts the transform untilted, less ``f0/(s+1) + f1/(s+1)^2``
+and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0`` are the exact
+``v -> 0+`` value and slope (``_combination_at_zero``), so the inverted rest
+decays like ``s^-3``.  No ``e^(Phi v)``-sized term is formed.
 
 Every numeric-route operation is likewise one inversion at its point
 (``_w_resolvent``): ``w`` (``G`` itself), ``w_prime``, the two
@@ -288,11 +291,6 @@ def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
     return tuple(roots), tuple(weights)
 
 
-def _phi_root(ev: ScaleEvaluator) -> int:
-    """Index of the partial-fraction root at ``Phi(q)``."""
-    return min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
-
-
 def _w_at_zero(model: LevyModel, q: float) -> tuple[float, float]:
     """``(W(0+), W'(0+))``: ``1/d`` and ``(q + lambda)/d^2`` for bounded
     variation with drift ``d`` and jump intensity ``lambda``, else 0 and ``2/b^2``."""
@@ -397,10 +395,7 @@ def w(ev: ScaleEvaluator, x: float) -> float:
     if x == 0.0:
         return ev.w0
     if ev.roots is not None:
-        acc = 0.0
-        for r, c in zip(ev.roots, ev.weights):
-            acc += (c * cmath.exp(r * x)).real
-        return acc
+        return sum((c * cmath.exp(r * x)).real for r, c in zip(ev.roots, ev.weights))
     return _w_resolvent(ev, x, None, tilt=ev.phi_q)
 
 
@@ -431,26 +426,25 @@ def w_integrals(ev: ScaleEvaluator, x: float) -> tuple[float, float]:
     if x == 0.0:
         return 0.0, 0.0
     if ev.roots is not None:
-        acc0 = 0.0
-        acc1 = 0.0
-        for r, c in zip(ev.roots, ev.weights):
-            acc0 += (c * _exp_increment(r, x)).real
-            acc1 += (c * _exp_increment(r + 1.0, x)).real
-        return acc0, acc1
+        pairs = list(zip(ev.roots, ev.weights))
+        return (sum((c * _exp_increment(r, x)).real for r, c in pairs),
+                sum((c * _exp_increment(r + 1.0, x)).real for r, c in pairs))
     return (_w_resolvent(ev, x, lambda s, step: 1.0 / s, tilt=ev.phi_q),
             math.exp(x) * _w_resolvent(ev, x, lambda s, step: 1.0 / (s + 1.0), tilt=ev.phi_q))
 
 
-def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
-                   d: float = 0.0, m: float = 0.0) -> float:
+def _w_combination(ev: ScaleEvaluator, v, a: float, b: float, c: float,
+                   d: float = 0.0, m: float = 0.0):
     """``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
-    - d integral_0^v W(v - y) G(m + y) dy``, with ``G = model.jump_excess``.
+    - d integral_0^v W(v - y) G(m + y) dy``, with ``G = model.jump_excess``,
+    at each point of the array ``v`` (a float for a scalar ``v``).
 
     Callers pass ``a + b/Phi + c/(Phi+1) - d (I2/(Phi+1) - I1/Phi) = 0``
-    (module docstring), ``v >= 0`` and, if ``d``, ``m >= 0``: then on the
-    closed route ``G(m + y) = G(m) e^(-rho y)`` at the tail rate ``rho``.
+    (module docstring), finite ``v >= 0`` and, if ``d``, ``m >= 0``: then on
+    the closed route ``G(m + y) = G(m) e^(-rho y)`` at the tail rate ``rho``.
     """
     model = ev.model
+    vs = np.asarray(v, dtype=float)
     if ev.roots is None:
         f0, f1 = _combination_at_zero(model, ev.q, a, b, c, d, m)
         f1 += f0
@@ -462,22 +456,30 @@ def _w_combination(ev: ScaleEvaluator, v: float, a: float, b: float, c: float,
         def rest(s):
             return b / (ev.q * s) - f0 / (s + 1.0) - f1 / (s + 1.0) ** 2
 
-        return _w_resolvent(ev, v, num, rest) + (f0 + f1 * v) * math.exp(-v)
-    kernels = [(1.0, c)]  # (k, g) of each kernel g e^(-k y)
-    if d:
-        kernels.append((_density_pieces(model)[2], -d * float(jump_excess(model, m))))
-    lead = _phi_root(ev)
-    acc = 0.0
-    for i, (r, cw) in enumerate(zip(ev.roots, ev.weights)):
-        if i == lead:
-            for k, g in kernels:
-                acc -= (cw * g * math.exp(-k * v) / (ev.phi_q + k)).real
-        else:
-            term = (a + b / r) * cmath.exp(r * v)
-            for k, g in kernels:
-                term += g * math.exp(-k * v) * _exp_increment(r + k, v)
+        acc = np.array([_w_resolvent(ev, x, num, rest) + (f0 + f1 * x) * math.exp(-x)
+                        for x in vs.ravel().tolist()]).reshape(vs.shape)
+        return float(acc) if vs.ndim == 0 else acc
+    # (k, g, e^(-k v)) of each kernel g e^(-k y), with G(m) read once
+    g_jump = -d * float(jump_excess(model, m)) if d else 0.0
+    pairs = ((1.0, c), (_density_pieces(model)[2], g_jump))
+    kernels = [(k, g, np.exp(-k * vs)) for k, g in pairs if g]
+    # the root at Phi(q)
+    lead = min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
+    acc = np.zeros(vs.shape)
+    # np.where forms both branches; at v = inf the unused one is 0 * inf
+    with np.errstate(invalid="ignore"):
+        for i, (r, cw) in enumerate(zip(ev.roots, ev.weights)):
+            if i == lead:  # a + b/Phi + sum_k g/(Phi+k) = 0 cancels its e^(Phi v) part
+                term = -sum(g * decay / (ev.phi_q + k) for k, g, decay in kernels)
+            else:
+                grow = np.exp(r * vs)
+                term = (a + b / r) * grow
+                for k, g, decay in kernels:
+                    small = abs(r + k) * np.maximum(1.0, vs) < 1e-9  # the theta -> -k limit
+                    term = term + g * np.where(small, decay * vs * (1.0 + (r + k) * vs / 2.0),
+                                               (grow - decay) / ((r + k) or 1.0))
             acc += (cw * term).real
-    return acc
+    return float(acc) if vs.ndim == 0 else acc
 
 
 def w_prime(ev: ScaleEvaluator, x: float) -> float:
@@ -492,10 +494,7 @@ def w_prime(ev: ScaleEvaluator, x: float) -> float:
     if not (x > 0.0):
         raise DomainError("w_prime needs x > 0; the boundary value is w0_prime")
     if ev.roots is not None:
-        acc = 0.0
-        for r, c in zip(ev.roots, ev.weights):
-            acc += (c * r * cmath.exp(r * x)).real
-        return acc
+        return sum((c * r * cmath.exp(r * x)).real for r, c in zip(ev.roots, ev.weights))
     return _w_resolvent(ev, x, lambda s, step: s, lambda s: -ev.w0, tilt=ev.phi_q)
 
 

@@ -20,13 +20,13 @@ two critical discount rates ``q0 >= q1 > alpha/K``:
 
 Every value below is one fluctuation identity in ``W``: the R2 premium
 kernel, the exit transform ``Z - (q/Phi) W`` and the R3 and R4 values each
-make a single call to ``scale._w_combination`` with coefficients that cancel
-the ``exp(Phi * v)`` growth.  R4's jump-overshoot term is that call's ``d``
-coefficient: the killed resolvent against what a jump clearing ``log K``
-pays over the cap (``model.jump_excess``).  Small-z ``g`` is one
-``scale._w_resolvent`` call, the inverse of its own Laplace transform.  This
-module makes no scale-route decision: how each route evaluates these, and
-how accurately, is stated in the ``scale`` module docstring.
+make a single ``scale._w_combination`` call, one per value profile, with
+coefficients that cancel the ``exp(Phi * v)`` growth.  R4's jump-overshoot
+term is that call's ``d`` coefficient: the killed resolvent against what a
+jump clearing ``log K`` pays over the cap (``model.jump_excess``).  Small-z
+``g`` is one ``scale._w_resolvent`` call per point, the inverse of its own
+Laplace transform.  This module makes no scale-route decision: how each
+route evaluates these, and how accurately, is in the ``scale`` docstring.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def c_star(model: LevyModel, params: GameParams, *,
 # scale-function combinations
 # --------------------------------------------------------------------------- #
 
-def g_function(model: LevyModel, q: float, z_arg: float) -> float:
+def g_function(model: LevyModel, q: float, z_arg):
     """Premium kernel of regime R2: zero at zero and strictly increasing.
 
     Defined as ``(Phi+1) int_0^z e^(y-z) W(y) dy - Phi int_0^z W(y) dy``;
@@ -341,17 +341,20 @@ def g_function(model: LevyModel, q: float, z_arg: float) -> float:
     is ``alpha/Phi`` times this.  The grouped combination adds O(1) terms
     whose sum is O(z^2), so below ``_G_SMALL_Z`` ``g`` is the inverse of its
     own transform ``(s - Phi)/(s (s+1) (psi(s) - q))``, in which nothing
-    cancels, by ``scale._w_resolvent`` on either scale route.
+    cancels, by ``scale._w_resolvent`` on either scale route.  For an array
+    ``z_arg`` the points from ``_G_SMALL_Z`` up make one ``_w_combination`` call.
     """
-    if z_arg < 0.0:
+    z = np.asarray(z_arg, dtype=float)
+    if not (z >= 0.0).all():
         raise DomainError(f"g_function needs z >= 0, got {z_arg}")
-    if z_arg == 0.0:
-        return 0.0
-    ev = scale_evaluator(model, q)
-    ph = ev.phi_q
-    if z_arg < _G_SMALL_Z:
-        return _w_resolvent(ev, z_arg, lambda s, step: (s - ph) / (s * (s + 1.0)))
-    return ph / q + _w_combination(ev, z_arg, 0.0, -ph, ph + 1.0)
+    g = np.zeros(z.shape)
+    if z.any():
+        ev = scale_evaluator(model, q)
+        ph, small, big = ev.phi_q, (z > 0.0) & (z < _G_SMALL_Z), z >= _G_SMALL_Z
+        g[small] = [_w_resolvent(ev, zv, lambda s, step: (s - ph) / (s * (s + 1.0)))
+                    for zv in z[small].tolist()]
+        g[big] = ph / q + _w_combination(ev, z[big], 0.0, -ph, ph + 1.0)
+    return float(g) if z.ndim == 0 else g
 
 
 def exit_expectation(model: LevyModel, q: float, y: float) -> float:
@@ -377,34 +380,8 @@ def exit_expectation(model: LevyModel, q: float, y: float) -> float:
 
 def value(model: LevyModel, params: GameParams, solution: RegimeSolution,
           x: float) -> float:
-    """Equilibrium bond value at log share price ``x``."""
-    if solution.regime is Regime.R1:
-        return max(params.K, math.exp(x))
-    if solution.regime is Regime.R2:
-        la = solution.tau_level
-        if x >= la:
-            return math.exp(x)
-        ph = scale_evaluator(model, params.q).phi_q
-        return math.exp(x) + params.alpha / ph * g_function(model, params.q, la - x)
-    if solution.regime is Regime.R3:
-        log_k = math.log(params.K)
-        if x >= log_k:
-            return math.exp(x)
-        ev = scale_evaluator(model, params.q)
-        return (math.exp(x) + params.alpha / params.q
-                + _w_combination(ev, log_k - x, *_r3_coefficients(model, params, ev.phi_q)))
-    return _r4_values(model, params, solution.c_star, [x])[0]
-
-
-def _r4_values(model: LevyModel, params: GameParams, c: float, xs) -> list[float]:
-    """R4 values at the points ``xs`` for the issuer threshold ``c``.  The
-    coefficients depend only on the model, the parameters and ``c``, so
-    they are computed once, unless every point lies at or above ``c``."""
-    if not all(x >= c for x in xs):
-        ev = scale_evaluator(model, params.q)
-        coeffs = _r4_coefficients(model, params, ev.phi_q, c)
-    return [max(params.K, math.exp(x)) if x >= c
-            else params.alpha / params.q + _w_combination(ev, c - x, *coeffs) for x in xs]
+    """Equilibrium bond value at log share price ``x``: a one-point :func:`value_profile`."""
+    return float(value_profile(model, params, solution, [x])[0])
 
 
 def _r3_coefficients(model: LevyModel, params: GameParams, ph: float) -> tuple[float, ...]:
@@ -431,11 +408,37 @@ def _r4_coefficients(model: LevyModel, params: GameParams, ph: float,
 
 def value_profile(model: LevyModel, params: GameParams,
                   solution: RegimeSolution, xs) -> np.ndarray:
-    """:func:`value` at each point of ``xs`` (deterministic, pure); in R4 the
-    value coefficients are computed once per profile."""
-    if solution.regime is Regime.R4:
-        return np.array(_r4_values(model, params, solution.c_star, [float(xv) for xv in xs]))
-    return np.array([value(model, params, solution, float(xv)) for xv in xs])
+    """Equilibrium bond value at each log share price of ``xs``: the payoff at
+    and above the regime's boundary, one ``_w_combination`` call over the
+    points below it (R2's small-z points invert ``g``'s own transform) and
+    the limit ``alpha/q`` at ``x = -inf``.  A NaN point raises DomainError."""
+    x = np.asarray(xs, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("value needs a log share price, got nan")
+    K, qv, alpha, regime = params.K, params.q, params.alpha, solution.regime
+    # math.exp rounds as the payoff max(K, e^x) is stated; numpy's vector exp
+    # may differ from it in the last bit
+    share = np.array([math.exp(xv) for xv in x.tolist()])
+    out = np.maximum(K, share) if regime in (Regime.R1, Regime.R4) else share.copy()
+    # R1 calls at once, so no point lies below its boundary
+    edge = {Regime.R1: -math.inf, Regime.R2: solution.tau_level,
+            Regime.R3: math.log(K)}.get(regime, solution.c_star)
+    below = x < edge
+    out[below] = alpha / qv  # the x -> -inf limit; finite points are set below
+    live = below & (x > -math.inf)
+    if not live.any():
+        return out
+    ev = scale_evaluator(model, qv)
+    v, ph = edge - x[live], ev.phi_q
+    if regime is Regime.R2:
+        out[live] = share[live] + alpha / ph * g_function(model, qv, v)
+    elif regime is Regime.R3:
+        out[live] = (share[live] + alpha / qv
+                     + _w_combination(ev, v, *_r3_coefficients(model, params, ph)))
+    else:
+        out[live] = alpha / qv + _w_combination(
+            ev, v, *_r4_coefficients(model, params, ph, solution.c_star))
+    return out
 
 
 # --------------------------------------------------------------------------- #

@@ -133,6 +133,19 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(CANON, -0.5)
 
+    @pytest.mark.parametrize("model", [CANON, BV_RHO1, EXPJ, "tabulated"])
+    def test_memoised_root_is_the_solved_root(self, model):
+        if model == "tabulated":
+            model = LevyModel(0.1, 0.3, tabulated_exp_density(101))
+        # phi is memoised per (model, p): a hit, a miss and an equal model
+        # built anew all return the float the root finder returns
+        for p in (0.0, 0.3, 1.25, 1.25, 6.0):
+            assert phi(model, p) == phi.__wrapped__(model, p)
+        rebuilt = LevyModel(model.mu, model.b2, model.jumps)
+        assert phi(rebuilt, 1.25) == phi.__wrapped__(rebuilt, 1.25)
+        with pytest.raises(DomainError):
+            phi(model, math.nan)
+
 
 class TestConstruction:
     def test_variance_must_be_nonnegative(self):

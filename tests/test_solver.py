@@ -497,12 +497,16 @@ class TestPremiumKernel:
         assert g_function(CANON, 5.0, 0.0) == 0.0
         with pytest.raises(DomainError):
             g_function(CANON, 5.0, -0.1)
+        with pytest.raises(DomainError):
+            g_function(CANON, 5.0, math.nan)
 
     def test_strictly_increasing(self):
         for model, qq in [(CANON, 5.0), (BV2, 2.5), (EXPJ, 3.0)]:
             zs = np.linspace(0.0, 4.0, 60)
             vals = [g_function(model, qq, float(zz)) for zz in zs]
             assert all(b > a for a, b in zip(vals, vals[1:]))
+            # an array takes the same per-point values in one pass
+            assert g_function(model, qq, zs).tolist() == vals
 
 
 class TestExitExpectation:
@@ -657,6 +661,86 @@ class TestValue:
                 expect = _overshoot(closed, gp(qq), c, c - x)
                 got = _overshoot(numeric, gp(qq), c, c - x)
                 assert got == pytest.approx(expect, abs=1e-8, rel=0.0), (qq, x)
+
+
+class TestValueProfile:
+    """A profile is one array pass per regime; ``value`` is a one-point profile."""
+
+    # one rate per regime each model reaches (CANON has no R1 or R4 at K = 2:
+    # psi(-1) = q1 = 1; BV2 has no Gaussian part, so no R3).  EXPJM at q 0.8
+    # has a root theta with (theta + rho) * 800 > 709: its x = -800 point
+    # overflows e^((theta+rho) v) in the kernel form (e^((theta+rho) v) - 1)
+    # e^(-rho v)/(theta+rho)
+    CASES = {"CANON": (1.5, 3.0), "B05": (0.4, 0.75, 1.5, 2.5), "B02": (0.4, 1.0, 1.5, 2.0),
+             "BV2": (0.4, 0.8, 2.5), "EXPJ": (1.25, 2.3, 3.0), "EXPJM": (0.8, 2.3, 2.6)}
+    REGIMES = {"CANON": "R3 R2", "B05": "R1 R4 R3 R2", "B02": "R1 R4 R3 R2",
+               "BV2": "R1 R4 R2", "EXPJ": "R4 R3 R2", "EXPJM": "R4 R3 R2"}
+
+    @staticmethod
+    def _points(sol):
+        """The thresholds exactly, the small-z band and beyond below the
+        active boundary, a point above it, -800 and -inf."""
+        edge = {Regime.R2: sol.tau_level, Regime.R4: sol.c_star}.get(sol.regime, math.log(2.0))
+        pts = [sol.tau_level, math.log(2.0), edge + 0.3, -800.0, -math.inf]
+        pts += [edge - d for d in (1e-3, 0.05, 0.0999, 0.1, 0.5, 2.0, 6.0)]
+        return pts + ([sol.c_star] if sol.c_star is not None else [])
+
+    def test_matches_forced_inversion(self, monkeypatch):
+        # the memoised closed evaluators are read first, then the solver is
+        # pointed at forced-inversion ones (small-z g included)
+        cases = [(MODELS.get(name, EXPJM), qq) for name, qs in self.CASES.items() for qq in qs]
+        sols = [classify(model, gp(qq)) for model, qq in cases]
+        assert " ".join(s.regime.name for s in sols) == " ".join(self.REGIMES.values())
+        closed = [value_profile(model, gp(qq), sol, self._points(sol))
+                  for (model, qq), sol in zip(cases, sols)]
+        numeric = {case: scale_evaluator(*case, Method.NUMERIC_INVERSION) for case in cases}
+        monkeypatch.setattr(solver_module, "scale_evaluator", lambda *case: numeric[case])
+        for (model, qq), sol, expect in zip(cases, sols, closed):
+            got = value_profile(model, gp(qq), sol, self._points(sol))
+            assert got == pytest.approx(expect, rel=1e-9, abs=0.0), (qq, sol.regime)
+
+    def test_canonical_r2_is_the_brownian_value(self):
+        # psi = theta^2 gives W = sinh(Phi x)/Phi with Phi = sqrt(q), and the
+        # R2 value collapses to e^x + (alpha/q)(1 + (Phi e^(-z) - e^(-Phi z))/(1 - Phi))
+        # at z = log a* - x
+        for qq in (3.0, 4.5):
+            sol = classify(CANON, gp(qq))
+            assert sol.regime is Regime.R2
+            ph, la = math.sqrt(qq), sol.tau_level
+            xs = la - np.array([1e-4, 0.01, 0.05, 0.0999, 0.1, 0.3, 1.0, 3.0, 8.0, 20.0])
+            z = la - xs
+            expect = np.exp(xs) + (1.0 + (ph * np.exp(-z) - np.exp(-ph * z)) / (1.0 - ph)) / qq
+            got = value_profile(CANON, gp(qq), sol, xs)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0), qq
+
+    def test_value_is_a_one_point_profile(self):
+        for name, qs in self.CASES.items():
+            model = MODELS.get(name, EXPJM)
+            for qq in qs:
+                sol = classify(model, gp(qq))
+                pts = self._points(sol)
+                prof = value_profile(model, gp(qq), sol, pts)
+                assert [value(model, gp(qq), sol, x) for x in pts] == prof.tolist(), (name, qq)
+
+    @pytest.mark.parametrize("model, qq", [(EXPJ, 1.25), (BV2, 0.8), (CANON, 3.0), (B05, 1.5),
+                                           (B05, 0.4), (TAB, 2.6), (TAB, 1.05)])
+    def test_limit_at_minus_infinity(self, model, qq):
+        # K in R1, the perpetual coupon alpha/q in R2-R4 on either route; the
+        # same limit the profile reaches at x = -800
+        sol = classify(model, gp(qq))
+        limit = 2.0 if sol.regime is Regime.R1 else 1.0 / qq
+        assert value(model, gp(qq), sol, -math.inf) == limit
+        assert value_profile(model, gp(qq), sol, [-math.inf, -800.0]) == pytest.approx(
+            [limit, limit], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("model, qq", [(B05, 0.4), (B05, 0.75), (B05, 1.5), (B05, 2.5),
+                                           (TAB, 1.05)])
+    def test_nan_point_raises(self, model, qq):
+        sol = classify(model, gp(qq))
+        with pytest.raises(DomainError):
+            value(model, gp(qq), sol, math.nan)
+        with pytest.raises(DomainError):
+            value_profile(model, gp(qq), sol, [0.0, math.nan])
 
 
 class TestFarBelowBoundary:
