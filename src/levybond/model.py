@@ -19,10 +19,11 @@ jump spec caches the form and its constants when it is built, and everything
 here computes from them with no branch on the family: the exponent on real
 and complex arguments, ``psi`` as a polynomial fraction (rational exactly
 when there is no body), the Esscher tilt, the shifted jump integrals and
-inverse-CDF sampling.  The tail enters each through its own closed forms,
-written without the ``T r/(r+theta) - T`` cancellation near ``theta = 0``,
-so a tail-only density keeps the digits and the scalar cost of the
-exponential family's textbook formulas.
+inverse-CDF sampling.  Each jump integral among them is one or two calls of
+``_jump_expm1``, ``integral_(u >= lo) pi(u) expm1(a (u - s)) du``, the one
+place that integrates the body or writes the tail's closed form; with a real
+scalar ``a`` a tail-only density stays in :mod:`math`, so it keeps the digits
+and the scalar cost of the exponential family's textbook formulas.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ JumpSpec = Union[NoJumps, ExponentialJumps, TabulatedDensity]
 # normal-form machinery
 #
 # Every integral of the piecewise-linear body against polynomials or
-# exponentials is evaluated in closed form cell by cell, and the tail by its
-# own closed forms, so no jump family has quadrature error anywhere: the
+# exponentials is evaluated in closed form cell by cell, and the tail in
+# closed form too, so no jump family has quadrature error anywhere: the
 # interpolated density itself is the model.
 # --------------------------------------------------------------------------- #
 
@@ -232,10 +233,10 @@ _LAST_BODY = [None]
 def _body_of(jumps: JumpSpec, lo: float, s: float):
     """:func:`_linear_body` of ``jumps``' body, its arrays read-only, reused
     while the next call asks for the same body: R4 values at one threshold
-    take it about the same ``m = log K - c*`` in :func:`shifted_jump_integrals`
-    and :func:`_excess_transform`, at every point of a profile.  The memo is
-    keyed on the identity of ``jumps``' cells, which it holds, so a lookup
-    costs no hash of the density."""
+    take it about the same ``m = log K - c*`` in :func:`shifted_jump_integrals`,
+    :func:`jump_excess` and :func:`_excess_transform`, all through
+    :func:`_jump_expm1`.  The memo is keyed on the identity of ``jumps``'
+    cells, which it holds, so a lookup costs no hash of the density."""
     last = _LAST_BODY[0]
     if last is not None and last[0] is jumps._cells and last[1] == lo and last[2] == s:
         return last[3]
@@ -337,6 +338,33 @@ def _body_expm1(body, a, step=None) -> np.ndarray:
     return total
 
 
+def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
+    """``integral_(u >= lo) pi(u) expm1(a (u - s)) du`` for ``lo >= s``,
+    elementwise over ``a`` (``step`` marks a ladder, as in :func:`_body_expm1`).
+
+    The body is :func:`_body_expm1` about ``s``, on the cached ``_body`` when
+    that is the whole body about 0, else on :func:`_body_of`'s, so that
+    memo's one entry stays its caller's ``(lo, s)``.  The tail past
+    ``start = max(lo, zN)`` holds mass ``M`` and gives
+    ``M (r expm1(a d) + a)/(r - a)``, ``d = start - s``: its digits hold as
+    ``a -> 0``, and past the abscissa it is the continuation.  A real scalar ``a`` gives a float, and on a
+    tail-only density stays in :mod:`math` (``inf`` once ``a d`` passes 709).
+    """
+    knots, _, r = jumps._pieces
+    zN, tail, real = knots[-1], jumps._tail_mass, isinstance(a, float)
+    total = 0.0
+    if jumps._body is not None and lo < zN:
+        body = jumps._body if lo <= knots[0] and s == 0.0 else _body_of(jumps, lo, s)
+        total = _body_expm1(body, a, step)
+        total = float(total.real) if real else total
+    if tail > 0.0:
+        start = lo if lo > zN else zN
+        x, mass = a * (start - s), tail if start == zN else tail * math.exp(-r * (start - zN))
+        grow = (math.expm1(x) if x <= 709.0 else math.inf) if real else np.expm1(x)
+        total = total + mass * (r * grow + a) / (r - a)
+    return total
+
+
 # --------------------------------------------------------------------------- #
 # model
 # --------------------------------------------------------------------------- #
@@ -425,29 +453,19 @@ def path_variation(model: LevyModel) -> PathVariation:
 def _jump_exponent_real(jumps: JumpSpec, theta: float) -> float:
     """Jump part of psi for real theta, raising on divergence.
 
-    Scalar Python except for the body's moment, so a tail-only density costs
-    a few float operations.  The tail's part,
-    ``T (r expm1(-theta zN) - theta) / (r + theta)`` for tail mass ``T``,
-    keeps its digits as ``theta`` nears 0.
+    ``integral pi(u) expm1(-theta u) du`` by :func:`_jump_expm1`, plus the
+    compensator: scalar Python except for the body's moment, so a tail-only
+    density costs a few float operations.
     """
     if not jumps._mass:
         return 0.0
-    tail = jumps._tail_mass
-    knots, _, r = jumps._pieces
-    if tail > 0.0 and theta <= -r:
+    r = jumps._pieces[2]
+    if jumps._tail_mass > 0.0 and theta <= -r:
         raise DivergentExponent(
             f"jump tail decays at rate {r}; the exponent "
             f"diverges for theta={theta} <= {-r}"
         )
-    total = 0.0
-    body = jumps._body
-    if body is not None:
-        total = float(_body_expm1(body, -theta).real)
-        if math.isinf(total):
-            return total
-    if tail > 0.0:
-        total += tail * (r * math.expm1(-theta * knots[-1]) - theta) / (r + theta)
-    return total + theta * jumps._m1
+    return _jump_expm1(jumps, 0.0, 0.0, -theta) + theta * jumps._m1
 
 
 def laplace_exponent(model: LevyModel, theta: float) -> float:
@@ -474,24 +492,16 @@ def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:
     ``beta[..., k] = beta[..., 0] + 1j k step`` (an Euler contour at each
     ``x``, with ``step = pi/x``), whose body exponentials follow the rung
     recurrence of :func:`_body_expm1`; without it each point is a ladder
-    of one rung.  Never raises: points past the abscissa of convergence use
-    the tail's closed form, which is the continuation; at the tail's pole,
+    of one rung.  Never raises: past the abscissa of convergence
+    :func:`_jump_expm1`'s tail form is the continuation; at the tail's pole,
     past the body's overflow guard or where the magnitude would overflow,
     ``inf`` is returned so transform evaluations degrade to 0.
     """
     beta = np.asarray(beta, dtype=complex)
     j = model.jumps
     out = model.mu * beta + 0.5 * model.b2 * beta * beta
-    if not j._mass:
-        return out
-    knots, _, r = j._pieces
     with np.errstate(all="ignore"):
-        if j._body is not None:
-            out += _body_expm1(j._body, -beta, None if step is None else np.negative(step))
-        if j._tail_mass > 0.0:
-            # a tail from 0 (exponential jumps) has expm1(-beta * 0) = 0
-            num = -beta if knots[-1] == 0.0 else r * np.expm1(-beta * knots[-1]) - beta
-            out += j._tail_mass * num / (r + beta)
+        out += _jump_expm1(j, 0.0, 0.0, -beta, None if step is None else np.negative(step))
         out += beta * j._m1
     out[~np.isfinite(out)] = np.inf
     return out
@@ -602,35 +612,22 @@ def shifted_jump_integrals(model: LevyModel, s: float, phi_q: float) -> tuple[fl
     tail to decay faster than ``exp(-z)`` (DivergentExponent otherwise), and
     it grows like ``exp(-s)``, so below ``s ~ -709`` it leaves the float
     range and :class:`DomainError` names the shift.
-    In ``u = z + s`` both run over ``u >= max(s, 0)`` against
-    ``exp(a (u - s))``, so no factor ``exp(phi_q s)`` is formed apart; the
-    body takes its moments about ``s`` and the tail its closed forms.
+    In ``u = z + s`` both run over ``u >= lo = max(s, 0)`` against
+    ``expm1(a (u - s))``, so no factor ``exp(phi_q s)`` is formed apart:
+    with ``E(a)`` that :func:`_jump_expm1`, ``I1 = -E(-phi_q)`` and
+    ``I2 = E(1) - E(-phi_q)``.
     """
     if not (phi_q > 0.0):
         raise DomainError(f"phi_q must be positive, got {phi_q}")
     j = model.jumps
-    knots, _, r = j._pieces
-    tail = j._tail_mass
-    if r <= 1.0 and tail > 0.0:
+    r = j._pieces[2]
+    if r <= 1.0 and j._tail_mass > 0.0:
         raise DivergentExponent(
             f"I2 diverges: the jump tail decays at rate {r} <= 1, so exp(z) beats it"
         )
     lo = max(s, 0.0)
-    i1 = i2 = 0.0
-    if j._body is not None and lo < knots[-1]:
-        body = _body_of(j, lo, s)
-        e_neg, e_pos = _body_expm1(body, np.array([-phi_q, 1.0])).real.tolist()
-        i1 = -e_neg
-        i2 = e_pos - e_neg
-    if tail > 0.0:
-        start = max(lo, knots[-1])
-        d = start - s
-        e = math.exp(-r * (start - knots[-1]))
-        i1 += tail * e * (phi_q - r * math.expm1(-phi_q * d)) / (r + phi_q)
-        grow = math.expm1(d) if d <= 709.0 else math.inf
-        i2 += (tail * r * e
-               * ((phi_q + 1.0) + (r + phi_q) * grow - (r - 1.0) * math.expm1(-phi_q * d))
-               / ((r - 1.0) * (r + phi_q)))
+    e_neg = _jump_expm1(j, lo, s, -float(phi_q))
+    i1, i2 = -e_neg, _jump_expm1(j, lo, s, 1.0) - e_neg
     if not math.isfinite(i2):
         raise DomainError(f"I2 overflows at shift s={s:g}: it grows like exp(-s)")
     return max(i1, 0.0), max(i2, 0.0)
@@ -644,7 +641,8 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
     """``integral_u^inf pi(z) dz`` and ``integral_u^inf e^(z - d) pi(z) dz``,
     elementwise over arrays ``u`` and ``d``: the body's part of the cell
     holding ``u`` in closed form, the cells above it from suffix sums, and
-    the tail by its closed forms (its rate must exceed 1)."""
+    the tail in closed form (its rate must exceed 1), for
+    :func:`jump_passage_means`."""
     knots, _, r = jumps._pieces
     zN, tail = knots[-1], jumps._tail_mass
     past = np.maximum(u, zN)
@@ -668,11 +666,11 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
 
 def jump_excess(model: LevyModel, t):
     """``G(t) = integral_t^inf pi(z) (e^(z - t) - 1) dz`` elementwise over
-    ``t``; past the last knot it is ``pi(t) / (r (r - 1))`` for tail rate
-    ``r``, which must exceed 1."""
+    ``t``, each :func:`_jump_expm1` at ``lo = s = t`` and ``a = 1``; past the
+    last knot it is ``pi(t) / (r (r - 1))`` for tail rate ``r > 1``."""
     t = np.asarray(t, dtype=float)
-    mass, expo = _upper_integrals(model.jumps, t, t)
-    return expo - mass
+    return np.array([_jump_expm1(model.jumps, u, u, 1.0)
+                     for u in t.ravel().tolist()]).reshape(t.shape)
 
 
 def _excess_transform(model: LevyModel, m: float, s, step=None) -> np.ndarray:
@@ -681,27 +679,16 @@ def _excess_transform(model: LevyModel, m: float, s, step=None) -> np.ndarray:
     ladder, as in :func:`_psi_c`).
 
     It is ``(E(1) + E(-s)/s)/(s + 1)`` with
-    ``E(a) = integral_0^inf pi(m + u) expm1(a u) du``: the body by
-    :func:`_body_expm1` about ``m``, the tail by its closed form.  At real
-    ``s = phi_q`` this is ``I2/(phi_q+1) - I1/phi_q`` of
-    :func:`shifted_jump_integrals`, which stays scalar for the root finders.
+    ``E(a) = integral_0^inf pi(m + u) expm1(a u) du``, :func:`_jump_expm1`
+    at ``lo = s = m`` (``E(1)`` is ``G(m)``).  At real ``s = phi_q`` this
+    is ``I2/(phi_q+1) - I1/phi_q`` of :func:`shifted_jump_integrals`, which
+    stays scalar for the root finders.
     """
     s = np.asarray(s, dtype=complex)
     j = model.jumps
-    knots, _, r = j._pieces
-    e_pos, e_neg = 0.0, np.zeros(s.shape, dtype=complex)
     with np.errstate(all="ignore"):  # far-left contour points overflow to inf
-        if j._body is not None and m < knots[-1]:
-            body = _body_of(j, m, m)
-            e_pos = _body_expm1(body, np.ones(1))[0].real
-            e_neg = _body_expm1(body, -s, None if step is None else np.negative(step))
-        if j._tail_mass > 0.0:
-            start = max(m, knots[-1])
-            d = start - m
-            mass = j._tail_mass * math.exp(-r * (start - knots[-1]))
-            e_pos += mass * (r * math.expm1(d) + 1.0) / (r - 1.0)
-            e_neg = e_neg + mass * (r * np.expm1(-s * d) - s) / (r + s)
-        return (e_pos + e_neg / s) / (s + 1.0)
+        e_neg = _jump_expm1(j, m, m, -s, None if step is None else np.negative(step))
+        return (_jump_expm1(j, m, m, 1.0) + e_neg / s) / (s + 1.0)
 
 
 def jump_passage_means(model: LevyModel, y, level, sigma: float = math.inf,

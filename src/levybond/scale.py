@@ -268,7 +268,7 @@ class ScaleEvaluator:
     weights: tuple[complex, ...] | None
 
 
-def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
+def _closed_form_data(fraction, q: float, phi_q: float):
     """Roots/weights of the partial fractions of ``1/(psi - q) = den/(num - q den)``
     for ``fraction = (num, den)``, or None if degenerate."""
     num, den = fraction
@@ -282,12 +282,6 @@ def _closed_form_data(model: LevyModel, fraction, q: float, phi_q: float):
         return None  # no root to group at Phi(q) (module docstring); invert instead
     dpoly = np.polyder(poly)
     weights = np.polyval(den, roots) / np.polyval(dpoly, roots)
-    # sanity: the partial fractions must reproduce the transform
-    beta = phi_q + 1.0
-    lhs = complex(np.sum(weights / (beta - roots)))
-    rhs = 1.0 / (laplace_exponent(model, beta) - q)
-    if abs(lhs - rhs) > 1e-8 * abs(rhs):
-        return None
     return tuple(roots), tuple(weights)
 
 
@@ -331,12 +325,14 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
     w0, w0p = _w_at_zero(model, q)
     fraction = _psi_fraction(model)
     if method is not Method.NUMERIC_INVERSION and fraction is not None:
-        data = _closed_form_data(model, fraction, q, phi_q)
+        data = _closed_form_data(fraction, q, phi_q)
         if data is not None:
-            roots, weights = data
-            return ScaleEvaluator(model=model, q=float(q), method=Method.CLOSED_FORM,
-                                  phi_q=phi_q, w0=w0, w0_prime=w0p, roots=roots,
-                                  weights=weights)
+            ev = ScaleEvaluator(model=model, q=float(q), method=Method.CLOSED_FORM,
+                                phi_q=phi_q, w0=w0, w0_prime=w0p, roots=data[0],
+                                weights=data[1])
+            # sanity: the partial fractions must reproduce the transform
+            if laplace_selfcheck(ev, phi_q + 1.0) <= 1e-8:
+                return ev
     if method is Method.CLOSED_FORM:
         raise DomainError("closed form unavailable: the exponent is not rational, "
                           "or has repeated roots or no root at Phi(q)")
@@ -440,8 +436,9 @@ def _w_combination(ev: ScaleEvaluator, v, a: float, b: float, c: float,
     at each point of the array ``v`` (a float for a scalar ``v``).
 
     Callers pass ``a + b/Phi + c/(Phi+1) - d (I2/(Phi+1) - I1/Phi) = 0``
-    (module docstring), finite ``v >= 0`` and, if ``d``, ``m >= 0``: then on
-    the closed route ``G(m + y) = G(m) e^(-rho y)`` at the tail rate ``rho``.
+    (module docstring), ``v >= 0`` and, if ``d``, ``m >= 0``: then on the
+    closed route ``G(m + y) = G(m) e^(-rho y)`` at the tail rate ``rho``,
+    and every route gives the limit 0 at ``v = inf``.
     """
     model = ev.model
     vs = np.asarray(v, dtype=float)
@@ -456,8 +453,9 @@ def _w_combination(ev: ScaleEvaluator, v, a: float, b: float, c: float,
         def rest(s):
             return b / (ev.q * s) - f0 / (s + 1.0) - f1 / (s + 1.0) ** 2
 
+        # with no pole on Re(s) >= 0 the combination tends to 0 as v -> inf
         acc = np.array([_w_resolvent(ev, x, num, rest) + (f0 + f1 * x) * math.exp(-x)
-                        for x in vs.ravel().tolist()]).reshape(vs.shape)
+                        if x < math.inf else 0.0 for x in vs.ravel().tolist()]).reshape(vs.shape)
         return float(acc) if vs.ndim == 0 else acc
     # (k, g, e^(-k v)) of each kernel g e^(-k y), with G(m) read once
     g_jump = -d * float(jump_excess(model, m)) if d else 0.0

@@ -56,6 +56,8 @@ logger = logging.getLogger(__name__)
 
 # g_function below this z inverts its own transform
 _G_SMALL_Z = 0.1
+# the largest x with a finite e^x
+_LOG_MAX = math.log(np.finfo(float).max)
 
 __all__ = [
     "Regime",
@@ -370,8 +372,7 @@ def exit_expectation(model: LevyModel, q: float, y: float) -> float:
     if y < 0.0:
         return 1.0
     ev = scale_evaluator(model, q)
-    ph = ev.phi_q
-    return q / ph * _w_combination(ev, y, -1.0, ph, 0.0)
+    return q / ev.phi_q * _w_combination(ev, y, -1.0, ev.phi_q, 0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -417,8 +418,8 @@ def value_profile(model: LevyModel, params: GameParams,
         raise DomainError("value needs a log share price, got nan")
     K, qv, alpha, regime = params.K, params.q, params.alpha, solution.regime
     # math.exp rounds as the payoff max(K, e^x) is stated; numpy's vector exp
-    # may differ from it in the last bit
-    share = np.array([math.exp(xv) for xv in x.tolist()])
+    # may differ from it in the last bit.  Past log(float max) the share is inf
+    share = np.array([math.exp(xv) if xv <= _LOG_MAX else math.inf for xv in x.tolist()])
     out = np.maximum(K, share) if regime in (Regime.R1, Regime.R4) else share.copy()
     # R1 calls at once, so no point lies below its boundary
     edge = {Regime.R1: -math.inf, Regime.R2: solution.tau_level,

@@ -33,6 +33,7 @@ from levybond import (
 )
 from levybond.model import (
     _excess_transform,
+    _jump_expm1,
     _jump_exponent_real,
     _psi_c,
     jump_excess,
@@ -290,6 +291,63 @@ class TestShiftedJumpIntegrals:
         assert a2 <= a1 + 1e-12
         assert b2 <= b1 + 1e-12
         assert a1 >= 0.0 and b1 >= 0.0
+
+
+class TestJumpIntegral:
+    """``_jump_expm1``: ``integral_(u >= lo) pi(u) expm1(a (u - s)) du``, the
+    one jump integral behind psi, its continuation, I1/I2, G and G's transform."""
+
+    _zg = np.linspace(0.004, 8.0, 401)
+    # a body that ends at 0 at the last knot, so the density has no tail
+    NO_TAIL = TabulatedDensity(_zg, 2.0 * np.exp(-2.0 * _zg) * (1.0 - _zg / 8.0), 2.0)
+    JUMPS = {"EXPJ": EXPJ.jumps, "TAB": tabulated_exp_density(), "NO_TAIL": NO_TAIL}
+
+    @staticmethod
+    def quadrature(jumps, lo, s, a):
+        """The defining integral: one adaptive quad per linear cell above
+        ``lo`` and one over the tail out to where it holds < e^-40 of it."""
+        knots, values, r = jumps._pieces
+        pieces = [(max(z0, lo), z1,
+                   lambda u, z0=z0, v0=v0, k=(v1 - v0) / (z1 - z0): v0 + k * (u - z0))
+                  for z0, z1, v0, v1 in zip(knots, knots[1:], values, values[1:]) if z1 > lo]
+        if jumps._tail_mass > 0.0:
+            start = max(lo, knots[-1])
+            pieces.append((start, start + 40.0 / (r - max(a.real, 0.0)),
+                           lambda u: values[-1] * math.exp(-r * (u - knots[-1]))))
+
+        def expm1(u):  # of a (u - s), its real part without cancellation
+            x, y = a.real * (u - s), a.imag * (u - s)
+            return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2,
+                           math.exp(x) * math.sin(y))
+
+        total = 0j
+        for u0, u1, f in pieces:
+            total += integrate.quad(lambda u: f(u) * expm1(u).real, u0, u1, epsabs=0.0,
+                                    epsrel=1e-13, limit=200)[0]
+            if a.imag:
+                total += 1j * integrate.quad(lambda u: f(u) * expm1(u).imag, u0, u1,
+                                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return total
+
+    @pytest.mark.parametrize("name", list(JUMPS))
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (0.002, -0.3), (2.5, 1.0), (9.0, 8.5)],
+                             ids=["from-0", "below-first-knot", "in-body", "past-last-knot"])
+    def test_matches_quadrature(self, name, lo, s):
+        jumps = self.JUMPS[name]
+        ph = phi(LevyModel(0.25, 0.1, jumps), 1.05)
+        for a in (-ph, 0.3, 1.0, -1.5 - 2.0j):
+            got = complex(_jump_expm1(jumps, lo, s, a))
+            want = self.quadrature(jumps, lo, s, complex(a))
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, (a, got, want)
+
+    def test_real_scalar_gives_a_float(self):
+        # a tail-only density stays in math; past exp's range its tail is
+        # inf, not an OverflowError
+        jumps = EXPJ.jumps
+        for lo, s, a in [(0.0, 0.0, -1.3), (0.4, 0.4, 1.0), (0.0, -800.0, 1.0)]:
+            assert type(_jump_expm1(jumps, lo, s, a)) is float
+        assert _jump_expm1(jumps, 0.0, -800.0, 1.0) == math.inf
+        assert type(_jump_expm1(self.JUMPS["TAB"], 0.3, 0.3, 1.0)) is float
 
 
 class TestExcessTransform:

@@ -536,6 +536,20 @@ class TestExitExpectation:
         val = exit_expectation(CANON, qq, y)
         assert 0.0 < val <= 1.0 + 1e-12
 
+    def test_limits_at_infinity_on_the_numeric_route(self, monkeypatch):
+        # every W combination tends to 0, so g -> Phi/q and the transform -> 0
+        evs = {(TAB101, 2.6): scale_evaluator(TAB101, 2.6),
+               (CANON, 1.3): scale_evaluator(CANON, 1.3, Method.NUMERIC_INVERSION)}
+        monkeypatch.setattr(solver_module, "scale_evaluator", lambda *case: evs[case])
+        for (model, qq), ev in evs.items():
+            assert ev.method is Method.NUMERIC_INVERSION
+            assert g_function(model, qq, math.inf) == ev.phi_q / qq
+            assert exit_expectation(model, qq, math.inf) == 0.0
+            # finite points of the same array keep their values
+            got = g_function(model, qq, np.array([0.05, 2.0, math.inf]))
+            assert got.tolist() == [g_function(model, qq, 0.05), g_function(model, qq, 2.0),
+                                    ev.phi_q / qq]
+
     def test_monotone_decreasing_in_level(self):
         for model, qq in [(B05, 1.2), (BV2, 0.9), (EXPJ, 2.0)]:
             ys = np.linspace(0.0, 6.0, 40)
@@ -732,6 +746,17 @@ class TestValueProfile:
         assert value(model, gp(qq), sol, -math.inf) == limit
         assert value_profile(model, gp(qq), sol, [-math.inf, -800.0]) == pytest.approx(
             [limit, limit], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("qq, regime", [(0.4, Regime.R1), (2.5, Regime.R2)])
+    def test_payoff_past_the_float_range(self, qq, regime):
+        # e^x overflows past x = log(float max) ~ 709.78: the payoff is inf
+        sol = classify(B05, gp(qq))
+        assert sol.regime is regime
+        assert value(B05, gp(qq), sol, 710.0) == math.inf
+        finite = [-1.0, 0.0, 0.5, 709.0]
+        prof = value_profile(B05, gp(qq), sol, [710.0, *finite, 1e4])
+        assert prof[0] == prof[-1] == math.inf
+        assert prof[1:-1].tolist() == value_profile(B05, gp(qq), sol, finite).tolist()
 
     @pytest.mark.parametrize("model, qq", [(B05, 0.4), (B05, 0.75), (B05, 1.5), (B05, 2.5),
                                            (TAB, 1.05)])
