@@ -389,10 +389,10 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
     ev = scale_evaluator(model, q)
     checks: list[tuple[str, float, float]] = []
 
-    for bump in (0.5, 1.0, 3.0):
-        beta = ev.phi_q + bump
-        checks.append((f"laplace transform residual at beta={beta:.6g}",
-                       laplace_selfcheck(ev, beta), 1e-6))
+    betas = [ev.phi_q + bump for bump in (0.5, 1.0, 3.0)]
+    resids = laplace_selfcheck(ev, betas)
+    checks += [(f"laplace transform residual at beta={beta:.6g}", resid, 1e-6)
+               for beta, resid in zip(betas, resids)]
 
     lam = 0.5
     shifted = q + laplace_exponent(model, lam)

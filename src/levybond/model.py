@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -79,7 +79,8 @@ _TAYLOR_TERMS = 16  # moments kept for the body's Taylor branch
 #   _pieces     (knots, values, tail_rate)
 #   _tail_mass  jump intensity of the tail (``values[-1] / tail_rate``)
 #   _cells      per-cell linear coefficients of the body (None if none)
-#   _body       the body as :func:`_body_expm1` integrates it (None if none)
+#   _body       the body as :func:`_body_expm1` integrates it, a :class:`_Body`
+#               (None if none)
 #   _mass       total jump intensity
 #   _m1         compensator mass ``integral_(0,1) z pi(z) dz``
 #   _above      exceedance masses at the knots, for inverse-CDF sampling
@@ -199,40 +200,50 @@ def _cells(knots, values):
     return z0, z1, p, m
 
 
-def _linear_body(cells, lo: float, s: float = 0.0):
+class _Body:
     """The body on ``[lo, knots[-1]]`` (``lo < knots[-1]``) about a point
-    ``s <= lo``, as :func:`_body_expm1` integrates it: the nodes ``u_j - s``
-    followed by the first and last again, their weights (the slope jumps
+    ``s <= lo``, as :func:`_body_expm1` integrates it: the ``nodes`` ``u_j - s``
+    followed by the first and last again, their ``weights`` (the slope jumps
     ``m_(j-1) - m_j``, slope 0 outside, then the end values ``-f_0`` and
-    ``f_N``), and the moments ``integral (u - s)^k pi(u) du`` for
-    ``k < _TAYLOR_TERMS`` (the first is the body's mass)."""
-    z0, z1, p, m = cells
-    keep = z1 > lo
-    cp, cm = p[keep], m[keep]
-    c0 = np.maximum(z0[keep], lo)
-    c1 = z1[keep]
-    ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
-    # about s the density is (p + m s) + m (u - s)
-    cp = cp + cm * s
-    c0, c1 = c0 - s, c1 - s
-    nodes = np.concatenate([c0[:1], c1, c0[:1], c1[-1:]])
-    slopes = np.concatenate([[0.0], cm, [0.0]])
-    weights = np.concatenate([slopes[:-1] - slopes[1:], [-ends[0], ends[1]]])
-    moments = []
-    for k in range(_TAYLOR_TERMS):
+    ``f_N``) and its ``mass``.  The moments ``integral (u - s)^k pi(u) du``
+    for ``k < _TAYLOR_TERMS`` (the first is the mass) are formed when the
+    Taylor branch first reads them, and kept."""
+
+    def __init__(self, cells, lo: float, s: float = 0.0) -> None:
+        z0, z1, p, m = cells
+        keep = z1 > lo
+        cp, cm = p[keep], m[keep]
+        c0 = np.maximum(z0[keep], lo)
+        c1 = z1[keep]
+        ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
+        # about s the density is (p + m s) + m (u - s)
+        cp = cp + cm * s
+        c0, c1 = c0 - s, c1 - s
+        slopes = np.concatenate([[0.0], cm, [0.0]])
+        self.nodes = np.concatenate([c0[:1], c1, c0[:1], c1[-1:]])
+        self.weights = np.concatenate([slopes[:-1] - slopes[1:], [-ends[0], ends[1]]])
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
+        self._cells = c0, c1, cp, cm
+        self.mass = self._moment(0)
+
+    def _moment(self, k: int) -> float:
+        c0, c1, cp, cm = self._cells
         mk = (c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1)
         mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
-        moments.append(float(np.sum(cp * mk + cm * mk1)))
-    return nodes, weights, moments
+        return float(np.sum(cp * mk + cm * mk1))
+
+    @cached_property
+    def moments(self) -> tuple[float, ...]:
+        return (self.mass, *(self._moment(k) for k in range(1, _TAYLOR_TERMS)))
 
 
 # The last body _body_of built: (cells, lo, s, body).
 _LAST_BODY = [None]
 
 
-def _body_of(jumps: JumpSpec, lo: float, s: float):
-    """:func:`_linear_body` of ``jumps``' body, its arrays read-only, reused
-    while the next call asks for the same body: R4 values at one threshold
+def _body_of(jumps: JumpSpec, lo: float, s: float) -> _Body:
+    """The :class:`_Body` of ``jumps`` on ``[lo, knots[-1]]`` about ``s``,
+    reused while the next call asks for the same body: R4 values at one threshold
     take it about the same ``m = log K - c*`` in :func:`shifted_jump_integrals`,
     :func:`jump_excess` and :func:`_excess_transform`, all through
     :func:`_jump_expm1`.  The memo is keyed on the identity of ``jumps``'
@@ -240,9 +251,7 @@ def _body_of(jumps: JumpSpec, lo: float, s: float):
     last = _LAST_BODY[0]
     if last is not None and last[0] is jumps._cells and last[1] == lo and last[2] == s:
         return last[3]
-    nodes, weights, moments = _linear_body(jumps._cells, lo, s)
-    nodes.flags.writeable = weights.flags.writeable = False
-    body = nodes, weights, tuple(moments)
+    body = _Body(jumps._cells, lo, s)
     _LAST_BODY[0] = (jumps._cells, lo, s, body)
     return body
 
@@ -252,8 +261,8 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
     cells, body, m1, mass, above = None, None, 0.0, tail_mass, np.array([tail_mass])
     if len(knots) > 1:
         cells = _cells(knots, values)
-        body = _linear_body(cells, knots[0])
-        mass = body[2][0] + tail_mass
+        body = _Body(cells, knots[0])
+        mass = body.mass + tail_mass
         z0, z1, p, m = cells
         below = z0 < 1.0
         c0, c1 = z0[below], np.minimum(z1[below], 1.0)
@@ -272,11 +281,11 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
         object.__setattr__(spec, name, val)
 
 
-def _body_expm1(body, a, step=None) -> np.ndarray:
+def _body_expm1(body: _Body, a, step=None):
     """``integral expm1(a*(u - s)) pi(u) du`` over the body, elementwise over
     the complex array ``a`` (``s`` is the point ``body`` is taken about): its
     exponential moment less its mass, formed without that subtraction
-    where it would cancel.
+    where it would cancel.  A real scalar ``a`` gives a float.
 
     With ``step`` given, ``a``'s last axis is a ladder of rungs
     ``a[..., k] = a[..., 0] + 1j k step`` (``step`` real, shaped like
@@ -290,17 +299,27 @@ def _body_expm1(body, a, step=None) -> np.ndarray:
     ladder the node exponentials follow the rung recurrence
     ``e^(a_k u_j) = e^(a_(k-1) u_j) e^(i step u_j)``, so a (ladder, node)
     pair costs two exponentials and one complex multiply per further rung.
+    A real scalar in the by-parts range, as the root finders pass, skips the
+    masks and the ladder: one row of the same complex arithmetic, so its
+    bits are those of the one-point array.
     The ``a^-2`` factor cancels digits as ``a`` nears 0 (relative error
     ~1e-16 / (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a``
-    over the stored moments, from the first, is used instead; with
+    over the body's moments, from the first, is used instead; with
     ``_TAYLOR_TERMS`` terms its truncation is below
-    ``(|a| w)^16 / 16! < 5e-14`` relative.  Near the switch both branches
+    ``(|a| w)^16 / 16! < 5e-14`` relative.  The moments are formed when a
+    Taylor point first needs them, so a body the by-parts branch alone
+    reads never forms them.  Near the switch both branches
     hold about 1e-12 relative (against a 40-digit evaluation of the
     401-node test table).  Both masks are taken point by point.
     """
-    a = np.asarray(a, dtype=complex)
-    nodes, weights, moments = body
+    nodes, weights = body.nodes, body.weights
     reach = nodes[-1]
+    real = isinstance(a, float)
+    if real and abs(a) * reach >= 1.0 and a * reach <= _EXP_GUARD:
+        ak = complex(a)
+        terms = np.exp(ak * nodes) * weights
+        return float(((terms[-2] + terms[-1] - terms[:-2].sum() / ak) / ak - body.mass).real)
+    a = np.asarray(a, dtype=complex)
     total = np.zeros(a.shape, dtype=complex)
     guard = a.real * reach > _EXP_GUARD
     taylor = (np.abs(a) * reach < 1.0) & ~guard
@@ -324,9 +343,10 @@ def _body_expm1(body, a, step=None) -> np.ndarray:
                     terms *= turn
                 ak = lad[:, k]
                 out[:, k] = (terms[:, -2] + terms[:, -1] - terms[:, :-2].sum(axis=1) / ak) / ak
-        out -= moments[0]
+        out -= body.mass
         total.reshape(ladders.shape)[rows] = out
     if taylor.any():
+        moments = body.moments
         at = a[taylor]
         acc = np.zeros(at.shape, dtype=complex)
         ak = at.copy()
@@ -335,7 +355,7 @@ def _body_expm1(body, a, step=None) -> np.ndarray:
             ak *= at / (k + 1)
         total[taylor] = acc
     total[guard] = np.inf
-    return total
+    return float(total.real) if real else total
 
 
 def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
@@ -356,7 +376,6 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     if jumps._body is not None and lo < zN:
         body = jumps._body if lo <= knots[0] and s == 0.0 else _body_of(jumps, lo, s)
         total = _body_expm1(body, a, step)
-        total = float(total.real) if real else total
     if tail > 0.0:
         start = lo if lo > zN else zN
         x, mass = a * (start - s), tail if start == zN else tail * math.exp(-r * (start - zN))

@@ -41,15 +41,24 @@ holds 3e-12 relative to a 40-digit evaluation of the same Euler sum.
 
 The forward identity ``integral_0^inf e^(-beta x) W = 1/(psi(beta) - q)``
 (:func:`laplace_selfcheck`) is exact on the closed route, ``sum_i c_i/(beta -
-theta_i)``.  On the numeric route it is the trapezoid rule in ``y = log u``
-for ``(1/k) integral_0^inf e^(-u) W_Phi(u/k) du`` (``k = beta - Phi``, the
-bounded, nondecreasing ``W_Phi = e^(-Phi x) W`` inverted at its 81 nodes in
-one call).  Even steps in ``log x`` resolve every scale of ``W_Phi`` alike: a
-layer ``e^(-lambda x)`` is analytic and bounded on ``|Im y| < pi/2`` for any
-``lambda``, and the step 1/3 keeps the error under 1e-10 (a Gauss-Laguerre
-rule, first node ``0.011/k``, reads 2e-3 on a layer of rate ``200 k``).
-Starting at ``u = e^-23`` drops at most 1e-10 of the integral, as ``W_Phi``
-is nondecreasing.  The test tables read residuals <= 1e-8.
+theta_i)``.  On the numeric route it is the trapezoid rule in ``y = log x``
+for ``integral_0^inf e^(-k x) W_Phi(x) dx`` (``k = beta - Phi``, the
+bounded, nondecreasing ``W_Phi = e^(-Phi x) W``) on the lattice
+``x_j = e^(j/3)``.  The lattice is fixed in ``x`` and shared by every
+``beta`` of a call: ``W_Phi`` is inverted at its nodes once, and each
+``beta`` weighs them by ``e^(-k x_j) x_j / 3``.  It runs from
+``e^-23 / k_max`` to the first node whose weight at ``k_min`` is below
+1e-17, past which no node can move the sum of a bounded ``W_Phi``; for the
+build's ``Phi + {0.5, 1, 3}`` that is ``j`` in [-73, 14], 88 nodes.  Even
+steps in ``log x`` resolve every scale of ``W_Phi`` alike, wherever the
+lattice sits in ``log x``: a layer ``e^(-lambda x)`` is analytic and bounded
+on ``|Im y| < pi/2`` for any ``lambda``, and the step 1/3 keeps the error
+under 1e-10 (a Gauss-Laguerre rule, first node ``0.011/k``, reads 2e-3 on a
+layer of rate ``200 k``).  Below the first node ``e^(-k x) W_Phi`` is
+``w0 + O(x)``, so the nodes there sum to ``w0 x_0 / (3 (e^(1/3) - 1))``;
+what the lattice leaves out is ``O(x_0^2)``, and a ``beta``'s residual does
+not depend on the other ``beta`` of its call.  The test tables read
+residuals <= 1e-8.
 
 The solver's value formulas are combinations
 ``a W(v) + b (integral_0^v W + 1/q) + c e^(-v) integral_0^v e^y W
@@ -147,14 +156,6 @@ _EULER_SIGN[0] = 0.5
 # under 1 MB, however many points it takes.  Talbot inverts rational
 # exponents only, which form no per-node array.
 _CHUNK_ROWS = 32
-
-# laplace_selfcheck's rule for integral_0^inf e^(-u) f(u) du: the trapezoid
-# rule in y = log u, step 1/3, from u = e^-23 (module docstring), less the
-# nodes whose weight (below 1e-17) cannot move its sum of a bounded f.
-_CERT_U = np.exp(np.arange(-69, 13) / 3.0)
-_CERT_W = np.exp(-_CERT_U) * _CERT_U / 3.0
-_CERT_U, _CERT_W = _CERT_U[_CERT_W > 1e-17], _CERT_W[_CERT_W > 1e-17]
-
 
 class Method(enum.Enum):
     """How an evaluator computes ``W``."""
@@ -347,7 +348,8 @@ def _certify(ev: ScaleEvaluator) -> None:
     """Certify the numeric route or raise AccuracyError: Talbot (rational
     exponents) against the independent Euler inverter at 10 points; Euler
     (the others, where a deformed contour is unsound) by the forward
-    transform identity at ``beta = Phi + {0.5, 1, 3}``."""
+    transform identity at ``beta = Phi + {0.5, 1, 3}``, one
+    :func:`laplace_selfcheck` call on one inversion."""
     if _inverter(ev.model) is _talbot:
         transform = _resolvent_transform(ev.model, ev.q, ev.phi_q)
         xs = np.geomspace(1e-3, 40.0, 10)
@@ -359,8 +361,9 @@ def _certify(ev: ScaleEvaluator) -> None:
                     f"independent inverters disagree at x={xv:g}: {a!r} vs {b!r}"
                 )
         return
-    for beta_off in (0.5, 1.0, 3.0):
-        resid = laplace_selfcheck(ev, ev.phi_q + beta_off)
+    offsets = (0.5, 1.0, 3.0)
+    resids = laplace_selfcheck(ev, [ev.phi_q + off for off in offsets])
+    for beta_off, resid in zip(offsets, resids):
         if resid > 1e-6:
             raise AccuracyError(
                 f"transform identity residual {resid:.2e} at "
@@ -507,20 +510,43 @@ def tilted_w(model: LevyModel, lam: float, p: float, x: float) -> float:
     return w(scale_evaluator(tilted, p), x)
 
 
-def laplace_selfcheck(ev: ScaleEvaluator, beta: float) -> float:
-    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``:
-    the integral is ``sum_i c_i/(beta - theta_i)`` on the closed route and,
-    on the numeric route, a trapezoid sum in ``log x`` over one batched
-    inversion of the tilted transform (module docstring)."""
-    if not (beta > ev.phi_q + 0.1):
-        raise DomainError(
-            f"selfcheck needs beta > Phi(q)+0.1 = {ev.phi_q + 0.1:g}, got {beta}"
-        )
+def _cert_lattice(k_min: float, k_max: float) -> np.ndarray:
+    """laplace_selfcheck's nodes ``x_j = e^(j/3)``: from ``e^-23 / k_max``
+    to the first node whose weight ``e^(-k_min x) x/3`` is below 1e-17, as
+    nodes past it cannot move the sum of a bounded ``W_Phi`` (module
+    docstring)."""
+    lo = math.floor(3.0 * (-23.0 - math.log(k_max)))
+    hi = math.ceil(-3.0 * math.log(k_min))  # the weight peaks at x = 1/k_min
+    while math.exp(-k_min * math.exp(hi / 3.0) + hi / 3.0) / 3.0 >= 1e-17:
+        hi += 1
+    return np.exp(np.arange(lo, hi + 1) / 3.0)
+
+
+def laplace_selfcheck(ev: ScaleEvaluator, beta):
+    """Relative residual of ``integral_0^inf exp(-beta x) W(x) dx = 1/(psi(beta)-q)``
+    at one ``beta`` (a float) or at each of a sequence (a list): the integral
+    is ``sum_i c_i/(beta - theta_i)`` on the closed route and, on the numeric
+    route, a trapezoid sum in ``log x`` per ``beta`` over one batched
+    inversion of the tilted transform, shared by every ``beta`` (module
+    docstring)."""
+    betas = [float(b) for b in np.ravel(beta)]
+    for b in betas:
+        if not (b > ev.phi_q + 0.1):
+            raise DomainError(
+                f"selfcheck needs beta > Phi(q)+0.1 = {ev.phi_q + 0.1:g}, got {b}"
+            )
     if ev.roots is not None:
-        val = complex(np.sum(np.array(ev.weights) / (beta - np.array(ev.roots)))).real
+        vals = [complex(np.sum(np.array(ev.weights) / (b - np.array(ev.roots)))).real
+                for b in betas]
     else:
-        k = beta - ev.phi_q
-        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), _CERT_U / k)
-        val = math.fsum((_CERT_W * w_phi).tolist()) / k
-    target = 1.0 / (laplace_exponent(ev.model, beta) - ev.q)
-    return abs(val - target) / abs(target)
+        ks = [b - ev.phi_q for b in betas]
+        x = _cert_lattice(min(ks), max(ks))
+        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), x)
+        # the nodes below x[0], where e^(-k x) W_Phi = w0 + O(x), sum to this
+        head = ev.w0 * x[0] / (3.0 * math.expm1(1.0 / 3.0))
+        vals = [math.fsum((np.exp(-k * x) * x / 3.0 * w_phi).tolist()) + head for k in ks]
+    resid = []
+    for b, val in zip(betas, vals):
+        target = 1.0 / (laplace_exponent(ev.model, b) - ev.q)
+        resid.append(abs(val - target) / abs(target))
+    return resid if np.ndim(beta) else resid[0]

@@ -32,6 +32,9 @@ from levybond import (
     shifted_jump_integrals,
 )
 from levybond.model import (
+    _EXP_GUARD,
+    _body_expm1,
+    _body_of,
     _excess_transform,
     _jump_expm1,
     _jump_exponent_real,
@@ -348,6 +351,34 @@ class TestJumpIntegral:
             assert type(_jump_expm1(jumps, lo, s, a)) is float
         assert _jump_expm1(jumps, 0.0, -800.0, 1.0) == math.inf
         assert type(_jump_expm1(self.JUMPS["TAB"], 0.3, 0.3, 1.0)) is float
+
+    @pytest.mark.parametrize("name", ["TAB401", "TAB101", "NO_TAIL"])
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (2.5, 1.0), (9.0, 8.5)],
+                             ids=["from-0", "in-body", "past-last-knot"])
+    def test_real_scalar_is_the_one_point_array(self, name, lo, s):
+        # the root finders' real scalar takes its own branch through the
+        # body; its bits are those of the complex one-point array's
+        jumps = {"TAB401": tabulated_exp_density(401), "TAB101": tabulated_exp_density(101),
+                 "NO_TAIL": self.NO_TAIL}[name]
+        knots, _, r = jumps._pieces
+        zN = knots[-1]
+        reach = zN - s if lo < zN else 1.0  # past the last knot only the tail reads a
+        taylor, by_parts, guarded = 0.5 / reach, (-1.3, 0.7, 3.0), 1.01 * _EXP_GUARD / reach
+        for a in (taylor, -taylor, *by_parts, guarded):
+            want = 0.0
+            if lo < zN:
+                want = float(_body_expm1(_body_of(jumps, lo, s), np.array([a + 0j]))[0].real)
+            if jumps._tail_mass > 0.0:
+                start = max(lo, zN)
+                x = a * (start - s)
+                mass = jumps._tail_mass * (math.exp(-r * (start - zN)) if start > zN else 1.0)
+                grow = math.expm1(x) if x <= 709.0 else math.inf
+                want = want + mass * (r * grow + a) / (r - a)
+            got = _jump_expm1(jumps, lo, s, a)
+            assert type(got) is float
+            assert got == want, (a, got, want)
+            if a == guarded and lo < zN:
+                assert got == math.inf
 
 
 class TestExcessTransform:

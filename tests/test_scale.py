@@ -307,6 +307,50 @@ class TestTransformIdentity:
         with pytest.raises(DomainError):
             laplace_selfcheck(ev, ev.phi_q + 0.05)
 
+    @pytest.mark.parametrize("model, q, method, expected", [
+        (LevyModel(0.1, 0.3, tabulated_exp_density(101)), 1.7, None, {"_euler": 1, "_talbot": 0}),
+        (CANON, 1.7, Method.NUMERIC_INVERSION, {"_euler": 1, "_talbot": 1})],
+        ids=["euler", "talbot"])
+    def test_numeric_build_is_one_inversion(self, monkeypatch, model, q, method, expected):
+        # Euler's certificate inverts W_Phi once for all three offsets;
+        # Talbot's is one Talbot and one Euler call, as before
+        calls = {"_euler": 0, "_talbot": 0}
+        for name in calls:
+            def counted(*args, _rule=getattr(scale_module, name), _name=name):
+                calls[_name] += 1
+                return _rule(*args)
+            monkeypatch.setattr(scale_module, name, counted)
+        scale_evaluator.cache_clear()
+        scale_evaluator(model, q, method)
+        assert calls == expected
+
+    @pytest.mark.parametrize("model, q, method", [
+        (LevyModel(0.1, 0.3, tabulated_exp_density(401)), 1.05, None),
+        (LevyModel(0.5, 0.05, tabulated_exp_density(101)), 0.3, None),
+        (bounded_variation_model(2.0, tabulated_exp_density(101)), 1.0, None),
+        (BV2, 1.0, Method.NUMERIC_INVERSION),
+        (EXPJ, 1.2, None)], ids=["TAB401", "TAB101-drift", "TAB101-bv", "BV2-talbot", "closed"])
+    def test_batched_agrees_with_single_calls(self, model, q, method):
+        # a beta's residual does not depend on the others sharing its lattice,
+        # also where W_Phi starts at w0 > 0 below the lattice
+        ev = scale_evaluator(model, q, method)
+        betas = [ev.phi_q + offset for offset in (0.5, 1.0, 3.0)]
+        batched = laplace_selfcheck(ev, betas)
+        assert len(batched) == 3
+        for beta, resid in zip(betas, batched):
+            assert abs(resid - laplace_selfcheck(ev, beta)) <= 1e-13, beta
+
+    @pytest.mark.parametrize("method", [None, Method.NUMERIC_INVERSION])
+    def test_batched_rejects_a_beta_at_singularity(self, method):
+        ev = scale_evaluator(LevyModel(0.1, 0.3, tabulated_exp_density(101))
+                             if method is None else CANON, 1.0, method)
+        for low in (0.1, 0.05, -1.0, math.nan):
+            for at in range(3):
+                betas = [ev.phi_q + 0.5, ev.phi_q + 1.0, ev.phi_q + 3.0]
+                betas[at] = ev.phi_q + low
+                with pytest.raises(DomainError):
+                    laplace_selfcheck(ev, betas)
+
 
 class TestShapeInvariants:
     @pytest.mark.parametrize("model, q", [(CANON, 1.0), (BV_RHO1, 1.0), (EXPJ, 1.2)])
