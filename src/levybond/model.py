@@ -35,9 +35,8 @@ from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DivergentExponent, DomainError, SubordinatorError
+from .errors import BracketError, DivergentExponent, DomainError, SubordinatorError
 
 __all__ = [
     "NoJumps",
@@ -299,9 +298,10 @@ def _body_expm1(body: _Body, a, step=None):
     ladder the node exponentials follow the rung recurrence
     ``e^(a_k u_j) = e^(a_(k-1) u_j) e^(i step u_j)``, so a (ladder, node)
     pair costs two exponentials and one complex multiply per further rung.
-    A real scalar in the by-parts range, as the root finders pass, skips the
-    masks and the ladder: one row of the same complex arithmetic, so its
-    bits are those of the one-point array.
+    A real scalar, as the root finders pass, skips the masks and the ladder:
+    in the by-parts range one row of the same complex arithmetic, in the
+    Taylor range a float sum whose every product and sum is the real part of
+    the array's, so its bits are those of the one-point array.
     The ``a^-2`` factor cancels digits as ``a`` nears 0 (relative error
     ~1e-16 / (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a``
     over the body's moments, from the first, is used instead; with
@@ -315,7 +315,13 @@ def _body_expm1(body: _Body, a, step=None):
     nodes, weights = body.nodes, body.weights
     reach = nodes[-1]
     real = isinstance(a, float)
-    if real and abs(a) * reach >= 1.0 and a * reach <= _EXP_GUARD:
+    if real and abs(a) * reach < 1.0:
+        moments, acc, ak = body.moments, 0.0, a
+        for k in range(1, _TAYLOR_TERMS):
+            acc += ak * moments[k]
+            ak *= a * (1.0 / (k + 1))  # numpy's complex a / (k + 1), real part
+        return acc
+    if real and a * reach <= _EXP_GUARD:
         ak = complex(a)
         terms = np.exp(ak * nodes) * weights
         return float(((terms[-2] + terms[-1] - terms[:-2].sum() / ak) / ak - body.mass).real)
@@ -548,6 +554,61 @@ def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
 
 
+def brentq(f, lo: float, hi: float, xtol: float = 1e-300, rtol: float = 8.9e-16,
+           maxiter: int = 256) -> float:
+    """The root of ``f`` on ``[lo, hi]`` by Brent's method (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4): inverse quadratic
+    interpolation, or a secant step, while it shortens the bracket fast
+    enough, else bisection.  Stops once the bracket is narrower than
+    ``xtol + rtol |x|``.  A line-for-line port of the reference C
+    ``brentq.c``: the same steps in the same floating-point order, so each
+    root is bit-identical to that routine's.  ``BracketError`` when ``f(lo)``
+    and ``f(hi)`` share a sign, when ``f`` returns nan, or after ``maxiter``
+    steps.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise BracketError(f"f is nan at an end of [{lo:g}, {hi:g}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not (fpre < 0.0) ^ (fcur < 0.0):
+        raise BracketError(f"no sign change of f on [{lo:g}, {hi:g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) ^ (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise BracketError(f"f is nan at {xcur!r}")
+    raise BracketError(f"no convergence in {maxiter} steps on [{lo:g}, {hi:g}]")
+
+
 @lru_cache(maxsize=256)
 def phi(model: LevyModel, p: float) -> float:
     """Largest nonnegative root of ``psi(theta) = p`` (the right inverse).
@@ -576,7 +637,7 @@ def phi(model: LevyModel, p: float) -> float:
         hi *= 2.0
     else:
         raise DomainError(f"could not bracket the inverse of psi at p={p}")
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=256))
+    return brentq(f, lo, hi)
 
 
 def exp_growth_rate(model: LevyModel) -> float:

@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, DomainError, MomentConditionError, RegimeError
 from .model import (
     LevyModel,
+    brentq,
     exp_growth_rate,
     jump_intensity,
     laplace_exponent,
@@ -212,7 +212,7 @@ def _theta_root(f: Callable[[float], float], lo: float, hi: float, what: str) ->
     """The root of ``f`` on ``[lo, hi]``; ``BracketError`` without a sign change."""
     if not f(lo) * f(hi) < 0.0:
         raise BracketError(f"{what}: no sign change on [{lo:g}, {hi:g}]")
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=256))
+    return brentq(f, lo, hi)
 
 
 def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> float:
@@ -324,11 +324,8 @@ def c_star(model: LevyModel, params: GameParams, *,
         lo -= 1.0
     else:
         raise BracketError("no lower bracket for the issuer threshold")
-    root = brentq(
-        lambda c: _call_boundary_value(model, params, ph, c) - K,
-        lo, hi, xtol=1e-14, rtol=8.9e-16,
-    )
-    return float(root)
+    return brentq(lambda c: _call_boundary_value(model, params, ph, c) - K,
+                  lo, hi, xtol=1e-14)
 
 
 # --------------------------------------------------------------------------- #

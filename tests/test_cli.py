@@ -289,15 +289,28 @@ class TestSelfcheck:
         assert "sim" in capsys.readouterr().err
 
 
+def child_env():
+    """Environment for a fresh interpreter that imports the package the
+    tests import, installed or not."""
+    paths = [str(Path(levybond.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         path = write_config(tmp_path, model=BROWNIAN, game=GAME, grid=GRID)
-        # the child imports the package the tests import, installed or not
-        paths = [str(Path(levybond.__file__).resolve().parents[1]),
-                 os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "levybond.cli", "solve", str(path)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "regime=R2" in proc.stdout
+
+    def test_runs_on_numpy_alone(self):
+        # the library's one root finder is its own, so importing it loads no scipy
+        code = ("import sys, levybond, levybond.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from levybond import (
+    BracketError,
     DivergentExponent,
     DomainError,
     ExponentialJumps,
@@ -39,6 +40,7 @@ from levybond.model import (
     _jump_expm1,
     _jump_exponent_real,
     _psi_c,
+    brentq,
     jump_excess,
     jump_passage_means,
 )
@@ -149,6 +151,65 @@ class TestPhi:
         assert phi(rebuilt, 1.25) == phi.__wrapped__(rebuilt, 1.25)
         with pytest.raises(DomainError):
             phi(model, math.nan)
+
+
+class TestBrent:
+    """``model.brentq`` against ``scipy.optimize.brentq``: the same root, bit for bit."""
+
+    @staticmethod
+    def same_root(f, lo, hi, **tol):
+        got = brentq(f, lo, hi, **tol)
+        want = optimize.brentq(f, lo, hi, **{"xtol": 1e-300, "rtol": 8.9e-16,
+                                             "maxiter": 256, **tol})
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), (got, want)
+        return got
+
+    @pytest.mark.parametrize("model", [CANON, EXPJ, BV_RHO2, "TAB101"],
+                             ids=["CANON", "EXPJ", "BV2", "TAB101"])
+    @pytest.mark.parametrize("p", [1e-3, 0.25, 1.0, 4.0, 17.0])
+    def test_phi_function(self, model, p):
+        if model == "TAB101":
+            model = LevyModel(0.1, 0.3, tabulated_exp_density(101))
+
+        def f(th):
+            return laplace_exponent(model, th) - p
+
+        hi = 1.0
+        while f(hi) <= 0.0:
+            hi *= 2.0
+        assert self.same_root(f, 0.0, hi) == phi(model, p)
+
+    @pytest.mark.parametrize("tol", [{}, {"xtol": 1e-14}, {"xtol": 1e-6, "rtol": 1e-10}])
+    @pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (3.0, 2.0), (-10.0, 10.0)])
+    def test_cubic(self, lo, hi, tol):
+        root = self.same_root(lambda x: x ** 3 - 2.0 * x - 5.0, lo, hi, **tol)
+        assert root == pytest.approx(2.0945514815423265, rel=1e-6)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.0, 1.0), (2.0, 1.0)])
+    def test_root_at_an_endpoint(self, lo, hi):
+        assert self.same_root(lambda x: x - 1.0, lo, hi) == 1.0
+
+    @pytest.mark.parametrize("tol", [{}, {"xtol": 1e-14}])
+    def test_step_function(self, tol):
+        root = self.same_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, **tol)
+        assert root == pytest.approx(0.3, abs=1e-13)
+
+    def test_no_sign_change(self):
+        with pytest.raises(BracketError, match="no sign change"):
+            brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    def test_maxiter(self):
+        # scipy raises RuntimeError there, and BracketError is one
+        with pytest.raises(BracketError, match="no convergence in 3 steps"):
+            brentq(lambda x: x ** 3 - 2.0 * x - 5.0, -10.0, 10.0, maxiter=3)
+        assert issubclass(BracketError, RuntimeError)
+
+    def test_nan(self):
+        with pytest.raises(BracketError, match="nan at an end"):
+            brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+        with pytest.raises(BracketError, match="nan at 0.5"):
+            brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0)
 
 
 class TestConstruction:
@@ -379,6 +440,23 @@ class TestJumpIntegral:
             assert got == want, (a, got, want)
             if a == guarded and lo < zN:
                 assert got == math.inf
+
+    @pytest.mark.parametrize("n", [401, 101])
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (2.5, 1.0), (0.0, -3.0)],
+                             ids=["from-0", "in-body", "below-first-knot"])
+    def test_taylor_scalar_is_the_one_point_array(self, n, lo, s):
+        # a real scalar with |a| w < 1 takes a float Taylor sum; each of its
+        # products and sums is the real part of the complex array's, so the
+        # bits agree at every point, the ends of the range and 0 included
+        body = _body_of(tabulated_exp_density(n), lo, s)
+        reach = float(body.nodes[-1])
+        edge = math.nextafter(1.0 / reach, 0.0)
+        points = np.random.default_rng(n).uniform(-1.0, 1.0, 200) / reach
+        for a in (0.0, -0.0, 5e-324, 1e-9, -1e-9, edge, -edge, *points.tolist()):
+            got = _body_expm1(body, a)
+            want = float(_body_expm1(body, np.array([a + 0j]))[0].real)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (a, got, want)
 
 
 class TestExcessTransform:
