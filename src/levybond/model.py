@@ -64,6 +64,8 @@ logger = logging.getLogger(__name__)
 # the body's exponential moment on far-left contour points.
 _EXP_GUARD = 600.0
 _TAYLOR_TERMS = 16  # moments kept for the body's Taylor branch
+_BRENT_RTOL = 8.9e-16  # brentq's relative tolerance: 4 eps, as every root uses
+_BRENT_MAXITER = 256  # brentq's step budget
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +322,7 @@ def _body_expm1(body: _Body, a, step=None):
         for k in range(1, _TAYLOR_TERMS):
             acc += ak * moments[k]
             ak *= a * (1.0 / (k + 1))  # numpy's complex a / (k + 1), real part
-        return acc
+        return float(acc)
     if real and a * reach <= _EXP_GUARD:
         ak = complex(a)
         terms = np.exp(ak * nodes) * weights
@@ -554,17 +556,16 @@ def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
 
 
-def brentq(f, lo: float, hi: float, xtol: float = 1e-300, rtol: float = 8.9e-16,
-           maxiter: int = 256) -> float:
+def brentq(f, lo: float, hi: float, xtol: float = 1e-300) -> float:
     """The root of ``f`` on ``[lo, hi]`` by Brent's method (Brent, *Algorithms
     for Minimization without Derivatives*, 1973, ch. 4): inverse quadratic
     interpolation, or a secant step, while it shortens the bracket fast
     enough, else bisection.  Stops once the bracket is narrower than
-    ``xtol + rtol |x|``.  A line-for-line port of the reference C
+    ``xtol + _BRENT_RTOL |x|``.  A line-for-line port of the reference C
     ``brentq.c``: the same steps in the same floating-point order, so each
     root is bit-identical to that routine's.  ``BracketError`` when ``f(lo)``
-    and ``f(hi)`` share a sign, when ``f`` returns nan, or after ``maxiter``
-    steps.
+    and ``f(hi)`` share a sign, when ``f`` returns nan, or after
+    ``_BRENT_MAXITER`` steps.
     """
     xpre, xcur = float(lo), float(hi)
     fpre, fcur = float(f(xpre)), float(f(xcur))
@@ -577,14 +578,14 @@ def brentq(f, lo: float, hi: float, xtol: float = 1e-300, rtol: float = 8.9e-16,
     if not (fpre < 0.0) ^ (fcur < 0.0):
         raise BracketError(f"no sign change of f on [{lo:g}, {hi:g}]")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) ^ (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -606,7 +607,7 @@ def brentq(f, lo: float, hi: float, xtol: float = 1e-300, rtol: float = 8.9e-16,
         fcur = float(f(xcur))
         if math.isnan(fcur):
             raise BracketError(f"f is nan at {xcur!r}")
-    raise BracketError(f"no convergence in {maxiter} steps on [{lo:g}, {hi:g}]")
+    raise BracketError(f"no convergence in {_BRENT_MAXITER} steps on [{lo:g}, {hi:g}]")
 
 
 @lru_cache(maxsize=256)

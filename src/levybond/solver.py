@@ -35,7 +35,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -192,7 +191,7 @@ def q0(model: LevyModel, params: GameParams) -> float:
         hi = lo + 2.0 * (hi - lo)
         if hi > 1e12:
             raise BracketError("holder threshold never crosses the cap")
-    return laplace_exponent(model, _theta_root(f, lo, hi, "holder threshold"))
+    return laplace_exponent(model, brentq(f, lo, hi))
 
 
 def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> float:
@@ -206,13 +205,6 @@ def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> f
     return (params.K * model.b2 / 2.0
             + params.K * drift_gap / (theta + 1.0)
             - params.alpha / theta)
-
-
-def _theta_root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
-    """The root of ``f`` on ``[lo, hi]``; ``BracketError`` without a sign change."""
-    if not f(lo) * f(hi) < 0.0:
-        raise BracketError(f"{what}: no sign change on [{lo:g}, {hi:g}]")
-    return brentq(f, lo, hi)
 
 
 def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> float:
@@ -230,9 +222,8 @@ def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> f
         q0_value = q0(model, params)
     if model.b2 == 0.0:
         return q0_value
-    theta = _theta_root(lambda th: _boundary_condition(model, params, th),
-                        phi(model, params.alpha / params.K), phi(model, q0_value),
-                        "issuer boundary condition")
+    theta = brentq(lambda th: _boundary_condition(model, params, th),
+                   phi(model, params.alpha / params.K), phi(model, q0_value))
     return laplace_exponent(model, theta)
 
 
