@@ -63,6 +63,9 @@ logger = logging.getLogger(__name__)
 # Real exponents beyond this produce inf in float64 anyway; used to short-circuit
 # the body's exponential moment on far-left contour points.
 _EXP_GUARD = 600.0
+# exp of a real part below this is exactly 0 in float64 (e^-745.14 is half
+# the least subnormal), whatever the imaginary part
+_EXP_UNDERFLOW = -746.0
 _TAYLOR_TERMS = 16  # moments kept for the body's Taylor branch
 _BRENT_RTOL = 8.9e-16  # brentq's relative tolerance: 4 eps, as every root uses
 _BRENT_MAXITER = 256  # brentq's step budget
@@ -313,6 +316,12 @@ def _body_expm1(body: _Body, a, step=None):
     reads never forms them.  Near the switch both branches
     hold about 1e-12 relative (against a 40-digit evaluation of the
     401-node test table).  Both masks are taken point by point.
+    A ladder whose first rung has ``Re(a) u_0 < _EXP_UNDERFLOW`` at the
+    least node ``u_0`` is dead: every rung shares that real part, so every
+    node exponential underflows to exactly 0 and the by-parts value is
+    exactly ``-mass``.  A dead row is written so and not formed (it has no
+    Taylor or guard point, as ``|a| w > 746``); only live rows take the
+    exponentials, the turns and the rung loop.
     """
     nodes, weights = body.nodes, body.weights
     reach = nodes[-1]
@@ -331,11 +340,14 @@ def _body_expm1(body: _Body, a, step=None):
     total = np.zeros(a.shape, dtype=complex)
     guard = a.real * reach > _EXP_GUARD
     taylor = (np.abs(a) * reach < 1.0) & ~guard
-    # ladders as rows; only rows with a by-parts point are formed, and the
-    # masks then overwrite the rungs they take
+    # ladders as rows; only live rows with a by-parts point are formed, and
+    # the masks then overwrite the rungs they take
     rungs = a.shape[-1] if step is not None else 1
     ladders = a.reshape(-1, rungs)
     rows = ~(taylor | guard).reshape(ladders.shape).all(axis=1)
+    dead = ladders[:, 0].real * nodes[0] < _EXP_UNDERFLOW
+    total.reshape(ladders.shape)[rows & dead] = -body.mass
+    rows &= ~dead
     if rows.any():
         lad = ladders[rows]
         terms = np.multiply.outer(lad[:, 0], nodes)

@@ -24,8 +24,8 @@ make a single ``scale._w_combination`` call, one per value profile, with
 coefficients that cancel the ``exp(Phi * v)`` growth.  R4's jump-overshoot
 term is that call's ``d`` coefficient: the killed resolvent against what a
 jump clearing ``log K`` pays over the cap (``model.jump_excess``).  Small-z
-``g`` is one ``scale._w_resolvent`` call per point, the inverse of its own
-Laplace transform.  This module makes no scale-route decision: how each
+``g`` is the inverse of its own Laplace transform, one ``scale._w_resolvent``
+call over all the small-z points of a profile.  This module makes no scale-route decision: how each
 route evaluates these, and how accurately, is in the ``scale`` docstring.
 """
 
@@ -332,7 +332,8 @@ def g_function(model: LevyModel, q: float, z_arg):
     whose sum is O(z^2), so below ``_G_SMALL_Z`` ``g`` is the inverse of its
     own transform ``(s - Phi)/(s (s+1) (psi(s) - q))``, in which nothing
     cancels, by ``scale._w_resolvent`` on either scale route.  For an array
-    ``z_arg`` the points from ``_G_SMALL_Z`` up make one ``_w_combination`` call.
+    ``z_arg`` the points below ``_G_SMALL_Z`` make one ``_w_resolvent`` call
+    and the points from it up one ``_w_combination`` call.
     """
     z = np.asarray(z_arg, dtype=float)
     if not (z >= 0.0).all():
@@ -341,8 +342,8 @@ def g_function(model: LevyModel, q: float, z_arg):
     if z.any():
         ev = scale_evaluator(model, q)
         ph, small, big = ev.phi_q, (z > 0.0) & (z < _G_SMALL_Z), z >= _G_SMALL_Z
-        g[small] = [_w_resolvent(ev, zv, lambda s, step: (s - ph) / (s * (s + 1.0)))
-                    for zv in z[small].tolist()]
+        if small.any():
+            g[small] = _w_resolvent(ev, z[small], lambda s, step: (s - ph) / (s * (s + 1.0)))
         g[big] = ph / q + _w_combination(ev, z[big], 0.0, -ph, ph + 1.0)
     return float(g) if z.ndim == 0 else g
 

@@ -460,6 +460,48 @@ class TestJumpIntegral:
                 assert type(got) is float
                 assert got.hex() == want.hex(), (a, got, want)
 
+    @staticmethod
+    def by_parts(body, a, step=None):
+        """``_body_expm1``'s by-parts ladder formed on every row, none
+        skipped: the rung-0 node exponentials, then one turn per rung."""
+        rungs = a.shape[-1] if step is not None else 1
+        lad = a.reshape(-1, rungs)
+        terms = np.exp(np.multiply.outer(lad[:, 0], body.nodes)) * body.weights
+        if rungs > 1:
+            turn = np.exp(1j * np.multiply.outer(np.ravel(step), body.nodes))
+        out = np.empty(lad.shape, dtype=complex)
+        for k in range(rungs):
+            if k:
+                terms = terms * turn
+            ak = lad[:, k]
+            out[:, k] = (terms[:, -2] + terms[:, -1] - terms[:, :-2].sum(axis=1) / ak) / ak
+        return (out - body.mass).reshape(a.shape)
+
+    @pytest.mark.parametrize("n", [401, 101])
+    @pytest.mark.parametrize("ladder", [True, False], ids=["step", "no-step"])
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (2.5, 2.5)], ids=["from-0", "first-node-0"])
+    def test_underflowed_rows_skip_bit_for_bit(self, n, ladder, lo, s):
+        # Euler ladders A/(2x) + i k pi/x, negated as psi's body reads them,
+        # whose real part times the first node straddles -746: past it every
+        # node exponential is exactly 0 and the row is -mass without being
+        # formed.  A body whose first node is 0 has no dead row.  The formed
+        # sum's imaginary zero on a dead rung may carry either sign; the skip
+        # writes +0, which compares equal
+        body = _body_of(tabulated_exp_density(n), lo, s)
+        u0 = float(body.nodes[0])
+        edge = -746.0 / (u0 if u0 else 0.004)
+        re = edge * np.array([0.5, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.01, 2.0, 1e3, 1e7])
+        re = np.concatenate([re, [math.nextafter(edge, 0.0), math.nextafter(edge, -math.inf)]])
+        step = np.pi * -re / 10.5  # pi/x at A/(2x) = -re
+        a = re[:, None] - 1j * np.arange(34) * step[:, None]
+        got = _body_expm1(body, a, -step) if ladder else _body_expm1(body, a)
+        want = self.by_parts(body, a, -step if ladder else None)
+        assert got.real.tobytes() == want.real.tobytes()
+        assert (got.imag == want.imag).all()
+        dead = (re * u0 < -746.0)[:, None] & np.ones(a.shape, dtype=bool)
+        assert dead.any() == (u0 > 0.0) and not dead.all()
+        assert (got[dead] == -body.mass).all()
+
 
 class TestExcessTransform:
     """``_excess_transform``: the Laplace transform of ``jump_excess(m + .)``."""

@@ -199,7 +199,7 @@ class TestTabulatedInversion:
         assert time.perf_counter() - t0 < 5.0
         assert ev.method is Method.NUMERIC_INVERSION
 
-    def test_cache_matches_40_digit_euler_sum(self):
+    def test_w_matches_40_digit_euler_sum(self):
         # single-point w against the same Euler sum, with psi of the same
         # piecewise-linear density cell by cell at 40 digits, at five points
         # from 1e-4 to 50.  Float roundoff, amplified by the rule's
@@ -350,6 +350,39 @@ class TestTransformIdentity:
                 betas[at] = ev.phi_q + low
                 with pytest.raises(DomainError):
                     laplace_selfcheck(ev, betas)
+
+
+class TestBatchedInversion:
+    """``_invert_at`` inverts a profile in one call of the route's inverter,
+    each point on its own contour (the 5% rule, point by point)."""
+
+    @pytest.mark.parametrize("model, q, method", [
+        (LevyModel(0.1, 0.3, tabulated_exp_density(401)), 1.05, None),
+        (LevyModel(0.5, 0.05, tabulated_exp_density(101)), 0.3, None),
+        (BV2, 1.0, Method.NUMERIC_INVERSION)], ids=["TAB401", "TAB101-drift", "BV2-talbot"])
+    @pytest.mark.parametrize("tilted", [False, True], ids=["g", "w"])
+    def test_profile_matches_single_points(self, model, q, method, tilted):
+        # small-z g's transform untilted, with points on both sides of the
+        # 5% rule, and W's tilted by Phi out to x = 50.  A tilted contour's
+        # real point Phi + A/(2x) nears Phi only past x = 20 A/(2 Phi), well
+        # beyond the range in which the Euler rule resolves W_Phi
+        ev = scale_evaluator(model, q, method)
+        ph = ev.phi_q
+        reach = (scale_module._TALBOT_RADIUS if scale_module._inverter(model) is scale_module._talbot
+                 else scale_module._EULER_A / 2.0)
+        x = np.geomspace(1e-3, 50.0, 9)
+        if tilted:
+            tilt, num = ph, None
+        else:
+            tilt, num = 0.0, lambda s, step: (s - ph) / (s * (s + 1.0))
+            x = np.concatenate([x, reach / (ph * np.array([0.97, 1.0, 1.04, 1.06]))])
+            moved = np.abs(reach / x - ph) < 0.05 * ph
+            assert moved.any() and not moved.all()
+        transform = scale_module._resolvent_transform(model, q, tilt, num)
+        batch = scale_module._invert_at(ev, transform, x, tilt)
+        for xv, got in zip(x.tolist(), batch.tolist()):
+            want = float(scale_module._invert_at(ev, transform, np.array([xv]), tilt)[0])
+            assert abs(got - want) <= 1e-13 * abs(want), (xv, got, want)
 
 
 class TestShapeInvariants:

@@ -458,7 +458,7 @@ class TestPremiumKernel:
                 assert g_function(model, qq, zz) == pytest.approx(float(expect), rel=1e-12, abs=0.0), zz
 
     @pytest.mark.parametrize("qq", [1.05, 2.6])
-    def test_small_z_tabulated_against_cell_quadrature(self, qq):
+    def test_small_z_tabulated_against_quadrature_of_inverted_w(self, qq):
         # small-z g inverts its own transform; oracle: 6-point
         # Gauss-Legendre on each cell of a geometric grid below z of W as
         # the numeric route defines it, the tilted inversion of its transform
@@ -507,6 +507,72 @@ class TestPremiumKernel:
             assert all(b > a for a, b in zip(vals, vals[1:]))
             # an array takes the same per-point values in one pass
             assert g_function(model, qq, zs).tolist() == vals
+
+
+class TestBatchedNumericRoute:
+    """A numeric-route profile is one inversion: ``_w_combination``'s finite
+    points and small-z ``g``'s each make one inverter call, and match the
+    one-point calls within 1e-13 relative."""
+
+    @staticmethod
+    def counted_euler(monkeypatch):
+        calls = []
+        euler = scale_module._euler
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return euler(*args)
+        monkeypatch.setattr(scale_module, "_euler", counted)
+        return calls
+
+    @pytest.mark.parametrize("qq, regime", [(2.3, Regime.R3), (1.05, Regime.R4)])
+    def test_combination_matches_single_points(self, monkeypatch, qq, regime):
+        sol = classify(TAB, gp(qq))
+        assert sol.regime is regime
+        ev = scale_evaluator(TAB, qq)
+        ph = ev.phi_q
+        coef = (solver_module._r3_coefficients(TAB, gp(qq), ph) if regime is Regime.R3
+                else solver_module._r4_coefficients(TAB, gp(qq), ph, sol.c_star))
+        # Euler's real point A/(2v) lies within 5% of Phi near v = 10.5/Phi
+        v = np.array([1e-3, 0.05, 0.5, 2.0, 10.5 / (0.97 * ph), 10.5 / ph,
+                      10.5 / (1.08 * ph), 20.0, math.inf])
+        one = [_w_combination(ev, x, *coef) for x in v.tolist()]
+        calls = self.counted_euler(monkeypatch)
+        batch = _w_combination(ev, v, *coef)
+        assert calls == [len(v) - 1]
+        assert batch[-1] == one[-1] == 0.0
+        # the batched and one-point Euler averages differ in their reduction
+        # order only.  At v = 20 the value has decayed to ~1e-8 of its
+        # v -> 0+ value f0, and the bound is relative to f0 there
+        f0 = solver_module._combination_at_zero(TAB, qq, *coef)[0]
+        for x, got, want in zip(v.tolist(), batch.tolist(), one):
+            size = abs(want) if x < 20.0 else abs(f0)
+            assert abs(got - want) <= 1e-13 * size, (x, got, want)
+
+    @pytest.mark.parametrize("qq", [1.05, 2.6])
+    def test_small_z_g_matches_single_points(self, monkeypatch, qq):
+        z = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.05, 0.0999])
+        one = [g_function(TAB, qq, zz) for zz in z.tolist()]
+        calls = self.counted_euler(monkeypatch)
+        batch = g_function(TAB, qq, z)
+        assert calls == [len(z) - 1]
+        assert batch[0] == one[0] == 0.0
+        for zz, got, want in zip(z.tolist(), batch.tolist(), one):
+            assert abs(got - want) <= 1e-13 * abs(want), (zz, got, want)
+
+    @pytest.mark.parametrize("model, qq", [(TAB, 2.6), (TAB101, 1.05),
+                                           (bounded_variation_model(2.0, TAB101.jumps), 1.0)],
+                             ids=["TAB", "TAB101", "TAB101-bv"])
+    def test_zero_distance_is_the_limit(self, model, qq):
+        # v = 0 takes the v -> 0+ value a w0 + b/q, so exit_expectation at 0
+        # is 1 with a Gaussian part and 1 - q/(Phi d) with drift d without
+        ev = scale_evaluator(model, qq)
+        assert ev.method is Method.NUMERIC_INVERSION
+        got = exit_expectation(model, qq, 0.0)
+        drift = 2.0 if model.b2 == 0.0 else math.inf
+        assert got == pytest.approx(1.0 - qq / (ev.phi_q * drift), rel=1e-15)
+        assert exit_expectation(model, qq, 1e-9) == pytest.approx(got, abs=1e-6)
+        assert _w_combination(ev, np.array([0.0, 1e-9]), 0.0, -ev.phi_q, ev.phi_q + 1.0)[0] == -ev.phi_q / qq
 
 
 class TestExitExpectation:
@@ -654,7 +720,7 @@ class TestValue:
                 quadv = _overshoot_oracle(ev, gp(qq), sol.c_star, x)
                 assert quadv == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
-    def test_overshoot_tables_match_quadrature(self):
+    def test_tabulated_overshoot_matches_quadrature(self):
         # numeric-route overshoot on the tabulated density vs the 2-D quadrature
         sol = classify(TAB, gp(1.05))
         ev = scale_evaluator(TAB, 1.05)
