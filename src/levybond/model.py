@@ -346,7 +346,7 @@ def _body_expm1(body: _Body, a, step=None):
     ladders = a.reshape(-1, rungs)
     rows = ~(taylor | guard).reshape(ladders.shape).all(axis=1)
     dead = ladders[:, 0].real * nodes[0] < _EXP_UNDERFLOW
-    total.reshape(ladders.shape)[rows & dead] = -body.mass
+    total.reshape(ladders.shape)[dead] = -body.mass
     rows &= ~dead
     if rows.any():
         lad = ladders[rows]

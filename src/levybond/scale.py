@@ -81,8 +81,9 @@ at no ``v`` and tends to ``g v e^(-k v)`` as ``theta -> -k``.  For an array
 ``v`` the closed route sums each root's term over the whole array, with
 ``G(m)`` and the kernels formed once per call, and the numeric route makes
 one inversion of all the finite points.  At ``v = 0`` a combination is its
-``v -> 0+`` value and at ``v = inf`` its limit 0.  A closed form is only built when one root lies within
-``1e-6 (1 + Phi)`` of ``Phi(q)``; otherwise the evaluator inverts.  The
+``v -> 0+`` value and at ``v = inf`` its limit 0.  A closed form is only
+built when one root lies within ``1e-6 (1 + Phi)`` of ``Phi(q)``;
+otherwise the evaluator inverts.  The
 numeric route inverts the transform untilted, less ``f0/(s+1) + f1/(s+1)^2``
 and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0`` are the exact
 ``v -> 0+`` value and slope (``_combination_at_zero``), so the inverted rest
@@ -191,7 +192,7 @@ def _in_row_blocks(rule):
     one per point."""
     @wraps(rule)
     def invert(transform, x: np.ndarray, scale=1.0) -> np.ndarray:
-        scale = np.broadcast_to(scale, x.shape)
+        scale = np.full(x.shape, scale)
         return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS], scale[i:i + _CHUNK_ROWS])
                                for i in range(0, len(x), _CHUNK_ROWS)])
     return invert

@@ -25,8 +25,9 @@ coefficients that cancel the ``exp(Phi * v)`` growth.  R4's jump-overshoot
 term is that call's ``d`` coefficient: the killed resolvent against what a
 jump clearing ``log K`` pays over the cap (``model.jump_excess``).  Small-z
 ``g`` is the inverse of its own Laplace transform, one ``scale._w_resolvent``
-call over all the small-z points of a profile.  This module makes no scale-route decision: how each
-route evaluates these, and how accurately, is in the ``scale`` docstring.
+call over all the small-z points of a profile.  This module makes no
+scale-route decision: how each route evaluates these, and how accurately,
+is in the ``scale`` docstring.
 """
 
 from __future__ import annotations
