@@ -498,7 +498,7 @@ class TestJumpIntegral:
         want = self.by_parts(body, a, -step if ladder else None)
         assert got.real.tobytes() == want.real.tobytes()
         assert (got.imag == want.imag).all()
-        dead = (re * u0 < -746.0)[:, None] & np.ones(a.shape, dtype=bool)
+        dead = re * u0 < -746.0
         assert dead.any() == (u0 > 0.0) and not dead.all()
         assert (got[dead] == -body.mass).all()
 

@@ -544,7 +544,7 @@ class TestBatchedNumericRoute:
         # the batched and one-point Euler averages differ in their reduction
         # order only.  At v = 20 the value has decayed to ~1e-8 of its
         # v -> 0+ value f0, and the bound is relative to f0 there
-        f0 = solver_module._combination_at_zero(TAB, qq, *coef)[0]
+        f0 = scale_module._combination_at_zero(TAB, qq, *coef)[0]
         for x, got, want in zip(v.tolist(), batch.tolist(), one):
             size = abs(want) if x < 20.0 else abs(f0)
             assert abs(got - want) <= 1e-13 * size, (x, got, want)
@@ -572,7 +572,8 @@ class TestBatchedNumericRoute:
         drift = 2.0 if model.b2 == 0.0 else math.inf
         assert got == pytest.approx(1.0 - qq / (ev.phi_q * drift), rel=1e-15)
         assert exit_expectation(model, qq, 1e-9) == pytest.approx(got, abs=1e-6)
-        assert _w_combination(ev, np.array([0.0, 1e-9]), 0.0, -ev.phi_q, ev.phi_q + 1.0)[0] == -ev.phi_q / qq
+        premium = _w_combination(ev, np.array([0.0, 1e-9]), 0.0, -ev.phi_q, ev.phi_q + 1.0)
+        assert premium[0] == -ev.phi_q / qq
 
 
 class TestExitExpectation:
