@@ -139,7 +139,9 @@ class TabulatedDensity:
 
     ``grid`` and ``values`` are stored as tuples so instances are hashable and
     can key internal caches; they are the normal form's knots and values as
-    given.
+    given.  The hash is taken once, at construction (hashing 401 nodes costs
+    more than a ``psi`` evaluation), and equals the hash of the three fields,
+    so equal densities built apart hash equal.
     """
 
     grid: tuple[float, ...]
@@ -167,6 +169,7 @@ class TabulatedDensity:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "tail_rate", r)
+        object.__setattr__(self, "_hash", hash((g, v, r)))
         _normal_form(self, g, v, r, v[-1] / r)
         if g[0] > 0.0 and v[0] > 0.0:
             logger.warning(
@@ -174,6 +177,9 @@ class TabulatedDensity:
                 "mass below the first grid point (~%g) is dropped",
                 g[0], v[0], 0.5 * g[0] * v[0],
             )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def _of_pieces(cls, knots, values, tail_rate) -> "TabulatedDensity":
@@ -207,11 +213,13 @@ def _cells(knots, values):
 class _Body:
     """The body on ``[lo, knots[-1]]`` (``lo < knots[-1]``) about a point
     ``s <= lo``, as :func:`_body_expm1` integrates it: the ``nodes`` ``u_j - s``
-    followed by the first and last again, their ``weights`` (the slope jumps
-    ``m_(j-1) - m_j``, slope 0 outside, then the end values ``-f_0`` and
-    ``f_N``) and its ``mass``.  The moments ``integral (u - s)^k pi(u) du``
-    for ``k < _TAYLOR_TERMS`` (the first is the mass) are formed when the
-    Taylor branch first reads them, and kept."""
+    in increasing order between the first and the last again (so a live
+    prefix of the nodes is a prefix of the array), their ``weights`` (the
+    end value ``-f_0``, the slope jumps ``m_(j-1) - m_j`` with slope 0
+    outside, then the end value ``f_N``) and its ``mass``.  The moments
+    ``integral (u - s)^k pi(u) du`` for ``k < _TAYLOR_TERMS`` (the first is
+    the mass) are formed when a Taylor point other than 0 first reads them,
+    and kept."""
 
     def __init__(self, cells, lo: float, s: float = 0.0) -> None:
         z0, z1, p, m = cells
@@ -224,8 +232,8 @@ class _Body:
         cp = cp + cm * s
         c0, c1 = c0 - s, c1 - s
         slopes = np.concatenate([[0.0], cm, [0.0]])
-        self.nodes = np.concatenate([c0[:1], c1, c0[:1], c1[-1:]])
-        self.weights = np.concatenate([slopes[:-1] - slopes[1:], [-ends[0], ends[1]]])
+        self.nodes = np.concatenate([c0[:1], c0[:1], c1, c1[-1:]])
+        self.weights = np.concatenate([[-ends[0]], slopes[:-1] - slopes[1:], [ends[1]]])
         self.nodes.flags.writeable = self.weights.flags.writeable = False
         self._cells = c0, c1, cp, cm
         self.mass = self._moment(0)
@@ -285,6 +293,24 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
         object.__setattr__(spec, name, val)
 
 
+def _row_sum_width(n: int, cut: int) -> int:
+    """The least ``width >= cut`` whose row sum ``np.add.reduce`` over the
+    first ``width`` of ``n`` complex entries has the bits of the sum over all
+    ``n`` when every entry from ``cut`` on is 0.  numpy sums a row pairwise:
+    it halves a row of more than 64 entries at a multiple of 4, and sums a
+    block of at most 64 in 4 running accumulators, 4 entries a step, then
+    the remainder one by one.  So a prefix keeps the bits when it is a left
+    half of that tree, or a whole number of steps of its block; zeros
+    elsewhere add exactly."""
+    while n > 64:
+        half = (n - n % 8) // 2
+        if cut > half:
+            return n
+        n = half
+    steps = -(-cut // 4) * 4
+    return n if steps > n - n % 4 else steps
+
+
 def _body_expm1(body: _Body, a, step=None):
     """``integral expm1(a*(u - s)) pi(u) du`` over the body, elementwise over
     the complex array ``a`` (``s`` is the point ``body`` is taken about): its
@@ -303,10 +329,16 @@ def _body_expm1(body: _Body, a, step=None):
     ladder the node exponentials follow the rung recurrence
     ``e^(a_k u_j) = e^(a_(k-1) u_j) e^(i step u_j)``, so a (ladder, node)
     pair costs two exponentials and one complex multiply per further rung.
+    A rung is three ufunc calls over all of a call's ladders (that multiply,
+    the slope jumps' row sums, the sum of the end pair), and the quotient
+    ``(ends - sums/a)/a`` is formed once for every rung after the loop: the
+    same operations on the same numbers as a quotient per rung.
     A real scalar, as the root finders pass, skips the masks and the ladder:
     in the by-parts range one row of the same complex arithmetic, in the
     Taylor range a float sum whose every product and sum is the real part of
-    the array's, so its bits are those of the one-point array.
+    the array's, so its bits are those of the one-point array; at ``+-0``,
+    ``phi``'s lower bracket, that sum is exactly ``0.0`` and is returned
+    before any moment is formed.
     The ``a^-2`` factor cancels digits as ``a`` nears 0 (relative error
     ~1e-16 / (|a| w)^2), so for ``|a| w < 1`` the Taylor series in ``a``
     over the body's moments, from the first, is used instead; with
@@ -321,12 +353,20 @@ def _body_expm1(body: _Body, a, step=None):
     node exponential underflows to exactly 0 and the by-parts value is
     exactly ``-mass``.  A dead row is written so and not formed (it has no
     Taylor or guard point, as ``|a| w > 746``); only live rows take the
-    exponentials, the turns and the rung loop.
+    exponentials, the turns and the rung loop.  Among the live rows, with
+    ``top`` their largest first-rung ``Re(a)``, every node ``u_j`` with
+    ``top u_j < _EXP_UNDERFLOW`` (and the last end) has an exponential of
+    exactly 0 in every row and on every rung, so only the nodes before it
+    are formed: the live prefix.  The slope row sums run over zeros out to
+    :func:`_row_sum_width`'s width, so their pairwise order, and every bit
+    of the result, is that of the sum over all nodes.
     """
     nodes, weights = body.nodes, body.weights
     reach = nodes[-1]
     real = isinstance(a, float)
     if real and abs(a) * reach < 1.0:
+        if a == 0.0:
+            return 0.0  # the sum below at +-0, with no moment formed
         moments, acc, ak = body.moments, 0.0, a
         for k in range(1, _TAYLOR_TERMS):
             acc += ak * moments[k]
@@ -335,7 +375,7 @@ def _body_expm1(body: _Body, a, step=None):
     if real and a * reach <= _EXP_GUARD:
         ak = complex(a)
         terms = np.exp(ak * nodes) * weights
-        return float(((terms[-2] + terms[-1] - terms[:-2].sum() / ak) / ak - body.mass).real)
+        return float(((terms[0] + terms[-1] - terms[1:-1].sum() / ak) / ak - body.mass).real)
     a = np.asarray(a, dtype=complex)
     total = np.zeros(a.shape, dtype=complex)
     guard = a.real * reach > _EXP_GUARD
@@ -350,21 +390,38 @@ def _body_expm1(body: _Body, a, step=None):
     rows &= ~dead
     if rows.any():
         lad = ladders[rows]
-        terms = np.multiply.outer(lad[:, 0], nodes)
+        # past the first `cut` slope nodes, and at the last end, every node
+        # exponential of every row is exactly 0: a row of `terms` is the
+        # first end, the slope nodes out to `width` (zeros past `cut`) and
+        # the last end, and only its first `cut + 1` entries, or all, are formed
+        n = len(nodes) - 2
+        top = lad[:, 0].real.max()
+        cut = n if top >= 0.0 else int(np.count_nonzero(top * nodes[1:-1] >= _EXP_UNDERFLOW))
+        width = _row_sum_width(n, cut)
+        terms = np.zeros((len(lad), width + 2), dtype=complex)
+        live = terms[:, :n + 2 if cut == n else cut + 1]
+        formed = live.shape[1]
         with np.errstate(all="ignore"):  # rungs the masks replace may overflow
-            np.exp(terms, out=terms)
-            terms *= weights
+            np.multiply.outer(lad[:, 0], nodes[:formed], out=live)
+            np.exp(live, out=live)
+            live *= weights[:formed]
             if rungs > 1:
                 step = np.broadcast_to(step, a.shape[:-1]).ravel()[rows]
-                turn = np.exp(1j * np.multiply.outer(step, nodes))
-            out = np.empty(lad.shape, dtype=complex)
-            for k in range(rungs):
+                turn = np.exp(1j * np.multiply.outer(step, nodes[:formed]))
+            # per rung three ufunc calls on views taken once: the turn, the
+            # slope jumps' row sums and the end pair; then one quotient
+            sums = np.empty((rungs, len(lad)), dtype=complex)
+            ends = np.empty_like(sums)
+            slopes, first, last = terms[:, 1:width + 1], terms[:, 0], terms[:, -1]
+            mul, add, row_sum = np.multiply, np.add, np.add.reduce
+            for k, (sum_k, end_k) in enumerate(zip(sums, ends)):
                 if k:
-                    terms *= turn
-                ak = lad[:, k]
-                out[:, k] = (terms[:, -2] + terms[:, -1] - terms[:, :-2].sum(axis=1) / ak) / ak
+                    mul(live, turn, live)
+                row_sum(slopes, 1, None, sum_k)
+                add(first, last, end_k)
+            out = (ends - sums / lad.T) / lad.T
         out -= body.mass
-        total.reshape(ladders.shape)[rows] = out
+        total.reshape(ladders.shape)[rows] = out.T
     if taylor.any():
         moments = body.moments
         at = a[taylor]
@@ -387,8 +444,14 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     memo's one entry stays its caller's ``(lo, s)``.  The tail past
     ``start = max(lo, zN)`` holds mass ``M`` and gives
     ``M (r expm1(a d) + a)/(r - a)``, ``d = start - s``: its digits hold as
-    ``a -> 0``, and past the abscissa it is the continuation.  A real scalar ``a`` gives a float, and on a
-    tail-only density stays in :mod:`math` (``inf`` once ``a d`` passes 709).
+    ``a -> 0``, and past the abscissa it is the continuation.  Where
+    ``Re(a d) < _EXP_UNDERFLOW``, ``e^(a d)`` underflows and ``expm1(a d)``
+    is exactly ``-1``, its correctly rounded value, whatever the imaginary
+    part; an Euler ladder's rungs share that real part, and its imaginary
+    parts reach ~1e12, where ``np.expm1``'s argument reduction is slow, so
+    ``np.expm1`` forms the other points only.  A real scalar ``a`` gives a
+    float, and on a tail-only density stays in :mod:`math` (``inf`` once
+    ``a d`` passes 709); a complex scalar gives a complex scalar.
     """
     knots, _, r = jumps._pieces
     zN, tail, real = knots[-1], jumps._tail_mass, isinstance(a, float)
@@ -399,7 +462,11 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     if tail > 0.0:
         start = lo if lo > zN else zN
         x, mass = a * (start - s), tail if start == zN else tail * math.exp(-r * (start - zN))
-        grow = (math.expm1(x) if x <= 709.0 else math.inf) if real else np.expm1(x)
+        if real:
+            grow = math.expm1(x) if x <= 709.0 else math.inf
+        else:  # exactly -1 where e^x underflows, so expm1 forms the rest only
+            grow = np.full(np.shape(x), -1.0 + 0j)
+            np.expm1(x, out=grow, where=~np.less(np.real(x), _EXP_UNDERFLOW))
         total = total + mass * (r * grow + a) / (r - a)
     return total
 
@@ -653,8 +720,14 @@ def phi(model: LevyModel, p: float) -> float:
     return brentq(f, lo, hi)
 
 
+@lru_cache(maxsize=256)
 def exp_growth_rate(model: LevyModel) -> float:
-    """``psi(-1) = log E[exp(X_1)]``, or ``+inf`` when that moment diverges."""
+    """``psi(-1) = log E[exp(X_1)]``, or ``+inf`` when that moment diverges.
+
+    Memoised per model, as :func:`phi` is: the discount condition, ``q0``
+    and every step of ``q1``'s root finder read it, and it is evaluated
+    once.  It is the one place that evaluates ``psi`` at -1 (CI checks it).
+    """
     try:
         return laplace_exponent(model, -1.0)
     except DivergentExponent:

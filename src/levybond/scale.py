@@ -34,7 +34,13 @@ of one per (x, rung, density node).  A block holds only (x, density node)
 arrays, so its memory does not grow with the rung count.  At the smallest
 ``x``, where ``A/(2x)`` times the first node passes 746, every node
 exponential underflows to exactly 0 and the ladder is not formed (the dead
-rows of ``model._body_expm1``).
+rows of ``model._body_expm1``).  At larger ``x`` the same holds node by
+node: past the node where the block's smallest ``A/(2x)`` times it passes
+746, no exponential is formed (the live prefix), and where ``A/(2x)``
+times the last knot passes 746 the tail's ``expm1`` is exactly -1 and is
+not evaluated at the rungs' imaginary parts, up to ~1e12.  A skipped node
+exponential is exactly 0 and a skipped ``expm1`` is -1, its correctly
+rounded value (numpy's complex ``expm1`` reads -1 to within an ulp there).
 
 The tabulated transform integrates the density by parts (see
 ``model._body_expm1``); Euler's factor ``e^(A/2)/x ~ 3.6e4/x`` amplifies

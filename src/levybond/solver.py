@@ -200,7 +200,9 @@ def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> f
 
     ``K b^2/2 + K (psi(theta) - psi(-1) - beta)/(theta+1) - alpha/theta``,
     which is ``K b^2/2 + (alpha/theta)(K/a_star - 1)`` at ``q = psi(theta)``
-    with the pole of ``a_star`` at ``psi(-1) + beta`` removed.
+    with the pole of ``a_star`` at ``psi(-1) + beta`` removed.  ``psi(-1)``
+    is ``exp_growth_rate``'s memo, so a root-finder step evaluates ``psi``
+    once, at ``theta``.
     """
     drift_gap = laplace_exponent(model, theta) - exp_growth_rate(model) - params.beta
     return (params.K * model.b2 / 2.0

@@ -474,7 +474,7 @@ class TestJumpIntegral:
             if k:
                 terms = terms * turn
             ak = lad[:, k]
-            out[:, k] = (terms[:, -2] + terms[:, -1] - terms[:, :-2].sum(axis=1) / ak) / ak
+            out[:, k] = (terms[:, 0] + terms[:, -1] - terms[:, 1:-1].sum(axis=1) / ak) / ak
         return (out - body.mass).reshape(a.shape)
 
     @pytest.mark.parametrize("n", [401, 101])
@@ -501,6 +501,165 @@ class TestJumpIntegral:
         dead = re * u0 < -746.0
         assert dead.any() == (u0 > 0.0) and not dead.all()
         assert (got[dead] == -body.mass).all()
+
+    @staticmethod
+    def all_nodes(jumps, lo, s, a, step=None):
+        """``_jump_expm1`` formed with nothing skipped: the body by parts on
+        every row and node, each rung's quotient taken in the rung, and the
+        tail's ``np.expm1`` on every point."""
+        knots, _, r = jumps._pieces
+        zN = knots[-1]
+        total = 0.0
+        if lo < zN:
+            total = TestJumpIntegral.by_parts(_body_of(jumps, lo, s), a, step)
+        start = max(lo, zN)
+        mass = jumps._tail_mass * (math.exp(-r * (start - zN)) if start > zN else 1.0)
+        return total + mass * (r * np.expm1(a * (start - s)) + a) / (r - a)
+
+    _zb, _zl = np.linspace(0.0, 8.0, 201), np.geomspace(0.004, 8.0, 401)
+    # on the log grid a live row's terms stay above an ulp of its sum past the
+    # first 48 nodes, so a prefix sum that regrouped them would move its bits
+    LADDER_JUMPS = {"TAB401": tabulated_exp_density(401), "TAB101": tabulated_exp_density(101),
+                    "BV-TAB101": tabulated_exp_density(101),
+                    "FIRST-NODE-0": TabulatedDensity(_zb, 2.0 * np.exp(-2.0 * _zb), 2.0),
+                    "LOG-GRID": TabulatedDensity(_zl, 2.0 * np.exp(-2.0 * _zl), 2.0)}
+
+    @classmethod
+    def straddling_rows(cls, jumps, lo, s):
+        """First-rung real parts of Euler ladders, ``-A/(2x)``, that straddle
+        both thresholds: ``Re(a) u_j = -746`` at nodes across the body (the
+        dead rows and the live prefixes) and ``Re(a) d = -746`` for the tail's
+        ``d = max(lo, zN) - s``, each edge also one ulp and 1e-12 either side."""
+        knots = jumps._pieces[0]
+        nodes = _body_of(jumps, lo, s).nodes[1:-1] if lo < knots[-1] else np.array([])
+        edges = [-746.0 / (max(lo, knots[-1]) - s)]
+        edges += [-746.0 / u for u in nodes[nodes > 0.0][::len(nodes) // 9 or 1]]
+        re = [e * f for e in edges for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+        re += [math.nextafter(e, d) for e in edges for d in (0.0, -math.inf)]
+        return np.array(sorted(re) + [-5.0, -0.3])
+
+    @pytest.mark.parametrize("name", list(LADDER_JUMPS))
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (2.5, 1.0), (9.0, 8.5)],
+                             ids=["from-0", "in-body", "past-last-knot"])
+    def test_skips_keep_the_bits(self, name, lo, s):
+        # dead tail points (expm1 written as -1), dead trailing nodes and the
+        # one quotient per ladder against all_nodes: real parts bit for bit.
+        # Each row alone has its own live prefix; all rows together share the
+        # widest, and with rows where Re(a) >= 0 every node is formed
+        jumps = self.LADDER_JUMPS[name]
+        re = self.straddling_rows(jumps, lo, s)
+        step = np.pi * -re / 9.2  # pi/x at A/(2x) = -re
+        a = re[:, None] - 1j * np.arange(34) * step[:, None]
+        calls = [(a[i:i + 1], -step[i:i + 1]) for i in range(len(re))]
+        calls += [(a, -step), (np.concatenate([a, -a[-2:].conj()]),
+                                np.concatenate([-step, step[-2:]]))]
+        for lad, st_ in calls:
+            for got, want in ((_jump_expm1(jumps, lo, s, lad, st_),
+                               self.all_nodes(jumps, lo, s, lad, st_)),
+                              (_jump_expm1(jumps, lo, s, lad), self.all_nodes(jumps, lo, s, lad))):
+                assert got.shape == lad.shape
+                assert got.real.tobytes() == want.real.tobytes(), lad[:, 0]
+                assert np.allclose(got.imag, want.imag, rtol=1e-15, atol=0.0)
+        for a0 in (complex(re[0], 3e9), complex(re[len(re) // 2], -7.0), 0.4 - 2j):
+            got, want = _jump_expm1(jumps, lo, s, a0), self.all_nodes(jumps, lo, s, np.array([a0]))
+            assert np.shape(got) == ()
+            assert complex(got).real.hex() == want[0].real.hex(), a0
+
+    @pytest.mark.parametrize("name", list(LADDER_JUMPS))
+    def test_psi_c_keeps_the_bits(self, name):
+        # the Euler lattice of laplace_selfcheck at Phi + 0.5, its contour
+        # beta = -a, on psi's continuation: real parts bit for bit
+        jumps = self.LADDER_JUMPS[name]
+        model = (bounded_variation_model(2.0, jumps) if name.startswith("BV")
+                 else LevyModel(0.1, 0.3, jumps))
+        x = np.exp(np.arange(-73, 15) / 3.0)
+        step = np.pi / x
+        beta = (18.4 / (2.0 * x) + phi(model, 1.05) + 0.5)[:, None] + 1j * step[:, None] * np.arange(34)
+        for got, b, st_ in [(_psi_c(model, beta, step), beta, step),
+                            (_psi_c(model, beta), beta, None),
+                            (_psi_c(model, beta[40:41], step[40:41]), beta[40:41], step[40:41])]:
+            want = model.mu * b + 0.5 * model.b2 * b * b
+            with np.errstate(all="ignore"):
+                want += self.all_nodes(jumps, 0.0, 0.0, -b, None if st_ is None else -st_)
+                want += b * jumps._m1
+            want[~np.isfinite(want)] = np.inf
+            assert got.real.tobytes() == want.real.tobytes()
+
+    def test_row_sum_width_keeps_the_bits(self):
+        # numpy's pairwise row sum over the first width entries equals the
+        # sum over all n, zeros past cut, bit for bit: the order the live
+        # prefix relies on, checked for every cut of every n up to 300
+        rng = np.random.default_rng(23)
+        for n in range(1, 301):
+            rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+            rows *= np.exp(rng.uniform(-40.0, 40.0, (2, n)))
+            for cut in range(1, n + 1):
+                width = model_module._row_sum_width(n, cut)
+                assert cut <= width <= n
+                padded = rows.copy()
+                padded[:, cut:] = 0.0
+                full, prefix = np.add.reduce(padded, axis=1), np.add.reduce(padded[:, :width], axis=1)
+                assert full.tobytes() == prefix.tobytes(), (n, cut, width)
+        assert model_module._row_sum_width(401, 126) == 200
+
+
+class TestRealAxisOnce:
+    """What the root finders already know is not computed again: psi(0),
+    psi(-1) and the hash of a tabulated density."""
+
+    @pytest.mark.parametrize("lo, s", [(0.0, 0.0), (2.5, 1.0)], ids=["from-0", "in-body"])
+    def test_zero_forms_no_moment(self, lo, s):
+        jumps = tabulated_exp_density(101)
+        for a in (0.0, -0.0):
+            body = model_module._Body(jumps._cells, lo, s)
+            got = _body_expm1(body, a)
+            assert type(got) is float and got.hex() == (0.0).hex()
+            assert "moments" not in body.__dict__
+        # the Taylor sum's own +0.0 at +-0 is test_taylor_scalar_is_the_one_point_array's
+
+    def test_cold_classify_reads_psi_minus_one_once(self, monkeypatch):
+        import levybond.solver as solver_module
+        from levybond import GameParams, Regime, classify
+
+        calls = []
+
+        def counted(model, theta):
+            calls.append(float(theta))
+            return laplace_exponent(model, theta)
+
+        for module in (model_module, solver_module):
+            monkeypatch.setattr(module, "laplace_exponent", counted)
+        phi.cache_clear()
+        exp_growth_rate.cache_clear()
+        model = LevyModel(0.1, 0.3, tabulated_exp_density(401))
+        sol = classify(model, GameParams(1.0, 1.0, 1.05, 2.0))
+        assert sol.regime is Regime.R4
+        assert calls.count(-1.0) == 1 and len(calls) > 40
+        calls.clear()
+        classify(LevyModel(0.1, 0.3, tabulated_exp_density(401)), GameParams(1.0, 1.0, 1.1, 2.0))
+        assert calls.count(-1.0) == 0  # an equal model rebuilt hits the memo
+
+    def test_growth_rate_memo_keeps_divergence(self):
+        exp_growth_rate.cache_clear()
+        for _ in range(2):
+            assert exp_growth_rate(BV_RHO1) == math.inf
+            assert exp_growth_rate(EXPJ) == laplace_exponent(EXPJ, -1.0)
+
+    def test_equal_densities_hash_equal(self):
+        grid = np.linspace(0.004, 8.0, 401)
+        values = 2.0 * np.exp(-2.0 * grid)
+        built = [TabulatedDensity(grid, values, 2.0),
+                 TabulatedDensity(tuple(grid.tolist()), list(values), 2),
+                 model_module.esscher_tilt(LevyModel(0.1, 0.3, TabulatedDensity(grid, values, 2.0)),
+                                           0.0).jumps]
+        for other in built[1:]:
+            assert other is not built[0]
+            assert other == built[0] and hash(other) == hash(built[0])
+            assert hash(other) == hash((other.grid, other.values, other.tail_rate))
+            assert LevyModel(0.1, 0.3, other) == LevyModel(0.1, 0.3, built[0])
+            assert hash(LevyModel(0.1, 0.3, other)) == hash(LevyModel(0.1, 0.3, built[0]))
+        moved = TabulatedDensity(grid, values * (1.0 + 1e-15), 2.0)
+        assert moved != built[0] and hash(moved) != hash(built[0])
 
 
 class TestExcessTransform:
