@@ -524,8 +524,8 @@ class TestJumpIntegral:
                     "FIRST-NODE-0": TabulatedDensity(_zb, 2.0 * np.exp(-2.0 * _zb), 2.0),
                     "LOG-GRID": TabulatedDensity(_zl, 2.0 * np.exp(-2.0 * _zl), 2.0)}
 
-    @classmethod
-    def straddling_rows(cls, jumps, lo, s):
+    @staticmethod
+    def straddling_rows(jumps, lo, s):
         """First-rung real parts of Euler ladders, ``-A/(2x)``, that straddle
         both thresholds: ``Re(a) u_j = -746`` at nodes across the body (the
         dead rows and the live prefixes) and ``Re(a) d = -746`` for the tail's
@@ -552,7 +552,7 @@ class TestJumpIntegral:
         a = re[:, None] - 1j * np.arange(34) * step[:, None]
         calls = [(a[i:i + 1], -step[i:i + 1]) for i in range(len(re))]
         calls += [(a, -step), (np.concatenate([a, -a[-2:].conj()]),
-                                np.concatenate([-step, step[-2:]]))]
+                                np.concatenate([-step, -step[-2:]]))]
         for lad, st_ in calls:
             for got, want in ((_jump_expm1(jumps, lo, s, lad, st_),
                                self.all_nodes(jumps, lo, s, lad, st_)),
