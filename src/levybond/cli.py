@@ -67,9 +67,11 @@ from .model import (
     NoJumps,
     TabulatedDensity,
     exp_growth_rate,
+    jump_intensity,
     laplace_exponent,
     path_variation,
     phi,
+    require_discount_condition,
 )
 from .scale import laplace_selfcheck, scale_evaluator, tilted_w, w
 from .solver import (
@@ -82,6 +84,7 @@ from .solver import (
     value_profile,
 )
 from .mc import (
+    _MAX_JUMPS,
     SimConfig,
     _truncation_bound,
     _verdict,
@@ -288,9 +291,11 @@ def run_simulate(cfg: RunConfig, out=print) -> int:
     _need(cfg, "grid", "simulate")
     _need(cfg, "sim", "simulate")
     model, params = cfg.model, cfg.params
-    if not mc_eligible(model):
-        out("MC-ineligible: infinite-activity jump part without a Gaussian "
-            "component; simulation skipped")
+    if not mc_eligible(model, cfg.sim.horizon):
+        rate, horizon = jump_intensity(model), cfg.sim.horizon
+        out(f"MC-ineligible: jump rate {rate:.3g}, {rate * horizon:.3g} expected jumps "
+            f"per path over horizon {horizon:g}; the event engine takes a rate of at "
+            f"most 1e6 and {_MAX_JUMPS} jumps per path; simulation skipped")
         print("warning: model is not eligible for path simulation",
               file=sys.stderr)
         return 0
@@ -382,10 +387,7 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
     """Internal consistency battery for the configured model and rate."""
     _need(cfg, "sim", "selfcheck")
     model, q = cfg.model, cfg.params.q
-    if not (q > exp_growth_rate(model)):
-        raise MomentConditionError(
-            f"discount rate q={q:g} does not exceed psi(-1)="
-            f"{exp_growth_rate(model):g}")
+    require_discount_condition(model, q)
     ev = scale_evaluator(model, q)
     checks: list[tuple[str, float, float]] = []
 
@@ -417,7 +419,7 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
         checks.append(("boundary W'(0+) vs 2/b2 residual",
                        abs(extrap - ev.w0_prime) / ev.w0_prime, 1e-3))
 
-    if mc_eligible(model):
+    if mc_eligible(model, cfg.sim.horizon):
         est = wiener_hopf_check(model, q, cfg.sim)
         closed = sup_exponential_moment(model, q)
         zval = abs(est.mean - closed) / est.stderr if est.stderr > 0 else 0.0

@@ -58,15 +58,15 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MomentConditionError, TruncationWarning
+from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
     LevyModel,
     _m1,
     exp_growth_rate,
     jump_intensity,
     jump_passage_means,
-    meets_discount_condition,
     phi,
+    require_discount_condition,
     sample_jump_sizes,
 )
 from .solver import IMMEDIATE_STOP, ImmediateStop
@@ -155,11 +155,13 @@ def _sim_drift(model: LevyModel) -> float:
     return -(model.mu + _m1(model.jumps))
 
 
-def mc_eligible(model: LevyModel) -> bool:
-    """Whether the event engine can simulate this model: a Gaussian part or
-    a jump rate of at most 1e6.  Estimators also raise :class:`DomainError`
-    past ``_MAX_JUMPS`` expected jumps per path (draw blocks are paths x most jumps)."""
-    return model.b2 > 0.0 or jump_intensity(model) <= 1e6
+def mc_eligible(model: LevyModel, horizon: float | None = None) -> bool:
+    """Whether the event engine simulates this model: a jump rate of at most
+    1e6 and, over ``horizon`` when one is given, at most ``_MAX_JUMPS``
+    expected jumps per path, past which every estimator raises
+    :class:`DomainError` before any draw (draw blocks are paths x most jumps)."""
+    rate = jump_intensity(model)
+    return rate <= 1e6 and (horizon is None or rate * horizon <= _MAX_JUMPS)
 
 
 def _truncation_bound(model: LevyModel, q: float, x: float, horizon: float,
@@ -435,10 +437,7 @@ def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
     takes the live variants as ``(x, tau_level - x, sigma_level - x)``:
     thresholds relative to the shared zero-started path.
     """
-    if not meets_discount_condition(model, params.q):
-        raise MomentConditionError(
-            f"discount rate q={params.q:g} does not exceed psi(-1)="
-            f"{exp_growth_rate(model):g}; the simulated payoff has no finite mean")
+    require_discount_condition(model, params.q)
     if not mc_eligible(model):
         raise DomainError("model is flagged ineligible for path simulation")
     n = config.n_paths
@@ -630,9 +629,7 @@ def sup_exponential_moment(model: LevyModel, q: float) -> float:
     same factor at exponent 2, i.e. only when ``q > psi(-2)``; see
     :func:`wiener_hopf_check` for the estimate compared against it.
     """
-    if not meets_discount_condition(model, q):
-        raise MomentConditionError(
-            "the supremum moment needs q above the exponential growth rate")
+    require_discount_condition(model, q)
     ph = phi(model, q)
     return (q / ph) * (ph + 1.0) / (q - exp_growth_rate(model))
 

@@ -36,7 +36,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BracketError, DivergentExponent, DomainError, SubordinatorError
+from .errors import (BracketError, DivergentExponent, DomainError, MomentConditionError,
+                     SubordinatorError)
 
 __all__ = [
     "NoJumps",
@@ -50,6 +51,7 @@ __all__ = [
     "phi",
     "exp_growth_rate",
     "meets_discount_condition",
+    "require_discount_condition",
     "esscher_tilt",
     "path_variation",
     "shifted_jump_integrals",
@@ -644,10 +646,15 @@ def brentq(f, lo: float, hi: float, xtol: float = 1e-300) -> float:
     ``brentq.c``: the same steps in the same floating-point order, so each
     root is bit-identical to that routine's.  ``BracketError`` when ``f(lo)``
     and ``f(hi)`` share a sign, when ``f`` returns nan, or after
-    ``_BRENT_MAXITER`` steps.
+    ``_BRENT_MAXITER`` steps.  It forms the two end values, and
+    :func:`_brent_steps` takes the steps from them.
     """
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    return _brent_steps(f, lo, hi, float(f(lo)), float(f(hi)), xtol)
+
+
+def _brent_steps(f, lo: float, hi: float, flo: float, fhi: float, xtol: float = 1e-300) -> float:
+    """:func:`brentq` from the end values ``flo = f(lo)`` and ``fhi = f(hi)``."""
+    xpre, xcur, fpre, fcur = float(lo), float(hi), flo, fhi
     if math.isnan(fpre) or math.isnan(fcur):
         raise BracketError(f"f is nan at an end of [{lo:g}, {hi:g}]")
     if fpre == 0.0:
@@ -689,35 +696,36 @@ def brentq(f, lo: float, hi: float, xtol: float = 1e-300) -> float:
     raise BracketError(f"no convergence in {_BRENT_MAXITER} steps on [{lo:g}, {hi:g}]")
 
 
+def _root_past(f, lo: float, failure: Exception) -> float:
+    """The root of an ``f`` that changes sign once past ``lo``, for :func:`phi`
+    and ``solver.q0``: ``f(lo)``, then ``f`` at 1, 2, 4, ... to a strict sign
+    change (``failure`` past ``2^79``), and Brent's steps from those ends."""
+    flo, hi = float(f(lo)), 1.0
+    for _ in range(80):
+        fhi = float(f(hi))
+        if (fhi < 0.0) if flo > 0.0 else (fhi > 0.0):
+            return _brent_steps(f, lo, hi, flo, fhi)
+        hi *= 2.0
+    raise failure
+
+
 @lru_cache(maxsize=256)
 def phi(model: LevyModel, p: float) -> float:
     """Largest nonnegative root of ``psi(theta) = p`` (the right inverse).
 
     Convexity of ``psi`` with ``psi(0) = 0`` makes ``{theta >= 0 : psi <= p}``
-    an interval ``[0, Phi(p)]``, so a sign change brackets the root.
+    an interval ``[0, Phi(p)]``, so :func:`_root_past` brackets the root on
+    ``[0, 2^k]`` (on ``[1e-7, 2^k]`` at ``p = 0``, where 0 is a root too).
     Memoised per ``(model, p)``: a solve reads ``Phi(q)`` in its scale
     build, its thresholds and its fit report, and the root is found once.
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise DomainError(f"phi() needs p >= 0, got {p}")
-
-    def f(th: float) -> float:
-        return laplace_exponent(model, th) - p
-
-    if p == 0.0:
-        if laplace_exponent(model, 1e-7) >= 0.0:
-            return 0.0
-        lo = 1e-7
-    else:
-        lo = 0.0
-    hi = 1.0
-    for _ in range(80):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError(f"could not bracket the inverse of psi at p={p}")
-    return brentq(f, lo, hi)
+    lo = 1e-7 if p == 0.0 else 0.0
+    if p == 0.0 and laplace_exponent(model, lo) >= 0.0:
+        return 0.0
+    return _root_past(lambda th: laplace_exponent(model, th) - p, lo,
+                     DomainError(f"could not bracket the inverse of psi at p={p}"))
 
 
 @lru_cache(maxsize=256)
@@ -739,6 +747,15 @@ def meets_discount_condition(model: LevyModel, q: float) -> bool:
     if not (q > 0.0):
         return False
     return q > exp_growth_rate(model)
+
+
+def require_discount_condition(model: LevyModel, q: float) -> None:
+    """:class:`MomentConditionError` unless :func:`meets_discount_condition`:
+    the one gate of the solver, the Monte Carlo estimators and the CLI."""
+    if not meets_discount_condition(model, q):
+        raise MomentConditionError(
+            f"discount rate q={q:g} does not exceed the share growth rate "
+            f"psi(-1)={exp_growth_rate(model):g}; discounted payoffs have no finite mean")
 
 
 def esscher_tilt(model: LevyModel, lam: float) -> LevyModel:

@@ -18,6 +18,12 @@ two critical discount rates ``q0 >= q1 > alpha/K``:
 ``R4`` (``alpha/K < q < q1``)
     the issuer calls early at ``c_star < log K``.
 
+Both critical rates are ``psi`` of a root in ``theta = Phi(q)`` of one
+function, ``alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)`` less
+``theta (theta+1) K b^2/2`` for ``q1``.  Each is ``alpha`` at ``theta = 0`` and
+changes sign once, so ``Phi(q0)`` is bracketed on ``[0, 2^k]`` and ``Phi(q1)``
+on ``[0, Phi(q0)]``: a classification inverts ``psi`` only at ``q`` itself.
+
 Every value below is one fluctuation identity in ``W``: the R2 premium
 kernel, the exit transform ``Z - (q/Phi) W`` and the R3 and R4 values each
 make a single ``scale._w_combination`` call, one per value profile, with
@@ -39,15 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, MomentConditionError, RegimeError
+from .errors import BracketError, DomainError, RegimeError
 from .model import (
     LevyModel,
+    _root_past,
     brentq,
     exp_growth_rate,
     jump_intensity,
     laplace_exponent,
-    meets_discount_condition,
     phi,
+    require_discount_condition,
     shifted_jump_integrals,
 )
 from .scale import _combination_at_zero, _w_at_zero, _w_combination, _w_resolvent, scale_evaluator
@@ -147,15 +154,6 @@ class RegimeSolution:
     sigma_level: float | ImmediateStop
 
 
-def _require_assumption(model: LevyModel, params: GameParams) -> None:
-    if not meets_discount_condition(model, params.q):
-        raise MomentConditionError(
-            f"discount rate q={params.q:g} does not exceed the share growth "
-            f"rate psi(-1)={exp_growth_rate(model):g}; the expected payoff "
-            "diverges and the game has no finite value"
-        )
-
-
 def a_star(model: LevyModel, params: GameParams) -> float:
     """Share level at which the holder converts in regime R2.
 
@@ -171,72 +169,60 @@ def a_star(model: LevyModel, params: GameParams) -> float:
     return params.alpha * (ph + 1.0) / (ph * (params.q - growth - params.beta))
 
 
-def q0(model: LevyModel, params: GameParams) -> float:
-    """Critical discount rate where the holder threshold crosses the cap ``K``.
-
-    In ``theta = Phi(q)`` it is ``psi`` of the one root of
-    ``f(theta) = alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)``,
-    whose sign is that of ``a_star - K``.  ``f = alpha (theta+1) > 0`` at
-    ``Phi(max(psi(-1) + beta, 0))``, the pole of ``a_star``, and ``a_star``
-    strictly decreases beyond it; the upper bracket doubles until ``f < 0``.
-    """
-    growth = exp_growth_rate(model)
-
-    def f(theta: float) -> float:
-        return (params.alpha * (theta + 1.0)
-                - params.K * theta * (laplace_exponent(model, theta) - growth - params.beta))
-
-    lo = phi(model, max(growth + params.beta, 0.0))
-    hi = lo + max(1.0, lo)
-    while f(hi) >= 0.0:
-        hi = lo + 2.0 * (hi - lo)
-        if hi > 1e12:
-            raise BracketError("holder threshold never crosses the cap")
-    return laplace_exponent(model, brentq(f, lo, hi))
+def _holder_condition(model: LevyModel, params: GameParams, theta: float) -> float:
+    """``F0 = alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)``; its
+    zero on ``(0, inf)`` is ``Phi(q0)``, where ``a_star`` at ``q = psi(theta)``
+    falls through ``K``.  ``F0 = -theta (theta+1) h0`` with ``h0 = K (psi(theta)
+    - psi(-1))/(theta+1) - K beta/(theta+1) - alpha/theta``, whose three terms
+    (the secant slope of convex ``psi`` from -1 first) strictly increase on
+    ``(0, inf)``: so ``F0(0) = alpha > 0`` and ``F0`` changes sign once."""
+    return (params.alpha * (theta + 1.0)
+            - params.K * theta * (laplace_exponent(model, theta) - exp_growth_rate(model)
+                                  - params.beta))
 
 
 def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> float:
-    """Issuer boundary condition in ``theta = Phi(q)``; its zero is ``Phi(q1)``.
-
-    ``K b^2/2 + K (psi(theta) - psi(-1) - beta)/(theta+1) - alpha/theta``,
-    which is ``K b^2/2 + (alpha/theta)(K/a_star - 1)`` at ``q = psi(theta)``
-    with the pole of ``a_star`` at ``psi(-1) + beta`` removed.  ``psi(-1)``
-    is ``exp_growth_rate``'s memo, so a root-finder step evaluates ``psi``
-    once, at ``theta``.
-    """
-    drift_gap = laplace_exponent(model, theta) - exp_growth_rate(model) - params.beta
-    return (params.K * model.b2 / 2.0
-            + params.K * drift_gap / (theta + 1.0)
-            - params.alpha / theta)
+    """Issuer boundary condition ``F0 - theta (theta+1) K b^2/2`` (``F0`` is
+    :func:`_holder_condition`), ``-theta (theta+1) (h0 + K b^2/2)``: ``alpha``
+    at 0, ``-Phi(q0) (Phi(q0)+1) K b^2/2`` at ``Phi(q0)``, ``Phi(q1)`` between."""
+    return (_holder_condition(model, params, theta)
+            - theta * (theta + 1.0) * params.K * model.b2 / 2.0)
 
 
-def q1(model: LevyModel, params: GameParams, q0_value: float | None = None) -> float:
-    """Critical rate below which the issuer calls strictly before the cap.
+def _phi_q0(model: LevyModel, params: GameParams) -> float:
+    if exp_growth_rate(model) == math.inf:
+        raise DomainError("the critical rates need a finite psi(-1)")
+    return _root_past(lambda th: _holder_condition(model, params, th), 0.0,
+                      BracketError("holder threshold never crosses the cap"))
 
-    Equals ``q0`` when there is no Gaussian part.  Otherwise ``psi`` of the one
-    zero of the boundary condition ``h`` on ``[Phi(alpha/K), Phi(q0)]``.  By the
-    three-chord lemma the secant slope of ``psi`` from -1 grows, so ``h``
-    strictly increases; ``h(Phi(q0)) = K b^2/2 > 0``; at ``Phi(alpha/K)``, ``h``
-    is ``K b^2/2 - K beta/(theta+1)`` plus ``K`` times the slope from -1 less
-    the slope from 0, whose Gaussian parts differ by ``-b^2/2`` and jump parts
-    by at most 0, so ``h < 0`` there.
-    """
-    if q0_value is None:
-        q0_value = q0(model, params)
-    if model.b2 == 0.0:
-        return q0_value
-    theta = brentq(lambda th: _boundary_condition(model, params, th),
-                   phi(model, params.alpha / params.K), phi(model, q0_value))
-    return laplace_exponent(model, theta)
+
+def _critical_rates(model: LevyModel, params: GameParams) -> tuple[float, float]:
+    """``(q0, q1)`` from one ``Phi(q0)``."""
+    theta0 = _phi_q0(model, params)
+    rate0 = laplace_exponent(model, theta0)
+    return rate0, (rate0 if model.b2 == 0.0 else laplace_exponent(model, brentq(
+        lambda th: _boundary_condition(model, params, th), 0.0, theta0)))
+
+
+def q0(model: LevyModel, params: GameParams) -> float:
+    """Critical discount rate where the holder threshold crosses the cap ``K``:
+    ``psi`` of the root of :func:`_holder_condition` on ``[0, 2^k]``."""
+    return laplace_exponent(model, _phi_q0(model, params))
+
+
+def q1(model: LevyModel, params: GameParams) -> float:
+    """Critical rate below which the issuer calls strictly before the cap:
+    ``psi`` of the root of :func:`_boundary_condition` on ``[0, Phi(q0)]``,
+    or ``q0`` when there is no Gaussian part."""
+    return _critical_rates(model, params)[1]
 
 
 def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
     """Classify the game and assemble its critical rates and thresholds."""
-    _require_assumption(model, params)
+    require_discount_condition(model, params.q)
     qv, K = params.q, params.K
     log_k = math.log(K)
-    q0_val = q0(model, params)
-    q1_val = q1(model, params, q0_val)
+    q0_val, q1_val = _critical_rates(model, params)
     # the critical rates are root-finder outputs; comparing against them with
     # a few-ulp band keeps an intended exact tie from landing on the wrong side
     band = 1e-12

@@ -223,6 +223,21 @@ class TestSimulate:
         assert "MC-ineligible" in captured.out
         assert "warning" in captured.err
 
+    def test_too_many_jumps_per_path_flagged_with_a_gaussian_part(self, tmp_path, capsys):
+        # a Gaussian part does not lift the event engine's jumps-per-path
+        # limit: 3.6e6 expected jumps over horizon 1 are flagged, not raised
+        zs = np.linspace(0.001, 1.0, 50)
+        (tmp_path / "dense.csv").write_text("\n".join(f"{z:.6f},3e6" for z in zs) + "\n")
+        path = write_config(
+            tmp_path,
+            model={"family": "tabulated", "mu": 3e6, "b2": 0.5,
+                   "density_file": "dense.csv", "tail_rate": 5.0},
+            game=GAME, grid=GRID, sim={**SIM, "horizon": 1.0})
+        assert main(["simulate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "MC-ineligible: jump rate 3.6e+06" in captured.out
+        assert "warning" in captured.err
+
 
 class TestFit:
     def test_smooth_fit_observed(self, tmp_path, capsys):
@@ -287,6 +302,17 @@ class TestSelfcheck:
         path = write_config(tmp_path, model=BROWNIAN, game=GAME)
         assert main(["selfcheck", str(path)]) == 1
         assert "sim" in capsys.readouterr().err
+
+    def test_skips_the_supremum_past_the_jump_limit(self, tmp_path, capsys):
+        # rate 10 over horizon 500 expects 5000 jumps per path, past 4096
+        path = write_config(
+            tmp_path,
+            model={"family": "exp_jumps", "mu": 8.0, "b2": 0.5, "lambda": 10.0, "rho": 2.0},
+            game=GAME, grid=GRID, sim={**SIM, "horizon": 500.0})
+        assert main(["selfcheck", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "supremum factor: skipped (MC-ineligible model)" in out
+        assert "verdict=pass" in out
 
 
 def child_env():

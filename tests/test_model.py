@@ -140,6 +140,12 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(CANON, -0.5)
 
+    def test_unbracketed_root_raises(self, monkeypatch):
+        # an exponent that never climbs past p leaves no sign change on [0, 2^79]
+        monkeypatch.setattr(model_module, "laplace_exponent", lambda model, theta: -1.0)
+        with pytest.raises(DomainError, match="could not bracket the inverse of psi at p=0.5"):
+            phi.__wrapped__(CANON, 0.5)
+
     @pytest.mark.parametrize("model", [CANON, BV_RHO1, EXPJ, "tabulated"])
     def test_memoised_root_is_the_solved_root(self, model):
         if model == "tabulated":

@@ -261,7 +261,8 @@ class TestCriticalRates:
            u=st.tuples(*[st.floats(0.0, 1.0)] * 4),
            alpha=st.floats(0.1, 3.0), beta=st.floats(0.1, 3.0), K=st.floats(0.5, 5.0))
     def test_boundary_condition_brackets_one_root(self, family, u, alpha, beta, K):
-        # strictly increasing in theta, negative at Phi(alpha/K), K b^2/2 at Phi(q0)
+        # alpha at 0, -Phi(q0) (Phi(q0)+1) K b^2/2 at Phi(q0), and -F/(theta (theta+1))
+        # strictly increasing in between: one root on [0, Phi(q0)]
         if family == "brownian":
             model = LevyModel(-1.0 + 2.0 * u[0], 0.05 + 3.0 * u[1])
         elif family == "exp_jumps":
@@ -271,16 +272,19 @@ class TestCriticalRates:
             model = bounded_variation_model(0.5 + 2.5 * u[0],
                                             ExponentialJumps(0.1 + 2.0 * u[1], 1.5 + 3.0 * u[2]))
         params = GameParams(alpha, beta, 1.0, K)
-        lo, hi = phi(model, alpha / K), phi(model, q0(model, params))
-        hs = [_boundary_condition(model, params, float(th))
-              for th in np.linspace(lo, hi, 40)]
+        hi = phi(model, q0(model, params))
+        assert _boundary_condition(model, params, 0.0) == alpha
+        thetas = np.linspace(hi / 40.0, hi, 40)
+        hs = [-_boundary_condition(model, params, float(th)) / (th * (th + 1.0))
+              for th in thetas]
         assert all(b > a for a, b in zip(hs, hs[1:]))
-        assert hs[0] < 0.0
-        half_b2 = K * model.b2 / 2.0
-        # at Phi(q0) the other two terms cancel: a_star = K there
-        assert hs[-1] + alpha / hi == pytest.approx(half_b2 + alpha / hi, rel=1e-12, abs=0.0)
+        edge = -hi * (hi + 1.0) * K * model.b2 / 2.0
+        # at Phi(q0) the holder condition vanishes: a_star = K there
+        at_edge = _boundary_condition(model, params, hi)
+        assert at_edge + alpha * (hi + 1.0) == pytest.approx(edge + alpha * (hi + 1.0),
+                                                             rel=1e-12, abs=0.0)
         if model.b2 > 0.0:
-            assert hs[-1] == pytest.approx(half_b2, rel=1e-12, abs=0.0)
+            assert at_edge == pytest.approx(edge, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_q1_scan_without_sign_change(self, monkeypatch, sign):
@@ -288,6 +292,38 @@ class TestCriticalRates:
         monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th: sign)
         with pytest.raises(BracketError, match="no sign change"):
             q1(CANON, gp(1.0))
+
+    def test_q0_without_crossing(self, monkeypatch):
+        # a holder condition that stays positive never brackets Phi(q0)
+        monkeypatch.setattr(solver_module, "_holder_condition", lambda m, p, th: 1.0)
+        with pytest.raises(BracketError, match="holder threshold never crosses the cap"):
+            q0(CANON, gp(1.0))
+
+    def test_divergent_growth_rate_has_no_critical_rates(self):
+        # jump tail rate 1: psi(-1) = inf, so the holder condition is nan at 0
+        model = bounded_variation_model(2.0, ExponentialJumps(1.0, 1.0))
+        for rate in (q0, q1):
+            with pytest.raises(DomainError, match="finite psi"):
+                rate(model, gp(1.0))
+
+    @pytest.mark.parametrize("name, qq", [("B05", 0.75), ("B05", 1.5), ("B05", 2.5),
+                                          ("B05", 0.4), ("BV2", 0.8), ("EXPJ", 1.2484420460249404),
+                                          ("TAB101", 1.05)])
+    def test_cold_classify_inverts_psi_only_at_q(self, monkeypatch, name, qq):
+        # q0 and q1 are roots in theta found from theta = 0: the only inverse of
+        # psi a classification takes is Phi(q), for a_star or c_star
+        model = {**MODELS, "TAB101": TAB101}[name]
+        model = LevyModel(model.mu, model.b2, model.jumps)  # a cold copy
+        levels = []
+
+        def recorded(m, p):
+            levels.append(p)
+            return phi(m, p)
+
+        monkeypatch.setattr(solver_module, "phi", recorded)
+        monkeypatch.setattr(scale_module, "phi", recorded)
+        classify(model, gp(qq))
+        assert set(levels) <= {qq}
 
     def test_q1_canonical_exact(self):
         # on the canonical instance the boundary condition vanishes at q=1
@@ -357,6 +393,16 @@ class TestIssuerThreshold:
         # s = log K - c = -800: the jump moment I2 grows like exp(800)
         with pytest.raises(DomainError, match="s=-800"):
             call_boundary_value(EXPJ, gp(1.05), math.log(2.0) + 800.0)
+
+    @pytest.mark.parametrize("excess, message", [
+        (0.0, "does not exceed the cap below log K"),
+        (1.0, "no lower bracket for the issuer threshold")])
+    def test_unbracketed_threshold_raises(self, monkeypatch, excess, message):
+        # a boundary value stuck at K (or above it) holds no root below log K
+        monkeypatch.setattr(solver_module, "_call_boundary_value",
+                            lambda m, p, ph, c: p.K + excess)
+        with pytest.raises(BracketError, match=message):
+            c_star(B05, gp(0.75))
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
