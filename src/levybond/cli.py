@@ -44,16 +44,25 @@ Config layout::
     seed = 7
     delta = 0.1       ; saddle perturbation size (optional, default 0.1)
 
-``density_file`` paths are resolved relative to the config file.  Exit codes:
-0 success, 1 config error, 2 discount/growth assumption violated, 3 a check
-failed.  All randomness flows from ``seed``; repeated runs produce
-byte-identical reports and CSV.
+``density_file`` paths are resolved relative to the config file.  Every
+library error ends the run with one line on stderr and an exit code:
+
+0   success;
+1   config error (``ConfigError``, or a file that cannot be read);
+2   discount/growth assumption violated (``MomentConditionError``);
+3   a check failed;
+4   numerical error: any other library error, e.g. an inversion whose
+    accuracy certificate fails (``AccuracyError``).
+
+All randomness flows from ``seed``; repeated runs produce byte-identical
+reports and CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -437,7 +446,9 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
     return 3 if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept."""
     parser = argparse.ArgumentParser(
         prog="levybond",
         description="Perpetual convertible-bond stopping game: solve, "
@@ -455,7 +466,11 @@ def main(argv=None) -> int:
         if name == "solve":
             cmd.add_argument("--csv", metavar="PATH",
                              help="write the value function grid as CSV")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out = (lambda *a, **k: None) if args.quiet else print
     try:
@@ -473,6 +488,9 @@ def main(argv=None) -> int:
     except MomentConditionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return 2
+    except LevyBondError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

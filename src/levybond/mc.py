@@ -23,8 +23,9 @@ estimate bit for bit given the seed:
   epoch uniforms and the jump-size uniforms (the counts and sizes only with
   jumps; ``rows x m`` blocks, ``m`` the chunk's largest count and at least
   1), then with a Gaussian part one standard normal and then one bridge
-  uniform per piece (``rows x (m + 1)`` blocks).  The blocks are drawn
-  whole, and the tableau keeps their real slots alone;
+  uniform per piece (``rows x (m + 1)`` blocks).  Each block is drawn
+  whole into the one draw block of its shape that the tableau is built in,
+  and the tableau keeps its real slots alone;
 * then the estimator's draws, rows ascending.  :func:`_passages`, level by
   level: one uniform per path that passed the level below continuously,
   then one inverse Gaussian (``Generator.wald``) per continuous passage
@@ -36,9 +37,13 @@ estimate bit for bit given the seed:
   one standard normal per cut piece.  :func:`wiener_hopf_check` draws one
   standard normal and then one uniform per path.
 
-Chunks share no generator and write disjoint rows, so they run
-concurrently (:func:`_run_chunks`); sums across chunks are added in chunk
-order, and no output depends on the number of workers.
+Chunks share no generator, so they run concurrently (:func:`_run_chunks`).
+Each chunk reduces its per-path terms to moments (count, mean and the sum
+of squared deviations from it) before it is dropped, and the chunks'
+moments are merged in chunk order by the pairwise update of Chan, Golub &
+LeVeque (1983); the neglected masses of :func:`two_sided_exit` are added in
+that order too.  So no output depends on the number of workers, and memory
+is bounded by the chunks in flight, whatever the path count.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -88,12 +93,15 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths per chunk, each chunk one tableau
-# expected jumps per path the event tableau accepts: a chunk's draw blocks
-# are (paths x most jumps), 128 MB per block at the limit
+# expected jumps per path the event tableau accepts: a chunk builds its
+# tableau in one (paths x most jumps) draw block, ~135 MiB at the limit
+# (4096 paths x ~4320 jumps)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
-# hold together; a worker holds ~130 bytes per slot in draw blocks and two
-# tableaux, so this bounds the pool near 0.5 GB, and one chunk always runs
+# hold together; a worker peaks near 116 bytes per slot with a Gaussian
+# part (90 without): the tableau it holds, 48, while it builds the next in
+# its draw block, 68 at the build's peak.  So this bounds the pool near
+# 0.5 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
@@ -190,6 +198,39 @@ def _discounted(t: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
+class _Moments(NamedTuple):
+    """Count, mean and sum of squared deviations from the mean of a sample."""
+
+    n: int
+    mean: float
+    m2: float
+
+    def estimate(self, bias_bound: float = 0.0) -> PayoffEstimate:
+        sd = math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
+        return PayoffEstimate(self.mean, sd / math.sqrt(self.n), self.n, bias_bound)
+
+
+def _moments(y: np.ndarray) -> _Moments:
+    """One chunk's moments: its mean, then the squared deviations from it."""
+    mean = float(np.mean(y))
+    dev = y - mean
+    dev *= dev
+    return _Moments(len(y), mean, float(dev.sum()))
+
+
+def _merged(parts: Sequence[_Moments]) -> _Moments:
+    """Chunk moments merged in chunk order by the pairwise update of Chan,
+    Golub & LeVeque (1983)."""
+    n, mean, m2 = parts[0]
+    for p in parts[1:]:
+        total = n + p.n
+        delta = p.mean - mean
+        mean += delta * p.n / total
+        m2 += p.m2 + delta * delta * n * p.n / total
+        n = total
+    return _Moments(n, mean, m2)
+
+
 # --------------------------------------------------------------------------- #
 # event kernel
 # --------------------------------------------------------------------------- #
@@ -227,37 +268,44 @@ class _Tableau(NamedTuple):
     y0: np.ndarray       # X at each piece's start
     pre: np.ndarray      # X at each piece's end, before its closing jump
     smax: np.ndarray     # maximum of X over each piece
+    drawn: object = None  # the estimator's own draws, made first (``begin``)
 
 
 def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
-                   begin: Optional[Callable[[np.random.Generator, slice], None]] = None
+                   begin: Optional[Callable[[np.random.Generator, int], object]] = None
                    ) -> _Tableau:
     """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``;
-    ``begin(rng, chunk)`` makes the estimator's draws first.  A Gaussian
-    part moves each piece by ``sqrt(b^2 len) Z`` and gives it an exact
-    bridge maximum; without one a piece peaks at its start.  Each row's
-    prefix sums run along the padded draw blocks, so they are exact.
+    ``begin(rng, rows)`` makes the estimator's draws first, and the tableau
+    keeps them as ``drawn``.  A Gaussian part moves each piece by
+    ``sqrt(b^2 len) Z`` and gives it an exact bridge maximum; without one a
+    piece peaks at its start.  Each row's prefix sums run along its row of
+    the padded draw block, so they are exact.
     """
     T = config.horizon
     drift = _sim_drift(model)
     rate = jump_intensity(model)
     chunk = slice(k * _CHUNK, min((k + 1) * _CHUNK, config.n_paths))
     rng = _rng(config.seed, tag, k)
-    if begin is not None:
-        begin(rng, chunk)
     rows = chunk.stop - chunk.start
+    drawn = None if begin is None else begin(rng, rows)
     counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
     m = max(1, int(counts.max()))
     slots = np.arange(m) < counts[:, None]          # the slots holding a jump
-    block = np.where(slots, rng.random((rows, m)), 2.0)
+    # one draw block: the epoch uniforms, then the sizes and their prefix
+    # sums; a row's jumps are its leading slots, so the trailing ones may
+    # hold anything once the epochs are sorted
+    block = rng.random((rows, m))
+    block[~slots] = 2.0                             # empty slots sort last
     block.sort(axis=1)
     jt = block[slots]
     jt *= T
-    block[:] = 0.0
-    if rate > 0.0:
-        block[slots] = sample_jump_sizes(model, rng.random((rows, m))[slots])
     after = drift * jt                              # X just after each jump
-    after += np.cumsum(block, axis=1)[slots]
+    if rate > 0.0:
+        rng.random(out=block)
+        block[slots] = sample_jump_sizes(model, block[slots])
+        np.cumsum(block, axis=1, out=block)
+        after += block[slots]
+    del block
     end = np.cumsum(counts + 1)
     start = end - (counts + 1)
     closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
@@ -269,24 +317,32 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     pre = t1 - t0                                   # each piece's length, then
     spread = None                                   # its drift, its move and y0
     if model.b2 > 0.0:
+        # one block for the Gaussian moves, their prefix sums and then the
+        # bridge uniforms, each row's pieces again its leading slots
         pieces = np.arange(m + 1) <= counts[:, None]
+        block = rng.standard_normal((rows, m + 1))
         move = np.sqrt(model.b2 * pre)
-        move *= rng.standard_normal((rows, m + 1))[pieces]
-        block = np.zeros((rows, m + 1))
+        move *= block[pieces]
         block[pieces] = move
-        after += np.cumsum(block[:, :-1], axis=1)[slots]
-        spread = np.log(rng.random((rows, m + 1))[pieces])
+        np.cumsum(block, axis=1, out=block)
+        after += block[:, :-1][slots]
+        rng.random(out=block)
+        spread = block[pieces]
+        del block
+        np.log(spread, out=spread)
         spread *= -2.0 * model.b2 * pre
     pre *= drift
     if spread is not None:
         pre += move
+        del move
     post = np.full(len(t1), -np.inf)
     post[closes] = after
+    del jt, after                                   # freed before the bridge maxima
     y0 = np.roll(post, 1)
     y0[start] = 0.0
     pre += y0
     smax = y0 if spread is None else _bridge_max(y0, pre, spread)
-    return _Tableau(chunk, rng, start, end, t0, t1, post, y0, pre, smax)
+    return _Tableau(chunk, rng, start, end, t0, t1, post, y0, pre, smax, drawn)
 
 
 def _pool_size(chunks: int, jumps: float) -> int:
@@ -297,12 +353,13 @@ def _pool_size(chunks: int, jumps: float) -> int:
 
 def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
                 work: Callable[[_Tableau], object],
-                begin: Optional[Callable[[np.random.Generator, slice], None]] = None
+                begin: Optional[Callable[[np.random.Generator, int], object]] = None
                 ) -> list:
     """``work`` on every chunk's tableau, results in chunk order; the chunks
-    run concurrently, each worker taking every ``workers``-th one, so
-    ``work`` may write only its chunk's rows.  Raises :class:`DomainError`
-    before any draw when a path expects more than ``_MAX_JUMPS`` jumps.
+    run concurrently, each worker taking every ``workers``-th one, and
+    ``work`` reduces its chunk to what the estimator keeps of it.  Raises
+    :class:`DomainError` before any draw when a path expects more than
+    ``_MAX_JUMPS`` jumps.
     """
     jumps = jump_intensity(model) * config.horizon
     if jumps > _MAX_JUMPS:
@@ -427,50 +484,57 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
 # --------------------------------------------------------------------------- #
 
 def _estimate_variants(model: LevyModel, params, variants: Sequence[tuple],
-                       config: SimConfig) -> list[np.ndarray]:
-    """Per-path payoffs for each ``(x, tau_level, sigma_spec)`` variant.
+                       config: SimConfig) -> tuple[list[_Moments], list[_Moments]]:
+    """Moments of each ``(x, tau_level, sigma_spec)`` variant's payoff, and of
+    its paired difference from the first variant's payoff.
 
     All variants ride the same simulated noise (the path of X minus its
     start), which is what gives paired comparisons their power.  Variants
     that stop at time zero (immediate call, or a start already beyond a
-    threshold) are deterministic and skip the simulation.  The estimator
-    takes the live variants as ``(x, tau_level - x, sigma_level - x)``:
-    thresholds relative to the shared zero-started path.
+    threshold) are deterministic, and when every variant is, the simulation
+    is skipped.  :func:`_payoffs` takes the live variants as
+    ``(x, tau_level - x, sigma_level - x)``: thresholds relative to the
+    shared zero-started path.
     """
     require_discount_condition(model, params.q)
     if not mc_eligible(model):
         raise DomainError("model is flagged ineligible for path simulation")
-    n = config.n_paths
-    results: list = [None] * len(variants)
+    fixed: dict[int, float] = {}     # the deterministic payoffs, by variant
     live_idx: list[int] = []
     live: list[tuple] = []
     for i, (x, tau_level, sigma_spec) in enumerate(variants):
         if isinstance(sigma_spec, ImmediateStop) or x > sigma_spec:
-            results[i] = np.full(n, max(params.K, math.exp(x)))
+            fixed[i] = max(params.K, math.exp(x))
         elif x > tau_level:
-            results[i] = np.full(n, math.exp(x))
+            fixed[i] = math.exp(x)
         else:
             live_idx.append(i)
             live.append((x, tau_level - x, sigma_spec - x))
-    if live:
-        for (x, _, _), i, pv in zip(live, live_idx, _variant_payoffs(model, params, live, config)):
-            results[i] = pv
-            bound = _truncation_bound(model, params.q, x, config.horizon,
-                                      params.beta, params.K)
-            mean = float(np.mean(pv))
-            if bound > 1e-4 * abs(mean):
-                warnings.warn(
-                    f"horizon {config.horizon:g} leaves a truncation remainder "
-                    f"bound {bound:.2e} above 1e-4 of the estimate {mean:.4g}",
-                    TruncationWarning, stacklevel=3)
-    return results
+    if not live:
+        pay = [fixed[i] for i in range(len(variants))]
+        return ([_Moments(config.n_paths, v, 0.0) for v in pay],
+                [_Moments(config.n_paths, v - pay[0], 0.0) for v in pay])
 
+    def reduce(c: _Tableau) -> tuple[list[_Moments], list[_Moments]]:
+        y = np.empty((len(variants), c.rows.stop - c.rows.start))
+        for i, pv in zip(live_idx, _payoffs(model, params, live, c)):
+            y[i] = pv
+        for i, v in fixed.items():
+            y[i] = v
+        return [_moments(pv) for pv in y], [_moments(pv - y[0]) for pv in y]
 
-def _to_estimate(pv: np.ndarray) -> PayoffEstimate:
-    n = len(pv)
-    mean = float(np.mean(pv))
-    sd = float(np.std(pv, ddof=1)) if n > 1 else 0.0
-    return PayoffEstimate(mean=mean, stderr=sd / math.sqrt(n), n=n)
+    per_chunk = _run_chunks(model, config, _TAG_VALUE, reduce)
+    values = [_merged(parts) for parts in zip(*(v for v, _ in per_chunk))]
+    diffs = [_merged(parts) for parts in zip(*(d for _, d in per_chunk))]
+    for (x, _, _), i in zip(live, live_idx):
+        bound = _truncation_bound(model, params.q, x, config.horizon,
+                                  params.beta, params.K)
+        if bound > 1e-4 * abs(values[i].mean):
+            warnings.warn(
+                f"horizon {config.horizon:g} leaves a truncation remainder "
+                f"bound {bound:.2e} above 1e-4 of the estimate {values[i].mean:.4g}",
+                TruncationWarning, stacklevel=3)
+    return values, diffs
 
 
 def estimate_game_value(model: LevyModel, params, x: float, tau_level: float,
@@ -484,12 +548,14 @@ def estimate_game_values(model: LevyModel, params, starts: Sequence[float],
                          config: SimConfig) -> list[PayoffEstimate]:
     """Estimates at several starting points sharing one set of paths."""
     variants = [(float(x), tau_level, sigma_spec) for x in starts]
-    return [_to_estimate(pv)
-            for pv in _estimate_variants(model, params, variants, config)]
+    values, _ = _estimate_variants(model, params, variants, config)
+    return [m.estimate() for m in values]
 
 
-def _variant_payoffs(model: LevyModel, params, variants, config) -> np.ndarray:
-    """Per-path payoffs of the live variants, from the passage ``(rho, X_rho)``
+def _payoffs(model: LevyModel, params, variants: Sequence[tuple],
+             c: _Tableau) -> list[np.ndarray]:
+    """Per-path payoffs on chunk ``c`` of the live variants
+    ``(x, tau_level - x, sigma_level - x)``, from the passage ``(rho, X_rho)``
     of each one's lower threshold alone.
 
     With ``A = alpha/q + beta e^x/(q - psi(-1))``, the coupons paid up to
@@ -505,24 +571,20 @@ def _variant_payoffs(model: LevyModel, params, variants, config) -> np.ndarray:
     q, alpha, K = params.q, params.alpha, params.K
     growth = params.beta / (q - exp_growth_rate(model))
     levels = sorted({min(lt, ls) for _, lt, ls in variants})
-    out = np.empty((len(variants), config.n_paths))
-
-    def payoffs(c: _Tableau) -> None:
-        passes = _passages(model, c, levels)
-        for vi, (x, lt, ls) in enumerate(variants):
-            lvl = min(lt, ls)
-            p = passes[levels.index(lvl)]
-            share = np.exp(x + p.pos)
-            pay = np.maximum(K, share) if ls <= lt else share.copy()
-            jump = ~np.isnan(p.pre)
-            share[jump], pay[jump] = jump_passage_means(model, x + p.pre[jump],
-                                                        x + lvl, x + ls, K)
-            y = np.full(len(p.t), alpha / q + growth * math.exp(x))
-            stop = np.isfinite(p.t)
-            y[stop] += np.exp(-q * p.t[stop]) * (pay - alpha / q - growth * share)[stop]
-            out[vi, c.rows] = y
-
-    _run_chunks(model, config, _TAG_VALUE, payoffs)
+    passes = _passages(model, c, levels)
+    out = []
+    for x, lt, ls in variants:
+        lvl = min(lt, ls)
+        p = passes[levels.index(lvl)]
+        share = np.exp(x + p.pos)
+        pay = np.maximum(K, share) if ls <= lt else share.copy()
+        jump = ~np.isnan(p.pre)
+        share[jump], pay[jump] = jump_passage_means(model, x + p.pre[jump],
+                                                    x + lvl, x + ls, K)
+        y = np.full(len(p.t), alpha / q + growth * math.exp(x))
+        stop = np.isfinite(p.t)
+        y[stop] += np.exp(-q * p.t[stop]) * (pay - alpha / q - growth * share)[stop]
+        out.append(y)
     return out
 
 
@@ -545,9 +607,10 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
     if q <= 0.0:
         raise DomainError("q must be positive")
     distinct = sorted(set(lv))
-    hit_t = np.concatenate(_run_chunks(model, config, _TAG_UPCROSS, lambda c: [
-        p.t for p in _passages(model, c, distinct)]), axis=1)   # (levels x paths)
-    return [_to_estimate(_discounted(hit_t[distinct.index(y)], q)) for y in lv]
+    per_chunk = _run_chunks(model, config, _TAG_UPCROSS, lambda c: [
+        _moments(_discounted(p.t, q)) for p in _passages(model, c, distinct)])
+    merged = [_merged(parts) for parts in zip(*per_chunk)]
+    return [merged[distinct.index(y)].estimate() for y in lv]
 
 
 def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
@@ -571,9 +634,8 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
     if p < 0.0:
         raise DomainError("discount rate must be nonnegative")
     b2 = model.b2
-    t_down = np.full(config.n_paths, math.inf)
 
-    def exits(c: _Tableau) -> list[float]:
+    def exits(c: _Tableau) -> tuple[_Moments, list[float]]:
         row = np.repeat(np.arange(len(c.start)), c.end - c.start)   # of each piece
         # earliest exit found so far through each barrier; an upper exit is
         # dated by its piece's start, which orders it against the others
@@ -610,13 +672,16 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
                    np.concatenate([mid, b[cut]]))
             inside = (seg[3] > -down) & (seg[3] < up)
             seg = tuple(v[inside] for v in seg)
-        t_down[c.rows] = np.where(at_down < at_up, at_down, math.inf)
-        return neglected
+        t_down = np.where(at_down < at_up, at_down, math.inf)
+        return _moments(_discounted(t_down, p)), neglected
 
-    masses = np.concatenate([[0.0], *_run_chunks(model, config, _TAG_TWOSIDED, exits)])
-    neglected = float(np.add.accumulate(masses)[-1])   # one by one, in (chunk, round) order
-    est = _to_estimate(_discounted(t_down, p))
-    return PayoffEstimate(est.mean, est.stderr, est.n, neglected / config.n_paths)
+    per_chunk = _run_chunks(model, config, _TAG_TWOSIDED, exits)
+    neglected = 0.0
+    for _, masses in per_chunk:          # one by one, in (chunk, round) order
+        for mass in masses:
+            neglected += mass
+    est = _merged([m for m, _ in per_chunk])
+    return est.estimate(neglected / est.n)
 
 
 def sup_exponential_moment(model: LevyModel, q: float) -> float:
@@ -652,14 +717,12 @@ def wiener_hopf_check(model: LevyModel, q: float,
     if q <= 0.0:
         raise DomainError("q must be positive")
     T = config.horizon
-    clock = np.empty(config.n_paths)
-    sup = np.empty(config.n_paths)
 
-    def draw_clocks(rng: np.random.Generator, chunk: slice) -> None:
-        clock[chunk] = rng.exponential(1.0 / q, chunk.stop - chunk.start)
+    def draw_clocks(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return rng.exponential(1.0 / q, rows)
 
-    def sup_at_clock(c: _Tableau) -> None:
-        clk = clock[c.rows]
+    def sup_at_clock(c: _Tableau) -> _Moments:
+        clk = c.drawn
         n = c.end - c.start                       # pieces per row
         full = c.t1 <= np.repeat(clk, n)          # the pieces ended by the clock
         top = np.maximum.reduceat(np.where(full, c.smax, -np.inf), c.start)
@@ -671,7 +734,7 @@ def wiener_hopf_check(model: LevyModel, q: float,
         at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
             c.rng.standard_normal(len(clk))
         spread = -2.0 * model.b2 * span * frac * np.log(c.rng.random(len(clk)))
-        sup[c.rows] = np.where(clk < T, np.maximum(top, _bridge_max(y0, at, spread)), top)
+        sup = np.where(clk < T, np.maximum(top, _bridge_max(y0, at, spread)), top)
         # lifts by jumps past the running maximum, averaged over their sizes;
         # the running maximum and each row's sum run along (paths x most
         # jumps) blocks, as the draws do, so both are exact and sum in order
@@ -684,10 +747,10 @@ def wiener_hopf_check(model: LevyModel, q: float,
         share, _ = jump_passage_means(model, c.pre[lift], before[lift])
         block[:] = 0.0
         block.flat[np.flatnonzero(piece)[lift]] = np.log(share) - c.post[lift]
-        sup[c.rows] += block[:, :m].sum(axis=1)
+        sup += block[:, :m].sum(axis=1)
+        return _moments(np.exp(sup))
 
-    _run_chunks(model, config, _TAG_SUP, sup_at_clock, draw_clocks)
-    return _to_estimate(np.exp(sup))
+    return _merged(_run_chunks(model, config, _TAG_SUP, sup_at_clock, draw_clocks)).estimate()
 
 
 # --------------------------------------------------------------------------- #
@@ -755,18 +818,14 @@ def saddle_check(model: LevyModel, params, solution, delta: float = 0.1,
         (x, tau0, min(sig0 - delta, log_k)),
         (x, tau0, min(sig0 + delta, log_k)),
     ]
-    payoffs = _estimate_variants(model, params, variants, config)
-    center = _to_estimate(payoffs[0])
+    values, diffs = _estimate_variants(model, params, variants, config)
     budget = _truncation_bound(model, params.q, x, config.horizon,
                                params.beta, params.K)
     comps = []
-    for (lbl, direction), pv in zip(_SADDLE_SIDES, payoffs[1:]):
-        diff = pv - payoffs[0]
-        gap = float(np.mean(diff))
-        gse = float(np.std(diff, ddof=1)) / math.sqrt(len(diff)) \
-            if len(diff) > 1 else 0.0
+    for (lbl, direction), est, diff in zip(_SADDLE_SIDES, values[1:], diffs[1:]):
+        gap, gse = diff.mean, diff.estimate().stderr
         violation = gap if direction == "<=" else -gap
         comps.append(SaddleComparison(
-            label=lbl, direction=direction, estimate=_to_estimate(pv),
+            label=lbl, direction=direction, estimate=est.estimate(),
             gap=gap, gap_stderr=gse, verdict=_verdict(violation, gse, budget)))
-    return SaddleReport(equilibrium=center, comparisons=tuple(comps))
+    return SaddleReport(equilibrium=values[0].estimate(), comparisons=tuple(comps))

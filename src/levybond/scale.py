@@ -173,6 +173,8 @@ _EULER_SIGN[0] = 0.5
 # under 1 MB, however many points it takes.  Talbot inverts rational
 # exponents only, which form no per-node array.
 _CHUNK_ROWS = 32
+# the largest x with a finite e^x
+_LOG_MAX = math.log(np.finfo(float).max)
 
 class Method(enum.Enum):
     """How an evaluator computes ``W``."""
@@ -418,11 +420,14 @@ def _w_resolvent(ev: ScaleEvaluator, v, num, rest=None, tilt: float = 0.0):
 
 
 def w(ev: ScaleEvaluator, x: float) -> float:
-    """``W(x)``: zero on the negative axis, ``w0`` at 0, nondecreasing after."""
+    """``W(x)``: zero on the negative axis, ``w0`` at 0, nondecreasing after;
+    ``inf`` once its growth ``e^(Phi x)`` passes the float range."""
     if x < 0.0:
         return 0.0
     if x == 0.0:
         return ev.w0
+    if ev.phi_q * x > _LOG_MAX:
+        return math.inf
     if ev.roots is not None:
         return sum((c * cmath.exp(r * x)).real for r, c in zip(ev.roots, ev.weights))
     return _w_resolvent(ev, x, None, tilt=ev.phi_q)

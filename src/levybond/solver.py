@@ -57,14 +57,19 @@ from .model import (
     require_discount_condition,
     shifted_jump_integrals,
 )
-from .scale import _combination_at_zero, _w_at_zero, _w_combination, _w_resolvent, scale_evaluator
+from .scale import (
+    _LOG_MAX,
+    _combination_at_zero,
+    _w_at_zero,
+    _w_combination,
+    _w_resolvent,
+    scale_evaluator,
+)
 
 logger = logging.getLogger(__name__)
 
 # g_function below this z inverts its own transform
 _G_SMALL_Z = 0.1
-# the largest x with a finite e^x
-_LOG_MAX = math.log(np.finfo(float).max)
 
 __all__ = [
     "Regime",

@@ -9,6 +9,7 @@ crossing mass, below a bound it returns.
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from levybond.mc import (
     _estimate_variants,
     _event_tableau,
     _passages,
+    _payoffs,
     _run_chunks,
     estimate_game_value,
     estimate_game_values,
@@ -232,14 +234,15 @@ class TestTies:
     @pytest.mark.parametrize("model,q", [(EXPJM, 2.0), (BV2, 0.8)], ids=["grid", "event"])
     def test_simultaneous_threshold_settles_at_cap_branch(self, model, q):
         # equal thresholds pay max(K, share) like an issuer-only stop, path by
-        # path on the shared noise; a holder-only stop pays the share alone
+        # path on the shared noise; a holder-only stop pays the share alone.
+        # Every chunk's payoffs are checked as the estimators reduce them
         cfg = SimConfig(n_paths=3000, horizon=8.0, dt=2e-3, seed=14)
         variants = [(0.0, 0.3, 0.3), (0.0, 50.0, 0.3), (0.0, 0.3, 50.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            tie, issuer, holder = _estimate_variants(model, gp(q), variants, cfg)
-        assert np.array_equal(tie, issuer)
-        assert np.all(holder <= tie) and np.any(holder < tie)
+        chunks = _run_chunks(model, cfg, _TAG_VALUE,
+                             lambda c: _payoffs(model, gp(q), variants, c))
+        for tie, issuer, holder in chunks:
+            assert np.array_equal(tie, issuer)
+            assert np.all(holder <= tie) and np.any(holder < tie)
 
 
 class TestEstimates:
@@ -620,6 +623,56 @@ class TestWorkerCount:
         assert 1 <= mc._pool_size(123, 40.0) <= 123
         # a chunk at the jump limit holds ~16M slots: one at a time
         assert mc._pool_size(123, float(mc._MAX_JUMPS)) == 1
+
+
+class TestChunkMoments:
+    """Each chunk is reduced to its count, mean and sum of squared deviations
+    before the next is built; the moments are merged in chunk order, and no
+    per-path array outlives its chunk."""
+
+    def test_merged_moments_match_the_concatenated_payoffs(self):
+        cfg = SimConfig(n_paths=2 * mc._CHUNK + 1500, horizon=3.0, dt=5e-3, seed=31)
+        variants = [(-0.5, 0.6, 0.4), (0.1, 0.6, 0.4), (-0.5, 0.8, 0.4)]
+        live = [(x, lt - x, ls - x) for x, lt, ls in variants]
+        chunks = _run_chunks(EXPJM, cfg, _TAG_VALUE,
+                             lambda c: _payoffs(EXPJM, gp(2.0), live, c))
+        assert len(chunks) == 3
+        pv = [np.concatenate(rows) for rows in zip(*chunks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            values, diffs = _estimate_variants(EXPJM, gp(2.0), variants, cfg)
+        for got, want in [*zip(values, pv), *zip(diffs, [y - pv[0] for y in pv])]:
+            assert got.n == len(want) == cfg.n_paths
+            assert got.mean == pytest.approx(np.mean(want), rel=1e-14, abs=0.0)
+            assert math.sqrt(got.m2 / (got.n - 1)) == \
+                pytest.approx(np.std(want, ddof=1), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["upcross", "values", "two_sided", "sup"])
+    def test_peak_memory_does_not_grow_with_the_path_count(self, name, monkeypatch):
+        # the traced peak of 64 chunks stays near that of 16: two workers
+        # hold two chunks in flight, whatever the number of chunks
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 2)
+        call = {
+            "upcross": lambda cfg: upcrossing_discount_profile(BV2, 0.8, [0.0, 0.5, 1.0], cfg),
+            "values": lambda cfg: estimate_game_values(BV2, gp(0.8), [-0.5, 0.1], 0.6, 0.4, cfg),
+            "two_sided": lambda cfg: two_sided_exit(CANON, 1.0, 0.6, 0.8, cfg),
+            "sup": lambda cfg: wiener_hopf_check(CANON, 4.0, cfg),
+        }[name]
+
+        def peak(chunks: int) -> int:
+            cfg = SimConfig(n_paths=chunks * mc._CHUNK, horizon=0.5, dt=0.01, seed=3)
+            tracemalloc.start()
+            try:
+                call(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            call(SimConfig(n_paths=100, horizon=0.5, dt=0.01, seed=3))   # first-call caches
+            small, large = peak(16), peak(64)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestSaddle:

@@ -172,6 +172,21 @@ class TestNumericInversion:
             scale_evaluator(model, 0.8, Method.CLOSED_FORM)
 
 
+
+class TestFloatRange:
+    """W grows like e^(Phi x): past the float range it reads inf on both
+    routes, and below it keeps its bits."""
+
+    @pytest.mark.parametrize("method, at_200", [
+        (Method.CLOSED_FORM, 5.713413265177557e+207),
+        (Method.NUMERIC_INVERSION, 5.713414185185651e+207),
+    ])
+    def test_w_past_the_float_range_is_inf(self, method, at_200):
+        ev = scale_evaluator(EXPJ, 1.2, method)
+        assert ev.method is method
+        assert w(ev, 200.0) == at_200
+        assert w(ev, 400.0) == math.inf
+
 class TestTabulatedInversion:
     def test_tracks_exponential_family(self):
         # tabulation of the same nominal density; only interpolation distance
