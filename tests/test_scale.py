@@ -172,7 +172,6 @@ class TestNumericInversion:
             scale_evaluator(model, 0.8, Method.CLOSED_FORM)
 
 
-
 class TestFloatRange:
     """W grows like e^(Phi x): past the float range it reads inf on both
     routes, and below it keeps its bits."""
@@ -186,6 +185,7 @@ class TestFloatRange:
         assert ev.method is method
         assert w(ev, 200.0) == at_200
         assert w(ev, 400.0) == math.inf
+
 
 class TestTabulatedInversion:
     def test_tracks_exponential_family(self):
