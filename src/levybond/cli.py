@@ -82,7 +82,7 @@ from .model import (
     phi,
     require_discount_condition,
 )
-from .scale import laplace_selfcheck, scale_evaluator, tilted_w, w
+from .scale import laplace_selfcheck, scale_evaluator, tilted_w, w, w_prime
 from .solver import (
     FitKind,
     GameParams,
@@ -421,12 +421,10 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
                        abs(w(ev, 1e-9) - target) / target, 1e-6))
     else:
         checks.append(("boundary W(0+) residual", abs(w(ev, 1e-9)), 1e-6))
-        h = 1e-3
-        d1 = (w(ev, h) - ev.w0) / h
-        d2 = (w(ev, h / 2.0) - ev.w0) / (h / 2.0)
-        extrap = 2.0 * d2 - d1
+        # W' at the point where W(0+) is read, from the derivative's own
+        # closed form or transform: no difference quotient of W
         checks.append(("boundary W'(0+) vs 2/b2 residual",
-                       abs(extrap - ev.w0_prime) / ev.w0_prime, 1e-3))
+                       abs(w_prime(ev, 1e-9) - ev.w0_prime) / ev.w0_prime, 1e-3))
 
     if mc_eligible(model, cfg.sim.horizon):
         est = wiener_hopf_check(model, q, cfg.sim)

@@ -615,14 +615,16 @@ def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:
     return out
 
 
-def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
-    """``psi`` as a ratio ``num / den`` of polynomials (coefficient arrays,
-    highest power first), or ``None`` when the jump part is not rational.
+def _psi_fraction(model: LevyModel) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """``psi`` as a ratio ``num / den`` of polynomials (tuples of float
+    coefficients, highest power first), or ``None`` when the jump part is
+    not rational.
 
     Rational means no linear body: the density is the tail alone, from one
     knot at 0, and its mass ``T`` and rate ``r`` clear the denominator
     ``r + theta``; with zero mass ``den`` is 1.  Without a Gaussian part
-    ``num`` drops its leading zero.
+    ``num`` drops its leading zero, so ``num`` has degree at most 3 and
+    ``den`` at most 1 (one exponential phase).
     """
     j = model.jumps
     if j._body is not None:
@@ -634,7 +636,8 @@ def _psi_fraction(model: LevyModel) -> tuple[np.ndarray, np.ndarray] | None:
     else:
         mt = model.mu + j._m1
         num, den = [half_b2, mt + half_b2 * r, mt * r - tail, 0.0], [1.0, r]
-    return np.array(num[1:] if model.b2 == 0.0 else num), np.array(den)
+    return (tuple(map(float, num[1:] if model.b2 == 0.0 else num)),
+            tuple(map(float, den)))
 
 
 def brentq(f, lo: float, hi: float, xtol: float = 1e-300) -> float:
@@ -696,11 +699,12 @@ def _brent_steps(f, lo: float, hi: float, flo: float, fhi: float, xtol: float = 
     raise BracketError(f"no convergence in {_BRENT_MAXITER} steps on [{lo:g}, {hi:g}]")
 
 
-def _root_past(f, lo: float, failure: Exception) -> float:
+def _root_past(f, lo: float, flo: float, failure: Exception) -> float:
     """The root of an ``f`` that changes sign once past ``lo``, for :func:`phi`
-    and ``solver.q0``: ``f(lo)``, then ``f`` at 1, 2, 4, ... to a strict sign
-    change (``failure`` past ``2^79``), and Brent's steps from those ends."""
-    flo, hi = float(f(lo)), 1.0
+    and ``solver.q0``: from the known ``flo = f(lo)``, ``f`` at 1, 2, 4, ...
+    to a strict sign change (``failure`` past ``2^79``), and Brent's steps
+    from those ends."""
+    hi = 1.0
     for _ in range(80):
         fhi = float(f(hi))
         if (fhi < 0.0) if flo > 0.0 else (fhi > 0.0):
@@ -715,16 +719,17 @@ def phi(model: LevyModel, p: float) -> float:
 
     Convexity of ``psi`` with ``psi(0) = 0`` makes ``{theta >= 0 : psi <= p}``
     an interval ``[0, Phi(p)]``, so :func:`_root_past` brackets the root on
-    ``[0, 2^k]`` (on ``[1e-7, 2^k]`` at ``p = 0``, where 0 is a root too).
+    ``[0, 2^k]`` from ``psi(0) - p = -p``, which ``psi`` returns exactly on
+    every model (on ``[1e-7, 2^k]`` at ``p = 0``, where 0 is a root too).
     Memoised per ``(model, p)``: a solve reads ``Phi(q)`` in its scale
     build, its thresholds and its fit report, and the root is found once.
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise DomainError(f"phi() needs p >= 0, got {p}")
-    lo = 1e-7 if p == 0.0 else 0.0
-    if p == 0.0 and laplace_exponent(model, lo) >= 0.0:
+    lo, flo = (1e-7, laplace_exponent(model, 1e-7)) if p == 0.0 else (0.0, -p)
+    if flo >= 0.0:
         return 0.0
-    return _root_past(lambda th: laplace_exponent(model, th) - p, lo,
+    return _root_past(lambda th: laplace_exponent(model, th) - p, lo, flo,
                      DomainError(f"could not bracket the inverse of psi at p={p}"))
 
 

@@ -8,8 +8,11 @@ first-passage identity and value formula in the solver.
 Two evaluation routes exist and are cross-checked against each other:
 
 * **Partial-fraction closed forms** whenever ``psi`` is rational
-  (``model._psi_fraction`` gives it as ``num / den``): the simple roots
-  ``theta_i`` of ``num - q den`` give ``W(x) = sum_i c_i exp(theta_i x)``.
+  (``model._psi_fraction`` gives it as ``num / den``, of degree at most 3):
+  the simple roots ``theta_i`` of ``num - q den`` give
+  ``W(x) = sum_i c_i exp(theta_i x)``.  ``roots[0]`` is ``Phi(q)``; the
+  others solve the linear or quadratic quotient of ``num - q den`` by
+  ``(theta - Phi)``, and one Newton step polishes each: no eigenvalue solve.
 * **Numeric Laplace inversion** of the tilted transform
   ``G(b) = 1/(psi(b + Phi(q)) - q)`` (tilting moves the rightmost singularity
   to 0 and makes the inverse bounded, which conditions the inversion).  For
@@ -88,8 +91,8 @@ at no ``v`` and tends to ``g v e^(-k v)`` as ``theta -> -k``.  For an array
 ``G(m)`` and the kernels formed once per call, and the numeric route makes
 one inversion of all the finite points.  At ``v = 0`` a combination is its
 ``v -> 0+`` value and at ``v = inf`` its limit 0.  A closed form is only
-built when one root lies within ``1e-6 (1 + Phi)`` of ``Phi(q)``;
-otherwise the evaluator inverts.  The
+built when ``Phi(q)`` is a simple root, within a Newton step of
+``1e-6 (1 + Phi)``; otherwise the evaluator inverts.  The
 numeric route inverts the transform untilted, less ``f0/(s+1) + f1/(s+1)^2``
 and plus ``(f0 + f1 v) e^(-v)``, where ``f0`` and ``f1 - f0`` are the exact
 ``v -> 0+`` value and slope (``_combination_at_zero``), so the inverted rest
@@ -279,11 +282,12 @@ def _invert_at(ev: ScaleEvaluator, transform, x: np.ndarray, tilt: float) -> np.
 class ScaleEvaluator:
     """Immutable per-(model, q) evaluator; build with :func:`scale_evaluator`.
 
-    ``roots``/``weights`` are the partial-fraction data for closed forms and
-    ``None`` otherwise: closed-form operations sum over the roots, and
-    numeric-route ones invert their own transform at their point, so the
-    evaluator holds no table of ``W``.  Construction selects the route and,
-    on the numeric one, certifies it; every operation afterwards is pure.
+    ``roots``/``weights`` are the partial-fraction data for closed forms,
+    ``Phi(q)``'s first, and ``None`` otherwise: closed-form operations sum
+    over the roots, and numeric-route ones invert their own transform at
+    their point, so the evaluator holds no table of ``W``.  Construction
+    selects the route and, on the numeric one, certifies it; every
+    operation afterwards is pure.
     """
 
     model: LevyModel
@@ -296,20 +300,44 @@ class ScaleEvaluator:
     weights: tuple[complex, ...] | None
 
 
+def _horner(coeffs, x):
+    """``(p(x), p'(x))`` for ``coeffs`` of ``p``, highest power first."""
+    val = slope = 0.0
+    for c in coeffs:
+        val, slope = val * x + c, slope * x + val
+    return val, slope
+
+
 def _closed_form_data(fraction, q: float, phi_q: float):
     """Roots/weights of the partial fractions of ``1/(psi - q) = den/(num - q den)``
-    for ``fraction = (num, den)``, or None if degenerate."""
+    for ``fraction = (num, den)``, the root at ``Phi(q)`` first, or None if
+    degenerate.  ``num - q den`` is deflated at ``Phi(q)`` (module docstring);
+    with ``k`` exponential phases it would be deflated at each root found."""
     num, den = fraction
-    poly = np.polysub(num, q * den)
-    roots = np.roots(poly)
+    poly = list(num)
+    for i, c in enumerate(den, len(num) - len(den)):
+        poly[i] -= q * c
+    val, slope = _horner(poly, phi_q)
+    if slope == 0.0 or abs(val / slope) > 1e-6 * (1.0 + phi_q):
+        return None  # no simple root to group at Phi(q) (module docstring); invert instead
+    quot = [poly[0]]  # poly / (theta - Phi), its remainder poly(Phi) dropped
+    for c in poly[1:-1]:
+        quot.append(quot[-1] * phi_q + c)
+    roots = [phi_q]
+    if len(quot) == 2:
+        roots.append(-quot[1] / quot[0])
+    elif len(quot) == 3:
+        a, b, c = quot
+        disc = b * b - 4.0 * a * c
+        root = math.sqrt(disc) if disc >= 0.0 else cmath.sqrt(disc)
+        t = -(b + math.copysign(1.0, b) * root) / 2.0
+        roots += [t / a, c / t if t else 0.0]  # t = 0: a double root at 0
     if len(roots) > 1:
         sep = min(abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:])
-        if sep < 1e-7 * (1.0 + max(abs(roots))):
+        if sep < 1e-7 * (1.0 + max(map(abs, roots))):
             return None  # repeated roots need secular terms; fall back to inversion
-    if min(abs(roots - phi_q)) > 1e-6 * (1.0 + phi_q):
-        return None  # no root to group at Phi(q) (module docstring); invert instead
-    dpoly = np.polyder(poly)
-    weights = np.polyval(den, roots) / np.polyval(dpoly, roots)
+    roots = [r - f / df for r in roots for f, df in [_horner(poly, r)]]
+    weights = [_horner(den, r)[0] / _horner(poly, r)[1] for r in roots]
     return tuple(roots), tuple(weights)
 
 
@@ -503,13 +531,11 @@ def _w_combination(ev: ScaleEvaluator, v, a: float, b: float, c: float,
     g_jump = -d * float(jump_excess(model, m)) if d else 0.0
     pairs = ((1.0, c), (_density_pieces(model)[2], g_jump))
     kernels = [(k, g, np.exp(-k * vs)) for k, g in pairs if g]
-    # the root at Phi(q)
-    lead = min(range(len(ev.roots)), key=lambda i: abs(ev.roots[i] - ev.phi_q))
     acc = np.zeros(vs.shape)
     # np.where forms both branches; at v = inf the unused one is 0 * inf
     with np.errstate(invalid="ignore"):
         for i, (r, cw) in enumerate(zip(ev.roots, ev.weights)):
-            if i == lead:  # a + b/Phi + sum_k g/(Phi+k) = 0 cancels its e^(Phi v) part
+            if i == 0:  # Phi(q): a + b/Phi + sum_k g/(Phi+k) = 0 cancels its e^(Phi v) part
                 term = -sum(g * decay / (ev.phi_q + k) for k, g, decay in kernels)
             else:
                 grow = np.exp(r * vs)
@@ -575,8 +601,7 @@ def laplace_selfcheck(ev: ScaleEvaluator, beta):
                 f"selfcheck needs beta > Phi(q)+0.1 = {ev.phi_q + 0.1:g}, got {b}"
             )
     if ev.roots is not None:
-        vals = [complex(np.sum(np.array(ev.weights) / (b - np.array(ev.roots)))).real
-                for b in betas]
+        vals = [sum(c / (b - r) for r, c in zip(ev.roots, ev.weights)).real for b in betas]
     else:
         ks = [b - ev.phi_q for b in betas]
         x = _cert_lattice(min(ks), max(ks))

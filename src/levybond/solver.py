@@ -180,7 +180,10 @@ def _holder_condition(model: LevyModel, params: GameParams, theta: float) -> flo
     falls through ``K``.  ``F0 = -theta (theta+1) h0`` with ``h0 = K (psi(theta)
     - psi(-1))/(theta+1) - K beta/(theta+1) - alpha/theta``, whose three terms
     (the secant slope of convex ``psi`` from -1 first) strictly increase on
-    ``(0, inf)``: so ``F0(0) = alpha > 0`` and ``F0`` changes sign once."""
+    ``(0, inf)``: so ``F0(0) = alpha > 0`` and ``F0`` changes sign once.
+    At 0 it returns ``alpha``, the exact value, without evaluating ``psi``."""
+    if theta == 0.0:
+        return float(params.alpha)
     return (params.alpha * (theta + 1.0)
             - params.K * theta * (laplace_exponent(model, theta) - exp_growth_rate(model)
                                   - params.beta))
@@ -197,7 +200,7 @@ def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> f
 def _phi_q0(model: LevyModel, params: GameParams) -> float:
     if exp_growth_rate(model) == math.inf:
         raise DomainError("the critical rates need a finite psi(-1)")
-    return _root_past(lambda th: _holder_condition(model, params, th), 0.0,
+    return _root_past(lambda th: _holder_condition(model, params, th), 0.0, float(params.alpha),
                       BracketError("holder threshold never crosses the cap"))
 
 

@@ -318,6 +318,18 @@ class TestSelfcheck:
         assert "W(0+) vs 1/drift" in out
         assert "verdict=pass" in out
 
+    @pytest.mark.parametrize("lam, mu", [(50.0, 36.0), (1000.0, 706.0)])
+    def test_boundary_slope_at_high_jump_rates(self, tmp_path, capsys, lam, mu):
+        # W'(0+) = 2/b2 exactly; a difference quotient of W at h = 1e-3 reads
+        # 3.2e-3 and 0.38 off it here.  Horizon 500 skips the Monte Carlo part
+        model = {"family": "exp_jumps", "mu": mu, "b2": 0.5, "lambda": lam, "rho": 2.0}
+        path = write_config(tmp_path, model=model, game=GAME, sim={**SIM, "horizon": 500.0})
+        assert main(["selfcheck", str(path)]) == 0
+        out = capsys.readouterr().out
+        slope = re.search(r"W'\(0\+\) vs 2/b2 residual: (\S+) ", out)
+        assert float(slope.group(1)) <= 1e-5
+        assert "verdict=pass" in out
+
     def test_selfcheck_requires_sim_section(self, tmp_path, capsys):
         path = write_config(tmp_path, model=BROWNIAN, game=GAME)
         assert main(["selfcheck", str(path)]) == 1

@@ -623,9 +623,11 @@ class TestRealAxisOnce:
             assert "moments" not in body.__dict__
         # the Taylor sum's own +0.0 at +-0 is test_taylor_scalar_is_the_one_point_array's
 
-    def test_cold_classify_reads_psi_minus_one_once(self, monkeypatch):
+    @staticmethod
+    def counted_psi(monkeypatch):
+        """The thetas of every ``laplace_exponent`` call from here on, with
+        the ``phi`` and ``psi(-1)`` memos cleared."""
         import levybond.solver as solver_module
-        from levybond import GameParams, Regime, classify
 
         calls = []
 
@@ -637,13 +639,37 @@ class TestRealAxisOnce:
             monkeypatch.setattr(module, "laplace_exponent", counted)
         phi.cache_clear()
         exp_growth_rate.cache_clear()
+        return calls
+
+    def test_cold_classify_reads_psi_minus_one_once(self, monkeypatch):
+        from levybond import GameParams, Regime, classify
+
+        calls = self.counted_psi(monkeypatch)
         model = LevyModel(0.1, 0.3, tabulated_exp_density(401))
         sol = classify(model, GameParams(1.0, 1.0, 1.05, 2.0))
         assert sol.regime is Regime.R4
-        assert calls.count(-1.0) == 1 and len(calls) > 40
+        # 41 with psi evaluated at the three searches' lower ends theta = 0
+        assert calls.count(-1.0) == 1 and calls.count(0.0) == 0 and len(calls) == 38
         calls.clear()
         classify(LevyModel(0.1, 0.3, tabulated_exp_density(401)), GameParams(1.0, 1.0, 1.1, 2.0))
         assert calls.count(-1.0) == 0  # an equal model rebuilt hits the memo
+
+    @pytest.mark.parametrize("model, q, calls_with_lower_ends", [
+        (CANON, 3.0, 36), (LevyModel(0.0, 0.5), 0.4, 39), (EXPJ, 3.0, 35), (BV_RHO2, 1.0, 20),
+    ], ids=["brownian-R2", "brownian-R1", "exp_jumps", "bv_exp"])
+    def test_root_searches_start_from_known_ends(self, monkeypatch, model, q,
+                                                 calls_with_lower_ends):
+        # psi(0) - p = -p, and the critical-rate conditions are exactly alpha
+        # at theta = 0: phi's, q0's and, with a Gaussian part, q1's searches
+        # take those ends as known, so a cold phi + classify evaluates psi 3
+        # (or 2) times fewer than with the ends evaluated
+        from levybond import GameParams, classify
+
+        calls = self.counted_psi(monkeypatch)
+        phi(model, q)
+        classify(model, GameParams(1.0, 1.0, q, 2.0))
+        assert 0.0 not in calls
+        assert len(calls) == calls_with_lower_ends - (3 if model.b2 > 0.0 else 2)
 
     def test_growth_rate_memo_keeps_divergence(self):
         exp_growth_rate.cache_clear()

@@ -47,6 +47,32 @@ def tabulated_exp_density(n: int = 401, z_hi: float = 8.0) -> TabulatedDensity:
     return TabulatedDensity(zg, 2.0 * np.exp(-2.0 * zg), 2.0)
 
 
+def mp_partial_fractions(model, q, dps):
+    """The roots and weights of ``1/(psi - q)`` at ``dps`` digits, from the
+    float coefficients of ``model._psi_fraction`` by ``mpmath.polyroots``."""
+    mp = pytest.importorskip("mpmath")
+    from levybond.model import _psi_fraction
+
+    num, den = _psi_fraction(model)
+    with mp.workdps(dps):
+        den = [mp.mpf(c) for c in den]
+        poly = [mp.mpf(c) for c in num]
+        for i, c in enumerate(den, len(poly) - len(den)):
+            poly[i] -= mp.mpf(q) * c
+        roots = mp.polyroots(poly, maxsteps=200, extraprec=4 * dps)
+        slope = [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
+        weights = [mp.polyval(den, r) / mp.polyval(slope, r) for r in roots]
+    return roots, weights
+
+
+def mp_w(model, q, x, dps):
+    """``W(x) = sum_i c_i e^(theta_i x)`` at ``dps`` digits."""
+    mp = pytest.importorskip("mpmath")
+    roots, weights = mp_partial_fractions(model, q, dps)
+    with mp.workdps(dps):
+        return mp.re(sum(c * mp.exp(r * mp.mpf(x)) for r, c in zip(roots, weights)))
+
+
 class TestClosedForms:
     def test_canonical_is_scaled_sinh(self):
         ev = scale_evaluator(CANON, 1.0)
@@ -105,6 +131,36 @@ class TestClosedForms:
         assert ev.method is Method.NUMERIC_INVERSION
         assert w(ev, 1.0) == pytest.approx(1.0, rel=1e-7)  # W(x) = 2x/b2 = x
         assert w(ev, 3.0) == pytest.approx(3.0, rel=1e-7)
+        with pytest.raises(DomainError):
+            scale_evaluator(CANON, 0.0, Method.CLOSED_FORM)
+
+    def test_drift_only_has_one_root(self):
+        # psi = theta/2: Phi(0.3) = 0.6 is the whole fraction, W = 2 e^(0.6 x)
+        ev = scale_evaluator(LevyModel(0.5, 0.0), 0.3)
+        assert ev.method is Method.CLOSED_FORM
+        assert ev.roots == (0.6,) and ev.weights == (2.0,)
+
+    @pytest.mark.parametrize("model, q", [
+        (CANON, 1.0), (CANON, 0.05), (LevyModel(-3.0, 2.0), 0.0), (EXPJ, 1.2), (EXPJ, 0.01),
+        (BV_RHO1, 1.0), (BV2, 0.8), (LevyModel(0.5, 0.0), 0.3),
+    ], ids=["CANON", "CANON-low", "drifted-q0", "EXPJ", "EXPJ-low", "BV_RHO1", "BV2",
+            "drift-only"])
+    def test_partial_fractions_match_40_digits(self, model, q):
+        # the roots deflated from Phi(q) and polished, their weights and W
+        # against mpmath.polyroots on the same float coefficients
+        ev = scale_evaluator(model, q)
+        assert ev.method is Method.CLOSED_FORM
+        roots, weights = mp_partial_fractions(model, q, 40)
+        assert len(ev.roots) == len(roots)
+        # roots[0] is the root at Phi(q)
+        assert abs(ev.roots[0] - ev.phi_q) <= 1e-15 * (1.0 + ev.phi_q)
+        for r, c in zip(ev.roots, ev.weights):
+            i = min(range(len(roots)), key=lambda j: abs(roots[j] - r))
+            assert abs(roots[i] - r) <= 1e-15 * (1.0 + abs(r))
+            assert abs(weights[i] - c) <= 1e-14 * abs(weights[i])
+        for xv in (0.01, 0.5, 10.0):
+            exact = mp_w(model, q, xv, 40)
+            assert abs(w(ev, xv) - exact) <= 1e-13 * abs(exact), xv
 
 
 class TestNumericInversion:
@@ -177,13 +233,20 @@ class TestFloatRange:
     routes, and below it keeps its bits."""
 
     @pytest.mark.parametrize("method, at_200", [
-        (Method.CLOSED_FORM, 5.713413265177557e+207),
+        (Method.CLOSED_FORM, None),  # None: the 50-digit partial-fraction sum
         (Method.NUMERIC_INVERSION, 5.713414185185651e+207),
     ])
     def test_w_past_the_float_range_is_inf(self, method, at_200):
         ev = scale_evaluator(EXPJ, 1.2, method)
         assert ev.method is method
-        assert w(ev, 200.0) == at_200
+        if at_200 is None:
+            # a correctly rounded Phi still moves e^(Phi x) by up to Phi x
+            # half-ulps: the closed form holds (Phi x + 10) 2^-52 relative
+            exact = mp_w(EXPJ, 1.2, 200.0, 50)
+            tol = (ev.phi_q * 200.0 + 10.0) * 2.0**-52
+            assert abs(w(ev, 200.0) - exact) <= tol * exact
+        else:
+            assert w(ev, 200.0) == at_200
         assert w(ev, 400.0) == math.inf
 
 
