@@ -420,7 +420,12 @@ def run_selfcheck(cfg: RunConfig, out=print) -> int:
         checks.append(("boundary W(0+) vs 1/drift residual",
                        abs(w(ev, 1e-9) - target) / target, 1e-6))
     else:
-        checks.append(("boundary W(0+) residual", abs(w(ev, 1e-9)), 1e-6))
+        # W(0+) = 0, read at h = 1e-9 against h W'(h/2), the midpoint rule
+        # for the integral of W', exact to second order: |W(h)| alone is
+        # ~2h/b2, and h W'(0+) is off by ~(mu/b2) h relative
+        slope = 1e-9 * w_prime(ev, 5e-10)
+        checks.append(("boundary W(1e-9) vs 1e-9 W'(5e-10) residual",
+                       abs(w(ev, 1e-9) - slope) / slope, 1e-6))
         # W' at the point where W(0+) is read, from the derivative's own
         # closed form or transform: no difference quotient of W
         checks.append(("boundary W'(0+) vs 2/b2 residual",

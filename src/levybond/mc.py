@@ -5,11 +5,15 @@ One exact engine runs every estimator: the *event tableau*
 the path is laid out piece by piece between them: linear and downhill
 without a Gaussian part, so that upward passages happen only at jumps;
 with one, a Brownian motion with drift with one Gaussian endpoint and one
-exact bridge maximum per piece.  No time grid enters, so no estimator reads
-``SimConfig.dt``.  :func:`upcrossing_discount_profile` and every game-value
-variant of one call read one set of joint first passages
-(:func:`_passages`), which keeps the paired comparisons of
-:func:`saddle_check` sharp (common random numbers).
+exact bridge maximum per piece.  A piece keeps only what the draws decide:
+its end time, X before and after its closing jump and, with a Gaussian
+part, its bridge maximum; where it starts is read off the piece before it
+(:func:`_piece_start`), at the pieces an estimator reads.  No time grid
+enters, so no estimator reads ``SimConfig.dt``.
+:func:`upcrossing_discount_profile` and every game-value variant of one
+call read one set of joint first passages (:func:`_passages`), which keeps
+the paired comparisons of :func:`saddle_check` sharp (common random
+numbers).
 
 Randomness is counter-based (Philox), and the stream layout fixes every
 estimate bit for bit given the seed:
@@ -43,7 +47,9 @@ of squared deviations from it) before it is dropped, and the chunks'
 moments are merged in chunk order by the pairwise update of Chan, Golub &
 LeVeque (1983); the neglected masses of :func:`two_sided_exit` are added in
 that order too.  So no output depends on the number of workers, and memory
-is bounded by the chunks in flight, whatever the path count.
+is bounded by the chunks in flight, whatever the path count; within a
+chunk, :func:`two_sided_exit` drops each round's arrays once it has read
+them.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -95,13 +101,13 @@ _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths per chunk, each chunk one tableau
 # expected jumps per path the event tableau accepts: a chunk builds its
 # tableau in one (paths x most jumps) draw block, ~135 MiB at the limit
-# (4096 paths x ~4320 jumps)
+# (4096 paths x ~4320 jumps), where its worker peaks near 1.5 GiB (below)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
-# hold together; a worker peaks near 116 bytes per slot with a Gaussian
-# part (90 without): the tableau it holds, 48, while it builds the next in
-# its draw block, 68 at the build's peak.  So this bounds the pool near
-# 0.5 GB, and one chunk always runs
+# hold together; a worker peaks near 98 bytes per slot with a Gaussian
+# part (72 without): the tableau it holds, 32 (24 without: no smax), while
+# it builds the next in its draw block, 65 at the build's peak (47).  So
+# this bounds the pool near 0.4 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
@@ -254,21 +260,38 @@ def _bridge_max(left: np.ndarray, right: np.ndarray, spread: np.ndarray) -> np.n
 class _Tableau(NamedTuple):
     """One chunk's pieces between jumps, flat: row ``i``'s are
     ``start[i]:end[i]`` in time order, from time 0 to the horizon.  A piece
-    keeps its closing jump's epoch (``t1``) and ``post``; a row's last piece
-    closes at T with no jump and ``post = -inf``.  The draw blocks are
-    (paths x most jumps), but these arrays hold real pieces alone."""
+    keeps what the draws decide: its closing jump's epoch (``t1``), X just
+    before and after that jump (``pre``, ``post``) and, with a Gaussian part,
+    its bridge maximum (``smax``); a row's last piece closes at T with no
+    jump and ``post = -inf``.  A piece starts where the one before it closed,
+    or at ``(0, 0)`` for a row's first (:func:`_piece_start`).  The draw
+    blocks are (paths x most jumps), but these arrays hold real pieces
+    alone."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
     start: np.ndarray    # each row's first piece
     end: np.ndarray      # one past each row's last piece
-    t0: np.ndarray       # start time of each piece
     t1: np.ndarray       # end time of each piece: its closing jump's epoch, or T
     post: np.ndarray     # X just after each piece's closing jump
-    y0: np.ndarray       # X at each piece's start
     pre: np.ndarray      # X at each piece's end, before its closing jump
-    smax: np.ndarray     # maximum of X over each piece
+    # maximum of X over each piece; None without a Gaussian part, where a
+    # piece runs downhill from its start, which the jump before it reached
+    smax: Optional[np.ndarray]
     drawn: object = None  # the estimator's own draws, made first (``begin``)
+
+
+def _piece_start(c: _Tableau, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time and X at the start of each piece ``k``: the end time and ``post``
+    of the piece before it, or ``(0, 0)`` for a row's first, which follows a
+    ``post`` of ``-inf``.  Index 0 reads the chunk's last piece (index -1),
+    which closes with ``-inf`` too."""
+    before = k - 1
+    t0, y0 = c.t1[before], c.post[before]
+    first = y0 == -np.inf
+    t0[first] = 0.0
+    y0[first] = 0.0
+    return t0, y0
 
 
 def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
@@ -312,10 +335,11 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     closes[end - 1] = False
     t1 = np.full(len(closes), T)
     t1[closes] = jt
-    t0 = np.roll(t1, 1)                             # where the piece before
-    t0[start] = 0.0                                 # ends, or at 0
-    pre = t1 - t0                                   # each piece's length, then
-    spread = None                                   # its drift, its move and y0
+    # each piece's length, t1 less the start time (the t1 of the piece
+    # before, 0 at a row's first); then its drift, its move and its start
+    pre = t1.copy()
+    np.subtract(t1[1:], t1[:-1], out=pre[1:], where=closes[:-1])
+    spread = None
     if model.b2 > 0.0:
         # one block for the Gaussian moves, their prefix sums and then the
         # bridge uniforms, each row's pieces again its leading slots
@@ -338,11 +362,11 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     post = np.full(len(t1), -np.inf)
     post[closes] = after
     del jt, after                                   # freed before the bridge maxima
-    y0 = np.roll(post, 1)
-    y0[start] = 0.0
+    y0 = np.zeros(len(post))                        # X at each piece's start
+    np.copyto(y0[1:], post[:-1], where=closes[:-1])
     pre += y0
-    smax = y0 if spread is None else _bridge_max(y0, pre, spread)
-    return _Tableau(chunk, rng, start, end, t0, t1, post, y0, pre, smax, drawn)
+    smax = None if spread is None else _bridge_max(y0, pre, spread)
+    return _Tableau(chunk, rng, start, end, t1, post, pre, smax, drawn)
 
 
 def _pool_size(chunks: int, jumps: float) -> int:
@@ -421,7 +445,9 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
     passes its levels in order, and each passage has its exact law.
     """
     n = len(c.start)
-    peak = np.maximum(c.smax, c.post)   # the top of each piece and its closing jump
+    # the top of each piece and its closing jump; without a Gaussian part a
+    # piece peaks at its start, which the jump before it reached
+    peak = c.post if c.smax is None else np.maximum(c.smax, c.post)
     # the piece of the previous passage; before the first, the piece before
     # each row's first, which is a row's last piece (post -inf)
     piece = c.start - 1
@@ -457,10 +483,9 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
         hit = first < c.end[r]
         r, first = r[hit], first[hit]
         p_at[r] = first
-        inside = c.smax[first] > lvl
+        inside = np.zeros(len(r), dtype=bool) if c.smax is None else c.smax[first] > lvl
         t[r[~inside]] = c.t1[first[~inside]]
-        t_from[r[inside]] = c.t0[first[inside]]
-        x_from[r[inside]] = c.y0[first[inside]]
+        t_from[r[inside]], x_from[r[inside]] = _piece_start(c, first[inside])
         # continuous passages land on the level at an exact bridge time
         r = np.nonzero(~np.isnan(t_from))[0]
         pr = p_at[r]
@@ -642,13 +667,19 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
         at_up, at_down = np.full((2, len(c.start)), math.inf)
         k = np.flatnonzero(c.post > up)
         np.minimum.at(at_up, row[k], c.t1[k])
-        k = np.flatnonzero((c.y0 > -down) & (c.y0 < up))
-        seg = (row[k], c.t0[k], c.t1[k], c.y0[k], c.pre[k])
+        # the pieces that start inside the band: each row's first, and each
+        # piece after a jump that lands inside it
+        k = np.union1d(c.start, np.flatnonzero((c.post > -down) & (c.post < up)) + 1)
+        t0, a = _piece_start(c, k)
+        r, t1, b = row[k], c.t1[k], c.pre[k]
+        del row, k
         neglected = []
-        while len(seg[0]):
+        # each round drops its arrays once it has read them, so that a
+        # chunk peaks near its largest round rather than two rounds' worth
+        while len(r):
             # a piece that starts after a found exit cannot change it
-            keep = seg[1] < np.minimum(at_up, at_down)[seg[0]]
-            r, t0, t1, a, b = (v[keep] for v in seg)
+            keep = t0 < np.minimum(at_up, at_down)[r]
+            r, t0, t1, a, b = r[keep], t0[keep], t1[keep], a[keep], b[keep]
             span = t1 - t0
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
@@ -662,16 +693,22 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
             np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
                 c.rng, b2, a[dn], -down, b[dn], span[dn]))
             cut = ~settle
+            del p_up, p_dn, hit, dn, settle
             # the rest splits at a bridge midpoint; a half that starts outside
             # the band follows a crossing in the half before it
-            mid = 0.5 * (a[cut] + b[cut]) + \
-                np.sqrt(0.25 * b2 * span[cut]) * c.rng.standard_normal(int(cut.sum()))
-            tm = 0.5 * (t0[cut] + t1[cut])
-            seg = (np.concatenate([r[cut], r[cut]]), np.concatenate([t0[cut], tm]),
-                   np.concatenate([tm, t1[cut]]), np.concatenate([a[cut], mid]),
-                   np.concatenate([mid, b[cut]]))
-            inside = (seg[3] > -down) & (seg[3] < up)
-            seg = tuple(v[inside] for v in seg)
+            r, t0, t1, a, b, span = r[cut], t0[cut], t1[cut], a[cut], b[cut], span[cut]
+            mid = 0.5 * (a + b) + np.sqrt(0.25 * b2 * span) * c.rng.standard_normal(len(r))
+            del span
+            tm = 0.5 * (t0 + t1)
+            r = np.concatenate([r, r])
+            t0 = np.concatenate([t0, tm])
+            t1 = np.concatenate([tm, t1])
+            del tm
+            a = np.concatenate([a, mid])
+            b = np.concatenate([mid, b])
+            del mid
+            inside = (a > -down) & (a < up)
+            r, t0, t1, a, b = r[inside], t0[inside], t1[inside], a[inside], b[inside]
         t_down = np.where(at_down < at_up, at_down, math.inf)
         return _moments(_discounted(t_down, p)), neglected
 
@@ -724,11 +761,14 @@ def wiener_hopf_check(model: LevyModel, q: float,
     def sup_at_clock(c: _Tableau) -> _Moments:
         clk = c.drawn
         n = c.end - c.start                       # pieces per row
+        # each piece's maximum: without a Gaussian part, where it starts
+        smax = _piece_start(c, np.arange(len(c.t1)))[1] if c.smax is None else c.smax
         full = c.t1 <= np.repeat(clk, n)          # the pieces ended by the clock
-        top = np.maximum.reduceat(np.where(full, c.smax, -np.inf), c.start)
+        top = np.maximum.reduceat(np.where(full, smax, -np.inf), c.start)
         # the piece holding the clock (a row's last piece if the clock is past T)
         k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
-        y0, end, t0 = c.y0[k], c.pre[k], c.t0[k]
+        t0, y0 = _piece_start(c, k)
+        end = c.pre[k]
         span = c.t1[k] - t0
         frac = np.minimum((clk - t0) / span, 1.0)
         at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
@@ -741,7 +781,7 @@ def wiener_hopf_check(model: LevyModel, q: float,
         m = max(1, int(n.max()) - 1)
         piece = np.arange(m + 1) < n[:, None]
         block = np.full(piece.shape, -np.inf)
-        block[piece] = c.smax
+        block[piece] = smax
         before = np.maximum.accumulate(block, axis=1)[piece]
         lift = full & (c.post > before)
         share, _ = jump_passage_means(model, c.pre[lift], before[lift])

@@ -330,6 +330,17 @@ class TestSelfcheck:
         assert float(slope.group(1)) <= 1e-5
         assert "verdict=pass" in out
 
+    def test_boundary_value_at_a_small_gaussian_part(self, tmp_path, capsys):
+        # W(1e-9) is ~2e-9/b2 = 2e-6 here, past an absolute 1e-6, on an
+        # exact closed form: the check reads it against 1e-9 W'(5e-10)
+        model = {"family": "brownian", "mu": 0.0, "b2": 0.001}
+        path = write_config(tmp_path, model=model, game={**GAME, "q": 1.0}, sim=SIM)
+        assert main(["selfcheck", str(path)]) == 0
+        out = capsys.readouterr().out
+        value = re.search(r"W\(1e-9\) vs 1e-9 W'\(5e-10\) residual: (\S+) ", out)
+        assert float(value.group(1)) <= 1e-8
+        assert "verdict=pass" in out
+
     def test_selfcheck_requires_sim_section(self, tmp_path, capsys):
         path = write_config(tmp_path, model=BROWNIAN, game=GAME)
         assert main(["selfcheck", str(path)]) == 1

@@ -40,6 +40,7 @@ from levybond.mc import (
     _event_tableau,
     _passages,
     _payoffs,
+    _piece_start,
     _run_chunks,
     estimate_game_value,
     estimate_game_values,
@@ -171,19 +172,50 @@ class TestEventTableau:
         # every stored piece starts before T (no padding)
         cfg = SimConfig(n_paths=9000, horizon=10.0, dt=1e-2, seed=24)
         T = cfg.horizon
-        for c in _run_chunks(model, cfg, _TAG_VALUE, lambda c: c):
-            assert c.start[0] == 0 and c.end[-1] == len(c.t0)
+
+        def work(c):
+            return (c, *_piece_start(c, np.arange(len(c.t1))))
+
+        for c, t0, y0 in _run_chunks(model, cfg, _TAG_VALUE, work):
+            assert c.start[0] == 0 and c.end[-1] == len(t0)
             assert np.array_equal(c.start[1:], c.end[:-1]) and np.all(c.end > c.start)
-            later = np.ones(len(c.t0), dtype=bool)
+            later = np.ones(len(t0), dtype=bool)
             later[c.start] = False
-            assert np.all(c.t0[c.start] == 0.0) and np.all(c.y0[c.start] == 0.0)
-            assert np.array_equal(c.t0[later], c.t1[np.flatnonzero(later) - 1])
-            assert np.array_equal(c.y0[later], c.post[np.flatnonzero(later) - 1])
-            assert np.all(c.t1 >= c.t0) and np.all(c.t0 < T)
+            assert np.all(t0[c.start] == 0.0) and np.all(y0[c.start] == 0.0)
+            assert np.array_equal(t0[later], c.t1[np.flatnonzero(later) - 1])
+            assert np.array_equal(y0[later], c.post[np.flatnonzero(later) - 1])
+            assert np.all(c.t1 >= t0) and np.all(t0 < T)
             assert np.all(c.t1[c.end - 1] == T) and np.all(c.post[c.end - 1] == -np.inf)
-            closes = np.ones(len(c.t0), dtype=bool)
+            closes = np.ones(len(t0), dtype=bool)
             closes[c.end - 1] = False
             assert np.all(c.t1[closes] < T) and np.all(np.isfinite(c.post[closes]))
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2],
+                             ids=["CANON", "EXPJM", "TAB", "BV2"])
+    def test_piece_start_matches_the_shifted_arrays(self, model):
+        # a piece starts where the one before it closed: the helper equals
+        # t1 and post shifted by one piece with each row's first set to
+        # (0, 0), on every piece and on a scattered subset read out of order;
+        # without a Gaussian part a piece ends at its start plus its drift
+        cfg = SimConfig(n_paths=9000, horizon=10.0, dt=1e-2, seed=25)
+
+        def work(c):
+            t0, y0 = np.roll(c.t1, 1), np.roll(c.post, 1)
+            t0[c.start] = 0.0
+            y0[c.start] = 0.0
+            k = np.arange(len(c.t1))
+            perm = np.random.default_rng(c.rows.start).permutation(len(k))
+            sub = np.append(0, perm[:len(k) // 3])    # piece 0 reads index -1
+            return t0, y0, _piece_start(c, k), sub, _piece_start(c, sub), c
+
+        chunks = _run_chunks(model, cfg, _TAG_VALUE, work)
+        assert len(chunks) == 3
+        for t0, y0, (t0_all, y0_all), sub, (t0_sub, y0_sub), c in chunks:
+            assert np.array_equal(t0_all, t0) and np.array_equal(y0_all, y0)
+            assert np.array_equal(t0_sub, t0[sub]) and np.array_equal(y0_sub, y0[sub])
+            assert (c.smax is None) == (model.b2 == 0.0)
+            if c.smax is None:
+                assert np.array_equal(c.pre, (c.t1 - t0) * mc._sim_drift(model) + y0)
 
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
     def test_one_step_laplace_transform(self, model):
@@ -673,6 +705,42 @@ class TestChunkMoments:
             call(SimConfig(n_paths=100, horizon=0.5, dt=0.01, seed=3))   # first-call caches
             small, large = peak(16), peak(64)
         assert large <= 1.25 * small, (small, large)
+
+    @staticmethod
+    def _traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_saddle_lane_holds_under_80_bytes_per_slot(self, monkeypatch):
+        # one worker runs the bounded-variation saddle's chunks in turn: it
+        # holds a chunk's tableau (t1, post, pre: no smax) while it builds
+        # the next, at ~71 traced bytes per expected slot (~91 with t0 and
+        # y0 kept beside them)
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
+        params = gp(0.8)
+        sol = classify(BV2, params)
+        horizon = 40.0
+        slots = mc._CHUNK * (jump_intensity(BV2) * horizon + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            saddle_check(BV2, params, sol, 0.1, SimConfig(100, horizon, 1e-3, 7))  # first-call caches
+            peak = self._traced_peak(lambda: saddle_check(
+                BV2, params, sol, 0.1, SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)))
+        assert peak / slots <= 80.0, peak / slots
+
+    def test_two_sided_exit_frees_each_round(self, monkeypatch):
+        # each midpoint round drops its arrays once read: one chunk in flight
+        # peaks near 9 MiB on CANON at horizon 4 (~16 MiB when every round's
+        # arrays lived into the next)
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
+        two_sided_exit(CANON, 1.0, 0.6, 0.8, SimConfig(100, 4.0, 1e-3, 7))   # first-call caches
+        peak = self._traced_peak(lambda: two_sided_exit(
+            CANON, 1.0, 0.6, 0.8, SimConfig(2 * mc._CHUNK, 4.0, 1e-3, 7)))
+        assert peak <= 11 * 2**20, peak / 2**20
 
 
 class TestSaddle:

@@ -230,24 +230,40 @@ class TestNumericInversion:
 
 class TestFloatRange:
     """W grows like e^(Phi x): past the float range it reads inf on both
-    routes, and below it keeps its bits."""
+    routes, and below it holds the 50-digit partial-fraction sum."""
 
-    @pytest.mark.parametrize("method, at_200", [
-        (Method.CLOSED_FORM, None),  # None: the 50-digit partial-fraction sum
-        (Method.NUMERIC_INVERSION, 5.713414185185651e+207),
-    ])
-    def test_w_past_the_float_range_is_inf(self, method, at_200):
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.NUMERIC_INVERSION])
+    def test_w_past_the_float_range_is_inf(self, method):
         ev = scale_evaluator(EXPJ, 1.2, method)
         assert ev.method is method
-        if at_200 is None:
+        exact = mp_w(EXPJ, 1.2, 200.0, 50)
+        if method is Method.CLOSED_FORM:
             # a correctly rounded Phi still moves e^(Phi x) by up to Phi x
             # half-ulps: the closed form holds (Phi x + 10) 2^-52 relative
-            exact = mp_w(EXPJ, 1.2, 200.0, 50)
             tol = (ev.phi_q * 200.0 + 10.0) * 2.0**-52
-            assert abs(w(ev, 200.0) - exact) <= tol * exact
         else:
-            assert w(ev, 200.0) == at_200
+            # forced Talbot on the tilted transform reads ~7e-13; a contour
+            # pushed off its rule's radius at large x read 1.6e-7
+            tol = 1e-11
+        assert abs(w(ev, 200.0) - exact) <= tol * exact
         assert w(ev, 400.0) == math.inf
+
+    @pytest.mark.parametrize("q", [2.6, 1.05])
+    def test_tilted_inverse_keeps_its_limit_at_large_x(self, q):
+        # e^(-Phi x) W(x) tends to 1/psi'(Phi), and by x = 100 the rest is
+        # far below rounding; the plain Euler rule's ~e^(-21) discretisation
+        # error leaves ~1e-9.  A tilted contour moved off the rule's A read
+        # 0.341 at q 2.6 and x 200
+        model = LevyModel(mu=0.1, b2=0.3, jumps=tabulated_exp_density(401))
+        ev = scale_evaluator(model, q)
+        ph = ev.phi_q
+
+        def slope(h):
+            return (laplace_exponent(model, ph + h) - laplace_exponent(model, ph - h)) / (2.0 * h)
+
+        limit = 3.0 / (4.0 * slope(5e-4) - slope(1e-3))   # one Richardson step
+        for xv in (100.0, 150.0, 200.0):
+            assert abs(math.exp(-ph * xv) * w(ev, xv) - limit) <= 2e-9, xv
 
 
 class TestTabulatedInversion:
