@@ -85,11 +85,13 @@ _BRENT_MAXITER = 256  # brentq's step budget
 #   _pieces     (knots, values, tail_rate)
 #   _tail_mass  jump intensity of the tail (``values[-1] / tail_rate``)
 #   _cells      per-cell linear coefficients of the body (None if none)
-#   _body       the body as :func:`_body_expm1` integrates it, a :class:`_Body`
-#               (None if none)
+#   _body       the whole body, from the first knot about 0, as
+#               :func:`_body_expm1` integrates it: a :class:`_Body` (None if
+#               none), whose ``cut`` reads off any other lower limit and shift
 #   _mass       total jump intensity
 #   _m1         compensator mass ``integral_(0,1) z pi(z) dz``
-#   _above      exceedance masses at the knots, for inverse-CDF sampling
+#   _above      exceedance masses at the knots (the body's ``above`` plus the
+#               tail mass), for inverse-CDF sampling
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
@@ -218,71 +220,76 @@ class _Body:
     in increasing order between the first and the last again (so a live
     prefix of the nodes is a prefix of the array), their ``weights`` (the
     end value ``-f_0``, the slope jumps ``m_(j-1) - m_j`` with slope 0
-    outside, then the end value ``f_N``) and its ``mass``.  The moments
-    ``integral (u - s)^k pi(u) du`` for ``k < _TAYLOR_TERMS`` (the first is
-    the mass) are formed when a Taylor point other than 0 first reads them,
-    and kept."""
+    outside, then the end value ``f_N``) and its ``mass``, with the
+    density's ``cells``, the body's exceedance masses ``above`` at the knots
+    and ``at = (k, lo, s)``, ``k`` the cell holding ``lo``.  :func:`_normal_form`
+    builds the whole body, from the first knot about 0; :meth:`cut` reads
+    every other off it.  The moments (:func:`_moments`, the first is the
+    mass) are formed when a Taylor point other than 0 first reads them."""
 
-    def __init__(self, cells, lo: float, s: float = 0.0) -> None:
-        z0, z1, p, m = cells
-        keep = z1 > lo
-        cp, cm = p[keep], m[keep]
-        c0 = np.maximum(z0[keep], lo)
-        c1 = z1[keep]
-        ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
-        # about s the density is (p + m s) + m (u - s)
-        cp = cp + cm * s
-        c0, c1 = c0 - s, c1 - s
-        slopes = np.concatenate([[0.0], cm, [0.0]])
-        self.nodes = np.concatenate([c0[:1], c0[:1], c1, c1[-1:]])
-        self.weights = np.concatenate([[-ends[0]], slopes[:-1] - slopes[1:], [ends[1]]])
-        self.nodes.flags.writeable = self.weights.flags.writeable = False
-        self._cells = c0, c1, cp, cm
-        self.mass = self._moment(0)
+    def __init__(self, cells, above, at, nodes, weights, mass: float) -> None:
+        self._cells, self.above, self._at = cells, above, at
+        self.nodes, self.weights, self.mass = nodes, weights, mass
 
-    def _moment(self, k: int) -> float:
-        c0, c1, cp, cm = self._cells
-        mk = (c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1)
-        mk1 = (c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2)
-        return float(np.sum(cp * mk + cm * mk1))
+    def cut(self, lo: float, s: float) -> "_Body":
+        """This whole body on ``[lo, knots[-1]]`` about ``s`` (itself at
+        ``lo <= knots[0]``, ``s = 0``): the whole body's nodes and weights
+        from ``k + 2`` on after the pair ``(lo, -f(lo))``, ``(lo, -m_k)``,
+        nodes less ``s``, and :func:`_mass_above` from ``above``."""
+        z0, z1, p, m = self._cells
+        if lo <= z0[0] and s == 0.0:
+            return self
+        k = int(np.searchsorted(z1, lo, side="right"))
+        lo = max(lo, float(z0[k]))  # below the first knot the body starts there
+        mass, f_lo, _ = _mass_above(self._cells, self.above, k, lo)
+        # 0 - m_k is the slope jump into cell k, formed as the whole body's first
+        return _Body(self._cells, self.above, (k, lo, s),
+                     np.concatenate([(lo, lo), self.nodes[k + 2:]]) - s,
+                     np.concatenate([(-f_lo, 0.0 - m[k]), self.weights[k + 2:]]), float(mass))
 
     @cached_property
     def moments(self) -> tuple[float, ...]:
-        return (self.mass, *(self._moment(k) for k in range(1, _TAYLOR_TERMS)))
+        return (self.mass, *_moments(self._cells, *self._at, range(1, _TAYLOR_TERMS)))
 
 
-# The last body _body_of built: (cells, lo, s, body).
-_LAST_BODY = [None]
+def _moments(cells, k: int, lo: float, s: float, orders) -> list[float]:
+    """``integral_(u >= lo) (u - s)^j pi(u) du`` over the body for each ``j``
+    of ``orders``, cell by cell from the cell ``k`` holding ``lo``."""
+    z0, z1, p, m = cells
+    c0 = z0[k:] - s
+    c0[0] = lo - s
+    # about s the density is (p + m s) + m (u - s)
+    c1, cp, cm = z1[k:] - s, p[k:] + m[k:] * s, m[k:]
+    return [float(np.sum(cp * ((c1 ** (j + 1) - c0 ** (j + 1)) / (j + 1))
+                         + cm * ((c1 ** (j + 2) - c0 ** (j + 2)) / (j + 2)))) for j in orders]
 
 
-def _body_of(jumps: JumpSpec, lo: float, s: float) -> _Body:
-    """The :class:`_Body` of ``jumps`` on ``[lo, knots[-1]]`` about ``s``,
-    reused while the next call asks for the same body: R4 values at one threshold
-    take it about the same ``m = log K - c*`` in :func:`shifted_jump_integrals`,
-    :func:`jump_excess` and :func:`_excess_transform`, all through
-    :func:`_jump_expm1`.  The memo is keyed on the identity of ``jumps``'
-    cells, which it holds, so a lookup costs no hash of the density."""
-    last = _LAST_BODY[0]
-    if last is not None and last[0] is jumps._cells and last[1] == lo and last[2] == s:
-        return last[3]
-    body = _Body(jumps._cells, lo, s)
-    _LAST_BODY[0] = (jumps._cells, lo, s, body)
-    return body
+def _mass_above(cells, above, k, u):
+    """``integral_(z >= u) pi(z) dz`` with ``u`` in cell ``k``, elementwise:
+    ``above[k + 1]`` (exceedance masses at the knots) plus the trapezoid of
+    cell ``k`` above ``u``; also the density at ``u`` and at the cell's top."""
+    z0, z1, p, m = cells
+    vu, v1 = p[k] + m[k] * u, p[k] + m[k] * z1[k]
+    return above[k + 1] + 0.5 * (z1[k] - u) * (vu + v1), vu, v1
 
 
 def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> None:
     """Cache the normal form of ``spec`` and its constants (see above)."""
     cells, body, m1, mass, above = None, None, 0.0, tail_mass, np.array([tail_mass])
     if len(knots) > 1:
-        cells = _cells(knots, values)
-        body = _Body(cells, knots[0])
-        mass = body.mass + tail_mass
-        z0, z1, p, m = cells
+        cells = z0, z1, p, m = _cells(knots, values)
+        cell_mass = p * (z1 - z0) + 0.5 * m * (z1**2 - z0**2)
+        body_above = np.concatenate([np.cumsum(cell_mass[::-1])[::-1], [0.0]])
+        slopes = np.concatenate([[0.0], m, [0.0]])
+        at = (0, knots[0], 0.0)
+        body = _Body(cells, body_above, at, np.concatenate([z0[:1], z0[:1], z1, z1[-1:]]),
+                     np.concatenate([[-(p[0] + m[0] * z0[0])], slopes[:-1] - slopes[1:],
+                                     [p[-1] + m[-1] * z1[-1]]]), _moments(cells, *at, [0])[0])
+        body.nodes.flags.writeable = body.weights.flags.writeable = False
+        mass, above = body.mass + tail_mass, body_above + tail_mass
         below = z0 < 1.0
         c0, c1 = z0[below], np.minimum(z1[below], 1.0)
         m1 = float(np.sum(p[below] * (c1**2 - c0**2) / 2 + m[below] * (c1**3 - c0**3) / 3))
-        cell_mass = p * (z1 - z0) + 0.5 * m * (z1**2 - z0**2)
-        above = np.concatenate([np.cumsum(cell_mass[::-1])[::-1] + tail_mass, [tail_mass]])
     zN, r = knots[-1], tail_rate
     if tail_mass > 0.0 and zN < 1.0:
         # the tail's share of the compensator mass, from zN to 1
@@ -293,24 +300,6 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
                       ("_cells", cells), ("_body", body), ("_mass", mass), ("_m1", m1),
                       ("_above", above)):
         object.__setattr__(spec, name, val)
-
-
-def _row_sum_width(n: int, cut: int) -> int:
-    """The least ``width >= cut`` whose row sum ``np.add.reduce`` over the
-    first ``width`` of ``n`` complex entries has the bits of the sum over all
-    ``n`` when every entry from ``cut`` on is 0.  numpy sums a row pairwise:
-    it halves a row of more than 64 entries at a multiple of 4, and sums a
-    block of at most 64 in 4 running accumulators, 4 entries a step, then
-    the remainder one by one.  So a prefix keeps the bits when it is a left
-    half of that tree, or a whole number of steps of its block; zeros
-    elsewhere add exactly."""
-    while n > 64:
-        half = (n - n % 8) // 2
-        if cut > half:
-            return n
-        n = half
-    steps = -(-cut // 4) * 4
-    return n if steps > n - n % 4 else steps
 
 
 def _body_expm1(body: _Body, a, step=None):
@@ -359,9 +348,7 @@ def _body_expm1(body: _Body, a, step=None):
     ``top`` their largest first-rung ``Re(a)``, every node ``u_j`` with
     ``top u_j < _EXP_UNDERFLOW`` (and the last end) has an exponential of
     exactly 0 in every row and on every rung, so only the nodes before it
-    are formed: the live prefix.  The slope row sums run over zeros out to
-    :func:`_row_sum_width`'s width, so their pairwise order, and every bit
-    of the result, is that of the sum over all nodes.
+    are formed: the live prefix, whose slope row sums alone are taken.
     """
     nodes, weights = body.nodes, body.weights
     reach = nodes[-1]
@@ -393,18 +380,14 @@ def _body_expm1(body: _Body, a, step=None):
     if rows.any():
         lad = ladders[rows]
         # past the first `cut` slope nodes, and at the last end, every node
-        # exponential of every row is exactly 0: a row of `terms` is the
-        # first end, the slope nodes out to `width` (zeros past `cut`) and
-        # the last end, and only its first `cut + 1` entries, or all, are formed
+        # exponential of every row is exactly 0: a row of `live` is the
+        # first end and the first `cut` slope nodes, or every node
         n = len(nodes) - 2
         top = lad[:, 0].real.max()
         cut = n if top >= 0.0 else int(np.count_nonzero(top * nodes[1:-1] >= _EXP_UNDERFLOW))
-        width = _row_sum_width(n, cut)
-        terms = np.zeros((len(lad), width + 2), dtype=complex)
-        live = terms[:, :n + 2 if cut == n else cut + 1]
-        formed = live.shape[1]
+        formed = n + 2 if cut == n else cut + 1
         with np.errstate(all="ignore"):  # rungs the masks replace may overflow
-            np.multiply.outer(lad[:, 0], nodes[:formed], out=live)
+            live = np.multiply.outer(lad[:, 0], nodes[:formed])
             np.exp(live, out=live)
             live *= weights[:formed]
             if rungs > 1:
@@ -414,7 +397,8 @@ def _body_expm1(body: _Body, a, step=None):
             # slope jumps' row sums and the end pair; then one quotient
             sums = np.empty((rungs, len(lad)), dtype=complex)
             ends = np.empty_like(sums)
-            slopes, first, last = terms[:, 1:width + 1], terms[:, 0], terms[:, -1]
+            slopes, first = live[:, 1:cut + 1], live[:, 0]
+            last = live[:, -1] if cut == n else 0.0
             mul, add, row_sum = np.multiply, np.add, np.add.reduce
             for k, (sum_k, end_k) in enumerate(zip(sums, ends)):
                 if k:
@@ -441,9 +425,8 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     """``integral_(u >= lo) pi(u) expm1(a (u - s)) du`` for ``lo >= s``,
     elementwise over ``a`` (``step`` marks a ladder, as in :func:`_body_expm1`).
 
-    The body is :func:`_body_expm1` about ``s``, on the cached ``_body`` when
-    that is the whole body about 0, else on :func:`_body_of`'s, so that
-    memo's one entry stays its caller's ``(lo, s)``.  The tail past
+    The body is :func:`_body_expm1` on the cached whole ``_body``'s
+    :meth:`_Body.cut` at ``(lo, s)``.  The tail past
     ``start = max(lo, zN)`` holds mass ``M`` and gives
     ``M (r expm1(a d) + a)/(r - a)``, ``d = start - s``: its digits hold as
     ``a -> 0``, and past the abscissa it is the continuation.  Where
@@ -459,8 +442,7 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     zN, tail, real = knots[-1], jumps._tail_mass, isinstance(a, float)
     total = 0.0
     if jumps._body is not None and lo < zN:
-        body = jumps._body if lo <= knots[0] and s == 0.0 else _body_of(jumps, lo, s)
-        total = _body_expm1(body, a, step)
+        total = _body_expm1(jumps._body.cut(lo, s), a, step)
     if tail > 0.0:
         start = lo if lo > zN else zN
         x, mass = a * (start - s), tail if start == zN else tail * math.exp(-r * (start - zN))
@@ -844,9 +826,9 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
         exp_above = np.concatenate([np.cumsum(cell_exp[::-1])[::-1], [0.0]])
         uc = np.clip(u, knots[0], zN)
         k = np.minimum(np.searchsorted(z1, uc, side="right"), len(z1) - 1)
-        vu, v1 = p[k] + m[k] * uc, p[k] + m[k] * z1[k]
+        in_body, vu, v1 = _mass_above(jumps._cells, jumps._above, k, uc)
         body = u < zN
-        mass = np.where(body, jumps._above[k + 1] + 0.5 * (z1[k] - uc) * (vu + v1), mass)
+        mass = np.where(body, in_body, mass)
         expo = np.where(body, expo + np.exp(zN - d) * exp_above[k + 1]
                         + np.exp(z1[k] - d) * (v1 - m[k]) - np.exp(uc - d) * (vu - m[k]), expo)
     return mass, expo

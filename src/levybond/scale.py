@@ -193,13 +193,6 @@ class Method(enum.Enum):
 # numeric inverters
 # --------------------------------------------------------------------------- #
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """``e^x`` at each point of ``x`` by :func:`math.exp`, so that a batched
-    point rounds as a one-point call does; numpy's vector exp may differ from
-    it in the last bit."""
-    return np.array([math.exp(t) for t in x.tolist()])
-
-
 def _in_row_blocks(rule):
     """Run an inversion rule on ``x`` in blocks of ``_CHUNK_ROWS`` points, so
     the transform's arrays stay under 1 MB; ``scale`` is one contour scale or
@@ -239,7 +232,7 @@ def _euler(transform, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     terms = _EULER_SIGN * transform(s, math.pi / x).real
     partial = np.cumsum(terms, axis=1)
     avg = partial[:, _EULER_N:] @ _EULER_BINOM
-    return _exp(big_a / 2.0) / x * avg / 2.0**_EULER_ME
+    return np.exp(big_a / 2.0) / x * avg / 2.0**_EULER_ME
 
 
 def _resolvent_transform(model: LevyModel, q: float, tilt: float, num=None, rest=None):
@@ -450,7 +443,7 @@ def _w_resolvent(ev: ScaleEvaluator, v, num, rest=None, tilt: float = 0.0):
     vs = np.asarray(v, dtype=float)
     x = vs.ravel()
     transform = _resolvent_transform(ev.model, ev.q, tilt, num, rest)
-    out = _exp(tilt * x) * _invert_at(ev, transform, x, tilt)
+    out = np.exp(tilt * x) * _invert_at(ev, transform, x, tilt)
     return float(out[0]) if vs.ndim == 0 else out.reshape(vs.shape)
 
 
@@ -532,7 +525,7 @@ def _w_combination(ev: ScaleEvaluator, v, a: float, b: float, c: float,
         live = (vs > 0.0) & (vs < math.inf)
         if live.any():
             x = vs[live]
-            acc[live] = _w_resolvent(ev, x, num, rest) + (f0 + f1 * x) * _exp(-x)
+            acc[live] = _w_resolvent(ev, x, num, rest) + (f0 + f1 * x) * np.exp(-x)
         return float(acc) if vs.ndim == 0 else acc
     # (k, g, e^(-k v)) of each kernel g e^(-k y), with G(m) read once
     g_jump = -d * float(jump_excess(model, m)) if d else 0.0

@@ -288,7 +288,9 @@ def _call_boundary_value(model: LevyModel, params: GameParams, ph: float,
 
 def c_star(model: LevyModel, params: GameParams, *,
            _q1_value: float | None = None) -> float:
-    """Issuer's early-call threshold in regime R4 (below ``log K``)."""
+    """Issuer's early-call threshold ``log K - s`` in regime R4: the boundary
+    excess ``call_boundary_value(log K - s) - K`` is positive at ``s = 1e-10``
+    and changes sign once, so ``model._root_past`` brackets it on ``[1e-10, 2^k]``."""
     qv, K = params.q, params.K
     if _q1_value is None:
         _q1_value = q1(model, params)
@@ -299,21 +301,18 @@ def c_star(model: LevyModel, params: GameParams, *,
         )
     ph = phi(model, qv)
     log_k = math.log(K)
-    if _call_boundary_value(model, params, ph, log_k - 1e-8) <= K:
+
+    def excess(s: float) -> float:
+        return _call_boundary_value(model, params, ph, log_k - s) - K
+
+    near = excess(1e-10)
+    if not (near > 0.0):
         raise BracketError(
             "boundary value does not exceed the cap below log K; "
             "thresholds are inconsistent with the classified regime"
         )
-    hi = log_k - 1e-10
-    lo = hi - 1.0
-    for _ in range(400):
-        if _call_boundary_value(model, params, ph, lo) < K:
-            break
-        lo -= 1.0
-    else:
-        raise BracketError("no lower bracket for the issuer threshold")
-    return brentq(lambda c: _call_boundary_value(model, params, ph, c) - K,
-                  lo, hi, xtol=1e-14)
+    return log_k - _root_past(excess, 1e-10, near,
+                              BracketError("no lower bracket for the issuer threshold"))
 
 
 # --------------------------------------------------------------------------- #

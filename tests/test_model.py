@@ -36,7 +36,6 @@ from levybond import (
 from levybond.model import (
     _EXP_GUARD,
     _body_expm1,
-    _body_of,
     _excess_transform,
     _jump_expm1,
     _jump_exponent_real,
@@ -436,7 +435,7 @@ class TestJumpIntegral:
         for a in (taylor, -taylor, *by_parts, guarded):
             want = 0.0
             if lo < zN:
-                want = float(_body_expm1(_body_of(jumps, lo, s), np.array([a + 0j]))[0].real)
+                want = float(_body_expm1(jumps._body.cut(lo, s), np.array([a + 0j]))[0].real)
             if jumps._tail_mass > 0.0:
                 start = max(lo, zN)
                 x = a * (start - s)
@@ -456,7 +455,7 @@ class TestJumpIntegral:
         # a real scalar with |a| w < 1 takes a float Taylor sum; each of its
         # products and sums is the real part of the complex array's, so the
         # bits agree at every point, the ends of the range and 0 included
-        body = _body_of(tabulated_exp_density(n), lo, s)
+        body = tabulated_exp_density(n)._body.cut(lo, s)
         reach = float(body.nodes[-1])
         edge = math.nextafter(1.0 / reach, 0.0)
         points = np.random.default_rng(n).uniform(-1.0, 1.0, 200) / reach
@@ -493,7 +492,7 @@ class TestJumpIntegral:
         # formed.  A body whose first node is 0 has no dead row.  The formed
         # sum's imaginary zero on a dead rung may carry either sign; the skip
         # writes +0, which compares equal
-        body = _body_of(tabulated_exp_density(n), lo, s)
+        body = tabulated_exp_density(n)._body.cut(lo, s)
         u0 = float(body.nodes[0])
         edge = -746.0 / (u0 if u0 else 0.004)
         re = edge * np.array([0.5, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.01, 2.0, 1e3, 1e7])
@@ -517,7 +516,7 @@ class TestJumpIntegral:
         zN = knots[-1]
         total = 0.0
         if lo < zN:
-            total = TestJumpIntegral.by_parts(_body_of(jumps, lo, s), a, step)
+            total = TestJumpIntegral.by_parts(jumps._body.cut(lo, s), a, step)
         start = max(lo, zN)
         mass = jumps._tail_mass * (math.exp(-r * (start - zN)) if start > zN else 1.0)
         return total + mass * (r * np.expm1(a * (start - s)) + a) / (r - a)
@@ -537,7 +536,7 @@ class TestJumpIntegral:
         dead rows and the live prefixes) and ``Re(a) d = -746`` for the tail's
         ``d = max(lo, zN) - s``, each edge also one ulp and 1e-12 either side."""
         knots = jumps._pieces[0]
-        nodes = _body_of(jumps, lo, s).nodes[1:-1] if lo < knots[-1] else np.array([])
+        nodes = jumps._body.cut(lo, s).nodes[1:-1] if lo < knots[-1] else np.array([])
         edges = [-746.0 / (max(lo, knots[-1]) - s)]
         edges += [-746.0 / u for u in nodes[nodes > 0.0][::len(nodes) // 9 or 1]]
         re = [e * f for e in edges for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
@@ -549,7 +548,9 @@ class TestJumpIntegral:
                              ids=["from-0", "in-body", "past-last-knot"])
     def test_skips_keep_the_bits(self, name, lo, s):
         # dead tail points (expm1 written as -1), dead trailing nodes and the
-        # one quotient per ladder against all_nodes: real parts bit for bit.
+        # one quotient per ladder against all_nodes: real parts bit for bit,
+        # and each point within 1e-15 of its modulus (an imaginary part
+        # cancels to ~1e-9 of it, and a live prefix sums in its own order).
         # Each row alone has its own live prefix; all rows together share the
         # widest, and with rows where Re(a) >= 0 every node is formed
         jumps = self.LADDER_JUMPS[name]
@@ -565,7 +566,7 @@ class TestJumpIntegral:
                               (_jump_expm1(jumps, lo, s, lad), self.all_nodes(jumps, lo, s, lad))):
                 assert got.shape == lad.shape
                 assert got.real.tobytes() == want.real.tobytes(), lad[:, 0]
-                assert np.allclose(got.imag, want.imag, rtol=1e-15, atol=0.0)
+                assert (abs(got - want) <= 1e-15 * abs(want)).all()
         for a0 in (complex(re[0], 3e9), complex(re[len(re) // 2], -7.0), 0.4 - 2j):
             got, want = _jump_expm1(jumps, lo, s, a0), self.all_nodes(jumps, lo, s, np.array([a0]))
             assert np.shape(got) == ()
@@ -591,22 +592,50 @@ class TestJumpIntegral:
             want[~np.isfinite(want)] = np.inf
             assert got.real.tobytes() == want.real.tobytes()
 
-    def test_row_sum_width_keeps_the_bits(self):
-        # numpy's pairwise row sum over the first width entries equals the
-        # sum over all n, zeros past cut, bit for bit: the order the live
-        # prefix relies on, checked for every cut of every n up to 300
-        rng = np.random.default_rng(23)
-        for n in range(1, 301):
-            rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-            rows *= np.exp(rng.uniform(-40.0, 40.0, (2, n)))
-            for cut in range(1, n + 1):
-                width = model_module._row_sum_width(n, cut)
-                assert cut <= width <= n
-                padded = rows.copy()
-                padded[:, cut:] = 0.0
-                full, prefix = np.add.reduce(padded, axis=1), np.add.reduce(padded[:, :width], axis=1)
-                assert full.tobytes() == prefix.tobytes(), (n, cut, width)
-        assert model_module._row_sum_width(401, 126) == 200
+    @staticmethod
+    def rebuilt(cells, lo, s):
+        """The body on ``[lo, knots[-1]]`` about ``s`` built from the cells by
+        masks and concatenations, the oracle for a cut: its nodes, weights
+        and the moments of orders 1 to 15, each a sum over its cells."""
+        z0, z1, p, m = cells
+        keep = z1 > lo
+        cp, cm = p[keep], m[keep]
+        c0 = np.maximum(z0[keep], lo)
+        c1 = z1[keep]
+        ends = (cp[0] + cm[0] * c0[0], cp[-1] + cm[-1] * c1[-1])
+        cp = cp + cm * s
+        c0, c1 = c0 - s, c1 - s
+        slopes = np.concatenate([[0.0], cm, [0.0]])
+        nodes = np.concatenate([c0[:1], c0[:1], c1, c1[-1:]])
+        weights = np.concatenate([[-ends[0]], slopes[:-1] - slopes[1:], [ends[1]]])
+        moments = [float(np.sum(cp * ((c1 ** (k + 1) - c0 ** (k + 1)) / (k + 1))
+                                + cm * ((c1 ** (k + 2) - c0 ** (k + 2)) / (k + 2))))
+                   for k in range(1, model_module._TAYLOR_TERMS)]
+        return nodes, weights, moments
+
+    @pytest.mark.parametrize("name", [*LADDER_JUMPS, "NO_TAIL"])
+    def test_cut_is_the_rebuilt_body(self, name):
+        # below the first knot, on a knot, inside a cell and in the last
+        # cell, about 0, lo and lo - 1: nodes and weights bit for bit, the
+        # moments to 1e-13, and the mass to 1e-13 of a 50-digit sum
+        mp = pytest.importorskip("mpmath")
+        jumps = {**self.LADDER_JUMPS, "NO_TAIL": self.NO_TAIL}[name]
+        knots, values, _ = jumps._pieces
+        for lo in (knots[0] / 2, knots[40], (knots[7] + knots[8]) / 2, (knots[-2] + knots[-1]) / 2):
+            with mp.workdps(50):
+                mass = 0
+                for z0, z1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+                    if z1 > lo:
+                        z0, z1, v0, v1, u = map(mp.mpf, (z0, z1, v0, v1, max(z0, lo)))
+                        mass += (z1 - u) * (v0 + (v1 - v0) * (u - z0) / (z1 - z0) + v1) / 2
+                mass = float(mass)
+            for s in (0.0, lo, lo - 1.0):
+                body = jumps._body.cut(lo, s)
+                nodes, weights, moments = self.rebuilt(jumps._cells, lo, s)
+                assert body.nodes.tobytes() == nodes.tobytes(), (lo, s)
+                assert body.weights.tobytes() == weights.tobytes(), (lo, s)
+                assert np.allclose(body.moments[1:], moments, rtol=1e-13, atol=0.0), (lo, s)
+                assert abs(body.mass - mass) <= 1e-13 * mass, (lo, s, body.mass, mass)
 
 
 class TestRealAxisOnce:
@@ -617,7 +646,7 @@ class TestRealAxisOnce:
     def test_zero_forms_no_moment(self, lo, s):
         jumps = tabulated_exp_density(101)
         for a in (0.0, -0.0):
-            body = model_module._Body(jumps._cells, lo, s)
+            body = jumps._body.cut(lo, s)
             got = _body_expm1(body, a)
             assert type(got) is float and got.hex() == (0.0).hex()
             assert "moments" not in body.__dict__

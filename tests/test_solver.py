@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+import levybond.model as model_module
 import levybond.scale as scale_module
 import levybond.solver as solver_module
 
@@ -65,7 +66,7 @@ EXPJ = LevyModel(0.1, 0.3, ExponentialJumps(0.8, 1.7))           # psi(-1) ~ 0.9
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # deliberate sub-grid mass drop
-    _g = np.linspace(0.004, 8.0, 401)
+    _g = _g401 = np.linspace(0.004, 8.0, 401)
     TAB = LevyModel(0.1, 0.3, TabulatedDensity(tuple(_g), tuple(2.0 * np.exp(-2.0 * _g)), 2.0))
     _g = np.linspace(0.004, 8.0, 101)
     TAB101 = LevyModel(0.1, 0.3, TabulatedDensity(tuple(_g), tuple(2.0 * np.exp(-2.0 * _g)), 2.0))
@@ -361,6 +362,23 @@ class TestIssuerThreshold:
             root = c_star(model, gp(qq))
             resid = call_boundary_value(model, gp(qq), root) - 2.0
             assert abs(resid) <= 1e-9 * 2.0
+
+    def test_cold_threshold_forms_no_moment(self, monkeypatch):
+        # every boundary value cuts the density's one body, whose mass is a
+        # suffix sum, and model._root_past brackets s = log K - c from 1e-10;
+        # a fresh density, so no earlier call has formed anything for it
+        density = TabulatedDensity(tuple(_g401), tuple(2.0 * np.exp(-2.0 * _g401)), 2.0)
+        model = LevyModel(0.1, 0.3, density)
+        calls, moments = [], []
+        boundary, formed = solver_module._call_boundary_value, model_module._moments
+        monkeypatch.setattr(solver_module, "_call_boundary_value",
+                            lambda *args: calls.append(args[3]) or boundary(*args))
+        monkeypatch.setattr(model_module, "_moments",
+                            lambda *args: moments.append(args[1:4]) or formed(*args))
+        phi.cache_clear()
+        c = c_star(model, gp(1.05))
+        assert moments == [] and len(calls) <= 9, (moments, calls)
+        assert abs(call_boundary_value(model, gp(1.05), c) - 2.0) <= 1e-12
 
     def test_boundary_value_shape(self):
         # increasing in c, correct deep limit, above the cap near log K
