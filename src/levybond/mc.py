@@ -6,10 +6,12 @@ the path is laid out piece by piece between them: linear and downhill
 without a Gaussian part, so that upward passages happen only at jumps;
 with one, a Brownian motion with drift with one Gaussian endpoint and one
 exact bridge maximum per piece.  A piece keeps only what the draws decide:
-its end time, X before and after its closing jump and, with a Gaussian
-part, its bridge maximum; where it starts is read off the piece before it
-(:func:`_piece_start`), at the pieces an estimator reads.  No time grid
-enters, so no estimator reads ``SimConfig.dt``.
+its end time, X after its closing jump and, with a Gaussian part, X before
+that jump and its bridge maximum.  Where it starts is read off the piece
+before it (:func:`_piece_start`), and without a Gaussian part where it
+ends is that start plus its drift (:func:`_piece_end`), both at the pieces
+an estimator reads.  No time grid enters, so no estimator reads
+``SimConfig.dt``.
 :func:`upcrossing_discount_profile` and every game-value variant of one
 call read one set of joint first passages (:func:`_passages`), which keeps
 the paired comparisons of :func:`saddle_check` sharp (common random
@@ -28,8 +30,9 @@ estimate bit for bit given the seed:
   jumps; ``rows x m`` blocks, ``m`` the chunk's largest count and at least
   1), then with a Gaussian part one standard normal and then one bridge
   uniform per piece (``rows x (m + 1)`` blocks).  Each block is drawn
-  whole into the one draw block of its shape that the tableau is built in,
-  and the tableau keeps its real slots alone;
+  whole into the one draw block of its shape that the tableau is built in
+  (the size uniforms become sizes there, in place), and the tableau keeps
+  its real slots alone;
 * then the estimator's draws, rows ascending.  :func:`_passages`, level by
   level: one uniform per path that passed the level below continuously,
   then one inverse Gaussian (``Generator.wald``) per continuous passage
@@ -48,8 +51,8 @@ moments are merged in chunk order by the pairwise update of Chan, Golub &
 LeVeque (1983); the neglected masses of :func:`two_sided_exit` are added in
 that order too.  So no output depends on the number of workers, and memory
 is bounded by the chunks in flight, whatever the path count; within a
-chunk, :func:`two_sided_exit` drops each round's arrays once it has read
-them.
+chunk, :func:`two_sided_exit` replaces each round's arrays one at a time
+and writes its halves into one fresh array per field.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -72,13 +75,13 @@ import numpy as np
 from .errors import ConfigError, DomainError, TruncationWarning
 from .model import (
     LevyModel,
+    _jump_sizes_into,
     _m1,
     exp_growth_rate,
     jump_intensity,
     jump_passage_means,
     phi,
     require_discount_condition,
-    sample_jump_sizes,
 )
 from .solver import IMMEDIATE_STOP, ImmediateStop
 
@@ -101,13 +104,14 @@ _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths per chunk, each chunk one tableau
 # expected jumps per path the event tableau accepts: a chunk builds its
 # tableau in one (paths x most jumps) draw block, ~135 MiB at the limit
-# (4096 paths x ~4320 jumps), where its worker peaks near 1.5 GiB (below)
+# (4096 paths x ~4320 jumps), where its worker peaks near 1.5 GiB with a
+# Gaussian part and 0.8 GiB without (below)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
-# hold together; a worker peaks near 98 bytes per slot with a Gaussian
-# part (72 without): the tableau it holds, 32 (24 without: no smax), while
-# it builds the next in its draw block, 65 at the build's peak (47).  So
-# this bounds the pool near 0.4 GB, and one chunk always runs
+# hold together; a worker peaks near 93 bytes per slot with a Gaussian
+# part (48 without): the tableau it holds, 32 (16 without: t1 and post
+# alone), while it builds the next in its draw block, 61 at the build's
+# peak (31).  So this bounds the pool near 0.4 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
@@ -261,12 +265,13 @@ class _Tableau(NamedTuple):
     """One chunk's pieces between jumps, flat: row ``i``'s are
     ``start[i]:end[i]`` in time order, from time 0 to the horizon.  A piece
     keeps what the draws decide: its closing jump's epoch (``t1``), X just
-    before and after that jump (``pre``, ``post``) and, with a Gaussian part,
-    its bridge maximum (``smax``); a row's last piece closes at T with no
-    jump and ``post = -inf``.  A piece starts where the one before it closed,
-    or at ``(0, 0)`` for a row's first (:func:`_piece_start`).  The draw
-    blocks are (paths x most jumps), but these arrays hold real pieces
-    alone."""
+    after that jump (``post``) and, with a Gaussian part, X just before it
+    (``pre``) and its bridge maximum (``smax``); a row's last piece closes
+    at T with no jump and ``post = -inf``.  A piece starts where the one
+    before it closed, or at ``(0, 0)`` for a row's first
+    (:func:`_piece_start`), and without a Gaussian part it ends at its start
+    plus its drift (:func:`_piece_end`).  The draw blocks are (paths x most
+    jumps), but these arrays hold real pieces alone."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
@@ -274,9 +279,10 @@ class _Tableau(NamedTuple):
     end: np.ndarray      # one past each row's last piece
     t1: np.ndarray       # end time of each piece: its closing jump's epoch, or T
     post: np.ndarray     # X just after each piece's closing jump
-    pre: np.ndarray      # X at each piece's end, before its closing jump
-    # maximum of X over each piece; None without a Gaussian part, where a
-    # piece runs downhill from its start, which the jump before it reached
+    # X at each piece's end, before its closing jump, and the maximum of X
+    # over each piece; both None without a Gaussian part, where a piece runs
+    # downhill from its start, which the jump before it reached
+    pre: Optional[np.ndarray]
     smax: Optional[np.ndarray]
     drawn: object = None  # the estimator's own draws, made first (``begin``)
 
@@ -294,6 +300,19 @@ def _piece_start(c: _Tableau, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t0, y0
 
 
+def _piece_end(model: LevyModel, c: _Tableau, k: np.ndarray) -> np.ndarray:
+    """X at the end of each piece ``k``, just before its closing jump:
+    ``pre`` with a Gaussian part, else the piece's start plus its drift
+    times its length, by the build's operations in the build's order."""
+    if c.pre is not None:
+        return c.pre[k]
+    t0, y0 = _piece_start(c, k)
+    x = c.t1[k] - t0
+    x *= _sim_drift(model)
+    x += y0
+    return x
+
+
 def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
                    begin: Optional[Callable[[np.random.Generator, int], object]] = None
                    ) -> _Tableau:
@@ -301,8 +320,9 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     ``begin(rng, rows)`` makes the estimator's draws first, and the tableau
     keeps them as ``drawn``.  A Gaussian part moves each piece by
     ``sqrt(b^2 len) Z`` and gives it an exact bridge maximum; without one a
-    piece peaks at its start.  Each row's prefix sums run along its row of
-    the padded draw block, so they are exact.
+    piece peaks at its start, and the tableau keeps ``t1`` and ``post``
+    alone.  Each row's prefix sums run along its row of the padded draw
+    block, so they are exact.
     """
     T = config.horizon
     drift = _sim_drift(model)
@@ -314,33 +334,36 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
     m = max(1, int(counts.max()))
     slots = np.arange(m) < counts[:, None]          # the slots holding a jump
+    end = np.cumsum(counts + 1)
+    start = end - (counts + 1)
+    closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
+    closes[end - 1] = False
     # one draw block: the epoch uniforms, then the sizes and their prefix
     # sums; a row's jumps are its leading slots, so the trailing ones may
     # hold anything once the epochs are sorted
     block = rng.random((rows, m))
     block[~slots] = 2.0                             # empty slots sort last
     block.sort(axis=1)
-    jt = block[slots]
-    jt *= T
-    after = drift * jt                              # X just after each jump
+    block *= T
+    t1 = np.full(len(closes), T)
+    t1[closes] = block[slots]
     if rate > 0.0:
         rng.random(out=block)
-        block[slots] = sample_jump_sizes(model, block[slots])
+        _jump_sizes_into(model, block)              # every slot's, in place
         np.cumsum(block, axis=1, out=block)
-        after += block[slots]
+    # X just after each jump: the sizes up to it, plus its epoch's drift
+    after = block[slots]
     del block
-    end = np.cumsum(counts + 1)
-    start = end - (counts + 1)
-    closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
-    closes[end - 1] = False
-    t1 = np.full(len(closes), T)
-    t1[closes] = jt
-    # each piece's length, t1 less the start time (the t1 of the piece
-    # before, 0 at a row's first); then its drift, its move and its start
-    pre = t1.copy()
-    np.subtract(t1[1:], t1[:-1], out=pre[1:], where=closes[:-1])
-    spread = None
+    jt = t1[closes]
+    jt *= drift
+    after += jt
+    del jt
+    pre = smax = None
     if model.b2 > 0.0:
+        # each piece's length, t1 less the start time (the t1 of the piece
+        # before, 0 at a row's first); then its drift, its move and its start
+        pre = t1.copy()
+        np.subtract(t1[1:], t1[:-1], out=pre[1:], where=closes[:-1])
         # one block for the Gaussian moves, their prefix sums and then the
         # bridge uniforms, each row's pieces again its leading slots
         pieces = np.arange(m + 1) <= counts[:, None]
@@ -355,17 +378,17 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
         del block
         np.log(spread, out=spread)
         spread *= -2.0 * model.b2 * pre
-    pre *= drift
-    if spread is not None:
+        pre *= drift
         pre += move
         del move
     post = np.full(len(t1), -np.inf)
     post[closes] = after
-    del jt, after                                   # freed before the bridge maxima
-    y0 = np.zeros(len(post))                        # X at each piece's start
-    np.copyto(y0[1:], post[:-1], where=closes[:-1])
-    pre += y0
-    smax = None if spread is None else _bridge_max(y0, pre, spread)
+    del after                                       # freed before the bridge maxima
+    if model.b2 > 0.0:
+        y0 = np.zeros(len(post))                    # X at each piece's start
+        np.copyto(y0[1:], post[:-1], where=closes[:-1])
+        pre += y0
+        smax = _bridge_max(y0, pre, spread)
     return _Tableau(chunk, rng, start, end, t1, post, pre, smax, drawn)
 
 
@@ -394,9 +417,10 @@ def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
     workers = _pool_size(len(chunks), jumps)
 
     def lane(ks: range) -> list:
-        # c holds the last tableau until the next is built: freed first, it
-        # would leave the heap top empty, malloc would trim it, and the next
-        # build would fault every page back in (4x the page faults)
+        # c holds the last tableau (32 bytes a slot with a Gaussian part, 16
+        # without) until the next is built: freed first, it would leave the
+        # heap top empty, malloc would trim it, and the next build would
+        # fault every page back in (4x the page faults)
         return [work(c) for c in (_event_tableau(model, config, tag, k, begin) for k in ks)]
 
     # each worker runs in a copy of the caller's context, so that numpy's
@@ -464,7 +488,7 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
         r = np.nonzero(cont)[0]
         pr = piece[r]
         with np.errstate(divide="ignore", over="ignore"):
-            chance = np.exp(-2.0 * (lvl - last) * (lvl - c.pre[pr])
+            chance = np.exp(-2.0 * (lvl - last) * (lvl - _piece_end(model, c, pr))
                             / (model.b2 * (c.t1[pr] - t_prev[r])))
         again = c.rng.random(len(r)) < chance
         p_at[r[again]] = pr[again]
@@ -492,13 +516,13 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
         t[r] = t_from[r]
         below = x_from[r] < lvl
         r, pr = r[below], pr[below]
-        t[r] += _bridge_passage(c.rng, model.b2, x_from[r], lvl, c.pre[pr],
+        t[r] += _bridge_passage(c.rng, model.b2, x_from[r], lvl, _piece_end(model, c, pr),
                                 c.t1[pr] - t_from[r])
         cont = ~np.isnan(t_from)
         pos[cont] = lvl
         r = np.nonzero(np.isfinite(t) & ~cont)[0]
         pos[r] = c.post[p_at[r]]
-        pre[r] = c.pre[p_at[r]]
+        pre[r] = _piece_end(model, c, p_at[r])
         out.append(_Passage(t, pos, pre))
         piece, t_prev, last = p_at, t, lvl
     return out
@@ -638,6 +662,14 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
     return [merged[distinct.index(y)].estimate() for y in lv]
 
 
+def _halves(first: np.ndarray, second: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``first`` followed by ``second[keep]``, written into one fresh array."""
+    out = np.empty(len(first) + np.count_nonzero(keep), first.dtype)
+    out[:len(first)] = first
+    out[len(first):] = second[keep]
+    return out
+
+
 def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
                    config: SimConfig) -> PayoffEstimate:
     """MC of ``E[e^(-p tau_down) 1{down before up}]`` from a start at zero.
@@ -661,54 +693,77 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
     b2 = model.b2
 
     def exits(c: _Tableau) -> tuple[_Moments, list[float]]:
-        row = np.repeat(np.arange(len(c.start)), c.end - c.start)   # of each piece
         # earliest exit found so far through each barrier; an upper exit is
         # dated by its piece's start, which orders it against the others
         at_up, at_down = np.full((2, len(c.start)), math.inf)
         k = np.flatnonzero(c.post > up)
-        np.minimum.at(at_up, row[k], c.t1[k])
+        np.minimum.at(at_up, np.searchsorted(c.end, k, side="right"), c.t1[k])
         # the pieces that start inside the band: each row's first, and each
-        # piece after a jump that lands inside it
-        k = np.union1d(c.start, np.flatnonzero((c.post > -down) & (c.post < up)) + 1)
+        # piece after a jump that lands inside it (a row's last piece closes
+        # at -inf, so that piece is in the jump's row)
+        begins = np.zeros(len(c.post), dtype=bool)
+        np.greater(c.post[:-1], -down, out=begins[1:])
+        begins[1:] &= c.post[:-1] < up
+        begins[c.start] = True
+        k = np.flatnonzero(begins)
+        del begins
+        r = np.searchsorted(c.end, k, side="right")     # each piece's row
         t0, a = _piece_start(c, k)
-        r, t1, b = row[k], c.t1[k], c.pre[k]
-        del row, k
+        t1, b = c.t1[k], _piece_end(model, c, k)
+        del k
         neglected = []
-        # each round drops its arrays once it has read them, so that a
-        # chunk peaks near its largest round rather than two rounds' worth
+        # a round replaces its arrays one at a time and drops each mask once
+        # read, so that a chunk peaks near its largest round
         while len(r):
             # a piece that starts after a found exit cannot change it
             keep = t0 < np.minimum(at_up, at_down)[r]
-            r, t0, t1, a, b = r[keep], t0[keep], t1[keep], a[keep], b[keep]
+            r = r[keep]
+            t0 = t0[keep]
+            t1 = t1[keep]
+            a = a[keep]
+            b = b[keep]
+            del keep
             span = t1 - t0
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
                 p_dn = np.where(b > -down, np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
-            settle = np.minimum(p_up, p_dn) <= _EXIT_EPS
-            neglected.append(float(np.minimum(p_up, p_dn)[settle].sum()))
+            low = np.minimum(p_up, p_dn)
+            settle = low <= _EXIT_EPS
+            neglected.append(float(low[settle].sum()))
+            del low
             hit = np.zeros(len(r), dtype=bool)
             hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
             dn = hit & (p_dn > p_up)
-            np.minimum.at(at_up, r[hit & ~dn], t0[hit & ~dn])
+            del p_up, p_dn
+            hit &= ~dn                                  # the upper crossings
+            np.minimum.at(at_up, r[hit], t0[hit])
+            del hit
             np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
                 c.rng, b2, a[dn], -down, b[dn], span[dn]))
+            # the rest splits at a bridge midpoint
             cut = ~settle
-            del p_up, p_dn, hit, dn, settle
-            # the rest splits at a bridge midpoint; a half that starts outside
-            # the band follows a crossing in the half before it
-            r, t0, t1, a, b, span = r[cut], t0[cut], t1[cut], a[cut], b[cut], span[cut]
+            del dn, settle
+            r = r[cut]
+            t0 = t0[cut]
+            t1 = t1[cut]
+            a = a[cut]
+            b = b[cut]
+            span = span[cut]
+            del cut
             mid = 0.5 * (a + b) + np.sqrt(0.25 * b2 * span) * c.rng.standard_normal(len(r))
             del span
             tm = 0.5 * (t0 + t1)
-            r = np.concatenate([r, r])
-            t0 = np.concatenate([t0, tm])
-            t1 = np.concatenate([tm, t1])
+            # a first half starts where its piece did, inside the band; a
+            # second half that starts outside it follows a crossing in the
+            # first, and is dropped
+            inside = (mid > -down) & (mid < up)
+            r = _halves(r, r, inside)
+            t0 = _halves(t0, tm, inside)
+            t1 = _halves(tm, t1, inside)
             del tm
-            a = np.concatenate([a, mid])
-            b = np.concatenate([mid, b])
-            del mid
-            inside = (a > -down) & (a < up)
-            r, t0, t1, a, b = r[inside], t0[inside], t1[inside], a[inside], b[inside]
+            a = _halves(a, mid, inside)
+            b = _halves(mid, b, inside)
+            del mid, inside
         t_down = np.where(at_down < at_up, at_down, math.inf)
         return _moments(_discounted(t_down, p)), neglected
 
@@ -761,14 +816,19 @@ def wiener_hopf_check(model: LevyModel, q: float,
     def sup_at_clock(c: _Tableau) -> _Moments:
         clk = c.drawn
         n = c.end - c.start                       # pieces per row
-        # each piece's maximum: without a Gaussian part, where it starts
-        smax = _piece_start(c, np.arange(len(c.t1)))[1] if c.smax is None else c.smax
+        smax = c.smax                             # each piece's maximum
+        if smax is None:
+            # without a Gaussian part, where it starts: the post before it,
+            # or 0 at a row's first
+            smax = np.empty(len(c.post))
+            smax[1:] = c.post[:-1]
+            smax[c.start] = 0.0
         full = c.t1 <= np.repeat(clk, n)          # the pieces ended by the clock
         top = np.maximum.reduceat(np.where(full, smax, -np.inf), c.start)
         # the piece holding the clock (a row's last piece if the clock is past T)
         k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
         t0, y0 = _piece_start(c, k)
-        end = c.pre[k]
+        end = _piece_end(model, c, k)
         span = c.t1[k] - t0
         frac = np.minimum((clk - t0) / span, 1.0)
         at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
@@ -784,7 +844,8 @@ def wiener_hopf_check(model: LevyModel, q: float,
         block[piece] = smax
         before = np.maximum.accumulate(block, axis=1)[piece]
         lift = full & (c.post > before)
-        share, _ = jump_passage_means(model, c.pre[lift], before[lift])
+        share, _ = jump_passage_means(model, _piece_end(model, c, np.flatnonzero(lift)),
+                                      before[lift])
         block[:] = 0.0
         block.flat[np.flatnonzero(piece)[lift]] = np.log(share) - c.post[lift]
         sup += block[:, :m].sum(axis=1)

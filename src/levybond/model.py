@@ -896,26 +896,33 @@ def sample_jump_sizes(model: LevyModel, u: np.ndarray) -> np.ndarray:
     exceedance mass ``(1 - u) * mass`` is found in the ``_above`` table and
     its quadratic solved.
     """
+    return _jump_sizes_into(model, np.array(u, dtype=float))
+
+
+def _jump_sizes_into(model: LevyModel, u: np.ndarray) -> np.ndarray:
+    """:func:`sample_jump_sizes` in place: the float array ``u``, of any
+    shape, becomes the sizes and is returned.  The simulator maps a whole
+    draw block this way, with no copy of its uniforms."""
     j = model.jumps
-    u = np.asarray(u, dtype=float)
     mass = j._mass
     if mass <= 0.0:
         raise DomainError("model has no jump component to sample")
     knots, _, r = j._pieces
     share = j._tail_mass / mass
     b = 1.0 - share
-    # zN - log1p((b - u) / share) / r, in place: the simulator draws millions
-    out = np.subtract(b, u)
-    with np.errstate(divide="ignore", invalid="ignore"):  # share 0: all body
-        out /= share
-        np.log1p(out, out=out)
-    out /= r
-    np.subtract(knots[-1], out, out=out)
     body = u < b
-    if np.any(body):
+    # exceedance mass of each body sample, read before u is overwritten
+    t = (1.0 - u[body]) * mass if np.any(body) else None
+    # zN - log1p((b - u) / share) / r
+    np.subtract(b, u, out=u)
+    with np.errstate(divide="ignore", invalid="ignore"):  # share 0: all body
+        u /= share
+        np.log1p(u, out=u)
+    u /= r
+    np.subtract(knots[-1], u, out=u)
+    if t is not None:
         z0, z1, p, m = j._cells
         above = j._above
-        t = (1.0 - u[body]) * mass  # exceedance mass of the sample
         # locate the cell: above[] is decreasing in the knot index
         idx = np.searchsorted(-above, -t, side="right") - 1
         idx = np.clip(idx, 0, len(z0) - 1)
@@ -931,5 +938,5 @@ def sample_jump_sizes(model: LevyModel, u: np.ndarray) -> np.ndarray:
         ql = ~lin
         disc = np.sqrt(np.maximum(pp[ql] ** 2 - 2.0 * mm[ql] * c2[ql], 0.0))
         z[ql] = (-pp[ql] + disc) / mm[ql]
-        out[body] = np.clip(z, z0[idx], g1)
-    return out
+        u[body] = np.clip(z, z0[idx], g1)
+    return u

@@ -40,6 +40,7 @@ from levybond.mc import (
     _event_tableau,
     _passages,
     _payoffs,
+    _piece_end,
     _piece_start,
     _run_chunks,
     estimate_game_value,
@@ -146,10 +147,10 @@ class TestPassages:
             assert (jump.sum() > 100) == (model is EXPJM and lvl > 0.0)
 
 
-def _jump_sizes(c) -> np.ndarray:
+def _jump_sizes(model, c) -> np.ndarray:
     """Each closing jump's size, as the path moves across it."""
-    closes = np.isfinite(c.post)
-    return c.post[closes] - c.pre[closes]
+    closes = np.flatnonzero(np.isfinite(c.post))
+    return c.post[closes] - _piece_end(model, c, closes)
 
 
 class TestEventTableau:
@@ -162,7 +163,8 @@ class TestEventTableau:
         mean = jump_intensity(model) * cfg.horizon
         counts = c.end - c.start - 1
         assert abs(counts.mean() - mean) <= 3.0 * math.sqrt(mean / cfg.n_paths)
-        assert len(_jump_sizes(c)) == counts.sum() and np.all(_jump_sizes(c) > 0.0)
+        sizes = _jump_sizes(model, c)
+        assert len(sizes) == counts.sum() and np.all(sizes > 0.0)
 
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2],
                              ids=["CANON", "EXPJM", "TAB", "BV2"])
@@ -196,7 +198,8 @@ class TestEventTableau:
         # a piece starts where the one before it closed: the helper equals
         # t1 and post shifted by one piece with each row's first set to
         # (0, 0), on every piece and on a scattered subset read out of order;
-        # without a Gaussian part a piece ends at its start plus its drift
+        # without a Gaussian part the tableau keeps no pre, and a piece ends
+        # at its start plus its drift
         cfg = SimConfig(n_paths=9000, horizon=10.0, dt=1e-2, seed=25)
 
         def work(c):
@@ -206,16 +209,17 @@ class TestEventTableau:
             k = np.arange(len(c.t1))
             perm = np.random.default_rng(c.rows.start).permutation(len(k))
             sub = np.append(0, perm[:len(k) // 3])    # piece 0 reads index -1
-            return t0, y0, _piece_start(c, k), sub, _piece_start(c, sub), c
+            return (t0, y0, _piece_start(c, k), sub, _piece_start(c, sub),
+                    _piece_end(model, c, k), _piece_end(model, c, sub), c)
 
         chunks = _run_chunks(model, cfg, _TAG_VALUE, work)
         assert len(chunks) == 3
-        for t0, y0, (t0_all, y0_all), sub, (t0_sub, y0_sub), c in chunks:
+        for t0, y0, (t0_all, y0_all), sub, (t0_sub, y0_sub), x_all, x_sub, c in chunks:
             assert np.array_equal(t0_all, t0) and np.array_equal(y0_all, y0)
             assert np.array_equal(t0_sub, t0[sub]) and np.array_equal(y0_sub, y0[sub])
-            assert (c.smax is None) == (model.b2 == 0.0)
-            if c.smax is None:
-                assert np.array_equal(c.pre, (c.t1 - t0) * mc._sim_drift(model) + y0)
+            assert (c.smax is None) == (c.pre is None) == (model.b2 == 0.0)
+            x = c.pre if c.pre is not None else (c.t1 - t0) * mc._sim_drift(model) + y0
+            assert np.array_equal(x_all, x) and np.array_equal(x_sub, x[sub])
 
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB], ids=["CANON", "EXPJM", "TAB"])
     def test_one_step_laplace_transform(self, model):
@@ -234,7 +238,7 @@ class TestEventTableau:
         dens = TabulatedDensity((0.0, 1e-4, 2e-4, 3.0), (2000.0, 2000.0, 1.0, 1.0), 2.0)
         model = LevyModel(0.1, 0.3, dens)
         cfg = SimConfig(n_paths=400, horizon=10.0, dt=1e-2, seed=22)
-        sizes = _jump_sizes(_event_tableau(model, cfg, _TAG_VALUE, 0))
+        sizes = _jump_sizes(model, _event_tableau(model, cfg, _TAG_VALUE, 0))
         share = 0.2 / jump_intensity(model)
         n = len(sizes)
         assert n > 10_000
@@ -715,11 +719,11 @@ class TestChunkMoments:
         finally:
             tracemalloc.stop()
 
-    def test_saddle_lane_holds_under_80_bytes_per_slot(self, monkeypatch):
+    def test_saddle_lane_holds_under_60_bytes_per_slot(self, monkeypatch):
         # one worker runs the bounded-variation saddle's chunks in turn: it
-        # holds a chunk's tableau (t1, post, pre: no smax) while it builds
-        # the next, at ~71 traced bytes per expected slot (~91 with t0 and
-        # y0 kept beside them)
+        # holds a chunk's tableau (t1 and post: no pre or smax) while it
+        # builds the next, at ~48 traced bytes per expected slot (~71 with
+        # pre kept and a whole-tableau y0 formed in each build)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         params = gp(0.8)
         sol = classify(BV2, params)
@@ -730,17 +734,31 @@ class TestChunkMoments:
             saddle_check(BV2, params, sol, 0.1, SimConfig(100, horizon, 1e-3, 7))  # first-call caches
             peak = self._traced_peak(lambda: saddle_check(
                 BV2, params, sol, 0.1, SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)))
-        assert peak / slots <= 80.0, peak / slots
+        assert peak / slots <= 60.0, peak / slots
+
+    def test_upcross_lane_builds_without_whole_tableau_temporaries(self, monkeypatch):
+        # the bounded-variation upcross at horizon 25 over 3 chunks on one
+        # worker: sizes mapped in place on the draw block and no y0 formed,
+        # ~5.1 MiB (~7.4 MiB with the sizes extracted and scattered back)
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
+        levels = [0.0, 0.5, 1.0]
+        # first-call caches
+        upcrossing_discount_profile(BV2, 0.8, levels, SimConfig(100, 25.0, 1e-3, 7))
+        peak = self._traced_peak(lambda: upcrossing_discount_profile(
+            BV2, 0.8, levels, SimConfig(3 * mc._CHUNK, 25.0, 1e-3, 7)))
+        assert peak <= 6.5 * 2**20, peak / 2**20
 
     def test_two_sided_exit_frees_each_round(self, monkeypatch):
-        # each midpoint round drops its arrays once read: one chunk in flight
-        # peaks near 9 MiB on CANON at horizon 4 (~16 MiB when every round's
+        # each midpoint round replaces its arrays one at a time and writes
+        # its halves into one fresh array per field: one chunk in flight
+        # peaks near 7.2 MiB on CANON at horizon 4 (~9.1 MiB with five
+        # concatenations beside their sources, ~16 MiB when every round's
         # arrays lived into the next)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         two_sided_exit(CANON, 1.0, 0.6, 0.8, SimConfig(100, 4.0, 1e-3, 7))   # first-call caches
         peak = self._traced_peak(lambda: two_sided_exit(
             CANON, 1.0, 0.6, 0.8, SimConfig(2 * mc._CHUNK, 4.0, 1e-3, 7)))
-        assert peak <= 11 * 2**20, peak / 2**20
+        assert peak <= 8.5 * 2**20, peak / 2**20
 
 
 class TestSaddle:

@@ -265,6 +265,17 @@ class TestFloatRange:
         for xv in (100.0, 150.0, 200.0):
             assert abs(math.exp(-ph * xv) * w(ev, xv) - limit) <= 2e-9, xv
 
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    def test_forced_bounded_variation_holds_the_50_digit_sum(self, q):
+        # forced inversion of the bounded-variation family out to x = 300,
+        # where a contour pushed off its rule's scale by the 5% pole rule
+        # lost all accuracy; it reads ~7e-13 off the partial-fraction sum
+        ev = scale_evaluator(BV2, q, Method.NUMERIC_INVERSION)
+        assert ev.method is Method.NUMERIC_INVERSION
+        for xv in (100.0, 200.0, 300.0):
+            exact = mp_w(BV2, q, xv, 50)
+            assert abs(w(ev, xv) - exact) <= 1e-11 * exact, xv
+
 
 class TestTabulatedInversion:
     def test_tracks_exponential_family(self):
