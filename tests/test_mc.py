@@ -738,8 +738,9 @@ class TestChunkMoments:
 
     def test_upcross_lane_builds_without_whole_tableau_temporaries(self, monkeypatch):
         # the bounded-variation upcross at horizon 25 over 3 chunks on one
-        # worker: sizes mapped in place on the draw block and no y0 formed,
-        # ~5.1 MiB (~7.4 MiB with the sizes extracted and scattered back)
+        # worker: sizes mapped in place on the draw block, no y0 formed and
+        # no pre kept, ~5.1 MiB (~7.4 MiB when a build scattered the sizes
+        # back into the block, formed y0 and kept pre)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         levels = [0.0, 0.5, 1.0]
         # first-call caches
