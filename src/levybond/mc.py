@@ -29,30 +29,36 @@ estimate bit for bit given the seed:
   epoch uniforms and the jump-size uniforms (the counts and sizes only with
   jumps; ``rows x m`` blocks, ``m`` the chunk's largest count and at least
   1), then with a Gaussian part one standard normal and then one bridge
-  uniform per piece (``rows x (m + 1)`` blocks).  Each block is drawn
-  whole into the one draw block of its shape that the tableau is built in
-  (the size uniforms become sizes there, in place), and the tableau keeps
-  its real slots alone;
+  uniform per piece (``rows x (m + 1)`` blocks).  Each block is drawn slab
+  by slab, ``_SLAB`` rows at a time in row order; Philox fills a block
+  sequentially, so the bits are those of the whole block for any slab size.
+  A slab's block is used in place (the size uniforms become sizes there)
+  and freed, and the tableau keeps its real slots alone;
 * then the estimator's draws, rows ascending.  :func:`_passages`, level by
   level: one uniform per path that passed the level below continuously,
   then one inverse Gaussian (``Generator.wald``) per continuous passage
   from below the level (none without a Gaussian part).
-  :func:`two_sided_exit` works in rounds over the unsettled pieces, held
-  first in tableau order and then as the last round's first halves followed
-  by their second halves; a round draws one uniform per settled piece, one
-  inverse Gaussian per lower-barrier crossing (with a Gaussian part), then
-  one standard normal per cut piece.  :func:`wiener_hopf_check` draws one
-  standard normal and then one uniform per path.
+  :func:`two_sided_exit` takes the rows in groups of ``_SLAB``, one group
+  after another, and runs each group's rounds to completion over its
+  unsettled pieces, held first in tableau order and then as the last
+  round's first halves followed by their second halves; a round draws one
+  uniform per settled piece, one inverse Gaussian per lower-barrier crossing
+  (with a Gaussian part), then one standard normal per cut piece.  Without
+  a Gaussian part every piece settles in the first round, so the groups
+  draw what one group of every row would.  :func:`wiener_hopf_check` draws
+  one standard normal and then one uniform per path.
 
 Chunks share no generator, so they run concurrently (:func:`_run_chunks`).
 Each chunk reduces its per-path terms to moments (count, mean and the sum
 of squared deviations from it) before it is dropped, and the chunks'
 moments are merged in chunk order by the pairwise update of Chan, Golub &
 LeVeque (1983); the neglected masses of :func:`two_sided_exit` are added in
-that order too.  So no output depends on the number of workers, and memory
-is bounded by the chunks in flight, whatever the path count; within a
-chunk, :func:`two_sided_exit` replaces each round's arrays one at a time
-and writes its halves into one fresh array per field.
+that order too, and within a chunk in (group, round) order.  So no output
+depends on the number of workers, and memory is bounded by the chunks in
+flight, whatever the path count: a worker frees each tableau before it
+builds the next, and within a chunk :func:`two_sided_exit` holds one
+group's round at a time, replacing its arrays one at a time and writing its
+halves into one fresh array per field.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -102,16 +108,21 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths per chunk, each chunk one tableau
+# rows a tableau build draws each block for at once, and rows per group of
+# two_sided_exit's midpoint rounds
+_SLAB = _CHUNK // 4
 # expected jumps per path the event tableau accepts: a chunk builds its
-# tableau in one (paths x most jumps) draw block, ~135 MiB at the limit
-# (4096 paths x ~4320 jumps), where its worker peaks near 1.5 GiB with a
-# Gaussian part and 0.8 GiB without (below)
+# tableau in (_SLAB paths x most jumps) draw blocks, ~34 MiB at the limit
+# (1024 paths x ~4320 jumps), where its worker peaks near 1.1 GiB with a
+# Gaussian part and 1 GiB without in wiener_hopf_check, and near 1 and 0.4
+# GiB in the other estimators (below)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
-# hold together; a worker peaks near 93 bytes per slot with a Gaussian
-# part (48 without): the tableau it holds, 32 (16 without: t1 and post
-# alone), while it builds the next in its draw block, 61 at the build's
-# peak (31).  So this bounds the pool near 0.4 GB, and one chunk always runs
+# hold together.  A worker holds one tableau at a time, 32 bytes a slot
+# with a Gaussian part (16 without: t1 and post alone), and a build peaks
+# near 45 (25); with an estimator's working arrays a worker peaks near 61
+# (25), and 72 (64) in wiener_hopf_check.  So this bounds the pool near
+# 0.3 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 
@@ -177,7 +188,8 @@ def mc_eligible(model: LevyModel, horizon: float | None = None) -> bool:
     """Whether the event engine simulates this model: a jump rate of at most
     1e6 and, over ``horizon`` when one is given, at most ``_MAX_JUMPS``
     expected jumps per path, past which every estimator raises
-    :class:`DomainError` before any draw (draw blocks are paths x most jumps)."""
+    :class:`DomainError` before any draw (a tableau holds paths x expected
+    jumps pieces, and its draw blocks are ``_SLAB`` paths x most jumps)."""
     rate = jump_intensity(model)
     return rate <= 1e6 and (horizon is None or rate * horizon <= _MAX_JUMPS)
 
@@ -270,8 +282,8 @@ class _Tableau(NamedTuple):
     at T with no jump and ``post = -inf``.  A piece starts where the one
     before it closed, or at ``(0, 0)`` for a row's first
     (:func:`_piece_start`), and without a Gaussian part it ends at its start
-    plus its drift (:func:`_piece_end`).  The draw blocks are (paths x most
-    jumps), but these arrays hold real pieces alone."""
+    plus its drift (:func:`_piece_end`).  The draw blocks are (``_SLAB``
+    paths x most jumps), but these arrays hold real pieces alone."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
@@ -321,8 +333,9 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     keeps them as ``drawn``.  A Gaussian part moves each piece by
     ``sqrt(b^2 len) Z`` and gives it an exact bridge maximum; without one a
     piece peaks at its start, and the tableau keeps ``t1`` and ``post``
-    alone.  Each row's prefix sums run along its row of the padded draw
-    block, so they are exact.
+    alone.  Each block is drawn ``_SLAB`` rows at a time, and each row's
+    prefix sums run along its row of the padded slab block, so they are
+    exact and no slab size changes a bit.
     """
     T = config.horizon
     drift = _sim_drift(model)
@@ -333,62 +346,93 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     drawn = None if begin is None else begin(rng, rows)
     counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
     m = max(1, int(counts.max()))
-    slots = np.arange(m) < counts[:, None]          # the slots holding a jump
     end = np.cumsum(counts + 1)
     start = end - (counts + 1)
     closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
     closes[end - 1] = False
-    # one draw block: the epoch uniforms, then the sizes and their prefix
-    # sums; a row's jumps are its leading slots, so the trailing ones may
-    # hold anything once the epochs are sorted
-    block = rng.random((rows, m))
-    block[~slots] = 2.0                             # empty slots sort last
-    block.sort(axis=1)
-    block *= T
-    t1 = np.full(len(closes), T)
-    t1[closes] = block[slots]
-    if rate > 0.0:
-        rng.random(out=block)
+    # the fields share one allocation: once glibc's malloc has freed one
+    # mapping of that size it trims its heap only past twice it, so a freed
+    # tableau's pages stay mapped for the next build (the 500k-path BV2
+    # saddle makes ~7k minor faults, ~115k with one allocation per field)
+    fields = np.empty((2 if model.b2 == 0.0 else 4, len(closes)))
+    t1, post = fields[0], fields[1]
+    t1.fill(T)
+    post.fill(-np.inf)
+
+    def by_slab(fill, draw, cols):
+        # fill(pieces, jump counts, closed pieces, block) on each slab's rows
+        # in row order, its block drawn whole: the stream is that of one
+        # (rows x cols) block, and the slab's block is freed as fill returns
+        for i in range(0, rows, _SLAB):
+            j = min(i + _SLAB, rows)
+            s = slice(start[i], end[j - 1])
+            fill(s, counts[i:j, None], closes[s], draw((j - i, cols)))
+
+    def epochs(s, n, shut, block):
+        # a row's jumps are its leading slots, so the trailing ones may hold
+        # anything once the epochs are sorted
+        slots = np.arange(m) < n                    # the slots holding a jump
+        block[~slots] = 2.0                         # empty slots sort last
+        block.sort(axis=1)
+        block *= T
+        t1[s][shut] = block[slots]
+
+    def sizes(s, n, shut, block):
+        # X just after each jump: the sizes up to it, plus its epoch's drift
         _jump_sizes_into(model, block)              # every slot's, in place
         np.cumsum(block, axis=1, out=block)
-    # X just after each jump: the sizes up to it, plus its epoch's drift
-    after = block[slots]
-    del block
-    jt = t1[closes]
-    jt *= drift
-    after += jt
-    del jt
+        after = block[np.arange(m) < n]
+        jt = t1[s][shut]
+        jt *= drift
+        after += jt
+        post[s][shut] = after
+
+    by_slab(epochs, rng.random, m)
+    if rate > 0.0:
+        by_slab(sizes, rng.random, m)
     pre = smax = None
     if model.b2 > 0.0:
-        # each piece's length, t1 less the start time (the t1 of the piece
-        # before, 0 at a row's first); then its drift, its move and its start
-        pre = t1.copy()
-        np.subtract(t1[1:], t1[:-1], out=pre[1:], where=closes[:-1])
-        # one block for the Gaussian moves, their prefix sums and then the
-        # bridge uniforms, each row's pieces again its leading slots
-        pieces = np.arange(m + 1) <= counts[:, None]
-        block = rng.standard_normal((rows, m + 1))
-        move = np.sqrt(model.b2 * pre)
-        move *= block[pieces]
-        block[pieces] = move
-        np.cumsum(block, axis=1, out=block)
-        after += block[:, :-1][slots]
-        rng.random(out=block)
-        spread = block[pieces]
-        del block
-        np.log(spread, out=spread)
-        spread *= -2.0 * model.b2 * pre
-        pre *= drift
-        pre += move
-        del move
-    post = np.full(len(t1), -np.inf)
-    post[closes] = after
-    del after                                       # freed before the bridge maxima
-    if model.b2 > 0.0:
-        y0 = np.zeros(len(post))                    # X at each piece's start
-        np.copyto(y0[1:], post[:-1], where=closes[:-1])
-        pre += y0
-        smax = _bridge_max(y0, pre, spread)
+        pre, smax = fields[2], fields[3]
+
+        def spans(s, shut):
+            # each piece's length: t1 less the t1 of the piece before, or t1
+            # at a row's first
+            span = t1[s].copy()
+            np.subtract(span[1:], t1[s][:-1], out=span[1:], where=shut[:-1])
+            return span
+
+        def moves(s, n, shut, block):
+            # the Gaussian moves, held in pre until each piece's end is
+            # known, and their prefix sums; each row's pieces are again its
+            # leading slots
+            pieces = np.arange(m + 1) <= n
+            move = pre[s]
+            span = spans(s, shut)
+            span *= model.b2
+            np.sqrt(span, out=move)
+            move *= block[pieces]
+            block[pieces] = move
+            np.cumsum(block, axis=1, out=block)
+            post[s][shut] += block[:, :-1][np.arange(m) < n]
+
+        def ends(s, n, shut, block):
+            # each piece's end, its start plus its drift and its move, and
+            # its exact bridge maximum from the bridge uniforms
+            span = spans(s, shut)
+            spread = block[np.arange(m + 1) <= n]
+            np.log(spread, out=spread)
+            spread *= -2.0 * model.b2 * span
+            span *= drift
+            x = pre[s]
+            x += span
+            del span
+            y0 = np.zeros(len(x))                   # X at each piece's start
+            np.copyto(y0[1:], post[s][:-1], where=shut[:-1])
+            x += y0
+            smax[s] = _bridge_max(y0, x, spread)
+
+        by_slab(moves, rng.standard_normal, m + 1)
+        by_slab(ends, rng.random, m + 1)
     return _Tableau(chunk, rng, start, end, t1, post, pre, smax, drawn)
 
 
@@ -417,11 +461,8 @@ def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
     workers = _pool_size(len(chunks), jumps)
 
     def lane(ks: range) -> list:
-        # c holds the last tableau (32 bytes a slot with a Gaussian part, 16
-        # without) until the next is built: freed first, it would leave the
-        # heap top empty, malloc would trim it, and the next build would
-        # fault every page back in (4x the page faults)
-        return [work(c) for c in (_event_tableau(model, config, tag, k, begin) for k in ks)]
+        # each tableau is freed as its work returns, before the next is built
+        return [work(_event_tableau(model, config, tag, k, begin)) for k in ks]
 
     # each worker runs in a copy of the caller's context, so that numpy's
     # error state (np.errstate) holds in it as in the caller
@@ -684,7 +725,9 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
     path exits at its earliest crossing, or at a jump onto the upper
     barrier.  The neglected crossing mass bounds the bias, since the payoff
     lies in ``[0, 1]``: it is at most ``_EXIT_EPS`` per settled piece, and
-    its mean over the paths is returned as ``bias_bound``.
+    its mean over the paths is returned as ``bias_bound``.  The cuts run
+    round by round over the rows in groups of ``_SLAB``, each group to
+    completion before the next, so a chunk holds one group's pieces.
     """
     if down <= 0.0 or up <= 0.0:
         raise DomainError("barrier distances must be positive")
@@ -705,65 +748,71 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
         np.greater(c.post[:-1], -down, out=begins[1:])
         begins[1:] &= c.post[:-1] < up
         begins[c.start] = True
-        k = np.flatnonzero(begins)
-        del begins
-        r = np.searchsorted(c.end, k, side="right")     # each piece's row
-        t0, a = _piece_start(c, k)
-        t1, b = c.t1[k], _piece_end(model, c, k)
-        del k
         neglected = []
-        # a round replaces its arrays one at a time and drops each mask once
-        # read, so that a chunk peaks near its largest round
-        while len(r):
-            # a piece that starts after a found exit cannot change it
-            keep = t0 < np.minimum(at_up, at_down)[r]
-            r = r[keep]
-            t0 = t0[keep]
-            t1 = t1[keep]
-            a = a[keep]
-            b = b[keep]
-            del keep
-            span = t1 - t0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
-                p_dn = np.where(b > -down, np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
-            low = np.minimum(p_up, p_dn)
-            settle = low <= _EXIT_EPS
-            neglected.append(float(low[settle].sum()))
-            del low
-            hit = np.zeros(len(r), dtype=bool)
-            hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
-            dn = hit & (p_dn > p_up)
-            del p_up, p_dn
-            hit &= ~dn                                  # the upper crossings
-            np.minimum.at(at_up, r[hit], t0[hit])
-            del hit
-            np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
-                c.rng, b2, a[dn], -down, b[dn], span[dn]))
-            # the rest splits at a bridge midpoint
-            cut = ~settle
-            del dn, settle
-            r = r[cut]
-            t0 = t0[cut]
-            t1 = t1[cut]
-            a = a[cut]
-            b = b[cut]
-            span = span[cut]
-            del cut
-            mid = 0.5 * (a + b) + np.sqrt(0.25 * b2 * span) * c.rng.standard_normal(len(r))
-            del span
-            tm = 0.5 * (t0 + t1)
-            # a first half starts where its piece did, inside the band; a
-            # second half that starts outside it follows a crossing in the
-            # first, and is dropped
-            inside = (mid > -down) & (mid < up)
-            r = _halves(r, r, inside)
-            t0 = _halves(t0, tm, inside)
-            t1 = _halves(tm, t1, inside)
-            del tm
-            a = _halves(a, mid, inside)
-            b = _halves(mid, b, inside)
-            del mid, inside
+        # the rows in groups of _SLAB, each group's rounds run to completion
+        # before the next group's begin
+        rows = len(c.start)
+        for g in range(0, rows, _SLAB):
+            last = min(g + _SLAB, rows) - 1
+            lo = c.start[g]
+            k = lo + np.flatnonzero(begins[lo:c.end[last]])
+            r = np.searchsorted(c.end, k, side="right")     # each piece's row
+            t0, a = _piece_start(c, k)
+            t1, b = c.t1[k], _piece_end(model, c, k)
+            del k
+            # a round replaces its arrays one at a time and drops each mask
+            # once read, so that a group peaks near its largest round
+            while len(r):
+                # a piece that starts after a found exit cannot change it
+                keep = t0 < np.minimum(at_up, at_down)[r]
+                r = r[keep]
+                t0 = t0[keep]
+                t1 = t1[keep]
+                a = a[keep]
+                b = b[keep]
+                del keep
+                span = t1 - t0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
+                    p_dn = np.where(b > -down,
+                                    np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
+                low = np.minimum(p_up, p_dn)
+                settle = low <= _EXIT_EPS
+                neglected.append(float(low[settle].sum()))
+                del low
+                hit = np.zeros(len(r), dtype=bool)
+                hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
+                dn = hit & (p_dn > p_up)
+                del p_up, p_dn
+                hit &= ~dn                                  # the upper crossings
+                np.minimum.at(at_up, r[hit], t0[hit])
+                del hit
+                np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
+                    c.rng, b2, a[dn], -down, b[dn], span[dn]))
+                # the rest splits at a bridge midpoint
+                cut = ~settle
+                del dn, settle
+                r = r[cut]
+                t0 = t0[cut]
+                t1 = t1[cut]
+                a = a[cut]
+                b = b[cut]
+                span = span[cut]
+                del cut
+                mid = 0.5 * (a + b) + np.sqrt(0.25 * b2 * span) * c.rng.standard_normal(len(r))
+                del span
+                tm = 0.5 * (t0 + t1)
+                # a first half starts where its piece did, inside the band; a
+                # second half that starts outside it follows a crossing in the
+                # first, and is dropped
+                inside = (mid > -down) & (mid < up)
+                r = _halves(r, r, inside)
+                t0 = _halves(t0, tm, inside)
+                t1 = _halves(tm, t1, inside)
+                del tm
+                a = _halves(a, mid, inside)
+                b = _halves(mid, b, inside)
+                del mid, inside
         t_down = np.where(at_down < at_up, at_down, math.inf)
         return _moments(_discounted(t_down, p)), neglected
 

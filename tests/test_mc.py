@@ -65,6 +65,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # deliberate sub-grid mass drop
     _g = np.linspace(0.004, 8.0, 401)
     TAB = LevyModel(0.1, 0.3, TabulatedDensity(tuple(_g), tuple(2.0 * np.exp(-2.0 * _g)), 2.0))
+TAB_BV = bounded_variation_model(2.0, TAB.jumps)
 
 
 def gp(q, alpha=1.0, beta=1.0, K=2.0):
@@ -245,11 +246,28 @@ class TestEventTableau:
         small = int(np.count_nonzero(sizes < 1e-4))
         assert abs(small - n * share) <= 3.0 * math.sqrt(n * share * (1.0 - share))
 
+    @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2, TAB_BV],
+                             ids=["CANON", "EXPJM", "TAB", "BV2", "TAB_BV"])
+    def test_slab_size_does_not_enter(self, model, monkeypatch):
+        # each block is drawn slab by slab in row order, and Philox fills a
+        # block sequentially: every field and the generator state after the
+        # build are the same bits for any slab size, one row to the whole chunk
+        cfg = SimConfig(n_paths=600, horizon=10.0, dt=1e-2, seed=26)
+        builds = []
+        for slab in (1, 7, 1024, mc._CHUNK):
+            monkeypatch.setattr(mc, "_SLAB", slab)
+            c = _event_tableau(model, cfg, _TAG_VALUE, 0)
+            builds.append(([f if f is None else f.tobytes()
+                            for f in (c.start, c.end, c.t1, c.post, c.pre, c.smax)],
+                           c.rng.random()))
+        assert all(b == builds[0] for b in builds[1:])
+        assert (builds[0][0][4] is None) == (model.b2 == 0.0)
+
     @pytest.mark.parametrize("b2", [0.0, 0.3], ids=["bounded", "gaussian"])
     def test_refuses_more_jumps_than_it_can_hold(self, b2):
         # rate x horizon = 2e18 expected jumps per path: without the guard the
-        # tableau's first (paths x jumps) array exceeds 2^63 bytes and numpy
-        # refuses it at once with ValueError, so nothing is allocated either way
+        # tableau's first per-piece array would take over an exbibyte, which
+        # numpy refuses at once, so nothing is allocated either way
         model = LevyModel(0.5 + b2, b2, ExponentialJumps(1e6, 2.0))
         assert mc_eligible(model)
         cfg = SimConfig(n_paths=10, horizon=2e12, dt=1.0, seed=1)
@@ -547,7 +565,9 @@ def _frozen_estimates(kind, model):
         return [wiener_hopf_check(model, q + 1.0, cfg)]
 
 
-# (mean, stderr) per estimate, recorded when the stream layout was fixed
+# (mean, stderr) per estimate, recorded when the stream layout was fixed; the
+# Gaussian two_sided entries were recorded again when two_sided_exit began to
+# run its midpoint rounds group by group of _SLAB rows
 _FROZEN = {
     ("values", "CANON"): [
         (0.8274222937293138, 0.003517435891583891),
@@ -577,10 +597,10 @@ _FROZEN = {
         (0.044567366704003734, 0.00270924109260881),
     ],
     ("two_sided", "CANON"): [
-        (0.4706871500697422, 0.0061753241633803035),
+        (0.4612215978224181, 0.006226766365870645),
     ],
     ("two_sided", "EXPJM"): [
-        (0.26812877214969266, 0.004300292553866524),
+        (0.2682932592353866, 0.004312007531402303),
     ],
     ("two_sided", "BV2"): [
         (0.6793741983510372, 0.0024461545576124014),
@@ -719,47 +739,72 @@ class TestChunkMoments:
         finally:
             tracemalloc.stop()
 
-    def test_saddle_lane_holds_under_60_bytes_per_slot(self, monkeypatch):
+    @staticmethod
+    def _slots(model, horizon: float) -> float:
+        """Expected slots of one chunk: paths x (expected jumps + 1)."""
+        return mc._CHUNK * (jump_intensity(model) * horizon + 1.0)
+
+    def test_saddle_lane_holds_one_tableau_at_a_time(self, monkeypatch):
         # one worker runs the bounded-variation saddle's chunks in turn: it
-        # holds a chunk's tableau (t1 and post: no pre or smax) while it
-        # builds the next, at ~48 traced bytes per expected slot (~71 with
-        # pre kept and a whole-tableau y0 formed in each build)
+        # frees a chunk's tableau (t1 and post) before it builds the next in
+        # slab-sized draw blocks, at ~25 traced bytes per expected slot (~48
+        # holding the last tableau beside a whole-chunk draw block)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         params = gp(0.8)
         sol = classify(BV2, params)
         horizon = 40.0
-        slots = mc._CHUNK * (jump_intensity(BV2) * horizon + 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             saddle_check(BV2, params, sol, 0.1, SimConfig(100, horizon, 1e-3, 7))  # first-call caches
             peak = self._traced_peak(lambda: saddle_check(
                 BV2, params, sol, 0.1, SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)))
-        assert peak / slots <= 60.0, peak / slots
+        assert peak / self._slots(BV2, horizon) <= 36.0, peak / self._slots(BV2, horizon)
 
     def test_upcross_lane_builds_without_whole_tableau_temporaries(self, monkeypatch):
         # the bounded-variation upcross at horizon 25 over 3 chunks on one
-        # worker: sizes mapped in place on the draw block, no y0 formed and
-        # no pre kept, ~5.1 MiB (~7.4 MiB when a build scattered the sizes
-        # back into the block, formed y0 and kept pre)
+        # worker: one tableau at a time, built slab by slab, ~2.6 MiB (~5.1
+        # MiB holding the last tableau beside a whole-chunk draw block)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         levels = [0.0, 0.5, 1.0]
         # first-call caches
         upcrossing_discount_profile(BV2, 0.8, levels, SimConfig(100, 25.0, 1e-3, 7))
         peak = self._traced_peak(lambda: upcrossing_discount_profile(
             BV2, 0.8, levels, SimConfig(3 * mc._CHUNK, 25.0, 1e-3, 7)))
-        assert peak <= 6.5 * 2**20, peak / 2**20
+        assert peak <= 4.0 * 2**20, peak / 2**20
 
     def test_two_sided_exit_frees_each_round(self, monkeypatch):
-        # each midpoint round replaces its arrays one at a time and writes
-        # its halves into one fresh array per field: one chunk in flight
-        # peaks near 7.2 MiB on CANON at horizon 4 (~9.1 MiB with five
-        # concatenations beside their sources, ~16 MiB when every round's
-        # arrays lived into the next)
+        # the midpoint rounds run to completion for each group of _SLAB rows,
+        # and each round replaces its arrays one at a time: one chunk in
+        # flight peaks near 2.1 MiB on CANON at horizon 4 (~7.2 MiB with every
+        # row of the chunk in one round)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         two_sided_exit(CANON, 1.0, 0.6, 0.8, SimConfig(100, 4.0, 1e-3, 7))   # first-call caches
         peak = self._traced_peak(lambda: two_sided_exit(
             CANON, 1.0, 0.6, 0.8, SimConfig(2 * mc._CHUNK, 4.0, 1e-3, 7)))
-        assert peak <= 8.5 * 2**20, peak / 2**20
+        assert peak <= 3.0 * 2**20, peak / 2**20
+
+    def test_gaussian_build_forms_no_whole_tableau_temporaries(self):
+        # a build with a Gaussian part holds t1, post, pre and smax (~32
+        # bytes per expected slot) and draws each block slab by slab,
+        # recomputing the piece lengths per slab: it peaks near 45 traced
+        # bytes per slot (~61 with whole-chunk blocks, lengths, moves and y0)
+        horizon = 40.0
+        cfg = SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)
+        _event_tableau(EXPJM, SimConfig(100, horizon, 1e-3, 7), _TAG_VALUE, 0)   # first-call caches
+        peak = self._traced_peak(lambda: _event_tableau(EXPJM, cfg, _TAG_VALUE, 0))
+        assert peak / self._slots(EXPJM, horizon) <= 52.0, peak / self._slots(EXPJM, horizon)
+
+    def test_gaussian_upcross_lane_holds_one_tableau_at_a_time(self, monkeypatch):
+        # the upcross on EXPJM at horizon 40 over 3 chunks on one worker:
+        # ~61 traced bytes per expected slot (~94 holding the last tableau
+        # while the next is built)
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
+        levels = [0.0, 0.5, 1.0]
+        horizon = 40.0
+        upcrossing_discount_profile(EXPJM, 2.0, levels, SimConfig(100, horizon, 1e-3, 7))
+        peak = self._traced_peak(lambda: upcrossing_discount_profile(
+            EXPJM, 2.0, levels, SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)))
+        assert peak / self._slots(EXPJM, horizon) <= 70.0, peak / self._slots(EXPJM, horizon)
 
 
 class TestSaddle:
