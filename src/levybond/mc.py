@@ -24,16 +24,16 @@ estimate bit for bit given the seed:
   keyed by ``(seed, tag, k)``, with the tags ``_TAG_VALUE = 1`` (game values
   and saddle checks), ``_TAG_UPCROSS = 2``, ``_TAG_TWOSIDED = 3`` and
   ``_TAG_SUP = 4``;
-* a chunk first makes its estimator's own draws (the ``Exp(q)`` clocks of
-  :func:`wiener_hopf_check`), then the tableau's: the jump counts, the
-  epoch uniforms and the jump-size uniforms (the counts and sizes only with
-  jumps; ``rows x m`` blocks, ``m`` the chunk's largest count and at least
-  1), then with a Gaussian part one standard normal and then one bridge
-  uniform per piece (``rows x (m + 1)`` blocks).  Each block is drawn slab
-  by slab, ``_SLAB`` rows at a time in row order; Philox fills a block
-  sequentially, so the bits are those of the whole block for any slab size.
-  A slab's block is used in place (the size uniforms become sizes there)
-  and freed, and the tableau keeps its real slots alone;
+* a chunk draws its tableau, then its estimator's draws.  The tableau
+  draws the jump counts, the epoch uniforms and the jump-size uniforms (the
+  counts and sizes only with jumps; ``rows x m`` blocks, ``m`` the chunk's
+  largest count and at least 1), then with a Gaussian part one standard
+  normal and then one bridge uniform per piece (``rows x (m + 1)``
+  blocks).  Each block is drawn slab by slab, ``_SLAB`` rows at a time in
+  row order; Philox fills a block sequentially, so the bits are those of
+  the whole block for any slab size.  A slab's block is used in place (the
+  size uniforms become sizes there) and freed, and the tableau keeps its
+  real slots alone;
 * then the estimator's draws, rows ascending.  :func:`_passages`, level by
   level: one uniform per path that passed the level below continuously,
   then one inverse Gaussian (``Generator.wald``) per continuous passage
@@ -46,7 +46,8 @@ estimate bit for bit given the seed:
   (with a Gaussian part), then one standard normal per cut piece.  Without
   a Gaussian part every piece settles in the first round, so the groups
   draw what one group of every row would.  :func:`wiener_hopf_check` draws
-  one standard normal and then one uniform per path.
+  the ``Exp(q)`` clocks, one per path, then one standard normal and then
+  one uniform per path.
 
 Chunks share no generator, so they run concurrently (:func:`_run_chunks`).
 Each chunk reduces its per-path terms to moments (count, mean and the sum
@@ -83,9 +84,11 @@ from .model import (
     LevyModel,
     _jump_sizes_into,
     _m1,
+    _psi_c,
     exp_growth_rate,
     jump_intensity,
     jump_passage_means,
+    laplace_exponent,
     phi,
     require_discount_condition,
 )
@@ -113,18 +116,23 @@ _CHUNK = 4096       # paths per chunk, each chunk one tableau
 _SLAB = _CHUNK // 4
 # expected jumps per path the event tableau accepts: a chunk builds its
 # tableau in (_SLAB paths x most jumps) draw blocks, ~34 MiB at the limit
-# (1024 paths x ~4320 jumps), where its worker peaks near 1.1 GiB with a
-# Gaussian part and 1 GiB without in wiener_hopf_check, and near 1 and 0.4
-# GiB in the other estimators (below)
+# (1024 paths x ~4320 jumps), where its worker peaks near 1 GiB with a
+# Gaussian part and 0.4 GiB without (below)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
 # hold together.  A worker holds one tableau at a time, 32 bytes a slot
 # with a Gaussian part (16 without: t1 and post alone), and a build peaks
 # near 45 (25); with an estimator's working arrays a worker peaks near 61
-# (25), and 72 (64) in wiener_hopf_check.  So this bounds the pool near
+# (26), wiener_hopf_check's near 50 (26).  So this bounds the pool near
 # 0.3 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
 _EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
+# |Phi(q) - 1| below which sup_exponential_moment takes psi' at the midpoint
+# for the secant of psi from 1: at 1e-5 the midpoint is off by ~1e-12
+# relative (its O(h^2) error) and the secant by ~1e-11 (its cancellation,
+# ~1e-16/h), on BV2 and on a model with a Gaussian part
+_SECANT_MIN = 1e-5
+_COMPLEX_STEP = 1e-20  # psi'(x) = Im psi(x + i step) / step, exact to rounding
 
 # stream tags keep independent estimators off each other's random numbers
 _TAG_VALUE, _TAG_UPCROSS, _TAG_TWOSIDED, _TAG_SUP = range(1, 5)
@@ -283,7 +291,8 @@ class _Tableau(NamedTuple):
     before it closed, or at ``(0, 0)`` for a row's first
     (:func:`_piece_start`), and without a Gaussian part it ends at its start
     plus its drift (:func:`_piece_end`).  The draw blocks are (``_SLAB``
-    paths x most jumps), but these arrays hold real pieces alone."""
+    paths x most jumps), but these arrays hold real pieces alone.  ``rng``
+    has drawn the tableau, and an estimator makes its own draws from it."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
@@ -296,7 +305,6 @@ class _Tableau(NamedTuple):
     # downhill from its start, which the jump before it reached
     pre: Optional[np.ndarray]
     smax: Optional[np.ndarray]
-    drawn: object = None  # the estimator's own draws, made first (``begin``)
 
 
 def _piece_start(c: _Tableau, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,17 +333,13 @@ def _piece_end(model: LevyModel, c: _Tableau, k: np.ndarray) -> np.ndarray:
     return x
 
 
-def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
-                   begin: Optional[Callable[[np.random.Generator, int], object]] = None
-                   ) -> _Tableau:
-    """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``;
-    ``begin(rng, rows)`` makes the estimator's draws first, and the tableau
-    keeps them as ``drawn``.  A Gaussian part moves each piece by
-    ``sqrt(b^2 len) Z`` and gives it an exact bridge maximum; without one a
-    piece peaks at its start, and the tableau keeps ``t1`` and ``post``
-    alone.  Each block is drawn ``_SLAB`` rows at a time, and each row's
-    prefix sums run along its row of the padded slab block, so they are
-    exact and no slab size changes a bit.
+def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int) -> _Tableau:
+    """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``.  A
+    Gaussian part moves each piece by ``sqrt(b^2 len) Z`` and gives it an
+    exact bridge maximum; without one a piece peaks at its start, and the
+    tableau keeps ``t1`` and ``post`` alone.  Each block is drawn ``_SLAB``
+    rows at a time, and each row's prefix sums run along its row of the
+    padded slab block, so they are exact and no slab size changes a bit.
     """
     T = config.horizon
     drift = _sim_drift(model)
@@ -343,7 +347,6 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
     chunk = slice(k * _CHUNK, min((k + 1) * _CHUNK, config.n_paths))
     rng = _rng(config.seed, tag, k)
     rows = chunk.stop - chunk.start
-    drawn = None if begin is None else begin(rng, rows)
     counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
     m = max(1, int(counts.max()))
     end = np.cumsum(counts + 1)
@@ -433,7 +436,7 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int,
 
         by_slab(moves, rng.standard_normal, m + 1)
         by_slab(ends, rng.random, m + 1)
-    return _Tableau(chunk, rng, start, end, t1, post, pre, smax, drawn)
+    return _Tableau(chunk, rng, start, end, t1, post, pre, smax)
 
 
 def _pool_size(chunks: int, jumps: float) -> int:
@@ -443,9 +446,7 @@ def _pool_size(chunks: int, jumps: float) -> int:
 
 
 def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
-                work: Callable[[_Tableau], object],
-                begin: Optional[Callable[[np.random.Generator, int], object]] = None
-                ) -> list:
+                work: Callable[[_Tableau], object]) -> list:
     """``work`` on every chunk's tableau, results in chunk order; the chunks
     run concurrently, each worker taking every ``workers``-th one, and
     ``work`` reduces its chunk to what the estimator keeps of it.  Raises
@@ -462,7 +463,7 @@ def _run_chunks(model: LevyModel, config: SimConfig, tag: int,
 
     def lane(ks: range) -> list:
         # each tableau is freed as its work returns, before the next is built
-        return [work(_event_tableau(model, config, tag, k, begin)) for k in ks]
+        return [work(_event_tableau(model, config, tag, k)) for k in ks]
 
     # each worker runs in a copy of the caller's context, so that numpy's
     # error state (np.errstate) holds in it as in the caller
@@ -826,56 +827,61 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
 
 
 def sup_exponential_moment(model: LevyModel, q: float) -> float:
-    """Closed form of the exponential moment of the pre-``Exp(q)`` supremum.
+    """Closed form of ``E[e^(-S)]``, ``S`` the supremum of X up to an
+    independent ``Exp(q)`` clock.
 
-    The running maximum at an independent exponential clock has
-    ``E[e^(sup)] = (q / Phi(q)) (Phi(q) + 1) / (q - psi(-1))`` — the upward
-    ladder factor evaluated at the share exponent.  The plain sample
-    ``e^sup`` has a finite variance only when ``E[e^(2 sup)] < inf``, the
-    same factor at exponent 2, i.e. only when ``q > psi(-2)``; see
-    :func:`wiener_hopf_check` for the estimate compared against it.
+    The upward Wiener–Hopf factor at exponent 1 (Kyprianou, *Fluctuations
+    of Lévy Processes*, 2nd ed. 2014, chs. 6–8) is
+    ``E[e^(-S)] = (q / Phi(q)) (Phi(q) - 1) / (q - psi(1))``, which lies in
+    ``(0, 1]``.  It is formed as ``q / (Phi(q) slope)``, with ``slope`` the
+    secant ``(q - psi(1)) / (Phi(q) - 1)`` of psi from 1 to ``Phi(q)``.  At
+    ``Phi(q) = 1`` the secant is ``0/0`` and its limit ``psi'(1)``; within
+    ``_SECANT_MIN`` of that point, where the secant would cancel, ``slope``
+    is psi' at the midpoint ``(1 + Phi(q)) / 2``, taken by a complex step on
+    psi's continuation, which matches the secant to ``O((Phi(q) - 1)^2)``.
+    :func:`wiener_hopf_check` estimates the same mean.
     """
     require_discount_condition(model, q)
     ph = phi(model, q)
-    return (q / ph) * (ph + 1.0) / (q - exp_growth_rate(model))
+    if abs(ph - 1.0) < _SECANT_MIN:
+        mid = 0.5 * (1.0 + ph)
+        slope = float(_psi_c(model, [complex(mid, _COMPLEX_STEP)])[0].imag) / _COMPLEX_STEP
+    else:
+        slope = (q - laplace_exponent(model, 1.0)) / (ph - 1.0)
+    return q / (ph * slope)
 
 
 def wiener_hopf_check(model: LevyModel, q: float,
                       config: SimConfig) -> PayoffEstimate:
-    """MC of ``E[e^(sup X up to an independent Exp(q) clock)]``.
+    """MC of ``E[e^(-S)]``, ``S`` the supremum of X up to an independent
+    ``Exp(q)`` clock.
 
     Compare against :func:`sup_exponential_moment`; clocks beyond the
-    horizon are truncated there (error of order ``e^(-q horizon)``).  The
-    pieces that end before the clock give their exact maxima; in the piece
-    holding it, the bridge's value at the clock is a Gaussian draw, and its
-    maximum up to the clock an exact bridge maximum.  A jump past the
-    running maximum lifts ``e^sup`` by ``e^(overshoot)``, replaced by its
-    mean over the jump's size (:func:`jump_passage_means`).  A 3-stderr
-    comparison needs a finite variance: the averaged lifts remove the
-    jumps' ``E[e^(2Z)]`` from it but not the Gaussian part's, infinite at
-    ``q <= 4`` with ``b2 = 2`` and no jumps (``psi(-2) = 4``).
+    horizon are truncated there (error of order ``e^(-q horizon)``).  ``S``
+    is the largest of 0, the top of each piece the clock has ended (its
+    bridge maximum and X after its closing jump, the peaks of
+    :func:`_passages`) and, in the piece holding the clock, the maximum of
+    the bridge up to the clock: the bridge's value at the clock is a
+    Gaussian draw, and its maximum an exact bridge maximum.  Each sample
+    ``e^(-S)`` lies in ``(0, 1]``, so the 3-stderr comparison has a finite
+    variance on every model (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2004, ch. 4).
     """
     if q <= 0.0:
         raise DomainError("q must be positive")
     T = config.horizon
 
-    def draw_clocks(rng: np.random.Generator, rows: int) -> np.ndarray:
-        return rng.exponential(1.0 / q, rows)
-
     def sup_at_clock(c: _Tableau) -> _Moments:
-        clk = c.drawn
-        n = c.end - c.start                       # pieces per row
-        smax = c.smax                             # each piece's maximum
-        if smax is None:
-            # without a Gaussian part, where it starts: the post before it,
-            # or 0 at a row's first
-            smax = np.empty(len(c.post))
-            smax[1:] = c.post[:-1]
-            smax[c.start] = 0.0
-        full = c.t1 <= np.repeat(clk, n)          # the pieces ended by the clock
-        top = np.maximum.reduceat(np.where(full, smax, -np.inf), c.start)
+        clk = c.rng.exponential(1.0 / q, len(c.start))
+        full = c.t1 <= np.repeat(clk, c.end - c.start)  # the pieces ended by the clock
+        # 0 enters each row's maximum as the clock piece's entry, or past T,
+        # where the clock has ended every piece, as the bridge's below
+        peak = c.post if c.smax is None else np.maximum(c.smax, c.post)
+        sup = np.maximum.reduceat(np.where(full, peak, 0.0), c.start)
+        del peak
         # the piece holding the clock (a row's last piece if the clock is past T)
         k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
+        del full
         t0, y0 = _piece_start(c, k)
         end = _piece_end(model, c, k)
         span = c.t1[k] - t0
@@ -883,24 +889,10 @@ def wiener_hopf_check(model: LevyModel, q: float,
         at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
             c.rng.standard_normal(len(clk))
         spread = -2.0 * model.b2 * span * frac * np.log(c.rng.random(len(clk)))
-        sup = np.where(clk < T, np.maximum(top, _bridge_max(y0, at, spread)), top)
-        # lifts by jumps past the running maximum, averaged over their sizes;
-        # the running maximum and each row's sum run along (paths x most
-        # jumps) blocks, as the draws do, so both are exact and sum in order
-        m = max(1, int(n.max()) - 1)
-        piece = np.arange(m + 1) < n[:, None]
-        block = np.full(piece.shape, -np.inf)
-        block[piece] = smax
-        before = np.maximum.accumulate(block, axis=1)[piece]
-        lift = full & (c.post > before)
-        share, _ = jump_passage_means(model, _piece_end(model, c, np.flatnonzero(lift)),
-                                      before[lift])
-        block[:] = 0.0
-        block.flat[np.flatnonzero(piece)[lift]] = np.log(share) - c.post[lift]
-        sup += block[:, :m].sum(axis=1)
-        return _moments(np.exp(sup))
+        np.maximum(sup, np.where(clk < T, _bridge_max(y0, at, spread), 0.0), out=sup)
+        return _moments(np.exp(-sup))
 
-    return _merged(_run_chunks(model, config, _TAG_SUP, sup_at_clock, draw_clocks)).estimate()
+    return _merged(_run_chunks(model, config, _TAG_SUP, sup_at_clock)).estimate()
 
 
 # --------------------------------------------------------------------------- #

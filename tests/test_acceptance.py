@@ -305,10 +305,10 @@ def test_c08_monte_carlo_agreement():
     for x, est, v in zip(xs4, ests4, vals4):
         assert abs(est.mean - v) <= 3.0 * est.stderr, ("R4", x, est, v)
 
-    # (d) exponential moment of the running maximum at an independent
-    # exponential clock; the closed value is exactly 2 here
+    # (d) E[e^(-sup)] for the running maximum at an independent exponential
+    # clock; the closed value is exactly 2/3 here
     closed = sup_exponential_moment(CANON, 4.0)
-    assert closed == pytest.approx(2.0, rel=1e-12)
+    assert closed == pytest.approx(2.0 / 3.0, rel=1e-12)
     est = wiener_hopf_check(CANON, 4.0, SimConfig(n, 5.0, dt, seed=9105))
     assert abs(est.mean - closed) <= 3.0 * est.stderr, est
 

@@ -341,6 +341,22 @@ class TestSelfcheck:
         assert float(value.group(1)) <= 1e-8
         assert "verdict=pass" in out
 
+    def test_supremum_factor_on_a_heavy_jump_tail(self, tmp_path, capsys):
+        # tail rate 2 makes E[e^(2 sup)] infinite at every q: the estimate of
+        # E[e^sup] read z 3.28 on these paths.  e^(-sup) is bounded.  The
+        # tilt identity on this density is a separate line
+        zs = np.linspace(0.004, 8.0, 101)
+        (tmp_path / "tab.csv").write_text(
+            "".join(f"{z:.17g},{2.0 * math.exp(-2.0 * z):.17g}\n" for z in zs))
+        model = {"family": "tabulated", "mu": 0.1, "b2": 0.3,
+                 "density_file": "tab.csv", "tail_rate": 2.0}
+        path = write_config(tmp_path, model=model, game={**GAME, "q": 2.6},
+                            sim={**SIM, "n_paths": 20_000, "horizon": 10.0})
+        assert main(["selfcheck", str(path)]) in (0, 3)
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("supremum factor"))
+        assert line.endswith(": pass"), line
+
     def test_selfcheck_requires_sim_section(self, tmp_path, capsys):
         path = write_config(tmp_path, model=BROWNIAN, game=GAME)
         assert main(["selfcheck", str(path)]) == 1
