@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Union
 
 import numpy as np
@@ -429,7 +429,9 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
     :meth:`_Body.cut` at ``(lo, s)``.  The tail past
     ``start = max(lo, zN)`` holds mass ``M`` and gives
     ``M (r expm1(a d) + a)/(r - a)``, ``d = start - s``: its digits hold as
-    ``a -> 0``, and past the abscissa it is the continuation.  Where
+    ``a -> 0``, and past the abscissa it is the continuation.  A tail taken
+    where it starts (``d = 0``, as ``psi``'s is on a density that is the
+    tail alone) is ``M a/(r - a)``, with no ``expm1(a 0)`` formed.  Where
     ``Re(a d) < _EXP_UNDERFLOW``, ``e^(a d)`` underflows and ``expm1(a d)``
     is exactly ``-1``, its correctly rounded value, whatever the imaginary
     part; an Euler ladder's rungs share that real part, and its imaginary
@@ -445,13 +447,18 @@ def _jump_expm1(jumps: JumpSpec, lo: float, s: float, a, step=None):
         total = _body_expm1(jumps._body.cut(lo, s), a, step)
     if tail > 0.0:
         start = lo if lo > zN else zN
-        x, mass = a * (start - s), tail if start == zN else tail * math.exp(-r * (start - zN))
-        if real:
-            grow = math.expm1(x) if x <= 709.0 else math.inf
-        else:  # exactly -1 where e^x underflows, so expm1 forms the rest only
-            grow = np.full(np.shape(x), -1.0 + 0j)
-            np.expm1(x, out=grow, where=~np.less(np.real(x), _EXP_UNDERFLOW))
-        total = total + mass * (r * grow + a) / (r - a)
+        mass = tail if start == zN else tail * math.exp(-r * (start - zN))
+        if start == s:  # expm1(a * 0) = 0
+            top = a
+        else:
+            x = a * (start - s)
+            if real:
+                grow = math.expm1(x) if x <= 709.0 else math.inf
+            else:  # exactly -1 where e^x underflows, so expm1 forms the rest only
+                grow = np.full(np.shape(x), -1.0 + 0j)
+                np.expm1(x, out=grow, where=~np.less(np.real(x), _EXP_UNDERFLOW))
+            top = r * grow + a
+        total = total + mass * top / (r - a)
     return total
 
 
@@ -585,14 +592,16 @@ def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:
     of one rung.  Never raises: past the abscissa of convergence
     :func:`_jump_expm1`'s tail form is the continuation; at the tail's pole,
     past the body's overflow guard or where the magnitude would overflow,
-    ``inf`` is returned so transform evaluations degrade to 0.
+    ``inf`` is returned so transform evaluations degrade to 0.  With no
+    jumps it is the drift and Gaussian part alone.
     """
     beta = np.asarray(beta, dtype=complex)
     j = model.jumps
     out = model.mu * beta + 0.5 * model.b2 * beta * beta
-    with np.errstate(all="ignore"):
-        out += _jump_expm1(j, 0.0, 0.0, -beta, None if step is None else np.negative(step))
-        out += beta * j._m1
+    if j._mass:
+        with np.errstate(all="ignore"):
+            out += _jump_expm1(j, 0.0, 0.0, -beta, None if step is None else np.negative(step))
+            out += beta * j._m1
     out[~np.isfinite(out)] = np.inf
     return out
 
@@ -695,8 +704,40 @@ def _root_past(f, lo: float, flo: float, failure: Exception) -> float:
     raise failure
 
 
-@lru_cache(maxsize=256)
-def phi(model: LevyModel, p: float) -> float:
+def _psi_known(model: LevyModel, known: dict, theta: float) -> float:
+    """``psi(theta)`` read from ``known`` (values by ``theta``) or evaluated
+    by :func:`laplace_exponent` and added to it: root searches that share
+    ``known`` evaluate ``psi`` at each ``theta`` once.  A dict and a plain
+    call, because a Brownian ``psi`` costs ~0.3 us and a heavier memo
+    would cost the searches more than the repeats it saves."""
+    val = known.get(theta)
+    if val is None:
+        val = known[theta] = laplace_exponent(model, theta)
+    return val
+
+
+def _memo_per_level(search):
+    """Memoise ``search(model, p, known=None)`` per ``(model, p)``, with
+    ``known`` left out of the key: it saves ``psi`` evaluations and never
+    changes the root.  The memo holds at most 256 roots and starts over when
+    full; ``__wrapped__`` is the search and ``cache_clear`` empties it."""
+    memo: dict = {}
+
+    @wraps(search)
+    def memoised(model: LevyModel, p: float, known: dict | None = None) -> float:
+        key = (model, p)
+        root = memo.get(key)
+        if root is None:
+            if len(memo) >= 256:
+                memo.clear()
+            root = memo[key] = search(model, p, known)
+        return root
+    memoised.cache_clear = memo.clear
+    return memoised
+
+
+@_memo_per_level
+def phi(model: LevyModel, p: float, known: dict | None = None) -> float:
     """Largest nonnegative root of ``psi(theta) = p`` (the right inverse).
 
     Convexity of ``psi`` with ``psi(0) = 0`` makes ``{theta >= 0 : psi <= p}``
@@ -705,14 +746,22 @@ def phi(model: LevyModel, p: float) -> float:
     every model (on ``[1e-7, 2^k]`` at ``p = 0``, where 0 is a root too).
     Memoised per ``(model, p)``: a solve reads ``Phi(q)`` in its scale
     build, its thresholds and its fit report, and the root is found once.
+    ``known`` holds ``psi`` values by ``theta`` that the caller has formed
+    (``solver.classify`` passes its rate searches'); the search reads them
+    and adds its own (:func:`_psi_known`).
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise DomainError(f"phi() needs p >= 0, got {p}")
-    lo, flo = (1e-7, laplace_exponent(model, 1e-7)) if p == 0.0 else (0.0, -p)
+    if known is None:  # nothing to share: psi directly, with no dict
+        def f(th: float) -> float:
+            return laplace_exponent(model, th) - p
+    else:
+        def f(th: float) -> float:
+            return _psi_known(model, known, th) - p
+    lo, flo = (1e-7, f(1e-7)) if p == 0.0 else (0.0, -p)
     if flo >= 0.0:
         return 0.0
-    return _root_past(lambda th: laplace_exponent(model, th) - p, lo, flo,
-                     DomainError(f"could not bracket the inverse of psi at p={p}"))
+    return _root_past(f, lo, flo, DomainError(f"could not bracket the inverse of psi at p={p}"))
 
 
 @lru_cache(maxsize=256)

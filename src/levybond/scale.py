@@ -18,16 +18,26 @@ Two evaluation routes exist and are cross-checked against each other:
   to 0 and makes the inverse bounded, which conditions the inversion).  For
   rational exponents the primary rule is a 64-node fixed-Talbot contour with
   exactly rounded (fsum) accumulation, cross-validated by an Euler-summation
-  inverter at 10 points.  Tabulated exponents have entire transform pieces
-  whose ``psi - q`` acquires complex zeros off the real axis; a deformed
-  contour silently crosses those poles, so there the Euler inverter (vertical
-  Bromwich line, no deformation) is primary and certification is by the
-  forward transform identity instead.
+  inverter at 10 points (both read ``psi`` from its fraction; the tests hold
+  the fraction to ``model._psi_c`` on their contours).  Tabulated exponents
+  have entire transform pieces whose ``psi - q`` acquires complex zeros off
+  the real axis; a deformed contour silently crosses those poles, so there
+  the Euler inverter (vertical Bromwich line, no deformation) is primary and
+  certification is by the forward transform identity instead.
 
 Both inverters take an array of ``x``, in blocks of ``_CHUNK_ROWS``
-points.  Talbot builds each block's (x, node) contour, calls the transform
-on it point by point and sums each x's 64 terms exactly rounded
-(``math.fsum`` per row).  Euler's contour at ``x`` is a ladder of rungs
+points, and one point is an array of one: a one-point call takes the same
+path as a profile, forms no block list and pays for little beyond its
+transform values.  Talbot's contour at ``x`` is ``(R/x) c_k``, so a
+block's contour is one product of its radii and the node constants
+``_NODES`` (the first at 1), and its growth factors
+``e^(x s_k) = e^(R c_k)`` do not depend on ``x``: with the trapezoid
+weights they are the module constants ``_FACTORS``, and only a contour
+moved by the 5% rule below forms its own.  The transform reads ``psi``
+from the evaluator's fraction ``den/(num - q den)`` (``model._psi_fraction``,
+read once per evaluator) by Horner, and each x's 64 terms are summed
+exactly rounded (``math.fsum`` over a row's ``tolist()``).  Euler's
+contour at ``x`` is a ladder of rungs
 ``A/(2x) + i k pi/x``, and the transform gets the rung step ``pi/x`` with
 it.  A tabulated exponent then forms each density node's exponential
 ``e^(-(s_0 + Phi) u_j)`` at the first rung and multiplies it by
@@ -123,7 +133,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -161,8 +171,16 @@ _TALBOT_M = 64
 _TALBOT_RADIUS = 8.0
 _TH = np.pi * np.arange(1, _TALBOT_M) / _TALBOT_M
 _COT = 1.0 / np.tan(_TH)
-_SIG = _TH + (_TH * _COT - 1.0) * _COT
-_CONTOUR = _TH * (_COT + 1j)
+# the contour at x is (scale R/x) times these nodes c_k, the first (theta ->
+# 0) at 1; sigma_k is the node's slope term, 0 at the first
+_NODES = np.concatenate([[1.0], _TH * (_COT + 1j)])
+_SIG = np.concatenate([[0.0], _TH + (_TH * _COT - 1.0) * _COT])
+# each node's trapezoid weight (1/(2M) at the first, 1/M after) times
+# (1 + i sigma_k); M is a power of 2, so the 1/M scales without rounding
+_SLOPES = np.where(np.arange(_TALBOT_M) == 0, 0.5, 1.0) / _TALBOT_M * (1.0 + 1j * _SIG)
+# e^(x s_k) = e^(scale R c_k) does not depend on x: at scale 1 each node's
+# whole factor is a constant
+_FACTORS = _SLOPES * np.exp(_TALBOT_RADIUS * _NODES)
 
 # Euler-summation (binomial-averaged Bromwich series) parameters: aliasing
 # error ~ exp(-A), roundoff ~ exp(A/2) * eps; A = 21 balances both near 1e-9.
@@ -195,37 +213,39 @@ class Method(enum.Enum):
 
 def _in_row_blocks(rule):
     """Run an inversion rule on ``x`` in blocks of ``_CHUNK_ROWS`` points, so
-    the transform's arrays stay under 1 MB; ``scale`` is one contour scale or
-    one per point."""
+    the transform's arrays stay under 1 MB; ``scale`` is one contour scale
+    per point, or None for every contour where the rule puts it."""
     @wraps(rule)
-    def invert(transform, x: np.ndarray, scale=1.0) -> np.ndarray:
-        scale = np.full(x.shape, scale)
-        return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS], scale[i:i + _CHUNK_ROWS])
+    def invert(transform, x: np.ndarray, scale=None) -> np.ndarray:
+        if len(x) <= _CHUNK_ROWS:
+            return rule(transform, x, scale)
+        return np.concatenate([rule(transform, x[i:i + _CHUNK_ROWS],
+                                    None if scale is None else scale[i:i + _CHUNK_ROWS])
                                for i in range(0, len(x), _CHUNK_ROWS)])
     return invert
 
 
 @_in_row_blocks
-def _talbot(transform, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _talbot(transform, x: np.ndarray, scale) -> np.ndarray:
     """Fixed-Talbot inverse at each point of ``x``, each an exactly rounded
-    sum, on the contour of radius ``scale * _TALBOT_RADIUS / x``."""
-    r = scale * _TALBOT_RADIUS / x
-    s = np.empty((len(x), _TALBOT_M), dtype=complex)
-    s[:, 0] = r
-    s[:, 1:] = r[:, None] * _CONTOUR
-    vals = transform(s)
-    terms = np.empty((len(x), _TALBOT_M))
-    terms[:, 0] = 0.5 * np.exp(r * x) * vals[:, 0].real
-    terms[:, 1:] = (np.exp(x[:, None] * s[:, 1:]) * vals[:, 1:] * (1.0 + 1j * _SIG)).real
-    return (r / _TALBOT_M) * np.array([math.fsum(row) for row in terms])
+    sum, on the contour of radius ``scale * _TALBOT_RADIUS / x``: one
+    product of the radii and ``_NODES``, whose growth factors are the
+    constants ``_FACTORS`` where ``scale`` is None (1 at every point)."""
+    if scale is None:
+        r, factors = _TALBOT_RADIUS / x, _FACTORS
+    else:
+        r = scale * _TALBOT_RADIUS / x
+        factors = _SLOPES * np.exp(np.multiply.outer(scale * _TALBOT_RADIUS, _NODES))
+    terms = (transform(r[:, None] * _NODES) * factors).real
+    return r * np.array([math.fsum(row) for row in terms.tolist()])
 
 
 @_in_row_blocks
-def _euler(transform, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _euler(transform, x: np.ndarray, scale) -> np.ndarray:
     """Euler-summed Bromwich inverse at each point of ``x``, with ``A`` taken
-    as ``scale * _EULER_A`` point by point; each row of the contour is a
-    ladder with rung step ``pi/x``."""
-    big_a = scale * _EULER_A
+    as ``scale * _EULER_A`` point by point (``_EULER_A`` where ``scale`` is
+    None); each row of the contour is a ladder with rung step ``pi/x``."""
+    big_a = _EULER_A if scale is None else scale * _EULER_A
     s = np.empty((len(x), _EULER_N + _EULER_ME + 1), dtype=complex)
     s.real = (big_a / (2.0 * x))[:, None]
     s.imag = _EULER_K * math.pi / x[:, None]
@@ -235,27 +255,63 @@ def _euler(transform, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.exp(big_a / 2.0) / x * avg / 2.0**_EULER_ME
 
 
-def _resolvent_transform(model: LevyModel, q: float, tilt: float, num=None, rest=None):
+def _polyval(coeffs, s):
+    """The polynomial with ``coeffs``, highest power first, at ``s``, by Horner."""
+    val = coeffs[0]
+    for c in coeffs[1:]:
+        val = val * s + c
+    return val
+
+
+def _monic(coeffs, s):
+    """``s^n + coeffs[0] s^(n-1) + ... + coeffs[-1]`` at ``s``, by Horner."""
+    val = s + coeffs[0]
+    for c in coeffs[1:]:
+        val = val * s + c
+    return val
+
+
+def _resolvent_transform(ev: ScaleEvaluator, tilt: float, num=None, rest=None):
     """``b -> num(s)/(psi(s) - q) + rest(s)`` at ``s = b + tilt``, on arrays.
 
     ``num`` (1 if omitted) takes ``(s, step)``; the quotient is 0 where psi is
     infinite.  ``step`` marks ``b``'s last axis as a ladder (see
-    ``model._psi_c``).  With ``tilt = Phi(q)`` and nothing else this is the
-    tilted transform ``G(b) = 1/(psi(b + Phi) - q)`` of ``e^(-Phi x) W(x)``.
+    ``model._psi_c``).  A rational exponent's ``1/(psi - q)`` is the
+    evaluator's fraction ``den/(num - q den)`` (``ScaleEvaluator.resolvent``)
+    by Horner, unless that is not finite at some point (a contour at ``x``
+    under ~1e-98, where ``|s|`` passes ~1e100 and numpy warns of the
+    overflow); any other, and those, read ``1/(model._psi_c - q)``.  With
+    ``tilt = Phi(q)`` and nothing else this is the tilted transform
+    ``G(b) = 1/(psi(b + Phi) - q)`` of ``e^(-Phi x) W(x)``.
     """
+    model, q, fraction = ev.model, ev.q, ev.resolvent
+
     def transform(b: np.ndarray, step=None) -> np.ndarray:
         s = b + tilt
-        den = _psi_c(model, s, step) - q
-        with np.errstate(all="ignore"):
-            out = (1.0 if num is None else num(s, step)) / den
-        out[(den == 0.0) | ~np.isfinite(den.real) | ~np.isfinite(out)] = 0.0
+        out = None
+        if fraction is not None:
+            poly = _monic(fraction[1], s)
+            out = _polyval(fraction[0], s) / poly
+            # conj(poly) out = den conj(poly)/poly has the size of den and is
+            # finite, except where Horner's powers pass the float range (|s|
+            # past ~1e100, where out reads 0) or s is a root (out is inf);
+            # their sum (one vdot) is finite only if every term is
+            if not cmath.isfinite(np.vdot(poly, out)):
+                out = None
+            elif num is not None:
+                out = num(s, step) * out
+        if out is None:
+            with np.errstate(all="ignore"):
+                out = (1.0 if num is None else num(s, step)) / (_psi_c(model, s, step) - q)
+            if not cmath.isfinite(out.sum()):
+                out[~np.isfinite(out)] = 0.0
         return out if rest is None else out + rest(s)
     return transform
 
 
-def _inverter(model: LevyModel):
+def _inverter(ev: ScaleEvaluator):
     """Talbot for rational exponents, Euler for the others (module docstring)."""
-    return _talbot if _psi_fraction(model) is not None else _euler
+    return _talbot if ev.resolvent is not None else _euler
 
 
 def _invert_at(ev: ScaleEvaluator, transform, x: np.ndarray, tilt: float) -> np.ndarray:
@@ -266,12 +322,13 @@ def _invert_at(ev: ScaleEvaluator, transform, x: np.ndarray, tilt: float) -> np.
     (module docstring), point by point.  A tilted transform has its pole at
     ``b = 0``, not a removable singularity near ``Phi``, so its contours
     stay where the rule puts them."""
-    invert = _inverter(ev.model)
+    invert = _inverter(ev)
     if tilt != 0.0:
         return invert(transform, x)
     point = (_TALBOT_RADIUS if invert is _talbot else _EULER_A / 2.0) / x
     near = np.abs(point - ev.phi_q) < 0.05 * ev.phi_q
-    return invert(transform, x, np.where(near, 1.05 * ev.phi_q / point, 1.0))
+    scale = np.where(near, 1.05 * ev.phi_q / point, 1.0) if near.any() else None
+    return invert(transform, x, scale)
 
 
 # --------------------------------------------------------------------------- #
@@ -299,6 +356,14 @@ class ScaleEvaluator:
     roots: tuple[complex, ...] | None
     weights: tuple[complex, ...] | None
 
+    @cached_property
+    def resolvent(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None:
+        """``1/(psi - q) = den/(num - q den)`` of ``model._psi_fraction`` for
+        a rational exponent, None for any other; it selects the Talbot route
+        (:func:`_inverter`).  Read once, at the evaluator's first inversion,
+        in the form :func:`_monic_form` gives."""
+        return _monic_form(_resolvent_fraction(self.model, self.q))
+
 
 def _horner(coeffs, x):
     """``(p(x), p'(x))`` for ``coeffs`` of ``p``, highest power first."""
@@ -308,15 +373,39 @@ def _horner(coeffs, x):
     return val, slope
 
 
-def _closed_form_data(fraction, q: float, phi_q: float):
-    """Roots/weights of the partial fractions of ``1/(psi - q) = den/(num - q den)``
-    for ``fraction = (num, den)``, the root at ``Phi(q)`` first, or None if
-    degenerate.  ``num - q den`` is deflated at ``Phi(q)`` (module docstring);
-    with ``k`` exponential phases it would be deflated at each root found."""
+def _resolvent_fraction(model: LevyModel, q: float):
+    """``(den, num - q den)`` for ``model._psi_fraction`` ``(num, den)``: the
+    fraction ``1/(psi - q)``, highest power first, or None when ``psi`` is
+    not rational."""
+    fraction = _psi_fraction(model)
+    if fraction is None:
+        return None
     num, den = fraction
     poly = list(num)
     for i, c in enumerate(den, len(num) - len(den)):
         poly[i] -= q * c
+    return den, tuple(poly)
+
+
+def _monic_form(fraction):
+    """The evaluator's ``resolvent`` for the float ``fraction = (den, poly)``
+    of :func:`_resolvent_fraction`, or None: both divided by ``poly``'s
+    leading coefficient, ``poly`` then held without its leading 1, so
+    Horner's first step takes no product (:func:`_monic`), and each
+    coefficient a complex 0-d array, which a complex contour's Horner steps
+    take without a cast."""
+    if fraction is None:
+        return None
+    den, poly = fraction
+    return tuple(tuple(np.asarray(complex(c / poly[0])) for c in part) for part in (den, poly[1:]))
+
+
+def _closed_form_data(fraction, phi_q: float):
+    """Roots/weights of the partial fractions of ``1/(psi - q) = den/poly``
+    for ``fraction = (den, poly)``, the root at ``Phi(q)`` first, or None if
+    degenerate.  ``poly`` is deflated at ``Phi(q)`` (module docstring);
+    with ``k`` exponential phases it would be deflated at each root found."""
+    den, poly = fraction
     val, slope = _horner(poly, phi_q)
     if slope == 0.0 or abs(val / slope) > 1e-6 * (1.0 + phi_q):
         return None  # no simple root to group at Phi(q) (module docstring); invert instead
@@ -379,9 +468,9 @@ def scale_evaluator(model: LevyModel, q: float, method: Method | None = None) ->
         raise DomainError(f"scale functions need q >= 0, got {q}")
     phi_q = phi(model, q)
     w0, w0p = _w_at_zero(model, q)
-    fraction = _psi_fraction(model)
+    fraction = _resolvent_fraction(model, q)
     if method is not Method.NUMERIC_INVERSION and fraction is not None:
-        data = _closed_form_data(fraction, q, phi_q)
+        data = _closed_form_data(fraction, phi_q)
         if data is not None:
             ev = ScaleEvaluator(model=model, q=float(q), method=Method.CLOSED_FORM,
                                 phi_q=phi_q, w0=w0, w0_prime=w0p, roots=data[0],
@@ -405,8 +494,8 @@ def _certify(ev: ScaleEvaluator) -> None:
     (the others, where a deformed contour is unsound) by the forward
     transform identity at ``beta = Phi + {0.5, 1, 3}``, one
     :func:`laplace_selfcheck` call on one inversion."""
-    if _inverter(ev.model) is _talbot:
-        transform = _resolvent_transform(ev.model, ev.q, ev.phi_q)
+    if _inverter(ev) is _talbot:
+        transform = _resolvent_transform(ev, ev.phi_q)
         xs = np.geomspace(1e-3, 40.0, 10)
         for xv, a, b in zip(xs.tolist(), _talbot(transform, xs).tolist(),
                             _euler(transform, xs).tolist()):
@@ -432,19 +521,22 @@ def _certify(ev: ScaleEvaluator) -> None:
 
 def _w_resolvent(ev: ScaleEvaluator, v, num, rest=None, tilt: float = 0.0):
     """The inverse of ``num(s)/(psi(s) - q) + rest(s)`` (see
-    :func:`_resolvent_transform`) at each point of the array ``v`` (a float
-    for a scalar ``v``; every point finite and positive), inverted in
-    ``b = s - tilt`` by one :func:`_invert_at` call and scaled back by
-    ``e^(tilt v)``.
+    :func:`_resolvent_transform`) at each point of the array ``v`` (every
+    point finite and positive), inverted in ``b = s - tilt`` by one
+    :func:`_invert_at` call and scaled back by ``e^(tilt v)``.  A scalar
+    ``v`` is inverted as an array of one and gives a float, scaled by
+    ``math.exp``.
 
     A transform whose inverse grows like ``e^(Phi v)`` is tilted by ``Phi``;
     one whose numerator vanishes at ``Phi`` is inverted untilted.
     """
+    transform = _resolvent_transform(ev, tilt, num, rest)
+    if isinstance(v, float) or np.ndim(v) == 0:
+        v = float(v)
+        return math.exp(tilt * v) * float(_invert_at(ev, transform, np.array([v]), tilt)[0])
     vs = np.asarray(v, dtype=float)
     x = vs.ravel()
-    transform = _resolvent_transform(ev.model, ev.q, tilt, num, rest)
-    out = np.exp(tilt * x) * _invert_at(ev, transform, x, tilt)
-    return float(out[0]) if vs.ndim == 0 else out.reshape(vs.shape)
+    return (np.exp(tilt * x) * _invert_at(ev, transform, x, tilt)).reshape(vs.shape)
 
 
 def w(ev: ScaleEvaluator, x: float) -> float:
@@ -605,7 +697,7 @@ def laplace_selfcheck(ev: ScaleEvaluator, beta):
     else:
         ks = [b - ev.phi_q for b in betas]
         x = _cert_lattice(min(ks), max(ks))
-        w_phi = _inverter(ev.model)(_resolvent_transform(ev.model, ev.q, ev.phi_q), x)
+        w_phi = _inverter(ev)(_resolvent_transform(ev, ev.phi_q), x)
         # the nodes below x[0], where e^(-k x) W_Phi = w0 + O(x), sum to this
         head = ev.w0 * x[0] / (3.0 * math.expm1(1.0 / 3.0))
         vals = [math.fsum((np.exp(-k * x) * x / 3.0 * w_phi).tolist()) + head for k in ks]

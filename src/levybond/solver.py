@@ -48,11 +48,11 @@ import numpy as np
 from .errors import BracketError, DomainError, RegimeError
 from .model import (
     LevyModel,
+    _psi_known,
     _root_past,
     brentq,
     exp_growth_rate,
     jump_intensity,
-    laplace_exponent,
     phi,
     require_discount_condition,
     shifted_jump_integrals,
@@ -159,7 +159,7 @@ class RegimeSolution:
     sigma_level: float | ImmediateStop
 
 
-def a_star(model: LevyModel, params: GameParams) -> float:
+def a_star(model: LevyModel, params: GameParams, *, _known: dict | None = None) -> float:
     """Share level at which the holder converts in regime R2.
 
     Strictly decreasing in ``q``, exploding at ``psi(-1) + beta`` and
@@ -170,52 +170,63 @@ def a_star(model: LevyModel, params: GameParams) -> float:
         raise DomainError(
             f"a_star needs q > psi(-1) + beta = {growth + params.beta:g}, got q={params.q:g}"
         )
-    ph = phi(model, params.q)
+    ph = phi(model, params.q, _known)
     return params.alpha * (ph + 1.0) / (ph * (params.q - growth - params.beta))
 
 
-def _holder_condition(model: LevyModel, params: GameParams, theta: float) -> float:
+def _holder_condition(model: LevyModel, params: GameParams, theta: float,
+                      known: dict) -> float:
     """``F0 = alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)``; its
     zero on ``(0, inf)`` is ``Phi(q0)``, where ``a_star`` at ``q = psi(theta)``
     falls through ``K``.  ``F0 = -theta (theta+1) h0`` with ``h0 = K (psi(theta)
     - psi(-1))/(theta+1) - K beta/(theta+1) - alpha/theta``, whose three terms
     (the secant slope of convex ``psi`` from -1 first) strictly increase on
     ``(0, inf)``: so ``F0(0) = alpha > 0`` and ``F0`` changes sign once.
-    At 0 it returns ``alpha``, the exact value, without evaluating ``psi``."""
+    At 0 it returns ``alpha``, the exact value, without evaluating ``psi``.
+    ``psi(theta)`` is read from or added to ``known`` (``model._psi_known``),
+    which holds ``psi(-1)`` at ``-1.0`` (:func:`_phi_q0` puts it there)."""
     if theta == 0.0:
         return float(params.alpha)
     return (params.alpha * (theta + 1.0)
-            - params.K * theta * (laplace_exponent(model, theta) - exp_growth_rate(model)
-                                  - params.beta))
+            - params.K * theta * (_psi_known(model, known, theta) - known[-1.0] - params.beta))
 
 
-def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> float:
+def _boundary_condition(model: LevyModel, params: GameParams, theta: float,
+                        known: dict) -> float:
     """Issuer boundary condition ``F0 - theta (theta+1) K b^2/2`` (``F0`` is
     :func:`_holder_condition`), ``-theta (theta+1) (h0 + K b^2/2)``: ``alpha``
     at 0, ``-Phi(q0) (Phi(q0)+1) K b^2/2`` at ``Phi(q0)``, ``Phi(q1)`` between."""
-    return (_holder_condition(model, params, theta)
+    return (_holder_condition(model, params, theta, known)
             - theta * (theta + 1.0) * params.K * model.b2 / 2.0)
 
 
-def _phi_q0(model: LevyModel, params: GameParams) -> float:
-    if exp_growth_rate(model) == math.inf:
+def _phi_q0(model: LevyModel, params: GameParams, known: dict) -> float:
+    growth = exp_growth_rate(model)
+    if growth == math.inf:
         raise DomainError("the critical rates need a finite psi(-1)")
-    return _root_past(lambda th: _holder_condition(model, params, th), 0.0, float(params.alpha),
-                      BracketError("holder threshold never crosses the cap"))
+    known[-1.0] = growth  # read at every step of both rate searches, not through the memo
+    return _root_past(lambda th: _holder_condition(model, params, th, known), 0.0,
+                      float(params.alpha), BracketError("holder threshold never crosses the cap"))
 
 
-def _critical_rates(model: LevyModel, params: GameParams) -> tuple[float, float]:
-    """``(q0, q1)`` from one ``Phi(q0)``."""
-    theta0 = _phi_q0(model, params)
-    rate0 = laplace_exponent(model, theta0)
-    return rate0, (rate0 if model.b2 == 0.0 else laplace_exponent(model, brentq(
-        lambda th: _boundary_condition(model, params, th), 0.0, theta0)))
+def _critical_rates(model: LevyModel, params: GameParams,
+                    known: dict | None = None) -> tuple[float, float]:
+    """``(q0, q1)`` from one ``Phi(q0)``, each ``psi`` value read from or
+    added to ``known``: ``psi(Phi(q0))`` is formed once for both searches
+    and both rates, and ``psi(Phi(q1))`` once for its search and ``q1``."""
+    if known is None:
+        known = {}
+    theta0 = _phi_q0(model, params, known)
+    rate0 = _psi_known(model, known, theta0)
+    return rate0, (rate0 if model.b2 == 0.0 else _psi_known(model, known, brentq(
+        lambda th: _boundary_condition(model, params, th, known), 0.0, theta0)))
 
 
 def q0(model: LevyModel, params: GameParams) -> float:
     """Critical discount rate where the holder threshold crosses the cap ``K``:
     ``psi`` of the root of :func:`_holder_condition` on ``[0, 2^k]``."""
-    return laplace_exponent(model, _phi_q0(model, params))
+    known: dict[float, float] = {}
+    return _psi_known(model, known, _phi_q0(model, params, known))
 
 
 def q1(model: LevyModel, params: GameParams) -> float:
@@ -226,11 +237,15 @@ def q1(model: LevyModel, params: GameParams) -> float:
 
 
 def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
-    """Classify the game and assemble its critical rates and thresholds."""
+    """Classify the game and assemble its critical rates and thresholds.
+
+    The rate searches and ``Phi(q)``'s share one dict of ``psi`` values, so
+    a cold classification evaluates ``psi`` at each ``theta`` once."""
     require_discount_condition(model, params.q)
     qv, K = params.q, params.K
     log_k = math.log(K)
-    q0_val, q1_val = _critical_rates(model, params)
+    known: dict[float, float] = {}
+    q0_val, q1_val = _critical_rates(model, params, known)
     # the critical rates are root-finder outputs; comparing against them with
     # a few-ulp band keeps an intended exact tie from landing on the wrong side
     band = 1e-12
@@ -240,7 +255,7 @@ def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
         tau, sigma = log_k, IMMEDIATE_STOP
     elif qv >= q0_val - band * max(1.0, q0_val):
         regime, c_val = Regime.R2, None
-        a_val = a_star(model, params)
+        a_val = a_star(model, params, _known=known)
         tau, sigma = math.log(a_val), log_k
         if abs(qv - q0_val) <= 1e-12 * max(1.0, q0_val):
             logger.info(
@@ -252,7 +267,7 @@ def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
         tau = sigma = log_k
     else:
         regime, a_val = Regime.R4, None
-        c_val = c_star(model, params, _q1_value=q1_val)
+        c_val = c_star(model, params, _q1_value=q1_val, _known=known)
         tau, sigma = log_k, c_val
 
     return RegimeSolution(
@@ -287,7 +302,7 @@ def _call_boundary_value(model: LevyModel, params: GameParams, ph: float,
 
 
 def c_star(model: LevyModel, params: GameParams, *,
-           _q1_value: float | None = None) -> float:
+           _q1_value: float | None = None, _known: dict | None = None) -> float:
     """Issuer's early-call threshold ``log K - s`` in regime R4: the boundary
     excess ``call_boundary_value(log K - s) - K`` is positive at ``s = 1e-10``
     and changes sign once, so ``model._root_past`` brackets it on ``[1e-10, 2^k]``."""
@@ -299,7 +314,7 @@ def c_star(model: LevyModel, params: GameParams, *,
             f"issuer threshold exists only for alpha/K < q < q1 "
             f"({params.alpha / K:g} < q < {_q1_value:g}), got q={qv:g}"
         )
-    ph = phi(model, qv)
+    ph = phi(model, qv, _known)
     log_k = math.log(K)
 
     def excess(s: float) -> float:
@@ -378,18 +393,18 @@ def _r3_coefficients(model: LevyModel, params: GameParams, ph: float) -> tuple[f
     return params.alpha / ph - params.K * s / (ph + 1.0), -params.alpha, s * params.K
 
 
-def _r4_coefficients(model: LevyModel, params: GameParams, ph: float,
-                     c: float) -> tuple[float, ...]:
+def _r4_coefficients(model: LevyModel, params: GameParams, c: float) -> tuple[float, ...]:
     """``(a, b, c, d, m)`` of the R4 value's ``_w_combination`` below the
-    issuer threshold ``c``, given ``ph = Phi(q)``.  A jump from ``y`` below
-    ``c`` pays ``K G(m + y)`` over the cap (``m = log K - c``), so the
-    overshoot is ``J W(v) - K integral_0^v W(v - y) G(m + y) dy`` with
+    issuer threshold ``c = c*``.  A jump from ``y`` below ``c`` pays
+    ``K G(m + y)`` over the cap (``m = log K - c``), so the overshoot is
+    ``J W(v) - K integral_0^v W(v - y) G(m + y) dy`` with
     ``J = K (I2/(Phi+1) - I1/Phi)``: ``d = K`` (0 without jumps), and ``a``
-    with ``J`` in it is ``call_boundary_value(c) - K``, zero at ``c*``."""
+    with ``J`` in it is ``call_boundary_value(c) - K``, zero at ``c*`` by
+    the definition of ``c*``: ``a`` is 0, and no jump integral pair is
+    formed for it (computed, it is rounding noise of order 1e-16)."""
     K = params.K
     d = K if jump_intensity(model) > 0.0 else 0.0
-    return (_call_boundary_value(model, params, ph, c) - K, K * params.q - params.alpha,
-            -params.beta * math.exp(c), d, math.log(K) - c)
+    return 0.0, K * params.q - params.alpha, -params.beta * math.exp(c), d, math.log(K) - c
 
 
 def value_profile(model: LevyModel, params: GameParams,
@@ -423,7 +438,7 @@ def value_profile(model: LevyModel, params: GameParams,
                      + _w_combination(ev, v, *_r3_coefficients(model, params, ph)))
     else:
         out[live] = alpha / qv + _w_combination(
-            ev, v, *_r4_coefficients(model, params, ph, solution.c_star))
+            ev, v, *_r4_coefficients(model, params, solution.c_star))
     return out
 
 
@@ -461,7 +476,7 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
     ``a w0' + (b + c) w0 - d w0 G(m)`` (``w0 = W(0+)``, ``w0' = W'(0+)``,
     ``G = model.jump_excess``).  So ``V'(log a*-) = a* - (alpha/Phi) w0`` in
     R2, ``V'(log K-) = K - (a w0' + (b + c) w0)`` in R3, and in R4, where
-    ``a = call_boundary_value(c*) - K``, ``V(c*-) = K + a w0``.  This is the paper's
+    ``a = call_boundary_value(c*) - K`` is 0, ``V(c*-) = K``.  This is the paper's
     criterion: ``V`` pastes continuously at every boundary, and smoothly at
     ``log a*`` and ``c*`` exactly when ``W(0+) = 0`` (unbounded variation);
     at the cap in R3 only at the critical rates.  No scale evaluator is
@@ -487,7 +502,7 @@ def fit_report(model: LevyModel, params: GameParams, solution: RegimeSolution,
         kind = FitKind.SMOOTH if at_edge else FitKind.NEITHER_INTERIOR
     else:
         at_zero, slope = _combination_at_zero(
-            model, qv, *_r4_coefficients(model, params, ph, solution.c_star))
+            model, qv, *_r4_coefficients(model, params, solution.c_star))
         limits = (solution.c_star, alpha / qv + at_zero, K, -slope, 0.0)
         kind = pasting
     return FitReport(*limits, expected_kind=kind)

@@ -40,11 +40,12 @@ from levybond.model import (
     _jump_expm1,
     _jump_exponent_real,
     _psi_c,
+    _psi_fraction,
     brentq,
     jump_excess,
     jump_passage_means,
 )
-from levybond.scale import _resolvent_transform
+from levybond.scale import _NODES, _TALBOT_RADIUS, _resolvent_transform, scale_evaluator
 
 # psi(theta) = theta^2; the unit-conversion test process used throughout
 CANON = LevyModel(mu=0.0, b2=2.0)
@@ -655,17 +656,15 @@ class TestRealAxisOnce:
     @staticmethod
     def counted_psi(monkeypatch):
         """The thetas of every ``laplace_exponent`` call from here on, with
-        the ``phi`` and ``psi(-1)`` memos cleared."""
-        import levybond.solver as solver_module
-
+        the ``phi`` and ``psi(-1)`` memos cleared; the solver reads ``psi``
+        through ``model._psi_known``."""
         calls = []
 
         def counted(model, theta):
             calls.append(float(theta))
             return laplace_exponent(model, theta)
 
-        for module in (model_module, solver_module):
-            monkeypatch.setattr(module, "laplace_exponent", counted)
+        monkeypatch.setattr(model_module, "laplace_exponent", counted)
         phi.cache_clear()
         exp_growth_rate.cache_clear()
         return calls
@@ -677,14 +676,17 @@ class TestRealAxisOnce:
         model = LevyModel(0.1, 0.3, tabulated_exp_density(401))
         sol = classify(model, GameParams(1.0, 1.0, 1.05, 2.0))
         assert sol.regime is Regime.R4
-        # 41 with psi evaluated at the three searches' lower ends theta = 0
-        assert calls.count(-1.0) == 1 and calls.count(0.0) == 0 and len(calls) == 38
+        # each theta once: 38 when phi's and q0's doublings both formed
+        # theta = 1, 2 and 4 and the rates re-read Phi(q0) and Phi(q1), 41
+        # with psi evaluated at the three searches' lower ends theta = 0 too
+        assert calls.count(-1.0) == 1 and calls.count(0.0) == 0 and len(calls) == 32
+        assert len(set(calls)) == len(calls)
         calls.clear()
         classify(LevyModel(0.1, 0.3, tabulated_exp_density(401)), GameParams(1.0, 1.0, 1.1, 2.0))
         assert calls.count(-1.0) == 0  # an equal model rebuilt hits the memo
 
     @pytest.mark.parametrize("model, q, calls_with_lower_ends", [
-        (CANON, 3.0, 36), (LevyModel(0.0, 0.5), 0.4, 39), (EXPJ, 3.0, 35), (BV_RHO2, 1.0, 20),
+        (CANON, 3.0, 32), (LevyModel(0.0, 0.5), 0.4, 36), (EXPJ, 3.0, 32), (BV_RHO2, 1.0, 19),
     ], ids=["brownian-R2", "brownian-R1", "exp_jumps", "bv_exp"])
     def test_root_searches_start_from_known_ends(self, monkeypatch, model, q,
                                                  calls_with_lower_ends):
@@ -978,10 +980,38 @@ class TestComplexExponent:
         # a dyadic tilt, so that (beta - ph) + ph is beta exactly; a tilt by
         # Phi(0.8) need not round back onto the pole
         ph = 0.75
-        transform = _resolvent_transform(self.MODEL, 0.8, ph)
+        transform = _resolvent_transform(scale_evaluator(self.MODEL, 0.8), ph)
         vals = transform(beta - ph)
         assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] != 0.0
         assert np.isinf(_psi_c(EXPJ, np.array([-1.7]))[0])
+
+
+class TestPsiFraction:
+    """The Talbot route evaluates ``1/(psi - q)`` from ``_psi_fraction`` by
+    Horner; the fraction must be ``_psi_c`` on every point an inversion
+    reads, so the forced route stays an independent check of the closed
+    forms."""
+
+    @pytest.mark.parametrize("model", [CANON, LevyModel(1.5, 0.0), EXPJ, BV_RHO2],
+                             ids=["gaussian", "drift", "exp_jumps", "exp_jumps-bv"])
+    def test_fraction_is_psi_at_contour_points(self, model):
+        num, den = _psi_fraction(model)
+        ph = phi(model, 1.0)
+        xs = np.geomspace(1e-3, 40.0, 10)[:, None]
+        rho = model.jumps._pieces[2] if model.jumps._mass else 1.7
+        ring = np.exp(2j * math.pi * np.arange(8) / 8.0)
+        points = {
+            # Talbot contours tilted by Phi, from x = 1e-3 to 40
+            "talbot": ph + _TALBOT_RADIUS / xs * _NODES,
+            # Euler ladders A/(2x) + Phi + i k pi/x
+            "euler": 21.0 / (2.0 * xs) + ph + 1j * math.pi * np.arange(34) / xs,
+            # around the tail's pole -rho, where psi is large
+            "pole": -rho + np.array([[1e-3], [1e-6]]) * ring,
+        }
+        for where, beta in points.items():
+            want = _psi_c(model, beta)
+            got = np.polyval(num, beta) / np.polyval(den, beta)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), where
 
 
 class TestJumpSampling:

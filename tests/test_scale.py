@@ -201,6 +201,17 @@ class TestNumericInversion:
             for xv in (1e-4, 3e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 30.0, 49.0):
                 assert w(numeric, xv) == pytest.approx(w(closed, xv), rel=rel, abs=0.0), xv
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_contour_past_the_fraction_range(self):
+        # at x ~ 1e-105 and below, Talbot's |s| ~ 500/x passes the range in
+        # which Horner's powers of the fraction stay finite (numpy warns of
+        # the overflow), and the transform reads psi instead: W is
+        # W(0+) + W'(0+) x there
+        for model, q, xs in [(BV2, 0.8, (1e-300, 1e-160)), (EXPJ, 1.2, (1e-120, 1e-105))]:
+            ev = scale_evaluator(model, q, Method.NUMERIC_INVERSION)
+            for xv in xs:
+                assert w(ev, xv) == pytest.approx(ev.w0 + ev.w0_prime * xv, rel=1e-9, abs=0.0), xv
+
     def test_beyond_cache_direct_inversion(self):
         closed = scale_evaluator(CANON, 1.0)
         numeric = scale_evaluator(CANON, 1.0, Method.NUMERIC_INVERSION)
@@ -464,7 +475,10 @@ class TestBatchedInversion:
     @pytest.mark.parametrize("model, q, method", [
         (LevyModel(0.1, 0.3, tabulated_exp_density(401)), 1.05, None),
         (LevyModel(0.5, 0.05, tabulated_exp_density(101)), 0.3, None),
-        (BV2, 1.0, Method.NUMERIC_INVERSION)], ids=["TAB401", "TAB101-drift", "BV2-talbot"])
+        (BV2, 1.0, Method.NUMERIC_INVERSION),
+        (CANON, 1.0, Method.NUMERIC_INVERSION),
+        (EXPJ, 1.2, Method.NUMERIC_INVERSION)],
+        ids=["TAB401", "TAB101-drift", "BV2-talbot", "CANON-talbot", "EXPJ-talbot"])
     @pytest.mark.parametrize("tilted", [False, True], ids=["g", "w"])
     def test_profile_matches_single_points(self, model, q, method, tilted):
         # small-z g's transform untilted, with points on both sides of the
@@ -473,7 +487,7 @@ class TestBatchedInversion:
         # beyond the range in which the Euler rule resolves W_Phi
         ev = scale_evaluator(model, q, method)
         ph = ev.phi_q
-        reach = (scale_module._TALBOT_RADIUS if scale_module._inverter(model) is scale_module._talbot
+        reach = (scale_module._TALBOT_RADIUS if scale_module._inverter(ev) is scale_module._talbot
                  else scale_module._EULER_A / 2.0)
         x = np.geomspace(1e-3, 50.0, 9)
         if tilted:
@@ -483,7 +497,7 @@ class TestBatchedInversion:
             x = np.concatenate([x, reach / (ph * np.array([0.97, 1.0, 1.04, 1.06]))])
             moved = np.abs(reach / x - ph) < 0.05 * ph
             assert moved.any() and not moved.all()
-        transform = scale_module._resolvent_transform(model, q, tilt, num)
+        transform = scale_module._resolvent_transform(ev, tilt, num)
         batch = scale_module._invert_at(ev, transform, x, tilt)
         for xv, got in zip(x.tolist(), batch.tolist()):
             want = float(scale_module._invert_at(ev, transform, np.array([xv]), tilt)[0])

@@ -137,7 +137,7 @@ def _interpolated_w(ev):
     ``PchipInterpolator.__call__`` per point."""
     grid = np.geomspace(1e-4, 50.0, 2048)
     tilted = scale_module._euler(
-        scale_module._resolvent_transform(ev.model, ev.q, ev.phi_q), grid)
+        scale_module._resolvent_transform(ev, ev.phi_q), grid)
     pp = PchipInterpolator(np.concatenate([[0.0], grid]), np.concatenate([[ev.w0], tilted]))
     knots, (c3, c2, c1, c0) = pp.x.tolist(), pp.c.tolist()
     last, ph = len(knots) - 1, ev.phi_q
@@ -276,9 +276,10 @@ class TestCriticalRates:
                                             ExponentialJumps(0.1 + 2.0 * u[1], 1.5 + 3.0 * u[2]))
         params = GameParams(alpha, beta, 1.0, K)
         hi = phi(model, q0(model, params))
-        assert _boundary_condition(model, params, 0.0) == alpha
+        known = {-1.0: exp_growth_rate(model)}
+        assert _boundary_condition(model, params, 0.0, known) == alpha
         thetas = np.linspace(hi / 40.0, hi, 40)
-        hs = [-_boundary_condition(model, params, float(th)) / (th * (th + 1.0))
+        hs = [-_boundary_condition(model, params, float(th), known) / (th * (th + 1.0))
               for th in thetas]
         assert all(b > a for a, b in zip(hs, hs[1:]))
         edge = -hi * (hi + 1.0) * K * model.b2 / 2.0
@@ -287,19 +288,19 @@ class TestCriticalRates:
         # from terms of ~52), so its rounding scales with their magnitudes
         terms = (alpha * (hi + 1.0) + K * model.b2 / 2.0 * hi * (hi + 1.0)
                  + K * hi * (abs(laplace_exponent(model, hi)) + abs(exp_growth_rate(model)) + beta))
-        at_edge = _boundary_condition(model, params, hi)
+        at_edge = _boundary_condition(model, params, hi, known)
         assert at_edge == pytest.approx(edge, rel=0.0, abs=1e-12 * terms)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_q1_scan_without_sign_change(self, monkeypatch, sign):
         # a condition that keeps one sign on the bracket cannot be solved
-        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th: sign)
+        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th, known: sign)
         with pytest.raises(BracketError, match="no sign change"):
             q1(CANON, gp(1.0))
 
     def test_q0_without_crossing(self, monkeypatch):
         # a holder condition that stays positive never brackets Phi(q0)
-        monkeypatch.setattr(solver_module, "_holder_condition", lambda m, p, th: 1.0)
+        monkeypatch.setattr(solver_module, "_holder_condition", lambda m, p, th, known: 1.0)
         with pytest.raises(BracketError, match="holder threshold never crosses the cap"):
             q0(CANON, gp(1.0))
 
@@ -320,9 +321,9 @@ class TestCriticalRates:
         model = LevyModel(model.mu, model.b2, model.jumps)  # a cold copy
         levels = []
 
-        def recorded(m, p):
+        def recorded(m, p, known=None):
             levels.append(p)
-            return phi(m, p)
+            return phi(m, p, known)
 
         monkeypatch.setattr(solver_module, "phi", recorded)
         monkeypatch.setattr(scale_module, "phi", recorded)
@@ -332,7 +333,8 @@ class TestCriticalRates:
     def test_q1_canonical_exact(self):
         # on the canonical instance the boundary condition vanishes at q=1
         assert abs(q1(CANON, gp(1.0)) - 1.0) <= 1e-8
-        assert abs(_boundary_condition(CANON, gp(1.0), phi(CANON, 1.0))) <= 1e-12
+        known = {-1.0: exp_growth_rate(CANON)}
+        assert abs(_boundary_condition(CANON, gp(1.0), phi(CANON, 1.0), known)) <= 1e-12
 
     def test_ordering(self):
         for name, model in MODELS.items():
@@ -536,7 +538,7 @@ class TestPremiumKernel:
         ph = ev.phi_q
         knots = np.geomspace(1e-4, 50.0, 2048)
         nodes, weights = np.polynomial.legendre.leggauss(6)
-        tilted = scale_module._resolvent_transform(TAB, qq, ph)
+        tilted = scale_module._resolvent_transform(ev, ph)
         for zz in (1e-3, 1e-2, 5e-2):
             edges = np.array([0.0, *knots[(knots > 0.0) & (knots < zz)], zz])
             mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
@@ -599,7 +601,7 @@ class TestBatchedNumericRoute:
         ev = scale_evaluator(TAB, qq)
         ph = ev.phi_q
         coef = (solver_module._r3_coefficients(TAB, gp(qq), ph) if regime is Regime.R3
-                else solver_module._r4_coefficients(TAB, gp(qq), ph, sol.c_star))
+                else solver_module._r4_coefficients(TAB, gp(qq), sol.c_star))
         # Euler's real point A/(2v) lies within 5% of Phi near v = 10.5/Phi
         v = np.array([1e-3, 0.05, 0.5, 2.0, 10.5 / (0.97 * ph), 10.5 / ph,
                       10.5 / (1.08 * ph), 20.0, math.inf])
@@ -921,7 +923,7 @@ class TestFarBelowBoundary:
         for (model, qq), (closed, numeric) in zip(self.CASES, evs):
             sol = classify(model, gp(qq))
             assert sol.regime is Regime.R4
-            coeffs = solver_module._r4_coefficients(model, gp(qq), closed.phi_q, sol.c_star)
+            coeffs = solver_module._r4_coefficients(model, gp(qq), sol.c_star)
             for v in (1e-3, 0.5, 2.0, 5.0, 8.0, 10.0, 12.0, 20.0,
                       8.0 / closed.phi_q, 21.0 / (2.0 * closed.phi_q)):
                 assert _w_combination(numeric, v, *coeffs) + 1.0 / qq == pytest.approx(
@@ -1082,6 +1084,22 @@ class TestExactLimits:
         sol = classify(model, gp(qq))
         assert sol.regime is Regime.R4
         assert abs(fit_report(model, gp(qq), sol).left_deriv) <= 1e-12 * 2.0
+
+    def test_r4_reads_no_boundary_value(self, monkeypatch):
+        # a = call_boundary_value(c*) - K is 0 at c* by the definition of c*,
+        # and the R4 value and fit report take it as 0: they form no jump
+        # integral pair, and with a Gaussian part the fit is smooth to the
+        # bit.  The computed boundary excess here is rounding noise, -4.4e-16
+        sol = classify(TAB, gp(1.5))
+        assert sol.regime is Regime.R4
+
+        def unused(*args):
+            raise AssertionError("an R4 value formed the boundary value's jump integrals")
+
+        monkeypatch.setattr(solver_module, "shifted_jump_integrals", unused)
+        assert fit_report(TAB, gp(1.5), sol).left_deriv == 0.0
+        xs = [sol.c_star - 4.0, sol.c_star - 1.0, sol.c_star - 0.1]
+        assert np.all(np.isfinite(value_profile(TAB, gp(1.5), sol, xs)))
 
     def test_r4_bounded_variation_value_is_the_cap(self):
         sol = classify(BV2, gp(0.8))
