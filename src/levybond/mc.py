@@ -17,49 +17,36 @@ call read one set of joint first passages (:func:`_passages`), which keeps
 the paired comparisons of :func:`saddle_check` sharp (common random
 numbers).
 
-Randomness is counter-based (Philox), and the stream layout fixes every
-estimate bit for bit given the seed:
+Randomness comes from SFC64 generators keyed by hashed seeds, and the stream
+layout fixes every estimate bit for bit given the seed:
 
 * paths run in chunks of ``_CHUNK``; chunk ``k`` draws from one generator
-  keyed by ``(seed, tag, k)``, with the tags ``_TAG_VALUE = 1`` (game values
-  and saddle checks), ``_TAG_UPCROSS = 2``, ``_TAG_TWOSIDED = 3`` and
-  ``_TAG_SUP = 4``;
-* a chunk draws its tableau, then its estimator's draws.  The tableau
-  draws the jump counts, the epoch uniforms and the jump-size uniforms (the
-  counts and sizes only with jumps; ``rows x m`` blocks, ``m`` the chunk's
-  largest count and at least 1), then with a Gaussian part one standard
-  normal and then one bridge uniform per piece (``rows x (m + 1)``
-  blocks).  Each block is drawn slab by slab, ``_SLAB`` rows at a time in
-  row order; Philox fills a block sequentially, so the bits are those of
-  the whole block for any slab size.  A slab's block is used in place (the
-  size uniforms become sizes there) and freed, and the tableau keeps its
-  real slots alone;
+  keyed by ``(seed, tag, k)`` (Salmon et al., SC'11, for keyed streams),
+  with the tags ``_TAG_VALUE = 1`` (game values and saddle checks),
+  ``_TAG_UPCROSS = 2``, ``_TAG_TWOSIDED = 3`` and ``_TAG_SUP = 4``;
+* a chunk draws its tableau, then its estimator's draws.  The tableau draws
+  for its real slots alone, in tableau order: the jump counts (with
+  jumps), one ``Exp(1)`` spacing per piece, with a Gaussian part one
+  standard normal and then one bridge uniform per piece, then one uniform
+  per jump, ``_SLAB`` rows at a time.  Each row's running sums are its own
+  (:func:`_row_scan`), so no slab size changes a bit;
 * then the estimator's draws, rows ascending.  :func:`_passages`, level by
   level: one uniform per path that passed the level below continuously,
   then one inverse Gaussian (``Generator.wald``) per continuous passage
   from below the level (none without a Gaussian part).
-  :func:`two_sided_exit` takes the rows in groups of ``_SLAB``, one group
-  after another, and runs each group's rounds to completion over its
-  unsettled pieces, held first in tableau order and then as the last
-  round's first halves followed by their second halves; a round draws one
-  uniform per settled piece, one inverse Gaussian per lower-barrier crossing
-  (with a Gaussian part), then one standard normal per cut piece.  Without
-  a Gaussian part every piece settles in the first round, so the groups
-  draw what one group of every row would.  :func:`wiener_hopf_check` draws
-  the ``Exp(q)`` clocks, one per path, then one standard normal and then
-  one uniform per path.
+  :func:`two_sided_exit` with a Gaussian part draws one ``Exp(p)`` clock
+  and then one standard normal per path, and without one draws nothing.
+  :func:`wiener_hopf_check` draws the ``Exp(q)`` clocks, one per path, then
+  one standard normal and then one uniform per path.
 
 Chunks share no generator, so they run concurrently (:func:`_run_chunks`).
 Each chunk reduces its per-path terms to moments (count, mean and the sum
 of squared deviations from it) before it is dropped, and the chunks'
 moments are merged in chunk order by the pairwise update of Chan, Golub &
-LeVeque (1983); the neglected masses of :func:`two_sided_exit` are added in
-that order too, and within a chunk in (group, round) order.  So no output
-depends on the number of workers, and memory is bounded by the chunks in
-flight, whatever the path count: a worker frees each tableau before it
-builds the next, and within a chunk :func:`two_sided_exit` holds one
-group's round at a time, replacing its arrays one at a time and writing its
-halves into one fresh array per field.
+LeVeque (1983); the series rests of :func:`two_sided_exit` are added in
+that order too.  So no output depends on the number of workers, and memory
+is bounded by the chunks in flight, whatever the path count: a worker frees
+each tableau before it builds the next.
 
 The perpetual game is truncated at ``config.horizon``; paths that never stop
 receive the closed-form perpetual completion of the coupon stream, and the
@@ -111,22 +98,19 @@ __all__ = [
 
 _MASK = (1 << 64) - 1
 _CHUNK = 4096       # paths per chunk, each chunk one tableau
-# rows a tableau build draws each block for at once, and rows per group of
-# two_sided_exit's midpoint rounds
+# rows a tableau build sums along and draws the jump sizes of at once
 _SLAB = _CHUNK // 4
-# expected jumps per path the event tableau accepts: a chunk builds its
-# tableau in (_SLAB paths x most jumps) draw blocks, ~34 MiB at the limit
-# (1024 paths x ~4320 jumps), where its worker peaks near 1 GiB with a
-# Gaussian part and 0.4 GiB without (below)
+# expected jumps per path the event tableau accepts: a chunk of ~17.7M
+# pieces at the limit, where its worker peaks near 0.8 GiB with a Gaussian
+# part and 0.4 GiB without (below)
 _MAX_JUMPS = 4096
 # expected slots (paths x (expected jumps + 1)) the chunks in flight may
 # hold together.  A worker holds one tableau at a time, 32 bytes a slot
 # with a Gaussian part (16 without: t1 and post alone), and a build peaks
-# near 45 (25); with an estimator's working arrays a worker peaks near 61
-# (26), wiener_hopf_check's near 50 (26).  So this bounds the pool near
-# 0.3 GB, and one chunk always runs
+# near 44 (22); with an estimator's working arrays a worker peaks near 61
+# (34, two_sided_exit's), wiener_hopf_check's near 50 (27).  So this bounds
+# the pool near 0.3 GB, and one chunk always runs
 _SLOTS_IN_FLIGHT = 1 << 22
-_EXIT_EPS = 1e-15   # crossing mass two_sided_exit may neglect per settled piece
 # |Phi(q) - 1| below which sup_exponential_moment takes psi' at the midpoint
 # for the secant of psi from 1: at 1e-5 the midpoint is off by ~1e-12
 # relative (its O(h^2) error) and the secant by ~1e-11 (its cancellation,
@@ -183,8 +167,10 @@ class PayoffEstimate:
 
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK, ((tag << 56) | index) & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Chunk ``index``'s generator for stream ``tag``: SFC64 keyed by the
+    hashed ``(seed, tag, index)``, the seed taken mod 2^64 so that negative
+    and wider seeds key a stream too."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed & _MASK, tag, index])))
 
 
 def _sim_drift(model: LevyModel) -> float:
@@ -197,7 +183,7 @@ def mc_eligible(model: LevyModel, horizon: float | None = None) -> bool:
     1e6 and, over ``horizon`` when one is given, at most ``_MAX_JUMPS``
     expected jumps per path, past which every estimator raises
     :class:`DomainError` before any draw (a tableau holds paths x expected
-    jumps pieces, and its draw blocks are ``_SLAB`` paths x most jumps)."""
+    jumps pieces)."""
     rate = jump_intensity(model)
     return rate <= 1e6 and (horizon is None or rate * horizon <= _MAX_JUMPS)
 
@@ -290,9 +276,9 @@ class _Tableau(NamedTuple):
     at T with no jump and ``post = -inf``.  A piece starts where the one
     before it closed, or at ``(0, 0)`` for a row's first
     (:func:`_piece_start`), and without a Gaussian part it ends at its start
-    plus its drift (:func:`_piece_end`).  The draw blocks are (``_SLAB``
-    paths x most jumps), but these arrays hold real pieces alone.  ``rng``
-    has drawn the tableau, and an estimator makes its own draws from it."""
+    plus its drift (:func:`_piece_end`).  These arrays hold real pieces
+    alone.  ``rng`` has drawn the tableau, and an estimator makes its own
+    draws from it."""
 
     rows: slice          # the chunk's paths
     rng: np.random.Generator  # the chunk's generator, for draws after the paths
@@ -333,13 +319,42 @@ def _piece_end(model: LevyModel, c: _Tableau, k: np.ndarray) -> np.ndarray:
     return x
 
 
+def _row_scan(first: np.ndarray, length: np.ndarray) -> Callable[..., None]:
+    """A running ``op`` (sum, or product) along each row of a flat array, in
+    place, row ``i`` the ``length[i]`` entries from ``first[i]``: the rows
+    taken longest first, the ``j``-th entries of those that have one form a
+    contiguous column, folded into the one before it at once.  So a row's
+    results are those of ``op.accumulate`` on that row alone, bit for bit."""
+    order = np.argsort(-length, kind="stable")
+    first = first[order]
+    # the rows reaching each column, and where each column starts
+    width = (len(length) - np.cumsum(np.bincount(length)))[:-1].tolist()
+    cols = [0, *np.cumsum(width).tolist()]
+    at = np.empty(cols[-1], dtype=np.intp)          # each entry's index, column by column
+    for j, n in enumerate(width):
+        np.add(first[:n], j, out=at[cols[j]:cols[j + 1]])
+
+    def scan(x: np.ndarray, op=np.add) -> None:
+        run = x[at]
+        for j in range(1, len(width)):
+            col = run[cols[j]:cols[j + 1]]
+            op(col, run[cols[j - 1]:cols[j - 1] + width[j]], out=col)
+        x[at] = run
+
+    return scan
+
+
 def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int) -> _Tableau:
-    """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``.  A
+    """Exact jump epochs and sizes on ``[0, horizon]`` for chunk ``k``, drawn
+    for the real pieces and jumps alone.  A row's epochs are its normalised
+    running sums of one ``Exp(1)`` spacing per piece, which are the order
+    statistics of its jump count's uniforms (Devroye 1986, ch. V §3).  A
     Gaussian part moves each piece by ``sqrt(b^2 len) Z`` and gives it an
     exact bridge maximum; without one a piece peaks at its start, and the
-    tableau keeps ``t1`` and ``post`` alone.  Each block is drawn ``_SLAB``
-    rows at a time, and each row's prefix sums run along its row of the
-    padded slab block, so they are exact and no slab size changes a bit.
+    tableau keeps ``t1`` and ``post`` alone.  The draws go straight into the
+    tableau's fields, the running sums take ``_SLAB`` rows at a time
+    (:func:`_row_scan`), and each slab draws its jump sizes as it comes, so
+    no slab size changes a bit.
     """
     T = config.horizon
     drift = _sim_drift(model)
@@ -348,7 +363,6 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int) -> _Ta
     rng = _rng(config.seed, tag, k)
     rows = chunk.stop - chunk.start
     counts = rng.poisson(rate * T, rows) if rate > 0.0 else np.zeros(rows, dtype=int)
-    m = max(1, int(counts.max()))
     end = np.cumsum(counts + 1)
     start = end - (counts + 1)
     closes = np.ones(end[-1], dtype=bool)           # pieces closed by a jump
@@ -359,83 +373,48 @@ def _event_tableau(model: LevyModel, config: SimConfig, tag: int, k: int) -> _Ta
     # saddle makes ~7k minor faults, ~115k with one allocation per field)
     fields = np.empty((2 if model.b2 == 0.0 else 4, len(closes)))
     t1, post = fields[0], fields[1]
-    t1.fill(T)
-    post.fill(-np.inf)
-
-    def by_slab(fill, draw, cols):
-        # fill(pieces, jump counts, closed pieces, block) on each slab's rows
-        # in row order, its block drawn whole: the stream is that of one
-        # (rows x cols) block, and the slab's block is freed as fill returns
-        for i in range(0, rows, _SLAB):
-            j = min(i + _SLAB, rows)
-            s = slice(start[i], end[j - 1])
-            fill(s, counts[i:j, None], closes[s], draw((j - i, cols)))
-
-    def epochs(s, n, shut, block):
-        # a row's jumps are its leading slots, so the trailing ones may hold
-        # anything once the epochs are sorted
-        slots = np.arange(m) < n                    # the slots holding a jump
-        block[~slots] = 2.0                         # empty slots sort last
-        block.sort(axis=1)
-        block *= T
-        t1[s][shut] = block[slots]
-
-    def sizes(s, n, shut, block):
-        # X just after each jump: the sizes up to it, plus its epoch's drift
-        _jump_sizes_into(model, block)              # every slot's, in place
-        np.cumsum(block, axis=1, out=block)
-        after = block[np.arange(m) < n]
-        jt = t1[s][shut]
-        jt *= drift
-        after += jt
-        post[s][shut] = after
-
-    by_slab(epochs, rng.random, m)
-    if rate > 0.0:
-        by_slab(sizes, rng.random, m)
+    rng.standard_exponential(out=t1)                # one spacing per piece
     pre = smax = None
     if model.b2 > 0.0:
         pre, smax = fields[2], fields[3]
-
-        def spans(s, shut):
-            # each piece's length: t1 less the t1 of the piece before, or t1
-            # at a row's first
-            span = t1[s].copy()
-            np.subtract(span[1:], t1[s][:-1], out=span[1:], where=shut[:-1])
-            return span
-
-        def moves(s, n, shut, block):
-            # the Gaussian moves, held in pre until each piece's end is
-            # known, and their prefix sums; each row's pieces are again its
-            # leading slots
-            pieces = np.arange(m + 1) <= n
-            move = pre[s]
-            span = spans(s, shut)
-            span *= model.b2
-            np.sqrt(span, out=move)
-            move *= block[pieces]
-            block[pieces] = move
-            np.cumsum(block, axis=1, out=block)
-            post[s][shut] += block[:, :-1][np.arange(m) < n]
-
-        def ends(s, n, shut, block):
-            # each piece's end, its start plus its drift and its move, and
-            # its exact bridge maximum from the bridge uniforms
-            span = spans(s, shut)
-            spread = block[np.arange(m + 1) <= n]
+        rng.standard_normal(out=pre)                # one move per piece
+        rng.random(out=smax)                        # one bridge uniform per piece
+    post[end - 1] = 0.0                             # the last pieces close with no jump
+    for i in range(0, rows, _SLAB):
+        j = min(i + _SLAB, rows)
+        s = slice(start[i], end[j - 1])
+        first, length, shut = start[i:j] - start[i], counts[i:j] + 1, closes[s]
+        scan = _row_scan(first, length)
+        t, x = t1[s], post[s]
+        if rate > 0.0:                              # one size per jump
+            x[shut] = _jump_sizes_into(model, rng.random(len(x) - len(first)))
+        scan(t)                                     # the spacings' running sums
+        last = first + length - 1
+        t *= np.repeat(T / t[last], length)
+        t[last] = T
+        if model.b2 > 0.0:
+            # each piece's length, its bridge spread, then its move
+            span = t.copy()
+            np.subtract(span[1:], t[:-1], out=span[1:], where=shut[:-1])
+            spread = smax[s]
             np.log(spread, out=spread)
-            spread *= -2.0 * model.b2 * span
+            spread *= -2.0 * model.b2
+            spread *= span
+            move = pre[s]
+            move *= np.sqrt(model.b2 * span)
+            x += move
+        scan(x)                                     # the sizes' (and moves') running sums
+        x += drift * t                              # X after each jump
+        if model.b2 > 0.0:
+            # X at each piece's end: its start plus its drift and its move,
+            # and its exact bridge maximum
+            y0 = np.zeros(len(x))
+            np.copyto(y0[1:], x[:-1], where=shut[:-1])
             span *= drift
-            x = pre[s]
-            x += span
-            del span
-            y0 = np.zeros(len(x))                   # X at each piece's start
-            np.copyto(y0[1:], post[s][:-1], where=shut[:-1])
-            x += y0
-            smax[s] = _bridge_max(y0, x, spread)
-
-        by_slab(moves, rng.standard_normal, m + 1)
-        by_slab(ends, rng.random, m + 1)
+            move += span
+            move += y0
+            smax[s] = _bridge_max(y0, move, spread)
+    post[end - 1] = -np.inf
     return _Tableau(chunk, rng, start, end, t1, post, pre, smax)
 
 
@@ -514,6 +493,7 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
     # the top of each piece and its closing jump; without a Gaussian part a
     # piece peaks at its start, which the jump before it reached
     peak = c.post if c.smax is None else np.maximum(c.smax, c.post)
+    hits = None                         # the pieces that pass the level
     # the piece of the previous passage; before the first, the piece before
     # each row's first, which is a row's last piece (post -inf)
     piece = c.start - 1
@@ -544,8 +524,10 @@ def _passages(model: LevyModel, c: _Tableau, levels: Sequence[float]) -> list[_P
         t[r[jumped]] = c.t1[pr[jumped]]
         p_at[r[jumped]] = pr[jumped]
         r, pr = r[~jumped], pr[~jumped]
-        hits = np.append(np.flatnonzero(peak > lvl), len(peak))
-        first = hits[np.searchsorted(hits, pr + 1)]
+        # a higher level's passing pieces are among the level below's
+        hits = np.flatnonzero(peak > lvl) if hits is None else hits[peak[hits] > lvl]
+        ends = np.append(hits, len(peak))
+        first = ends[np.searchsorted(ends, pr + 1)]
         hit = first < c.end[r]
         r, first = r[hit], first[hit]
         p_at[r] = first
@@ -704,12 +686,52 @@ def upcrossing_discount_profile(model: LevyModel, q: float,
     return [merged[distinct.index(y)].estimate() for y in lv]
 
 
-def _halves(first: np.ndarray, second: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``first`` followed by ``second[keep]``, written into one fresh array."""
-    out = np.empty(len(first) + np.count_nonzero(keep), first.dtype)
-    out[:len(first)] = first
-    out[len(first):] = second[keep]
-    return out
+def _clock_cut(model: LevyModel, c: _Tableau, rate: float):
+    """An ``Exp(rate)`` clock per row (never, at rate 0), the pieces it has
+    ended (``t1 <= clock``) and the piece holding it (a row's last past T),
+    cut at the clock by a Gaussian draw on its bridge (one normal per row):
+    returns the clocks, those two, X at the cut piece's start and end, and
+    its length."""
+    with np.errstate(divide="ignore"):
+        clk = c.rng.standard_exponential(len(c.start)) / rate
+    full = c.t1 <= np.repeat(clk, c.end - c.start)
+    k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
+    t0, y0 = _piece_start(c, k)
+    end = _piece_end(model, c, k)
+    span = c.t1[k] - t0
+    frac = np.minimum((clk - t0) / span, 1.0)
+    at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
+        c.rng.standard_normal(len(clk))
+    span *= frac
+    return clk, full, k, y0, at, span
+
+
+def _lower_first(a: np.ndarray, b: np.ndarray, w: float, s: np.ndarray):
+    """Chance that a Brownian bridge of variance ``s`` from ``a`` to ``b``,
+    heights in the band ``(0, w)`` (``0 <= a <= w``, ``b <= w``), leaves it
+    through 0 first, and a bound on the rest of its series.  By images
+    (Anderson 1960) it is ``sum_(n >= 0) A_n - sum_(n >= 1) B_n``, ``A_n =
+    exp(-(D^2 - d^2)/(2s))`` at ``D = 2nw + a + |b|``, ``B_n`` at ``D = 2nw
+    - a + |b|``, ``d = |b - a|``, each exponent a product that does not
+    cancel.  The terms alternate and fall (``A_0 >= B_1 >= A_1 ...``), so
+    the rest after ``A_n`` is at most ``A_n``; the sum stops once every
+    ``A_n`` is below 1e-17."""
+    below = b < 0.0
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # A_n = exp(c (nw + al)(nw + be)), B_n = exp(c (nw + ga)(nw + de))
+    al, be = np.where(below, 0.0, lo), np.where(below, a - b, hi)
+    ga, de = np.where(below, -a, 0.0), np.where(below, -b, b - a)
+    c = -2.0 / s
+    total = np.exp(c * al * be)
+    n = 1
+    while True:
+        nw = n * w
+        total -= np.exp(c * (nw + ga) * (nw + de))
+        term = np.exp(c * (nw + al) * (nw + be))
+        total += term
+        if not np.any(term >= 1e-17):
+            return total, term
+        n += 1
 
 
 def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
@@ -718,112 +740,80 @@ def two_sided_exit(model: LevyModel, p: float, down: float, up: float,
 
     ``down > 0`` is the distance to the lower barrier, ``up > 0`` to the
     upper one; downward passage creeps (no undershoot) for every supported
-    model, as the scale-ratio identity needs.  While both barriers' crossing
-    probabilities on a piece exceed ``_EXIT_EPS`` it is cut at its midpoint,
-    whose value is a Gaussian bridge draw; once one of them is at most
-    ``_EXIT_EPS``, that barrier is taken as not crossed there and the other
-    is settled by one uniform (and a passage time for the lower one).  A
-    path exits at its earliest crossing, or at a jump onto the upper
-    barrier.  The neglected crossing mass bounds the bias, since the payoff
-    lies in ``[0, 1]``: it is at most ``_EXIT_EPS`` per settled piece, and
-    its mean over the paths is returned as ``bias_bound``.  The cuts run
-    round by round over the rows in groups of ``_SLAB``, each group to
-    completion before the next, so a chunk holds one group's pieces.
+    model, as the scale-ratio identity needs.  A path contributes ``Y =
+    sum_k S_(<k) P_k``: ``P_k`` is the chance that piece ``k`` leaves the
+    band through the lower barrier first, ``S_(<k)`` that the pieces before
+    it stay in it and close with jumps landing below the upper barrier.
+    With a Gaussian part a piece is a bridge, whose exit chances are the
+    series of :func:`_lower_first`, and ``e^(-p tau)`` the chance that an
+    ``Exp(p)`` clock rings after ``tau``: the pieces run up to the clock's,
+    cut there (:func:`_clock_cut`).  As ``Y`` lies in ``[0, 1]``, twice the
+    series' rests, summed over the pieces and averaged over the paths,
+    bound the bias (``bias_bound``).  Without a Gaussian part a piece is
+    linear and downhill: ``P_k`` is ``e^(-p tau)`` at its exact crossing, or
+    0, and no clock is drawn.
     """
     if down <= 0.0 or up <= 0.0:
         raise DomainError("barrier distances must be positive")
     if p < 0.0:
         raise DomainError("discount rate must be nonnegative")
-    b2 = model.b2
+    b2, w = model.b2, down + up
 
-    def exits(c: _Tableau) -> tuple[_Moments, list[float]]:
-        # earliest exit found so far through each barrier; an upper exit is
-        # dated by its piece's start, which orders it against the others
-        at_up, at_down = np.full((2, len(c.start)), math.inf)
-        k = np.flatnonzero(c.post > up)
-        np.minimum.at(at_up, np.searchsorted(c.end, k, side="right"), c.t1[k])
-        # the pieces that start inside the band: each row's first, and each
-        # piece after a jump that lands inside it (a row's last piece closes
-        # at -inf, so that piece is in the jump's row)
-        begins = np.zeros(len(c.post), dtype=bool)
-        np.greater(c.post[:-1], -down, out=begins[1:])
-        begins[1:] &= c.post[:-1] < up
-        begins[c.start] = True
-        neglected = []
-        # the rows in groups of _SLAB, each group's rounds run to completion
-        # before the next group's begin
-        rows = len(c.start)
-        for g in range(0, rows, _SLAB):
-            last = min(g + _SLAB, rows) - 1
-            lo = c.start[g]
-            k = lo + np.flatnonzero(begins[lo:c.end[last]])
-            r = np.searchsorted(c.end, k, side="right")     # each piece's row
-            t0, a = _piece_start(c, k)
-            t1, b = c.t1[k], _piece_end(model, c, k)
-            del k
-            # a round replaces its arrays one at a time and drops each mask
-            # once read, so that a group peaks near its largest round
-            while len(r):
-                # a piece that starts after a found exit cannot change it
-                keep = t0 < np.minimum(at_up, at_down)[r]
-                r = r[keep]
-                t0 = t0[keep]
-                t1 = t1[keep]
-                a = a[keep]
-                b = b[keep]
-                del keep
-                span = t1 - t0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    p_up = np.where(b < up, np.exp(-2.0 * (up - a) * (up - b) / (b2 * span)), 1.0)
-                    p_dn = np.where(b > -down,
-                                    np.exp(-2.0 * (a + down) * (b + down) / (b2 * span)), 1.0)
-                low = np.minimum(p_up, p_dn)
-                settle = low <= _EXIT_EPS
-                neglected.append(float(low[settle].sum()))
-                del low
-                hit = np.zeros(len(r), dtype=bool)
-                hit[settle] = c.rng.random(int(settle.sum())) < np.maximum(p_up, p_dn)[settle]
-                dn = hit & (p_dn > p_up)
-                del p_up, p_dn
-                hit &= ~dn                                  # the upper crossings
-                np.minimum.at(at_up, r[hit], t0[hit])
-                del hit
-                np.minimum.at(at_down, r[dn], t0[dn] + _bridge_passage(
-                    c.rng, b2, a[dn], -down, b[dn], span[dn]))
-                # the rest splits at a bridge midpoint
-                cut = ~settle
-                del dn, settle
-                r = r[cut]
-                t0 = t0[cut]
-                t1 = t1[cut]
-                a = a[cut]
-                b = b[cut]
-                span = span[cut]
-                del cut
-                mid = 0.5 * (a + b) + np.sqrt(0.25 * b2 * span) * c.rng.standard_normal(len(r))
-                del span
-                tm = 0.5 * (t0 + t1)
-                # a first half starts where its piece did, inside the band; a
-                # second half that starts outside it follows a crossing in the
-                # first, and is dropped
-                inside = (mid > -down) & (mid < up)
-                r = _halves(r, r, inside)
-                t0 = _halves(t0, tm, inside)
-                t1 = _halves(tm, t1, inside)
-                del tm
-                a = _halves(a, mid, inside)
-                b = _halves(mid, b, inside)
-                del mid, inside
-        t_down = np.where(at_down < at_up, at_down, math.inf)
-        return _moments(_discounted(t_down, p)), neglected
+    def linear(c: _Tableau) -> tuple[_Moments, float]:
+        # each piece's end (_piece_end's operations, on slices); a row exits
+        # at its first piece ending below down or closing at or past up
+        x = c.t1.copy()
+        shut = np.isfinite(c.post[:-1])             # the pieces after a jump
+        np.subtract(x[1:], c.t1[:-1], out=x[1:], where=shut)
+        x *= _sim_drift(model)
+        np.add(x[1:], c.post[:-1], out=x[1:], where=shut)
+        low = x <= -down
+        del x, shut
+        e = np.append(np.flatnonzero(low | (c.post >= up)), len(low))
+        first = e[np.searchsorted(e, c.start)]
+        r = np.flatnonzero(first < c.end)
+        r = r[low[first[r]]]
+        k = first[r]
+        t0, a = _piece_start(c, k)
+        b = _piece_end(model, c, k)
+        y = np.zeros(len(c.start))
+        y[r] = np.exp(-p * (t0 + (c.t1[k] - t0) * (a + down) / (a - b)))
+        return _moments(y), 0.0
 
-    per_chunk = _run_chunks(model, config, _TAG_TWOSIDED, exits)
-    neglected = 0.0
-    for _, masses in per_chunk:          # one by one, in (chunk, round) order
-        for mass in masses:
-            neglected += mass
+    def bridges(c: _Tableau) -> tuple[_Moments, float]:
+        # each row's pieces up to the one holding its clock, cut there
+        _, held, k, _, at, cut = _clock_cut(model, c, p)
+        held[k] = True
+        length = k - c.start + 1
+        k = np.flatnonzero(held)
+        del held
+        t0, a = _piece_start(c, k)
+        b = _piece_end(model, c, k)
+        s = c.t1[k] - t0
+        first = np.cumsum(length) - length
+        last = first + length - 1
+        b[last] = at
+        s[last] = cut
+        s *= b2
+        a += down
+        b += down
+        np.clip(a, 0.0, w, out=a)       # a piece after an exit may start outside
+        (lo, rest), (hi, rest_hi) = (_lower_first(a, np.minimum(b, w), w, s),
+                                     _lower_first(w - a, np.minimum(w - b, w), w, s))
+        # each piece's chance to stay in the band and close with a jump that
+        # lands below the upper barrier, then the chance to stay through the
+        # pieces up to it
+        stay = np.where((b > 0.0) & (b < w), np.maximum(1.0 - lo - hi, 0.0), 0.0)
+        stay *= c.post[k] < up
+        _row_scan(first, length)(stay, np.multiply)
+        lo = np.where(b < w, lo, 1.0 - hi)
+        stay[last] = 1.0                # a row's first piece follows no piece of its own
+        lo[1:] *= stay[:-1]
+        return _moments(np.add.reduceat(lo, first)), 2.0 * float(rest.sum() + rest_hi.sum())
+
+    per_chunk = _run_chunks(model, config, _TAG_TWOSIDED, bridges if b2 > 0.0 else linear)
     est = _merged([m for m, _ in per_chunk])
-    return est.estimate(neglected / est.n)
+    return est.estimate(sum(rest for _, rest in per_chunk) / est.n)  # in chunk order
 
 
 def sup_exponential_moment(model: LevyModel, q: float) -> float:
@@ -872,23 +862,13 @@ def wiener_hopf_check(model: LevyModel, q: float,
     T = config.horizon
 
     def sup_at_clock(c: _Tableau) -> _Moments:
-        clk = c.rng.exponential(1.0 / q, len(c.start))
-        full = c.t1 <= np.repeat(clk, c.end - c.start)  # the pieces ended by the clock
+        clk, full, _, y0, at, cut = _clock_cut(model, c, q)
         # 0 enters each row's maximum as the clock piece's entry, or past T,
         # where the clock has ended every piece, as the bridge's below
         peak = c.post if c.smax is None else np.maximum(c.smax, c.post)
         sup = np.maximum.reduceat(np.where(full, peak, 0.0), c.start)
-        del peak
-        # the piece holding the clock (a row's last piece if the clock is past T)
-        k = np.minimum(c.start + np.add.reduceat(full, c.start, dtype=np.intp), c.end - 1)
-        del full
-        t0, y0 = _piece_start(c, k)
-        end = _piece_end(model, c, k)
-        span = c.t1[k] - t0
-        frac = np.minimum((clk - t0) / span, 1.0)
-        at = y0 + (end - y0) * frac + np.sqrt(model.b2 * span * frac * (1.0 - frac)) * \
-            c.rng.standard_normal(len(clk))
-        spread = -2.0 * model.b2 * span * frac * np.log(c.rng.random(len(clk)))
+        del peak, full
+        spread = -2.0 * model.b2 * cut * np.log(c.rng.random(len(clk)))
         np.maximum(sup, np.where(clk < T, _bridge_max(y0, at, spread), 0.0), out=sup)
         return _moments(np.exp(-sup))
 

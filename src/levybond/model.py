@@ -84,7 +84,8 @@ _BRENT_MAXITER = 256  # brentq's step budget
 #
 #   _pieces     (knots, values, tail_rate)
 #   _tail_mass  jump intensity of the tail (``values[-1] / tail_rate``)
-#   _cells      per-cell linear coefficients of the body (None if none)
+#   _cells      per-cell linear coefficients of the body and its values at
+#               each cell's top knot (None if none)
 #   _body       the whole body, from the first knot about 0, as
 #               :func:`_body_expm1` integrates it: a :class:`_Body` (None if
 #               none), whose ``cut`` reads off any other lower limit and shift
@@ -203,15 +204,17 @@ JumpSpec = Union[NoJumps, ExponentialJumps, TabulatedDensity]
 # --------------------------------------------------------------------------- #
 
 def _cells(knots, values):
-    """Per-cell linear coefficients: density = p + m*z on [z0, z1] (read-only)."""
+    """Per-cell linear coefficients, density = p + m*z on [z0, z1], and the
+    density at each cell's top knot, ``v1`` (read-only).  Near a zero of the
+    density ``p + m*z`` cancels; ``v1 + m*(z - z1)`` does not."""
     z = np.asarray(knots, dtype=float)
     v = np.asarray(values, dtype=float)
-    z0, z1 = z[:-1], z[1:]
-    m = (v[1:] - v[:-1]) / (z1 - z0)
+    z0, z1, v1 = z[:-1], z[1:], v[1:]
+    m = (v1 - v[:-1]) / (z1 - z0)
     p = v[:-1] - m * z0
-    for arr in (z0, z1, p, m):
+    for arr in (z0, z1, p, m, v1):
         arr.flags.writeable = False
-    return z0, z1, p, m
+    return z0, z1, p, m, v1
 
 
 class _Body:
@@ -236,16 +239,19 @@ class _Body:
         ``lo <= knots[0]``, ``s = 0``): the whole body's nodes and weights
         from ``k + 2`` on after the pair ``(lo, -f(lo))``, ``(lo, -m_k)``,
         nodes less ``s``, and :func:`_mass_above` from ``above``."""
-        z0, z1, p, m = self._cells
+        z0, z1, p, m, _ = self._cells
         if lo <= z0[0] and s == 0.0:
             return self
         k = int(np.searchsorted(z1, lo, side="right"))
         lo = max(lo, float(z0[k]))  # below the first knot the body starts there
-        mass, f_lo, _ = _mass_above(self._cells, self.above, k, lo)
-        # 0 - m_k is the slope jump into cell k, formed as the whole body's first
+        mass = _mass_above(self._cells, self.above, k, lo)[0]
+        # 0 - m_k is the slope jump into cell k, formed as the whole body's
+        # first; f(lo) enters as an absolute weight, where p + m lo's rounding
+        # is harmless
         return _Body(self._cells, self.above, (k, lo, s),
                      np.concatenate([(lo, lo), self.nodes[k + 2:]]) - s,
-                     np.concatenate([(-f_lo, 0.0 - m[k]), self.weights[k + 2:]]), float(mass))
+                     np.concatenate([(-(p[k] + m[k] * lo), 0.0 - m[k]), self.weights[k + 2:]]),
+                     float(mass))
 
     @cached_property
     def moments(self) -> tuple[float, ...]:
@@ -255,7 +261,7 @@ class _Body:
 def _moments(cells, k: int, lo: float, s: float, orders) -> list[float]:
     """``integral_(u >= lo) (u - s)^j pi(u) du`` over the body for each ``j``
     of ``orders``, cell by cell from the cell ``k`` holding ``lo``."""
-    z0, z1, p, m = cells
+    z0, z1, p, m, _ = cells
     c0 = z0[k:] - s
     c0[0] = lo - s
     # about s the density is (p + m s) + m (u - s)
@@ -267,9 +273,12 @@ def _moments(cells, k: int, lo: float, s: float, orders) -> list[float]:
 def _mass_above(cells, above, k, u):
     """``integral_(z >= u) pi(z) dz`` with ``u`` in cell ``k``, elementwise:
     ``above[k + 1]`` (exceedance masses at the knots) plus the trapezoid of
-    cell ``k`` above ``u``; also the density at ``u`` and at the cell's top."""
-    z0, z1, p, m = cells
-    vu, v1 = p[k] + m[k] * u, p[k] + m[k] * z1[k]
+    cell ``k`` above ``u``; also the density at ``u`` and at the cell's top.
+    Both densities are read from the top knot's value, so the trapezoid
+    keeps its relative accuracy where the density vanishes there."""
+    _, z1, _, m, top = cells
+    v1 = top[k]
+    vu = v1 + m[k] * (u - z1[k])
     return above[k + 1] + 0.5 * (z1[k] - u) * (vu + v1), vu, v1
 
 
@@ -277,7 +286,7 @@ def _normal_form(spec, knots, values, tail_rate: float, tail_mass: float) -> Non
     """Cache the normal form of ``spec`` and its constants (see above)."""
     cells, body, m1, mass, above = None, None, 0.0, tail_mass, np.array([tail_mass])
     if len(knots) > 1:
-        cells = z0, z1, p, m = _cells(knots, values)
+        cells = z0, z1, p, m, _ = _cells(knots, values)
         cell_mass = p * (z1 - z0) + 0.5 * m * (z1**2 - z0**2)
         body_above = np.concatenate([np.cumsum(cell_mass[::-1])[::-1], [0.0]])
         slopes = np.concatenate([[0.0], m, [0.0]])
@@ -869,7 +878,7 @@ def _upper_integrals(jumps: JumpSpec, u: np.ndarray, d: np.ndarray):
     mass = tail * np.exp(-r * (past - zN)) if tail > 0.0 else np.zeros(u.shape)
     expo = mass * r / (r - 1.0) * np.exp(past - d) if tail > 0.0 else np.zeros(u.shape)
     if jumps._cells is not None:
-        z0, z1, p, m = jumps._cells
+        z0, z1, p, m, _ = jumps._cells
         # e^(z - zN) (v(z) - m) is an antiderivative of e^(z - zN) v(z) on a cell
         cell_exp = np.exp(z1 - zN) * (p + m * z1 - m) - np.exp(z0 - zN) * (p + m * z0 - m)
         exp_above = np.concatenate([np.cumsum(cell_exp[::-1])[::-1], [0.0]])
@@ -959,9 +968,10 @@ def _jump_sizes_into(model: LevyModel, u: np.ndarray) -> np.ndarray:
     knots, _, r = j._pieces
     share = j._tail_mass / mass
     b = 1.0 - share
-    body = u < b
-    # exceedance mass of each body sample, read before u is overwritten
-    t = (1.0 - u[body]) * mass if np.any(body) else None
+    # exceedance mass of each body sample, read before u is overwritten (a
+    # density that is all tail, as exponential jumps are, has no body)
+    body = u < b if b > 0.0 else None
+    t = (1.0 - u[body]) * mass if body is not None and body.any() else None
     # zN - log1p((b - u) / share) / r
     np.subtract(b, u, out=u)
     with np.errstate(divide="ignore", invalid="ignore"):  # share 0: all body
@@ -970,22 +980,19 @@ def _jump_sizes_into(model: LevyModel, u: np.ndarray) -> np.ndarray:
     u /= r
     np.subtract(knots[-1], u, out=u)
     if t is not None:
-        z0, z1, p, m = j._cells
+        z0, z1, _, m, top = j._cells
         above = j._above
         # locate the cell: above[] is decreasing in the knot index
         idx = np.searchsorted(-above, -t, side="right") - 1
         idx = np.clip(idx, 0, len(z0) - 1)
-        g1 = z1[idx]
-        pp = p[idx]
-        mm = m[idx]
-        # solve mass(z .. g1) + above[idx+1] = t for z in the cell, i.e. the
-        # quadratic pp*(g1 - z) + mm*(g1^2 - z^2)/2 = t - above[idx+1]
-        c2 = (t - above[idx + 1]) - pp * g1 - 0.5 * mm * g1**2
-        lin = np.abs(mm) < 1e-14
-        z = np.empty_like(t)
-        z[lin] = -c2[lin] / pp[lin]
-        ql = ~lin
-        disc = np.sqrt(np.maximum(pp[ql] ** 2 - 2.0 * mm[ql] * c2[ql], 0.0))
-        z[ql] = (-pp[ql] + disc) / mm[ql]
-        u[body] = np.clip(z, z0[idx], g1)
+        # the depth d = z1 - z below the cell's top whose mass is
+        # e = t - above[idx+1]: top*d - m*d^2/2 = e, with the density read
+        # from the top knot's value, by the root that does not cancel
+        e = np.maximum(t - above[idx + 1], 0.0)
+        e *= 2.0
+        v1, mm = top[idx], m[idx]
+        den = np.sqrt(np.maximum(v1 * v1 - mm * e, 0.0))
+        den += v1
+        d = np.divide(e, den, out=np.zeros_like(e), where=den > 0.0)
+        u[body] = np.clip(z1[idx] - d, z0[idx], z1[idx])
     return u

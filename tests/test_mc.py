@@ -3,8 +3,8 @@ three-sigma gates against the closed-form layer everywhere else.
 
 The one engine is exact (jump epochs are simulated, the pieces between them
 are linear or Brownian with an exact bridge maximum and passage times), so
-its comparisons carry no discretisation slack; only two_sided_exit neglects
-crossing mass, below a bound it returns.
+its comparisons carry no discretisation slack; only two_sided_exit stops an
+image series, and it returns a bound on the rest.
 """
 
 import math
@@ -29,6 +29,7 @@ from levybond import (
     exp_growth_rate,
     jump_intensity,
     laplace_exponent,
+    sample_jump_sizes,
 )
 from levybond import mc
 from levybond.mc import (
@@ -249,9 +250,10 @@ class TestEventTableau:
     @pytest.mark.parametrize("model", [CANON, EXPJM, TAB, BV2, TAB_BV],
                              ids=["CANON", "EXPJM", "TAB", "BV2", "TAB_BV"])
     def test_slab_size_does_not_enter(self, model, monkeypatch):
-        # each block is drawn slab by slab in row order, and Philox fills a
-        # block sequentially: every field and the generator state after the
-        # build are the same bits for any slab size, one row to the whole chunk
+        # the draws fill the real slots in tableau order and each row's
+        # running sums are its own: every field and the generator state after
+        # the build are the same bits for any slab size, one row to the whole
+        # chunk
         cfg = SimConfig(n_paths=600, horizon=10.0, dt=1e-2, seed=26)
         builds = []
         for slab in (1, 7, 1024, mc._CHUNK):
@@ -262,6 +264,76 @@ class TestEventTableau:
                            c.rng.random()))
         assert all(b == builds[0] for b in builds[1:])
         assert (builds[0][0][4] is None) == (model.b2 == 0.0)
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM, BV2], ids=["CANON", "EXPJM", "BV2"])
+    def test_epochs_increase_inside_the_horizon(self, model):
+        # a row's epochs are its normalised running sums of Exp(1) spacings:
+        # strictly increasing and inside (0, T)
+        cfg = SimConfig(n_paths=9000, horizon=10.0, dt=1e-2, seed=27)
+
+        def work(c):
+            t0, _ = _piece_start(c, np.arange(len(c.t1)))
+            return c, t0
+
+        for c, t0 in _run_chunks(model, cfg, _TAG_VALUE, work):
+            assert np.all(c.t1 > t0)
+            closes = np.isfinite(c.post)
+            assert np.all(c.t1[closes] > 0.0) and np.all(c.t1[closes] < cfg.horizon)
+
+    def test_epochs_are_uniform_order_statistics(self):
+        # given n jumps on [0, T], the k-th epoch has mean k T / (n + 1); at a
+        # fixed seed every (n, k) mean of the rows with n jumps lies within 4
+        # standard errors of it (Var = k (n + 1 - k) T^2 / ((n + 1)^2 (n + 2)))
+        T = 5.0
+        cfg = SimConfig(n_paths=3 * mc._CHUNK, horizon=T, dt=1e-2, seed=28)
+        model = LevyModel(0.1, 0.3, ExponentialJumps(0.6, 2.0))
+        chunks = _run_chunks(model, cfg, _TAG_VALUE, lambda c: (c.start, c.end, c.t1))
+        checked = 0
+        for n in range(1, 6):
+            rows = np.concatenate([t1[np.add.outer(start[end - start == n + 1], np.arange(n))]
+                                   for start, end, t1 in chunks])
+            assert len(rows) > 300
+            for k in range(1, n + 1):
+                mean = k * T / (n + 1)
+                sd = math.sqrt(k * (n + 1 - k) / (n + 2)) * T / (n + 1)
+                assert abs(rows[:, k - 1].mean() - mean) <= 4.0 * sd / math.sqrt(len(rows)), (n, k)
+                checked += 1
+        assert checked == 15
+
+    @pytest.mark.parametrize("model", [BV2, EXPJM, TAB], ids=["BV2", "EXPJM", "TAB"])
+    def test_one_size_uniform_per_real_jump(self, model):
+        # the chunk's stream is its jump counts, one Exp(1) spacing per piece,
+        # with a Gaussian part one normal and one bridge uniform per piece,
+        # then one uniform per real jump, mapped to the sizes in tableau
+        # order: a generator that draws exactly these reaches the tableau's
+        # state, and its uniforms are the sizes the path moves across
+        cfg = SimConfig(n_paths=600, horizon=10.0, dt=1e-2, seed=29)
+        c = _event_tableau(model, cfg, _TAG_VALUE, 0)
+        pieces, rows = len(c.t1), len(c.start)
+        rng = mc._rng(cfg.seed, _TAG_VALUE, 0)
+        counts = rng.poisson(jump_intensity(model) * cfg.horizon, rows)
+        assert np.array_equal(counts, c.end - c.start - 1)
+        rng.standard_exponential(pieces)
+        if model.b2 > 0.0:
+            rng.standard_normal(pieces)
+            rng.random(pieces)
+        sizes = sample_jump_sizes(model, rng.random(pieces - rows))
+        assert rng.random() == c.rng.random()
+        np.testing.assert_allclose(_jump_sizes(model, c), sizes, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["sum", "product"])
+    def test_row_scan_is_each_rows_own(self, op):
+        # the running sums (products) along each row, taken column by column
+        # over the rows sorted by length, are bit for bit those of the row
+        # alone, empty rows included
+        rng = np.random.default_rng(5)
+        length = rng.poisson(6.0, 300)
+        length[[3, 50]] = 0
+        first = np.cumsum(length) - length
+        x = rng.standard_exponential(length.sum()) if op is np.add else rng.random(length.sum())
+        want = np.concatenate([op.accumulate(x[a:a + n]) for a, n in zip(first, length)])
+        mc._row_scan(first, length)(x, op)
+        assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b2", [0.0, 0.3], ids=["bounded", "gaussian"])
     def test_refuses_more_jumps_than_it_can_hold(self, b2):
@@ -330,6 +402,17 @@ class TestEstimates:
         c = estimate_game_value(CANON, gp(3.0), -0.5, sol.tau_level,
                                 sol.sigma_level, other)
         assert c.mean != a.mean
+
+    def test_negative_and_wide_seeds_key_a_stream(self):
+        # a seed keys its streams mod 2^64: -1 keys that of 2^64 - 1 and a
+        # seed past 64 bits that of its low bits, and -1 differs from 1
+        def run(seed):
+            cfg = SimConfig(n_paths=2000, horizon=3.0, dt=1e-2, seed=seed)
+            return upcrossing_discount_profile(CANON, 2.0, [0.5], cfg)[0].mean
+
+        assert run(-1) == run((1 << 64) - 1)
+        assert run(-1) != run(1)
+        assert run((1 << 70) | 1) == run(1)
 
     def test_grid_step_does_not_enter(self):
         # every estimator runs on the exact tableau: dt is validated, not read
@@ -504,15 +587,94 @@ class TestUpcrossingProfile:
 class TestTwoSidedExit:
     @pytest.mark.parametrize("model", [CANON, EXPJM, BV2], ids=["CANON", "EXPJM", "BV2"])
     def test_neglected_mass_is_bounded(self, model):
-        # a piece is settled once one barrier's crossing mass is at most
-        # 1e-15, and that mass is neglected; without a Gaussian part every
-        # crossing mass is 0 or 1, so nothing is
+        # each bridge's image series stops once its terms are below 1e-17,
+        # and the rests are returned; without a Gaussian part a piece's exit
+        # is certain or impossible, so nothing is neglected
         cfg = SimConfig(n_paths=5000, horizon=6.0, dt=1e-3, seed=56)
         est = two_sided_exit(model, 1.0, 0.6, 0.8, cfg)
         if model.b2 > 0.0:
             assert 0.0 < est.bias_bound <= 1e-13
         else:
             assert est.bias_bound == 0.0
+
+    def test_exit_chances_match_the_images(self):
+        # inside the band, the lower-first chance, the upper-first one (its
+        # mirror) and the two-barrier stay chance (the image sum of the
+        # killed density, an independent series) add up to 1; below it, the
+        # lower-first chance is 1 less the reflection principle's chance to
+        # reach the upper barrier first.  Each within its returned rest
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.5, 3.0, 60)
+        a = rng.uniform(0.0, 1.0, 60) * w
+        b = np.where(np.arange(60) < 40, rng.uniform(0.0, 1.0, 60) * w, -rng.uniform(0.0, 2.0, 60))
+        s = 10.0 ** rng.uniform(-2.0, 1.0, 60)
+        for wi in np.unique(w):
+            i = w == wi
+            lo, rest = mc._lower_first(a[i], b[i], wi, s[i])
+            hi, rest_hi = mc._lower_first(wi - a[i], np.minimum(wi - b[i], wi), wi, s[i])
+            for x, y, ss, p_lo, p_hi, r in zip(a[i], b[i], s[i], lo, hi, rest + rest_hi):
+                with mp.workdps(30):
+                    x, y, ww, ss = map(mp.mpf, (x, y, wi, ss))
+                    if y > 0:
+                        want = 1 - sum(mp.exp(-2 * n * ww * (n * ww + y - x) / ss)
+                                       - mp.exp(-2 * (x + n * ww) * (y + n * ww) / ss)
+                                       for n in range(-60, 61))
+                        got = p_lo + p_hi
+                    else:
+                        want = 1 - sum(mp.exp(-((y - 2 * n * ww + sign * x) ** 2 - (y - x) ** 2)
+                                              / (2 * ss)) * sign
+                                       for n in range(1, 61) for sign in (-1, 1))
+                        got = p_lo
+                assert abs(got - float(want)) <= r + 1e-14, (float(x), float(y), got, float(want))
+        # the series at a = 0.6, b = 0.3, w = 1.4, s = 1.4
+        assert mc._lower_first(np.array([0.6]), np.array([0.3]), 1.4, np.array([1.4]))[0][0] == \
+            pytest.approx(0.670182, abs=1e-6)
+
+    @pytest.mark.parametrize("model", [CANON, EXPJM, BV2], ids=["CANON", "EXPJM", "BV2"])
+    def test_each_path_is_its_own_sum(self, model):
+        # one chunk, path by path in Python: with a Gaussian part the clock
+        # and the Gaussian point at it, then sum_k S_(<k) P_k over the pieces
+        # up to the clock's from the image series; without one, e^(-p tau)
+        # at the first exit if it is through the lower barrier, no draw made
+        p, down, up = 1.0, 0.6, 0.8
+        cfg = SimConfig(n_paths=700, horizon=6.0, dt=1e-3, seed=55)
+        c = _event_tableau(model, cfg, mc._TAG_TWOSIDED, 0)
+        w, rows = down + up, len(c.start)
+        if model.b2 > 0.0:
+            clk = c.rng.standard_exponential(rows) / p
+            z = c.rng.standard_normal(rows)
+        y = np.zeros(rows)
+        for i in range(rows):
+            alive = 1.0
+            for k in range(c.start[i], c.end[i]):
+                (t0,), (x0,) = _piece_start(c, np.array([k]))
+                x1 = float(_piece_end(model, c, np.array([k]))[0])
+                t1 = c.t1[k]
+                if model.b2 == 0.0:
+                    if x1 <= -down:
+                        y[i] = math.exp(-p * (t0 + (t1 - t0) * (x0 + down) / (x0 - x1)))
+                        break
+                    if c.post[k] >= up:
+                        break
+                    continue
+                cut = min(clk[i], t1) < t1 or k == c.end[i] - 1
+                if cut:
+                    f = min((clk[i] - t0) / (t1 - t0), 1.0)
+                    x1 = x0 + (x1 - x0) * f + math.sqrt(model.b2 * (t1 - t0) * f * (1 - f)) * z[i]
+                    t1 = t0 + (t1 - t0) * f
+                aa, bb = np.array([min(max(x0 + down, 0.0), w)]), np.array([x1 + down])
+                ss = np.array([model.b2 * (t1 - t0)])
+                lo = mc._lower_first(aa, np.minimum(bb, w), w, ss)[0][0]
+                hi = mc._lower_first(w - aa, np.minimum(w - bb, w), w, ss)[0][0]
+                y[i] += alive * (lo if bb[0] < w else 1.0 - hi)
+                if cut:
+                    break
+                alive *= max(1.0 - lo - hi, 0.0) if 0.0 < bb[0] < w else 0.0
+                alive *= c.post[k] < up
+        est = two_sided_exit(model, p, down, up, cfg)
+        assert est.mean == pytest.approx(y.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(y.std(ddof=1) / math.sqrt(rows), rel=1e-9)
 
     @pytest.mark.parametrize("model,p,down,up,n,dt,T", [
         (CANON, 1.0, 0.6, 0.8, 20_000, 2e-3, 6.0),
@@ -602,60 +764,63 @@ def _frozen_estimates(kind, model):
 # Gaussian two_sided entries were recorded again when two_sided_exit began to
 # run its midpoint rounds group by group of _SLAB rows, and the sup entries
 # when wiener_hopf_check began to estimate E[e^(-sup)] from clocks drawn
-# after the tableau
+# after the tableau.  All were recorded again when the streams moved from
+# Philox to keyed SFC64 and the tableau began to draw for its real slots
+# alone, and two_sided_exit to sum one exit probability per piece
 _FROZEN = {
     ("values", "CANON"): [
-        (0.8274222937293138, 0.003517435891583891),
-        (1.4322067944602042, 0.0049056304348316015),
+        (0.8303430064784917, 0.0035143838028111564),
+        (1.4348354508601182, 0.004850146322807538),
     ],
     ("values", "EXPJM"): [
-        (1.0152936663049739, 0.0007710135091243922),
-        (1.4819754801878555, 0.0013506212433056293),
+        (1.0139682934146188, 0.000762763769347651),
+        (1.4830553825150123, 0.0013720538433246868),
     ],
     ("values", "BV2"): [
-        (1.5968226804632324, 0.0005812718322556524),
-        (1.8892000801504971, 0.0009024205316792365),
+        (1.5965639967464, 0.0005714964020333023),
+        (1.8900012492805023, 0.0009171028739288087),
     ],
     ("upcross", "CANON"): [
         (1.0, 0.0),
-        (0.41475402527197025, 0.005082894464353624),
-        (0.17604647565737702, 0.0034954157769711237),
+        (0.4177296772709888, 0.0051160954005554544),
+        (0.17728093003013082, 0.0034551633520294744),
     ],
     ("upcross", "EXPJM"): [
         (1.0, 0.0),
-        (0.23066098023597872, 0.0042013449268306574),
-        (0.10200644098069517, 0.002949509033370022),
+        (0.22086901237489048, 0.004128856982250852),
+        (0.10014625515762457, 0.002950408987175217),
     ],
     ("upcross", "BV2"): [
-        (0.2080096028636772, 0.005415532639148857),
-        (0.09867135298479883, 0.003969706923898224),
-        (0.044567366704003734, 0.00270924109260881),
+        (0.20815003568978013, 0.005415331264738513),
+        (0.09250023939773551, 0.00385639308023927),
+        (0.039577220592961274, 0.00256321820626599),
     ],
     ("two_sided", "CANON"): [
-        (0.4612215978224181, 0.006226766365870645),
+        (0.46458359556473217, 0.004706741805966067),
     ],
     ("two_sided", "EXPJM"): [
-        (0.2682932592353866, 0.004312007531402303),
+        (0.2630310997586902, 0.005869313561597922),
     ],
     ("two_sided", "BV2"): [
-        (0.6793741983510372, 0.0024461545576124014),
+        (0.6784105794367988, 0.002421235768583117),
     ],
     ("sup", "CANON"): [
-        (0.6567710350650707, 0.0035482354010617843),
+        (0.665388648579279, 0.003545486880327081),
     ],
     ("sup", "EXPJM"): [
-        (0.7880233244553811, 0.0031529528043604134),
+        (0.7858331402173285, 0.003201228924806756),
     ],
     ("sup", "BV2"): [
-        (0.934419087486198, 0.0027165218877043835),
+        (0.9444079602479521, 0.002454005363455727),
     ],
 }
 
 
 class TestFrozenStreams:
     """Seeded outputs are pinned across versions of the code: a change to the
-    Philox stream layout, the draw order or the per-path arithmetic moves
-    them.  The tolerance leaves room only for last-bit libm differences."""
+    generator, the stream layout, the draw order or the per-path arithmetic
+    moves them.  The tolerance leaves room only for last-bit libm
+    differences."""
 
     @pytest.mark.parametrize("kind,name", sorted(_FROZEN))
     def test_seeded_estimates_unchanged(self, kind, name):
@@ -740,9 +905,10 @@ class TestChunkMoments:
 
     @pytest.mark.parametrize("name", ["upcross", "values", "two_sided", "sup"])
     def test_peak_memory_does_not_grow_with_the_path_count(self, name, monkeypatch):
-        # the traced peak of 64 chunks stays near that of 16: two workers
-        # hold two chunks in flight, whatever the number of chunks
-        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 2)
+        # the traced peak of 64 chunks stays near that of 16: a worker holds
+        # one chunk at a time, whatever the number of chunks.  One worker, so
+        # that no two lanes' peaks interleave differently in the two runs
+        monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         call = {
             "upcross": lambda cfg: upcrossing_discount_profile(BV2, 0.8, [0.0, 0.5, 1.0], cfg),
             "values": lambda cfg: estimate_game_values(BV2, gp(0.8), [-0.5, 0.1], 0.6, 0.4, cfg),
@@ -781,9 +947,9 @@ class TestChunkMoments:
 
     def test_saddle_lane_holds_one_tableau_at_a_time(self, monkeypatch):
         # one worker runs the bounded-variation saddle's chunks in turn: it
-        # frees a chunk's tableau (t1 and post) before it builds the next in
-        # slab-sized draw blocks, at ~25 traced bytes per expected slot (~48
-        # holding the last tableau beside a whole-chunk draw block)
+        # frees a chunk's tableau (t1 and post) before it builds the next,
+        # drawing into the tableau itself, at ~22 traced bytes per expected
+        # slot (~48 holding the last tableau beside a whole-chunk draw block)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         params = gp(0.8)
         sol = classify(BV2, params)
@@ -809,8 +975,9 @@ class TestChunkMoments:
 
     def test_upcross_lane_builds_without_whole_tableau_temporaries(self, monkeypatch):
         # the bounded-variation upcross at horizon 25 over 3 chunks on one
-        # worker: one tableau at a time, built slab by slab, ~2.6 MiB (~5.1
-        # MiB holding the last tableau beside a whole-chunk draw block)
+        # worker: one tableau at a time, its running sums taken slab by slab,
+        # ~2.4 MiB (~5.1 MiB holding the last tableau beside a whole-chunk
+        # draw block)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         levels = [0.0, 0.5, 1.0]
         # first-call caches
@@ -820,10 +987,10 @@ class TestChunkMoments:
         assert peak <= 4.0 * 2**20, peak / 2**20
 
     def test_two_sided_exit_frees_each_round(self, monkeypatch):
-        # the midpoint rounds run to completion for each group of _SLAB rows,
-        # and each round replaces its arrays one at a time: one chunk in
-        # flight peaks near 2.1 MiB on CANON at horizon 4 (~7.2 MiB with every
-        # row of the chunk in one round)
+        # one exit probability per piece up to each row's clock: one chunk in
+        # flight peaks near 1.1 MiB on CANON at horizon 4 (2.1 MiB when the
+        # pieces were cut at bridge midpoints round by round, ~7.2 MiB with
+        # every row of the chunk in one round)
         monkeypatch.setattr(mc, "_pool_size", lambda chunks, jumps: 1)
         two_sided_exit(CANON, 1.0, 0.6, 0.8, SimConfig(100, 4.0, 1e-3, 7))   # first-call caches
         peak = self._traced_peak(lambda: two_sided_exit(
@@ -832,9 +999,9 @@ class TestChunkMoments:
 
     def test_gaussian_build_forms_no_whole_tableau_temporaries(self):
         # a build with a Gaussian part holds t1, post, pre and smax (~32
-        # bytes per expected slot) and draws each block slab by slab,
-        # recomputing the piece lengths per slab: it peaks near 45 traced
-        # bytes per slot (~61 with whole-chunk blocks, lengths, moves and y0)
+        # bytes per expected slot), draws into them and forms the piece
+        # lengths slab by slab: it peaks near 44 traced bytes per slot (~61
+        # with whole-chunk blocks, lengths, moves and y0)
         horizon = 40.0
         cfg = SimConfig(3 * mc._CHUNK, horizon, 1e-3, 7)
         _event_tableau(EXPJM, SimConfig(100, horizon, 1e-3, 7), _TAG_VALUE, 0)   # first-call caches

@@ -39,6 +39,7 @@ from levybond.model import (
     _excess_transform,
     _jump_expm1,
     _jump_exponent_real,
+    _mass_above,
     _psi_c,
     _psi_fraction,
     brentq,
@@ -598,7 +599,7 @@ class TestJumpIntegral:
         """The body on ``[lo, knots[-1]]`` about ``s`` built from the cells by
         masks and concatenations, the oracle for a cut: its nodes, weights
         and the moments of orders 1 to 15, each a sum over its cells."""
-        z0, z1, p, m = cells
+        z0, z1, p, m, _ = cells
         keep = z1 > lo
         cp, cm = p[keep], m[keep]
         c0 = np.maximum(z0[keep], lo)
@@ -1047,6 +1048,35 @@ class TestJumpSampling:
             assert mass_above(zi) == pytest.approx((1 - ui) * total, rel=1e-9)
         # the tail quantile is solved in u, whose spacing near 1 is ~2e-9 of 1 - u
         assert mass_above(zs[-1]) == pytest.approx((1 - u[-1]) * total, rel=1e-7)
+
+    def test_mass_one_ulp_below_a_vanishing_last_knot(self):
+        # NO_TAIL falls to 0 at its last knot, and one ulp below it the mass
+        # above is a trapezoid of height ~5e-23: read from the knot value,
+        # the density there does not cancel (formed as p + m z it was 1.8e-2
+        # relative off)
+        mp = pytest.importorskip("mpmath")
+        jumps = TestJumpIntegral.NO_TAIL
+        knots, values, _ = jumps._pieces
+        u = float(np.nextafter(knots[-1], 0.0))
+        got = _mass_above(jumps._cells, jumps._above, len(knots) - 2, u)[0]
+        with mp.workdps(50):
+            z0, z1, v0, v1, um = map(mp.mpf, (knots[-2], knots[-1], values[-2], values[-1], u))
+            want = float((z1 - um) * (v0 + (v1 - v0) * (um - z0) / (z1 - z0) + v1) / 2)
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+    def test_quantile_where_the_density_vanishes(self):
+        # one cell falling from 1e-3 to 0 on [7.9, 8]: the cell's root, formed
+        # from the top knot's value, gives the depth below 8 of the mass
+        # 1 - u to 1e-9 (the root of p + m z lost up to 3e-4 of it at 3e-6)
+        mp = pytest.importorskip("mpmath")
+        jumps = TabulatedDensity((7.9, 8.0), (1e-3, 0.0), 2.0)
+        d = np.array([1e-2, 1e-3, 1e-4, 1e-5, 3e-6])
+        u = 1.0 - 0.5 * 0.01 * d * d / jumps._mass
+        got = 8.0 - sample_jump_sizes(LevyModel(0.25, 0.1, jumps), u)
+        for ui, gi in zip(u, got):
+            with mp.workdps(50):
+                want = float(mp.sqrt(2 * (1 - mp.mpf(ui)) * mp.mpf(jumps._mass) / mp.mpf(0.01)))
+            assert abs(gi - want) <= 1e-9 * want, (gi, want)
 
     def test_tabulated_mean_jump(self):
         tab = tabulated_exp_density()
