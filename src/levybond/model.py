@@ -24,6 +24,9 @@ inverse-CDF sampling.  Each jump integral among them is one or two calls of
 place that integrates the body or writes the tail's closed form; with a real
 scalar ``a`` a tail-only density stays in :mod:`math`, so it keeps the digits
 and the scalar cost of the exponential family's textbook formulas.
+
+A model evaluates ``psi(-1)`` when it is built and keeps every real ``psi``
+value it forms, so root searches on one model share their ``psi`` values.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -484,6 +487,10 @@ class LevyModel:
     terms of ``E[exp(-theta X)]``).  Construction rejects parameter sets whose
     paths would be monotone increasing, since first-passage games degenerate
     there.
+
+    Construction also sets ``_psi``, :func:`laplace_exponent`'s memo, and
+    ``_growth``, ``psi(-1)`` or ``inf`` where it diverges: not fields, so they
+    take no part in equality, hashing or repr, as a jump spec's normal form.
     """
 
     mu: float
@@ -502,6 +509,12 @@ class LevyModel:
                 "b2=0 with mu + small-jump mass <= 0 gives monotone "
                 "(subordinator-like) paths; the stopping game degenerates"
             )
+        object.__setattr__(self, "_psi", {})
+        try:
+            growth = laplace_exponent(self, -1.0)
+        except DivergentExponent:
+            growth = math.inf
+        object.__setattr__(self, "_growth", growth)
 
 
 @dataclass(frozen=True)
@@ -577,17 +590,30 @@ def _jump_exponent_real(jumps: JumpSpec, theta: float) -> float:
 def laplace_exponent(model: LevyModel, theta: float) -> float:
     """``psi(theta) = log E[exp(-theta X_1)]`` for real ``theta``.
 
+    Memoised in ``model._psi``, a plain dict (a Brownian ``psi`` costs
+    ~0.3 us) emptied when it holds 256 values.  ``psi(-0.0)`` may read
+    ``psi(0.0)``'s entry, its own value ``+0.0``.  What raises is not stored.
+
     Raises
     ------
     DivergentExponent
         when the jump tail makes ``E[exp(-theta X_1)]`` infinite
         (possible only for ``theta < 0``).
+    DomainError
+        for a NaN or infinite ``theta``.
     """
     theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
-    return (model.mu * theta + 0.5 * model.b2 * theta * theta
-            + _jump_exponent_real(model.jumps, theta))
+    memo = model._psi
+    val = memo.get(theta)
+    if val is None:
+        if not math.isfinite(theta):
+            raise DomainError(f"theta must be finite, got {theta}")
+        val = (model.mu * theta + 0.5 * model.b2 * theta * theta
+               + _jump_exponent_real(model.jumps, theta))
+        if len(memo) >= 256:
+            memo.clear()
+        memo[theta] = val
+    return val
 
 
 def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:
@@ -713,40 +739,8 @@ def _root_past(f, lo: float, flo: float, failure: Exception) -> float:
     raise failure
 
 
-def _psi_known(model: LevyModel, known: dict, theta: float) -> float:
-    """``psi(theta)`` read from ``known`` (values by ``theta``) or evaluated
-    by :func:`laplace_exponent` and added to it: root searches that share
-    ``known`` evaluate ``psi`` at each ``theta`` once.  A dict and a plain
-    call, because a Brownian ``psi`` costs ~0.3 us and a heavier memo
-    would cost the searches more than the repeats it saves."""
-    val = known.get(theta)
-    if val is None:
-        val = known[theta] = laplace_exponent(model, theta)
-    return val
-
-
-def _memo_per_level(search):
-    """Memoise ``search(model, p, known=None)`` per ``(model, p)``, with
-    ``known`` left out of the key: it saves ``psi`` evaluations and never
-    changes the root.  The memo holds at most 256 roots and starts over when
-    full; ``__wrapped__`` is the search and ``cache_clear`` empties it."""
-    memo: dict = {}
-
-    @wraps(search)
-    def memoised(model: LevyModel, p: float, known: dict | None = None) -> float:
-        key = (model, p)
-        root = memo.get(key)
-        if root is None:
-            if len(memo) >= 256:
-                memo.clear()
-            root = memo[key] = search(model, p, known)
-        return root
-    memoised.cache_clear = memo.clear
-    return memoised
-
-
-@_memo_per_level
-def phi(model: LevyModel, p: float, known: dict | None = None) -> float:
+@lru_cache(maxsize=256)
+def phi(model: LevyModel, p: float) -> float:
     """Largest nonnegative root of ``psi(theta) = p`` (the right inverse).
 
     Convexity of ``psi`` with ``psi(0) = 0`` makes ``{theta >= 0 : psi <= p}``
@@ -755,36 +749,26 @@ def phi(model: LevyModel, p: float, known: dict | None = None) -> float:
     every model (on ``[1e-7, 2^k]`` at ``p = 0``, where 0 is a root too).
     Memoised per ``(model, p)``: a solve reads ``Phi(q)`` in its scale
     build, its thresholds and its fit report, and the root is found once.
-    ``known`` holds ``psi`` values by ``theta`` that the caller has formed
-    (``solver.classify`` passes its rate searches'); the search reads them
-    and adds its own (:func:`_psi_known`).
+    Its ``psi`` values stay in the model's memo for ``solver``'s rate searches.
     """
     if not (p >= 0.0) or not math.isfinite(p):
         raise DomainError(f"phi() needs p >= 0, got {p}")
-    if known is None:  # nothing to share: psi directly, with no dict
-        def f(th: float) -> float:
-            return laplace_exponent(model, th) - p
-    else:
-        def f(th: float) -> float:
-            return _psi_known(model, known, th) - p
+
+    def f(th: float) -> float:
+        return laplace_exponent(model, th) - p
     lo, flo = (1e-7, f(1e-7)) if p == 0.0 else (0.0, -p)
     if flo >= 0.0:
         return 0.0
     return _root_past(f, lo, flo, DomainError(f"could not bracket the inverse of psi at p={p}"))
 
 
-@lru_cache(maxsize=256)
 def exp_growth_rate(model: LevyModel) -> float:
     """``psi(-1) = log E[exp(X_1)]``, or ``+inf`` when that moment diverges.
 
-    Memoised per model, as :func:`phi` is: the discount condition, ``q0``
-    and every step of ``q1``'s root finder read it, and it is evaluated
-    once.  It is the one place that evaluates ``psi`` at -1 (CI checks it).
+    Evaluated once, when the model is built (``model._growth``): the
+    discount condition and every step of the rate searches read it (CI checks it).
     """
-    try:
-        return laplace_exponent(model, -1.0)
-    except DivergentExponent:
-        return math.inf
+    return model._growth
 
 
 def meets_discount_condition(model: LevyModel, q: float) -> bool:

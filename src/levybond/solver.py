@@ -23,6 +23,7 @@ function, ``alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)`` less
 ``theta (theta+1) K b^2/2`` for ``q1``.  Each is ``alpha`` at ``theta = 0`` and
 changes sign once, so ``Phi(q0)`` is bracketed on ``[0, 2^k]`` and ``Phi(q1)``
 on ``[0, Phi(q0)]``: a classification inverts ``psi`` only at ``q`` itself.
+The three searches share ``psi`` values through the model's own memo.
 
 Every value below is one fluctuation identity in ``W``: the R2 premium
 kernel, the exit transform ``Z - (q/Phi) W`` and the R3 and R4 values each
@@ -48,11 +49,11 @@ import numpy as np
 from .errors import BracketError, DomainError, RegimeError
 from .model import (
     LevyModel,
-    _psi_known,
     _root_past,
     brentq,
     exp_growth_rate,
     jump_intensity,
+    laplace_exponent,
     phi,
     require_discount_condition,
     shifted_jump_integrals,
@@ -159,7 +160,7 @@ class RegimeSolution:
     sigma_level: float | ImmediateStop
 
 
-def a_star(model: LevyModel, params: GameParams, *, _known: dict | None = None) -> float:
+def a_star(model: LevyModel, params: GameParams) -> float:
     """Share level at which the holder converts in regime R2.
 
     Strictly decreasing in ``q``, exploding at ``psi(-1) + beta`` and
@@ -170,12 +171,11 @@ def a_star(model: LevyModel, params: GameParams, *, _known: dict | None = None) 
         raise DomainError(
             f"a_star needs q > psi(-1) + beta = {growth + params.beta:g}, got q={params.q:g}"
         )
-    ph = phi(model, params.q, _known)
+    ph = phi(model, params.q)
     return params.alpha * (ph + 1.0) / (ph * (params.q - growth - params.beta))
 
 
-def _holder_condition(model: LevyModel, params: GameParams, theta: float,
-                      known: dict) -> float:
+def _holder_condition(model: LevyModel, params: GameParams, theta: float) -> float:
     """``F0 = alpha (theta+1) - K theta (psi(theta) - psi(-1) - beta)``; its
     zero on ``(0, inf)`` is ``Phi(q0)``, where ``a_star`` at ``q = psi(theta)``
     falls through ``K``.  ``F0 = -theta (theta+1) h0`` with ``h0 = K (psi(theta)
@@ -183,50 +183,41 @@ def _holder_condition(model: LevyModel, params: GameParams, theta: float,
     (the secant slope of convex ``psi`` from -1 first) strictly increase on
     ``(0, inf)``: so ``F0(0) = alpha > 0`` and ``F0`` changes sign once.
     At 0 it returns ``alpha``, the exact value, without evaluating ``psi``.
-    ``psi(theta)`` is read from or added to ``known`` (``model._psi_known``),
-    which holds ``psi(-1)`` at ``-1.0`` (:func:`_phi_q0` puts it there)."""
+    ``psi(-1)`` is the model's constant, ``psi(theta)`` read from its memo."""
     if theta == 0.0:
         return float(params.alpha)
-    return (params.alpha * (theta + 1.0)
-            - params.K * theta * (_psi_known(model, known, theta) - known[-1.0] - params.beta))
+    return (params.alpha * (theta + 1.0) - params.K * theta
+            * (laplace_exponent(model, theta) - exp_growth_rate(model) - params.beta))
 
 
-def _boundary_condition(model: LevyModel, params: GameParams, theta: float,
-                        known: dict) -> float:
+def _boundary_condition(model: LevyModel, params: GameParams, theta: float) -> float:
     """Issuer boundary condition ``F0 - theta (theta+1) K b^2/2`` (``F0`` is
     :func:`_holder_condition`), ``-theta (theta+1) (h0 + K b^2/2)``: ``alpha``
     at 0, ``-Phi(q0) (Phi(q0)+1) K b^2/2`` at ``Phi(q0)``, ``Phi(q1)`` between."""
-    return (_holder_condition(model, params, theta, known)
+    return (_holder_condition(model, params, theta)
             - theta * (theta + 1.0) * params.K * model.b2 / 2.0)
 
 
-def _phi_q0(model: LevyModel, params: GameParams, known: dict) -> float:
-    growth = exp_growth_rate(model)
-    if growth == math.inf:
+def _phi_q0(model: LevyModel, params: GameParams) -> float:
+    if exp_growth_rate(model) == math.inf:
         raise DomainError("the critical rates need a finite psi(-1)")
-    known[-1.0] = growth  # read at every step of both rate searches, not through the memo
-    return _root_past(lambda th: _holder_condition(model, params, th, known), 0.0,
+    return _root_past(lambda th: _holder_condition(model, params, th), 0.0,
                       float(params.alpha), BracketError("holder threshold never crosses the cap"))
 
 
-def _critical_rates(model: LevyModel, params: GameParams,
-                    known: dict | None = None) -> tuple[float, float]:
-    """``(q0, q1)`` from one ``Phi(q0)``, each ``psi`` value read from or
-    added to ``known``: ``psi(Phi(q0))`` is formed once for both searches
-    and both rates, and ``psi(Phi(q1))`` once for its search and ``q1``."""
-    if known is None:
-        known = {}
-    theta0 = _phi_q0(model, params, known)
-    rate0 = _psi_known(model, known, theta0)
-    return rate0, (rate0 if model.b2 == 0.0 else _psi_known(model, known, brentq(
-        lambda th: _boundary_condition(model, params, th, known), 0.0, theta0)))
+def _critical_rates(model: LevyModel, params: GameParams) -> tuple[float, float]:
+    """``(q0, q1)`` from one ``Phi(q0)``, whose ``psi`` both rates and ``q1``'s
+    search read from the model's memo."""
+    theta0 = _phi_q0(model, params)
+    rate0 = laplace_exponent(model, theta0)
+    return rate0, (rate0 if model.b2 == 0.0 else laplace_exponent(model, brentq(
+        lambda th: _boundary_condition(model, params, th), 0.0, theta0)))
 
 
 def q0(model: LevyModel, params: GameParams) -> float:
     """Critical discount rate where the holder threshold crosses the cap ``K``:
     ``psi`` of the root of :func:`_holder_condition` on ``[0, 2^k]``."""
-    known: dict[float, float] = {}
-    return _psi_known(model, known, _phi_q0(model, params, known))
+    return laplace_exponent(model, _phi_q0(model, params))
 
 
 def q1(model: LevyModel, params: GameParams) -> float:
@@ -239,13 +230,12 @@ def q1(model: LevyModel, params: GameParams) -> float:
 def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
     """Classify the game and assemble its critical rates and thresholds.
 
-    The rate searches and ``Phi(q)``'s share one dict of ``psi`` values, so
-    a cold classification evaluates ``psi`` at each ``theta`` once."""
+    Its searches share the model's memo, so a cold classification evaluates
+    ``psi`` at each ``theta`` once; in R4 it finds ``c*`` with no second regime check."""
     require_discount_condition(model, params.q)
     qv, K = params.q, params.K
     log_k = math.log(K)
-    known: dict[float, float] = {}
-    q0_val, q1_val = _critical_rates(model, params, known)
+    q0_val, q1_val = _critical_rates(model, params)
     # the critical rates are root-finder outputs; comparing against them with
     # a few-ulp band keeps an intended exact tie from landing on the wrong side
     band = 1e-12
@@ -255,7 +245,7 @@ def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
         tau, sigma = log_k, IMMEDIATE_STOP
     elif qv >= q0_val - band * max(1.0, q0_val):
         regime, c_val = Regime.R2, None
-        a_val = a_star(model, params, _known=known)
+        a_val = a_star(model, params)
         tau, sigma = math.log(a_val), log_k
         if abs(qv - q0_val) <= 1e-12 * max(1.0, q0_val):
             logger.info(
@@ -267,7 +257,7 @@ def classify(model: LevyModel, params: GameParams) -> RegimeSolution:
         tau = sigma = log_k
     else:
         regime, a_val = Regime.R4, None
-        c_val = c_star(model, params, _q1_value=q1_val, _known=known)
+        c_val = _issuer_threshold(model, params)
         tau, sigma = log_k, c_val
 
     return RegimeSolution(
@@ -301,20 +291,25 @@ def _call_boundary_value(model: LevyModel, params: GameParams, ph: float,
             + params.K * (i2 / (ph + 1.0) - i1 / ph))
 
 
-def c_star(model: LevyModel, params: GameParams, *,
-           _q1_value: float | None = None, _known: dict | None = None) -> float:
-    """Issuer's early-call threshold ``log K - s`` in regime R4: the boundary
-    excess ``call_boundary_value(log K - s) - K`` is positive at ``s = 1e-10``
-    and changes sign once, so ``model._root_past`` brackets it on ``[1e-10, 2^k]``."""
+def c_star(model: LevyModel, params: GameParams) -> float:
+    """Issuer's early-call threshold in regime R4, ``alpha/K < q < q1``;
+    :class:`RegimeError` elsewhere."""
     qv, K = params.q, params.K
-    if _q1_value is None:
-        _q1_value = q1(model, params)
-    if not (params.alpha / K < qv < _q1_value):
+    q1_val = q1(model, params)
+    if not (params.alpha / K < qv < q1_val):
         raise RegimeError(
             f"issuer threshold exists only for alpha/K < q < q1 "
-            f"({params.alpha / K:g} < q < {_q1_value:g}), got q={qv:g}"
+            f"({params.alpha / K:g} < q < {q1_val:g}), got q={qv:g}"
         )
-    ph = phi(model, qv, _known)
+    return _issuer_threshold(model, params)
+
+
+def _issuer_threshold(model: LevyModel, params: GameParams) -> float:
+    """:func:`c_star` once R4 is known: ``log K - s``, where the excess
+    ``call_boundary_value(log K - s) - K`` is positive at ``s = 1e-10`` and
+    changes sign once, so ``model._root_past`` brackets it on ``[1e-10, 2^k]``."""
+    K = params.K
+    ph = phi(model, params.q)
     log_k = math.log(K)
 
     def excess(s: float) -> float:

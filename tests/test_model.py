@@ -5,6 +5,7 @@ Gauss-Kronrod on the defining integrals; kink-aware refined trapezoids for the
 tabulated family) computed before the closed forms were written.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -640,6 +641,53 @@ class TestJumpIntegral:
                 assert abs(body.mass - mass) <= 1e-13 * mass, (lo, s, body.mass, mass)
 
 
+class TestPsiMemo:
+    """``laplace_exponent`` keeps each value it forms in its model's memo."""
+
+    MODELS = [CANON, EXPJ, BV_RHO2, LevyModel(-3.0, 2.0), LevyModel(0.1, 0.3, tabulated_exp_density(101))]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["brownian", "exp_jumps", "bv_exp", "drifted", "tabulated"])
+    def test_hit_is_the_evaluated_float(self, model):
+        for theta in (0.5, -0.4, 3.0, 1e-7, 0.0):
+            cold = laplace_exponent(dataclasses.replace(model), theta)
+            warm = dataclasses.replace(model)
+            laplace_exponent(warm, theta)
+            assert theta in warm._psi
+            assert laplace_exponent(warm, theta).hex() == cold.hex(), theta
+        # -0.0 reads 0.0's entry: both evaluate to +0.0, so the bits agree
+        warm = dataclasses.replace(model)
+        laplace_exponent(warm, 0.0)
+        hit = laplace_exponent(warm, -0.0)
+        assert hit.hex() == laplace_exponent(dataclasses.replace(model), -0.0).hex() == (0.0).hex()
+
+    def test_memo_is_bounded(self):
+        model = dataclasses.replace(EXPJ)
+        thetas = np.linspace(-1.6, 40.0, 1000).tolist()
+        for theta in thetas + thetas[::7]:
+            got = laplace_exponent(model, theta)
+            assert len(model._psi) <= 256
+            assert got.hex() == laplace_exponent(dataclasses.replace(EXPJ), theta).hex(), theta
+
+    def test_errors_raise_on_every_call(self):
+        model = dataclasses.replace(BV_RHO1)  # tail rate 1
+        for _ in range(2):
+            with pytest.raises(DivergentExponent):
+                laplace_exponent(model, -2.0)
+            for theta in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    laplace_exponent(model, theta)
+        assert model._psi == {}  # psi(-1) diverges too
+
+    def test_replace_starts_a_new_memo(self):
+        model = dataclasses.replace(EXPJ)
+        for theta in (0.5, 2.0):
+            laplace_exponent(model, theta)
+        again = dataclasses.replace(model)
+        assert again == model and hash(again) == hash(model)
+        assert again._psi is not model._psi
+        assert again._psi == {-1.0: exp_growth_rate(EXPJ)}  # built with psi(-1) alone
+
+
 class TestRealAxisOnce:
     """What the root finders already know is not computed again: psi(0),
     psi(-1) and the hash of a tabulated density."""
@@ -656,58 +704,90 @@ class TestRealAxisOnce:
 
     @staticmethod
     def counted_psi(monkeypatch):
-        """The thetas of every ``laplace_exponent`` call from here on, with
-        the ``phi`` and ``psi(-1)`` memos cleared; the solver reads ``psi``
-        through ``model._psi_known``."""
-        calls = []
+        """The thetas at which ``psi`` is evaluated from here on (a memo hit
+        of ``laplace_exponent`` evaluates nothing), with the ``phi`` and
+        scale-evaluator memos cleared; models built after it count their
+        ``psi(-1)``."""
+        thetas = []
 
-        def counted(model, theta):
-            calls.append(float(theta))
-            return laplace_exponent(model, theta)
+        def counted(jumps, theta):
+            thetas.append(theta)
+            return _jump_exponent_real(jumps, theta)
 
-        monkeypatch.setattr(model_module, "laplace_exponent", counted)
+        monkeypatch.setattr(model_module, "_jump_exponent_real", counted)
         phi.cache_clear()
-        exp_growth_rate.cache_clear()
-        return calls
+        scale_evaluator.cache_clear()
+        return thetas
 
     def test_cold_classify_reads_psi_minus_one_once(self, monkeypatch):
         from levybond import GameParams, Regime, classify
 
-        calls = self.counted_psi(monkeypatch)
+        thetas = self.counted_psi(monkeypatch)
         model = LevyModel(0.1, 0.3, tabulated_exp_density(401))
+        assert thetas == [-1.0]  # psi(-1) is formed with the model
         sol = classify(model, GameParams(1.0, 1.0, 1.05, 2.0))
         assert sol.regime is Regime.R4
         # each theta once: 38 when phi's and q0's doublings both formed
         # theta = 1, 2 and 4 and the rates re-read Phi(q0) and Phi(q1), 41
         # with psi evaluated at the three searches' lower ends theta = 0 too
-        assert calls.count(-1.0) == 1 and calls.count(0.0) == 0 and len(calls) == 32
-        assert len(set(calls)) == len(calls)
-        calls.clear()
-        classify(LevyModel(0.1, 0.3, tabulated_exp_density(401)), GameParams(1.0, 1.0, 1.1, 2.0))
-        assert calls.count(-1.0) == 0  # an equal model rebuilt hits the memo
+        assert thetas.count(-1.0) == 1 and thetas.count(0.0) == 0 and len(thetas) == 32
+        assert len(set(thetas)) == len(thetas)
+        thetas.clear()
+        rebuilt = LevyModel(0.1, 0.3, tabulated_exp_density(401))
+        assert thetas == [-1.0]  # each model forms its own
+        classify(rebuilt, GameParams(1.0, 1.0, 1.1, 2.0))
+        assert thetas.count(-1.0) == 1
 
-    @pytest.mark.parametrize("model, q, calls_with_lower_ends", [
-        (CANON, 3.0, 32), (LevyModel(0.0, 0.5), 0.4, 36), (EXPJ, 3.0, 32), (BV_RHO2, 1.0, 19),
+    @pytest.mark.parametrize("model, q, evaluations", [
+        (CANON, 3.0, 27), (LevyModel(0.0, 0.5), 0.4, 31), (EXPJ, 3.0, 26), (BV_RHO2, 1.0, 16),
     ], ids=["brownian-R2", "brownian-R1", "exp_jumps", "bv_exp"])
-    def test_root_searches_start_from_known_ends(self, monkeypatch, model, q,
-                                                 calls_with_lower_ends):
+    def test_root_searches_start_from_known_ends(self, monkeypatch, model, q, evaluations):
         # psi(0) - p = -p, and the critical-rate conditions are exactly alpha
         # at theta = 0: phi's, q0's and, with a Gaussian part, q1's searches
-        # take those ends as known, so a cold phi + classify evaluates psi 3
-        # (or 2) times fewer than with the ends evaluated
+        # take those ends as known, so a cold phi + classify evaluates no
+        # psi(0); the memo shares every other theta between the searches
+        # (the dict they passed counted 29, 33, 29 and 17 calls)
         from levybond import GameParams, classify
 
-        calls = self.counted_psi(monkeypatch)
+        thetas = self.counted_psi(monkeypatch)
+        model = dataclasses.replace(model)
         phi(model, q)
         classify(model, GameParams(1.0, 1.0, q, 2.0))
-        assert 0.0 not in calls
-        assert len(calls) == calls_with_lower_ends - (3 if model.b2 > 0.0 else 2)
+        assert 0.0 not in thetas
+        assert len(thetas) == evaluations and len(set(thetas)) == evaluations
 
-    def test_growth_rate_memo_keeps_divergence(self):
-        exp_growth_rate.cache_clear()
+    @pytest.mark.parametrize("model, q, evaluations", [
+        (LevyModel(0.1, 0.3, tabulated_exp_density(401)), 1.05, 35), (CANON, 3.0, 28),
+        (EXPJ, 3.0, 27), (BV_RHO2, 1.0, 17),
+    ], ids=["tabulated-R4", "brownian-R2", "exp_jumps-R2", "bv_exp-R4"])
+    def test_cold_solve_evaluates_each_theta_once(self, monkeypatch, model, q, evaluations):
+        # a pricer's whole request, model built cold: phi, the scale build,
+        # classify, a 25-point profile and the fit report (the dict passed
+        # between the rate searches left 38, 30, 30 and 18 evaluations)
+        from levybond import GameParams, classify, fit_report, value_profile
+
+        thetas = self.counted_psi(monkeypatch)
+        model, params = dataclasses.replace(model), GameParams(1.0, 1.0, q, 2.0)
+        phi(model, q)
+        scale_evaluator(model, q)
+        sol = classify(model, params)
+        value_profile(model, params, sol, np.linspace(math.log(2.0) - 3.0, math.log(2.0) + 1.0, 25))
+        fit_report(model, params, sol)
+        assert len(thetas) == evaluations and len(set(thetas)) == evaluations
+
+    def test_growth_rate_memo_keeps_divergence(self, monkeypatch):
+        # psi(-1) is a constant set when the model is built, inf where it
+        # diverges; reading it and classifying evaluate no psi(-1)
+        from levybond import GameParams, classify
+
+        thetas = self.counted_psi(monkeypatch)
+        diverging, finite = dataclasses.replace(BV_RHO1), dataclasses.replace(EXPJ)
+        assert thetas == [-1.0, -1.0]
         for _ in range(2):
-            assert exp_growth_rate(BV_RHO1) == math.inf
-            assert exp_growth_rate(EXPJ) == laplace_exponent(EXPJ, -1.0)
+            assert exp_growth_rate(diverging) == diverging._growth == math.inf
+            assert exp_growth_rate(finite).hex() == laplace_exponent(EXPJ, -1.0).hex()
+        classify(finite, GameParams(1.0, 1.0, 3.0, 2.0))
+        assert thetas.count(-1.0) == 2
 
     def test_equal_densities_hash_equal(self):
         grid = np.linspace(0.004, 8.0, 401)

@@ -8,6 +8,7 @@ relative 1e-7; threshold comparisons are tighter because both routes agree
 to machine precision.
 """
 
+import dataclasses
 import math
 import warnings
 from bisect import bisect_right
@@ -276,10 +277,9 @@ class TestCriticalRates:
                                             ExponentialJumps(0.1 + 2.0 * u[1], 1.5 + 3.0 * u[2]))
         params = GameParams(alpha, beta, 1.0, K)
         hi = phi(model, q0(model, params))
-        known = {-1.0: exp_growth_rate(model)}
-        assert _boundary_condition(model, params, 0.0, known) == alpha
+        assert _boundary_condition(model, params, 0.0) == alpha
         thetas = np.linspace(hi / 40.0, hi, 40)
-        hs = [-_boundary_condition(model, params, float(th), known) / (th * (th + 1.0))
+        hs = [-_boundary_condition(model, params, float(th)) / (th * (th + 1.0))
               for th in thetas]
         assert all(b > a for a, b in zip(hs, hs[1:]))
         edge = -hi * (hi + 1.0) * K * model.b2 / 2.0
@@ -288,19 +288,19 @@ class TestCriticalRates:
         # from terms of ~52), so its rounding scales with their magnitudes
         terms = (alpha * (hi + 1.0) + K * model.b2 / 2.0 * hi * (hi + 1.0)
                  + K * hi * (abs(laplace_exponent(model, hi)) + abs(exp_growth_rate(model)) + beta))
-        at_edge = _boundary_condition(model, params, hi, known)
+        at_edge = _boundary_condition(model, params, hi)
         assert at_edge == pytest.approx(edge, rel=0.0, abs=1e-12 * terms)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_q1_scan_without_sign_change(self, monkeypatch, sign):
         # a condition that keeps one sign on the bracket cannot be solved
-        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th, known: sign)
+        monkeypatch.setattr(solver_module, "_boundary_condition", lambda m, p, th: sign)
         with pytest.raises(BracketError, match="no sign change"):
             q1(CANON, gp(1.0))
 
     def test_q0_without_crossing(self, monkeypatch):
         # a holder condition that stays positive never brackets Phi(q0)
-        monkeypatch.setattr(solver_module, "_holder_condition", lambda m, p, th, known: 1.0)
+        monkeypatch.setattr(solver_module, "_holder_condition", lambda m, p, th: 1.0)
         with pytest.raises(BracketError, match="holder threshold never crosses the cap"):
             q0(CANON, gp(1.0))
 
@@ -321,9 +321,9 @@ class TestCriticalRates:
         model = LevyModel(model.mu, model.b2, model.jumps)  # a cold copy
         levels = []
 
-        def recorded(m, p, known=None):
+        def recorded(m, p):
             levels.append(p)
-            return phi(m, p, known)
+            return phi(m, p)
 
         monkeypatch.setattr(solver_module, "phi", recorded)
         monkeypatch.setattr(scale_module, "phi", recorded)
@@ -333,8 +333,7 @@ class TestCriticalRates:
     def test_q1_canonical_exact(self):
         # on the canonical instance the boundary condition vanishes at q=1
         assert abs(q1(CANON, gp(1.0)) - 1.0) <= 1e-8
-        known = {-1.0: exp_growth_rate(CANON)}
-        assert abs(_boundary_condition(CANON, gp(1.0), phi(CANON, 1.0), known)) <= 1e-12
+        assert abs(_boundary_condition(CANON, gp(1.0), phi(CANON, 1.0))) <= 1e-12
 
     def test_ordering(self):
         for name, model in MODELS.items():
@@ -928,6 +927,28 @@ class TestFarBelowBoundary:
                       8.0 / closed.phi_q, 21.0 / (2.0 * closed.phi_q)):
                 assert _w_combination(numeric, v, *coeffs) + 1.0 / qq == pytest.approx(
                     _w_combination(closed, v, *coeffs) + 1.0 / qq, rel=rel, abs=0.0), (qq, v)
+
+    def test_threshold_conditioning(self):
+        # R4's combination has a = 0 at c*, but any rounding in its
+        # coefficients leaves a residue at Phi that e^(Phi v) amplifies.  On
+        # TAB at q 1.5 (Phi 2.62), moving c* by k ulps moves V(c* - 4) by
+        # C |k| eps e^(4 Phi), C at most 2.69 (k = +1: 2.1e-11; k = -10:
+        # 1.0e-10); C = 4 bounds it.  V(c* - 0.1) moves by at most 2.3e-16.
+        # Each point sits at a fixed distance below the moved c*: at a fixed
+        # x the distance moves too, and the Euler inverter reads that move
+        # at its own rounding level (~6e-13 at 0.1)
+        qq, eps = 1.5, np.finfo(float).eps
+        sol = classify(TAB, gp(qq))
+        ph, c = phi(TAB, qq), sol.c_star
+        assert sol.regime is Regime.R4 and 2.6 < ph < 2.7
+        for k in (1, -1, 10, -10):
+            ck = c
+            for _ in range(abs(k)):
+                ck = math.nextafter(ck, math.copysign(math.inf, k))
+            moved = dataclasses.replace(sol, c_star=ck, sigma_level=ck)
+            for v, limit in ((4.0, 4.0 * abs(k) * eps * math.exp(ph * 4.0)), (0.1, 1e-14)):
+                rel = abs(value(TAB, gp(qq), moved, ck - v) / value(TAB, gp(qq), sol, c - v) - 1.0)
+                assert rel <= limit, (v, k, rel)
 
 
 def _stencil_limits(model, params, sol, h=None):
