@@ -26,7 +26,8 @@ scalar ``a`` a tail-only density stays in :mod:`math`, so it keeps the digits
 and the scalar cost of the exponential family's textbook formulas.
 
 A model evaluates ``psi(-1)`` when it is built and keeps every real ``psi``
-value it forms, so root searches on one model share their ``psi`` values.
+value it forms until ``psi`` is formed on another model, so root searches on
+one model share their ``psi`` values and only the model in use holds any.
 """
 
 from __future__ import annotations
@@ -488,9 +489,10 @@ class LevyModel:
     paths would be monotone increasing, since first-passage games degenerate
     there.
 
-    Construction also sets ``_psi``, :func:`laplace_exponent`'s memo, and
-    ``_growth``, ``psi(-1)`` or ``inf`` where it diverges: not fields, so they
-    take no part in equality, hashing or repr, as a jump spec's normal form.
+    Construction also sets ``_psi``, :func:`laplace_exponent`'s memo (empty
+    while another model is in use), and ``_growth``, ``psi(-1)`` or ``inf``
+    where it diverges: not fields, so they take no part in equality, hashing
+    or repr, as a jump spec's normal form.
     """
 
     mu: float
@@ -591,8 +593,11 @@ def laplace_exponent(model: LevyModel, theta: float) -> float:
     """``psi(theta) = log E[exp(-theta X_1)]`` for real ``theta``.
 
     Memoised in ``model._psi``, a plain dict (a Brownian ``psi`` costs
-    ~0.3 us) emptied when it holds 256 values.  ``psi(-0.0)`` may read
-    ``psi(0.0)``'s entry, its own value ``+0.0``.  What raises is not stored.
+    ~0.3 us) emptied when it holds 256 values or when ``psi`` is formed on
+    another model: the searches of one solve share their values, and a
+    solved model keeps none, so solving many models does not grow the heap
+    by a memo each.  ``psi(-0.0)`` may read ``psi(0.0)``'s entry, its own
+    value ``+0.0``.  What raises is not stored.
 
     Raises
     ------
@@ -610,10 +615,18 @@ def laplace_exponent(model: LevyModel, theta: float) -> float:
             raise DomainError(f"theta must be finite, got {theta}")
         val = (model.mu * theta + 0.5 * model.b2 * theta * theta
                + _jump_exponent_real(model.jumps, theta))
+        global _memo_in_use
+        if memo is not _memo_in_use:
+            _memo_in_use.clear()
+            _memo_in_use = memo
         if len(memo) >= 256:
             memo.clear()
         memo[theta] = val
     return val
+
+
+# the memo of the model on which psi was last formed, the one that holds values
+_memo_in_use: dict = {}
 
 
 def _psi_c(model: LevyModel, beta, step=None) -> np.ndarray:

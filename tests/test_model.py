@@ -661,12 +661,18 @@ class TestPsiMemo:
         assert hit.hex() == laplace_exponent(dataclasses.replace(model), -0.0).hex() == (0.0).hex()
 
     def test_memo_is_bounded(self):
-        model = dataclasses.replace(EXPJ)
         thetas = np.linspace(-1.6, 40.0, 1000).tolist()
-        for theta in thetas + thetas[::7]:
+        thetas += thetas[::7]
+        # each reference on a fresh model before the count: forming psi on
+        # another model would empty the memo under test
+        want = [laplace_exponent(dataclasses.replace(EXPJ), theta).hex() for theta in thetas]
+        model, fullest = dataclasses.replace(EXPJ), 0
+        for theta, hexed in zip(thetas, want):
             got = laplace_exponent(model, theta)
+            fullest = max(fullest, len(model._psi))
             assert len(model._psi) <= 256
-            assert got.hex() == laplace_exponent(dataclasses.replace(EXPJ), theta).hex(), theta
+            assert got.hex() == hexed, theta
+        assert fullest == 256
 
     def test_errors_raise_on_every_call(self):
         model = dataclasses.replace(BV_RHO1)  # tail rate 1
@@ -686,6 +692,27 @@ class TestPsiMemo:
         assert again == model and hash(again) == hash(model)
         assert again._psi is not model._psi
         assert again._psi == {-1.0: exp_growth_rate(EXPJ)}  # built with psi(-1) alone
+        assert model._psi == {}  # forming psi(-1) on `again` emptied it
+
+    def test_only_the_model_in_use_holds_values(self):
+        first, second = dataclasses.replace(EXPJ), dataclasses.replace(CANON)
+        thetas = (0.5, 2.0, 3.0)
+        want = {theta: laplace_exponent(first, theta).hex() for theta in thetas}
+        assert set(thetas) <= set(first._psi)
+        laplace_exponent(second, 0.5)
+        assert first._psi == {} and set(second._psi) == {0.5}
+        # a hit on `second` keeps `first` empty; psi on `first` again re-forms
+        # the same bits and empties `second`
+        laplace_exponent(second, 0.5)
+        assert first._psi == {}
+        for theta in thetas:
+            assert laplace_exponent(first, theta).hex() == want[theta]
+        assert second._psi == {} and set(first._psi) == set(thetas)
+        # a divergent psi stores nothing, so it leaves the memo in use alone
+        diverging = dataclasses.replace(BV_RHO1)
+        with pytest.raises(DivergentExponent):
+            laplace_exponent(diverging, -2.0)
+        assert set(first._psi) == set(thetas) and diverging._psi == {}
 
 
 class TestRealAxisOnce:
@@ -780,12 +807,13 @@ class TestRealAxisOnce:
         # diverges; reading it and classifying evaluate no psi(-1)
         from levybond import GameParams, classify
 
+        want = laplace_exponent(dataclasses.replace(EXPJ), -1.0).hex()
         thetas = self.counted_psi(monkeypatch)
         diverging, finite = dataclasses.replace(BV_RHO1), dataclasses.replace(EXPJ)
         assert thetas == [-1.0, -1.0]
         for _ in range(2):
             assert exp_growth_rate(diverging) == diverging._growth == math.inf
-            assert exp_growth_rate(finite).hex() == laplace_exponent(EXPJ, -1.0).hex()
+            assert exp_growth_rate(finite).hex() == want
         classify(finite, GameParams(1.0, 1.0, 3.0, 2.0))
         assert thetas.count(-1.0) == 2
 
